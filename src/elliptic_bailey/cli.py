@@ -163,9 +163,9 @@ def cmd_eval(args) -> int:
     if fn == "gamma":
         _require(args, ["z"])
         val = elliptic_gamma(args.z, nome)
-        jp, jq = gamma_truncation_orders(args.z, nome)
+        terms, shifts = gamma_truncation_orders(args.z, nome)
         print(f"gamma({_fmt(args.z)}; {_fmt(nome.p)}, {_fmt(nome.q)}) = {_fmt(val)}")
-        print(f"  [truncation orders J_p={jp}, J_q={jq}]")
+        print(f"  [truncation orders: {terms} series terms, {shifts} theta shifts]")
     elif fn == "pochhammer":
         _require(args, ["z", "n"])
         val = elliptic_pochhammer(args.z, args.n, nome)

@@ -99,6 +99,14 @@ class CampaignConfig:
             raise DomainError("draws and N must be >= 0, retry_cap >= 1")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
+        if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise DomainError(f"tolerance must be finite and positive, got {self.tolerance}")
+        for name in ("p_range", "q_range"):
+            bounds = getattr(self, name)
+            if bounds is not None and not (len(bounds) == 2 and 0 <= bounds[0] < bounds[1] < 1):
+                raise DomainError(f"{name} must be (lo, hi) with 0 <= lo < hi < 1, got {bounds}")
+        if self.spectators < 1:
+            raise DomainError("spectators must be >= 1")
 
     @property
     def effective_tolerance(self) -> float:
@@ -299,7 +307,8 @@ def _discrete_sampler(cfg: CampaignConfig, rng):
             c = nome.q * a * t / (k * b)
             params = ba.DiscreteParams(a=a, k=k, t_tilde=t, b=b, c=c, y=1.0, N=cfg.effective_N, nome=nome)
             mode = "free-bc"
-        if ba.conditioning_amplification(params) > cfg.amplification_cap:
+        # NaN (overflow in the products at large N) must reject as well
+        if not ba.conditioning_amplification(params) <= cfg.amplification_cap:
             raise _Rejected
         return params, mode
 
@@ -506,13 +515,17 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
 
 
 def _thread_cap() -> int:
+    """The ELLIPTIC_BAILEY_THREADS limit on campaign threads, else the CPU count."""
     cap = os.environ.get("ELLIPTIC_BAILEY_THREADS")
     if cap is None:
-        return 1_000_000
+        return os.cpu_count() or 1
     try:
-        return max(1, int(cap))
+        value = int(cap)
     except ValueError:
-        return 1_000_000
+        value = 0
+    if value < 1:
+        raise DomainError(f"ELLIPTIC_BAILEY_THREADS must be an integer >= 1, got {cap!r}")
+    return value
 
 
 def summarize(reports: list[VerificationReport]) -> CampaignSummary:

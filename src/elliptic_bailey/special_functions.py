@@ -11,12 +11,24 @@ With two nomes ``|p| < 1``, ``|q| < 1``:
     theta(z; p)_n   = prod_{j=0}^{n-1} theta(z q^j; p)            for n > 0,
                       1 / prod_{j=1}^{-n} theta(z q^{-j}; p)      for n < 0.
 
-Gamma is accumulated in log space over the rectangular index range
-j <= J_p, k <= J_q, with the orders chosen adaptively from the geometric tail
-bounds of the two bases; this avoids overflow for large |z| and gives a
-controlled truncation error.  All functions accept scalars or numpy arrays in
-``z`` and are pure; the default floating type is hardware complex128 (unit
-roundoff ~1e-16).
+Gamma is summed from the annulus log-series (Spiridonov, Russ. Math. Surveys
+63, 2008)
+
+    log Gamma(w; p, q) = sum_{m>=1} (w^m - (pq/w)^m) / (m (1 - p^m)(1 - q^m)),
+                         valid for |pq| < |w| < 1.
+
+With u the nome of larger modulus and v the other, each z is first moved to
+w = z u^k, with the integer k that puts log|w| nearest to log sqrt|pq|, so
+r = max(|w|, |pq/w|) <= sqrt|v|.  The functional equation
+Gamma(u z) = theta(z; v) Gamma(z) undoes the shift:
+
+    Gamma(z) = Gamma(w) / prod_{j<k} theta(z u^j; v)       for k > 0,
+    Gamma(z) = Gamma(w) * prod_{j<-k} theta(w u^j; v)      for k < 0.
+
+The series order M is the smallest with the tail bound
+2 r^{M+1} / ((1 - r)(1 - |p|)(1 - |q|)) below the policy's tolerance.  All
+functions accept scalars or numpy arrays in ``z`` and are pure; the default
+floating type is hardware complex128 (unit roundoff ~1e-16).
 """
 
 from __future__ import annotations
@@ -51,13 +63,16 @@ THETA_GUARD = 1e-10
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How infinite products are truncated.
+    """How infinite products and series are truncated.
 
-    In ``adaptive`` mode the truncation order J is the smallest integer with
-    ``C * b**J < target_rel_tol`` where ``b`` is the base modulus and ``C`` the
-    tail-bound constant documented in :func:`_qpoch_order` /
-    :func:`_gamma_order`.  In ``fixed_terms`` mode exactly ``max_terms``
-    product factors are used.
+    In ``adaptive`` mode a q-Pochhammer product keeps the smallest number J of
+    factors with ``C * b**J < target_rel_tol``, where ``b`` is the base modulus
+    and ``C`` the tail constant of :func:`_qpoch_order`; the gamma series keeps
+    the smallest number M of terms with
+    ``2 r**(M+1) / ((1-r)(1-|p|)(1-|q|)) < target_rel_tol`` (see
+    :func:`_series_order`).  An order above ``max_terms`` raises
+    :class:`TruncationLimitError`.  In ``fixed_terms`` mode exactly
+    ``max_terms`` product factors or series terms are used.
     """
 
     target_rel_tol: float = 1e-14
@@ -136,10 +151,15 @@ def theta(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
     if p == 0.0:
         out = 1.0 - z_arr
         return out if z_arr.ndim else complex(out)
-    scale = float(np.max(np.maximum(np.abs(z_arr), abs(p) / np.abs(z_arr))))
-    n = _qpoch_order(abs(p), scale, policy)
-    out = _qpoch_raw(z_arr, p, n) * _qpoch_raw(p / z_arr, p, n)
+    out = _theta_raw(z_arr, p, policy)
     return out if z_arr.ndim else complex(out)
+
+
+def _theta_raw(z: np.ndarray, p: complex, policy: TruncationPolicy) -> np.ndarray:
+    """theta(z; p) for nonzero z and 0 < |p| < 1, without argument checks."""
+    scale = float(np.max(np.maximum(np.abs(z), abs(p) / np.abs(z))))
+    n = _qpoch_order(abs(p), scale, policy)
+    return _qpoch_raw(z, p, n) * _qpoch_raw(p / z, p, n)
 
 
 class NomePair:
@@ -147,10 +167,10 @@ class NomePair:
     derived constants (p; p)_inf, (q; q)_inf and kappa = (p;p)_inf (q;q)_inf / (4 pi i).
 
     Immutable after construction; instances are safe to share across threads
-    (the internal lattice cache only ever fills in identical values).
+    (the cached gamma series coefficients only ever grow to identical values).
     """
 
-    __slots__ = ("p", "q", "trunc", "_pp_inf", "_qq_inf", "_lattice_cache")
+    __slots__ = ("p", "q", "trunc", "_pp_inf", "_qq_inf", "_series_coeffs")
 
     def __init__(self, p, q, trunc: TruncationPolicy = DEFAULT_POLICY):
         p, q = complex(p), complex(q)
@@ -161,7 +181,7 @@ class NomePair:
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "_pp_inf", qpochhammer_inf(p, p, trunc))
         object.__setattr__(self, "_qq_inf", qpochhammer_inf(q, q, trunc))
-        object.__setattr__(self, "_lattice_cache", {})
+        object.__setattr__(self, "_series_coeffs", np.empty(0, dtype=complex))
 
     def __setattr__(self, name, value):
         raise AttributeError("NomePair is immutable")
@@ -199,97 +219,145 @@ class NomePair:
         """The pair with p and q exchanged (for base-symmetry checks)."""
         return NomePair(self.q, self.p, self.trunc)
 
-    def gamma_lattice(self, order_p: int, order_q: int) -> np.ndarray:
-        """Flattened values p^j q^k over the rectangle j <= order_p, k <= order_q."""
-        key = (order_p, order_q)
-        w = self._lattice_cache.get(key)
-        if w is None:
-            pj = self.p ** np.arange(order_p + 1)
-            qk = self.q ** np.arange(order_q + 1)
-            w = np.outer(pj, qk).ravel()
-            self._lattice_cache[key] = w
-        return w
+    def series_coefficients(self, order: int) -> np.ndarray:
+        """The gamma series coefficients 1 / (m (1 - p^m)(1 - q^m)), m = 1..order."""
+        c = self._series_coeffs
+        if c.size < order:
+            m = np.arange(1, order + 1)
+            c = 1.0 / (m * (1.0 - self.p**m) * (1.0 - self.q**m))
+            object.__setattr__(self, "_series_coeffs", c)
+        return c[:order]
 
 
-def _gamma_order(nome: NomePair, scale: float) -> tuple[int, int]:
-    """Truncation orders (J_p, J_q) for the double product of Gamma(z; p, q).
+def _shift_nomes(nome: NomePair) -> tuple[complex, complex]:
+    """(u, v): the nome of larger modulus, which shifts z, and the other."""
+    return (nome.p, nome.q) if abs(nome.p) >= abs(nome.q) else (nome.q, nome.p)
 
-    The rectangle j <= J_p, k <= J_q leaves two geometric tails; each is
-    bounded by C * b^{J+1} with C = (|z| + |pq/z| + 1) / ((1-|p|)(1-|q|)),
-    and each order is the smallest making its tail < target_rel_tol / 2.
+
+def _annulus_shift(log_az: np.ndarray, nome: NomePair) -> tuple[np.ndarray, float]:
+    """Shift exponents k, with w = z u^k in the series annulus, and the series
+    radius r = max |w|, |pq/w| over the points.  Requires u != 0.
+
+    k puts log|w| nearest to log sqrt|pq|, so r <= sqrt|v|.  With v = 0 the
+    annulus is 0 < |w| < 1, and k puts log|w| nearest to log|u|, so
+    r <= sqrt|u|.
+    """
+    u, v = _shift_nomes(nome)
+    log_u = math.log(abs(u))
+    target = 0.5 * math.log(abs(u * v)) if v != 0 else log_u
+    exact = (target - log_az) / log_u
+    k = np.rint(exact)
+    # log|w| - target = (k - exact) log|u|, and log|pq/w| - target is its negative
+    miss = (k - exact) * log_u
+    r = math.exp(target + float(np.max(np.abs(miss) if v != 0 else miss)))
+    return k, r
+
+
+def _series_order(nome: NomePair, r: float) -> int:
+    """Number M of series terms for series radius r < 1.
+
+    Every coefficient has modulus <= 1/((1-|p|)(1-|q|)), so the tail after M
+    terms is at most 2 r^{M+1} / ((1-r)(1-|p|)(1-|q|)); M is the smallest
+    order making that bound < target_rel_tol.
     """
     policy = nome.trunc
-    ap, aq = abs(nome.p), abs(nome.q)
     if policy.mode == "fixed_terms":
-        side = max(int(math.isqrt(policy.max_terms)) - 1, 0)
-        return side, side
-    c = (scale + 1.0) / ((1.0 - ap) * (1.0 - aq))
-    half = policy.target_rel_tol / 2.0
-
-    def order_for(base):
-        if base == 0.0:
-            return 0
-        j = max(1, int(math.ceil(math.log(half / c) / math.log(base))))
-        while c * base ** (j + 1) >= half:
-            j += 1
-        return j
-
-    jp, jq = order_for(ap), order_for(aq)
-    if (jp + 1) * (jq + 1) > policy.max_terms:
+        return policy.max_terms
+    c = 2.0 / ((1.0 - r) * (1.0 - abs(nome.p)) * (1.0 - abs(nome.q)))
+    tol = policy.target_rel_tol
+    m = max(1, int(math.ceil(math.log(tol / c) / math.log(r))) - 1)
+    while c * r ** (m + 1) >= tol:
+        m += 1
+    if m > policy.max_terms:
         raise TruncationLimitError(
-            f"elliptic gamma needs {(jp + 1) * (jq + 1)} terms, cap is {policy.max_terms}"
+            f"elliptic gamma series needs {m} terms (r={r:g}), cap is {policy.max_terms}"
         )
-    return jp, jq
+    return m
 
 
-def _log1m(u: np.ndarray) -> np.ndarray:
-    """log(1 - u), accurate for small |u| (series below 1e-4, error < |u|^5).
+def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
+    """Raise PoleProximityError iff some j, k >= 0 has
+    |1 - z p^j q^k| < POLE_GUARD_FACTOR |z|.
 
-    The series is the bulk path: on a geometric lattice only the leading few
-    terms per row exceed the cutoff, so the exact log runs on a small subset.
+    A lattice point x = z v^j u^k can meet that predicate only if
+    ||x| - 1| < POLE_GUARD_FACTOR |z|, so only x with |x| in
+    [1 - reach, 1 + reach], widened to [1/2, 2], are tested, where reach is
+    POLE_GUARD_FACTOR max|z|.  They lie in one rectangle of (j, k) for every
+    z of the call.  From reach = 1 on, the lattice points x -> 0 count as
+    meeting the predicate, since |1 - x| -> 1.
     """
-    out = -u * (1.0 + u * (0.5 + u * (1.0 / 3.0 + 0.25 * u)))
-    big = np.abs(u) >= 1e-4
-    if np.any(big):
-        out[big] = np.log(1.0 - u[big])
-    return out
+    hi = float(az.max())
+    reach = POLE_GUARD_FACTOR * hi
+    low, high = min(0.5, 1.0 - reach), max(2.0, 1.0 + reach)
+    if hi < low:
+        return
+    u, v = _shift_nomes(nome)
+    lattice = np.ones(1, dtype=complex)
+    if u != 0:
+        if low <= 0:
+            raise PoleProximityError(
+                f"|z|={hi:g} puts every small lattice point within guard distance"
+            )
+        neg_log_u, log_low, log_high = -math.log(abs(u)), math.log(low), math.log(high)
+        j_max, log_v = 0, 0.0
+        if v != 0:
+            log_v = math.log(abs(v))
+            j_max = int((math.log(hi) - log_low) // -log_v)
+        # k_lo: the first k with |z v^j u^k| <= high for the smallest |z| and j = j_max
+        k_lo = max(0, math.ceil((math.log(float(az.min())) + j_max * log_v - log_high) / neg_log_u))
+        k_hi = int((math.log(hi) - log_low) // neg_log_u)
+        if k_lo > k_hi:
+            return
+        lattice = np.outer(v ** np.arange(j_max + 1), u ** np.arange(k_lo, k_hi + 1)).ravel()
+    gap = np.abs(1.0 - z[:, None] * lattice).min(axis=1)
+    bad = gap < POLE_GUARD_FACTOR * az
+    if bad.any():
+        raise PoleProximityError(
+            f"z={z[bad][0]} is within guard distance of the pole lattice p^-j q^-k"
+        )
 
 
-_GAMMA_CHUNK = 2_000_000  # max elements of the (z, lattice) product grid per block
-
-
-def _gamma_vec(z: np.ndarray, nome: NomePair, guarded: bool = True) -> np.ndarray:
-    """Gamma(z; p, q) on a flat complex array, log-space accumulation."""
-    pq = nome.p * nome.q
+def _gamma_vec(z: np.ndarray, nome: NomePair) -> np.ndarray:
+    """Gamma(z; p, q) on a flat complex array: annulus series plus theta shifts."""
     az = np.abs(z)
-    if np.any(az == 0):
+    if not az.all():
         raise DomainError("elliptic gamma is undefined at z = 0")
-    scale = float(np.max(np.maximum(az, abs(pq) / az)))
-    jp, jq = _gamma_order(nome, scale)
-    w = nome.gamma_lattice(jp, jq)
-    out = np.empty_like(z)
-    step = max(1, _GAMMA_CHUNK // max(w.size, 1))
-    for lo in range(0, z.size, step):
-        zb = z[lo : lo + step, None]
-        den_u = zb * w[None, :]
-        if guarded:
-            gap = np.abs(1.0 - den_u).min(axis=1)
-            bad = gap < POLE_GUARD_FACTOR * np.abs(zb[:, 0])
-            if np.any(bad):
-                zbad = zb[bad, 0][0]
-                raise PoleProximityError(
-                    f"z={zbad} is within guard distance of the pole lattice p^-j q^-k"
-                )
-        num_u = (pq * w)[None, :] / zb
-        out[lo : lo + step] = np.exp(np.sum(_log1m(num_u) - _log1m(den_u), axis=1))
-    return out
+    _pole_guard(z, az, nome)
+    u, v = _shift_nomes(nome)
+    if u == 0:
+        return 1.0 / (1.0 - z)
+    k, r = _annulus_shift(np.log(az), nome)
+    w = z * u**k
+    coeffs = nome.series_coefficients(_series_order(nome, r))
+    # rows m = 1..M hold w^m and (pq/w)^m; each pass doubles the rows filled
+    powers = np.empty((coeffs.size, 2 * z.size), dtype=complex)
+    powers[0] = np.concatenate([w, nome.p * nome.q / w])
+    filled = 1
+    while filled < coeffs.size:
+        step = min(filled, coeffs.size - filled)
+        np.multiply(powers[:step], powers[filled - 1], out=powers[filled : filled + step])
+        filled += step
+    series = coeffs @ powers
+    log_gamma = series[: z.size] - series[z.size :]
+    n_shift = int(np.abs(k).max())
+    if n_shift:
+        # theta(x u^j; v), j < |k|, with x = z for k > 0 and x = w for k < 0,
+        # every point's factors from one theta evaluation.  Summed as logs,
+        # since their product over- or underflows where Gamma(z) does.
+        used = np.arange(n_shift) < np.abs(k)[:, None]
+        x = (np.where(k > 0, z, w)[:, None] * u ** np.arange(n_shift))[used]
+        log_theta = np.zeros(used.shape, dtype=complex)
+        log_theta[used] = np.log(1.0 - x if v == 0 else _theta_raw(x, v, nome.trunc))
+        log_gamma -= np.sign(k) * log_theta.sum(axis=1)
+    return np.exp(log_gamma)
 
 
 def elliptic_gamma(z, nome: NomePair):
     """Elliptic gamma function Gamma(z; p, q).
 
-    Evaluates the defining double product, which converges for every z off the
-    pole lattice z = p^{-j} q^{-k}, j, k >= 0.  Raises
+    Sums the annulus log-series after a theta shift of z (see the module
+    docstring); valid for every z off the pole lattice z = p^{-j} q^{-k},
+    j, k >= 0.  Raises
     :class:`PoleProximityError` when a denominator factor is within the guard
     threshold of zero (the caller chose z too close to a pole), and
     :class:`DomainError` at z = 0.
@@ -335,10 +403,12 @@ def theta_pochhammer_sequence(z, n_max: int, nome: NomePair) -> np.ndarray:
 
 
 def gamma_truncation_orders(z, nome: NomePair) -> tuple[int, int]:
-    """The (J_p, J_q) truncation orders elliptic_gamma would use at z."""
-    z_arr = np.abs(np.asarray(z, dtype=complex))
-    scale = float(np.max(np.maximum(z_arr, abs(nome.p * nome.q) / z_arr)))
-    return _gamma_order(nome, scale)
+    """(M, K): the series terms and the largest theta shift |k| that
+    elliptic_gamma would use at z."""
+    if _shift_nomes(nome)[0] == 0:
+        return 0, 0
+    k, r = _annulus_shift(np.log(np.abs(np.asarray(z, dtype=complex))).ravel(), nome)
+    return _series_order(nome, r), int(np.abs(k).max())
 
 
 def gamma_residue_constant(nome: NomePair) -> complex:

@@ -70,6 +70,13 @@ class TestVerify:
                                "--draws", "2", "--seed", "3", "--tol", "1e-30")
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify", "matrix-bailey", "--draws", "2", "--tol", tol)
+        assert code == 2
+        assert "tolerance" in err
+        assert out == ""
+
     def test_inadmissible_fixed_parameter(self, capsys, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[campaign]\ndraws = 4\n\n[fixed]\nt = 1.2\n")

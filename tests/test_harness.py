@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from elliptic_bailey import harness as hmod
 from elliptic_bailey.errors import DomainError
 from elliptic_bailey.harness import CampaignConfig, CampaignSummary, run_campaign, summarize
 from elliptic_bailey.report import VerificationReport
@@ -22,6 +23,48 @@ class TestCampaignConfig:
         assert CampaignConfig(identity="matrix-bailey").effective_tolerance == 1e-9
         assert CampaignConfig(identity="star-triangle").effective_tolerance == 1e-8
         assert CampaignConfig(identity="matrix-bailey", tolerance=1e-6).effective_tolerance == 1e-6
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            CampaignConfig(identity="matrix-bailey", tolerance=tol)
+
+    @pytest.mark.parametrize("bounds", [(1.1, 1.2), (0.4, 0.2), (-0.1, 0.5), (0.3, 1.0)])
+    def test_nome_ranges_inside_unit_interval(self, bounds):
+        with pytest.raises(DomainError, match="q_range"):
+            CampaignConfig(identity="special-functions", q_range=bounds)
+        with pytest.raises(DomainError, match="p_range"):
+            CampaignConfig(identity="special-functions", p_range=bounds)
+
+    def test_spectators_at_least_one(self):
+        with pytest.raises(DomainError, match="spectators"):
+            CampaignConfig(identity="star-triangle", spectators=0)
+
+
+class TestThreadCap:
+    def test_unset_caps_at_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("ELLIPTIC_BAILEY_THREADS", raising=False)
+        assert hmod._thread_cap() == (os.cpu_count() or 1)
+
+    def test_valid_value(self, monkeypatch):
+        monkeypatch.setenv("ELLIPTIC_BAILEY_THREADS", "3")
+        assert hmod._thread_cap() == 3
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-4", ""])
+    def test_malformed_or_below_one_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("ELLIPTIC_BAILEY_THREADS", raw)
+        with pytest.raises(DomainError, match="ELLIPTIC_BAILEY_THREADS"):
+            hmod._thread_cap()
+
+
+class TestSampler:
+    def test_nan_conditioning_is_rejected(self):
+        # At N = 8, draw 4 of seed 4 first samples parameters whose M-matrix
+        # products overflow, so the conditioning estimate is NaN; that draw
+        # must be resampled, not admitted and failed with a NaN residual.
+        reports = run_campaign(CampaignConfig(identity="matrix-bailey", N=8, seed=4, draws=5))
+        assert reports[4].passed
+        assert reports[4].settings["rejected"] >= 1
 
 
 class TestDeterminism:

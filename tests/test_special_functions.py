@@ -182,6 +182,117 @@ class TestEllipticGamma:
             assert rel(a, b) < tol
 
 
+def _phase(rng):
+    return np.exp(2j * np.pi * rng.uniform())
+
+
+def _random_nome(rng, p_max, q_max, complex_nomes):
+    p, q = rng.uniform(0, p_max), rng.uniform(0, q_max)
+    if complex_nomes:
+        p, q = p * _phase(rng), q * _phase(rng)
+    return NomePair(p, q)
+
+
+def _guard_raises(z, nome):
+    """Whether the pole guard fires at z; asserts the oracle's guard agrees."""
+    fired = []
+    for fn in (elliptic_gamma, oracles.elliptic_gamma_double_product):
+        try:
+            fn(z, nome)
+            fired.append(False)
+        except PoleProximityError:
+            fired.append(True)
+    assert fired[0] == fired[1], (z, nome)
+    return fired[0]
+
+
+class TestGammaAgainstDoubleProduct:
+    """The annulus series against the former numpy double product
+    (oracles.elliptic_gamma_double_product), on 9-point calls.
+
+    Far out on both axes at once (|z| ~ 1e3 with |q| ~ 0.9), |log Gamma|
+    reaches the hundreds and both evaluations lose ~1e-13 to rounding in
+    the log sums, so each test below spans one axis.
+    """
+
+    def assert_matches(self, z, nome):
+        got = elliptic_gamma(z, nome)
+        ref = oracles.elliptic_gamma_double_product(z, nome)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+    def test_nomes_up_to_0_9(self):
+        rng = np.random.default_rng(41)
+        for i in range(40):
+            nome = _random_nome(rng, 0.9, 0.9, complex_nomes=i % 2 == 1)
+            z = rng.uniform(0.1, 10, 9) * np.exp(2j * np.pi * rng.uniform(size=9))
+            self.assert_matches(z, nome)
+
+    def test_arguments_from_1e_minus_3_to_1e3(self):
+        rng = np.random.default_rng(43)
+        for i in range(40):
+            nome = _random_nome(rng, 0.6, 0.6, complex_nomes=i % 2 == 1)
+            z = 10 ** rng.uniform(-3, 3, 9) * np.exp(2j * np.pi * rng.uniform(size=9))
+            self.assert_matches(z, nome)
+
+    def test_shift_boundaries(self):
+        # |z u^k| = sqrt|pq| |u|^{+-1/2}: the shift rounds a half-integer, and
+        # the series radius reaches its bound sqrt|v|
+        rng = np.random.default_rng(47)
+        for i in range(30):
+            nome = _random_nome(rng, 0.9, 0.9, complex_nomes=i % 2 == 1)
+            au = max(abs(nome.p), abs(nome.q))
+            k = np.arange(-4, 5)
+            for half in (-0.5, 0.5):
+                mod = np.sqrt(abs(nome.p * nome.q)) * au ** (half - k)
+                self.assert_matches(mod * np.exp(2j * np.pi * rng.uniform(size=k.size)), nome)
+
+    def test_one_nome_zero(self):
+        rng = np.random.default_rng(53)
+        for i in range(30):
+            q = rng.uniform(0.05, 0.9) * (_phase(rng) if i % 2 else 1)
+            z = 10 ** rng.uniform(-3, 3, 9) * np.exp(2j * np.pi * rng.uniform(size=9))
+            self.assert_matches(z, NomePair(0.0, q))
+            self.assert_matches(z, NomePair(q, 0.0))
+        z = np.array([0.3 + 0.1j, -2.0, 40j])
+        self.assert_matches(z, NomePair(0.0, 0.0))
+        assert np.array_equal(elliptic_gamma(z, NomePair(0.0, 0.0)), 1.0 / (1.0 - z))
+
+    @pytest.mark.parametrize("p, q", [(0.1, 0.2), (0.3, 0.85), (0.2 + 0.1j, -0.5j), (0.0, 0.6)])
+    def test_pole_guard_matches_oracle(self, p, q):
+        nome = NomePair(p, q)
+        rng = np.random.default_rng(59)
+        for j, k in [(0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (0, 4)]:
+            base = nome.p**j * nome.q**k
+            if base == 0:
+                continue
+            pole = 1.0 / base
+            for factor, raises in ((1e-14, True), (1e-12, False)):
+                # |1 - z p^j q^k| = factor |z| up to rounding
+                z = np.array([0.5, pole / (1.0 - factor * abs(pole) * _phase(rng))])
+                assert _guard_raises(z, nome) == raises
+
+    def test_pole_guard_matches_oracle_at_huge_arguments(self):
+        # from |z| ~ 5e12 on, POLE_GUARD_FACTOR |z| is a sizeable disc, which
+        # lattice points far below |x| = 1/2 can reach
+        rng = np.random.default_rng(61)
+        for nome in (NomePair(0.1, 0.3), NomePair(0.2 + 0.2j, 0.5j)):
+            outcomes = {_guard_raises(10 ** rng.uniform(11, 14) * _phase(rng), nome)
+                        for _ in range(40)}
+            assert outcomes == {True, False}
+        # only x = z q^19 = 0.45 comes within the guard's 0.86 of 1; the
+        # neighbours 2.25 and 0.09 do not, and on the negative axis none does
+        nome = NomePair(0.0, 0.2)
+        assert _guard_raises(0.45 * 5.0**19, nome)
+        assert not _guard_raises(-0.45 * 5.0**19, nome)
+
+    def test_series_cap_raises(self):
+        # |z| = 0.5 needs no shift and ~50 series terms; the nome's own
+        # products need < 30 factors
+        nome = NomePair(0.3, 0.3, TruncationPolicy(max_terms=40))
+        with pytest.raises(TruncationLimitError, match="series"):
+            elliptic_gamma(0.5, nome)
+
+
 class TestEllipticPochhammer:
     def test_empty_product(self, nome):
         assert elliptic_pochhammer(0.37 + 0.1j, 0, nome) == 1.0
