@@ -31,7 +31,7 @@ from .report import RESIDUAL_FLOOR, VerificationReport, identity_deviation, rela
 from .special_functions import (
     THETA_GUARD,
     NomePair,
-    elliptic_pochhammer,
+    elliptic_pochhammer,  # unused here; perfbench/tracing.py wraps this binding
     theta,
     theta_pochhammer_sequence,
 )
@@ -134,40 +134,37 @@ class DiscreteParams:
                    b=b, c=c, y=complex(y), N=int(N), nome=nome)
 
 
-def _guarded_pochhammer(z, n: int, nome: NomePair, label: str) -> complex:
-    """theta(z; p)_n for n >= 0 with the pole guard applied to each factor
-    (a product of many small factors is fine; a single vanishing one is not)."""
+def _guarded_pochhammer(z, n: int, nome: NomePair, label: str) -> np.ndarray:
+    """[theta(z; p)_0, ..., theta(z; p)_n] for n >= 0, the one guarded Pochhammer
+    builder of the discrete layer.
+
+    The guard applies to each factor theta(z q^j; p), j < n: a product of many
+    small factors is fine, a single one under ``THETA_GUARD`` raises
+    :class:`DegenerateParameterError`.
+    """
     if n == 0:
-        return 1.0 + 0j
-    factors = np.asarray(theta(complex(z) * nome.q ** np.arange(n), nome.p, nome.trunc),
-                         dtype=complex)
+        return np.ones(1, dtype=complex)
+    factors = theta(complex(z) * nome.q ** np.arange(n), nome.p, nome.trunc)
     small = np.abs(factors).min()
     if small < THETA_GUARD:
         raise DegenerateParameterError(f"a factor of {label} is {small:.3e}, under the guard")
-    return complex(np.prod(factors))
+    out = np.ones(n + 1, dtype=complex)
+    np.cumprod(factors, out=out[1:])
+    return out
 
 
 def m_entry(N: int, m: int, a, k, nome: NomePair) -> complex:
-    """Single entry M[N, m](a, k); exactly 0 for m > N."""
+    """Single entry M[N, m](a, k), read from :func:`build_M`; exactly 0 for m > N.
+
+    It raises wherever ``build_M(N, a, k)`` does, so every one of the 2N
+    factors of theta(qa)_j and theta(q)_j is guarded, not only the N+m and N-m
+    that this entry's denominators contain.
+    """
     if m < 0 or N < 0:
         raise DomainError("indices must be non-negative")
     if m > N:
         return 0j
-    num = elliptic_pochhammer(k, N + m, nome) * elliptic_pochhammer(k / a, N - m, nome)
-    den_qa = _guarded_pochhammer(nome.q * a, N + m, nome, "theta(qa)_{N+m}")
-    den_q = _guarded_pochhammer(nome.q, N - m, nome, "theta(q)_{N-m}")
-    th_den = complex(theta(a, nome.p, nome.trunc))
-    _guard_scalar(th_den, "theta(a; p)")
-    if m == 0:
-        th_ratio = 1.0
-    else:
-        th_ratio = complex(theta(a * nome.q ** (2 * m), nome.p, nome.trunc)) / th_den
-    return num / (den_qa * den_q) * th_ratio * a ** (N - m)
-
-
-def _guard_scalar(val, label):
-    if abs(val) < THETA_GUARD:
-        raise DegenerateParameterError(f"{label} = {val} is under the guard threshold")
+    return complex(build_M(N, a, k, nome).entries[N, m])
 
 
 @dataclass(frozen=True)
@@ -181,41 +178,26 @@ class BaileyMatrix:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    def __matmul__(self, other):
-        if isinstance(other, BaileyMatrix):
-            return self.entries @ other.entries
-        return self.entries @ other
-
 
 def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
     """Assemble the (N+1) x (N+1) matrix M(a, k); upper entries are exact zeros.
 
-    Theta factors shared between entries are evaluated once per q-shift and
-    combined through cumulative products.
+    Every entry reads its Pochhammer products from four sequences of length
+    2N + 1; the denominators theta(qa)_j and theta(q)_j come guarded from
+    :func:`_guarded_pochhammer`.
     """
     a, k = complex(a), complex(k)
     q = nome.q
     try:
-        shifts = q ** np.arange(max(2 * N, 1))
-        fac_qa = np.asarray(theta(q * a * shifts, nome.p, nome.trunc), dtype=complex)
-        fac_q = np.asarray(theta(q * shifts, nome.p, nome.trunc), dtype=complex)
+        poch_qa = _guarded_pochhammer(q * a, 2 * N, nome, "theta(qa)_j")
+        poch_q = _guarded_pochhammer(q, 2 * N, nome, "theta(q)_j")
         poch_k = theta_pochhammer_sequence(k, 2 * N, nome)
         poch_ka = theta_pochhammer_sequence(k / a, 2 * N, nome)
-        th_a2m = np.asarray(
-            theta(a * q ** (2 * np.arange(N + 1)), nome.p, nome.trunc), dtype=complex
-        ).reshape(N + 1)
+        th_a2m = theta(a * q ** (2 * np.arange(N + 1)), nome.p, nome.trunc)
     except Exception as exc:
         raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): {exc}") from exc
-    for fac, label in ((fac_qa[: 2 * N], "theta(qa q^j)"), (fac_q[: 2 * N], "theta(q q^j)")):
-        if fac.size and np.min(np.abs(fac)) < THETA_GUARD:
-            raise DegenerateParameterError(f"build_M(N={N}): a factor of {label} is under guard")
-    _guard_scalar(th_a2m[0], "theta(a; p)")
-    poch_qa = np.concatenate([[1.0], np.cumprod(fac_qa[: 2 * N])])
-    poch_q = np.concatenate([[1.0], np.cumprod(fac_q[: 2 * N])])
+    if abs(th_a2m[0]) < THETA_GUARD:
+        raise DegenerateParameterError(f"theta(a; p) = {th_a2m[0]} is under the guard threshold")
     # the m = 0 ratio must be exactly 1 (numpy's complex division does not
     # guarantee x/x == 1), so the diagonal corner entries stay exact
     th_ratio = np.empty(N + 1, dtype=complex)
@@ -232,16 +214,10 @@ def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
 
 
 def d_entry(m: int, a, b, c, nome: NomePair) -> complex:
-    """Diagonal entry D_m(a; b, c)."""
+    """Diagonal entry D_m(a; b, c), read from ``build_D(m, a, b, c)``."""
     if m < 0:
         raise DomainError("m must be non-negative")
-    if m == 0:
-        return 1.0 + 0j
-    q = nome.q
-    num = elliptic_pochhammer(b, m, nome) * elliptic_pochhammer(c, m, nome)
-    den_b = _guarded_pochhammer(a * q / b, m, nome, "theta(aq/b)_m")
-    den_c = _guarded_pochhammer(a * q / c, m, nome, "theta(aq/c)_m")
-    return num / (den_b * den_c) * (a * q / (b * c)) ** m
+    return complex(build_D(m, a, b, c, nome).diag[m])
 
 
 @dataclass(frozen=True)
@@ -256,17 +232,20 @@ class DiagonalOp:
     def __post_init__(self):
         self.diag.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.diag.shape[0]
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
-
 
 def build_D(N: int, a, b, c, nome: NomePair) -> DiagonalOp:
-    diag = np.array([d_entry(m, a, b, c, nome) for m in range(N + 1)], dtype=complex)
-    return DiagonalOp(diag=diag, a=complex(a), b=complex(b), c=complex(c))
+    """The diagonal D_m(a; b, c), m = 0..N, from four theta-Pochhammer sequences.
+
+    Raises :class:`DegenerateParameterError` when some factor theta(aq/b q^j; p)
+    or theta(aq/c q^j; p), j < N, of the denominators is under the guard.
+    """
+    a, b, c = complex(a), complex(b), complex(c)
+    q = nome.q
+    num = theta_pochhammer_sequence(b, N, nome) * theta_pochhammer_sequence(c, N, nome)
+    den = (_guarded_pochhammer(a * q / b, N, nome, "theta(aq/b)_m")
+           * _guarded_pochhammer(a * q / c, N, nome, "theta(aq/c)_m"))
+    diag = num / den * (a * q / (b * c)) ** np.arange(N + 1)
+    return DiagonalOp(diag=diag, a=a, b=b, c=c)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .special_functions import (
     elliptic_gamma,
     elliptic_pochhammer,
     theta,
+    theta_pochhammer_sequence,
     _gamma_vec,
 )
 
@@ -83,14 +84,6 @@ class QuadratureGrid:
             raise DomainError("grid radius must be positive")
         if self.n_nodes < 2 or self.n_nodes & (self.n_nodes - 1):
             raise DomainError("n_nodes must be a power of two >= 2")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.radius * _roots(self.n_nodes)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.n_nodes, 2.0 * math.pi / self.n_nodes)
 
 
 @dataclass(frozen=True)
@@ -567,6 +560,20 @@ def _kernel_at(t: complex, x: complex, z, nome: NomePair):
     return num * dden / complex(elliptic_gamma(t * t, nome))
 
 
+def _default_inner_radius(pole_lo: float, kernel_top: float) -> float:
+    """The deformed circle's radius: 0.93 of the innermost pole of alpha, or the
+    geometric mean of that pole and the kernel's outermost head if larger."""
+    return max(0.93 * pole_lo, math.sqrt(kernel_top * pole_lo))
+
+
+def _residue_sum(alpha: SymmetricTestFunction, t: complex, x: complex, nome: NomePair) -> complex:
+    """sum_m K(x, z0 q^m) alpha_m over the declared poles and residues of alpha."""
+    residue_term = 0j
+    for pole, res in zip(alpha.poles, alpha.residues):
+        residue_term += complex(_kernel_at(t, x, np.asarray([pole]), nome)[0]) * res
+    return residue_term
+
+
 def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: float | None,
                              nome: NomePair, n_probe: int = 64) -> float:
     """Cheap estimate of the smallest relative residual double precision can
@@ -581,16 +588,14 @@ def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: f
     pole_lo = min(abs(p) for p in alpha.poles)
     kernel_top = max(abs(t * x), abs(t / x))
     if inner_radius is None:
-        inner_radius = max(0.93 * pole_lo, math.sqrt(kernel_top * pole_lo))
+        inner_radius = _default_inner_radius(pole_lo, kernel_top)
     z_in = inner_radius * _roots(n_probe)
     scale_in = float(np.mean(np.abs(_kernel_at(t, x, z_in, nome) * np.asarray(alpha(z_in)))))
     z_t = _roots(n_probe)
     vals_t = _kernel_at(t, x, z_t, nome) * np.asarray(alpha(z_t))
     i_t = abs(complex(nome.kappa * _ring_sum(vals_t)))
-    residue_term = 0j
-    for pole, res in zip(alpha.poles, alpha.residues):
-        residue_term += complex(_kernel_at(t, x, np.asarray([pole]), nome)[0]) * res
-    value_scale = max(i_t, abs(4j * math.pi * nome.kappa * residue_term), RESIDUAL_FLOOR)
+    residue_term = 4j * math.pi * nome.kappa * _residue_sum(alpha, t, x, nome)
+    value_scale = max(i_t, abs(residue_term), RESIDUAL_FLOOR)
     floor = 50.0 * float(np.finfo(float).eps) * scale_in * abs(complex(nome.kappa)) * 2 * math.pi
     return floor / value_scale
 
@@ -610,9 +615,11 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
     reciprocal pole (numerical small-circle integrals); alpha_m are the
     declared residues of alpha(z)/z.
 
-    ``inner_radius=None`` places the circle at 0.93 of the innermost pole of
-    alpha; the kernel grows steeply towards z = 0, so radii far below the pole
-    trade quadrature convergence for cancellation in the trapezoid sum.
+    ``inner_radius=None`` places the circle at max(0.93 |z_lo|,
+    sqrt(|z_lo| k_top)), with z_lo the innermost pole of alpha and
+    k_top = max|t x^{+-1}| the kernel's outermost pole head; the kernel grows
+    steeply towards z = 0, so radii far below the pole trade quadrature
+    convergence for cancellation in the trapezoid sum.
     """
     start = time.perf_counter()
     t, x = complex(t), complex(x)
@@ -622,7 +629,7 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
     pole_lo = min(abs(p) for p in alpha.poles)
     pole_hi = max(abs(p) for p in alpha.poles)
     if inner_radius is None:
-        inner_radius = max(0.93 * pole_lo, math.sqrt(kernel_top * pole_lo))
+        inner_radius = _default_inner_radius(pole_lo, kernel_top)
     if not (kernel_top < inner_radius < pole_lo and pole_hi < 1.0):
         raise ConstraintViolationError(
             f"radius ordering violated: need max|t x^+-1| = {kernel_top:.3f} < r = "
@@ -656,10 +663,7 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
         )
         i_c += nome.kappa * 2j * math.pi * val
 
-    residue_term = 0j
-    for pole, res in zip(alpha.poles, alpha.residues):
-        residue_term += complex(_kernel_at(t, x, np.asarray([pole]), nome)[0]) * res
-    residue_term *= 4j * math.pi * nome.kappa
+    residue_term = _residue_sum(alpha, t, x, nome) * (4j * math.pi * nome.kappa)
 
     rhs = i_c + residue_term
     residual = relative_residual(i_t, rhs)
@@ -700,20 +704,21 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
     t = t_sign * q ** (-N / 2.0) if N else complex(t_sign)
     tx2 = (t * x) ** 2
     pre = complex(elliptic_gamma(x**-2, nome)) / complex(elliptic_gamma(x**-2 / (t * t), nome))
-    th_tx2 = complex(theta(tx2, nome.p, nome.trunc))
-    total = 0j
-    for k in range(N + 1):
-        den_q = elliptic_pochhammer(q, k, nome)
-        den_qx2 = elliptic_pochhammer(q * x * x, k, nome)
-        if min(abs(den_q), abs(den_qx2)) < THETA_GUARD:
-            raise DegenerateParameterError(f"finite-difference denominator vanishes at k={k}")
-        ratio = complex(theta(tx2 * q ** (2 * k), nome.p, nome.trunc)) / th_tx2 if k else 1.0
-        num = elliptic_pochhammer(t * t, k, nome) * elliptic_pochhammer(tx2, k, nome)
-        term = ratio * num / (den_q * den_qx2) * f(t * q**k * x) / (
-            t ** (4 * k) * x ** (2 * k) * q ** (k * k)
+    den_q = theta_pochhammer_sequence(q, N, nome)
+    den_qx2 = theta_pochhammer_sequence(q * x * x, N, nome)
+    small = (np.abs(den_q) < THETA_GUARD) | (np.abs(den_qx2) < THETA_GUARD)
+    if np.any(small):
+        raise DegenerateParameterError(
+            f"finite-difference denominator vanishes at k={int(np.argmax(small))}"
         )
-        total += term
-    return pre * total
+    num = theta_pochhammer_sequence(t * t, N, nome) * theta_pochhammer_sequence(tx2, N, nome)
+    k = np.arange(N + 1)
+    th_shift = theta(tx2 * q ** (2 * k), nome.p, nome.trunc)
+    ratio = th_shift / th_shift[0]
+    ratio[0] = 1.0
+    f_vals = np.array([f(t * q**j * x) for j in range(N + 1)], dtype=complex)
+    terms = ratio * num / (den_q * den_qx2) * f_vals / (t ** (4 * k) * x ** (2 * k) * q ** (k * k))
+    return pre * complex(np.sum(terms))
 
 
 def finite_difference_oracle(x, f, nome: NomePair, eps: float,

@@ -5,6 +5,10 @@ products in 40-digit arithmetic, deliberately sharing no code with the library
 under test.  ``elliptic_gamma_double_product`` is the numpy double-product
 evaluation of the elliptic gamma function that the library used before the
 annulus series; the tests compare the series against it, pole guard included.
+``m_entry_reference`` and ``d_entry_reference`` are the per-entry M and D
+formulas the library used before it assembled both from guarded
+theta-Pochhammer sequences; the tests compare ``build_M`` and ``build_D``
+against them.
 """
 
 import math
@@ -13,8 +17,19 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from elliptic_bailey.errors import DomainError, PoleProximityError, TruncationLimitError
-from elliptic_bailey.special_functions import POLE_GUARD_FACTOR, NomePair
+from elliptic_bailey.errors import (
+    DegenerateParameterError,
+    DomainError,
+    PoleProximityError,
+    TruncationLimitError,
+)
+from elliptic_bailey.special_functions import (
+    POLE_GUARD_FACTOR,
+    THETA_GUARD,
+    NomePair,
+    elliptic_pochhammer,
+    theta,
+)
 
 
 def qpoch_log_series(z, base, terms=60):
@@ -161,3 +176,56 @@ def elliptic_gamma_double_product(z, nome: NomePair):
     z_arr = np.asarray(z, dtype=complex)
     out = _gamma_vec(z_arr.ravel(), nome).reshape(z_arr.shape)
     return out if z_arr.ndim else complex(out)
+
+
+# ---------------------------------------------------------------------------
+# per-entry M and D (the library's former single-entry paths)
+# ---------------------------------------------------------------------------
+
+def _guarded_pochhammer(z, n: int, nome: NomePair, label: str) -> complex:
+    """theta(z; p)_n for n >= 0 with the pole guard applied to each factor
+    (a product of many small factors is fine; a single vanishing one is not)."""
+    if n == 0:
+        return 1.0 + 0j
+    factors = np.asarray(theta(complex(z) * nome.q ** np.arange(n), nome.p, nome.trunc),
+                         dtype=complex)
+    small = np.abs(factors).min()
+    if small < THETA_GUARD:
+        raise DegenerateParameterError(f"a factor of {label} is {small:.3e}, under the guard")
+    return complex(np.prod(factors))
+
+
+def _guard_scalar(val, label):
+    if abs(val) < THETA_GUARD:
+        raise DegenerateParameterError(f"{label} = {val} is under the guard threshold")
+
+
+def m_entry_reference(N: int, m: int, a, k, nome: NomePair) -> complex:
+    """Single entry M[N, m](a, k); exactly 0 for m > N."""
+    if m < 0 or N < 0:
+        raise DomainError("indices must be non-negative")
+    if m > N:
+        return 0j
+    num = elliptic_pochhammer(k, N + m, nome) * elliptic_pochhammer(k / a, N - m, nome)
+    den_qa = _guarded_pochhammer(nome.q * a, N + m, nome, "theta(qa)_{N+m}")
+    den_q = _guarded_pochhammer(nome.q, N - m, nome, "theta(q)_{N-m}")
+    th_den = complex(theta(a, nome.p, nome.trunc))
+    _guard_scalar(th_den, "theta(a; p)")
+    if m == 0:
+        th_ratio = 1.0
+    else:
+        th_ratio = complex(theta(a * nome.q ** (2 * m), nome.p, nome.trunc)) / th_den
+    return num / (den_qa * den_q) * th_ratio * a ** (N - m)
+
+
+def d_entry_reference(m: int, a, b, c, nome: NomePair) -> complex:
+    """Diagonal entry D_m(a; b, c)."""
+    if m < 0:
+        raise DomainError("m must be non-negative")
+    if m == 0:
+        return 1.0 + 0j
+    q = nome.q
+    num = elliptic_pochhammer(b, m, nome) * elliptic_pochhammer(c, m, nome)
+    den_b = _guarded_pochhammer(a * q / b, m, nome, "theta(aq/b)_m")
+    den_c = _guarded_pochhammer(a * q / c, m, nome, "theta(aq/c)_m")
+    return num / (den_b * den_c) * (a * q / (b * c)) ** m

@@ -17,7 +17,7 @@ from elliptic_bailey.bailey_algebra import (
 )
 from elliptic_bailey.errors import BaileyPairError, DegenerateParameterError, DomainError
 from elliptic_bailey.report import identity_deviation, relative_residual
-from elliptic_bailey.special_functions import NomePair
+from elliptic_bailey.special_functions import NomePair, theta
 
 import oracles
 
@@ -98,9 +98,8 @@ class TestMEntry:
         mat = build_M(3, 0.35 + 0.1j, 0.6 - 0.05j, nome)
         for n in range(4):
             for m in range(4):
-                assert abs(mat.entries[n, m] - m_entry(n, m, 0.35 + 0.1j, 0.6 - 0.05j, nome)) < 1e-12 * max(
-                    abs(mat.entries[n, m]), 1.0
-                )
+                want = oracles.m_entry_reference(n, m, 0.35 + 0.1j, 0.6 - 0.05j, nome)
+                assert abs(mat.entries[n, m] - want) < 1e-12 * max(abs(mat.entries[n, m]), 1.0)
 
     def test_row_sums_against_double_loop(self, nome):
         a, k = 0.45, 0.3 + 0.2j
@@ -110,7 +109,7 @@ class TestMEntry:
         for n in range(4):
             acc = 0j
             for m in range(n + 1):
-                acc += m_entry(n, m, a, k, nome)
+                acc += oracles.m_entry_reference(n, m, a, k, nome)
             slow[n] = acc
         assert relative_residual(fast, slow) < 1e-13
 
@@ -145,6 +144,86 @@ class TestDEntry:
             left = build_D(5, t, q * t / c, q * t / b, nome)
             right = build_D(5, t, b, c, nome)
             assert identity_deviation(np.diag(left.diag * right.diag)) < 1e-11
+
+
+def _sweep_cases():
+    """Seeded parameter sets over N = 0..8, with real and complex nomes."""
+    rng = np.random.default_rng(20400)
+    cases = []
+    for N in range(9):
+        for complex_nome in (False, True):
+            p, q = rng.uniform(0.02, 0.3), rng.uniform(0.1, 0.6)
+            if complex_nome:
+                p *= np.exp(1j * rng.uniform(-np.pi, np.pi))
+                q *= np.exp(1j * rng.uniform(-np.pi, np.pi))
+            a, k, b, c = (rng.uniform(0.2, 0.9) * np.exp(2j * np.pi * rng.uniform())
+                          for _ in range(4))
+            cases.append((N, NomePair(p, q), a, k, b, c))
+    return cases
+
+
+def _raises_degenerate(fn, *args):
+    try:
+        fn(*args)
+    except DegenerateParameterError:
+        return True
+    return False
+
+
+class TestAgainstPerEntryReference:
+    """build_M and build_D against the former per-entry formulas, and the
+    single-entry evaluators as lookups into them."""
+
+    @pytest.mark.parametrize("N,nome,a,k,b,c", _sweep_cases())
+    def test_build_M_matches_reference(self, N, nome, a, k, b, c):
+        ent = build_M(N, a, k, nome).entries
+        for n in range(N + 1):
+            for m in range(N + 1):
+                want = oracles.m_entry_reference(n, m, a, k, nome)
+                if m > n:
+                    assert ent[n, m] == 0.0
+                else:
+                    assert abs(ent[n, m] - want) <= 1e-12 * abs(want)
+        for m in range(N + 2):
+            assert m_entry(N, m, a, k, nome) == (ent[N, m] if m <= N else 0.0)
+
+    @pytest.mark.parametrize("N,nome,a,k,b,c", _sweep_cases())
+    def test_build_D_matches_reference(self, N, nome, a, k, b, c):
+        diag = build_D(N, a, b, c, nome).diag
+        assert diag[0] == 1.0
+        for m in range(N + 1):
+            want = oracles.d_entry_reference(m, a, b, c, nome)
+            assert abs(diag[m] - want) <= 1e-12 * abs(want)
+        assert d_entry(N, a, b, c, nome) == diag[N]
+
+    def test_build_D_guard_is_the_denominator_factors(self, nome):
+        # aq/b q^j = 1 is a zero of theta(.; p), so exactly the N > j raise
+        a, c = 0.4 + 0.1j, 0.7 - 0.2j
+        for j in range(4):
+            b = a * nome.q ** (1 + j)
+            for N in range(7):
+                assert _raises_degenerate(build_D, N, a, b, c, nome) == (j < N)
+                assert _raises_degenerate(build_D, N, a, c, b, nome) == (j < N)
+                old = any(_raises_degenerate(oracles.d_entry_reference, m, a, b, c, nome)
+                          for m in range(N + 1))
+                assert old == (j < N)
+        # a factor of ~1e-8 passes; only factors under THETA_GUARD raise
+        b = a * nome.q * (1 + 1e-8)
+        assert abs(theta(a * nome.q / b, nome.p)) > 1e-9
+        build_D(5, a, b, c, nome)
+
+    def test_m_entry_raises_where_build_M_does(self, nome):
+        q, p = nome.q, nome.p
+        # zeros of theta(qa q^j) for j = 0..5, of theta(a) (a = 1, p), and a regular point
+        for a in [q ** (-1 - j) for j in range(6)] + [1.0, p, 0.45 + 0.2j]:
+            for N in range(5):
+                whole = _raises_degenerate(build_M, N, a, 0.6 - 0.1j, nome)
+                for m in range(N + 1):
+                    assert _raises_degenerate(m_entry, N, m, a, 0.6 - 0.1j, nome) == whole
+                assert m_entry(N, N + 1, a, 0.6 - 0.1j, nome) == 0.0
+        # the per-entry formula guarded only its own N+m factors of theta(qa)_j
+        assert _raises_degenerate(m_entry, 3, 0, q ** -5, 0.6, nome)
+        assert not _raises_degenerate(oracles.m_entry_reference, 3, 0, q ** -5, 0.6, nome)
 
 
 class TestMatrixBailey:

@@ -327,6 +327,22 @@ class TestFiniteDifference:
         with pytest.raises(DegenerateParameterError):
             finite_difference_M(1, 1, x, lambda z: z + 1 / z, nome)
 
+    def test_denominator_degeneracy_at_higher_k(self):
+        f = lambda z: z + 1 / z
+        # theta(q x^2 q^j; p) vanishes at j = 1, a factor of theta(q x^2)_k for k >= 2
+        nome = NomePair(0.1, 0.4)
+        x = complex(nome.q ** -1.0)
+        assert np.isfinite(finite_difference_M(1, 1, x, f, nome))
+        for N in (2, 3):
+            with pytest.raises(DegenerateParameterError):
+                finite_difference_M(N, 1, x, f, nome)
+        # q^2 = p makes theta(q q^1; p), a factor of theta(q)_k for k >= 2, vanish
+        nome = NomePair(0.16, 0.4)
+        x = 0.92 * np.exp(0.4j)
+        assert np.isfinite(finite_difference_M(1, -1, x, f, nome))
+        with pytest.raises(DegenerateParameterError):
+            finite_difference_M(2, -1, x, f, nome)
+
     def test_oracle_window_validation(self):
         nome = NomePair(0.1, 0.4)
         with pytest.raises(ConstraintViolationError):
