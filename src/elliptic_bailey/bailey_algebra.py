@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,10 @@ class DiscreteParams:
 
     Validates the product rule k*b*c = q*a*t_tilde and rejects parameter sets
     whose theta denominators (for indices 0..N) vanish within the guard.
+
+    The six matrices M(x, y), x != y in {a, k, t_tilde}, and the left side of
+    the key identity are built once, on first use, and shared by
+    :func:`conditioning_amplification` and the identity checks.
     """
 
     a: complex
@@ -126,6 +131,25 @@ class DiscreteParams:
         return np.concatenate(
             [np.outer(wide, shifts_wide).ravel(), np.outer(narrow, shifts_narrow).ravel()]
         )
+
+    @cached_property
+    def matrices(self) -> dict:
+        """Entries of M(x, y) at size N, keyed "xy" with t for t_tilde."""
+        a, k, t = self.a, self.k, self.t_tilde
+        pairs = {"ak": (a, k), "ta": (t, a), "ka": (k, a), "at": (a, t), "tk": (t, k), "kt": (k, t)}
+        return {key: build_M(self.N, x, y, self.nome).entries for key, (x, y) in pairs.items()}
+
+    @cached_property
+    def key_lhs(self) -> tuple:
+        """M(a,k) D(a;b,c) M(t,a), with D(a;b,c) scaling the rows of M(t,a)
+        first, and the same product of entrywise moduli; both read-only."""
+        m = self.matrices
+        d_abc = build_D(self.N, self.a, self.b, self.c, self.nome).diag
+        scaled = d_abc[:, None] * m["ta"]
+        sides = (m["ak"] @ scaled, np.abs(m["ak"]) @ np.abs(scaled))
+        for side in sides:
+            side.setflags(write=False)
+        return sides
 
     @classmethod
     def from_y(cls, a, k, t_tilde, y, N, nome: NomePair) -> "DiscreteParams":
@@ -299,7 +323,7 @@ def bailey_transform(
     return alpha_new, beta_new
 
 
-def conditioning_amplification(params: DiscreteParams, N: int | None = None) -> float:
+def conditioning_amplification(params: DiscreteParams) -> float:
     """Worst forward-error amplification of the matrix products the identity
     checks perform: sum_n |terms| / |sum_n terms| for the key-identity left
     side, and sum_n |terms| for the inversion products (whose targets are
@@ -307,74 +331,60 @@ def conditioning_amplification(params: DiscreteParams, N: int | None = None) -> 
     ~(N+1) * eps * A in double precision, whatever the truth of the identity;
     the admissible-parameter sampler rejects such draws like any other
     degeneracy.
+
+    It reads the six M matrices and D(a;b,c) from ``params``, so the checks
+    that run on the same draw afterwards build none of them again.
     """
-    if N is None:
-        N = params.N
-    nome = params.nome
-    a, k, t, b, c = params.a, params.k, params.t_tilde, params.b, params.c
-    m_ak = build_M(N, a, k, nome).entries
-    m_ta = build_M(N, t, a, nome).entries
-    d_abc = build_D(N, a, b, c, nome).diag
-    scaled = d_abc[:, None] * m_ta
-    lhs = m_ak @ scaled
-    lhs_abs = np.abs(m_ak) @ np.abs(scaled)
-    tri = np.tril_indices(N + 1)
+    m = params.matrices
+    lhs, lhs_abs = params.key_lhs
+    tri = np.tril_indices(params.N + 1)
     amp_key = float(np.max(lhs_abs[tri] / np.maximum(np.abs(lhs[tri]), RESIDUAL_FLOOR)))
-    m_ka = build_M(N, k, a, nome).entries
-    m_at = build_M(N, a, t, nome).entries
-    m_tk = build_M(N, t, k, nome).entries
-    m_kt = build_M(N, k, t, nome).entries
     amp_inv = max(
-        float(np.max(np.abs(m_ak) @ np.abs(m_ka))),
-        float(np.max(np.abs(m_at) @ np.abs(m_ta))),
-        float(np.max(np.abs(m_tk) @ np.abs(m_kt))),
+        float(np.max(np.abs(m["ak"]) @ np.abs(m["ka"]))),
+        float(np.max(np.abs(m["at"]) @ np.abs(m["ta"]))),
+        float(np.max(np.abs(m["tk"]) @ np.abs(m["kt"]))),
     )
     return max(amp_key, amp_inv)
 
 
-def _matrix_bailey_sides(params: DiscreteParams, N: int):
-    """Both sides of the key identity as dense matrices.
+def _matrix_bailey_sides(params: DiscreteParams, d_tbc: np.ndarray):
+    """Both sides of the key identity as dense matrices, given the diagonal
+    ``d_tbc`` of D(t;b,c).
 
     Association order: LHS scales M(t,a) rows by D(a;b,c) then left-multiplies
-    by M(a,k); RHS scales M(t,k) columns by D(t;b,c) then rows by D(k;...).
-    The two sides share no intermediate results.
+    by M(a,k) (``params.key_lhs``); RHS scales M(t,k) columns by D(t;b,c) then
+    rows by D(k;...).  The two sides share no intermediate results.
     """
-    a, k, t, b, c = params.a, params.k, params.t_tilde, params.b, params.c
+    k, t, b, c = params.k, params.t_tilde, params.b, params.c
     q = params.nome.q
-    nome = params.nome
-    m_ak = build_M(N, a, k, nome)
-    d_abc = build_D(N, a, b, c, nome)
-    m_ta = build_M(N, t, a, nome)
-    lhs = m_ak.entries @ (d_abc.diag[:, None] * m_ta.entries)
-    d_k = build_D(N, k, q * t / b, q * t / c, nome)
-    m_tk = build_M(N, t, k, nome)
-    d_tbc = build_D(N, t, b, c, nome)
-    rhs = d_k.diag[:, None] * (m_tk.entries * d_tbc.diag[None, :])
-    return lhs, rhs
+    d_k = build_D(params.N, k, q * t / b, q * t / c, params.nome)
+    rhs = d_k.diag[:, None] * (params.matrices["tk"] * d_tbc[None, :])
+    return params.key_lhs[0], rhs
 
 
-def verify_matrix_bailey(params: DiscreteParams, N: int | None = None, tolerance: float = 1e-9) -> VerificationReport:
-    """Check M(a,k) D(a;b,c) M(t,a) = D(k;qt/b,qt/c) M(t,k) D(t;b,c) entrywise."""
-    if N is None:
-        N = params.N
+def verify_matrix_bailey(params: DiscreteParams, tolerance: float = 1e-9) -> VerificationReport:
+    """Check M(a,k) D(a;b,c) M(t,a) = D(k;qt/b,qt/c) M(t,k) D(t;b,c) entrywise
+    at size ``params.N``, reusing the matrices ``params`` already holds."""
     start = time.perf_counter()
-    lhs, rhs = _matrix_bailey_sides(params, N)
+    d_tbc = build_D(params.N, params.t_tilde, params.b, params.c, params.nome)
+    lhs, rhs = _matrix_bailey_sides(params, d_tbc.diag)
     residual = relative_residual(lhs, rhs)
     idx = _argmax_residual(lhs, rhs)
     return VerificationReport(
         identity="matrix-bailey",
-        params=_param_dict(params, N=N),
+        params=_param_dict(params, N=params.N),
         lhs=complex(lhs[idx]),
         rhs=complex(rhs[idx]),
         residual=residual,
         tolerance=tolerance,
-        settings={"N": N},
+        settings={"N": params.N},
         wall_time_s=time.perf_counter() - start,
     )
 
 
-def verify_coxeter(params: DiscreteParams, N: int | None = None, tolerance: float = 1e-9) -> VerificationReport:
-    """Check the twisted Coxeter relations S1^2 = S2^2 = 1 and S1 S2 S1 = S2 S1 S2.
+def verify_coxeter(params: DiscreteParams, tolerance: float = 1e-9) -> VerificationReport:
+    """Check the twisted Coxeter relations S1^2 = S2^2 = 1 and S1 S2 S1 = S2 S1 S2
+    at size ``params.N``.
 
     The generators act on the triple (t, a, k) with S1 = M(first, second) and
     S2 = D(first; b, c); the twisted product S_i S_j = S_i(s_j u) S_j(u) is
@@ -382,37 +392,36 @@ def verify_coxeter(params: DiscreteParams, N: int | None = None, tolerance: floa
     two slots leaves (b, c) fixed, swapping the last two maps (b, c) to
     (q*first/c, q*first/b).  The cubic relation is evaluated through the same
     code path as :func:`verify_matrix_bailey`, so the two residuals agree
-    bit for bit on identical draws.
+    bit for bit on identical draws.  The M matrices come from ``params``.
     """
-    if N is None:
-        N = params.N
     start = time.perf_counter()
-    a, k, t, b, c = params.a, params.k, params.t_tilde, params.b, params.c
+    t, b, c = params.t_tilde, params.b, params.c
     q = params.nome.q
     nome = params.nome
 
     # S1^2 = M(a, t) M(t, a)
-    s1_sq = build_M(N, a, t, nome).entries @ build_M(N, t, a, nome).entries
+    s1_sq = params.matrices["at"] @ params.matrices["ta"]
     res_s1 = identity_deviation(s1_sq)
 
     # S2^2 = D(t; qt/c, qt/b) D(t; b, c)
-    d_left = build_D(N, t, q * t / c, q * t / b, nome)
-    d_right = build_D(N, t, b, c, nome)
+    d_left = build_D(params.N, t, q * t / c, q * t / b, nome)
+    d_right = build_D(params.N, t, b, c, nome)
     s2_sq = np.diag(d_left.diag * d_right.diag)
     res_s2 = identity_deviation(s2_sq)
 
-    lhs, rhs = _matrix_bailey_sides(params, N)
+    lhs, rhs = _matrix_bailey_sides(params, d_right.diag)
     res_cubic = relative_residual(lhs, rhs)
 
     residual = max(res_s1, res_s2, res_cubic)
+    idx = _argmax_residual(lhs, rhs)
     return VerificationReport(
         identity="coxeter",
-        params=_param_dict(params, N=N),
-        lhs=complex(lhs[_argmax_residual(lhs, rhs)]),
-        rhs=complex(rhs[_argmax_residual(lhs, rhs)]),
+        params=_param_dict(params, N=params.N),
+        lhs=complex(lhs[idx]),
+        rhs=complex(rhs[idx]),
         residual=residual,
         tolerance=tolerance,
-        settings={"N": N},
+        settings={"N": params.N},
         details={
             "s1_squared_residual": res_s1,
             "s2_squared_residual": res_s2,

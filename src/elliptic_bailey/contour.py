@@ -66,6 +66,10 @@ __all__ = [
 DEFAULT_N0 = 64
 DEFAULT_NODE_CAP = 16384
 DEFAULT_REL_TOL = 1e-10
+# kernel rows per block of the n x n grid kernel; bounds a block's memory
+_ROW_CHUNK = 256
+# grid size of the conditioning probe of the deformation check
+_PROBE_NODES = 64
 
 
 # --------------------------------------------------------------------------
@@ -325,33 +329,42 @@ def _pair_ring(scale: complex, n: int, nome: NomePair) -> np.ndarray:
     return g * g[(-np.arange(n)) % n]
 
 
-def _m_kernel_rows(t: complex, x_scale: complex, n: int, radius: float, nome: NomePair,
-                   row_chunk: int = 256):
-    """Kernel matrix K[j, k] = Gamma(t x_j z_k^{+-1}) Gamma((t / x_j) z_k^{+-1})
-    for x_j = x_scale * w^j and z_k = radius * w^k, yielded in row blocks.
+def _kernel_ring(t: complex, x: complex, n: int, radius: float, nome: NomePair) -> np.ndarray:
+    """K[k] = Gamma(t x z_k) Gamma(t x / z_k) Gamma(t z_k / x) Gamma(t / (x z_k))
+    for z_k = radius * w^k, multiplied left to right in that order.
 
-    Gamma(t x_j z_k) = G1[(j + k) mod n] with G1[m] = Gamma(t x_scale radius w^m),
-    and similarly for the other three factors, so four length-n evaluations
-    cover the whole n x n kernel.
+    Each factor reads a ring Gamma(scale * w^m) at m = k or m = -k; factors
+    with equal scales share one ring, so at radius 1 two rings serve all four.
     """
-    g_a = _gamma_ring(t * x_scale * radius, n, nome)        # t x z
-    g_b = _gamma_ring(t * x_scale / radius, n, nome)        # t x / z
-    g_c = _gamma_ring(t * radius / x_scale, n, nome)        # t z / x
-    g_d = _gamma_ring(t / (x_scale * radius), n, nome)      # t / (x z)
+    scales = (t * x * radius, t * x / radius, t * radius / x, t / (x * radius))
+    rings = {scale: _gamma_ring(scale, n, nome) for scale in dict.fromkeys(scales)}
+    g_a, g_b, g_c, g_d = (rings[scale] for scale in scales)
+    neg = (-np.arange(n)) % n
+    return g_a * g_b[neg] * g_c * g_d[neg]
+
+
+def _m_kernel_rows(t: complex, n: int, nome: NomePair):
+    """Kernel matrix K[j, k] = Gamma(t x_j z_k^{+-1}) Gamma((t / x_j) z_k^{+-1})
+    for x_j = w^j and z_k = w^k on the unit circle, yielded in row blocks.
+
+    Every factor is a value of the one ring G[m] = Gamma(t w^m): Gamma(t x_j z_k)
+    = G[(j + k) mod n], Gamma(t x_j / z_k) = G[(j - k) mod n], and so on, so a
+    single length-n evaluation covers the whole n x n kernel.
+    """
+    g = _gamma_ring(t, n, nome)
     k_idx = np.arange(n)
-    for lo in range(0, n, row_chunk):
-        j = np.arange(lo, min(lo + row_chunk, n))
+    for lo in range(0, n, _ROW_CHUNK):
+        j = np.arange(lo, min(lo + _ROW_CHUNK, n))
         plus = (j[:, None] + k_idx[None, :]) % n
         minus = (j[:, None] - k_idx[None, :]) % n
-        yield j, g_a[plus] * g_b[minus] * g_c[(-minus) % n] * g_d[(-plus) % n]
+        yield j, g[plus] * g[minus] * g[(-minus) % n] * g[(-plus) % n]
 
 
-def _m_apply_grid(t: complex, n: int, radius: float, weighted_alpha: np.ndarray,
-                  nome: NomePair) -> np.ndarray:
-    """[M(t) alpha](x_j) for every x_j on the same n-grid (radius 1), given the
+def _m_apply_grid(t: complex, n: int, weighted_alpha: np.ndarray, nome: NomePair) -> np.ndarray:
+    """[M(t) alpha](x_j) for every x_j on the same unit-circle n-grid, given the
     vector weighted_alpha[k] = dden[k] * alpha(z_k); includes kappa and measure."""
     out = np.empty(n, dtype=complex)
-    for j, rows in _m_kernel_rows(t, 1.0, n, radius, nome):
+    for j, rows in _m_kernel_rows(t, n, nome):
         out[j] = rows @ weighted_alpha
     g_t2 = complex(elliptic_gamma(t * t, nome))
     return nome.kappa * 2j * math.pi / n * out / g_t2
@@ -360,22 +373,27 @@ def _m_apply_grid(t: complex, n: int, radius: float, weighted_alpha: np.ndarray,
 def _m_single(t: complex, w: complex, n: int, radius: float, alpha_vals: np.ndarray,
               dden: np.ndarray, nome: NomePair) -> tuple[complex, float]:
     """[M(t) alpha](w) for a single off-grid spectator w; returns (value, scale)."""
-    g_a = _gamma_ring(t * w * radius, n, nome)
-    g_b = _gamma_ring(t * w / radius, n, nome)
-    g_c = _gamma_ring(t * radius / w, n, nome)
-    g_d = _gamma_ring(t / (w * radius), n, nome)
-    k = np.arange(n)
-    kern = g_a[k] * g_b[(-k) % n] * g_c[k] * g_d[(-k) % n]
+    kern = _kernel_ring(t, w, n, radius, nome)
     g_t2 = complex(elliptic_gamma(t * t, nome))
     integrand = kern * dden * alpha_vals / g_t2
     scale = float(np.mean(np.abs(integrand))) * 2 * math.pi * abs(complex(nome.kappa))
     return complex(nome.kappa * _ring_sum(integrand)), scale
 
 
+def _m_quadrature(t: complex, w: complex, f, radius: float, nome: NomePair,
+                  rel_tol: float, label: str) -> complex:
+    """[M(t) f](w) by adaptive trapezoid quadrature on the circle |z| = radius."""
+    def eval_at(n):
+        z = radius * _roots(n)
+        dden = _theta_rings(n, radius, nome)
+        vals = np.asarray(f(z), dtype=complex)
+        return _m_single(t, w, n, radius, vals, dden, nome)
+
+    return _drive(eval_at, rel_tol, label=label)[0]
+
+
 def apply_M(t, w, alpha: SymmetricTestFunction, nome: NomePair,
-            radius: float = 1.0, rel_tol: float = DEFAULT_REL_TOL,
-            n0: int = DEFAULT_N0, max_nodes: int = DEFAULT_NODE_CAP,
-            _info_out: dict | None = None) -> complex:
+            radius: float = 1.0, rel_tol: float = DEFAULT_REL_TOL) -> complex:
     """Elliptic Fourier transform beta(w) = [M(t) alpha](w) by adaptive
     trapezoid quadrature on the circle |z| = radius.
 
@@ -388,17 +406,7 @@ def apply_M(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         raise ConstraintViolationError(
             f"contour |z| = {radius} does not separate kernel poles: |t w^+-1| max = {top:.4f}"
         )
-
-    def eval_at(n):
-        z = radius * _roots(n)
-        dden = _theta_rings(n, radius, nome)
-        vals = np.asarray(alpha(z), dtype=complex)
-        return _m_single(t, w, n, radius, vals, dden, nome)
-
-    val, info = _drive(eval_at, rel_tol, n0=n0, cap=max_nodes, label="apply_M")
-    if _info_out is not None:
-        _info_out["quadrature"] = info
-    return val
+    return _m_quadrature(t, w, alpha, radius, nome, rel_tol, "apply_M")
 
 
 def d_factor(s, y, w, nome: NomePair) -> complex:
@@ -417,9 +425,7 @@ def d_factor(s, y, w, nome: NomePair) -> complex:
 
 def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
                            rel_tol: float = DEFAULT_REL_TOL,
-                           tolerance: float = 1e-9,
-                           n0: int = DEFAULT_N0,
-                           max_nodes: int = DEFAULT_NODE_CAP) -> VerificationReport:
+                           tolerance: float = 1e-9) -> VerificationReport:
     """Verify the beta evaluation: with t6 = pq / (t1 ... t5) and |t_j| < 1 for
     all six parameters,
 
@@ -447,7 +453,7 @@ def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
         scale = float(np.mean(np.abs(integrand))) * 2 * math.pi * abs(complex(nome.kappa))
         return complex(nome.kappa * _ring_sum(integrand)), scale
 
-    lhs, info = _drive(eval_at, rel_tol, n0=n0, cap=max_nodes, label="beta integral")
+    lhs, info = _drive(eval_at, rel_tol, label="beta integral")
     pairs = np.array([ts[i] * ts[j] for i in range(6) for j in range(i + 1, 6)])
     rhs = complex(np.prod(elliptic_gamma(pairs, nome)))
     residual = relative_residual(lhs, rhs)
@@ -470,8 +476,6 @@ def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
 def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
                            nome: NomePair, rel_tol: float = 1e-9,
                            tolerance: float = 1e-8,
-                           n0: int = DEFAULT_N0,
-                           max_nodes: int = DEFAULT_NODE_CAP,
                            margin: float = 1.0) -> VerificationReport:
     """Verify M(s) D(st; y, .) M(t) = D(t; y, w) M(st) D(s; y, .) applied to
     ``alpha`` at each spectator point w.
@@ -494,10 +498,9 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
         z = _roots(n)
         dden = _theta_rings(n, 1.0, nome)
         alpha_vals = np.asarray(alpha(z), dtype=complex)
-        j = np.arange(n)
 
         # LHS: beta1 = M(t) alpha on the grid, D(st; y, x) weight, outer M(s)
-        beta1 = _m_apply_grid(t, n, 1.0, dden * alpha_vals, nome)
+        beta1 = _m_apply_grid(t, n, dden * alpha_vals, nome)
         u_plus = _pair_ring(root * y / (s * t), n, nome)
         u_minus = _pair_ring(root / (y * s * t), n, nome)
         d_st = u_plus * u_minus
@@ -514,18 +517,14 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
         rhs = np.empty(len(spectators), dtype=complex)
         scale = 0.0
         for i, w in enumerate(spectators):
-            sw = _gamma_ring(s * w, n, nome)
-            swi = _gamma_ring(s / w, n, nome)
-            kern_out = sw[j] * sw[(-j) % n] * swi[j] * swi[(-j) % n]
+            kern_out = _kernel_ring(s, w, n, 1.0, nome)
             lhs[i] = nome.kappa * _ring_sum(kern_out * lhs_weighted) / g_s2
-            stw = _gamma_ring(s * t * w, n, nome)
-            stwi = _gamma_ring(s * t / w, n, nome)
-            kern_rhs = stw[j] * stw[(-j) % n] * stwi[j] * stwi[(-j) % n]
+            kern_rhs = _kernel_ring(s * t, w, n, 1.0, nome)
             rhs[i] = d_factor(t, y, w, nome) * nome.kappa * _ring_sum(kern_rhs * rhs_weighted) / g_st2
             scale = max(scale, float(np.mean(np.abs(kern_out * lhs_weighted))))
         return np.concatenate([lhs, rhs]), scale
 
-    both, info = _drive(eval_at, rel_tol, n0=n0, cap=max_nodes, label="star-triangle")
+    both, info = _drive(eval_at, rel_tol, label="star-triangle")
     m = len(spectators)
     lhs, rhs = both[:m], both[m:]
     residual = max(relative_residual(lhs[i], rhs[i]) for i in range(m))
@@ -575,7 +574,7 @@ def _residue_sum(alpha: SymmetricTestFunction, t: complex, x: complex, nome: Nom
 
 
 def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: float | None,
-                             nome: NomePair, n_probe: int = 64) -> float:
+                             nome: NomePair) -> float:
     """Cheap estimate of the smallest relative residual double precision can
     certify for :func:`contour_deformation_check` at these parameters.
 
@@ -589,9 +588,9 @@ def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: f
     kernel_top = max(abs(t * x), abs(t / x))
     if inner_radius is None:
         inner_radius = _default_inner_radius(pole_lo, kernel_top)
-    z_in = inner_radius * _roots(n_probe)
+    z_in = inner_radius * _roots(_PROBE_NODES)
     scale_in = float(np.mean(np.abs(_kernel_at(t, x, z_in, nome) * np.asarray(alpha(z_in)))))
-    z_t = _roots(n_probe)
+    z_t = _roots(_PROBE_NODES)
     vals_t = _kernel_at(t, x, z_t, nome) * np.asarray(alpha(z_t))
     i_t = abs(complex(nome.kappa * _ring_sum(vals_t)))
     residue_term = 4j * math.pi * nome.kappa * _residue_sum(alpha, t, x, nome)
@@ -602,9 +601,7 @@ def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: f
 
 def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: float | None,
                               nome: NomePair, rel_tol: float = DEFAULT_REL_TOL,
-                              tolerance: float = 1e-8,
-                              n0: int = DEFAULT_N0,
-                              max_nodes: int = DEFAULT_NODE_CAP) -> VerificationReport:
+                              tolerance: float = 1e-8) -> VerificationReport:
     """Verify the Cauchy deformation identity
 
         integral_T = integral_C + 4 pi i kappa sum_m K(x, z0 q^m) alpha_m
@@ -642,7 +639,7 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
             vals = _kernel_at(t, x, z, nome) * np.asarray(alpha(z), dtype=complex)
             return complex(nome.kappa * _ring_sum(vals)), float(np.mean(np.abs(vals)))
 
-        return _drive(eval_at, rel_tol, n0=n0, cap=max_nodes, label="deformation integral")
+        return _drive(eval_at, rel_tol, label="deformation integral")
 
     i_t, info_t = integral_on(1.0)
     i_c, info_c = integral_on(inner_radius)
@@ -722,9 +719,7 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
 
 
 def finite_difference_oracle(x, f, nome: NomePair, eps: float,
-                             rel_tol: float = DEFAULT_REL_TOL,
-                             n0: int = DEFAULT_N0,
-                             max_nodes: int = DEFAULT_NODE_CAP) -> complex:
+                             rel_tol: float = DEFAULT_REL_TOL) -> complex:
     """Regularized N = 1 evaluation of [M(t) f](x) at t^2 = q^{-1} (1 + eps).
 
     The contour is the unit circle plus the two escaped first-lattice poles
@@ -749,14 +744,7 @@ def finite_difference_oracle(x, f, nome: NomePair, eps: float,
             raise ConstraintViolationError(
                 f"{label} = {val:.4f} outside the single-escape window (1, {lim:.3f})"
             )
-
-    def eval_at(n):
-        z = _roots(n)
-        dden = _theta_rings(n, 1.0, nome)
-        vals = np.asarray(f(z), dtype=complex)
-        return _m_single(t, x, n, 1.0, vals, dden, nome)
-
-    quad, _info = _drive(eval_at, rel_tol, n0=n0, cap=max_nodes, label="fd oracle")
+    quad = _m_quadrature(t, x, f, 1.0, nome, rel_tol, "fd oracle")
 
     def g(v):
         return complex(elliptic_gamma(v, nome))
@@ -845,9 +833,7 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
 
 def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
                       rel_tol: float = DEFAULT_REL_TOL,
-                      tolerance: float = 1e-6,
-                      n0: int = DEFAULT_N0,
-                      max_nodes: int = DEFAULT_NODE_CAP) -> VerificationReport:
+                      tolerance: float = 1e-6) -> VerificationReport:
     """Check [M(1/t) M(t) alpha](w) = alpha(w) for symmetric alpha analytic in
     a wide annulus and |t| in a conservative range.
 
@@ -890,14 +876,7 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         if inner_max * 1.2 >= upper:
             raise ConstraintViolationError("no separating radius for the inversion correction")
         r = min(max(math.sqrt(inner_max * upper), inner_max * 1.2), upper)
-
-        def eval_at(n):
-            z = r * _roots(n)
-            dden = _theta_rings(n, r, nome)
-            vals = np.asarray(alpha(z), dtype=complex)
-            return _m_single(t, xstar, n, r, vals, dden, nome)
-
-        quad, _ = _drive(eval_at, rel_tol, n0=n0, cap=max_nodes, label="inversion inner")
+        quad = _m_quadrature(t, xstar, alpha, r, nome, rel_tol, "inversion inner")
         gg = lambda v: complex(elliptic_gamma(v, nome))
         if head_is_recip:
             res = gg(t * t * w**2) / (2.0 * gg(w**2)) * complex(alpha(np.asarray([1 / w]))[0])
@@ -909,11 +888,11 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         z = _roots(n)
         dden = _theta_rings(n, 1.0, nome)
         alpha_vals = np.asarray(alpha(z), dtype=complex)
-        g_on_grid = _m_apply_grid(t, n, 1.0, dden * alpha_vals, nome)
+        g_on_grid = _m_apply_grid(t, n, dden * alpha_vals, nome)
         val, scale = _m_single(1.0 / t, w, n, 1.0, g_on_grid, dden, nome)
         return val, scale
 
-    outer, info = _drive(eval_outer, rel_tol, n0=n0, cap=max_nodes, label="inversion outer")
+    outer, info = _drive(eval_outer, rel_tol, label="inversion outer")
 
     gg = lambda v: complex(elliptic_gamma(v, nome))
     corr1 = gg(w**-2) / gg(t * t / w**2) * g_cont(w / t, head_is_recip=False)

@@ -20,7 +20,7 @@ import numpy as np
 from . import bailey_algebra as ba
 from . import contour as ct
 from .errors import ConstraintViolationError, DomainError, EllipticBaileyError, QuadratureConvergenceError
-from .report import VerificationReport, relative_residual
+from .report import VerificationReport, _encode, relative_residual
 from .special_functions import (
     NomePair,
     elliptic_gamma,
@@ -215,7 +215,8 @@ def _sample_until(cfg, rng, build):
 
 
 # --------------------------------------------------------------------------
-# per-identity runners (each maps (cfg, rng, draw_index) -> VerificationReport)
+# per-identity runners (each maps (cfg, rng, draw_index) -> VerificationReport;
+# run_campaign stamps the draw index on the report)
 # --------------------------------------------------------------------------
 
 def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
@@ -264,7 +265,6 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
             "residue_limit": res_limit,
         },
         wall_time_s=time.perf_counter() - start,
-        draw_index=idx,
     )
 
 
@@ -285,7 +285,6 @@ def _run_beta_integral(cfg: CampaignConfig, rng, idx: int) -> VerificationReport
         *ts, nome, rel_tol=cfg.quad_rel_tol, tolerance=cfg.effective_tolerance
     )
     rep.settings["rejected"] = rejects
-    rep.draw_index = idx
     return rep
 
 
@@ -315,20 +314,19 @@ def _discrete_sampler(cfg: CampaignConfig, rng):
     return _sample_until(cfg, rng, build)
 
 
-def _run_matrix_bailey(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
+def _run_discrete(verify, cfg: CampaignConfig, rng) -> VerificationReport:
     (params, mode), rejects = _discrete_sampler(cfg, rng)
-    rep = ba.verify_matrix_bailey(params, tolerance=cfg.effective_tolerance)
+    rep = verify(params, tolerance=cfg.effective_tolerance)
     rep.settings.update({"rejected": rejects, "bc_mode": mode})
-    rep.draw_index = idx
     return rep
+
+
+def _run_matrix_bailey(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
+    return _run_discrete(ba.verify_matrix_bailey, cfg, rng)
 
 
 def _run_coxeter(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
-    (params, mode), rejects = _discrete_sampler(cfg, rng)
-    rep = ba.verify_coxeter(params, tolerance=cfg.effective_tolerance)
-    rep.settings.update({"rejected": rejects, "bc_mode": mode})
-    rep.draw_index = idx
-    return rep
+    return _run_discrete(ba.verify_coxeter, cfg, rng)
 
 
 def _run_star_triangle(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
@@ -351,7 +349,6 @@ def _run_star_triangle(cfg: CampaignConfig, rng, idx: int) -> VerificationReport
         rel_tol=cfg.quad_rel_tol, tolerance=cfg.effective_tolerance, margin=margin,
     )
     rep.settings["rejected"] = rejects
-    rep.draw_index = idx
     return rep
 
 
@@ -370,7 +367,6 @@ def _run_residue_reduction(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     rep = ct.residue_matrix_reduction_check(alpha, z0, t, cfg.effective_N, nome,
                                             tolerance=cfg.effective_tolerance)
     rep.settings["rejected"] = rejects
-    rep.draw_index = idx
     return rep
 
 
@@ -396,7 +392,6 @@ def _run_cauchy_deformation(cfg: CampaignConfig, rng, idx: int) -> VerificationR
                                        rel_tol=cfg.quad_rel_tol,
                                        tolerance=cfg.effective_tolerance)
     rep.settings["rejected"] = rejects
-    rep.draw_index = idx
     return rep
 
 
@@ -436,7 +431,6 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         tolerance=cfg.effective_tolerance if cfg.effective_N else 1e-14,
         settings=settings,
         wall_time_s=time.perf_counter() - start,
-        draw_index=idx,
     )
 
 
@@ -466,7 +460,8 @@ _FIXED_BELOW_ONE = {
 def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """Run all draws of a campaign; deterministic given the config.
 
-    Per-draw errors become error reports instead of aborting.  An inadmissible
+    Per-draw errors become error reports instead of aborting: library errors
+    by their type, any other exception as an internal error.  An inadmissible
     fixed parameter yields a single validation-failure report and no draws.
     """
     try:
@@ -490,22 +485,27 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     def one(idx: int) -> VerificationReport:
         rng = np.random.default_rng(int(sub_seeds[idx]))
         start = time.perf_counter()
+        err = None
         try:
-            return runner(config, rng, idx)
+            rep = runner(config, rng, idx)
         except QuadratureConvergenceError as exc:
             err = f"non-convergence: {exc}"
         except EllipticBaileyError as exc:
             err = f"{type(exc).__name__}: {exc}"
-        return VerificationReport(
-            identity=config.identity,
-            params={"draw_seed": int(sub_seeds[idx])},
-            lhs=None, rhs=None,
-            residual=math.inf,
-            tolerance=config.effective_tolerance,
-            wall_time_s=time.perf_counter() - start,
-            error=err,
-            draw_index=idx,
-        )
+        except Exception as exc:
+            err = f"internal error: {type(exc).__name__}: {exc}"
+        if err is not None:
+            rep = VerificationReport(
+                identity=config.identity,
+                params={"draw_seed": int(sub_seeds[idx])},
+                lhs=None, rhs=None,
+                residual=math.inf,
+                tolerance=config.effective_tolerance,
+                wall_time_s=time.perf_counter() - start,
+                error=err,
+            )
+        rep.draw_index = idx
+        return rep
 
     threads = min(config.threads, _thread_cap())
     if threads > 1 and config.draws > 1:
@@ -544,7 +544,7 @@ def summarize(reports: list[VerificationReport]) -> CampaignSummary:
             "draw_index": r.draw_index,
             "residual": None if not math.isfinite(r.residual) else {"f": float(r.residual).hex()},
             "error": r.error,
-            "params": {k: _encode_param(v) for k, v in r.params.items()},
+            "params": _encode(r.params),
         }
         for r in reports
         if not r.passed
@@ -561,13 +561,3 @@ def summarize(reports: list[VerificationReport]) -> CampaignSummary:
         rejected_draws=sum(int(r.settings.get("rejected", 0)) for r in reports),
         failures=failures,
     )
-
-
-def _encode_param(v):
-    if isinstance(v, complex):
-        return {"c": [v.real.hex(), v.imag.hex()]}
-    if isinstance(v, float):
-        return {"f": v.hex()}
-    if isinstance(v, (list, tuple)):
-        return [_encode_param(x) for x in v]
-    return v

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from elliptic_bailey import bailey_algebra as ba
 from elliptic_bailey.bailey_algebra import (
     BaileySequence,
     DiscreteParams,
@@ -342,6 +345,60 @@ class TestCoxeter:
         cox = verify_coxeter(params)
         bailey = verify_matrix_bailey(params)
         assert cox.details["cubic_residual"] == bailey.residual
+
+
+class TestBuiltOncePerDraw:
+    """A draw's six M and D(a;b,c) are built once, by whichever of the
+    conditioning estimate and the checks reads them first."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        calls = {"M": [], "D": []}
+        build_M_orig, build_D_orig = ba.build_M, ba.build_D
+
+        def counted_M(N, a, k, nome):
+            calls["M"].append((complex(a), complex(k)))
+            return build_M_orig(N, a, k, nome)
+
+        def counted_D(N, a, b, c, nome):
+            calls["D"].append((complex(a), complex(b), complex(c)))
+            return build_D_orig(N, a, b, c, nome)
+
+        monkeypatch.setattr(ba, "build_M", counted_M)
+        monkeypatch.setattr(ba, "build_D", counted_D)
+        return calls
+
+    def test_checks_after_conditioning_build_no_M(self, nome, monkeypatch):
+        fresh = dataclasses.replace(draw_params(np.random.default_rng(51), 4, nome))
+        calls = self._count_builds(monkeypatch)
+        conditioning_amplification(fresh)
+        assert len(calls["M"]) == 6 and len(calls["D"]) == 1
+        verify_matrix_bailey(fresh)
+        assert len(calls["M"]) == 6
+        # D(k; qt/b, qt/c) and D(t; b, c)
+        assert len(calls["D"]) == 3
+        verify_coxeter(fresh)
+        assert len(calls["M"]) == 6
+
+    def test_fresh_coxeter_builds_each_object_once(self, nome, monkeypatch):
+        params = draw_params(np.random.default_rng(52), 5, nome)
+        a, k, t = params.a, params.k, params.t_tilde
+        fresh = dataclasses.replace(params)
+        calls = self._count_builds(monkeypatch)
+        verify_coxeter(fresh)
+        assert len(calls["M"]) == 6
+        assert set(calls["M"]) == {(a, k), (t, a), (k, a), (a, t), (t, k), (k, t)}
+        assert len(calls["D"]) == 4 and len(set(calls["D"])) == 4
+
+    @pytest.mark.parametrize("free_bc", [False, True])
+    def test_reports_do_not_depend_on_the_memo(self, nome, free_bc):
+        rng = np.random.default_rng(53)
+        for N in (0, 3, 7):
+            conditioned = draw_params(rng, N, nome, free_bc=free_bc)
+            for verify in (verify_matrix_bailey, verify_coxeter):
+                fresh = dataclasses.replace(conditioned)
+                assert "matrices" not in vars(fresh)
+                assert verify(fresh).to_json() == verify(conditioned).to_json()
 
 
 class TestBressoudLimit:

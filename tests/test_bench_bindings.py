@@ -6,7 +6,10 @@ one of them fails here rather than in the traced run.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+from elliptic_bailey import bailey_algebra, contour, harness
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -23,3 +26,17 @@ def test_every_traced_binding_resolves():
     assert tracing.BINDINGS
     for binding, _span, _kind in tracing.BINDINGS:
         assert callable(tracing.lookup(binding)), binding
+
+
+def _names(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_positions_the_tracer_reads():
+    # the tracer's hooks read these arguments by position; a shifted one
+    # would miscount contour.kernel.points or the sampler's attempts silently
+    assert _names(contour._m_single)[2] == "n"
+    assert _names(contour._m_apply_grid)[1] == "n"
+    assert _names(contour._kernel_at)[2] == "z"
+    assert _names(bailey_algebra.build_M)[:4] == ["N", "a", "k", "nome"]
+    assert _names(harness._sample_until)[2] == "build"

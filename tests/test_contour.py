@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from elliptic_bailey import contour as ct
 from elliptic_bailey.bailey_algebra import build_M
 from elliptic_bailey.contour import (
     OperatorParams,
@@ -231,6 +232,54 @@ class TestDFactor:
         nome = NomePair(0.1, 0.2)
         got = d_factor(0.5, 0.8, 0.9 * np.exp(0.2j), nome)
         assert relative_residual(got, 4.029328443077237 - 0.20593240154693135j) < 1e-12
+
+
+class TestRingKernels:
+    NOME = NomePair(0.08, 0.12)
+    T, X = 0.45 * np.exp(0.7j), 0.9 * np.exp(1.1j)
+
+    @staticmethod
+    def _count_rings(monkeypatch):
+        calls = []
+        gamma_vec = ct._gamma_vec
+
+        def counted(z, nome):
+            calls.append(np.size(z))
+            return gamma_vec(z, nome)
+
+        monkeypatch.setattr(ct, "_gamma_vec", counted)
+        return calls
+
+    def _pointwise(self, t, x, z):
+        g = lambda v: elliptic_gamma(v, self.NOME)
+        return g(t * x * z) * g(t * x / z) * g(t * z / x) * g(t / (x * z))
+
+    @pytest.mark.parametrize("radius", [1.0, 0.7])
+    def test_kernel_ring_matches_pointwise_gamma(self, radius):
+        n = 32
+        z = radius * np.exp(2j * np.pi * np.arange(n) / n)
+        got = ct._kernel_ring(self.T, self.X, n, radius, self.NOME)
+        assert relative_residual(got, self._pointwise(self.T, self.X, z)) < 1e-13
+
+    def test_equal_scales_share_one_ring(self, monkeypatch):
+        calls = self._count_rings(monkeypatch)
+        ct._kernel_ring(self.T, self.X, 64, 1.0, self.NOME)
+        assert calls == [64, 64]
+        calls.clear()
+        ct._kernel_ring(self.T, self.X, 64, 0.7, self.NOME)
+        assert calls == [64] * 4
+
+    def test_grid_kernel_reads_one_ring(self, monkeypatch):
+        calls = self._count_rings(monkeypatch)
+        blocks = list(ct._m_kernel_rows(self.T, 64, self.NOME))
+        assert calls == [64]
+        assert np.array_equal(np.concatenate([j for j, _rows in blocks]), np.arange(64))
+
+    def test_grid_kernel_matches_pointwise_gamma(self):
+        n = 16
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        (_j, got), = ct._m_kernel_rows(self.T, n, self.NOME)
+        assert relative_residual(got, self._pointwise(self.T, roots[:, None], roots[None, :])) < 1e-13
 
 
 class TestStarTriangle:

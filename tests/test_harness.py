@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -126,6 +127,53 @@ class TestValidationAndErrors:
         reports = run_campaign(CampaignConfig(identity="beta-integral", draws=2))
         assert all(r.error.startswith("non-convergence") for r in reports)
         assert all(not r.passed for r in reports)
+
+
+class TestInternalErrors:
+    CFG = dict(identity="special-functions", seed=11, draws=3)
+
+    def _flaky_runner(self, monkeypatch):
+        real = hmod._RUNNERS["special-functions"]
+
+        def flaky(cfg, rng, idx):
+            if idx == 1:
+                raise ValueError("stub failure")
+            return real(cfg, rng, idx)
+
+        monkeypatch.setitem(hmod._RUNNERS, "special-functions", flaky)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_library_exception_stays_in_its_draw(self, monkeypatch, threads):
+        reference = run_campaign(CampaignConfig(**self.CFG))
+        self._flaky_runner(monkeypatch)
+        monkeypatch.setenv("ELLIPTIC_BAILEY_THREADS", "2")
+        reports = run_campaign(CampaignConfig(**self.CFG, threads=threads))
+        assert [r.draw_index for r in reports] == [0, 1, 2]
+        assert reports[1].error == "internal error: ValueError: stub failure"
+        assert not reports[1].passed
+        for i in (0, 2):
+            assert reports[i].to_json() == reference[i].to_json()
+
+    def test_verify_exits_1_on_internal_error(self, monkeypatch, capsys):
+        from elliptic_bailey import cli
+
+        self._flaky_runner(monkeypatch)
+        code = cli.main(["verify", "special-functions", "--draws", "3", "--seed", "11", "--json"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert len(lines) == 4
+        assert json.loads(lines[-1])["n_error"] == 1
+
+    def test_base_exception_propagates(self, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        def stop(cfg, rng, idx):
+            raise Stop
+
+        monkeypatch.setitem(hmod._RUNNERS, "special-functions", stop)
+        with pytest.raises(Stop):
+            run_campaign(CampaignConfig(identity="special-functions", draws=2))
 
 
 class TestSummarize:
