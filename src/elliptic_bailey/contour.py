@@ -11,9 +11,10 @@ is evaluated through the inverted-denominator form 1/Gamma(z^{+-2}) =
 theta(z^2; q) theta(z^{-2}; p), which is an entire function of z on the
 contour (the identity is asserted independently in the test suite).  On an
 equispaced grid z_k = r w^k with w = exp(2 pi i / n), every gamma-factor
-argument lies on a scaled copy of the same root-of-unity ring, so each kernel
-needs only a handful of length-n gamma evaluations regardless of how many
-grid pairs are combined.
+argument lies on a scaled copy of the same root-of-unity ring, so one
+quadrature pass evaluates all of its gamma rings in a single call of the FFT
+ring engine, however many grid pairs the kernels combine.  Gamma values that
+do not depend on the grid are evaluated once per check.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from .special_functions import (
     elliptic_pochhammer,
     theta,
     theta_pochhammer_sequence,
+    _gamma_rings,
     _gamma_vec,
+    _roots,
 )
 
 __all__ = [
@@ -97,18 +100,6 @@ class QuadratureInfo:
     n_nodes: int
     converged: bool
     est_error: float
-
-
-_ROOT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _roots(n: int) -> np.ndarray:
-    r = _ROOT_CACHE.get(n)
-    if r is None:
-        r = np.exp(2j * math.pi * np.arange(n) / n)
-        r.setflags(write=False)
-        _ROOT_CACHE[n] = r
-    return r
 
 
 def _ring_sum(values: np.ndarray) -> complex:
@@ -309,72 +300,94 @@ class OperatorParams:
                 raise ConstraintViolationError(f"{label} = {value:.4f} >= {margin}")
 
 
-def _gamma_ring(scale: complex, n: int, nome: NomePair) -> np.ndarray:
-    """Gamma(scale * w^m; p, q) for the n-th roots of unity w^m."""
-    return _gamma_vec(scale * _roots(n), nome)
+def _reflect(ring: np.ndarray) -> np.ndarray:
+    """ring[..., -m mod n]: the values at w^{-m} of a ring given at w^m."""
+    return np.concatenate([ring[..., :1], ring[..., :0:-1]], axis=-1)
+
+
+def _gamma_ring_table(scales, n: int, nome: NomePair) -> dict:
+    """{scale: (G, G reflected)} with G[m] = Gamma(scale w^m) and its values
+    G[-m mod n] at w^{-m}, for each distinct scale, from one ring-engine call."""
+    distinct = list(dict.fromkeys(scales))
+    g = _gamma_rings(np.array(distinct, dtype=complex), n, nome)
+    return dict(zip(distinct, zip(g, _reflect(g))))
+
+
+def _pair(ring: tuple) -> np.ndarray:
+    """P[m] = Gamma(s w^m) Gamma(s w^{-m}), the z^{+-1} pair factor of a table ring."""
+    return ring[0] * ring[1]
 
 
 def _theta_rings(n: int, radius: float, nome: NomePair):
-    """theta((r w^m)^2-type arrays used by 1/Gamma(z^{+-2}) on the grid:
-    returns dden[k] = theta(z_k^2; q) * theta(z_k^{-2}; p)."""
-    idx = (2 * np.arange(n)) % n
-    tq = np.asarray(theta(radius**2 * _roots(n), nome.q, nome.trunc), dtype=complex)
-    tp = np.asarray(theta(radius**-2 * _roots(n), nome.p, nome.trunc), dtype=complex)
-    return tq[idx] * tp[(-idx) % n]
+    """dden[k] = theta(z_k^2; q) * theta(z_k^{-2}; p), the inverted 1/Gamma(z^{+-2})
+    on the grid z_k = r w^k, n even.  z_k^2 = r^2 w^{2k} runs twice over the
+    (n/2)-ring, where the thetas are evaluated."""
+    half = _roots(n // 2)
+    tq = np.asarray(theta(radius**2 * half, nome.q, nome.trunc), dtype=complex)
+    tp = np.asarray(theta(radius**-2 * half, nome.p, nome.trunc), dtype=complex)
+    return np.tile(tq * _reflect(tp), 2)
 
 
-def _pair_ring(scale: complex, n: int, nome: NomePair) -> np.ndarray:
-    """P[m] = Gamma(scale w^m) Gamma(scale w^{-m}), the z^{+-1} pair factor."""
-    g = _gamma_ring(scale, n, nome)
-    return g * g[(-np.arange(n)) % n]
+def _kernel_scales(t: complex, x: complex, radius: float) -> tuple:
+    """The ring scales of Gamma(t x z), Gamma(t x / z), Gamma(t z / x) and
+    Gamma(t / (x z)) on |z| = radius; the 2nd and 4th are read at w^{-k}."""
+    return (t * x * radius, t * x / radius, t * radius / x, t / (x * radius))
+
+
+def _kernel_from(rings: dict, t: complex, x: complex, radius: float) -> np.ndarray:
+    """K[k] = Gamma(t x z_k) Gamma(t x / z_k) Gamma(t z_k / x) Gamma(t / (x z_k))
+    for z_k = radius * w^k, multiplied left to right in that order, read from
+    a table of gamma rings that holds the four scales."""
+    (g_a, _), (_, g_b), (g_c, _), (_, g_d) = (rings[scale] for scale in _kernel_scales(t, x, radius))
+    return g_a * g_b * g_c * g_d
 
 
 def _kernel_ring(t: complex, x: complex, n: int, radius: float, nome: NomePair) -> np.ndarray:
-    """K[k] = Gamma(t x z_k) Gamma(t x / z_k) Gamma(t z_k / x) Gamma(t / (x z_k))
-    for z_k = radius * w^k, multiplied left to right in that order.
-
-    Each factor reads a ring Gamma(scale * w^m) at m = k or m = -k; factors
-    with equal scales share one ring, so at radius 1 two rings serve all four.
-    """
-    scales = (t * x * radius, t * x / radius, t * radius / x, t / (x * radius))
-    rings = {scale: _gamma_ring(scale, n, nome) for scale in dict.fromkeys(scales)}
-    g_a, g_b, g_c, g_d = (rings[scale] for scale in scales)
-    neg = (-np.arange(n)) % n
-    return g_a * g_b[neg] * g_c * g_d[neg]
+    """The kernel K[k] of :func:`_kernel_from` from one ring-engine call; factors
+    with equal scales share one ring, so at radius 1 two rings serve all four."""
+    return _kernel_from(_gamma_ring_table(_kernel_scales(t, x, radius), n, nome), t, x, radius)
 
 
-def _m_kernel_rows(t: complex, n: int, nome: NomePair):
+def _kernel_on_circle(t: complex, x: complex, n: int, radius: float, g_t2: complex,
+                      nome: NomePair) -> np.ndarray:
+    """The Bailey kernel of :func:`_kernel_at` on the ring z_k = radius * w^k,
+    given g_t2 = Gamma(t^2)."""
+    return _kernel_ring(t, x, n, radius, nome) * _theta_rings(n, radius, nome) / g_t2
+
+
+def _m_kernel_rows(pair: np.ndarray):
     """Kernel matrix K[j, k] = Gamma(t x_j z_k^{+-1}) Gamma((t / x_j) z_k^{+-1})
     for x_j = w^j and z_k = w^k on the unit circle, yielded in row blocks.
 
-    Every factor is a value of the one ring G[m] = Gamma(t w^m): Gamma(t x_j z_k)
-    = G[(j + k) mod n], Gamma(t x_j / z_k) = G[(j - k) mod n], and so on, so a
-    single length-n evaluation covers the whole n x n kernel.
+    Every factor is a value of the one ring G[m] = Gamma(t w^m), and they pair
+    up into the ring pair[m] = G[m] G[-m]: Gamma(t x_j z_k^{+-1}) =
+    pair[(j + k) mod n] and Gamma((t / x_j) z_k^{+-1}) = pair[(j - k) mod n].
+    Both are windows of the doubled ring: row j reads pair2[j : j + n] and
+    pair2[j + 1 : j + n + 1] reversed.
     """
-    g = _gamma_ring(t, n, nome)
-    k_idx = np.arange(n)
+    n = pair.size
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pair, pair]), n)
     for lo in range(0, n, _ROW_CHUNK):
-        j = np.arange(lo, min(lo + _ROW_CHUNK, n))
-        plus = (j[:, None] + k_idx[None, :]) % n
-        minus = (j[:, None] - k_idx[None, :]) % n
-        yield j, g[plus] * g[minus] * g[(-minus) % n] * g[(-plus) % n]
+        hi = min(lo + _ROW_CHUNK, n)
+        yield np.arange(lo, hi), windows[lo:hi] * windows[lo + 1 : hi + 1, ::-1]
 
 
-def _m_apply_grid(t: complex, n: int, weighted_alpha: np.ndarray, nome: NomePair) -> np.ndarray:
+def _m_apply_grid(pair: np.ndarray, n: int, weighted_alpha: np.ndarray, g_t2: complex,
+                  nome: NomePair) -> np.ndarray:
     """[M(t) alpha](x_j) for every x_j on the same unit-circle n-grid, given the
-    vector weighted_alpha[k] = dden[k] * alpha(z_k); includes kappa and measure."""
+    pair ring pair[m] = Gamma(t w^{+-m}), g_t2 = Gamma(t^2) and the vector
+    weighted_alpha[k] = dden[k] * alpha(z_k); includes kappa and measure."""
     out = np.empty(n, dtype=complex)
-    for j, rows in _m_kernel_rows(t, n, nome):
+    for j, rows in _m_kernel_rows(pair):
         out[j] = rows @ weighted_alpha
-    g_t2 = complex(elliptic_gamma(t * t, nome))
     return nome.kappa * 2j * math.pi / n * out / g_t2
 
 
 def _m_single(t: complex, w: complex, n: int, radius: float, alpha_vals: np.ndarray,
-              dden: np.ndarray, nome: NomePair) -> tuple[complex, float]:
-    """[M(t) alpha](w) for a single off-grid spectator w; returns (value, scale)."""
+              dden: np.ndarray, g_t2: complex, nome: NomePair) -> tuple[complex, float]:
+    """[M(t) alpha](w) for a single off-grid spectator w, given g_t2 = Gamma(t^2);
+    returns (value, scale)."""
     kern = _kernel_ring(t, w, n, radius, nome)
-    g_t2 = complex(elliptic_gamma(t * t, nome))
     integrand = kern * dden * alpha_vals / g_t2
     scale = float(np.mean(np.abs(integrand))) * 2 * math.pi * abs(complex(nome.kappa))
     return complex(nome.kappa * _ring_sum(integrand)), scale
@@ -383,11 +396,13 @@ def _m_single(t: complex, w: complex, n: int, radius: float, alpha_vals: np.ndar
 def _m_quadrature(t: complex, w: complex, f, radius: float, nome: NomePair,
                   rel_tol: float, label: str) -> complex:
     """[M(t) f](w) by adaptive trapezoid quadrature on the circle |z| = radius."""
+    g_t2 = complex(elliptic_gamma(t * t, nome))
+
     def eval_at(n):
         z = radius * _roots(n)
         dden = _theta_rings(n, radius, nome)
         vals = np.asarray(f(z), dtype=complex)
-        return _m_single(t, w, n, radius, vals, dden, nome)
+        return _m_single(t, w, n, radius, vals, dden, g_t2, nome)
 
     return _drive(eval_at, rel_tol, label=label)[0]
 
@@ -409,13 +424,16 @@ def apply_M(t, w, alpha: SymmetricTestFunction, nome: NomePair,
     return _m_quadrature(t, w, alpha, radius, nome, rel_tol, "apply_M")
 
 
+def _d_args(s: complex, y: complex, w: complex, nome: NomePair) -> list:
+    """The four arguments sqrt(pq) s^{-1} y^{+-1} w^{+-1} of D(s; y, w)."""
+    root = complex(np.sqrt(complex(nome.p * nome.q)))
+    return [root * y * w / s, root * y / (w * s), root * w / (y * s), root / (y * w * s)]
+
+
 def d_factor(s, y, w, nome: NomePair) -> complex:
     """D(s; y, w) = Gamma(sqrt(pq) s^{-1} y^{+-1} w^{+-1}; p, q), four factors,
     principal square root."""
-    s, y, w = complex(s), complex(y), complex(w)
-    root = complex(np.sqrt(complex(nome.p * nome.q)))
-    args = np.array([root * y * w / s, root * y / (w * s),
-                     root * w / (y * s), root / (y * w * s)])
+    args = np.array(_d_args(complex(s), complex(y), complex(w), nome))
     return complex(np.prod(elliptic_gamma(args, nome)))
 
 
@@ -446,9 +464,10 @@ def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
 
     def eval_at(n):
         dden = _theta_rings(n, 1.0, nome)
+        rings = _gamma_ring_table(ts, n, nome)
         kern = np.ones(n, dtype=complex)
         for v in ts:
-            kern = kern * _pair_ring(v, n, nome)
+            kern = kern * _pair(rings[v])
         integrand = kern * dden
         scale = float(np.mean(np.abs(integrand))) * 2 * math.pi * abs(complex(nome.kappa))
         return complex(nome.kappa * _ring_sum(integrand)), scale
@@ -494,33 +513,40 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
     if alpha.poles and max(abs(p) for p in alpha.poles) >= 1.0:
         raise ConstraintViolationError("alpha poles must lie strictly inside the unit circle")
 
+    # the grid-independent values Gamma(t^2), Gamma(s^2), Gamma((st)^2) and
+    # D(t; y, w) per spectator, in one evaluation
+    fixed = _gamma_vec(np.array([t * t, s * s, (s * t) ** 2]
+                                + [v for w in spectators for v in _d_args(t, y, w, nome)]), nome)
+    g_t2, g_s2, g_st2 = (complex(v) for v in fixed[:3])
+    d_t = np.prod(fixed[3:].reshape(-1, 4), axis=1)
+    # pair scales of D(st; y, z) and D(s; y, z), then the spectator kernels'
+    d_st = (root * y / (s * t), root / (y * s * t))
+    d_s = (root * y / s, root / (y * s))
+    scales = [t, *d_st, *d_s]
+    for w in spectators:
+        scales += [*_kernel_scales(s, w, 1.0), *_kernel_scales(s * t, w, 1.0)]
+
     def eval_at(n):
         z = _roots(n)
         dden = _theta_rings(n, 1.0, nome)
         alpha_vals = np.asarray(alpha(z), dtype=complex)
+        rings = _gamma_ring_table(scales, n, nome)
 
         # LHS: beta1 = M(t) alpha on the grid, D(st; y, x) weight, outer M(s)
-        beta1 = _m_apply_grid(t, n, dden * alpha_vals, nome)
-        u_plus = _pair_ring(root * y / (s * t), n, nome)
-        u_minus = _pair_ring(root / (y * s * t), n, nome)
-        d_st = u_plus * u_minus
-        lhs_weighted = dden * d_st * beta1
-        g_s2 = complex(elliptic_gamma(s * s, nome))
+        beta1 = _m_apply_grid(_pair(rings[t]), n, dden * alpha_vals, g_t2, nome)
+        lhs_weighted = dden * (_pair(rings[d_st[0]]) * _pair(rings[d_st[1]])) * beta1
 
         # RHS: single quadrature of D(s; y, z) alpha with the M(st) kernel
-        v_plus = _pair_ring(root * y / s, n, nome)
-        v_minus = _pair_ring(root / (y * s), n, nome)
-        rhs_weighted = dden * v_plus * v_minus * alpha_vals
-        g_st2 = complex(elliptic_gamma((s * t) ** 2, nome))
+        rhs_weighted = dden * _pair(rings[d_s[0]]) * _pair(rings[d_s[1]]) * alpha_vals
 
         lhs = np.empty(len(spectators), dtype=complex)
         rhs = np.empty(len(spectators), dtype=complex)
         scale = 0.0
         for i, w in enumerate(spectators):
-            kern_out = _kernel_ring(s, w, n, 1.0, nome)
+            kern_out = _kernel_from(rings, s, w, 1.0)
             lhs[i] = nome.kappa * _ring_sum(kern_out * lhs_weighted) / g_s2
-            kern_rhs = _kernel_ring(s * t, w, n, 1.0, nome)
-            rhs[i] = d_factor(t, y, w, nome) * nome.kappa * _ring_sum(kern_rhs * rhs_weighted) / g_st2
+            kern_rhs = _kernel_from(rings, s * t, w, 1.0)
+            rhs[i] = d_t[i] * nome.kappa * _ring_sum(kern_rhs * rhs_weighted) / g_st2
             scale = max(scale, float(np.mean(np.abs(kern_out * lhs_weighted))))
         return np.concatenate([lhs, rhs]), scale
 
@@ -588,10 +614,12 @@ def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: f
     kernel_top = max(abs(t * x), abs(t / x))
     if inner_radius is None:
         inner_radius = _default_inner_radius(pole_lo, kernel_top)
+    g_t2 = complex(elliptic_gamma(t * t, nome))
     z_in = inner_radius * _roots(_PROBE_NODES)
-    scale_in = float(np.mean(np.abs(_kernel_at(t, x, z_in, nome) * np.asarray(alpha(z_in)))))
+    kern_in = _kernel_on_circle(t, x, _PROBE_NODES, inner_radius, g_t2, nome)
+    scale_in = float(np.mean(np.abs(kern_in * np.asarray(alpha(z_in)))))
     z_t = _roots(_PROBE_NODES)
-    vals_t = _kernel_at(t, x, z_t, nome) * np.asarray(alpha(z_t))
+    vals_t = _kernel_on_circle(t, x, _PROBE_NODES, 1.0, g_t2, nome) * np.asarray(alpha(z_t))
     i_t = abs(complex(nome.kappa * _ring_sum(vals_t)))
     residue_term = 4j * math.pi * nome.kappa * _residue_sum(alpha, t, x, nome)
     value_scale = max(i_t, abs(residue_term), RESIDUAL_FLOOR)
@@ -633,10 +661,12 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
             f"{inner_radius:.3f} < min|pole| = {pole_lo:.3f} and max|pole| < 1"
         )
 
+    g_t2 = complex(elliptic_gamma(t * t, nome))
+
     def integral_on(radius):
         def eval_at(n):
             z = radius * _roots(n)
-            vals = _kernel_at(t, x, z, nome) * np.asarray(alpha(z), dtype=complex)
+            vals = _kernel_on_circle(t, x, n, radius, g_t2, nome) * np.asarray(alpha(z), dtype=complex)
             return complex(nome.kappa * _ring_sum(vals)), float(np.mean(np.abs(vals)))
 
         return _drive(eval_at, rel_tol, label="deformation integral")
@@ -884,13 +914,16 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
             res = gg(t * t / w**2) / (2.0 * gg(w**-2)) * complex(alpha(np.asarray([w]))[0])
         return quad + res
 
+    t_inv = 1.0 / t
+    g_t2, g_inv2 = (complex(v) for v in _gamma_vec(np.array([t * t, t_inv * t_inv]), nome))
+
     def eval_outer(n):
         z = _roots(n)
         dden = _theta_rings(n, 1.0, nome)
         alpha_vals = np.asarray(alpha(z), dtype=complex)
-        g_on_grid = _m_apply_grid(t, n, dden * alpha_vals, nome)
-        val, scale = _m_single(1.0 / t, w, n, 1.0, g_on_grid, dden, nome)
-        return val, scale
+        pair = _pair(_gamma_ring_table([t], n, nome)[t])
+        g_on_grid = _m_apply_grid(pair, n, dden * alpha_vals, g_t2, nome)
+        return _m_single(t_inv, w, n, 1.0, g_on_grid, dden, g_inv2, nome)
 
     outer, info = _drive(eval_outer, rel_tol, label="inversion outer")
 

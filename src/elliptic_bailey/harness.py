@@ -19,7 +19,14 @@ import numpy as np
 
 from . import bailey_algebra as ba
 from . import contour as ct
-from .errors import ConstraintViolationError, DomainError, EllipticBaileyError, QuadratureConvergenceError
+from .errors import (
+    ConstraintViolationError,
+    DegenerateParameterError,
+    DomainError,
+    EllipticBaileyError,
+    PoleProximityError,
+    QuadratureConvergenceError,
+)
 from .report import VerificationReport, _encode, relative_residual
 from .special_functions import (
     NomePair,
@@ -202,12 +209,17 @@ class _Rejected(Exception):
     pass
 
 
+# what makes a sampled draw inadmissible; any other error from ``build`` is a
+# fault and becomes the draw's error report, not a silent resample
+_REJECTIONS = (_Rejected, PoleProximityError, DegenerateParameterError, ConstraintViolationError)
+
+
 def _sample_until(cfg, rng, build):
     rejects = 0
     for _ in range(cfg.retry_cap):
         try:
             return build(rng), rejects
-        except (EllipticBaileyError, _Rejected):
+        except _REJECTIONS:
             rejects += 1
     raise ConstraintViolationError(
         f"no admissible draw within retry cap {cfg.retry_cap} ({rejects} rejections)"

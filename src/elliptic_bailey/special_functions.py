@@ -59,6 +59,9 @@ __all__ = [
 POLE_GUARD_FACTOR = 1e-13
 # |theta| below this in any denominator marks the parameter set as degenerate.
 THETA_GUARD = 1e-10
+# points per theta call for the ring engine's shift factors; one call over
+# every shift ring builds (points x J) temporaries that outgrow the cache
+_THETA_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,19 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
+
+
+_ROOT_CACHE: dict[int, np.ndarray] = {}
+
+
+def _roots(n: int) -> np.ndarray:
+    """The n-th roots of unity exp(2 pi i j / n), j = 0..n-1 (cached, read-only)."""
+    r = _ROOT_CACHE.get(n)
+    if r is None:
+        r = np.exp(2j * math.pi * np.arange(n) / n)
+        r.setflags(write=False)
+        _ROOT_CACHE[n] = r
+    return r
 
 
 def _qpoch_order(base_mod: float, scale: float, policy: TruncationPolicy) -> int:
@@ -349,6 +365,66 @@ def _gamma_vec(z: np.ndarray, nome: NomePair) -> np.ndarray:
         log_theta = np.zeros(used.shape, dtype=complex)
         log_theta[used] = np.log(1.0 - x if v == 0 else _theta_raw(x, v, nome.trunc))
         log_gamma -= np.sign(k) * log_theta.sum(axis=1)
+    return np.exp(log_gamma)
+
+
+def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
+    """Gamma(s_i e_j; p, q) for the ring scales s_i = scales[i] and the n-th
+    roots of unity e_j = exp(2 pi i j / n), as an (R, n) array: the function
+    of _gamma_vec on R rings, evaluated in one pass.
+
+    Every point of ring i has modulus |s_i|, so all of them share the shift
+    k_i, and w = sigma_i e_j with sigma_i = s_i u^{k_i}.  The series then
+    folds mod n:
+
+        sum_{m=1}^M c_m (sigma_i e_j)^m = sum_{r<n} a_r e_j^r,
+        a_r = sum_{m = r (mod n)} c_m sigma_i^m,
+
+    an unscaled inverse DFT of a; the (pq/w)^m half is the forward DFT of b,
+    folded likewise from c_m (pq/sigma_i)^m.  A ring costs O(M + n log n)
+    where the pointwise series costs O(M n).  One order M, at the largest
+    series radius of the batch, bounds every ring's tail.  The theta shift
+    factors of ring i are the rings x_i u^j e_m, j < |k_i|, with x = s for
+    k > 0 and x = sigma for k < 0, evaluated in blocks of _THETA_BLOCK points.
+    """
+    scales = np.asarray(scales, dtype=complex)
+    z = scales[:, None] * _roots(n)
+    az = np.abs(z)
+    if not az.all():
+        raise DomainError("elliptic gamma is undefined at z = 0")
+    _pole_guard(z.ravel(), az.ravel(), nome)
+    u, v = _shift_nomes(nome)
+    if u == 0:
+        return 1.0 / (1.0 - z)
+    k, r = _annulus_shift(np.log(az[:, 0]), nome)
+    sigma = scales * u**k
+    coeffs = nome.series_coefficients(_series_order(nome, r))
+    rings, m_top = scales.size, coeffs.size
+    # c_m x^m at column m = 1..M of a zero-padded table, rows x = sigma_i and
+    # x = pq / sigma_i; the fold is then a reshape and a sum
+    bases = np.concatenate([sigma, nome.p * nome.q / sigma])[:, None]
+    terms = np.zeros((2 * rings, -(-(m_top + 1) // n) * n), dtype=complex)
+    terms[:, 1 : m_top + 1] = np.cumprod(np.broadcast_to(bases, (2 * rings, m_top)), axis=1) * coeffs
+    folded = terms.reshape(2 * rings, -1, n).sum(axis=1)
+    log_gamma = np.fft.ifft(folded[:rings], norm="forward") - np.fft.fft(folded[rings:])
+    n_shift = np.abs(k).astype(int)
+    shifted = np.flatnonzero(n_shift)
+    if shifted.size:
+        counts = n_shift[shifted]
+        starts = np.cumsum(counts) - counts
+        j = np.arange(counts.sum()) - np.repeat(starts, counts)
+        x = np.repeat(np.where(k > 0, scales, sigma)[shifted], counts) * u**j
+        points = (x[:, None] * _roots(n)).ravel()
+        if v == 0:
+            theta_x = 1.0 - points
+        else:
+            theta_x = np.concatenate([
+                _theta_raw(points[lo : lo + _THETA_BLOCK], v, nome.trunc)
+                for lo in range(0, points.size, _THETA_BLOCK)
+            ])
+        # summed as logs, since their product over- or underflows where Gamma does
+        log_theta = np.log(theta_x).reshape(x.size, n)
+        log_gamma[shifted] -= np.sign(k[shifted])[:, None] * np.add.reduceat(log_theta, starts, axis=0)
     return np.exp(log_gamma)
 
 

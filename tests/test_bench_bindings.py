@@ -9,7 +9,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from elliptic_bailey import bailey_algebra, contour, harness
+from elliptic_bailey import bailey_algebra, contour, harness, special_functions
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +40,9 @@ def test_positions_the_tracer_reads():
     assert _names(contour._kernel_at)[2] == "z"
     assert _names(bailey_algebra.build_M)[:4] == ["N", "a", "k", "nome"]
     assert _names(harness._sample_until)[2] == "build"
+
+
+def test_ring_engine_arguments():
+    # a hook on the ring engine reads (scales, n, nome) by position
+    assert _names(special_functions._gamma_rings) == ["scales", "n", "nome"]
+    assert contour._gamma_rings is special_functions._gamma_rings

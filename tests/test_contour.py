@@ -240,15 +240,31 @@ class TestRingKernels:
 
     @staticmethod
     def _count_rings(monkeypatch):
+        """Record (ring count, n) of every ring-engine call made by contour."""
         calls = []
-        gamma_vec = ct._gamma_vec
+        gamma_rings = ct._gamma_rings
 
-        def counted(z, nome):
-            calls.append(np.size(z))
-            return gamma_vec(z, nome)
+        def counted(scales, n, nome):
+            calls.append((len(scales), n))
+            return gamma_rings(scales, n, nome)
 
-        monkeypatch.setattr(ct, "_gamma_vec", counted)
+        monkeypatch.setattr(ct, "_gamma_rings", counted)
         return calls
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Record the node count of every quadrature pass of ``_drive``."""
+        passes = []
+        drive = ct._drive
+
+        def counted(eval_at, *args, **kwargs):
+            def each(n):
+                passes.append(n)
+                return eval_at(n)
+            return drive(each, *args, **kwargs)
+
+        monkeypatch.setattr(ct, "_drive", counted)
+        return passes
 
     def _pointwise(self, t, x, z):
         g = lambda v: elliptic_gamma(v, self.NOME)
@@ -264,22 +280,75 @@ class TestRingKernels:
     def test_equal_scales_share_one_ring(self, monkeypatch):
         calls = self._count_rings(monkeypatch)
         ct._kernel_ring(self.T, self.X, 64, 1.0, self.NOME)
-        assert calls == [64, 64]
+        assert calls == [(2, 64)]
         calls.clear()
         ct._kernel_ring(self.T, self.X, 64, 0.7, self.NOME)
-        assert calls == [64] * 4
+        assert calls == [(4, 64)]
 
     def test_grid_kernel_reads_one_ring(self, monkeypatch):
+        # K[j, k] = pair[(j + k) mod n] * pair[(j - k) mod n] and nothing else
         calls = self._count_rings(monkeypatch)
-        blocks = list(ct._m_kernel_rows(self.T, 64, self.NOME))
-        assert calls == [64]
-        assert np.array_equal(np.concatenate([j for j, _rows in blocks]), np.arange(64))
+        n = 64
+        pair = np.random.default_rng(3).normal(size=(n, 2)) @ np.array([1.0, 1j])
+        blocks = list(ct._m_kernel_rows(pair))
+        assert calls == []
+        assert np.array_equal(np.concatenate([j for j, _rows in blocks]), np.arange(n))
+        j, k = np.arange(n)[:, None], np.arange(n)[None, :]
+        want = pair[(j + k) % n] * pair[(j - k) % n]
+        assert np.array_equal(np.concatenate([rows for _j, rows in blocks]), want)
 
     def test_grid_kernel_matches_pointwise_gamma(self):
         n = 16
         roots = np.exp(2j * np.pi * np.arange(n) / n)
-        (_j, got), = ct._m_kernel_rows(self.T, n, self.NOME)
+        pair = ct._pair(ct._gamma_ring_table([self.T], n, self.NOME)[self.T])
+        (_j, got), = ct._m_kernel_rows(pair)
         assert relative_residual(got, self._pointwise(self.T, roots[:, None], roots[None, :])) < 1e-13
+
+    def test_theta_rings_read_the_half_ring(self):
+        # the (n/2)-ring values equal the even entries of the n-ring bit for bit
+        for n, radius in ((64, 1.0), (128, 0.83), (2, 1.2)):
+            z = radius * np.exp(2j * np.pi * np.arange(n) / n)
+            idx = (2 * np.arange(n)) % n
+            tq = ct.theta(radius**2 * ct._roots(n), self.NOME.q)
+            tp = ct.theta(radius**-2 * ct._roots(n), self.NOME.p)
+            want = tq[idx] * tp[(-idx) % n]
+            assert np.array_equal(ct._theta_rings(n, radius, self.NOME), want)
+            pointwise = ct.theta(z * z, self.NOME.q) * ct.theta(z**-2, self.NOME.p)
+            # normwise: at radius 1 both vanish at z = +-1, one of them only nearly
+            assert np.max(np.abs(want - pointwise)) < 1e-13 * np.max(np.abs(pointwise))
+
+    @pytest.mark.parametrize("radius", [1.0, 0.7])
+    def test_kernel_on_circle_matches_pointwise_kernel(self, radius):
+        n = 64
+        z = radius * ct._roots(n)
+        g_t2 = complex(elliptic_gamma(self.T**2, self.NOME))
+        got = ct._kernel_on_circle(self.T, self.X, n, radius, g_t2, self.NOME)
+        want = ct._kernel_at(self.T, self.X, z, self.NOME)
+        # normwise, as at radius 1 the kernel vanishes at z = +-1
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_one_engine_call_per_single_kernel_pass(self, monkeypatch):
+        calls = self._count_rings(monkeypatch)
+        passes = self._count_passes(monkeypatch)
+        apply_M(0.3, np.exp(0.4j), z_plus_inverse(), self.NOME, radius=0.8)
+        assert len(passes) >= 2
+        assert calls == [(4, n) for n in passes]
+
+    def test_one_engine_call_per_star_triangle_pass(self, monkeypatch):
+        calls = self._count_rings(monkeypatch)
+        passes = self._count_passes(monkeypatch)
+        spect = [np.exp(0.4j), np.exp(1.7j), np.exp(-2.2j)]
+        star_triangle_residual(0.55, 0.45, 0.9 * np.exp(0.3j), spect, constant_one(), self.NOME)
+        assert len(passes) >= 2
+        # t, the four D pair scales, and s w^{+-1}, st w^{+-1} per spectator
+        assert calls == [(5 + 4 * len(spect), n) for n in passes]
+
+    def test_one_engine_call_per_beta_integral_pass(self, monkeypatch):
+        calls = self._count_rings(monkeypatch)
+        passes = self._count_passes(monkeypatch)
+        elliptic_beta_integral(0.5, 0.6, 0.45 * np.exp(0.5j), 0.55, 0.4, self.NOME)
+        assert len(passes) >= 2
+        assert calls == [(6, n) for n in passes]
 
 
 class TestStarTriangle:

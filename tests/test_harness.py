@@ -68,6 +68,43 @@ class TestSampler:
         assert reports[4].settings["rejected"] >= 1
 
 
+    def test_library_fault_is_reported_not_resampled(self, monkeypatch):
+        # a TruncationLimitError while sampling is a fault, not an inadmissible
+        # draw: one attempt per draw, and the error report names it
+        from elliptic_bailey.errors import TruncationLimitError
+
+        attempts = []
+
+        def faulty(cfg, rng, **kwargs):
+            attempts.append(1)
+            raise TruncationLimitError("series needs 600001 terms")
+
+        monkeypatch.setattr(hmod, "_draw_nome", faulty)
+        reports = run_campaign(CampaignConfig(identity="star-triangle", seed=3, draws=2))
+        assert len(attempts) == 2
+        assert all(r.error == "TruncationLimitError: series needs 600001 terms" for r in reports)
+        assert all(not r.passed for r in reports)
+
+    @pytest.mark.parametrize("error", ["PoleProximityError", "DegenerateParameterError",
+                                       "ConstraintViolationError"])
+    def test_admissibility_errors_are_resampled(self, monkeypatch, error):
+        from elliptic_bailey import errors
+
+        draw_nome = hmod._draw_nome
+        attempts = []
+
+        def first_fails(cfg, rng, **kwargs):
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise getattr(errors, error)("inadmissible")
+            return draw_nome(cfg, rng, **kwargs)
+
+        monkeypatch.setattr(hmod, "_draw_nome", first_fails)
+        reports = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=1))
+        assert reports[0].passed
+        assert reports[0].settings["rejected"] == 1
+
+
 class TestDeterminism:
     def test_identical_configs_identical_reports(self):
         cfg = dict(identity="matrix-bailey", seed=314, draws=6, N=5)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from elliptic_bailey.errors import (
     DomainError,
@@ -17,6 +21,12 @@ from elliptic_bailey.special_functions import (
     qpochhammer_inf,
     theta,
     theta_pochhammer_sequence,
+    _annulus_shift,
+    _gamma_rings,
+    _gamma_vec,
+    _roots,
+    _series_order,
+    _shift_nomes,
 )
 
 import oracles
@@ -394,3 +404,125 @@ class TestNomePair:
         nome = NomePair(0.1, 0.2)
         with pytest.raises(AttributeError):
             nome.p = 0.5
+
+
+# ---------------------------------------------------------------------------
+# the ring engine against the pointwise series
+# ---------------------------------------------------------------------------
+
+_moduli = st.floats(0.02, 0.75)
+_phases = st.floats(0.0, 1.0)
+_ring_sizes = st.sampled_from([2, 3, 4, 5, 8, 16, 64, 128, 256])
+
+
+@st.composite
+def _nomes(draw, allow_zero=True):
+    """(p, q) with complex phases; either nome may be exactly 0."""
+    pair = []
+    for _ in range(2):
+        mod = draw(st.one_of(st.just(0.0), _moduli) if allow_zero else _moduli)
+        pair.append(mod * np.exp(2j * np.pi * draw(_phases)))
+    return NomePair(*pair)
+
+
+@st.composite
+def _scales(draw, nome, count):
+    """Ring scales, each placed just inside or just outside a boundary where
+    the theta shift k changes, or anywhere in 0.05 < |s| < 20."""
+    u, v = _shift_nomes(nome)
+    out = []
+    for _ in range(count):
+        phase = np.exp(2j * np.pi * draw(_phases))
+        if u != 0 and draw(st.booleans()):
+            # |s| with log|w| - target = (k + 1/2) log|u|, nudged by a factor
+            log_u = math.log(abs(u))
+            target = 0.5 * math.log(abs(u * v)) if v != 0 else log_u
+            k = draw(st.integers(-4, 4))
+            nudge = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-9, 1e-2))
+            out.append(math.exp(target - (k + 0.5) * log_u + nudge) * phase)
+        else:
+            out.append(math.exp(draw(st.floats(math.log(0.05), math.log(20.0)))) * phase)
+    return np.array(out)
+
+
+def _lattice_gap(z, nome):
+    """min |1 - z p^j q^k| over j, k <= 40: the relative distance to the pole lattice."""
+    lattice = np.outer(nome.p ** np.arange(41), nome.q ** np.arange(41)).ravel()
+    return float(np.min(np.abs(1.0 - z.ravel()[:, None] * lattice)))
+
+
+def _off_lattice(scales, n, nome):
+    """Whether every ring point keeps a gap of 1e-2 from the pole lattice: nearer,
+    1 - x loses digits to cancellation in either evaluation."""
+    return _lattice_gap(scales[:, None] * _roots(n), nome) > 1e-2
+
+
+def _assert_rings_match_pointwise(scales, n, nome):
+    points = scales[:, None] * _roots(n)
+    want = _gamma_vec(points.ravel(), nome).reshape(points.shape)
+    got = _gamma_rings(scales, n, nome)
+    assert got.shape == (scales.size, n)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.filter_too_much])
+
+
+class TestGammaRings:
+    """_gamma_rings, the FFT ring engine, against _gamma_vec on the same points."""
+
+    @_PROPERTY
+    @given(data=st.data(), nome=_nomes(), n=_ring_sizes, count=st.integers(1, 6))
+    def test_matches_pointwise(self, data, nome, n, count):
+        scales = data.draw(_scales(nome, count))
+        assume(_off_lattice(scales, n, nome))
+        _assert_rings_match_pointwise(scales, n, nome)
+
+    @_PROPERTY
+    @given(data=st.data(), nome=_nomes(allow_zero=False), n=st.sampled_from([2, 3, 4, 8]))
+    def test_folds_when_n_is_below_the_series_order(self, data, nome, n):
+        scales = data.draw(_scales(nome, 3))
+        assume(_series_order(nome, _annulus_shift(np.log(np.abs(scales)), nome)[1]) > n)
+        assume(_off_lattice(scales, n, nome))
+        _assert_rings_match_pointwise(scales, n, nome)
+
+    @_PROPERTY
+    @given(data=st.data(), n=_ring_sizes, mod=_moduli, phase=_phases, which=st.integers(0, 2))
+    def test_one_or_both_nomes_zero(self, data, n, mod, phase, which):
+        # which = 0: p = 0; 1: q = 0 (the v = 0 branch either way); 2: p = q = 0
+        nonzero = mod * np.exp(2j * np.pi * phase) if which < 2 else 0.0
+        nome = NomePair(0.0, nonzero) if which == 0 else NomePair(nonzero, 0.0)
+        scales = data.draw(_scales(nome, 3))
+        assume(_off_lattice(scales, n, nome))
+        _assert_rings_match_pointwise(scales, n, nome)
+
+    @_PROPERTY
+    @given(data=st.data(), nome=_nomes(allow_zero=False), n=_ring_sizes,
+           terms=st.integers(1, 80))
+    def test_fixed_terms_policy(self, data, nome, n, terms):
+        nome = NomePair(nome.p, nome.q, TruncationPolicy(mode="fixed_terms", max_terms=terms))
+        scales = data.draw(_scales(nome, 3))
+        assume(_off_lattice(scales, n, nome))
+        _assert_rings_match_pointwise(scales, n, nome)
+
+    @pytest.mark.parametrize("n", [2, 64, 1024])
+    def test_batch_mixes_small_and_large_shifts(self, n):
+        # shifts from k = -6 to k = 17 in one call, at the nome where one
+        # unblocked shift-theta call was slowest
+        nome = NomePair(0.05, 0.8)
+        scales = np.array([0.2, 1.4, 14.3, 0.9, 9e-3, 2.7, 0.05]) * np.exp(0.1j + 1j * np.arange(7))
+        k, _r = _annulus_shift(np.log(np.abs(scales)), nome)
+        assert k.min() < 0 and k.max() > 15 and 0 in k
+        _assert_rings_match_pointwise(scales, n, nome)
+
+    def test_pole_on_the_ring_raises(self):
+        nome = NomePair(0.1, 0.2)
+        with pytest.raises(PoleProximityError):
+            _gamma_rings(np.array([0.5, 1.0 / nome.q]), 8, nome)
+        with pytest.raises(PoleProximityError):
+            _gamma_rings(np.array([1.0 / (nome.p * nome.q)]), 3, nome)
+
+    def test_zero_scale_raises(self):
+        with pytest.raises(DomainError):
+            _gamma_rings(np.array([0.4, 0.0]), 16, NomePair(0.1, 0.2))
