@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .special_functions import (
     NomePair,
     elliptic_pochhammer,  # unused here; perfbench/tracing.py wraps this binding
     theta,
-    theta_pochhammer_sequence,
+    theta_pochhammer_sequence,  # unused here; perfbench/tracing.py wraps this binding
 )
 
 __all__ = [
@@ -74,16 +74,39 @@ def derive_bc(t_tilde, a, k, y, nome: NomePair):
     return complex(b), complex(c)
 
 
+# Rows of a draw's theta table, by name (t stands for t_tilde).  Row z holds
+# the factors theta(z q^j; p): j = 0..2N on the rows M(x, y) reads, j = 0..N
+# on the rows D reads.
+_M_ROWS = ("a", "k", "t", "k/a", "a/k", "a/t", "t/a", "k/t", "t/k", "qa", "qk", "qt", "q")
+_D_ROWS = ("b", "c", "qt/b", "qt/c", "aq/b", "aq/c", "kb/t", "kc/t")
+_ROW = {name: i for i, name in enumerate(_M_ROWS + _D_ROWS)}
+
+# The four diagonals the identities use, keyed by their arguments x; u, v:
+# rows (x, u, v, xq/u, xq/v) of the theta table.
+_DIAGONALS = {
+    "a;b,c": ("a", "b", "c", "aq/b", "aq/c"),
+    "t;b,c": ("t", "b", "c", "qt/b", "qt/c"),
+    "k;qt/b,qt/c": ("k", "qt/b", "qt/c", "kb/t", "kc/t"),
+    "t;qt/c,qt/b": ("t", "qt/c", "qt/b", "c", "b"),
+}
+
+
 @dataclass(frozen=True)
 class DiscreteParams:
     """Parameter set for the discrete Bailey lemma.
 
-    Validates the product rule k*b*c = q*a*t_tilde and rejects parameter sets
-    whose theta denominators (for indices 0..N) vanish within the guard.
+    Validates the product rule k*b*c = q*a*t_tilde and evaluates every theta
+    factor theta(z q^j; p) of the M and D matrices the identities use, in one
+    theta call: numerators and denominators alike, j <= 2N in the M(x, y) rows
+    and j <= N in the D rows.  A factor under ``THETA_GUARD`` rejects the
+    parameter set; the values are kept.
 
-    The six matrices M(x, y), x != y in {a, k, t_tilde}, and the left side of
-    the key identity are built once, on first use, and shared by
-    :func:`conditioning_amplification` and the identity checks.
+    The six matrices M(x, y), x != y in {a, k, t_tilde}, the four diagonals
+    D(a;b,c), D(t;b,c), D(k;qt/b,qt/c), D(t;qt/c,qt/b) and the left side of the
+    key identity are assembled from those values once, on first use, and
+    shared by :func:`conditioning_amplification`, the identity checks and
+    :func:`bailey_transform`.  Entries that overflow come out non-finite
+    without a warning; the sampler's conditioning cap rejects them.
     """
 
     a: complex
@@ -104,49 +127,64 @@ class DiscreteParams:
             raise DegenerateParameterError(
                 f"product rule violated: k*b*c = {lhs}, q*a*t_tilde = {rhs}"
             )
-        vals = theta(self._theta_args(), self.nome.p, self.nome.trunc)
-        gap = float(np.min(np.abs(vals)))
-        if gap < THETA_GUARD:
-            z = complex(self._theta_args()[int(np.argmin(np.abs(vals)))])
-            raise DegenerateParameterError(
-                f"theta({z}; p) = {gap:.3e} in a matrix entry is under the guard"
-            )
+        bases, lengths = self._theta_args()
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors, poch = _guarded_pochhammer(bases, lengths, len(bases), self.nome,
+                                                "a matrix entry")
+        object.__setattr__(self, "_bases", bases)
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_poch", poch)
 
-    def _theta_args(self) -> np.ndarray:
-        """q-shifted arguments of every theta factor in the M and D matrices
-        the identities use (including the inverse-direction matrices)."""
+    def _theta_args(self) -> tuple[np.ndarray, np.ndarray]:
+        """Base points z of the theta table's rows (``_M_ROWS`` then
+        ``_D_ROWS``) and the number of q-shifts j each row takes."""
         q = self.nome.q
         a, k, t, b, c = self.a, self.k, self.t_tilde, self.b, self.c
-        wide = np.array(
-            [a, k, t, k / a, a / k, a / t, t / a, k / t, t / k, q * a, q * k, q * t],
+        bases = np.array(
+            [a, k, t, k / a, a / k, a / t, t / a, k / t, t / k, q * a, q * k, q * t, q,
+             b, c, q * t / b, q * t / c, a * q / b, a * q / c, k * b / t, k * c / t],
             dtype=complex,
         )
-        narrow = np.array(
-            [q, b, c, q * t / b, q * t / c, a * q / b, a * q / c,
-             t * q / b, t * q / c, k * b / t, k * c / t],
-            dtype=complex,
-        )
-        shifts_wide = q ** np.arange(2 * self.N + 1)
-        shifts_narrow = q ** np.arange(self.N + 1)
-        return np.concatenate(
-            [np.outer(wide, shifts_wide).ravel(), np.outer(narrow, shifts_narrow).ravel()]
-        )
+        lengths = np.repeat([2 * self.N + 1, self.N + 1], [len(_M_ROWS), len(_D_ROWS)])
+        return bases, lengths
 
     @cached_property
     def matrices(self) -> dict:
-        """Entries of M(x, y) at size N, keyed "xy" with t for t_tilde."""
-        a, k, t = self.a, self.k, self.t_tilde
-        pairs = {"ak": (a, k), "ta": (t, a), "ka": (k, a), "at": (a, t), "tk": (t, k), "kt": (k, t)}
-        return {key: build_M(self.N, x, y, self.nome).entries for key, (x, y) in pairs.items()}
+        """Entries of M(x, y) at size N, keyed "xy" with t for t_tilde; read-only."""
+        base, poch, factors = self._bases, self._poch, self._factors
+        out = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y in ("ak", "ta", "ka", "at", "tk", "kt"):
+                ent = _assemble_M(complex(base[_ROW[x]]), poch[_ROW[y]], poch[_ROW[f"{y}/{x}"]],
+                                  poch[_ROW["q" + x]], poch[_ROW["q"]], factors[_ROW[x]])
+                ent.setflags(write=False)
+                out[x + y] = ent
+        return out
+
+    @cached_property
+    def diagonals(self) -> dict:
+        """D_m, m = 0..N, of the four diagonals in ``_DIAGONALS``; read-only."""
+        base, poch, q, n1 = self._bases, self._poch, self.nome.q, self.N + 1
+        out = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key, (x, u, v, du, dv) in _DIAGONALS.items():
+                diag = _assemble_D(
+                    complex(base[_ROW[x]]) * q,
+                    (complex(base[_ROW[u]]), poch[_ROW[u], :n1], poch[_ROW[du], :n1]),
+                    (complex(base[_ROW[v]]), poch[_ROW[v], :n1], poch[_ROW[dv], :n1]),
+                )
+                diag.setflags(write=False)
+                out[key] = diag
+        return out
 
     @cached_property
     def key_lhs(self) -> tuple:
         """M(a,k) D(a;b,c) M(t,a), with D(a;b,c) scaling the rows of M(t,a)
         first, and the same product of entrywise moduli; both read-only."""
         m = self.matrices
-        d_abc = build_D(self.N, self.a, self.b, self.c, self.nome).diag
-        scaled = d_abc[:, None] * m["ta"]
-        sides = (m["ak"] @ scaled, np.abs(m["ak"]) @ np.abs(scaled))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = self.diagonals["a;b,c"][:, None] * m["ta"]
+            sides = (m["ak"] @ scaled, np.abs(m["ak"]) @ np.abs(scaled))
         for side in sides:
             side.setflags(write=False)
         return sides
@@ -158,23 +196,75 @@ class DiscreteParams:
                    b=b, c=c, y=complex(y), N=int(N), nome=nome)
 
 
-def _guarded_pochhammer(z, n: int, nome: NomePair, label: str) -> np.ndarray:
-    """[theta(z; p)_0, ..., theta(z; p)_n] for n >= 0, the one guarded Pochhammer
-    builder of the discrete layer.
+def _guarded_pochhammer(bases, lengths, guarded: int, nome: NomePair, where: str):
+    """The one theta call of the discrete layer's builders.
 
-    The guard applies to each factor theta(z q^j; p), j < n: a product of many
-    small factors is fine, a single one under ``THETA_GUARD`` raises
-    :class:`DegenerateParameterError`.
+    Evaluates theta(z q^j; p), j < length, for each base point z as a factor
+    table with one row per base point (1 past a row's length), and returns it
+    with the Pochhammer sequences [theta(z; p)_0, ..., theta(z; p)_length] of
+    its rows, one row-wise cumulative product.  A factor under ``THETA_GUARD``
+    in the first ``guarded`` rows raises :class:`DegenerateParameterError`: a
+    product of many small factors is fine, a single small one is not.
     """
-    if n == 0:
-        return np.ones(1, dtype=complex)
-    factors = theta(complex(z) * nome.q ** np.arange(n), nome.p, nome.trunc)
-    small = np.abs(factors).min()
-    if small < THETA_GUARD:
-        raise DegenerateParameterError(f"a factor of {label} is {small:.3e}, under the guard")
-    out = np.ones(n + 1, dtype=complex)
-    np.cumprod(factors, out=out[1:])
-    return out
+    bases = np.asarray(bases, dtype=complex)
+    lengths = np.asarray(lengths)
+    grid = np.outer(bases, nome.q ** np.arange(lengths.max()))
+    used = np.arange(grid.shape[1]) < lengths[:, None]
+    factors = np.ones_like(grid)
+    if used.any():
+        factors[used] = theta(grid[used], nome.p, nome.trunc)
+    mods = np.abs(factors[:guarded])
+    if mods.size and mods.min() < THETA_GUARD:
+        i = np.unravel_index(np.argmin(mods), mods.shape)
+        raise DegenerateParameterError(
+            f"theta({complex(grid[i])}; p) = {mods[i]:.3e} in {where} is under the guard"
+        )
+    poch = np.ones((grid.shape[0], grid.shape[1] + 1), dtype=complex)
+    np.cumprod(factors, axis=1, out=poch[:, 1:])
+    return factors, poch
+
+
+@cache
+def _tril(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices (n, m), m <= n < size, of a lower triangle; read-only."""
+    n, m = np.tril_indices(size)
+    n.setflags(write=False)
+    m.setflags(write=False)
+    return n, m
+
+
+def _assemble_M(x: complex, poch_y, poch_yx, poch_qx, poch_q, th_x) -> np.ndarray:
+    """Entries of M(x, y) from the Pochhammer sequences theta(y)_j,
+    theta(y/x)_j, theta(qx)_j, theta(q)_j (j = 0..2N at least) and the
+    factors th_x[i] = theta(x q^i; p), i = 0..2N."""
+    th_x2m = th_x[::2]
+    N = th_x2m.size - 1
+    n, m = _tril(N + 1)
+    # the m = 0 ratio must be exactly 1 (numpy's complex division does not
+    # guarantee x/x == 1), so the diagonal corner entries stay exact
+    th_ratio = np.empty(N + 1, dtype=complex)
+    th_ratio[0] = 1.0
+    th_ratio[1:] = th_x2m[1:] / th_x2m[0]
+    ent = np.zeros((N + 1, N + 1), dtype=complex)
+    ent[n, m] = (
+        poch_y[n + m] * poch_yx[n - m] / (poch_qx[n + m] * poch_q[n - m])
+        * th_ratio[m] * x ** (n - m)
+    )
+    return ent
+
+
+def _assemble_D(xq: complex, side_u, side_v) -> np.ndarray:
+    """D_m(x; u, v) = theta(u)_m theta(v)_m / (theta(xq/u)_m theta(xq/v)_m)
+    * (xq/(uv))^m from the sides (u, theta(u)_m, theta(xq/u)_m) and
+    (v, theta(v)_m, theta(xq/v)_m), m = 0..N.
+
+    numpy's complex multiply is not commutative bit for bit, so the sides
+    multiply in the order of u and v by real, then imaginary part: D(x; u, v)
+    and D(x; v, u) agree exactly.
+    """
+    (u, num_u, den_u), (v, num_v, den_v) = sorted((side_u, side_v),
+                                                  key=lambda s: (s[0].real, s[0].imag))
+    return num_u * num_v / (den_u * den_v) * (xq / (u * v)) ** np.arange(num_u.size)
 
 
 def m_entry(N: int, m: int, a, k, nome: NomePair) -> complex:
@@ -206,34 +296,21 @@ class BaileyMatrix:
 def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
     """Assemble the (N+1) x (N+1) matrix M(a, k); upper entries are exact zeros.
 
-    Every entry reads its Pochhammer products from four sequences of length
-    2N + 1; the denominators theta(qa)_j and theta(q)_j come guarded from
-    :func:`_guarded_pochhammer`.
+    Every theta factor comes from one theta call: the rows theta(z q^j; p),
+    j < 2N, for z in {qa, q, k, k/a}, and theta(a q^i; p), i <= 2N.  Only the
+    denominators theta(qa)_j and theta(q)_j and theta(a; p) are guarded.
     """
     a, k = complex(a), complex(k)
     q = nome.q
     try:
-        poch_qa = _guarded_pochhammer(q * a, 2 * N, nome, "theta(qa)_j")
-        poch_q = _guarded_pochhammer(q, 2 * N, nome, "theta(q)_j")
-        poch_k = theta_pochhammer_sequence(k, 2 * N, nome)
-        poch_ka = theta_pochhammer_sequence(k / a, 2 * N, nome)
-        th_a2m = theta(a * q ** (2 * np.arange(N + 1)), nome.p, nome.trunc)
+        factors, poch = _guarded_pochhammer(
+            [q * a, q, k, k / a, a], [2 * N] * 4 + [2 * N + 1], 2, nome, "a denominator"
+        )
     except Exception as exc:
         raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): {exc}") from exc
-    if abs(th_a2m[0]) < THETA_GUARD:
-        raise DegenerateParameterError(f"theta(a; p) = {th_a2m[0]} is under the guard threshold")
-    # the m = 0 ratio must be exactly 1 (numpy's complex division does not
-    # guarantee x/x == 1), so the diagonal corner entries stay exact
-    th_ratio = np.empty(N + 1, dtype=complex)
-    th_ratio[0] = 1.0
-    th_ratio[1:] = th_a2m[1:] / th_a2m[0]
-    ent = np.zeros((N + 1, N + 1), dtype=complex)
-    for n in range(N + 1):
-        m = np.arange(n + 1)
-        ent[n, : n + 1] = (
-            poch_k[n + m] * poch_ka[n - m] / (poch_qa[n + m] * poch_q[n - m])
-            * th_ratio[m] * a ** (n - m)
-        )
+    if abs(factors[4, 0]) < THETA_GUARD:
+        raise DegenerateParameterError(f"theta(a; p) = {factors[4, 0]} is under the guard threshold")
+    ent = _assemble_M(a, poch[2], poch[3], poch[0], poch[1], factors[4])
     return BaileyMatrix(entries=ent, a=a, k=k)
 
 
@@ -258,17 +335,18 @@ class DiagonalOp:
 
 
 def build_D(N: int, a, b, c, nome: NomePair) -> DiagonalOp:
-    """The diagonal D_m(a; b, c), m = 0..N, from four theta-Pochhammer sequences.
+    """The diagonal D_m(a; b, c), m = 0..N, from one theta call on the rows
+    theta(z q^j; p), j < N, for z in {aq/b, aq/c, b, c}.
 
     Raises :class:`DegenerateParameterError` when some factor theta(aq/b q^j; p)
     or theta(aq/c q^j; p), j < N, of the denominators is under the guard.
     """
     a, b, c = complex(a), complex(b), complex(c)
-    q = nome.q
-    num = theta_pochhammer_sequence(b, N, nome) * theta_pochhammer_sequence(c, N, nome)
-    den = (_guarded_pochhammer(a * q / b, N, nome, "theta(aq/b)_m")
-           * _guarded_pochhammer(a * q / c, N, nome, "theta(aq/c)_m"))
-    diag = num / den * (a * q / (b * c)) ** np.arange(N + 1)
+    if b == 0 or c == 0:
+        raise DomainError("D(a; b, c) requires b, c != 0")
+    aq = a * nome.q
+    _, poch = _guarded_pochhammer([aq / b, aq / c, b, c], [N] * 4, 2, nome, "a denominator")
+    diag = _assemble_D(aq, (b, poch[2], poch[0]), (c, poch[3], poch[1]))
     return DiagonalOp(diag=diag, a=a, b=b, c=c)
 
 
@@ -300,25 +378,20 @@ def bailey_transform(
         beta'  = D(k; qt/b, qt/c) M(t, k) D(t; b, c) beta,
 
     which satisfies beta' = M(a, k) alpha' within ~10x the input residual.
+    Every matrix comes from the memos of ``params``.
     """
-    a, k, t, b, c = params.a, params.k, params.t_tilde, params.b, params.c
-    q = params.nome.q
     n1 = alpha.values.shape[0]
     if beta.values.shape[0] != n1 or n1 != params.N + 1:
         raise DomainError("sequence lengths must equal N + 1")
-    m_at = build_M(params.N, a, t, params.nome)
-    pair_res = relative_residual(beta.values, m_at.entries @ alpha.values)
+    m, d = params.matrices, params.diagonals
+    pair_res = relative_residual(beta.values, m["at"] @ alpha.values)
     if pair_res > input_tol:
         raise BaileyPairError(
             f"input pair violates beta = M(a,t) alpha: residual {pair_res:.3e} > {input_tol:.3e}"
         )
-    d_abc = build_D(params.N, a, b, c, params.nome)
-    d_tbc = build_D(params.N, t, b, c, params.nome)
-    d_k = build_D(params.N, k, q * t / b, q * t / c, params.nome)
-    m_tk = build_M(params.N, t, k, params.nome)
-    alpha_new = BaileySequence(values=d_abc.diag * alpha.values, role="alpha")
+    alpha_new = BaileySequence(values=d["a;b,c"] * alpha.values, role="alpha")
     beta_new = BaileySequence(
-        values=d_k.diag * (m_tk.entries @ (d_tbc.diag * beta.values)), role="beta"
+        values=d["k;qt/b,qt/c"] * (m["tk"] @ (d["t;b,c"] * beta.values)), role="beta"
     )
     return alpha_new, beta_new
 
@@ -332,33 +405,32 @@ def conditioning_amplification(params: DiscreteParams) -> float:
     the admissible-parameter sampler rejects such draws like any other
     degeneracy.
 
-    It reads the six M matrices and D(a;b,c) from ``params``, so the checks
-    that run on the same draw afterwards build none of them again.
+    It reads the six M matrices and D(a;b,c) from the memos of ``params``,
+    which the checks that run on the same draw afterwards read too.  A
+    non-finite product gives NaN or inf here, without a warning.
     """
     m = params.matrices
     lhs, lhs_abs = params.key_lhs
-    tri = np.tril_indices(params.N + 1)
-    amp_key = float(np.max(lhs_abs[tri] / np.maximum(np.abs(lhs[tri]), RESIDUAL_FLOOR)))
-    amp_inv = max(
-        float(np.max(np.abs(m["ak"]) @ np.abs(m["ka"]))),
-        float(np.max(np.abs(m["at"]) @ np.abs(m["ta"]))),
-        float(np.max(np.abs(m["tk"]) @ np.abs(m["kt"]))),
-    )
+    tri = _tril(params.N + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp_key = float(np.max(lhs_abs[tri] / np.maximum(np.abs(lhs[tri]), RESIDUAL_FLOOR)))
+        amp_inv = max(
+            float(np.max(np.abs(m["ak"]) @ np.abs(m["ka"]))),
+            float(np.max(np.abs(m["at"]) @ np.abs(m["ta"]))),
+            float(np.max(np.abs(m["tk"]) @ np.abs(m["kt"]))),
+        )
     return max(amp_key, amp_inv)
 
 
-def _matrix_bailey_sides(params: DiscreteParams, d_tbc: np.ndarray):
-    """Both sides of the key identity as dense matrices, given the diagonal
-    ``d_tbc`` of D(t;b,c).
+def _matrix_bailey_sides(params: DiscreteParams):
+    """Both sides of the key identity as dense matrices.
 
     Association order: LHS scales M(t,a) rows by D(a;b,c) then left-multiplies
     by M(a,k) (``params.key_lhs``); RHS scales M(t,k) columns by D(t;b,c) then
     rows by D(k;...).  The two sides share no intermediate results.
     """
-    k, t, b, c = params.k, params.t_tilde, params.b, params.c
-    q = params.nome.q
-    d_k = build_D(params.N, k, q * t / b, q * t / c, params.nome)
-    rhs = d_k.diag[:, None] * (params.matrices["tk"] * d_tbc[None, :])
+    d = params.diagonals
+    rhs = d["k;qt/b,qt/c"][:, None] * (params.matrices["tk"] * d["t;b,c"][None, :])
     return params.key_lhs[0], rhs
 
 
@@ -366,8 +438,7 @@ def verify_matrix_bailey(params: DiscreteParams, tolerance: float = 1e-9) -> Ver
     """Check M(a,k) D(a;b,c) M(t,a) = D(k;qt/b,qt/c) M(t,k) D(t;b,c) entrywise
     at size ``params.N``, reusing the matrices ``params`` already holds."""
     start = time.perf_counter()
-    d_tbc = build_D(params.N, params.t_tilde, params.b, params.c, params.nome)
-    lhs, rhs = _matrix_bailey_sides(params, d_tbc.diag)
+    lhs, rhs = _matrix_bailey_sides(params)
     residual = relative_residual(lhs, rhs)
     idx = _argmax_residual(lhs, rhs)
     return VerificationReport(
@@ -392,24 +463,20 @@ def verify_coxeter(params: DiscreteParams, tolerance: float = 1e-9) -> Verificat
     two slots leaves (b, c) fixed, swapping the last two maps (b, c) to
     (q*first/c, q*first/b).  The cubic relation is evaluated through the same
     code path as :func:`verify_matrix_bailey`, so the two residuals agree
-    bit for bit on identical draws.  The M matrices come from ``params``.
+    bit for bit on identical draws.  Every matrix comes from ``params``.
     """
     start = time.perf_counter()
-    t, b, c = params.t_tilde, params.b, params.c
-    q = params.nome.q
-    nome = params.nome
+    d = params.diagonals
 
     # S1^2 = M(a, t) M(t, a)
     s1_sq = params.matrices["at"] @ params.matrices["ta"]
     res_s1 = identity_deviation(s1_sq)
 
     # S2^2 = D(t; qt/c, qt/b) D(t; b, c)
-    d_left = build_D(params.N, t, q * t / c, q * t / b, nome)
-    d_right = build_D(params.N, t, b, c, nome)
-    s2_sq = np.diag(d_left.diag * d_right.diag)
+    s2_sq = np.diag(d["t;qt/c,qt/b"] * d["t;b,c"])
     res_s2 = identity_deviation(s2_sq)
 
-    lhs, rhs = _matrix_bailey_sides(params, d_right.diag)
+    lhs, rhs = _matrix_bailey_sides(params)
     res_cubic = relative_residual(lhs, rhs)
 
     residual = max(res_s1, res_s2, res_cubic)

@@ -1,7 +1,11 @@
+import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from elliptic_bailey import bailey_algebra as ba
 from elliptic_bailey.bailey_algebra import (
@@ -348,47 +352,51 @@ class TestCoxeter:
 
 
 class TestBuiltOncePerDraw:
-    """A draw's six M and D(a;b,c) are built once, by whichever of the
-    conditioning estimate and the checks reads them first."""
+    """A draw evaluates every theta factor once, in its guard's one theta
+    call; its six M and four D are assembled from those values on first use,
+    and neither the conditioning estimate nor any check calls theta, build_M
+    or build_D again."""
 
     @staticmethod
-    def _count_builds(monkeypatch):
-        calls = {"M": [], "D": []}
-        build_M_orig, build_D_orig = ba.build_M, ba.build_D
+    def _count_calls(monkeypatch):
+        calls = {"theta": 0, "build": 0}
+        theta_orig = ba.theta
 
-        def counted_M(N, a, k, nome):
-            calls["M"].append((complex(a), complex(k)))
-            return build_M_orig(N, a, k, nome)
+        def counted_theta(*args, **kwargs):
+            calls["theta"] += 1
+            return theta_orig(*args, **kwargs)
 
-        def counted_D(N, a, b, c, nome):
-            calls["D"].append((complex(a), complex(b), complex(c)))
-            return build_D_orig(N, a, b, c, nome)
+        def no_build(*args, **kwargs):
+            calls["build"] += 1
+            raise AssertionError("a draw must not call the public builders")
 
-        monkeypatch.setattr(ba, "build_M", counted_M)
-        monkeypatch.setattr(ba, "build_D", counted_D)
+        monkeypatch.setattr(ba, "theta", counted_theta)
+        monkeypatch.setattr(ba, "build_M", no_build)
+        monkeypatch.setattr(ba, "build_D", no_build)
         return calls
 
     def test_checks_after_conditioning_build_no_M(self, nome, monkeypatch):
-        fresh = dataclasses.replace(draw_params(np.random.default_rng(51), 4, nome))
-        calls = self._count_builds(monkeypatch)
+        params = draw_params(np.random.default_rng(51), 4, nome)
+        calls = self._count_calls(monkeypatch)
+        fresh = dataclasses.replace(params)
+        assert calls["theta"] == 1
         conditioning_amplification(fresh)
-        assert len(calls["M"]) == 6 and len(calls["D"]) == 1
         verify_matrix_bailey(fresh)
-        assert len(calls["M"]) == 6
-        # D(k; qt/b, qt/c) and D(t; b, c)
-        assert len(calls["D"]) == 3
         verify_coxeter(fresh)
-        assert len(calls["M"]) == 6
+        e0 = np.eye(5, dtype=complex)[0]
+        bailey_transform(BaileySequence(values=e0),
+                         BaileySequence(values=fresh.matrices["at"] @ e0, role="beta"), fresh)
+        assert calls == {"theta": 1, "build": 0}
 
     def test_fresh_coxeter_builds_each_object_once(self, nome, monkeypatch):
-        params = draw_params(np.random.default_rng(52), 5, nome)
-        a, k, t = params.a, params.k, params.t_tilde
-        fresh = dataclasses.replace(params)
-        calls = self._count_builds(monkeypatch)
+        fresh = dataclasses.replace(draw_params(np.random.default_rng(52), 5, nome))
+        calls = self._count_calls(monkeypatch)
         verify_coxeter(fresh)
-        assert len(calls["M"]) == 6
-        assert set(calls["M"]) == {(a, k), (t, a), (k, a), (a, t), (t, k), (k, t)}
-        assert len(calls["D"]) == 4 and len(set(calls["D"])) == 4
+        assert calls == {"theta": 0, "build": 0}
+        assert set(fresh.matrices) == {"ak", "ta", "ka", "at", "tk", "kt"}
+        assert set(fresh.diagonals) == {"a;b,c", "t;b,c", "k;qt/b,qt/c", "t;qt/c,qt/b"}
+        for memo in ("matrices", "diagonals", "key_lhs"):
+            assert memo in vars(fresh)
 
     @pytest.mark.parametrize("free_bc", [False, True])
     def test_reports_do_not_depend_on_the_memo(self, nome, free_bc):
@@ -399,6 +407,99 @@ class TestBuiltOncePerDraw:
                 fresh = dataclasses.replace(conditioned)
                 assert "matrices" not in vars(fresh)
                 assert verify(fresh).to_json() == verify(conditioned).to_json()
+
+
+_modulus = st.floats(0.1, 0.8)
+_phase = st.floats(0.0, 1.0)
+
+
+def _on_circle(draw, modulus):
+    return draw(modulus) * cmath.exp(2j * math.pi * draw(_phase))
+
+
+@st.composite
+def _discrete_params(draw):
+    """Admissible draws over N = 0..8, real and complex nomes, y-split and
+    free (b, c)."""
+    N = draw(st.integers(0, 8))
+    p, q = draw(st.floats(0.02, 0.3)), draw(st.floats(0.1, 0.6))
+    if draw(st.booleans()):
+        p, q = p * cmath.exp(2j * math.pi * draw(_phase)), q * cmath.exp(2j * math.pi * draw(_phase))
+    nome = NomePair(p, q)
+    a, k, t = (_on_circle(draw, _modulus) for _ in range(3))
+    try:
+        if draw(st.booleans()):
+            return DiscreteParams.from_y(a, k, t, _on_circle(draw, st.floats(0.5, 1.5)), N, nome)
+        b = _on_circle(draw, st.floats(0.3, 1.2))
+        return DiscreteParams(a=a, k=k, t_tilde=t, b=b, c=nome.q * a * t / (k * b),
+                              y=1.0, N=N, nome=nome)
+    except DegenerateParameterError:
+        assume(False)
+
+
+def _assert_close(got, want):
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+class TestThetaTable:
+    """The memoised matrices of a draw against the public builders, which make
+    their own table, and against the per-entry reference formulas."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(params=_discrete_params())
+    def test_memos_match_builders_and_references(self, params):
+        # at small q and large N the Pochhammer products overflow
+        assume(all(np.isfinite(m).all() for m in params.matrices.values()))
+        # near a zero of theta, an argument the builders recompute (D(t; qt/c,
+        # qt/b) reads theta(tq/(qt/b)) where the table reads theta(b)) loses
+        # digits to cancellation in 1 - z
+        assume(np.abs(params._factors).min() > 1e-3)
+        N, nome, q = params.N, params.nome, params.nome.q
+        a, k, t, b, c = params.a, params.k, params.t_tilde, params.b, params.c
+        xy = {"a": a, "k": k, "t": t}
+        for key, ent in params.matrices.items():
+            x, y = xy[key[0]], xy[key[1]]
+            _assert_close(ent, build_M(N, x, y, nome).entries)
+            ref = np.array([[oracles.m_entry_reference(n, m, x, y, nome) for m in range(N + 1)]
+                            for n in range(N + 1)])
+            _assert_close(ent, ref)
+        args = {"a;b,c": (a, b, c), "t;b,c": (t, b, c),
+                "k;qt/b,qt/c": (k, q * t / b, q * t / c), "t;qt/c,qt/b": (t, q * t / c, q * t / b)}
+        assert set(params.diagonals) == set(args)
+        for key, diag in params.diagonals.items():
+            x, u, v = args[key]
+            _assert_close(diag, build_D(N, x, u, v, nome).diag)
+            _assert_close(diag, np.array([oracles.d_entry_reference(m, x, u, v, nome)
+                                          for m in range(N + 1)]))
+
+    def test_assembly_equals_the_row_loop(self):
+        # the one-expression assembly multiplies the same factors in the same
+        # order as a loop over rows, so every entry is bit-identical
+        rng = np.random.default_rng(61)
+        for N in range(10):
+            poch = rng.normal(size=(4, 2 * N + 2)) + 1j * rng.normal(size=(4, 2 * N + 2))
+            th_x = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+            x = complex(rng.normal(), rng.normal())
+            ratio = np.ones(N + 1, dtype=complex)
+            ratio[1:] = th_x[2::2] / th_x[0]
+            want = np.zeros((N + 1, N + 1), dtype=complex)
+            for n in range(N + 1):
+                m = np.arange(n + 1)
+                want[n, : n + 1] = (poch[0][n + m] * poch[1][n - m] / (poch[2][n + m] * poch[3][n - m])
+                                    * ratio[m] * x ** (n - m))
+            assert np.array_equal(ba._assemble_M(x, *poch, th_x), want)
+
+    @pytest.mark.parametrize("N,nome,a,k,b,c", _sweep_cases())
+    def test_build_D_is_exactly_symmetric_in_b_and_c(self, N, nome, a, k, b, c):
+        assert np.array_equal(build_D(N, a, b, c, nome).diag, build_D(N, a, c, b, nome).diag)
+
+    def test_zero_b_or_c_is_a_domain_error(self, nome):
+        for N in (0, 3):
+            with pytest.raises(DomainError):
+                build_D(N, 0.4, 0.0, 0.5, nome)
+            with pytest.raises(DomainError):
+                build_D(N, 0.4, 0.5, 0.0, nome)
 
 
 class TestBressoudLimit:

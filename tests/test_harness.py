@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,24 @@ class TestSampler:
         assert reports[4].passed
         assert reports[4].settings["rejected"] >= 1
 
+    def test_overflowing_draw_reaches_the_cap_without_warnings(self, monkeypatch):
+        # the same campaign with RuntimeWarning as an error: the overflowing
+        # attempt's amplification is non-finite and rejected by the cap, and
+        # no numpy warning is raised on the way
+        amplifications = []
+        estimate = hmod.ba.conditioning_amplification
+
+        def recorded(params):
+            amplifications.append(estimate(params))
+            return amplifications[-1]
+
+        monkeypatch.setattr(hmod.ba, "conditioning_amplification", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = run_campaign(CampaignConfig(identity="matrix-bailey", N=8, seed=4, draws=5))
+        assert all(r.passed for r in reports)
+        assert reports[4].settings["rejected"] >= 1
+        assert not all(np.isfinite(amplifications))
 
     def test_library_fault_is_reported_not_resampled(self, monkeypatch):
         # a TruncationLimitError while sampling is a fault, not an inadmissible
