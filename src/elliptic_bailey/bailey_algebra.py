@@ -33,8 +33,9 @@ from .special_functions import (
     THETA_GUARD,
     NomePair,
     elliptic_pochhammer,  # unused here; perfbench/tracing.py wraps this binding
-    theta,
+    theta,  # unused here; perfbench/tracing.py wraps this binding
     theta_pochhammer_sequence,  # unused here; perfbench/tracing.py wraps this binding
+    _guarded_pochhammer,
 )
 
 __all__ = [
@@ -129,7 +130,7 @@ class DiscreteParams:
             )
         bases, lengths = self._theta_args()
         with np.errstate(over="ignore", invalid="ignore"):
-            factors, poch = _guarded_pochhammer(bases, lengths, len(bases), self.nome,
+            factors, poch = _guarded_pochhammer(bases, lengths, self.nome, len(bases),
                                                 "a matrix entry")
         object.__setattr__(self, "_bases", bases)
         object.__setattr__(self, "_factors", factors)
@@ -194,34 +195,6 @@ class DiscreteParams:
         b, c = derive_bc(t_tilde, a, k, y, nome)
         return cls(a=complex(a), k=complex(k), t_tilde=complex(t_tilde),
                    b=b, c=c, y=complex(y), N=int(N), nome=nome)
-
-
-def _guarded_pochhammer(bases, lengths, guarded: int, nome: NomePair, where: str):
-    """The one theta call of the discrete layer's builders.
-
-    Evaluates theta(z q^j; p), j < length, for each base point z as a factor
-    table with one row per base point (1 past a row's length), and returns it
-    with the Pochhammer sequences [theta(z; p)_0, ..., theta(z; p)_length] of
-    its rows, one row-wise cumulative product.  A factor under ``THETA_GUARD``
-    in the first ``guarded`` rows raises :class:`DegenerateParameterError`: a
-    product of many small factors is fine, a single small one is not.
-    """
-    bases = np.asarray(bases, dtype=complex)
-    lengths = np.asarray(lengths)
-    grid = np.outer(bases, nome.q ** np.arange(lengths.max()))
-    used = np.arange(grid.shape[1]) < lengths[:, None]
-    factors = np.ones_like(grid)
-    if used.any():
-        factors[used] = theta(grid[used], nome.p, nome.trunc)
-    mods = np.abs(factors[:guarded])
-    if mods.size and mods.min() < THETA_GUARD:
-        i = np.unravel_index(np.argmin(mods), mods.shape)
-        raise DegenerateParameterError(
-            f"theta({complex(grid[i])}; p) = {mods[i]:.3e} in {where} is under the guard"
-        )
-    poch = np.ones((grid.shape[0], grid.shape[1] + 1), dtype=complex)
-    np.cumprod(factors, axis=1, out=poch[:, 1:])
-    return factors, poch
 
 
 @cache
@@ -304,7 +277,7 @@ def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
     q = nome.q
     try:
         factors, poch = _guarded_pochhammer(
-            [q * a, q, k, k / a, a], [2 * N] * 4 + [2 * N + 1], 2, nome, "a denominator"
+            [q * a, q, k, k / a, a], [2 * N] * 4 + [2 * N + 1], nome, 2, "a denominator"
         )
     except Exception as exc:
         raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): {exc}") from exc
@@ -345,7 +318,7 @@ def build_D(N: int, a, b, c, nome: NomePair) -> DiagonalOp:
     if b == 0 or c == 0:
         raise DomainError("D(a; b, c) requires b, c != 0")
     aq = a * nome.q
-    _, poch = _guarded_pochhammer([aq / b, aq / c, b, c], [N] * 4, 2, nome, "a denominator")
+    _, poch = _guarded_pochhammer([aq / b, aq / c, b, c], [N] * 4, nome, 2, "a denominator")
     diag = _assemble_D(aq, (b, poch[2], poch[0]), (c, poch[3], poch[1]))
     return DiagonalOp(diag=diag, a=a, b=b, c=c)
 
@@ -407,19 +380,20 @@ def conditioning_amplification(params: DiscreteParams) -> float:
 
     It reads the six M matrices and D(a;b,c) from the memos of ``params``,
     which the checks that run on the same draw afterwards read too.  A
-    non-finite product gives NaN or inf here, without a warning.
+    non-finite product gives NaN or inf here, without a warning, wherever it
+    sits among the products.
     """
     m = params.matrices
     lhs, lhs_abs = params.key_lhs
     tri = _tril(params.N + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        amp_key = float(np.max(lhs_abs[tri] / np.maximum(np.abs(lhs[tri]), RESIDUAL_FLOOR)))
-        amp_inv = max(
-            float(np.max(np.abs(m["ak"]) @ np.abs(m["ka"]))),
-            float(np.max(np.abs(m["at"]) @ np.abs(m["ta"]))),
-            float(np.max(np.abs(m["tk"]) @ np.abs(m["kt"]))),
-        )
-    return max(amp_key, amp_inv)
+        # np.max, not max: Python's max drops a NaN that follows a number
+        return float(np.max([
+            np.max(lhs_abs[tri] / np.maximum(np.abs(lhs[tri]), RESIDUAL_FLOOR)),
+            np.max(np.abs(m["ak"]) @ np.abs(m["ka"])),
+            np.max(np.abs(m["at"]) @ np.abs(m["ta"])),
+            np.max(np.abs(m["tk"]) @ np.abs(m["kt"])),
+        ]))
 
 
 def _matrix_bailey_sides(params: DiscreteParams):

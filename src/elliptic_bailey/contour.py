@@ -27,20 +27,18 @@ import numpy as np
 
 from .errors import (
     ConstraintViolationError,
-    DegenerateParameterError,
     DomainError,
     QuadratureConvergenceError,
 )
 from .report import RESIDUAL_FLOOR, VerificationReport, relative_residual
 from .special_functions import (
-    THETA_GUARD,
     NomePair,
     elliptic_gamma,
     elliptic_pochhammer,
     theta,
-    theta_pochhammer_sequence,
     _gamma_rings,
     _gamma_vec,
+    _guarded_pochhammer,
     _roots,
 )
 
@@ -572,17 +570,18 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
 # Cauchy contour deformation
 # --------------------------------------------------------------------------
 
-def _kernel_at(t: complex, x: complex, z, nome: NomePair):
-    """Bailey kernel Gamma(t x^{+-1} z^{+-1}) / Gamma(t^2, z^{+-2}) at points z."""
+def _kernel_at(t: complex, x: complex, z, g_t2: complex, nome: NomePair):
+    """Bailey kernel Gamma(t x^{+-1} z^{+-1}) / Gamma(t^2, z^{+-2}) at points z,
+    given g_t2 = Gamma(t^2); the four gamma factors come from one call."""
     z = np.asarray(z, dtype=complex)
-    num = (
-        elliptic_gamma(t * x * z, nome) * elliptic_gamma(t * x / z, nome)
-        * elliptic_gamma(t * z / x, nome) * elliptic_gamma(t / (x * z), nome)
-    )
+    flat = z.ravel()
+    g = _gamma_vec(np.concatenate([t * x * flat, t * x / flat, t * flat / x, t / (x * flat)]),
+                   nome).reshape(4, -1)
+    num = (g[0] * g[1] * g[2] * g[3]).reshape(z.shape)
     dden = np.asarray(theta(z * z, nome.q, nome.trunc), dtype=complex) * np.asarray(
         theta(z**-2, nome.p, nome.trunc), dtype=complex
     )
-    return num * dden / complex(elliptic_gamma(t * t, nome))
+    return num * dden / g_t2
 
 
 def _default_inner_radius(pole_lo: float, kernel_top: float) -> float:
@@ -591,12 +590,12 @@ def _default_inner_radius(pole_lo: float, kernel_top: float) -> float:
     return max(0.93 * pole_lo, math.sqrt(kernel_top * pole_lo))
 
 
-def _residue_sum(alpha: SymmetricTestFunction, t: complex, x: complex, nome: NomePair) -> complex:
-    """sum_m K(x, z0 q^m) alpha_m over the declared poles and residues of alpha."""
-    residue_term = 0j
-    for pole, res in zip(alpha.poles, alpha.residues):
-        residue_term += complex(_kernel_at(t, x, np.asarray([pole]), nome)[0]) * res
-    return residue_term
+def _residue_sum(alpha: SymmetricTestFunction, t: complex, x: complex, g_t2: complex,
+                 nome: NomePair) -> complex:
+    """sum_m K(x, z0 q^m) alpha_m over the declared poles and residues of alpha,
+    given g_t2 = Gamma(t^2)."""
+    kern = _kernel_at(t, x, np.asarray(alpha.poles, dtype=complex), g_t2, nome)
+    return complex(np.sum(kern * np.asarray(alpha.residues, dtype=complex)))
 
 
 def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: float | None,
@@ -621,7 +620,7 @@ def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: f
     z_t = _roots(_PROBE_NODES)
     vals_t = _kernel_on_circle(t, x, _PROBE_NODES, 1.0, g_t2, nome) * np.asarray(alpha(z_t))
     i_t = abs(complex(nome.kappa * _ring_sum(vals_t)))
-    residue_term = 4j * math.pi * nome.kappa * _residue_sum(alpha, t, x, nome)
+    residue_term = 4j * math.pi * nome.kappa * _residue_sum(alpha, t, x, g_t2, nome)
     value_scale = max(i_t, abs(residue_term), RESIDUAL_FLOOR)
     floor = 50.0 * float(np.finfo(float).eps) * scale_in * abs(complex(nome.kappa)) * 2 * math.pi
     return floor / value_scale
@@ -685,12 +684,12 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
         if rho <= 0:
             raise ConstraintViolationError("reciprocal pole excursion radius collapsed")
         val = _offcenter_residue(
-            lambda z: _kernel_at(t, x, z, nome) * np.asarray(alpha(z), dtype=complex) / z,
+            lambda z: _kernel_at(t, x, z, g_t2, nome) * np.asarray(alpha(z), dtype=complex) / z,
             centre, rho, rel_tol=rel_tol,
         )
         i_c += nome.kappa * 2j * math.pi * val
 
-    residue_term = _residue_sum(alpha, t, x, nome) * (4j * math.pi * nome.kappa)
+    residue_term = _residue_sum(alpha, t, x, g_t2, nome) * (4j * math.pi * nome.kappa)
 
     rhs = i_c + residue_term
     residual = relative_residual(i_t, rhs)
@@ -721,6 +720,8 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
             * f(t q^k x) / (t^{4k} x^{2k} q^{k^2})
 
     For N = 0 this is exactly f(x) (t_sign = +1) or f(-x) (t_sign = -1).
+    Raises :class:`DegenerateParameterError` when a denominator factor
+    theta(q^{j+1}; p) or theta(q^{j+1} x^2; p), j < N, is under the guard.
     """
     if t_sign not in (1, -1):
         raise DomainError("t_sign must be +1 or -1")
@@ -731,20 +732,17 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
     t = t_sign * q ** (-N / 2.0) if N else complex(t_sign)
     tx2 = (t * x) ** 2
     pre = complex(elliptic_gamma(x**-2, nome)) / complex(elliptic_gamma(x**-2 / (t * t), nome))
-    den_q = theta_pochhammer_sequence(q, N, nome)
-    den_qx2 = theta_pochhammer_sequence(q * x * x, N, nome)
-    small = (np.abs(den_q) < THETA_GUARD) | (np.abs(den_qx2) < THETA_GUARD)
-    if np.any(small):
-        raise DegenerateParameterError(
-            f"finite-difference denominator vanishes at k={int(np.argmax(small))}"
-        )
-    num = theta_pochhammer_sequence(t * t, N, nome) * theta_pochhammer_sequence(tx2, N, nome)
+    # rows theta(z q^j; p): the guarded denominators theta(q)_k and theta(q x^2)_k,
+    # theta(t^2)_k, and theta(tx^2 q^j), j <= 2N, whose even entries are the shifts
+    factors, poch = _guarded_pochhammer([q, q * x * x, t * t, tx2], [N, N, N, 2 * N + 1], nome,
+                                        2, "a finite-difference denominator")
+    num, den = poch[2, : N + 1] * poch[3, : N + 1], poch[0, : N + 1] * poch[1, : N + 1]
     k = np.arange(N + 1)
-    th_shift = theta(tx2 * q ** (2 * k), nome.p, nome.trunc)
+    th_shift = factors[3, ::2]
     ratio = th_shift / th_shift[0]
     ratio[0] = 1.0
     f_vals = np.array([f(t * q**j * x) for j in range(N + 1)], dtype=complex)
-    terms = ratio * num / (den_q * den_qx2) * f_vals / (t ** (4 * k) * x ** (2 * k) * q ** (k * k))
+    terms = ratio * num / den * f_vals / (t ** (4 * k) * x ** (2 * k) * q ** (k * k))
     return pre * complex(np.sum(terms))
 
 

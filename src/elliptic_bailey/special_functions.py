@@ -26,9 +26,17 @@ Gamma(u z) = theta(z; v) Gamma(z) undoes the shift:
     Gamma(z) = Gamma(w) * prod_{j<-k} theta(w u^j; v)      for k < 0.
 
 The series order M is the smallest with the tail bound
-2 r^{M+1} / ((1 - r)(1 - |p|)(1 - |q|)) below the policy's tolerance.  All
-functions accept scalars or numpy arrays in ``z`` and are pure; the default
-floating type is hardware complex128 (unit roundoff ~1e-16).
+2 r^{M+1} / ((1 - r)(1 - |p|)(1 - |q|)) below the policy's tolerance.
+
+One engine, ``_gamma_rings``, evaluates gamma on R rings of n points
+s_i exp(2 pi i j / n); a flat array of single points is its n = 1 case.  On a
+ring of n > 1 points the series folds mod n and two FFTs sum it.  Theta
+evaluates its (points x J) factor products in blocks of ``_THETA_BLOCK``
+points, for every caller.  The theta-Pochhammer symbols and sequences are
+read from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
+
+All functions accept scalars or numpy arrays in ``z`` and are pure; the
+default floating type is hardware complex128 (unit roundoff ~1e-16).
 """
 
 from __future__ import annotations
@@ -59,8 +67,8 @@ __all__ = [
 POLE_GUARD_FACTOR = 1e-13
 # |theta| below this in any denominator marks the parameter set as degenerate.
 THETA_GUARD = 1e-10
-# points per theta call for the ring engine's shift factors; one call over
-# every shift ring builds (points x J) temporaries that outgrow the cache
+# points per block of a theta evaluation's (points x J) factor products; one
+# block over a large call builds temporaries that outgrow the cache
 _THETA_BLOCK = 2048
 
 
@@ -172,10 +180,24 @@ def theta(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
 
 
 def _theta_raw(z: np.ndarray, p: complex, policy: TruncationPolicy) -> np.ndarray:
-    """theta(z; p) for nonzero z and 0 < |p| < 1, without argument checks."""
+    """theta(z; p) for nonzero z of any shape and 0 < |p| < 1, without
+    argument checks.
+
+    One truncation order J, from the largest of |z| and |p/z|, serves every
+    point.  The (points x J) factor products run over blocks of _THETA_BLOCK
+    points, which bounds their temporaries; a point's value does not depend
+    on the block it falls in.
+    """
     scale = float(np.max(np.maximum(np.abs(z), abs(p) / np.abs(z))))
     n = _qpoch_order(abs(p), scale, policy)
-    return _qpoch_raw(z, p, n) * _qpoch_raw(p / z, p, n)
+    if z.size <= _THETA_BLOCK:
+        return _qpoch_raw(z, p, n) * _qpoch_raw(p / z, p, n)
+    flat = z.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _THETA_BLOCK):
+        block = flat[lo : lo + _THETA_BLOCK]
+        out[lo : lo + _THETA_BLOCK] = _qpoch_raw(block, p, n) * _qpoch_raw(p / block, p, n)
+    return out.reshape(z.shape)
 
 
 class NomePair:
@@ -334,98 +356,77 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
 
 
 def _gamma_vec(z: np.ndarray, nome: NomePair) -> np.ndarray:
-    """Gamma(z; p, q) on a flat complex array: annulus series plus theta shifts."""
-    az = np.abs(z)
-    if not az.all():
-        raise DomainError("elliptic gamma is undefined at z = 0")
-    _pole_guard(z, az, nome)
-    u, v = _shift_nomes(nome)
-    if u == 0:
-        return 1.0 / (1.0 - z)
-    k, r = _annulus_shift(np.log(az), nome)
-    w = z * u**k
-    coeffs = nome.series_coefficients(_series_order(nome, r))
-    # rows m = 1..M hold w^m and (pq/w)^m; each pass doubles the rows filled
-    powers = np.empty((coeffs.size, 2 * z.size), dtype=complex)
-    powers[0] = np.concatenate([w, nome.p * nome.q / w])
-    filled = 1
-    while filled < coeffs.size:
-        step = min(filled, coeffs.size - filled)
-        np.multiply(powers[:step], powers[filled - 1], out=powers[filled : filled + step])
-        filled += step
-    series = coeffs @ powers
-    log_gamma = series[: z.size] - series[z.size :]
-    n_shift = int(np.abs(k).max())
-    if n_shift:
-        # theta(x u^j; v), j < |k|, with x = z for k > 0 and x = w for k < 0,
-        # every point's factors from one theta evaluation.  Summed as logs,
-        # since their product over- or underflows where Gamma(z) does.
-        used = np.arange(n_shift) < np.abs(k)[:, None]
-        x = (np.where(k > 0, z, w)[:, None] * u ** np.arange(n_shift))[used]
-        log_theta = np.zeros(used.shape, dtype=complex)
-        log_theta[used] = np.log(1.0 - x if v == 0 else _theta_raw(x, v, nome.trunc))
-        log_gamma -= np.sign(k) * log_theta.sum(axis=1)
-    return np.exp(log_gamma)
+    """Gamma(z; p, q) on a flat complex array: the one-root case of _gamma_rings."""
+    return _gamma_rings(z, 1, nome)[:, 0]
 
 
 def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
-    """Gamma(s_i e_j; p, q) for the ring scales s_i = scales[i] and the n-th
-    roots of unity e_j = exp(2 pi i j / n), as an (R, n) array: the function
-    of _gamma_vec on R rings, evaluated in one pass.
+    """Gamma(s_i e_j; p, q) for the scales s_i = scales[i] and the n-th roots
+    of unity e_j = exp(2 pi i j / n), as an (R, n) array.  This is the one
+    gamma engine; n = 1 is the pointwise case, which :func:`_gamma_vec` reads.
 
     Every point of ring i has modulus |s_i|, so all of them share the shift
-    k_i, and w = sigma_i e_j with sigma_i = s_i u^{k_i}.  The series then
-    folds mod n:
+    k_i, and w = sigma_i e_j with sigma_i = s_i u^{k_i}.  One table holds the
+    powers sigma_i^m and (pq/sigma_i)^m, m = 1..M, with one order M at the
+    largest series radius of the call bounding every ring's tail.  At n = 1
+    the series is the product of the coefficients with that table.  For
+    n > 1 it folds mod n:
 
         sum_{m=1}^M c_m (sigma_i e_j)^m = sum_{r<n} a_r e_j^r,
         a_r = sum_{m = r (mod n)} c_m sigma_i^m,
 
     an unscaled inverse DFT of a; the (pq/w)^m half is the forward DFT of b,
     folded likewise from c_m (pq/sigma_i)^m.  A ring costs O(M + n log n)
-    where the pointwise series costs O(M n).  One order M, at the largest
-    series radius of the batch, bounds every ring's tail.  The theta shift
-    factors of ring i are the rings x_i u^j e_m, j < |k_i|, with x = s for
-    k > 0 and x = sigma for k < 0, evaluated in blocks of _THETA_BLOCK points.
+    where n single points cost O(M n).  The theta shift factors of ring i
+    are the rings x_i u^j e_m, j < |k_i|, with x = s for k > 0 and
+    x = sigma for k < 0, all from one theta call.
     """
     scales = np.asarray(scales, dtype=complex)
-    z = scales[:, None] * _roots(n)
+    # values are laid out (n, R), ring points first, so that per-ring vectors
+    # broadcast against them; at n = 1 z is the scales themselves
+    z = scales[None] if n == 1 else scales * _roots(n)[:, None]
     az = np.abs(z)
     if not az.all():
         raise DomainError("elliptic gamma is undefined at z = 0")
     _pole_guard(z.ravel(), az.ravel(), nome)
     u, v = _shift_nomes(nome)
     if u == 0:
-        return 1.0 / (1.0 - z)
-    k, r = _annulus_shift(np.log(az[:, 0]), nome)
+        return (1.0 / (1.0 - z)).T
+    k, r = _annulus_shift(np.log(az[0]), nome)
     sigma = scales * u**k
     coeffs = nome.series_coefficients(_series_order(nome, r))
     rings, m_top = scales.size, coeffs.size
-    # c_m x^m at column m = 1..M of a zero-padded table, rows x = sigma_i and
-    # x = pq / sigma_i; the fold is then a reshape and a sum
-    bases = np.concatenate([sigma, nome.p * nome.q / sigma])[:, None]
-    terms = np.zeros((2 * rings, -(-(m_top + 1) // n) * n), dtype=complex)
-    terms[:, 1 : m_top + 1] = np.cumprod(np.broadcast_to(bases, (2 * rings, m_top)), axis=1) * coeffs
-    folded = terms.reshape(2 * rings, -1, n).sum(axis=1)
-    log_gamma = np.fft.ifft(folded[:rings], norm="forward") - np.fft.fft(folded[rings:])
-    n_shift = np.abs(k).astype(int)
-    shifted = np.flatnonzero(n_shift)
-    if shifted.size:
-        counts = n_shift[shifted]
-        starts = np.cumsum(counts) - counts
-        j = np.arange(counts.sum()) - np.repeat(starts, counts)
-        x = np.repeat(np.where(k > 0, scales, sigma)[shifted], counts) * u**j
-        points = (x[:, None] * _roots(n)).ravel()
-        if v == 0:
-            theta_x = 1.0 - points
-        else:
-            theta_x = np.concatenate([
-                _theta_raw(points[lo : lo + _THETA_BLOCK], v, nome.trunc)
-                for lo in range(0, points.size, _THETA_BLOCK)
-            ])
-        # summed as logs, since their product over- or underflows where Gamma does
-        log_theta = np.log(theta_x).reshape(x.size, n)
-        log_gamma[shifted] -= np.sign(k[shifted])[:, None] * np.add.reduceat(log_theta, starts, axis=0)
-    return np.exp(log_gamma)
+    # rows m = 1..M hold sigma^m and (pq/sigma)^m; each pass doubles the rows filled
+    powers = np.empty((m_top, 2 * rings), dtype=complex)
+    powers[0] = np.concatenate([sigma, nome.p * nome.q / sigma])
+    filled = 1
+    while filled < m_top:
+        step = min(filled, m_top - filled)
+        np.multiply(powers[:step], powers[filled - 1], out=powers[filled : filled + step])
+        filled += step
+    if n == 1:
+        series = coeffs @ powers
+        log_gamma = (series[:rings] - series[rings:])[None]
+    else:
+        # c_m x^m in row m of a zero-padded table; the fold is then a reshape and a sum
+        terms = np.zeros((-(-(m_top + 1) // n) * n, 2 * rings), dtype=complex)
+        np.multiply(coeffs[:, None], powers, out=terms[1 : m_top + 1])
+        folded = terms.reshape(-1, n, 2 * rings).sum(axis=0)
+        log_gamma = (np.fft.ifft(folded[:, :rings], axis=0, norm="forward")
+                     - np.fft.fft(folded[:, rings:], axis=0))
+    n_shift = int(np.abs(k).max())
+    if n_shift:
+        # theta(x u^j; v), j < |k|, on the masked (R, max|k|) grid, times the
+        # roots for n > 1.  Summed as logs, since their product over- or
+        # underflows where Gamma does.
+        used = np.arange(n_shift) < np.abs(k)[:, None]
+        x = (np.where(k > 0, scales, sigma)[:, None] * u ** np.arange(n_shift))[used]
+        if n > 1:
+            x = x[:, None] * _roots(n)
+        log_theta = np.zeros(used.shape + x.shape[1:], dtype=complex)
+        log_theta[used] = np.log(1.0 - x if v == 0 else _theta_raw(x, v, nome.trunc))
+        log_gamma -= np.sign(k) * log_theta.sum(axis=1).T
+    return np.exp(log_gamma).T
 
 
 def elliptic_gamma(z, nome: NomePair):
@@ -443,6 +444,36 @@ def elliptic_gamma(z, nome: NomePair):
     return out if z_arr.ndim else complex(out)
 
 
+def _guarded_pochhammer(bases, lengths, nome: NomePair, guarded: int = 0, where: str = ""):
+    """The one theta-Pochhammer path: a factor table and its sequences.
+
+    Evaluates theta(z q^j; p), j < length, for each base point z in one theta
+    call, as a factor table with one row per base point (1 past a row's
+    length), and returns it with the Pochhammer sequences [theta(z; p)_0, ...,
+    theta(z; p)_length] of its rows, one row-wise cumulative product.  A
+    factor under ``THETA_GUARD`` in the first ``guarded`` rows raises
+    :class:`DegenerateParameterError`: a product of many small factors is
+    fine, a single small one is not.
+    """
+    bases = np.asarray(bases, dtype=complex)
+    lengths = np.asarray(lengths)
+    width = int(lengths.max())
+    grid = bases[:, None] * nome.q ** np.arange(width)
+    used = np.arange(width) < lengths[:, None]
+    factors = np.ones_like(grid)
+    if width:
+        factors[used] = theta(grid[used], nome.p, nome.trunc)
+    mods = np.abs(factors[:guarded])
+    if mods.size and mods.min() < THETA_GUARD:
+        i = np.unravel_index(np.argmin(mods), mods.shape)
+        raise DegenerateParameterError(
+            f"theta({complex(grid[i])}; p) = {mods[i]:.3e} in {where} is under the guard"
+        )
+    poch = np.ones((grid.shape[0], grid.shape[1] + 1), dtype=complex)
+    np.cumprod(factors, axis=1, out=poch[:, 1:])
+    return factors, poch
+
+
 def elliptic_pochhammer(z, n: int, nome: NomePair):
     """Elliptic Pochhammer symbol theta(z; p)_n with q-shifted factors.
 
@@ -452,30 +483,24 @@ def elliptic_pochhammer(z, n: int, nome: NomePair):
     vanishes within the guard threshold.
     """
     z = complex(z)
-    if n == 0:
-        return 1.0 + 0.0j
-    if n > 0:
-        factors = theta(z * nome.q ** np.arange(n), nome.p, nome.trunc)
-        return complex(np.prod(factors))
-    factors = theta(z * nome.q ** (-np.arange(1, -n + 1, dtype=float)), nome.p, nome.trunc)
+    if n >= 0:
+        return complex(np.prod(_guarded_pochhammer([z], [n], nome)[0][0]))
+    if nome.q == 0:
+        raise DomainError("theta(z; p)_n with n < 0 requires q != 0")
+    # theta(z)_n = 1 / theta(z q^n)_{-n}, whose factor i is theta(z q^{-j}), j = -n - i
+    factors = _guarded_pochhammer([z * nome.q**n], [-n], nome)[0][0]
     small = np.abs(factors) < THETA_GUARD
     if np.any(small):
-        j = int(np.argmax(small)) + 1
+        i = int(np.flatnonzero(small)[-1])
         raise DegenerateParameterError(
-            f"theta(z q^-{j}; p) = {factors[j - 1]} is below the division guard"
+            f"theta(z q^-{-n - i}; p) = {factors[i]} is below the division guard"
         )
     return complex(1.0 / np.prod(factors))
 
 
 def theta_pochhammer_sequence(z, n_max: int, nome: NomePair) -> np.ndarray:
-    """[theta(z; p)_0, theta(z; p)_1, ..., theta(z; p)_{n_max}] via a cumulative product."""
-    if n_max == 0:
-        return np.ones(1, dtype=complex)
-    factors = theta(complex(z) * nome.q ** np.arange(n_max), nome.p, nome.trunc)
-    out = np.empty(n_max + 1, dtype=complex)
-    out[0] = 1.0
-    np.cumprod(factors, out=out[1:])
-    return out
+    """[theta(z; p)_0, theta(z; p)_1, ..., theta(z; p)_{n_max}]."""
+    return _guarded_pochhammer([z], [n_max], nome)[1][0]
 
 
 def gamma_truncation_orders(z, nome: NomePair) -> tuple[int, int]:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from elliptic_bailey import bailey_algebra as ba
+from elliptic_bailey import special_functions as sf
 from elliptic_bailey.bailey_algebra import (
     BaileySequence,
     DiscreteParams,
@@ -270,6 +271,17 @@ class TestMatrixBailey:
             DiscreteParams(a=0.4, k=0.6, t_tilde=0.2, b=0.5, c=0.9, y=1.0, N=2, nome=nome)
 
 
+class TestConditioning:
+    def test_nan_inversion_product_is_not_masked(self):
+        # M(k,a) and M(k,t) overflow to NaN here while the key identity and the
+        # first inversion product stay finite, so only the later products are NaN
+        params = DiscreteParams(a=0.75, k=0.125, t_tilde=0.5, b=0.5, c=0.65625, y=1, N=5,
+                                nome=NomePair(0.234375, 0.109375))
+        assert np.isfinite(params.matrices["ak"]).all()
+        assert not np.isfinite(params.matrices["ka"]).all()
+        assert not np.isfinite(conditioning_amplification(params))
+
+
 class TestInversions:
     def test_m_inversion(self, nome):
         rng = np.random.default_rng(19)
@@ -359,8 +371,9 @@ class TestBuiltOncePerDraw:
 
     @staticmethod
     def _count_calls(monkeypatch):
+        # a draw's one theta call is _guarded_pochhammer's, through special_functions
         calls = {"theta": 0, "build": 0}
-        theta_orig = ba.theta
+        theta_orig = sf.theta
 
         def counted_theta(*args, **kwargs):
             calls["theta"] += 1
@@ -370,7 +383,7 @@ class TestBuiltOncePerDraw:
             calls["build"] += 1
             raise AssertionError("a draw must not call the public builders")
 
-        monkeypatch.setattr(ba, "theta", counted_theta)
+        monkeypatch.setattr(sf, "theta", counted_theta)
         monkeypatch.setattr(ba, "build_M", no_build)
         monkeypatch.setattr(ba, "build_D", no_build)
         return calls

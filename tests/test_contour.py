@@ -323,7 +323,7 @@ class TestRingKernels:
         z = radius * ct._roots(n)
         g_t2 = complex(elliptic_gamma(self.T**2, self.NOME))
         got = ct._kernel_on_circle(self.T, self.X, n, radius, g_t2, self.NOME)
-        want = ct._kernel_at(self.T, self.X, z, self.NOME)
+        want = ct._kernel_at(self.T, self.X, z, g_t2, self.NOME)
         # normwise, as at radius 1 the kernel vanishes at z = +-1
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
@@ -405,10 +405,12 @@ class TestCauchyDeformation:
         t, x = 0.1, np.exp(0.3j)
         alpha = z_plus_inverse()
 
+        g_t2 = complex(elliptic_gamma(t * t, nome))
+
         def integrand(z):
             from elliptic_bailey.contour import _kernel_at
 
-            return _kernel_at(t, x, z, nome) * alpha(z)
+            return _kernel_at(t, x, z, g_t2, nome) * alpha(z)
 
         i_t = circle_integral(integrand, QuadratureGrid(1.0, 128), rel_tol=1e-11)
         i_c = circle_integral(integrand, QuadratureGrid(0.45, 128), rel_tol=1e-11)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from elliptic_bailey import special_functions
 from elliptic_bailey.errors import (
     DomainError,
     PoleProximityError,
@@ -101,6 +102,14 @@ class TestTheta:
             theta(0.0, 0.2)
         with pytest.raises(DomainError):
             theta(0.5, 1.1)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        # 5000 points run in three blocks; one block gives the same bits
+        rng = np.random.default_rng(5)
+        z = (rng.uniform(0.2, 3.0, 5000) * np.exp(2j * np.pi * rng.uniform(size=5000))).reshape(50, 100)
+        blocked = theta(z, 0.3 + 0.1j)
+        monkeypatch.setattr(special_functions, "_THETA_BLOCK", z.size)
+        assert np.array_equal(theta(z, 0.3 + 0.1j), blocked)
 
     def test_reflection_and_quasiperiodicity(self):
         rng = np.random.default_rng(7)
@@ -340,6 +349,16 @@ class TestEllipticPochhammer:
         with pytest.raises(DegenerateParameterError):
             elliptic_pochhammer(0.25, -1, nome)
 
+    def test_negative_branch_names_the_vanishing_factor(self):
+        nome = NomePair(0.1, 0.25)
+        # of theta(z q^-1), theta(z q^-2), theta(z q^-3) at z = q^2, the second is theta(1) = 0
+        with pytest.raises(DegenerateParameterError, match=r"theta\(z q\^-2; p\)"):
+            elliptic_pochhammer(nome.q**2, -3, nome)
+
+    def test_negative_branch_needs_nonzero_q(self):
+        with pytest.raises(DomainError):
+            elliptic_pochhammer(0.5, -2, NomePair(0.1, 0.0))
+
     def test_sequence_matches_single_calls(self, nome):
         z = 0.4 + 0.15j
         seq = theta_pochhammer_sequence(z, 6, nome)
@@ -412,15 +431,16 @@ class TestNomePair:
 
 _moduli = st.floats(0.02, 0.75)
 _phases = st.floats(0.0, 1.0)
-_ring_sizes = st.sampled_from([2, 3, 4, 5, 8, 16, 64, 128, 256])
+# n = 1 is the pointwise case of the engine
+_ring_sizes = st.sampled_from([1, 2, 3, 4, 5, 8, 16, 64, 128, 256])
 
 
 @st.composite
-def _nomes(draw, allow_zero=True):
+def _nomes(draw, allow_zero=True, moduli=_moduli):
     """(p, q) with complex phases; either nome may be exactly 0."""
     pair = []
     for _ in range(2):
-        mod = draw(st.one_of(st.just(0.0), _moduli) if allow_zero else _moduli)
+        mod = draw(st.one_of(st.just(0.0), moduli) if allow_zero else moduli)
         pair.append(mod * np.exp(2j * np.pi * draw(_phases)))
     return NomePair(*pair)
 
@@ -469,8 +489,14 @@ _PROPERTY = settings(max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.filter_too_much])
 
 
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
 class TestGammaRings:
-    """_gamma_rings, the FFT ring engine, against _gamma_vec on the same points."""
+    """_gamma_rings, the one gamma engine, on rings and on single points
+    (n = 1): against _gamma_vec on the same points, and against checks that
+    share no code with the engine."""
 
     @_PROPERTY
     @given(data=st.data(), nome=_nomes(), n=_ring_sizes, count=st.integers(1, 6))
@@ -526,3 +552,38 @@ class TestGammaRings:
     def test_zero_scale_raises(self):
         with pytest.raises(DomainError):
             _gamma_rings(np.array([0.4, 0.0]), 16, NomePair(0.1, 0.2))
+
+    @_PROPERTY
+    @given(data=st.data(), nome=_nomes(moduli=st.floats(0.02, 0.35)), n=_ring_sizes,
+           count=st.integers(1, 3))
+    def test_matches_double_product(self, data, nome, n, count):
+        # the former numpy double product, cheap at |p|, |q| <= 0.35
+        scales = data.draw(_scales(nome, count))
+        assume(_off_lattice(scales, n, nome))
+        want = oracles.elliptic_gamma_double_product(scales[:, None] * _roots(n), nome)
+        assert _max_rel(_gamma_rings(scales, n, nome), want) < 1e-13
+
+    @_PROPERTY
+    @given(data=st.data(), nome=_nomes(allow_zero=False), n=_ring_sizes, count=st.integers(1, 3),
+           base=st.sampled_from("qp"))
+    def test_difference_equations(self, data, nome, n, count, base):
+        # Gamma(q z) = theta(z; p) Gamma(z) and Gamma(p z) = theta(z; q) Gamma(z)
+        shift, other = (nome.q, nome.p) if base == "q" else (nome.p, nome.q)
+        scales = data.draw(_scales(nome, count))
+        pq = nome.p * nome.q
+        # off the zeros of both sides too: those of Gamma(z) are the poles of Gamma(pq/z)
+        for ring in (scales, shift * scales, pq / scales, pq / (shift * scales)):
+            assume(_off_lattice(ring, n, nome))
+        got = _gamma_rings(shift * scales, n, nome)
+        want = theta(scales[:, None] * _roots(n), other) * _gamma_rings(scales, n, nome)
+        assert _max_rel(got, want) < 1e-12
+
+    @_PROPERTY
+    @given(data=st.data(), nome=_nomes(allow_zero=False), n=_ring_sizes, count=st.integers(1, 3))
+    def test_inversion(self, data, nome, n, count):
+        # Gamma(z) Gamma(pq/z) = 1, where pq / (s e_j) is the ring pq/s read at e_{-j}
+        scales = data.draw(_scales(nome, count))
+        partners = nome.p * nome.q / scales
+        assume(_off_lattice(scales, n, nome) and _off_lattice(partners, n, nome))
+        reflected = _gamma_rings(partners, n, nome)[:, (-np.arange(n)) % n]
+        assert np.max(np.abs(_gamma_rings(scales, n, nome) * reflected - 1.0)) < 1e-12
