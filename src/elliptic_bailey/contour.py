@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     ConstraintViolationError,
+    DegenerateParameterError,
     DomainError,
     QuadratureConvergenceError,
 )
@@ -34,7 +35,7 @@ from .report import RESIDUAL_FLOOR, VerificationReport, relative_residual
 from .special_functions import (
     NomePair,
     elliptic_gamma,
-    elliptic_pochhammer,
+    elliptic_pochhammer,  # unused here; perfbench/tracing.py wraps this binding
     theta,
     _gamma_rings,
     _gamma_vec,
@@ -799,6 +800,12 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
     Both exponent normalizations q^{-m(m+1)} and q^{-m(m-1)} are evaluated and
     reported; the matrix form selects m(m+1), which the residual confirms
     (the m(m-1) variant deviates by a factor q^{-2m} per term).
+
+    The 3 + 5(N+1) gamma values come from one gamma call, and the N + 1 chains
+    theta(q^{m-N})_{N-m} from one theta-Pochhammer table, besides the theta
+    call of ``build_M``.  A gamma value or a term of (i) that is zero or not
+    finite (at large N, Gamma(q^{-2N}/a) can underflow double precision)
+    raises :class:`DegenerateParameterError`.
     """
     from .bailey_algebra import build_M  # local import to avoid a cycle
 
@@ -813,24 +820,37 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
         raise DomainError("alpha must declare poles exactly at z0 q^m, m = 0..N")
     alpha_res = np.asarray(alpha.residues, dtype=complex)
 
-    def g(v):
-        return complex(elliptic_gamma(v, nome))
-
-    g_ka = g(k / a)
-    sum_res = 0j
-    for m in range(N + 1):
-        chain = elliptic_pochhammer(q ** (m - N), N - m, nome) if m < N else 1.0
-        term = (
-            g(k * q ** (N + m)) * g((k / a) * q ** (N - m)) * g(q ** (-N - m) / a)
-            / (chain * g_ka * g(a * q ** (2 * m)) * g(q ** (-2 * m) / a))
+    ms = np.arange(N + 1)
+    points = np.concatenate([
+        [k / a, k, a],
+        k * q ** (N + ms), (k / a) * q ** (N - ms), q ** (-N - ms) / a,
+        a * q ** (2 * ms), q ** (-2 * ms) / a,
+    ])
+    gammas = elliptic_gamma(points, nome)
+    bad = np.flatnonzero(~np.isfinite(gammas) | (gammas == 0))
+    if bad.size:
+        i = bad[0]
+        raise DegenerateParameterError(
+            f"Gamma({complex(points[i])}) = {complex(gammas[i])} is zero or not finite"
+            " in the residue sum"
         )
-        sum_res += term * alpha_res[m]
+    g_ka, g_k, g_a = gammas[:3]
+    upper, lower_q, lower_a, pair_plus, pair_minus = gammas[3:].reshape(5, N + 1)
+    # row m holds theta(q^{m-N} q^j; p), j < N - m, padded with ones
+    chains = np.prod(_guarded_pochhammer(q ** (ms - N), N - ms, nome)[0], axis=1)
+    with np.errstate(all="ignore"):
+        terms = (upper * lower_q * lower_a) / (chains * g_ka * pair_plus * pair_minus)
+    bad = np.flatnonzero(~np.isfinite(terms) | (terms == 0))
+    if bad.size:
+        raise DegenerateParameterError(
+            f"term m = {bad[0]} of the residue sum is {complex(terms[bad[0]])}"
+        )
+    sum_res = np.sum(terms * alpha_res)
 
     m_mat = build_M(N, a, k, nome).entries
-    ms = np.arange(N + 1)
     weights_plus = q ** (N * (N + 1) - ms * (ms + 1)).astype(float)
     weights_minus = q ** (N * (N + 1) - ms * (ms - 1)).astype(float)
-    ratio = g(k) / g(a)
+    ratio = g_k / g_a
     sum_plus = ratio * np.sum(m_mat[N, :] * weights_plus * alpha_res)
     sum_minus = ratio * np.sum(m_mat[N, :] * weights_minus * alpha_res)
 

@@ -31,10 +31,11 @@ from .report import VerificationReport, _encode, relative_residual
 from .special_functions import (
     NomePair,
     elliptic_gamma,
-    gamma_quadratic_check,
     gamma_residue_constant,
     qpochhammer_inf,
     theta,
+    _quadratic_points,
+    _quadratic_residual,
 )
 
 __all__ = ["IDENTITIES", "CampaignConfig", "CampaignSummary", "run_campaign", "summarize"]
@@ -232,27 +233,31 @@ def _sample_until(cfg, rng, build):
 # --------------------------------------------------------------------------
 
 def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
+    """Base symmetry, inversion, both difference equations, the quadratic
+    transformation and the residue limit at one point z.
+
+    The sampler's ``build`` evaluates every gamma value the draw needs at
+    (p, q) in one call: z, qz, pz, pq/z, then z^2 and the eight
+    quadratic-transformation arguments.  A point on the pole lattice rejects
+    the draw; the residuals are read from the values ``build`` returns, so the
+    only other gamma call is the one at (q, p) for base symmetry.
+    """
     start = time.perf_counter()
 
     def build(rng):
         nome = _draw_nome(cfg, rng, p_range=(0.05, 0.25), q_range=(0.1, 0.35))
         z = rng.uniform(0.3, 1.5) * _unit_phase(rng)
-        # probe all evaluation points once; pole-guard failures reject the draw
-        elliptic_gamma(np.array([z, nome.q * z, nome.p * z, nome.p * nome.q / z, z * z]), nome)
-        gamma_quadratic_check(z, nome)
-        return nome, z
+        points = np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
+                                 _quadratic_points(z, nome)])
+        return nome, z, elliptic_gamma(points, nome)
 
-    (nome, z), rejects = _sample_until(cfg, rng, build)
-    g = complex(elliptic_gamma(z, nome))
+    (nome, z, values), rejects = _sample_until(cfg, rng, build)
+    g, g_qz, g_pz, g_inv = (complex(v) for v in values[:4])
     res_sym = relative_residual(g, complex(elliptic_gamma(z, nome.swapped())))
-    res_inv = abs(g * complex(elliptic_gamma(nome.p * nome.q / z, nome)) - 1.0)
-    res_fd_q = relative_residual(
-        complex(elliptic_gamma(nome.q * z, nome)), complex(theta(z, nome.p)) * g
-    )
-    res_fd_p = relative_residual(
-        complex(elliptic_gamma(nome.p * z, nome)), complex(theta(z, nome.q)) * g
-    )
-    res_quad = gamma_quadratic_check(z, nome)
+    res_inv = abs(g * g_inv - 1.0)
+    res_fd_q = relative_residual(g_qz, complex(theta(z, nome.p)) * g)
+    res_fd_p = relative_residual(g_pz, complex(theta(z, nome.q)) * g)
+    res_quad = _quadratic_residual(values[4:])
     res_limit = abs(
         gamma_residue_constant(nome)
         * qpochhammer_inf(nome.p, nome.p)
@@ -365,6 +370,13 @@ def _run_star_triangle(cfg: CampaignConfig, rng, idx: int) -> VerificationReport
 
 
 def _run_residue_reduction(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
+    """The residue-sum to Bailey-matrix reduction at one (a, k, alpha).
+
+    The check runs in the sampler's ``build``, so that a draw whose gamma
+    batch has a zero or non-finite value (an underflow at large N) or a
+    point on the pole lattice is rejected and resampled; the check's one
+    gamma call is the draw's only one.
+    """
     def build(rng):
         nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.05, 0.15), q_range=(0.3, 0.5))
         a = _take(cfg, rng, "a", lambda r: r.uniform(0.2, 0.8) * _unit_phase(r))
@@ -373,11 +385,10 @@ def _run_residue_reduction(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         t = complex(np.sqrt(k / a))
         coeffs = rng.normal(size=cfg.effective_N + 1) + 1j * rng.normal(size=cfg.effective_N + 1)
         alpha = ct.designated_poles(z0, cfg.effective_N, nome.q, coeffs)
-        return nome, alpha, z0, t
+        return ct.residue_matrix_reduction_check(alpha, z0, t, cfg.effective_N, nome,
+                                                 tolerance=cfg.effective_tolerance)
 
-    (nome, alpha, z0, t), rejects = _sample_until(cfg, rng, build)
-    rep = ct.residue_matrix_reduction_check(alpha, z0, t, cfg.effective_N, nome,
-                                            tolerance=cfg.effective_tolerance)
+    rep, rejects = _sample_until(cfg, rng, build)
     rep.settings["rejected"] = rejects
     return rep
 

@@ -517,18 +517,29 @@ def gamma_residue_constant(nome: NomePair) -> complex:
     return 1.0 / (nome.pp_inf * nome.qq_inf)
 
 
+def _quadratic_points(z: complex, nome: NomePair) -> np.ndarray:
+    """z^2 and the eight arguments +-z, +-q^{1/2} z, +-p^{1/2} z, +-(pq)^{1/2} z
+    of the quadratic transformation, with principal square roots, in the
+    order :func:`_quadratic_residual` reads their gamma values."""
+    roots = np.array([1.0, np.sqrt(nome.q), np.sqrt(nome.p), np.sqrt(nome.p * nome.q)], dtype=complex)
+    return np.concatenate([[z * z], roots * z, -roots * z])
+
+
+def _quadratic_residual(values: np.ndarray) -> float:
+    """|Gamma(z^2) - prod Gamma(s)| / |Gamma(z^2)| from the gamma values at
+    :func:`_quadratic_points`."""
+    lhs = complex(values[0])
+    return abs(lhs - complex(np.prod(values[1:]))) / abs(lhs)
+
+
 def gamma_quadratic_check(z, nome: NomePair) -> float:
     """Relative residual of the quadratic transformation
 
         Gamma(z^2; p, q) = prod Gamma(s; p, q)  over the eight arguments
         s in {+-z, +-q^{1/2} z, +-p^{1/2} z, +-(pq)^{1/2} z}
 
-    with principal square roots.  Raises :class:`PoleProximityError` if any of
-    the nine evaluation points sits on the pole lattice.
+    with principal square roots, from one gamma call.  Raises
+    :class:`PoleProximityError` if any of the nine evaluation points sits on
+    the pole lattice.
     """
-    z = complex(z)
-    roots = np.array([1.0, np.sqrt(nome.q), np.sqrt(nome.p), np.sqrt(nome.p * nome.q)], dtype=complex)
-    args = np.concatenate([roots * z, -roots * z])
-    lhs = complex(elliptic_gamma(z * z, nome))
-    rhs = complex(np.prod(elliptic_gamma(args, nome)))
-    return abs(lhs - rhs) / abs(lhs)
+    return _quadratic_residual(_gamma_vec(_quadratic_points(complex(z), nome), nome))

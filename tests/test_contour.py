@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from elliptic_bailey import bailey_algebra, special_functions
 from elliptic_bailey import contour as ct
 from elliptic_bailey.bailey_algebra import build_M
 from elliptic_bailey.contour import (
@@ -31,7 +32,7 @@ from elliptic_bailey.errors import (
     QuadratureConvergenceError,
 )
 from elliptic_bailey.report import relative_residual
-from elliptic_bailey.special_functions import NomePair, elliptic_gamma
+from elliptic_bailey.special_functions import NomePair, elliptic_gamma, elliptic_pochhammer
 
 
 class TestCircleIntegral:
@@ -469,6 +470,27 @@ class TestFiniteDifference:
             finite_difference_oracle(0.3, lambda z: z + 1 / z, nome, 1e-2)
 
 
+def _per_scalar_residue_reduction(alpha, z0, t, N, nome):
+    """The residue sum (i) and the ratio Gamma(k)/Gamma(a) of (ii), one scalar
+    gamma call per factor and one elliptic_pochhammer call per chain, as the
+    check evaluated them before it batched its gamma values."""
+    a = z0 * z0
+    k = (t * z0) ** 2
+    q = nome.q
+
+    def g(v):
+        return complex(elliptic_gamma(v, nome))
+
+    total = 0j
+    for m, c in enumerate(alpha.residues):
+        chain = elliptic_pochhammer(q ** (m - N), N - m, nome) if m < N else 1.0
+        total += c * (
+            g(k * q ** (N + m)) * g((k / a) * q ** (N - m)) * g(q ** (-N - m) / a)
+            / (chain * g(k / a) * g(a * q ** (2 * m)) * g(q ** (-2 * m) / a))
+        )
+    return total, g(k) / g(a)
+
+
 class TestResidueMatrixBridge:
     def test_scalar_case(self):
         nome = NomePair(0.1, 0.4)
@@ -497,3 +519,61 @@ class TestResidueMatrixBridge:
         alpha = designated_poles(0.5, 2, nome.q, [1.0, 1.0, 1.0])
         with pytest.raises(DomainError):
             residue_matrix_reduction_check(alpha, 0.7, 0.78, 2, nome)
+
+    @pytest.mark.parametrize("nome", [NomePair(0.1, 0.4),
+                                      NomePair(0.12 * np.exp(0.7j), 0.35 * np.exp(-1.9j))],
+                             ids=["real", "complex"])
+    def test_batched_matches_per_scalar_evaluation(self, nome):
+        rng = np.random.default_rng(808)
+        for N in range(7):
+            a = rng.uniform(0.2, 0.8) * np.exp(2j * np.pi * rng.uniform())
+            k = rng.uniform(0.1, 0.7) * np.exp(2j * np.pi * rng.uniform())
+            z0, t = complex(np.sqrt(a)), complex(np.sqrt(k / a))
+            alpha = designated_poles(z0, N, nome.q, rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
+            rep = residue_matrix_reduction_check(alpha, z0, t, N, nome)
+            lhs, ratio = _per_scalar_residue_reduction(alpha, z0, t, N, nome)
+            assert relative_residual(rep.lhs, lhs) < 1e-13, f"N={N}"
+            ms = np.arange(N + 1)
+            weights = nome.q ** (N * (N + 1) - ms * (ms + 1))
+            rhs = ratio * np.sum(build_M(N, a, k, nome).entries[N] * weights * alpha.residues)
+            assert relative_residual(rep.rhs, rhs) < 1e-13, f"N={N}"
+
+    def test_one_gamma_call_and_one_pochhammer_table(self, monkeypatch):
+        calls = {"gamma": [], "pochhammer": 0, "build_M": 0}
+        rings = special_functions._gamma_rings
+
+        def count(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def gamma_spy(scales, n, nome):
+            calls["gamma"].append(np.size(scales) * n)
+            return rings(scales, n, nome)
+
+        monkeypatch.setattr(special_functions, "_gamma_rings", gamma_spy)
+        monkeypatch.setattr(ct, "_gamma_rings", gamma_spy)
+        monkeypatch.setattr(ct, "_guarded_pochhammer", count("pochhammer", ct._guarded_pochhammer))
+        monkeypatch.setattr(bailey_algebra, "_guarded_pochhammer",
+                            count("build_M", bailey_algebra._guarded_pochhammer))
+        nome = NomePair(0.1, 0.4)
+        N = 4
+        z0, t = np.sqrt(0.49), np.sqrt(0.3 / 0.49)
+        alpha = designated_poles(z0, N, nome.q, np.ones(N + 1))
+        assert residue_matrix_reduction_check(alpha, z0, t, N, nome).residual < 1e-11
+        assert calls == {"gamma": [3 + 5 * (N + 1)], "pochhammer": 1, "build_M": 1}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_gamma_names_its_argument(self):
+        # from `verify residue-reduction --N 8 --seed 29800`, draw 83:
+        # Gamma(q^-16 / a) underflows to 0 in double precision, so the sum
+        # (i) has a zero denominator; k does not enter that factor
+        nome = NomePair(0.1462028393234246, 0.30773309370508994)
+        a = 0.04345945221501911 + 0.22633341107984703j
+        z0, t = complex(np.sqrt(a)), complex(np.sqrt(0.3 / a))
+        alpha = designated_poles(z0, 8, nome.q, np.ones(9))
+        # the argument q^-16 / a = 1.26e8 - 6.59e8j
+        with pytest.raises(DegenerateParameterError,
+                           match=r"Gamma\(\(126495601\.\d+-658779150\.\d+j\)\) = \(-0\+0j\) is zero"):
+            residue_matrix_reduction_check(alpha, z0, t, 8, nome)

@@ -124,6 +124,35 @@ class TestSampler:
         assert reports[0].settings["rejected"] == 1
 
 
+class TestPointwiseBatching:
+    def test_special_functions_draw_makes_one_engine_call_per_nome_pair(self, monkeypatch):
+        from elliptic_bailey import special_functions
+
+        rings = special_functions._gamma_rings
+        calls = []
+
+        def spy(scales, n, nome):
+            calls.append(((nome.p, nome.q), np.size(scales) * n))
+            return rings(scales, n, nome)
+
+        monkeypatch.setattr(special_functions, "_gamma_rings", spy)
+        (rep,) = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=1))
+        assert rep.passed and rep.settings["rejected"] == 0
+        p, q = rep.params["p"], rep.params["q"]
+        # the sampler's 13 points at (p, q), then Gamma(z; q, p)
+        assert calls == [((p, q), 13), ((q, p), 1)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_residue_draw_is_rejected(self):
+        # draw 83 of `verify residue-reduction --N 8 --seed 29800` first samples
+        # a with Gamma(q^-16 / a) = 0 in double precision; it was an internal
+        # error (complex division by zero), and must be resampled instead
+        reports = run_campaign(CampaignConfig(identity="residue-reduction", N=8, seed=29800, draws=84))
+        assert all(r.error is None for r in reports)
+        assert reports[83].passed
+        assert reports[83].settings["rejected"] == 1
+
+
 class TestDeterminism:
     def test_identical_configs_identical_reports(self):
         cfg = dict(identity="matrix-bailey", seed=314, draws=6, N=5)

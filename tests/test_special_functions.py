@@ -42,6 +42,80 @@ def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+# ---------------------------------------------------------------------------
+# strategies for the property tests: complex nomes, and points near the
+# boundaries where the gamma engine's theta shift changes
+# ---------------------------------------------------------------------------
+
+_moduli = st.floats(0.02, 0.75)
+_phases = st.floats(0.0, 1.0)
+# n = 1 is the pointwise case of the engine
+_ring_sizes = st.sampled_from([1, 2, 3, 4, 5, 8, 16, 64, 128, 256])
+
+
+@st.composite
+def _nomes(draw, allow_zero=True, moduli=_moduli):
+    """(p, q) with complex phases; either nome may be exactly 0."""
+    pair = []
+    for _ in range(2):
+        mod = draw(st.one_of(st.just(0.0), moduli) if allow_zero else moduli)
+        pair.append(mod * np.exp(2j * np.pi * draw(_phases)))
+    return NomePair(*pair)
+
+
+@st.composite
+def _scales(draw, nome, count):
+    """Ring scales, each placed just inside or just outside a boundary where
+    the theta shift k changes, or anywhere in 0.05 < |s| < 20."""
+    u, v = _shift_nomes(nome)
+    out = []
+    for _ in range(count):
+        phase = np.exp(2j * np.pi * draw(_phases))
+        if u != 0 and draw(st.booleans()):
+            # |s| with log|w| - target = (k + 1/2) log|u|, nudged by a factor
+            log_u = math.log(abs(u))
+            target = 0.5 * math.log(abs(u * v)) if v != 0 else log_u
+            k = draw(st.integers(-4, 4))
+            nudge = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-9, 1e-2))
+            out.append(math.exp(target - (k + 0.5) * log_u + nudge) * phase)
+        else:
+            out.append(math.exp(draw(st.floats(math.log(0.05), math.log(20.0)))) * phase)
+    return np.array(out)
+
+
+def _lattice_gap(z, nome):
+    """min |1 - z p^j q^k| over j, k <= 40: the relative distance to the pole lattice."""
+    lattice = np.outer(nome.p ** np.arange(41), nome.q ** np.arange(41)).ravel()
+    return float(np.min(np.abs(1.0 - z.ravel()[:, None] * lattice)))
+
+
+def _off_lattice(scales, n, nome):
+    """Whether every ring point keeps a gap of 1e-2 from the pole lattice: nearer,
+    1 - x loses digits to cancellation in either evaluation."""
+    return _lattice_gap(scales[:, None] * _roots(n), nome) > 1e-2
+
+
+def _theta_gap(z, p):
+    """min |1 - z p^j| over |j| <= 40: the relative distance to the zeros of theta(z; p)."""
+    return float(np.min(np.abs(1.0 - np.ravel(z)[:, None] * p ** np.arange(-40, 41))))
+
+
+def _assert_rings_match_pointwise(scales, n, nome):
+    points = scales[:, None] * _roots(n)
+    want = _gamma_vec(points.ravel(), nome).reshape(points.shape)
+    got = _gamma_rings(scales, n, nome)
+    assert got.shape == (scales.size, n)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
 class TestQPochhammer:
     def test_zero_base_collapses_to_first_factor(self):
         for z in (0.7, -1.3 + 0.4j, 2.0j):
@@ -119,6 +193,20 @@ class TestTheta:
             t = theta(z, p)
             assert rel(theta(p / z, p), t) < 1e-13
             assert rel(theta(p * z, p), -t / z) < 1e-13
+
+    @_PROPERTY
+    @given(data=st.data(), nome=_nomes(allow_zero=False), count=st.integers(1, 6),
+           base=st.sampled_from("pq"))
+    def test_quasiperiodicity_property(self, data, nome, count, base):
+        # theta(p z; p) = -theta(z; p) / z and theta(1/z; p) = -theta(z; p) / z,
+        # with complex nomes and z where the gamma engine's shift changes: the
+        # engine's shift thetas take such points
+        p = nome.p if base == "p" else nome.q
+        z = data.draw(_scales(nome, count))
+        assume(_theta_gap(z, p) > 1e-2)
+        want = -theta(z, p) / z
+        assert _max_rel(theta(p * z, p), want) < 1e-12
+        assert _max_rel(theta(1.0 / z, p), want) < 1e-12
 
 
 class TestEllipticGamma:
@@ -429,70 +517,6 @@ class TestNomePair:
 # the ring engine against the pointwise series
 # ---------------------------------------------------------------------------
 
-_moduli = st.floats(0.02, 0.75)
-_phases = st.floats(0.0, 1.0)
-# n = 1 is the pointwise case of the engine
-_ring_sizes = st.sampled_from([1, 2, 3, 4, 5, 8, 16, 64, 128, 256])
-
-
-@st.composite
-def _nomes(draw, allow_zero=True, moduli=_moduli):
-    """(p, q) with complex phases; either nome may be exactly 0."""
-    pair = []
-    for _ in range(2):
-        mod = draw(st.one_of(st.just(0.0), moduli) if allow_zero else moduli)
-        pair.append(mod * np.exp(2j * np.pi * draw(_phases)))
-    return NomePair(*pair)
-
-
-@st.composite
-def _scales(draw, nome, count):
-    """Ring scales, each placed just inside or just outside a boundary where
-    the theta shift k changes, or anywhere in 0.05 < |s| < 20."""
-    u, v = _shift_nomes(nome)
-    out = []
-    for _ in range(count):
-        phase = np.exp(2j * np.pi * draw(_phases))
-        if u != 0 and draw(st.booleans()):
-            # |s| with log|w| - target = (k + 1/2) log|u|, nudged by a factor
-            log_u = math.log(abs(u))
-            target = 0.5 * math.log(abs(u * v)) if v != 0 else log_u
-            k = draw(st.integers(-4, 4))
-            nudge = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-9, 1e-2))
-            out.append(math.exp(target - (k + 0.5) * log_u + nudge) * phase)
-        else:
-            out.append(math.exp(draw(st.floats(math.log(0.05), math.log(20.0)))) * phase)
-    return np.array(out)
-
-
-def _lattice_gap(z, nome):
-    """min |1 - z p^j q^k| over j, k <= 40: the relative distance to the pole lattice."""
-    lattice = np.outer(nome.p ** np.arange(41), nome.q ** np.arange(41)).ravel()
-    return float(np.min(np.abs(1.0 - z.ravel()[:, None] * lattice)))
-
-
-def _off_lattice(scales, n, nome):
-    """Whether every ring point keeps a gap of 1e-2 from the pole lattice: nearer,
-    1 - x loses digits to cancellation in either evaluation."""
-    return _lattice_gap(scales[:, None] * _roots(n), nome) > 1e-2
-
-
-def _assert_rings_match_pointwise(scales, n, nome):
-    points = scales[:, None] * _roots(n)
-    want = _gamma_vec(points.ravel(), nome).reshape(points.shape)
-    got = _gamma_rings(scales, n, nome)
-    assert got.shape == (scales.size, n)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
-
-
-_PROPERTY = settings(max_examples=60, deadline=None,
-                     suppress_health_check=[HealthCheck.filter_too_much])
-
-
-def _max_rel(got, want):
-    return float(np.max(np.abs(got - want) / np.abs(want)))
-
-
 class TestGammaRings:
     """_gamma_rings, the one gamma engine, on rings and on single points
     (n = 1): against _gamma_vec on the same points, and against checks that
@@ -577,6 +601,15 @@ class TestGammaRings:
         got = _gamma_rings(shift * scales, n, nome)
         want = theta(scales[:, None] * _roots(n), other) * _gamma_rings(scales, n, nome)
         assert _max_rel(got, want) < 1e-12
+
+    @_PROPERTY
+    @given(data=st.data(), nome=_nomes(), n=_ring_sizes, count=st.integers(1, 3))
+    def test_base_symmetry(self, data, nome, n, count):
+        # Gamma(z; p, q) = Gamma(z; q, p); with |p| = |q| the two calls shift
+        # by different nomes
+        scales = data.draw(_scales(nome, count))
+        assume(_off_lattice(scales, n, nome))
+        assert _max_rel(_gamma_rings(scales, n, nome.swapped()), _gamma_rings(scales, n, nome)) < 1e-13
 
     @_PROPERTY
     @given(data=st.data(), nome=_nomes(allow_zero=False), n=_ring_sizes, count=st.integers(1, 3))
