@@ -15,6 +15,15 @@ argument lies on a scaled copy of the same root-of-unity ring, so one
 quadrature pass evaluates all of its gamma rings in a single call of the FFT
 ring engine, however many grid pairs the kernels combine.  Gamma values that
 do not depend on the grid are evaluated once per check.
+
+Every quadrature pass returns (weight, samples): its integrand on the n-node
+circle, one row per integral, and each row's prefactor.  ``_trapezoid`` alone
+turns them into values weight * (2 pi i / n) * sum and into the scale of the
+one rounding floor ``_FLOOR``; ``_drive`` alone doubles n until every row
+agrees with its previous pass.  One M-kernel quadrature, ``_m_quadrature``,
+serves every single-spectator transform: ``apply_M``, the finite-difference
+oracle, both inversion passes, both circles of the deformation check and its
+conditioning probe.
 """
 
 from __future__ import annotations
@@ -72,6 +81,8 @@ DEFAULT_REL_TOL = 1e-10
 _ROW_CHUNK = 256
 # grid size of the conditioning probe of the deformation check
 _PROBE_NODES = 64
+# rounding floor of a trapezoid sum, relative to the scale _trapezoid reports
+_FLOOR = 50.0 * np.finfo(float).eps
 
 
 # --------------------------------------------------------------------------
@@ -101,30 +112,30 @@ class QuadratureInfo:
     est_error: float
 
 
-def _ring_sum(values: np.ndarray) -> complex:
-    """Trapezoid value of the contour integral (dz/z measure): (2 pi i / n) sum."""
-    n = values.shape[-1]
-    return 2j * math.pi / n * np.sum(values, axis=-1)
+def _trapezoid(weight, samples: np.ndarray):
+    """Trapezoid rule on the circle, dz/z measure: the value weight * (2 pi i / n)
+    * sum(samples) of each row of ``samples`` (shape (..., n)), and the scale
+    2 pi max over rows of |weight| mean|samples| that sets the rounding floor."""
+    n = samples.shape[-1]
+    value = weight * (2j * math.pi / n * np.sum(samples, axis=-1))
+    scale = float(np.max(np.mean(np.abs(samples), axis=-1) * 2 * math.pi * np.abs(weight)))
+    return value, scale
 
 
 def _drive(eval_at, rel_tol: float, n0: int = DEFAULT_N0, cap: int = DEFAULT_NODE_CAP,
            label: str = "integral"):
     """Double the node count until successive values differ by less than the
-    tolerance.  ``eval_at(n)`` returns (value, magnitude_scale); the scale (an
-    L1-type norm of the integrand) sets the rounding floor ~eps * scale, which
-    is the accuracy limit of the trapezoid sum itself.  Integrals that are
-    exactly zero converge through the same floor."""
+    tolerance.  ``eval_at(n)`` returns (weight, samples) for :func:`_trapezoid`,
+    one row of samples per integral; the worst row decides.  The scale sets the
+    rounding floor ``_FLOOR * scale``, the accuracy limit of the trapezoid sum
+    itself, through which integrals that are exactly zero converge too."""
     prev = None
     n = n0
     while n <= cap:
-        val, scale = eval_at(n)
+        val, scale = _trapezoid(*eval_at(n))
         if prev is not None:
-            diff = float(np.max(np.abs(np.asarray(val) - np.asarray(prev))))
-            bound = max(
-                rel_tol * float(np.max(np.abs(np.asarray(val)))),
-                50.0 * np.finfo(float).eps * scale,
-                1e-305,
-            )
+            diff = float(np.max(np.abs(val - prev)))
+            bound = max(rel_tol * float(np.max(np.abs(val))), _FLOOR * scale, 1e-305)
             if diff <= bound:
                 return val, QuadratureInfo(n_nodes=n, converged=True, est_error=diff)
         prev = val
@@ -143,27 +154,21 @@ def circle_integral(f, grid: QuadratureGrid, rel_tol: float | None = None,
     :class:`QuadratureConvergenceError` at the cap.
     """
     def eval_at(n):
-        z = grid.radius * _roots(n)
-        vals = np.asarray(f(z), dtype=complex)
-        return _ring_sum(vals), float(np.mean(np.abs(vals))) * 2 * math.pi
+        return 1.0, np.asarray(f(grid.radius * _roots(n)), dtype=complex)
 
     if rel_tol is None:
-        val, _ = eval_at(grid.n_nodes)
-        return complex(val)
-    val, _info = _drive(eval_at, rel_tol, n0=grid.n_nodes, cap=max_nodes)
-    return complex(val)
+        return complex(_trapezoid(*eval_at(grid.n_nodes))[0])
+    return complex(_drive(eval_at, rel_tol, n0=grid.n_nodes, cap=max_nodes)[0])
 
 
 def _offcenter_residue(f, center: complex, radius: float, rel_tol: float,
                        n0: int = 32, cap: int = 4096) -> complex:
     """(1 / 2 pi i) * integral of f(z) dz around a small positively oriented circle."""
     def eval_at(n):
-        rim = center + radius * _roots(n)
-        vals = np.asarray(f(rim), dtype=complex) * radius * _roots(n)
-        return complex(np.sum(vals) / n), float(np.mean(np.abs(vals)))
+        step = radius * _roots(n)
+        return 1 / (2j * math.pi), np.asarray(f(center + step), dtype=complex) * step
 
-    val, _ = _drive(eval_at, rel_tol, n0=n0, cap=cap, label="residue circle")
-    return complex(val)
+    return complex(_drive(eval_at, rel_tol, n0=n0, cap=cap, label="residue circle")[0])
 
 
 # --------------------------------------------------------------------------
@@ -347,13 +352,6 @@ def _kernel_ring(t: complex, x: complex, n: int, radius: float, nome: NomePair) 
     return _kernel_from(_gamma_ring_table(_kernel_scales(t, x, radius), n, nome), t, x, radius)
 
 
-def _kernel_on_circle(t: complex, x: complex, n: int, radius: float, g_t2: complex,
-                      nome: NomePair) -> np.ndarray:
-    """The Bailey kernel of :func:`_kernel_at` on the ring z_k = radius * w^k,
-    given g_t2 = Gamma(t^2)."""
-    return _kernel_ring(t, x, n, radius, nome) * _theta_rings(n, radius, nome) / g_t2
-
-
 def _m_kernel_rows(pair: np.ndarray):
     """Kernel matrix K[j, k] = Gamma(t x_j z_k^{+-1}) Gamma((t / x_j) z_k^{+-1})
     for x_j = w^j and z_k = w^k on the unit circle, yielded in row blocks.
@@ -382,28 +380,22 @@ def _m_apply_grid(pair: np.ndarray, n: int, weighted_alpha: np.ndarray, g_t2: co
     return nome.kappa * 2j * math.pi / n * out / g_t2
 
 
-def _m_single(t: complex, w: complex, n: int, radius: float, alpha_vals: np.ndarray,
-              dden: np.ndarray, g_t2: complex, nome: NomePair) -> tuple[complex, float]:
-    """[M(t) alpha](w) for a single off-grid spectator w, given g_t2 = Gamma(t^2);
-    returns (value, scale)."""
+def _m_single(t: complex, w: complex, n: int, radius: float, f, g_t2: complex,
+             nome: NomePair):
+    """(weight, samples) of [M(t) f](w) for a single spectator w on the n-node
+    circle |z| = radius, given g_t2 = Gamma(t^2): the weight kappa and the
+    samples K(w, z_k) dden[k] f(z_k) / g_t2."""
     kern = _kernel_ring(t, w, n, radius, nome)
-    integrand = kern * dden * alpha_vals / g_t2
-    scale = float(np.mean(np.abs(integrand))) * 2 * math.pi * abs(complex(nome.kappa))
-    return complex(nome.kappa * _ring_sum(integrand)), scale
+    vals = np.asarray(f(radius * _roots(n)), dtype=complex)
+    return nome.kappa, kern * _theta_rings(n, radius, nome) * vals / g_t2
 
 
-def _m_quadrature(t: complex, w: complex, f, radius: float, nome: NomePair,
-                  rel_tol: float, label: str) -> complex:
-    """[M(t) f](w) by adaptive trapezoid quadrature on the circle |z| = radius."""
-    g_t2 = complex(elliptic_gamma(t * t, nome))
-
-    def eval_at(n):
-        z = radius * _roots(n)
-        dden = _theta_rings(n, radius, nome)
-        vals = np.asarray(f(z), dtype=complex)
-        return _m_single(t, w, n, radius, vals, dden, g_t2, nome)
-
-    return _drive(eval_at, rel_tol, label=label)[0]
+def _m_quadrature(t: complex, w: complex, f, radius: float, g_t2: complex, nome: NomePair,
+                  rel_tol: float, label: str) -> tuple[complex, QuadratureInfo]:
+    """[M(t) f](w) by adaptive trapezoid quadrature on the circle |z| = radius,
+    given g_t2 = Gamma(t^2); returns (value, info)."""
+    val, info = _drive(lambda n: _m_single(t, w, n, radius, f, g_t2, nome), rel_tol, label=label)
+    return complex(val), info
 
 
 def apply_M(t, w, alpha: SymmetricTestFunction, nome: NomePair,
@@ -420,7 +412,8 @@ def apply_M(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         raise ConstraintViolationError(
             f"contour |z| = {radius} does not separate kernel poles: |t w^+-1| max = {top:.4f}"
         )
-    return _m_quadrature(t, w, alpha, radius, nome, rel_tol, "apply_M")
+    g_t2 = complex(elliptic_gamma(t * t, nome))
+    return _m_quadrature(t, w, alpha, radius, g_t2, nome, rel_tol, "apply_M")[0]
 
 
 def _d_args(s: complex, y: complex, w: complex, nome: NomePair) -> list:
@@ -467,11 +460,10 @@ def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
         kern = np.ones(n, dtype=complex)
         for v in ts:
             kern = kern * _pair(rings[v])
-        integrand = kern * dden
-        scale = float(np.mean(np.abs(integrand))) * 2 * math.pi * abs(complex(nome.kappa))
-        return complex(nome.kappa * _ring_sum(integrand)), scale
+        return nome.kappa, kern * dden
 
     lhs, info = _drive(eval_at, rel_tol, label="beta integral")
+    lhs = complex(lhs)
     pairs = np.array([ts[i] * ts[j] for i in range(6) for j in range(i + 1, 6)])
     rhs = complex(np.prod(elliptic_gamma(pairs, nome)))
     residual = relative_residual(lhs, rhs)
@@ -525,6 +517,10 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
     for w in spectators:
         scales += [*_kernel_scales(s, w, 1.0), *_kernel_scales(s * t, w, 1.0)]
 
+    # row weights of the spectators' M(s) rows, then of their M(st) rows
+    m = len(spectators)
+    weights = np.concatenate([np.full(m, nome.kappa / g_s2), d_t * nome.kappa / g_st2])
+
     def eval_at(n):
         z = _roots(n)
         dden = _theta_rings(n, 1.0, nome)
@@ -538,19 +534,12 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
         # RHS: single quadrature of D(s; y, z) alpha with the M(st) kernel
         rhs_weighted = dden * _pair(rings[d_s[0]]) * _pair(rings[d_s[1]]) * alpha_vals
 
-        lhs = np.empty(len(spectators), dtype=complex)
-        rhs = np.empty(len(spectators), dtype=complex)
-        scale = 0.0
-        for i, w in enumerate(spectators):
-            kern_out = _kernel_from(rings, s, w, 1.0)
-            lhs[i] = nome.kappa * _ring_sum(kern_out * lhs_weighted) / g_s2
-            kern_rhs = _kernel_from(rings, s * t, w, 1.0)
-            rhs[i] = d_t[i] * nome.kappa * _ring_sum(kern_rhs * rhs_weighted) / g_st2
-            scale = max(scale, float(np.mean(np.abs(kern_out * lhs_weighted))))
-        return np.concatenate([lhs, rhs]), scale
+        # one row per spectator and side: the M(s) and M(st) kernels at w
+        kern_lhs = np.array([_kernel_from(rings, s, w, 1.0) for w in spectators])
+        kern_rhs = np.array([_kernel_from(rings, s * t, w, 1.0) for w in spectators])
+        return weights, np.concatenate([kern_lhs * lhs_weighted, kern_rhs * rhs_weighted])
 
     both, info = _drive(eval_at, rel_tol, label="star-triangle")
-    m = len(spectators)
     lhs, rhs = both[:m], both[m:]
     residual = max(relative_residual(lhs[i], rhs[i]) for i in range(m))
     return VerificationReport(
@@ -585,10 +574,18 @@ def _kernel_at(t: complex, x: complex, z, g_t2: complex, nome: NomePair):
     return num * dden / g_t2
 
 
-def _default_inner_radius(pole_lo: float, kernel_top: float) -> float:
-    """The deformed circle's radius: 0.93 of the innermost pole of alpha, or the
-    geometric mean of that pole and the kernel's outermost head if larger."""
-    return max(0.93 * pole_lo, math.sqrt(kernel_top * pole_lo))
+def _deformation_radii(alpha: SymmetricTestFunction, t: complex, x: complex,
+                       inner_radius: float | None) -> tuple[float, float, float]:
+    """(k_top, |z_lo|, inner radius) of the deformation check: the kernel's
+    outermost pole head max|t x^{+-1}|, the innermost pole z_lo of alpha, and
+    ``inner_radius`` or, if None, max(0.93 |z_lo|, sqrt(|z_lo| k_top))."""
+    if not alpha.poles:
+        raise DomainError("the deformation check needs a test function with declared poles")
+    kernel_top = max(abs(t * x), abs(t / x))
+    pole_lo = min(abs(p) for p in alpha.poles)
+    if inner_radius is None:
+        inner_radius = max(0.93 * pole_lo, math.sqrt(kernel_top * pole_lo))
+    return kernel_top, pole_lo, inner_radius
 
 
 def _residue_sum(alpha: SymmetricTestFunction, t: complex, x: complex, g_t2: complex,
@@ -606,25 +603,18 @@ def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: f
 
     The deformed-contour integrand grows steeply towards z = 0 while the
     identity value stays at the scale of the unit-circle integral, so the
-    trapezoid sum's rounding floor (~eps * mean|integrand|) can dominate; a
-    draw with a large estimate is numerically inadmissible, not wrong.
+    trapezoid sum's rounding floor ``_FLOOR * scale`` on the inner circle can
+    dominate; a draw with a large estimate is numerically inadmissible, not
+    wrong.  Both circles are probed at ``_PROBE_NODES`` nodes.
     """
     t, x = complex(t), complex(x)
-    pole_lo = min(abs(p) for p in alpha.poles)
-    kernel_top = max(abs(t * x), abs(t / x))
-    if inner_radius is None:
-        inner_radius = _default_inner_radius(pole_lo, kernel_top)
+    inner_radius = _deformation_radii(alpha, t, x, inner_radius)[2]
     g_t2 = complex(elliptic_gamma(t * t, nome))
-    z_in = inner_radius * _roots(_PROBE_NODES)
-    kern_in = _kernel_on_circle(t, x, _PROBE_NODES, inner_radius, g_t2, nome)
-    scale_in = float(np.mean(np.abs(kern_in * np.asarray(alpha(z_in)))))
-    z_t = _roots(_PROBE_NODES)
-    vals_t = _kernel_on_circle(t, x, _PROBE_NODES, 1.0, g_t2, nome) * np.asarray(alpha(z_t))
-    i_t = abs(complex(nome.kappa * _ring_sum(vals_t)))
+    _, scale_in = _trapezoid(*_m_single(t, x, _PROBE_NODES, inner_radius, alpha, g_t2, nome))
+    i_t, _ = _trapezoid(*_m_single(t, x, _PROBE_NODES, 1.0, alpha, g_t2, nome))
     residue_term = 4j * math.pi * nome.kappa * _residue_sum(alpha, t, x, g_t2, nome)
-    value_scale = max(i_t, abs(residue_term), RESIDUAL_FLOOR)
-    floor = 50.0 * float(np.finfo(float).eps) * scale_in * abs(complex(nome.kappa)) * 2 * math.pi
-    return floor / value_scale
+    value_scale = max(abs(i_t), abs(residue_term), RESIDUAL_FLOOR)
+    return _FLOOR * scale_in / value_scale
 
 
 def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: float | None,
@@ -648,13 +638,8 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
     """
     start = time.perf_counter()
     t, x = complex(t), complex(x)
-    if not alpha.poles:
-        raise DomainError("the deformation check needs a test function with declared poles")
-    kernel_top = max(abs(t * x), abs(t / x))
-    pole_lo = min(abs(p) for p in alpha.poles)
+    kernel_top, pole_lo, inner_radius = _deformation_radii(alpha, t, x, inner_radius)
     pole_hi = max(abs(p) for p in alpha.poles)
-    if inner_radius is None:
-        inner_radius = _default_inner_radius(pole_lo, kernel_top)
     if not (kernel_top < inner_radius < pole_lo and pole_hi < 1.0):
         raise ConstraintViolationError(
             f"radius ordering violated: need max|t x^+-1| = {kernel_top:.3f} < r = "
@@ -662,17 +647,9 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
         )
 
     g_t2 = complex(elliptic_gamma(t * t, nome))
-
-    def integral_on(radius):
-        def eval_at(n):
-            z = radius * _roots(n)
-            vals = _kernel_on_circle(t, x, n, radius, g_t2, nome) * np.asarray(alpha(z), dtype=complex)
-            return complex(nome.kappa * _ring_sum(vals)), float(np.mean(np.abs(vals)))
-
-        return _drive(eval_at, rel_tol, label="deformation integral")
-
-    i_t, info_t = integral_on(1.0)
-    i_c, info_c = integral_on(inner_radius)
+    i_t, info_t = _m_quadrature(t, x, alpha, 1.0, g_t2, nome, rel_tol, "deformation integral")
+    i_c, info_c = _m_quadrature(t, x, alpha, inner_radius, g_t2, nome, rel_tol,
+                                "deformation integral")
 
     # excursions of C around each reciprocal pole 1/(z0 q^m)
     recip = [1.0 / p for p in alpha.poles]
@@ -773,10 +750,10 @@ def finite_difference_oracle(x, f, nome: NomePair, eps: float,
             raise ConstraintViolationError(
                 f"{label} = {val:.4f} outside the single-escape window (1, {lim:.3f})"
             )
-    quad = _m_quadrature(t, x, f, 1.0, nome, rel_tol, "fd oracle")
-
     def g(v):
         return complex(elliptic_gamma(v, nome))
+
+    quad = _m_quadrature(t, x, f, 1.0, g(t * t), nome, rel_tol, "fd oracle")[0]
 
     corr_tx = g(t * t * x * x) * g(x**-2) / (g((t * x) ** 2) * g((t * x) ** -2)) * f(t * x)
     corr_tox = g(x * x) * g(t * t / (x * x)) / (g((t / x) ** 2) * g((t / x) ** -2)) * f(t / x)
@@ -910,6 +887,9 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         raise ConstraintViolationError("alpha must be analytic in a wide annulus")
 
     b = max(abs(nome.p), abs(nome.q))
+    t_inv = 1.0 / t
+    g_t2, g_inv2 = (complex(v) for v in _gamma_vec(np.array([t * t, t_inv * t_inv]), nome))
+    gg = lambda v: complex(elliptic_gamma(v, nome))
 
     def g_cont(xstar, head_is_recip):
         """g(xstar) = [M(t) alpha](xstar) at a correction point where one
@@ -924,28 +904,20 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         if inner_max * 1.2 >= upper:
             raise ConstraintViolationError("no separating radius for the inversion correction")
         r = min(max(math.sqrt(inner_max * upper), inner_max * 1.2), upper)
-        quad = _m_quadrature(t, xstar, alpha, r, nome, rel_tol, "inversion inner")
-        gg = lambda v: complex(elliptic_gamma(v, nome))
+        quad = _m_quadrature(t, xstar, alpha, r, g_t2, nome, rel_tol, "inversion inner")[0]
         if head_is_recip:
             res = gg(t * t * w**2) / (2.0 * gg(w**2)) * complex(alpha(np.asarray([1 / w]))[0])
         else:
             res = gg(t * t / w**2) / (2.0 * gg(w**-2)) * complex(alpha(np.asarray([w]))[0])
         return quad + res
 
-    t_inv = 1.0 / t
-    g_t2, g_inv2 = (complex(v) for v in _gamma_vec(np.array([t * t, t_inv * t_inv]), nome))
-
-    def eval_outer(n):
-        z = _roots(n)
-        dden = _theta_rings(n, 1.0, nome)
-        alpha_vals = np.asarray(alpha(z), dtype=complex)
+    def g_on_grid(z):
+        # g = M(t) alpha at every node of the unit-circle grid z, in one pass
+        n = z.size
         pair = _pair(_gamma_ring_table([t], n, nome)[t])
-        g_on_grid = _m_apply_grid(pair, n, dden * alpha_vals, g_t2, nome)
-        return _m_single(t_inv, w, n, 1.0, g_on_grid, dden, g_inv2, nome)
+        return _m_apply_grid(pair, n, _theta_rings(n, 1.0, nome) * alpha(z), g_t2, nome)
 
-    outer, info = _drive(eval_outer, rel_tol, label="inversion outer")
-
-    gg = lambda v: complex(elliptic_gamma(v, nome))
+    outer, info = _m_quadrature(t_inv, w, g_on_grid, 1.0, g_inv2, nome, rel_tol, "inversion outer")
     corr1 = gg(w**-2) / gg(t * t / w**2) * g_cont(w / t, head_is_recip=False)
     corr2 = gg(w**2) / gg(t * t * w**2) * g_cont(t * w, head_is_recip=True)
     total = outer + corr1 + corr2

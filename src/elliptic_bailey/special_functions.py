@@ -484,18 +484,18 @@ def elliptic_pochhammer(z, n: int, nome: NomePair):
     """
     z = complex(z)
     if n >= 0:
-        return complex(np.prod(_guarded_pochhammer([z], [n], nome)[0][0]))
+        return complex(_guarded_pochhammer([z], [n], nome)[1][0, n])
     if nome.q == 0:
         raise DomainError("theta(z; p)_n with n < 0 requires q != 0")
     # theta(z)_n = 1 / theta(z q^n)_{-n}, whose factor i is theta(z q^{-j}), j = -n - i
-    factors = _guarded_pochhammer([z * nome.q**n], [-n], nome)[0][0]
-    small = np.abs(factors) < THETA_GUARD
+    factors, poch = _guarded_pochhammer([z * nome.q**n], [-n], nome)
+    small = np.abs(factors[0]) < THETA_GUARD
     if np.any(small):
         i = int(np.flatnonzero(small)[-1])
         raise DegenerateParameterError(
-            f"theta(z q^-{-n - i}; p) = {factors[i]} is below the division guard"
+            f"theta(z q^-{-n - i}; p) = {factors[0, i]} is below the division guard"
         )
-    return complex(1.0 / np.prod(factors))
+    return complex(1.0 / poch[0, -n])
 
 
 def theta_pochhammer_sequence(z, n_max: int, nome: NomePair) -> np.ndarray:

@@ -9,6 +9,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from elliptic_bailey import bailey_algebra, contour, harness, special_functions
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -46,3 +48,28 @@ def test_ring_engine_arguments():
     # a hook on the ring engine reads (scales, n, nome) by position
     assert _names(special_functions._gamma_rings) == ["scales", "n", "nome"]
     assert contour._gamma_rings is special_functions._gamma_rings
+
+
+def test_drive_contract_the_tracer_reads():
+    # the tracer wraps args[0] as eval_at(n), counting the n it is called
+    # with, and reads result[1].n_nodes
+    assert _names(contour._drive)[0] == "eval_at"
+    tracer = _load_tracing().Tracer()
+    try:
+        passes = []
+
+        def eval_at(n):
+            passes.append(n)
+            return 1.0, 1.0 / (1.0 - 0.9 * contour._roots(n))
+
+        value, info = contour._drive(eval_at, 1e-12)
+        report = contour.elliptic_beta_integral(0.5, 0.6, 0.45, 0.55, 0.4,
+                                                special_functions.NomePair(0.08, 0.12))
+    finally:
+        assert tracer.restore() == []
+    assert info.n_nodes == passes[-1]
+    # the beta integral's passes double from DEFAULT_N0 up to its n_nodes
+    beta_nodes = 2 * report.settings["n_nodes"] - contour.DEFAULT_N0
+    assert tracer.counts["contour.drive.nodes_evaluated"] == sum(passes) + beta_nodes
+    assert tracer.counts["contour.drive.nodes_final"] == info.n_nodes + report.settings["n_nodes"]
+    assert np.isclose(value, 2j * np.pi)

@@ -92,6 +92,14 @@ class TestVerify:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("identity", ["star-triangle", "cauchy-deformation"])
+    def test_integral_identities_rerun_byte_identically(self, capsys, identity):
+        args = ("verify", identity, "--draws", "3", "--seed", "5", "--json")
+        _, out1, _ = run_cli(capsys, *args)
+        _, out2, _ = run_cli(capsys, *args)
+        assert len(out1.strip().splitlines()) == 4
+        assert out1 == out2
+
     def test_fifty_draw_campaign_emits_51_lines(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "matrix-bailey", "--N", "6",
                                "--draws", "50", "--seed", "42", "--json")

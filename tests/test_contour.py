@@ -80,6 +80,47 @@ class TestCircleIntegral:
             circle_integral(f, QuadratureGrid(1.0, 64), rel_tol=1e-13, max_nodes=512)
 
 
+class TestTrapezoidDriver:
+    """Every quadrature closure returns (weight, samples); ``_trapezoid`` alone
+    turns them into values and a rounding scale, and ``_drive`` alone doubles."""
+
+    @staticmethod
+    def _rows(n, bases):
+        # row i: 1 / (1 - b_i z) on the unit n-circle; its integral is 2 pi i
+        z = ct._roots(n)
+        return 1.0 / (1.0 - np.asarray(bases)[:, None] * z)
+
+    def test_value_is_weighted_sum_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        samples = rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64))
+        weights = np.array([0.3 - 2j, 1e-30, -4.5])
+        value, scale = ct._trapezoid(weights, samples)
+        for i in range(3):
+            assert value[i] == weights[i] * (2j * math.pi / 64 * np.sum(samples[i]))
+        want = 2 * math.pi * max(abs(w) * np.mean(np.abs(row)) for w, row in zip(weights, samples))
+        assert scale == pytest.approx(want, rel=1e-15)
+
+    def test_multi_row_integral_is_judged_by_its_worst_row(self):
+        def drive(bases):
+            return ct._drive(lambda n: (1.0, self._rows(n, bases)), 1e-12)
+
+        _, fast = drive([0.3])
+        _, slow = drive([0.9])
+        both, info = drive([0.3, 0.9])
+        assert fast.n_nodes < slow.n_nodes == info.n_nodes
+        assert np.array_equal(both, ct._trapezoid(1.0, self._rows(info.n_nodes, [0.3, 0.9]))[0])
+
+    def test_zero_integral_converges_independently_of_its_weight(self):
+        # 1 / (1 - 0.9 z) - 1 integrates to 0; the floor scales with the weight
+        def eval_at(weight):
+            return lambda n: (weight, self._rows(n, [0.9])[0] - 1.0)
+
+        _, unit = ct._drive(eval_at(1.0), 1e-10)
+        _, tiny = ct._drive(eval_at(1e-30), 1e-10)
+        assert unit.n_nodes > ct.DEFAULT_N0 * 2
+        assert tiny.n_nodes == unit.n_nodes
+
+
 class TestSymmetricTestFunctions:
     def test_builtins_are_symmetric(self):
         rng = np.random.default_rng(3)
@@ -320,11 +361,13 @@ class TestRingKernels:
 
     @pytest.mark.parametrize("radius", [1.0, 0.7])
     def test_kernel_on_circle_matches_pointwise_kernel(self, radius):
+        # at alpha = 1 the M-kernel quadrature samples the kernel on the circle
         n = 64
         z = radius * ct._roots(n)
         g_t2 = complex(elliptic_gamma(self.T**2, self.NOME))
-        got = ct._kernel_on_circle(self.T, self.X, n, radius, g_t2, self.NOME)
+        weight, got = ct._m_single(self.T, self.X, n, radius, constant_one(), g_t2, self.NOME)
         want = ct._kernel_at(self.T, self.X, z, g_t2, self.NOME)
+        assert weight == self.NOME.kappa
         # normwise, as at radius 1 the kernel vanishes at z = +-1
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
@@ -399,6 +442,26 @@ class TestCauchyDeformation:
         # t = 0.3 puts kernel poles above the innermost alpha pole
         with pytest.raises(ConstraintViolationError):
             contour_deformation_check(alpha, 0.3, 1.0, 0.16, nome)
+
+    @pytest.mark.parametrize("inner_radius", [None, 0.5])
+    def test_function_without_poles_is_a_domain_error(self, inner_radius):
+        nome = NomePair(0.05, 0.8)
+        for check in (ct.deformation_conditioning, contour_deformation_check):
+            with pytest.raises(DomainError, match="declared poles"):
+                check(constant_one(), 0.1, 1.0, inner_radius, nome)
+
+    def test_conditioning_is_the_inner_probe_floor(self):
+        nome = NomePair(0.05, 0.8)
+        alpha = designated_poles(0.9, 1, nome.q, [1.3 - 0.4j, 0.2 + 0.7j])
+        t, x = 0.05, np.exp(0.3j)
+        radius = ct._deformation_radii(alpha, t, x, None)[2]
+        g_t2 = complex(elliptic_gamma(t * t, nome))
+        _, scale = ct._trapezoid(*ct._m_single(t, x, ct._PROBE_NODES, radius, alpha, g_t2, nome))
+        i_t, _ = ct._trapezoid(*ct._m_single(t, x, ct._PROBE_NODES, 1.0, alpha, g_t2, nome))
+        residue_term = 4j * math.pi * nome.kappa * ct._residue_sum(alpha, t, x, g_t2, nome)
+        value_scale = max(abs(i_t), abs(residue_term))
+        got = ct.deformation_conditioning(alpha, t, x, None, nome)
+        assert got == ct._FLOOR * scale / value_scale
 
     def test_entire_function_sees_no_residues(self):
         # with no poles between the contours the two integrals agree outright
