@@ -23,6 +23,8 @@ import argparse
 import configparser
 import sys
 
+import numpy as np
+
 from .bailey_algebra import d_entry, m_entry
 from .errors import EllipticBaileyError, QuadratureConvergenceError
 from .harness import IDENTITIES, CampaignConfig, run_campaign, summarize
@@ -33,6 +35,7 @@ from .special_functions import (
     gamma_truncation_orders,
     qpochhammer_inf,
     theta,
+    theta_truncation_order,
     _qpoch_order,
 )
 
@@ -151,12 +154,9 @@ def cmd_eval(args) -> int:
     fn = args.function
     if fn == "theta":
         _require(args, ["z"])
-        from .special_functions import DEFAULT_POLICY
-
         val = theta(args.z, args.p)
-        order = _qpoch_order(abs(args.p), max(abs(args.z), 1.0), DEFAULT_POLICY)
         print(f"theta({_fmt(args.z)}; {_fmt(args.p)}) = {_fmt(val)}")
-        print(f"  [q-pochhammer order {order}]")
+        print(f"  [q-pochhammer order {theta_truncation_order(args.z, args.p)}]")
         return EXIT_OK
     _require(args, ["q"])
     nome = NomePair(args.p, args.q)
@@ -170,7 +170,12 @@ def cmd_eval(args) -> int:
         _require(args, ["z", "n"])
         val = elliptic_pochhammer(args.z, args.n, nome)
         print(f"theta({_fmt(args.z)})_{args.n} = {_fmt(val)}")
-        print(f"  [theta factors truncated at order {_theta_order(nome)}]")
+        # the factors theta(z q^j; p), j < n, or theta(z q^j; p), n <= j < 0
+        base = args.z if args.n >= 0 else args.z * nome.q**args.n
+        points = base * nome.q ** np.arange(abs(args.n))
+        if points.size:
+            order = theta_truncation_order(points, nome.p, nome.trunc)
+            print(f"  [theta factors truncated at order {order}]")
     elif fn == "m-entry":
         _require(args, ["N", "m", "a", "k"])
         val = m_entry(args.bigN, args.m, args.a, args.k, nome)

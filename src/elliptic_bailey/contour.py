@@ -860,7 +860,7 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
                       rel_tol: float = DEFAULT_REL_TOL,
                       tolerance: float = 1e-6) -> VerificationReport:
     """Check [M(1/t) M(t) alpha](w) = alpha(w) for symmetric alpha analytic in
-    a wide annulus and |t| in a conservative range.
+    a wide annulus and max(|p|, |q|) < |t| <= 0.45.
 
     M(1/t) needs analytic continuation: its contour must keep the first
     members of the pole ladders w^{+-1}/t (moduli > 1) inside and t w^{+-1}
@@ -873,12 +873,17 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
                                        + Gamma(w^2)/Gamma(t^2 w^2) g(t w),
 
     where g = M(t) alpha is itself evaluated at the correction points by
-    deformed quadrature plus one residue term.
+    deformed quadrature plus one residue term.  For |t| <= max(|p|, |q|) the
+    next ladder poles w^{+-1} p/t or w^{+-1} q/t leave the unit disc as well
+    and would need corrections of their own, so such t is rejected.
     """
     start = time.perf_counter()
     t, w = complex(t), complex(w)
-    if not (0 < abs(t) <= 0.45):
-        raise ConstraintViolationError("inversion check asserts only for 0 < |t| <= 0.45")
+    b = max(abs(nome.p), abs(nome.q))
+    if not (b < abs(t) <= 0.45):
+        raise ConstraintViolationError(
+            f"inversion check asserts only for max(|p|, |q|) = {b:g} < |t| <= 0.45"
+        )
     if abs(abs(w) - 1.0) > 0.2:
         raise ConstraintViolationError("spectator w should sit near the unit circle")
     lo, hi = alpha.annulus
@@ -886,7 +891,6 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
     if not (lo < 0.3 and hi > needed_hi):
         raise ConstraintViolationError("alpha must be analytic in a wide annulus")
 
-    b = max(abs(nome.p), abs(nome.q))
     t_inv = 1.0 / t
     g_t2, g_inv2 = (complex(v) for v in _gamma_vec(np.array([t * t, t_inv * t_inv]), nome))
     gg = lambda v: complex(elliptic_gamma(v, nome))

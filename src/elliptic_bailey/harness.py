@@ -40,38 +40,32 @@ from .special_functions import (
 
 __all__ = ["IDENTITIES", "CampaignConfig", "CampaignSummary", "run_campaign", "summarize"]
 
-IDENTITIES = (
-    "special-functions",
-    "beta-integral",
-    "matrix-bailey",
-    "star-triangle",
-    "coxeter",
-    "residue-reduction",
-    "cauchy-deformation",
-    "finite-difference",
-)
 
-DEFAULT_TOLERANCES = {
-    "special-functions": 1e-11,
-    "beta-integral": 1e-9,
-    "matrix-bailey": 1e-9,
-    "star-triangle": 1e-8,
-    "coxeter": 1e-9,
-    "residue-reduction": 1e-9,
-    "cauchy-deformation": 1e-8,
-    "finite-difference": 1e-5,
+@dataclass(frozen=True)
+class _Identity:
+    """One identity's campaign facts: default tolerance and N, the largest N
+    its runner honours (None: no bound), and the names ``fixed`` may pin, which
+    are exactly those the runner reads; a ``bounded`` one needs modulus < 1."""
+
+    tolerance: float
+    N: int
+    max_N: int | None
+    bounded: tuple = ()
+    free: tuple = ()
+
+
+_IDENTITY = {
+    "special-functions": _Identity(1e-11, 0, 0),
+    "beta-integral": _Identity(1e-9, 0, 0, ("t1", "t2", "t3", "t4", "t5")),
+    "matrix-bailey": _Identity(1e-9, 4, None, ("a", "k", "t_tilde"), ("y",)),
+    "star-triangle": _Identity(1e-8, 0, 0, ("s", "t"), ("y",)),
+    "coxeter": _Identity(1e-9, 4, None, ("a", "k", "t_tilde"), ("y",)),
+    "residue-reduction": _Identity(1e-9, 4, None, ("a", "k")),
+    "cauchy-deformation": _Identity(1e-8, 3, 3, ("z0", "t")),
+    "finite-difference": _Identity(1e-5, 1, 1),
 }
 
-DEFAULT_N = {
-    "special-functions": 0,
-    "beta-integral": 0,
-    "matrix-bailey": 4,
-    "star-triangle": 0,
-    "coxeter": 4,
-    "residue-reduction": 4,
-    "cauchy-deformation": 3,
-    "finite-difference": 1,
-}
+IDENTITIES = tuple(_IDENTITY)
 
 
 @dataclass
@@ -79,8 +73,11 @@ class CampaignConfig:
     """One campaign: which identity, how many draws, where to sample.
 
     ``seed`` is a 64-bit integer that fully determines every draw.  ``fixed``
-    pins named parameters instead of sampling them (validated before the
-    campaign starts).  Unknown keys in ``from_mapping`` are hard errors.
+    pins named parameters instead of sampling them.  The configuration is
+    checked here against the identity's record, so an N the runner does not
+    honour or a name it never reads fails before any draw; a fixed modulus
+    out of range is a validation-failure report of ``run_campaign``.
+    Unknown keys in ``from_mapping`` are hard errors.
     """
 
     identity: str = "matrix-bailey"
@@ -90,8 +87,6 @@ class CampaignConfig:
     tolerance: float | None = None
     p: complex | None = None
     q: complex | None = None
-    p_range: tuple | None = None  # overrides the identity's default sampling range
-    q_range: tuple | None = None
     allow_complex_nomes: bool = False
     retry_cap: int = 100
     amplification_cap: float = 1e5
@@ -101,28 +96,32 @@ class CampaignConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.identity not in IDENTITIES:
+        if self.identity not in _IDENTITY:
             raise DomainError(f"unknown identity {self.identity!r}; choose from {IDENTITIES}")
+        spec = _IDENTITY[self.identity]
         if self.draws < 0 or (self.N is not None and self.N < 0) or self.retry_cap < 1:
             raise DomainError("draws and N must be >= 0, retry_cap >= 1")
+        if spec.max_N is not None and self.effective_N > spec.max_N:
+            admissible = f"N in 0..{spec.max_N}" if spec.max_N else "N = 0"
+            raise DomainError(f"{self.identity} runs only at {admissible}, got N = {self.N}")
+        unknown = sorted(set(self.fixed) - set(spec.bounded + spec.free))
+        if unknown:
+            names = ", ".join(spec.bounded + spec.free) or "nothing"
+            raise DomainError(f"{self.identity} cannot fix {', '.join(unknown)}; [fixed] accepts {names}")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
         if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise DomainError(f"tolerance must be finite and positive, got {self.tolerance}")
-        for name in ("p_range", "q_range"):
-            bounds = getattr(self, name)
-            if bounds is not None and not (len(bounds) == 2 and 0 <= bounds[0] < bounds[1] < 1):
-                raise DomainError(f"{name} must be (lo, hi) with 0 <= lo < hi < 1, got {bounds}")
         if self.spectators < 1:
             raise DomainError("spectators must be >= 1")
 
     @property
     def effective_tolerance(self) -> float:
-        return self.tolerance if self.tolerance is not None else DEFAULT_TOLERANCES[self.identity]
+        return self.tolerance if self.tolerance is not None else _IDENTITY[self.identity].tolerance
 
     @property
     def effective_N(self) -> int:
-        return self.N if self.N is not None else DEFAULT_N[self.identity]
+        return self.N if self.N is not None else _IDENTITY[self.identity].N
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "CampaignConfig":
@@ -170,26 +169,24 @@ def _unit_phase(rng):
     return np.exp(2j * np.pi * rng.uniform())
 
 
-def _draw_nome(cfg: CampaignConfig, rng, q_real=False, p_range=None, q_range=None) -> NomePair:
-    pr = cfg.p_range or p_range or (0.05, 0.12)
-    qr = cfg.q_range or q_range or (0.2, 0.4)
+def _draw_nome(cfg: CampaignConfig, rng, *, p_range, q_range, q_real=False) -> NomePair:
     if cfg.p is not None:
         p = cfg.p
     else:
-        p = rng.uniform(*pr)
+        p = rng.uniform(*p_range)
         if cfg.allow_complex_nomes:
             p = p * _unit_phase(rng)
     if cfg.q is not None:
         q = cfg.q
     else:
-        q = rng.uniform(*qr)
+        q = rng.uniform(*q_range)
         if cfg.allow_complex_nomes and not q_real:
             q = q * _unit_phase(rng)
     return NomePair(p, q)
 
 
-def _validate_fixed_moduli(cfg: CampaignConfig, names_below_one=()):
-    for name in names_below_one:
+def _validate_fixed_moduli(cfg: CampaignConfig):
+    for name in _IDENTITY[cfg.identity].bounded:
         if name in cfg.fixed and abs(complex(cfg.fixed[name])) >= 1.0:
             raise ConstraintViolationError(
                 f"fixed parameter {name} = {cfg.fixed[name]} has modulus >= 1"
@@ -308,13 +305,15 @@ def _run_beta_integral(cfg: CampaignConfig, rng, idx: int) -> VerificationReport
 def _discrete_sampler(cfg: CampaignConfig, rng):
     def build(rng):
         nome = _draw_nome(cfg, rng, q_real=not cfg.allow_complex_nomes,
-                          q_range=(0.25, 0.4))
+                          p_range=(0.05, 0.12), q_range=(0.25, 0.4))
         a = _take(cfg, rng, "a", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
         k = _take(cfg, rng, "k", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
         t = _take(cfg, rng, "t_tilde", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
         # alternate between the y-split parametrization and a free (b, c)
-        # obeying only the product rule; the identity must hold for both
-        if rng.uniform() < 0.5:
+        # obeying only the product rule; the identity must hold for both.  A
+        # fixed y makes every draw y-split; the coin is drawn regardless, so
+        # the stream of an unfixed campaign does not depend on this rule
+        if rng.uniform() < 0.5 or "y" in cfg.fixed:
             y = _take(cfg, rng, "y", lambda r: r.uniform(0.5, 1.5) * _unit_phase(r))
             params = ba.DiscreteParams.from_y(a=a, k=k, t_tilde=t, y=y, N=cfg.effective_N, nome=nome)
             mode = "y-split"
@@ -394,7 +393,7 @@ def _run_residue_reduction(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
 
 
 def _run_cauchy_deformation(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
-    n_poles = min(cfg.effective_N, 3)
+    n_poles = cfg.effective_N
 
     def build(rng):
         nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.03, 0.08), q_range=(0.76, 0.86))
@@ -420,8 +419,6 @@ def _run_cauchy_deformation(cfg: CampaignConfig, rng, idx: int) -> VerificationR
 
 def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
     start = time.perf_counter()
-    if cfg.effective_N not in (0, 1):
-        raise ConstraintViolationError("finite-difference campaigns support N = 0 or 1")
 
     def build(rng):
         nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.05, 0.15), q_range=(0.35, 0.5))
@@ -451,7 +448,8 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         lhs=complex(lhs),
         rhs=complex(rhs),
         residual=residual,
-        tolerance=cfg.effective_tolerance if cfg.effective_N else 1e-14,
+        # N = 0 is exact up to rounding, so its default is tighter
+        tolerance=cfg.effective_tolerance if cfg.effective_N or cfg.tolerance is not None else 1e-14,
         settings=settings,
         wall_time_s=time.perf_counter() - start,
     )
@@ -468,18 +466,6 @@ _RUNNERS = {
     "finite-difference": _run_finite_difference,
 }
 
-_FIXED_BELOW_ONE = {
-    "special-functions": (),
-    "beta-integral": ("t1", "t2", "t3", "t4", "t5"),
-    "matrix-bailey": ("a", "k", "t_tilde"),
-    "coxeter": ("a", "k", "t_tilde"),
-    "star-triangle": ("s", "t"),
-    "residue-reduction": ("a", "k"),
-    "cauchy-deformation": ("z0", "t"),
-    "finite-difference": (),
-}
-
-
 def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """Run all draws of a campaign; deterministic given the config.
 
@@ -488,7 +474,7 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     fixed parameter yields a single validation-failure report and no draws.
     """
     try:
-        _validate_fixed_moduli(config, _FIXED_BELOW_ONE[config.identity])
+        _validate_fixed_moduli(config)
     except ConstraintViolationError as exc:
         return [
             VerificationReport(

@@ -59,6 +59,7 @@ __all__ = [
     "gamma_residue_constant",
     "gamma_quadratic_check",
     "gamma_truncation_orders",
+    "theta_truncation_order",
     "POLE_GUARD_FACTOR",
     "THETA_GUARD",
 ]
@@ -179,17 +180,23 @@ def theta(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
     return out if z_arr.ndim else complex(out)
 
 
+def theta_truncation_order(z, p, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
+    """The order J of the products in one theta call at the nonzero points z:
+    one order serves them all, from the largest of |z| and |p/z| over them."""
+    z = np.abs(np.asarray(z, dtype=complex))
+    return _qpoch_order(abs(p), float(np.max(np.maximum(z, abs(p) / z))), policy)
+
+
 def _theta_raw(z: np.ndarray, p: complex, policy: TruncationPolicy) -> np.ndarray:
     """theta(z; p) for nonzero z of any shape and 0 < |p| < 1, without
     argument checks.
 
-    One truncation order J, from the largest of |z| and |p/z|, serves every
+    One truncation order J (:func:`theta_truncation_order`) serves every
     point.  The (points x J) factor products run over blocks of _THETA_BLOCK
     points, which bounds their temporaries; a point's value does not depend
     on the block it falls in.
     """
-    scale = float(np.max(np.maximum(np.abs(z), abs(p) / np.abs(z))))
-    n = _qpoch_order(abs(p), scale, policy)
+    n = theta_truncation_order(z, p, policy)
     if z.size <= _THETA_BLOCK:
         return _qpoch_raw(z, p, n) * _qpoch_raw(p / z, p, n)
     flat = z.reshape(-1)

@@ -1,8 +1,14 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from elliptic_bailey import cli, special_functions
 from elliptic_bailey.cli import main, parse_complex, CliError
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +92,48 @@ class TestVerify:
         assert len(lines) == 2  # one validation failure + summary
         assert json.loads(lines[0])["error"]
 
+    @pytest.mark.parametrize("argv, admissible", [
+        (("finite-difference", "--N", "2"), "N in 0..1"),
+        (("cauchy-deformation", "--N", "7"), "N in 0..3"),
+        (("cauchy-deformation", "--N", "4"), "N in 0..3"),
+        (("star-triangle", "--N", "5"), "N = 0"),
+        (("special-functions", "--N", "1"), "N = 0"),
+    ])
+    def test_N_the_runner_does_not_honour_exits_2(self, capsys, argv, admissible):
+        code, out, err = run_cli(capsys, "verify", *argv, "--draws", "2", "--json")
+        assert code == 2
+        assert out == ""
+        assert admissible in err
+
+    @pytest.mark.parametrize("identity, name, accepts", [
+        ("beta-integral", "t9", "t1, t2, t3, t4, t5"),
+        ("beta-integral", "a", "t1, t2, t3, t4, t5"),
+        ("matrix-bailey", "t", "a, k, t_tilde, y"),
+        ("special-functions", "z", "nothing"),
+    ])
+    def test_fixed_name_the_runner_never_reads_exits_2(self, capsys, tmp_path, identity, name,
+                                                        accepts):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[campaign]\ndraws = 2\n\n[fixed]\n{name} = 0.5\n")
+        code, out, err = run_cli(capsys, "verify", identity, "--config", str(cfg), "--json")
+        assert code == 2
+        assert out == ""
+        assert f"[fixed] accepts {accepts}" in err
+
+    def test_every_benchmark_campaign_passes_the_config_boundary(self, capsys, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # the dataclass looks it up
+        spec.loader.exec_module(workloads)
+        configs = []
+        monkeypatch.setattr(cli, "run_campaign", lambda config: configs.append(config) or [])
+        argvs = [argv for w in workloads.WORKLOADS.values() for argv in w.round_argv(0, 0)]
+        assert argvs
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert [c.identity for c in configs] == [argv[1] for argv in argvs]
+
     def test_byte_identical_reruns(self, capsys):
         args = ("verify", "special-functions", "--draws", "6", "--seed", "123", "--json")
         _, out1, _ = run_cli(capsys, *args)
@@ -112,6 +160,34 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "theta", "--z", "1", "--p", "0.2")
         assert code == 0
         assert out.splitlines()[0].endswith("= 0.0")
+
+    @pytest.mark.parametrize("argv", [
+        ("theta", "--z", "0.01", "--p", "0.5"),
+        ("theta", "--z", "3+1i", "--p", "0.2-0.1i"),
+        ("pochhammer", "--z", "3", "--n", "4", "--p", "0.5", "--q", "0.5"),
+        ("pochhammer", "--z", "0.3", "--n", "-3", "--p", "0.5", "--q", "0.5"),
+    ])
+    def test_printed_theta_order_is_the_order_used(self, capsys, monkeypatch, argv):
+        # records the product length of every _qpoch_raw call made by theta
+        raw = special_functions._qpoch_raw
+        used = set()
+
+        def recording(z, base, n_terms):
+            if sys._getframe(1).f_code.co_name == "_theta_raw":
+                used.add(n_terms)
+            return raw(z, base, n_terms)
+
+        monkeypatch.setattr(special_functions, "_qpoch_raw", recording)
+        code, out, _ = run_cli(capsys, "eval", *argv)
+        assert code == 0
+        printed = int(out.splitlines()[1].rstrip("]").split()[-1])
+        assert used == {printed}
+
+    def test_pochhammer_of_order_zero_prints_no_theta_order(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "pochhammer", "--z", "3", "--n", "0",
+                               "--p", "0.5", "--q", "0.5")
+        assert code == 0
+        assert out.splitlines() == ["theta(3.0)_0 = 1.0"]
 
     def test_m_entry_triangular_zero(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "m-entry", "--N", "2", "--m", "3",

@@ -251,6 +251,19 @@ class TestApplyM:
         with pytest.raises(ConstraintViolationError):
             m_inversion_check(0.7, np.exp(0.5j), z_plus_inverse(), nome)
 
+    @pytest.mark.parametrize("p, q, t", [(0.1, 0.15, 0.135), (0.1, 0.15, 0.1485),
+                                         (0.1, 0.15, 0.15), (0.2, 0.1, 0.19j)])
+    def test_inversion_rejects_t_inside_the_nomes(self, p, q, t):
+        # for |t| <= max(|p|, |q|) the continuation misses the next ladder
+        # poles: t = 0.135 and 0.1485 at (0.1, 0.15) gave residuals 0.08-0.09
+        with pytest.raises(ConstraintViolationError, match="max"):
+            m_inversion_check(t, np.exp(1.3j), z_plus_inverse(), NomePair(p, q))
+
+    @pytest.mark.parametrize("p, q, t", [(0.1, 0.15, 0.1515), (0.2, 0.1, 0.21j)])
+    def test_inversion_holds_just_outside_the_nomes(self, p, q, t):
+        rep = m_inversion_check(t, np.exp(1.3j), z_plus_inverse(), NomePair(p, q))
+        assert rep.residual < 1e-12, rep.residual
+
 
 class TestDFactor:
     def test_inversion_identity(self):

@@ -31,16 +31,52 @@ class TestCampaignConfig:
         with pytest.raises(DomainError, match="tolerance"):
             CampaignConfig(identity="matrix-bailey", tolerance=tol)
 
-    @pytest.mark.parametrize("bounds", [(1.1, 1.2), (0.4, 0.2), (-0.1, 0.5), (0.3, 1.0)])
-    def test_nome_ranges_inside_unit_interval(self, bounds):
-        with pytest.raises(DomainError, match="q_range"):
-            CampaignConfig(identity="special-functions", q_range=bounds)
-        with pytest.raises(DomainError, match="p_range"):
-            CampaignConfig(identity="special-functions", p_range=bounds)
-
     def test_spectators_at_least_one(self):
         with pytest.raises(DomainError, match="spectators"):
             CampaignConfig(identity="star-triangle", spectators=0)
+
+    @pytest.mark.parametrize("identity, N", [("cauchy-deformation", 3), ("finite-difference", 0),
+                                             ("special-functions", 0), ("matrix-bailey", 40)])
+    def test_N_inside_the_runners_range_accepted(self, identity, N):
+        assert CampaignConfig(identity=identity, N=N).effective_N == N
+
+
+class TestIdentityTable:
+    def test_every_identity_has_a_runner(self):
+        assert list(hmod._RUNNERS) == list(hmod.IDENTITIES)
+
+    @pytest.mark.parametrize("identity", hmod.IDENTITIES)
+    def test_fixable_names_are_the_names_the_runner_reads(self, monkeypatch, identity):
+        read = set()
+        take = hmod._take
+
+        def recording(cfg, rng, name, sampler):
+            read.add(name)
+            return take(cfg, rng, name, sampler)
+
+        monkeypatch.setattr(hmod, "_take", recording)
+        spec = hmod._IDENTITY[identity]
+        run_campaign(CampaignConfig(identity=identity, seed=3, draws=4, N=min(spec.N, 2)))
+        assert read == set(spec.bounded + spec.free)
+
+    def test_fixed_y_makes_every_discrete_draw_y_split(self):
+        cfg = dict(identity="matrix-bailey", draws=6, seed=3, N=2)
+        free = run_campaign(CampaignConfig(**cfg))
+        fixed = run_campaign(CampaignConfig(**cfg, fixed={"y": 1.2}))
+        assert {r.settings["bc_mode"] for r in free} == {"y-split", "free-bc"}
+        assert all(r.settings["bc_mode"] == "y-split" and r.params["y"] == 1.2 for r in fixed)
+        assert all(r.passed for r in fixed)
+        # each draw keeps the nome and the a, k, t_tilde it had without the fixed y
+        for a, b in zip(free, fixed):
+            assert [a.params[k] for k in ("p", "q", "a", "k", "t_tilde")] == \
+                   [b.params[k] for k in ("p", "q", "a", "k", "t_tilde")]
+
+    def test_finite_difference_N0_honours_a_configured_tolerance(self):
+        cfg = dict(identity="finite-difference", draws=1, seed=3, N=0)
+        (default,) = run_campaign(CampaignConfig(**cfg))
+        (configured,) = run_campaign(CampaignConfig(**cfg, tolerance=1e-3))
+        assert default.tolerance == 1e-14
+        assert configured.tolerance == 1e-3
 
 
 class TestThreadCap:
