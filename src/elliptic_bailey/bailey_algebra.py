@@ -21,7 +21,6 @@ realized below.  All theta Pochhammers carry the implicit nome pair (p, q).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -266,6 +265,11 @@ class BaileyMatrix:
         self.entries.setflags(write=False)
 
 
+def _m_rows(N: int, a: complex, k: complex, q) -> tuple[list, list]:
+    """Base points and lengths of the theta table of ``build_M(N, a, k)``."""
+    return [q * a, q, k, k / a, a], [2 * N] * 4 + [2 * N + 1]
+
+
 def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
     """Assemble the (N+1) x (N+1) matrix M(a, k); upper entries are exact zeros.
 
@@ -274,11 +278,8 @@ def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
     denominators theta(qa)_j and theta(q)_j and theta(a; p) are guarded.
     """
     a, k = complex(a), complex(k)
-    q = nome.q
     try:
-        factors, poch = _guarded_pochhammer(
-            [q * a, q, k, k / a, a], [2 * N] * 4 + [2 * N + 1], nome, 2, "a denominator"
-        )
+        factors, poch = _guarded_pochhammer(*_m_rows(N, a, k, nome.q), nome, 2, "a denominator")
     except Exception as exc:
         raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): {exc}") from exc
     if abs(factors[4, 0]) < THETA_GUARD:
@@ -307,6 +308,12 @@ class DiagonalOp:
         self.diag.setflags(write=False)
 
 
+def _d_rows(N: int, a: complex, b: complex, c: complex, q) -> tuple[list, list]:
+    """Base points and lengths of the theta table of ``build_D(N, a, b, c)``."""
+    aq = a * q
+    return [aq / b, aq / c, b, c], [N] * 4
+
+
 def build_D(N: int, a, b, c, nome: NomePair) -> DiagonalOp:
     """The diagonal D_m(a; b, c), m = 0..N, from one theta call on the rows
     theta(z q^j; p), j < N, for z in {aq/b, aq/c, b, c}.
@@ -317,9 +324,8 @@ def build_D(N: int, a, b, c, nome: NomePair) -> DiagonalOp:
     a, b, c = complex(a), complex(b), complex(c)
     if b == 0 or c == 0:
         raise DomainError("D(a; b, c) requires b, c != 0")
-    aq = a * nome.q
-    _, poch = _guarded_pochhammer([aq / b, aq / c, b, c], [N] * 4, nome, 2, "a denominator")
-    diag = _assemble_D(aq, (b, poch[2], poch[0]), (c, poch[3], poch[1]))
+    _, poch = _guarded_pochhammer(*_d_rows(N, a, b, c, nome.q), nome, 2, "a denominator")
+    diag = _assemble_D(a * nome.q, (b, poch[2], poch[0]), (c, poch[3], poch[1]))
     return DiagonalOp(diag=diag, a=a, b=b, c=c)
 
 
@@ -411,7 +417,6 @@ def _matrix_bailey_sides(params: DiscreteParams):
 def verify_matrix_bailey(params: DiscreteParams, tolerance: float = 1e-9) -> VerificationReport:
     """Check M(a,k) D(a;b,c) M(t,a) = D(k;qt/b,qt/c) M(t,k) D(t;b,c) entrywise
     at size ``params.N``, reusing the matrices ``params`` already holds."""
-    start = time.perf_counter()
     lhs, rhs = _matrix_bailey_sides(params)
     residual = relative_residual(lhs, rhs)
     idx = _argmax_residual(lhs, rhs)
@@ -423,7 +428,6 @@ def verify_matrix_bailey(params: DiscreteParams, tolerance: float = 1e-9) -> Ver
         residual=residual,
         tolerance=tolerance,
         settings={"N": params.N},
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -439,7 +443,6 @@ def verify_coxeter(params: DiscreteParams, tolerance: float = 1e-9) -> Verificat
     code path as :func:`verify_matrix_bailey`, so the two residuals agree
     bit for bit on identical draws.  Every matrix comes from ``params``.
     """
-    start = time.perf_counter()
     d = params.diagonals
 
     # S1^2 = M(a, t) M(t, a)
@@ -468,7 +471,6 @@ def verify_coxeter(params: DiscreteParams, tolerance: float = 1e-9) -> Verificat
             "s2_squared_residual": res_s2,
             "cubic_residual": res_cubic,
         },
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -481,7 +483,6 @@ def bressoud_limit_check(N: int, a, k, q, tolerance: float = 1e-6) -> Verificati
     """
     if not (isinstance(q, (int, float)) and 0 < q < 1):
         raise DomainError("bressoud_limit_check expects real q in (0, 1)")
-    start = time.perf_counter()
     p_values = (1e-4, 1e-6, 1e-8)
     mats = [build_M(N, a, k, NomePair(p, q)).entries for p in p_values]
     m_zero = build_M(N, a, k, NomePair(0.0, q)).entries
@@ -501,7 +502,6 @@ def bressoud_limit_check(N: int, a, k, q, tolerance: float = 1e-6) -> Verificati
         tolerance=tolerance,
         settings={"p_values": list(p_values)},
         details={"extrapolation_residual": res_extrap, "smallest_p_residual": res_small},
-        wall_time_s=time.perf_counter() - start,
     )
 
 

@@ -7,10 +7,11 @@ Two command families:
 
 Complex numbers on the command line use ``a+bi`` / ``a-bi`` notation with no
 spaces, e.g. ``--z 0.5+0.2i``.  Campaign options can also come from an INI
-config file (section ``[campaign]``, optional ``[fixed]`` for pinned
-parameters); explicit flags override config values and unknown keys are hard
-errors.  Exit codes: 0 all draws passed, 1 at least one verification failure,
-2 configuration/usage error, 3 internal numerical non-convergence.  JSON mode
+config file (section ``[campaign]``, whose keys are the ``verify`` flags'
+destinations, and optional ``[fixed]`` for pinned parameters); explicit flags
+override config values and unknown keys are hard errors.  Exit codes: 0 all
+draws passed, 1 at least one verification failure, 2 configuration/usage
+error, 3 internal numerical non-convergence.  JSON mode
 (``--json``) emits one report object per line plus a trailing summary object,
 all keyed to the versioned schema tag; floats are hex-encoded so reports
 round-trip losslessly, and timing is excluded unless ``--timing`` is given so
@@ -23,9 +24,7 @@ import argparse
 import configparser
 import sys
 
-import numpy as np
-
-from .bailey_algebra import d_entry, m_entry
+from .bailey_algebra import d_entry, m_entry, _d_rows, _m_rows
 from .errors import EllipticBaileyError, QuadratureConvergenceError
 from .harness import IDENTITIES, CampaignConfig, run_campaign, summarize
 from .special_functions import (
@@ -33,10 +32,9 @@ from .special_functions import (
     elliptic_gamma,
     elliptic_pochhammer,
     gamma_truncation_orders,
-    qpochhammer_inf,
     theta,
     theta_truncation_order,
-    _qpoch_order,
+    _pochhammer_grid,
 )
 
 EXIT_OK = 0
@@ -71,10 +69,6 @@ _CAMPAIGN_KEYS = {
     "p": parse_complex,
     "q": parse_complex,
     "allow_complex_nomes": lambda s: s.lower() in ("1", "true", "yes"),
-    "retry_cap": int,
-    "amplification_cap": float,
-    "spectators": int,
-    "quad_rel_tol": float,
     "threads": int,
 }
 
@@ -172,25 +166,28 @@ def cmd_eval(args) -> int:
         print(f"theta({_fmt(args.z)})_{args.n} = {_fmt(val)}")
         # the factors theta(z q^j; p), j < n, or theta(z q^j; p), n <= j < 0
         base = args.z if args.n >= 0 else args.z * nome.q**args.n
-        points = base * nome.q ** np.arange(abs(args.n))
-        if points.size:
-            order = theta_truncation_order(points, nome.p, nome.trunc)
-            print(f"  [theta factors truncated at order {order}]")
+        _print_theta_order(([base], [abs(args.n)]), nome)
     elif fn == "m-entry":
         _require(args, ["N", "m", "a", "k"])
         val = m_entry(args.bigN, args.m, args.a, args.k, nome)
         print(f"M[{args.bigN}, {args.m}]({_fmt(args.a)}, {_fmt(args.k)}) = {_fmt(val)}")
-        print(f"  [theta factors truncated at order {_theta_order(nome)}]")
+        if args.m <= args.bigN:  # an entry above the diagonal is 0 without a theta call
+            _print_theta_order(_m_rows(args.bigN, args.a, args.k, nome.q), nome)
     elif fn == "d-entry":
         _require(args, ["m", "a", "b", "c"])
         val = d_entry(args.m, args.a, args.b, args.c, nome)
         print(f"D_{args.m}({_fmt(args.a)}; {_fmt(args.b)}, {_fmt(args.c)}) = {_fmt(val)}")
-        print(f"  [theta factors truncated at order {_theta_order(nome)}]")
+        _print_theta_order(_d_rows(args.m, args.a, args.b, args.c, nome.q), nome)
     return EXIT_OK
 
 
-def _theta_order(nome: NomePair) -> int:
-    return _qpoch_order(abs(nome.p), 1.0, nome.trunc)
+def _print_theta_order(rows, nome: NomePair) -> None:
+    """Print the truncation order of the one theta call made on a Pochhammer
+    table's (base points, lengths); nothing when the table has no factor."""
+    grid, used = _pochhammer_grid(*rows, nome.q)
+    if used.any():
+        order = theta_truncation_order(grid[used], nome.p, nome.trunc)
+        print(f"  [theta factors truncated at order {order}]")
 
 
 def _fmt(v) -> str:
@@ -205,8 +202,7 @@ def cmd_verify(args) -> int:
     settings: dict = {}
     if args.config:
         settings.update(load_config_file(args.config))
-    settings["identity"] = args.identity
-    for key in ("draws", "seed", "N", "tolerance", "p", "q", "allow_complex_nomes", "threads"):
+    for key in _CAMPAIGN_KEYS:
         val = getattr(args, key)
         if val is not None:
             settings[key] = val

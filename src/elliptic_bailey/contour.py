@@ -29,7 +29,6 @@ conditioning probe.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -445,7 +444,6 @@ def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
     The left side is quadrature on |z| = 1, the right side a product of
     fifteen gamma values; the report carries the relative residual.
     """
-    start = time.perf_counter()
     ts = [complex(v) for v in (t1, t2, t3, t4, t5)]
     prod5 = np.prod(ts)
     t6 = complex(nome.p * nome.q / prod5)
@@ -475,7 +473,6 @@ def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
         residual=residual,
         tolerance=tolerance,
         settings={"n_nodes": info.n_nodes, "quad_rel_tol": rel_tol},
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -495,7 +492,6 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
     right side is a single quadrature of the D-weighted test function.  The
     residual is the worst relative deviation over the spectator set.
     """
-    start = time.perf_counter()
     s, t, y = complex(s), complex(t), complex(y)
     spectators = [complex(w) for w in spectators]
     root = complex(np.sqrt(complex(nome.p * nome.q)))
@@ -552,7 +548,6 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
         tolerance=tolerance,
         settings={"n_nodes": info.n_nodes, "quad_rel_tol": rel_tol},
         details={"per_spectator": [relative_residual(lhs[i], rhs[i]) for i in range(m)]},
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -636,7 +631,6 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
     steeply towards z = 0, so radii far below the pole trade quadrature
     convergence for cancellation in the trapezoid sum.
     """
-    start = time.perf_counter()
     t, x = complex(t), complex(x)
     kernel_top, pole_lo, inner_radius = _deformation_radii(alpha, t, x, inner_radius)
     pole_hi = max(abs(p) for p in alpha.poles)
@@ -681,7 +675,6 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
         tolerance=tolerance,
         settings={"n_nodes_unit": info_t.n_nodes, "n_nodes_inner": info_c.n_nodes},
         details={"residue_term": complex(residue_term)},
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -786,7 +779,6 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
     """
     from .bailey_algebra import build_M  # local import to avoid a cycle
 
-    start = time.perf_counter()
     z0, t = complex(z0), complex(t)
     a = z0 * z0
     k = (t * z0) ** 2
@@ -848,7 +840,6 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
             "residual_exponent_m_minus_1": res_minus,
             "selected_exponent": selected,
         },
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -877,7 +868,6 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
     next ladder poles w^{+-1} p/t or w^{+-1} q/t leave the unit disc as well
     and would need corrections of their own, so such t is rejected.
     """
-    start = time.perf_counter()
     t, w = complex(t), complex(w)
     b = max(abs(nome.p), abs(nome.q))
     if not (b < abs(t) <= 0.45):
@@ -935,5 +925,4 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         residual=residual,
         tolerance=tolerance,
         settings={"n_nodes": info.n_nodes},
-        wall_time_s=time.perf_counter() - start,
     )

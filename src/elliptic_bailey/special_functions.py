@@ -451,6 +451,16 @@ def elliptic_gamma(z, nome: NomePair):
     return out if z_arr.ndim else complex(out)
 
 
+def _pochhammer_grid(bases, lengths, q) -> tuple[np.ndarray, np.ndarray]:
+    """The points z q^j of a theta-Pochhammer table, one row per base point
+    z, and the mask of its factors j < length: the one theta call of
+    :func:`_guarded_pochhammer` is made at the masked points."""
+    bases = np.asarray(bases, dtype=complex)
+    lengths = np.asarray(lengths)
+    width = int(lengths.max())
+    return bases[:, None] * q ** np.arange(width), np.arange(width) < lengths[:, None]
+
+
 def _guarded_pochhammer(bases, lengths, nome: NomePair, guarded: int = 0, where: str = ""):
     """The one theta-Pochhammer path: a factor table and its sequences.
 
@@ -462,13 +472,9 @@ def _guarded_pochhammer(bases, lengths, nome: NomePair, guarded: int = 0, where:
     :class:`DegenerateParameterError`: a product of many small factors is
     fine, a single small one is not.
     """
-    bases = np.asarray(bases, dtype=complex)
-    lengths = np.asarray(lengths)
-    width = int(lengths.max())
-    grid = bases[:, None] * nome.q ** np.arange(width)
-    used = np.arange(width) < lengths[:, None]
+    grid, used = _pochhammer_grid(bases, lengths, nome.q)
     factors = np.ones_like(grid)
-    if width:
+    if grid.size:
         factors[used] = theta(grid[used], nome.p, nome.trunc)
     mods = np.abs(factors[:guarded])
     if mods.size and mods.min() < THETA_GUARD:

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -7,6 +9,7 @@ import pytest
 
 from elliptic_bailey import cli, special_functions
 from elliptic_bailey.cli import main, parse_complex, CliError
+from elliptic_bailey.harness import IDENTITIES, CampaignConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -86,11 +89,44 @@ class TestVerify:
     def test_inadmissible_fixed_parameter(self, capsys, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[campaign]\ndraws = 4\n\n[fixed]\nt = 1.2\n")
-        code, out, _ = run_cli(capsys, "verify", "star-triangle", "--config", str(cfg), "--json")
-        assert code == 1
-        lines = out.strip().splitlines()
-        assert len(lines) == 2  # one validation failure + summary
-        assert json.loads(lines[0])["error"]
+        code, out, err = run_cli(capsys, "verify", "star-triangle", "--config", str(cfg), "--json")
+        assert code == 2
+        assert out == ""
+        assert "fixed parameter t = " in err
+
+    @pytest.mark.parametrize("argv, ini, named", [
+        (("special-functions", "--p", "1.5"), "", "nome p = "),
+        (("beta-integral", "--q", "-1"), "", "nome q = "),
+        (("matrix-bailey",), "[fixed]\na = 1\n", "parameter a = "),
+        (("star-triangle",), "[campaign]\nretry_cap = 5\n", "retry_cap"),
+    ])
+    def test_config_error_exits_2_before_any_draw(self, capsys, tmp_path, monkeypatch,
+                                                  argv, ini, named):
+        monkeypatch.setattr(cli, "run_campaign", lambda config: pytest.fail("a draw ran"))
+        if ini:
+            cfg = tmp_path / "c.ini"
+            cfg.write_text(ini)
+            argv += ("--config", str(cfg))
+        code, out, err = run_cli(capsys, "verify", *argv, "--draws", "2", "--json")
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    def test_campaign_keys_mirror_the_verify_flags(self):
+        # the CLI contract: INI [campaign] keys mirror the flags one-to-one
+        verify = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices["verify"]
+        dests = {a.dest for a in verify._actions} - {"help", "config", "json", "timing", "verbose"}
+        fields = {f.name for f in dataclasses.fields(CampaignConfig)} - {"fixed"}
+        assert dests == set(cli._CAMPAIGN_KEYS) == fields
+
+    @pytest.mark.parametrize("identity", IDENTITIES)
+    def test_timing_covers_every_identity(self, capsys, identity):
+        code, out, _ = run_cli(capsys, "verify", identity, "--draws", "1", "--seed", "2",
+                               "--json", "--timing")
+        rep = json.loads(out.splitlines()[0])
+        assert rep["error"] is None
+        assert float.fromhex(rep["wall_time_s"]["f"]) > 0.0
 
     @pytest.mark.parametrize("argv, admissible", [
         (("finite-difference", "--N", "2"), "N in 0..1"),
@@ -166,6 +202,11 @@ class TestEval:
         ("theta", "--z", "3+1i", "--p", "0.2-0.1i"),
         ("pochhammer", "--z", "3", "--n", "4", "--p", "0.5", "--q", "0.5"),
         ("pochhammer", "--z", "0.3", "--n", "-3", "--p", "0.5", "--q", "0.5"),
+        ("m-entry", "--N", "2", "--m", "1", "--a", "0.3", "--k", "0.7", "--p", "0.1", "--q", "0.2"),
+        ("d-entry", "--m", "3", "--a", "0.4", "--b", "0.5", "--c", "0.9", "--p", "0.1", "--q", "0.2"),
+        # no theta call, so no order is printed
+        ("m-entry", "--N", "2", "--m", "3", "--a", "0.3", "--k", "0.7", "--p", "0.1", "--q", "0.2"),
+        ("d-entry", "--m", "0", "--a", "0.4", "--b", "0.5", "--c", "0.9", "--p", "0.1", "--q", "0.2"),
     ])
     def test_printed_theta_order_is_the_order_used(self, capsys, monkeypatch, argv):
         # records the product length of every _qpoch_raw call made by theta
@@ -180,8 +221,9 @@ class TestEval:
         monkeypatch.setattr(special_functions, "_qpoch_raw", recording)
         code, out, _ = run_cli(capsys, "eval", *argv)
         assert code == 0
-        printed = int(out.splitlines()[1].rstrip("]").split()[-1])
-        assert used == {printed}
+        printed = {int(line.rstrip("]").split()[-1]) for line in out.splitlines()[1:]}
+        assert used == printed
+        assert len(used) <= 1
 
     def test_pochhammer_of_order_zero_prints_no_theta_order(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "pochhammer", "--z", "3", "--n", "0",

@@ -31,10 +31,6 @@ class TestCampaignConfig:
         with pytest.raises(DomainError, match="tolerance"):
             CampaignConfig(identity="matrix-bailey", tolerance=tol)
 
-    def test_spectators_at_least_one(self):
-        with pytest.raises(DomainError, match="spectators"):
-            CampaignConfig(identity="star-triangle", spectators=0)
-
     @pytest.mark.parametrize("identity, N", [("cauchy-deformation", 3), ("finite-difference", 0),
                                              ("special-functions", 0), ("matrix-bailey", 40)])
     def test_N_inside_the_runners_range_accepted(self, identity, N):
@@ -175,8 +171,32 @@ class TestPointwiseBatching:
         (rep,) = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=1))
         assert rep.passed and rep.settings["rejected"] == 0
         p, q = rep.params["p"], rep.params["q"]
-        # the sampler's 13 points at (p, q), then Gamma(z; q, p)
-        assert calls == [((p, q), 13), ((q, p), 1)]
+        # the sampler's 14 points at (p, q), then Gamma(z; q, p)
+        assert calls == [((p, q), 14), ((q, p), 1)]
+
+    def test_residue_limit_fails_when_only_qq_inf_is_off(self, monkeypatch):
+        # (q; q)_inf enters gamma_residue_constant but not the gamma engine,
+        # so an error in it alone must show in residue_limit
+        from elliptic_bailey import special_functions
+
+        cfg = CampaignConfig(identity="special-functions", seed=3, draws=1)
+        (reference,) = run_campaign(cfg)
+        q = reference.params["q"]
+        qpoch = special_functions.qpochhammer_inf
+
+        def perturbed(z, base, policy=special_functions.DEFAULT_POLICY):
+            value = qpoch(z, base, policy)
+            return value * (1 + 1e-9) if np.ndim(z) == 0 and z == base == q else value
+
+        # every binding of the name, so that a check rebuilding the constant
+        # from the same products would see the same error and cancel it
+        monkeypatch.setattr(special_functions, "qpochhammer_inf", perturbed)
+        monkeypatch.setattr(hmod, "qpochhammer_inf", perturbed, raising=False)
+        (rep,) = run_campaign(cfg)
+        assert reference.passed and reference.details["residue_limit"] < 1e-14
+        assert not rep.passed
+        assert rep.details["residue_limit"] == pytest.approx(1e-9, rel=1e-3)
+        assert rep.residual == rep.details["residue_limit"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_residue_draw_is_rejected(self):
@@ -218,18 +238,20 @@ class TestDeterminism:
 
 class TestValidationAndErrors:
     def test_inadmissible_fixed_parameter(self):
-        cfg = CampaignConfig(identity="star-triangle", draws=5, fixed={"t": 1.2})
-        reports = run_campaign(cfg)
-        assert len(reports) == 1
-        assert reports[0].error is not None
-        assert not reports[0].passed
-        assert reports[0].settings.get("validation_failure")
+        with pytest.raises(DomainError, match=r"\bt = 1.2 needs modulus < 1"):
+            CampaignConfig(identity="star-triangle", draws=5, fixed={"t": 1.2})
+
+    @pytest.mark.parametrize("identity", ["matrix-bailey", "star-triangle"])
+    def test_fixed_y_of_modulus_two_is_admissible(self, identity):
+        cfg = CampaignConfig(identity=identity, draws=1, seed=4, fixed={"y": 2.0})
+        (rep,) = run_campaign(cfg)
+        assert rep.error is None and rep.params["y"] == 2.0
 
     def test_error_isolation(self):
         # an impossible fixed parameter set errors every draw via the retry
         # cap, without aborting the campaign
         cfg = CampaignConfig(
-            identity="matrix-bailey", draws=3, N=2, retry_cap=5,
+            identity="matrix-bailey", draws=3, N=2,
             fixed={"a": 0.5, "k": 0.5},  # a = k makes theta(k/a) = theta(1) = 0
         )
         reports = run_campaign(cfg)
@@ -248,6 +270,8 @@ class TestValidationAndErrors:
         reports = run_campaign(CampaignConfig(identity="beta-integral", draws=2))
         assert all(r.error.startswith("non-convergence") for r in reports)
         assert all(not r.passed for r in reports)
+        # run_campaign times every draw, an error report's too
+        assert all(r.wall_time_s > 0.0 for r in reports)
 
 
 class TestInternalErrors:
