@@ -13,7 +13,6 @@ from .errors import (
 )
 from .special_functions import (
     NomePair,
-    TruncationPolicy,
     elliptic_gamma,
     elliptic_pochhammer,
     gamma_quadratic_check,

@@ -9,13 +9,14 @@ Complex numbers on the command line use ``a+bi`` / ``a-bi`` notation with no
 spaces, e.g. ``--z 0.5+0.2i``.  Campaign options can also come from an INI
 config file (section ``[campaign]``, whose keys are the ``verify`` flags'
 destinations, and optional ``[fixed]`` for pinned parameters); explicit flags
-override config values and unknown keys are hard errors.  Exit codes: 0 all
-draws passed, 1 at least one verification failure, 2 configuration/usage
-error, 3 internal numerical non-convergence.  JSON mode
-(``--json``) emits one report object per line plus a trailing summary object,
-all keyed to the versioned schema tag; floats are hex-encoded so reports
-round-trip losslessly, and timing is excluded unless ``--timing`` is given so
-that reruns with the same seed are byte-identical.
+override config values, and unknown keys or an ``identity`` other than the
+command's are hard errors.  Exit codes: 0 all draws passed, 1 at least one
+verification failure, 2 configuration/usage error, 3 internal numerical
+non-convergence.  JSON mode (``--json``) emits one report object per line
+plus a trailing summary object, all keyed to the versioned schema tag; floats
+are hex-encoded so reports round-trip losslessly, and timing is excluded
+unless ``--timing`` is given so that reruns with the same seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def parse_complex(text: str) -> complex:
         raise CliError(f"cannot parse complex number {text!r} (use a+bi notation)") from exc
 
 
+def _parse_bool(text: str) -> bool:
+    """configparser's boolean spellings: 1/yes/true/on and 0/no/false/off."""
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if state is None:
+        raise ValueError("not a boolean; use 1/yes/true/on or 0/no/false/off")
+    return state
+
+
 _CAMPAIGN_KEYS = {
     "identity": str,
     "draws": int,
@@ -68,7 +77,7 @@ _CAMPAIGN_KEYS = {
     "tolerance": float,
     "p": parse_complex,
     "q": parse_complex,
-    "allow_complex_nomes": lambda s: s.lower() in ("1", "true", "yes"),
+    "allow_complex_nomes": _parse_bool,
     "threads": int,
 }
 
@@ -129,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--p", type=parse_complex, required=True)
     ev.add_argument("--q", type=parse_complex)
     ev.add_argument("--n", type=int, help="pochhammer order (may be negative)")
-    ev.add_argument("--N", type=int, dest="bigN")
+    ev.add_argument("--N", type=int)
     ev.add_argument("--m", type=int)
     ev.add_argument("--a", type=parse_complex)
     ev.add_argument("--k", type=parse_complex)
@@ -139,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require(args, names):
-    missing = [n for n in names if getattr(args, "bigN" if n == "N" else n.replace("-", "_")) is None]
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         raise CliError(f"missing required arguments: {', '.join('--' + n for n in missing)}")
 
@@ -169,10 +178,10 @@ def cmd_eval(args) -> int:
         _print_theta_order(([base], [abs(args.n)]), nome)
     elif fn == "m-entry":
         _require(args, ["N", "m", "a", "k"])
-        val = m_entry(args.bigN, args.m, args.a, args.k, nome)
-        print(f"M[{args.bigN}, {args.m}]({_fmt(args.a)}, {_fmt(args.k)}) = {_fmt(val)}")
-        if args.m <= args.bigN:  # an entry above the diagonal is 0 without a theta call
-            _print_theta_order(_m_rows(args.bigN, args.a, args.k, nome.q), nome)
+        val = m_entry(args.N, args.m, args.a, args.k, nome)
+        print(f"M[{args.N}, {args.m}]({_fmt(args.a)}, {_fmt(args.k)}) = {_fmt(val)}")
+        if args.m <= args.N:  # an entry above the diagonal is 0 without a theta call
+            _print_theta_order(_m_rows(args.N, args.a, args.k, nome.q), nome)
     elif fn == "d-entry":
         _require(args, ["m", "a", "b", "c"])
         val = d_entry(args.m, args.a, args.b, args.c, nome)
@@ -186,7 +195,7 @@ def _print_theta_order(rows, nome: NomePair) -> None:
     table's (base points, lengths); nothing when the table has no factor."""
     grid, used = _pochhammer_grid(*rows, nome.q)
     if used.any():
-        order = theta_truncation_order(grid[used], nome.p, nome.trunc)
+        order = theta_truncation_order(grid[used], nome.p)
         print(f"  [theta factors truncated at order {order}]")
 
 
@@ -202,6 +211,9 @@ def cmd_verify(args) -> int:
     settings: dict = {}
     if args.config:
         settings.update(load_config_file(args.config))
+        if settings.get("identity", args.identity) != args.identity:
+            raise CliError(f"config file sets identity {settings['identity']} "
+                           f"but the command runs {args.identity}")
     for key in _CAMPAIGN_KEYS:
         val = getattr(args, key)
         if val is not None:

@@ -80,6 +80,9 @@ DEFAULT_REL_TOL = 1e-10
 _ROW_CHUNK = 256
 # grid size of the conditioning probe of the deformation check
 _PROBE_NODES = 64
+# first and largest node counts of a small residue circle's trapezoid rule
+_RESIDUE_N0 = 32
+_RESIDUE_NODE_CAP = 4096
 # rounding floor of a trapezoid sum, relative to the scale _trapezoid reports
 _FLOOR = 50.0 * np.finfo(float).eps
 
@@ -160,14 +163,14 @@ def circle_integral(f, grid: QuadratureGrid, rel_tol: float | None = None,
     return complex(_drive(eval_at, rel_tol, n0=grid.n_nodes, cap=max_nodes)[0])
 
 
-def _offcenter_residue(f, center: complex, radius: float, rel_tol: float,
-                       n0: int = 32, cap: int = 4096) -> complex:
+def _offcenter_residue(f, center: complex, radius: float, rel_tol: float) -> complex:
     """(1 / 2 pi i) * integral of f(z) dz around a small positively oriented circle."""
     def eval_at(n):
         step = radius * _roots(n)
         return 1 / (2j * math.pi), np.asarray(f(center + step), dtype=complex) * step
 
-    return complex(_drive(eval_at, rel_tol, n0=n0, cap=cap, label="residue circle")[0])
+    return complex(_drive(eval_at, rel_tol, n0=_RESIDUE_N0, cap=_RESIDUE_NODE_CAP,
+                          label="residue circle")[0])
 
 
 # --------------------------------------------------------------------------
@@ -326,8 +329,8 @@ def _theta_rings(n: int, radius: float, nome: NomePair):
     on the grid z_k = r w^k, n even.  z_k^2 = r^2 w^{2k} runs twice over the
     (n/2)-ring, where the thetas are evaluated."""
     half = _roots(n // 2)
-    tq = np.asarray(theta(radius**2 * half, nome.q, nome.trunc), dtype=complex)
-    tp = np.asarray(theta(radius**-2 * half, nome.p, nome.trunc), dtype=complex)
+    tq = np.asarray(theta(radius**2 * half, nome.q), dtype=complex)
+    tp = np.asarray(theta(radius**-2 * half, nome.p), dtype=complex)
     return np.tile(tq * _reflect(tp), 2)
 
 
@@ -563,9 +566,7 @@ def _kernel_at(t: complex, x: complex, z, g_t2: complex, nome: NomePair):
     g = _gamma_vec(np.concatenate([t * x * flat, t * x / flat, t * flat / x, t / (x * flat)]),
                    nome).reshape(4, -1)
     num = (g[0] * g[1] * g[2] * g[3]).reshape(z.shape)
-    dden = np.asarray(theta(z * z, nome.q, nome.trunc), dtype=complex) * np.asarray(
-        theta(z**-2, nome.p, nome.trunc), dtype=complex
-    )
+    dden = theta(z * z, nome.q) * theta(z**-2, nome.p)
     return num * dden / g_t2
 
 

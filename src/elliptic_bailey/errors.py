@@ -27,7 +27,7 @@ class QuadratureConvergenceError(EllipticBaileyError):
 
 
 class TruncationLimitError(EllipticBaileyError):
-    """The adaptive truncation rule needs more terms than the policy allows."""
+    """The truncation rule needs more than ``MAX_TERMS`` terms of a product or series."""
 
 
 class BaileyPairError(EllipticBaileyError):

@@ -25,8 +25,10 @@ Gamma(u z) = theta(z; v) Gamma(z) undoes the shift:
     Gamma(z) = Gamma(w) / prod_{j<k} theta(z u^j; v)       for k > 0,
     Gamma(z) = Gamma(w) * prod_{j<-k} theta(w u^j; v)      for k < 0.
 
-The series order M is the smallest with the tail bound
-2 r^{M+1} / ((1 - r)(1 - |p|)(1 - |q|)) below the policy's tolerance.
+Every product and series keeps the fewest terms whose relative tail bound,
+2 r^{M+1} / ((1 - r)(1 - |p|)(1 - |q|)) for the series, is below
+``TRUNCATION_TOL`` = 1e-14; needing more than ``MAX_TERMS`` = 500 000 terms
+raises :class:`TruncationLimitError`.
 
 One engine, ``_gamma_rings``, evaluates gamma on R rings of n points
 s_i exp(2 pi i j / n); a flat array of single points is its n = 1 case.  On a
@@ -42,14 +44,13 @@ default floating type is hardware complex128 (unit roundoff ~1e-16).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, PoleProximityError, DegenerateParameterError, TruncationLimitError
 
 __all__ = [
-    "TruncationPolicy",
     "NomePair",
     "qpochhammer_inf",
     "theta",
@@ -62,43 +63,20 @@ __all__ = [
     "theta_truncation_order",
     "POLE_GUARD_FACTOR",
     "THETA_GUARD",
+    "TRUNCATION_TOL",
+    "MAX_TERMS",
 ]
 
 # |1 - z p^j q^k| < POLE_GUARD_FACTOR * |z| marks z as numerically on the pole lattice.
 POLE_GUARD_FACTOR = 1e-13
 # |theta| below this in any denominator marks the parameter set as degenerate.
 THETA_GUARD = 1e-10
+# the relative tail bound of every truncated product and series, and its term cap
+TRUNCATION_TOL = 1e-14
+MAX_TERMS = 500_000
 # points per block of a theta evaluation's (points x J) factor products; one
 # block over a large call builds temporaries that outgrow the cache
 _THETA_BLOCK = 2048
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """How infinite products and series are truncated.
-
-    In ``adaptive`` mode a q-Pochhammer product keeps the smallest number J of
-    factors with ``C * b**J < target_rel_tol``, where ``b`` is the base modulus
-    and ``C`` the tail constant of :func:`_qpoch_order`; the gamma series keeps
-    the smallest number M of terms with
-    ``2 r**(M+1) / ((1-r)(1-|p|)(1-|q|)) < target_rel_tol`` (see
-    :func:`_series_order`).  An order above ``max_terms`` raises
-    :class:`TruncationLimitError`.  In ``fixed_terms`` mode exactly
-    ``max_terms`` product factors or series terms are used.
-    """
-
-    target_rel_tol: float = 1e-14
-    max_terms: int = 500_000
-    mode: str = "adaptive"
-
-    def __post_init__(self):
-        if self.mode not in ("adaptive", "fixed_terms"):
-            raise DomainError(f"unknown truncation mode {self.mode!r}")
-        if self.target_rel_tol <= 0 or self.max_terms < 1:
-            raise DomainError("target_rel_tol must be positive and max_terms >= 1")
-
-
-DEFAULT_POLICY = TruncationPolicy()
 
 
 _ROOT_CACHE: dict[int, np.ndarray] = {}
@@ -114,25 +92,26 @@ def _roots(n: int) -> np.ndarray:
     return r
 
 
-def _qpoch_order(base_mod: float, scale: float, policy: TruncationPolicy) -> int:
+def _truncation_order(c: float, base: float, what: str) -> int:
+    """The smallest J >= 1 with tail bound c * base**J < TRUNCATION_TOL, for
+    0 < base < 1; raises :class:`TruncationLimitError` when J > MAX_TERMS."""
+    j = max(1, int(math.ceil(math.log(TRUNCATION_TOL / c) / math.log(base))))
+    while c * base**j >= TRUNCATION_TOL:
+        j += 1
+    if j > MAX_TERMS:
+        raise TruncationLimitError(f"{what} needs {j} terms (base {base:g}), cap is {MAX_TERMS}")
+    return j
+
+
+def _qpoch_order(base_mod: float, scale: float) -> int:
     """Truncation order for (z; b)_inf.
 
     Tail bound: |log prod_{j>=J} (1 - z b^j)| <= 2 |z| b^J / (1 - b) for
     |z| b^J < 1/2, so C = 2 max(scale, 1) / (1 - b).
     """
-    if policy.mode == "fixed_terms":
-        return policy.max_terms
     if base_mod == 0.0:
         return 1
-    c = 2.0 * max(scale, 1.0) / (1.0 - base_mod)
-    j = max(1, int(math.ceil(math.log(policy.target_rel_tol / c) / math.log(base_mod))))
-    while c * base_mod**j >= policy.target_rel_tol:
-        j += 1
-    if j > policy.max_terms:
-        raise TruncationLimitError(
-            f"q-Pochhammer needs {j} terms (|base|={base_mod:g}), cap is {policy.max_terms}"
-        )
-    return j
+    return _truncation_order(2.0 * max(scale, 1.0) / (1.0 - base_mod), base_mod, "q-Pochhammer")
 
 
 def _qpoch_raw(z: np.ndarray, base: complex, n_terms: int) -> np.ndarray:
@@ -141,10 +120,10 @@ def _qpoch_raw(z: np.ndarray, base: complex, n_terms: int) -> np.ndarray:
     return np.prod(1.0 - z[..., None] * powers, axis=-1)
 
 
-def qpochhammer_inf(z, base, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Infinite q-Pochhammer symbol (z; base)_inf, truncated per policy.
+def qpochhammer_inf(z, base):
+    """Infinite q-Pochhammer symbol (z; base)_inf.
 
-    The relative truncation error is below ``policy.target_rel_tol`` with the
+    The relative truncation error is below ``TRUNCATION_TOL`` with the
     tail constant C = 2 max(|z|, 1)/(1 - |base|).  ``z`` may be a scalar or an
     array.  Raises :class:`DomainError` for |base| >= 1.
     """
@@ -156,12 +135,12 @@ def qpochhammer_inf(z, base, policy: TruncationPolicy = DEFAULT_POLICY):
         out = 1.0 - z_arr
         return out if z_arr.ndim else complex(out)
     scale = float(np.max(np.abs(z_arr))) if z_arr.size else 1.0
-    n = _qpoch_order(abs(base), scale, policy)
+    n = _qpoch_order(abs(base), scale)
     out = _qpoch_raw(z_arr, base, n)
     return out if z_arr.ndim else complex(out)
 
 
-def theta(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
+def theta(z, p):
     """Short Jacobi theta function theta(z; p) = (z; p)_inf (p/z; p)_inf.
 
     Zeros sit exactly on z = p^j, j in Z.  Raises :class:`DomainError` on
@@ -176,18 +155,18 @@ def theta(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
     if p == 0.0:
         out = 1.0 - z_arr
         return out if z_arr.ndim else complex(out)
-    out = _theta_raw(z_arr, p, policy)
+    out = _theta_raw(z_arr, p)
     return out if z_arr.ndim else complex(out)
 
 
-def theta_truncation_order(z, p, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
+def theta_truncation_order(z, p) -> int:
     """The order J of the products in one theta call at the nonzero points z:
     one order serves them all, from the largest of |z| and |p/z| over them."""
     z = np.abs(np.asarray(z, dtype=complex))
-    return _qpoch_order(abs(p), float(np.max(np.maximum(z, abs(p) / z))), policy)
+    return _qpoch_order(abs(p), float(np.max(np.maximum(z, abs(p) / z))))
 
 
-def _theta_raw(z: np.ndarray, p: complex, policy: TruncationPolicy) -> np.ndarray:
+def _theta_raw(z: np.ndarray, p: complex) -> np.ndarray:
     """theta(z; p) for nonzero z of any shape and 0 < |p| < 1, without
     argument checks.
 
@@ -196,7 +175,7 @@ def _theta_raw(z: np.ndarray, p: complex, policy: TruncationPolicy) -> np.ndarra
     points, which bounds their temporaries; a point's value does not depend
     on the block it falls in.
     """
-    n = theta_truncation_order(z, p, policy)
+    n = theta_truncation_order(z, p)
     if z.size <= _THETA_BLOCK:
         return _qpoch_raw(z, p, n) * _qpoch_raw(p / z, p, n)
     flat = z.reshape(-1)
@@ -207,43 +186,30 @@ def _theta_raw(z: np.ndarray, p: complex, policy: TruncationPolicy) -> np.ndarra
     return out.reshape(z.shape)
 
 
+@dataclass(frozen=True)
 class NomePair:
-    """The two base parameters (p, q) with a truncation policy and cached
-    derived constants (p; p)_inf, (q; q)_inf and kappa = (p;p)_inf (q;q)_inf / (4 pi i).
+    """The two base parameters (p, q) with cached derived constants
+    (p; p)_inf, (q; q)_inf and kappa = (p;p)_inf (q;q)_inf / (4 pi i).
 
-    Immutable after construction; instances are safe to share across threads
-    (the cached gamma series coefficients only ever grow to identical values).
+    Frozen and compared on (p, q); safe to share across threads (the cached
+    gamma series coefficients only ever grow to identical values).
     """
 
-    __slots__ = ("p", "q", "trunc", "_pp_inf", "_qq_inf", "_series_coeffs")
+    p: complex
+    q: complex
+    _pp_inf: complex = field(init=False, repr=False, compare=False)
+    _qq_inf: complex = field(init=False, repr=False, compare=False)
+    _series_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, p, q, trunc: TruncationPolicy = DEFAULT_POLICY):
-        p, q = complex(p), complex(q)
+    def __post_init__(self):
+        p, q = complex(self.p), complex(self.q)
         if abs(p) >= 1.0 or abs(q) >= 1.0:
             raise DomainError(f"nomes must satisfy |p|, |q| < 1, got |p|={abs(p):g}, |q|={abs(q):g}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_pp_inf", qpochhammer_inf(p, p, trunc))
-        object.__setattr__(self, "_qq_inf", qpochhammer_inf(q, q, trunc))
+        object.__setattr__(self, "_pp_inf", qpochhammer_inf(p, p))
+        object.__setattr__(self, "_qq_inf", qpochhammer_inf(q, q))
         object.__setattr__(self, "_series_coeffs", np.empty(0, dtype=complex))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NomePair is immutable")
-
-    def __repr__(self):
-        return f"NomePair(p={self.p!r}, q={self.q!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NomePair)
-            and self.p == other.p
-            and self.q == other.q
-            and self.trunc == other.trunc
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.trunc))
 
     @property
     def pp_inf(self) -> complex:
@@ -262,7 +228,7 @@ class NomePair:
 
     def swapped(self) -> "NomePair":
         """The pair with p and q exchanged (for base-symmetry checks)."""
-        return NomePair(self.q, self.p, self.trunc)
+        return NomePair(self.q, self.p)
 
     def series_coefficients(self, order: int) -> np.ndarray:
         """The gamma series coefficients 1 / (m (1 - p^m)(1 - q^m)), m = 1..order."""
@@ -303,21 +269,10 @@ def _series_order(nome: NomePair, r: float) -> int:
 
     Every coefficient has modulus <= 1/((1-|p|)(1-|q|)), so the tail after M
     terms is at most 2 r^{M+1} / ((1-r)(1-|p|)(1-|q|)); M is the smallest
-    order making that bound < target_rel_tol.
+    order >= 1 making that bound < TRUNCATION_TOL.
     """
-    policy = nome.trunc
-    if policy.mode == "fixed_terms":
-        return policy.max_terms
     c = 2.0 / ((1.0 - r) * (1.0 - abs(nome.p)) * (1.0 - abs(nome.q)))
-    tol = policy.target_rel_tol
-    m = max(1, int(math.ceil(math.log(tol / c) / math.log(r))) - 1)
-    while c * r ** (m + 1) >= tol:
-        m += 1
-    if m > policy.max_terms:
-        raise TruncationLimitError(
-            f"elliptic gamma series needs {m} terms (r={r:g}), cap is {policy.max_terms}"
-        )
-    return m
+    return max(1, _truncation_order(c, r, "elliptic gamma series") - 1)
 
 
 def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
@@ -431,7 +386,7 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
         if n > 1:
             x = x[:, None] * _roots(n)
         log_theta = np.zeros(used.shape + x.shape[1:], dtype=complex)
-        log_theta[used] = np.log(1.0 - x if v == 0 else _theta_raw(x, v, nome.trunc))
+        log_theta[used] = np.log(1.0 - x if v == 0 else _theta_raw(x, v))
         log_gamma -= np.sign(k) * log_theta.sum(axis=1).T
     return np.exp(log_gamma).T
 
@@ -475,7 +430,7 @@ def _guarded_pochhammer(bases, lengths, nome: NomePair, guarded: int = 0, where:
     grid, used = _pochhammer_grid(bases, lengths, nome.q)
     factors = np.ones_like(grid)
     if grid.size:
-        factors[used] = theta(grid[used], nome.p, nome.trunc)
+        factors[used] = theta(grid[used], nome.p)
     mods = np.abs(factors[:guarded])
     if mods.size and mods.min() < THETA_GUARD:
         i = np.unravel_index(np.argmin(mods), mods.shape)

@@ -8,7 +8,9 @@ annulus series; the tests compare the series against it, pole guard included.
 ``m_entry_reference`` and ``d_entry_reference`` are the per-entry M and D
 formulas the library used before it assembled both from guarded
 theta-Pochhammer sequences; the tests compare ``build_M`` and ``build_D``
-against them.
+against them.  ``qpoch_order_reference`` and ``series_order_reference`` are
+the product and series order rules the library kept separately before one
+``_truncation_order`` served both.
 """
 
 import math
@@ -24,8 +26,10 @@ from elliptic_bailey.errors import (
     TruncationLimitError,
 )
 from elliptic_bailey.special_functions import (
+    MAX_TERMS,
     POLE_GUARD_FACTOR,
     THETA_GUARD,
+    TRUNCATION_TOL,
     NomePair,
     elliptic_pochhammer,
     theta,
@@ -86,6 +90,47 @@ def theta_pochhammer(z, n, p, q):
 
 
 # ---------------------------------------------------------------------------
+# the former order rules
+# ---------------------------------------------------------------------------
+
+def qpoch_order_reference(base_mod: float, scale: float) -> int:
+    """Truncation order for (z; b)_inf.
+
+    Tail bound: |log prod_{j>=J} (1 - z b^j)| <= 2 |z| b^J / (1 - b) for
+    |z| b^J < 1/2, so C = 2 max(scale, 1) / (1 - b).
+    """
+    if base_mod == 0.0:
+        return 1
+    c = 2.0 * max(scale, 1.0) / (1.0 - base_mod)
+    j = max(1, int(math.ceil(math.log(TRUNCATION_TOL / c) / math.log(base_mod))))
+    while c * base_mod**j >= TRUNCATION_TOL:
+        j += 1
+    if j > MAX_TERMS:
+        raise TruncationLimitError(
+            f"q-Pochhammer needs {j} terms (|base|={base_mod:g}), cap is {MAX_TERMS}"
+        )
+    return j
+
+
+def series_order_reference(p_mod: float, q_mod: float, r: float) -> int:
+    """Number M of series terms for series radius r < 1.
+
+    Every coefficient has modulus <= 1/((1-|p|)(1-|q|)), so the tail after M
+    terms is at most 2 r^{M+1} / ((1-r)(1-|p|)(1-|q|)); M is the smallest
+    order making that bound < TRUNCATION_TOL.
+    """
+    c = 2.0 / ((1.0 - r) * (1.0 - p_mod) * (1.0 - q_mod))
+    m = max(1, int(math.ceil(math.log(TRUNCATION_TOL / c) / math.log(r))) - 1)
+    while c * r ** (m + 1) >= TRUNCATION_TOL:
+        m += 1
+    if m > MAX_TERMS:
+        raise TruncationLimitError(
+            f"elliptic gamma series needs {m} terms (r={r:g}), cap is {MAX_TERMS}"
+        )
+    return m
+
+
+# ---------------------------------------------------------------------------
 # numpy double product (the library's former gamma path)
 # ---------------------------------------------------------------------------
 
@@ -94,15 +139,11 @@ def _gamma_order(nome: NomePair, scale: float) -> tuple[int, int]:
 
     The rectangle j <= J_p, k <= J_q leaves two geometric tails; each is
     bounded by C * b^{J+1} with C = (|z| + |pq/z| + 1) / ((1-|p|)(1-|q|)),
-    and each order is the smallest making its tail < target_rel_tol / 2.
+    and each order is the smallest making its tail < TRUNCATION_TOL / 2.
     """
-    policy = nome.trunc
     ap, aq = abs(nome.p), abs(nome.q)
-    if policy.mode == "fixed_terms":
-        side = max(int(math.isqrt(policy.max_terms)) - 1, 0)
-        return side, side
     c = (scale + 1.0) / ((1.0 - ap) * (1.0 - aq))
-    half = policy.target_rel_tol / 2.0
+    half = TRUNCATION_TOL / 2.0
 
     def order_for(base):
         if base == 0.0:
@@ -113,9 +154,9 @@ def _gamma_order(nome: NomePair, scale: float) -> tuple[int, int]:
         return j
 
     jp, jq = order_for(ap), order_for(aq)
-    if (jp + 1) * (jq + 1) > policy.max_terms:
+    if (jp + 1) * (jq + 1) > MAX_TERMS:
         raise TruncationLimitError(
-            f"elliptic gamma needs {(jp + 1) * (jq + 1)} terms, cap is {policy.max_terms}"
+            f"elliptic gamma needs {(jp + 1) * (jq + 1)} terms, cap is {MAX_TERMS}"
         )
     return jp, jq
 
@@ -187,7 +228,7 @@ def _guarded_pochhammer(z, n: int, nome: NomePair, label: str) -> complex:
     (a product of many small factors is fine; a single vanishing one is not)."""
     if n == 0:
         return 1.0 + 0j
-    factors = np.asarray(theta(complex(z) * nome.q ** np.arange(n), nome.p, nome.trunc),
+    factors = np.asarray(theta(complex(z) * nome.q ** np.arange(n), nome.p),
                          dtype=complex)
     small = np.abs(factors).min()
     if small < THETA_GUARD:
@@ -209,12 +250,12 @@ def m_entry_reference(N: int, m: int, a, k, nome: NomePair) -> complex:
     num = elliptic_pochhammer(k, N + m, nome) * elliptic_pochhammer(k / a, N - m, nome)
     den_qa = _guarded_pochhammer(nome.q * a, N + m, nome, "theta(qa)_{N+m}")
     den_q = _guarded_pochhammer(nome.q, N - m, nome, "theta(q)_{N-m}")
-    th_den = complex(theta(a, nome.p, nome.trunc))
+    th_den = complex(theta(a, nome.p))
     _guard_scalar(th_den, "theta(a; p)")
     if m == 0:
         th_ratio = 1.0
     else:
-        th_ratio = complex(theta(a * nome.q ** (2 * m), nome.p, nome.trunc)) / th_den
+        th_ratio = complex(theta(a * nome.q ** (2 * m), nome.p)) / th_den
     return num / (den_qa * den_q) * th_ratio * a ** (N - m)
 
 

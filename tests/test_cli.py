@@ -99,6 +99,10 @@ class TestVerify:
         (("beta-integral", "--q", "-1"), "", "nome q = "),
         (("matrix-bailey",), "[fixed]\na = 1\n", "parameter a = "),
         (("star-triangle",), "[campaign]\nretry_cap = 5\n", "retry_cap"),
+        (("special-functions",), "[campaign]\nidentity = matrix-bailey\n",
+         "identity matrix-bailey but the command runs special-functions"),
+        (("special-functions",), "[campaign]\nallow_complex_nomes = maybe\n",
+         "allow_complex_nomes: 'maybe'"),
     ])
     def test_config_error_exits_2_before_any_draw(self, capsys, tmp_path, monkeypatch,
                                                   argv, ini, named):
@@ -119,6 +123,25 @@ class TestVerify:
         dests = {a.dest for a in verify._actions} - {"help", "config", "json", "timing", "verbose"}
         fields = {f.name for f in dataclasses.fields(CampaignConfig)} - {"fixed"}
         assert dests == set(cli._CAMPAIGN_KEYS) == fields
+
+    @pytest.mark.parametrize("ini, complex_nomes", [
+        ("identity = special-functions\n", False),
+        ("allow_complex_nomes = on\n", True),
+        ("allow_complex_nomes = Yes\n", True),
+        ("allow_complex_nomes = 0\n", False),
+        ("allow_complex_nomes = off\n", False),
+    ])
+    def test_config_identity_and_boolean_spellings(self, capsys, tmp_path, monkeypatch,
+                                                   ini, complex_nomes):
+        configs = []
+        monkeypatch.setattr(cli, "run_campaign", lambda config: configs.append(config) or [])
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[campaign]\n" + ini)
+        assert main(["verify", "special-functions", "--config", str(cfg), "--json"]) == 0
+        capsys.readouterr()
+        (config,) = configs
+        assert config.identity == "special-functions"
+        assert config.allow_complex_nomes is complex_nomes
 
     @pytest.mark.parametrize("identity", IDENTITIES)
     def test_timing_covers_every_identity(self, capsys, identity):

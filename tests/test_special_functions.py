@@ -14,7 +14,6 @@ from elliptic_bailey.errors import (
 )
 from elliptic_bailey.special_functions import (
     NomePair,
-    TruncationPolicy,
     elliptic_gamma,
     elliptic_pochhammer,
     gamma_quadratic_check,
@@ -25,9 +24,12 @@ from elliptic_bailey.special_functions import (
     _annulus_shift,
     _gamma_rings,
     _gamma_vec,
+    _qpoch_order,
+    _qpoch_raw,
     _roots,
     _series_order,
     _shift_nomes,
+    _truncation_order,
 )
 
 import oracles
@@ -49,6 +51,8 @@ def rel(a, b):
 
 _moduli = st.floats(0.02, 0.75)
 _phases = st.floats(0.0, 1.0)
+# log-uniform moduli from 1e-14 to 0.75, which take the series order down to 1
+_tiny_moduli = st.floats(-14.0, math.log10(0.75)).map(lambda e: 10.0**e)
 # n = 1 is the pointwise case of the engine
 _ring_sizes = st.sampled_from([1, 2, 3, 4, 5, 8, 16, 64, 128, 256])
 
@@ -144,16 +148,10 @@ class TestQPochhammer:
         for zi, vi in zip(z, vec):
             assert vi == qpochhammer_inf(complex(zi), 0.4)
 
-    def test_fixed_terms_mode(self):
-        pol_j = TruncationPolicy(mode="fixed_terms", max_terms=30)
-        pol_j1 = TruncationPolicy(mode="fixed_terms", max_terms=31)
-        a = qpochhammer_inf(0.3, 0.5, pol_j)
-        b = qpochhammer_inf(0.3, 0.5, pol_j1)
-        assert rel(a, b) < 1e-9
-
-    def test_truncation_cap_raises(self):
-        with pytest.raises(TruncationLimitError):
-            qpochhammer_inf(0.5, 0.999999, TruncationPolicy(max_terms=100))
+    def test_truncation_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(special_functions, "MAX_TERMS", 100)
+        with pytest.raises(TruncationLimitError, match="q-Pochhammer"):
+            qpochhammer_inf(0.5, 0.999999)
 
 
 class TestTheta:
@@ -279,14 +277,17 @@ class TestEllipticGamma:
         assert np.isfinite(g)
         assert abs(g * elliptic_gamma(nome.p * nome.q / z, nome) - 1) < 1e-12
 
-    def test_truncation_monotonicity(self):
-        # tightening the tolerance 10x moves the value by less than the looser tolerance
+    def test_truncation_monotonicity(self, monkeypatch):
+        # tightening the tolerance 10x moves the value by less than the looser
+        # tolerance; each value comes from a pair built under its tolerance
         z = 0.7 + 0.4j
+
+        def gamma_at(tol):
+            monkeypatch.setattr(special_functions, "TRUNCATION_TOL", tol)
+            return elliptic_gamma(z, NomePair(0.15, 0.3))
+
         for tol in (1e-8, 1e-10, 1e-12):
-            loose = NomePair(0.15, 0.3, TruncationPolicy(target_rel_tol=tol))
-            tight = NomePair(0.15, 0.3, TruncationPolicy(target_rel_tol=tol / 10))
-            a, b = elliptic_gamma(z, loose), elliptic_gamma(z, tight)
-            assert rel(a, b) < tol
+            assert rel(gamma_at(tol), gamma_at(tol / 10)) < tol
 
 
 def _phase(rng):
@@ -392,12 +393,15 @@ class TestGammaAgainstDoubleProduct:
         assert _guard_raises(0.45 * 5.0**19, nome)
         assert not _guard_raises(-0.45 * 5.0**19, nome)
 
-    def test_series_cap_raises(self):
-        # |z| = 0.5 needs no shift and ~50 series terms; the nome's own
-        # products need < 30 factors
-        nome = NomePair(0.3, 0.3, TruncationPolicy(max_terms=40))
+    def test_series_cap_raises(self, monkeypatch):
+        # |z| = 0.5 needs no shift and M ~ 50 series terms at r = 0.5; the
+        # nome's own products need < 30 factors.  The cap trips once M reaches it.
+        m = _series_order(NomePair(0.3, 0.3), 0.5)
+        monkeypatch.setattr(special_functions, "MAX_TERMS", m + 1)
+        elliptic_gamma(0.5, NomePair(0.3, 0.3))
+        monkeypatch.setattr(special_functions, "MAX_TERMS", m)
         with pytest.raises(TruncationLimitError, match="series"):
-            elliptic_gamma(0.5, nome)
+            elliptic_gamma(0.5, NomePair(0.3, 0.3))
 
 
 class TestEllipticPochhammer:
@@ -502,12 +506,10 @@ class TestNomePair:
         nome = NomePair(0.3, 0.4)
         # one extra product factor moves the constants by less than the tolerance
         n_used = 1
-        while 2 / (1 - 0.4) * 0.4**n_used >= nome.trunc.target_rel_tol:
+        while 2 / (1 - 0.4) * 0.4**n_used >= special_functions.TRUNCATION_TOL:
             n_used += 1
-        refined = qpochhammer_inf(
-            nome.q, nome.q, TruncationPolicy(mode="fixed_terms", max_terms=n_used + 1)
-        )
-        assert rel(nome.qq_inf, refined) < nome.trunc.target_rel_tol
+        refined = complex(_qpoch_raw(np.asarray(nome.q), nome.q, n_used + 1))
+        assert rel(nome.qq_inf, refined) < special_functions.TRUNCATION_TOL
 
     def test_kappa(self):
         nome = NomePair(0.1, 0.2)
@@ -518,6 +520,29 @@ class TestNomePair:
         nome = NomePair(0.1, 0.2)
         with pytest.raises(AttributeError):
             nome.p = 0.5
+
+
+class TestTruncationOrder:
+    """_truncation_order, the one order rule, against the two rules it replaced."""
+
+    def test_reproduces_the_product_and_series_rules(self):
+        rng = np.random.default_rng(1414)
+        for _ in range(10_000):
+            base = 1.0 - 10 ** rng.uniform(-3.5, -1e-6)
+            scale = 10 ** rng.uniform(-3, 6)
+            assert _qpoch_order(base, scale) == oracles.qpoch_order_reference(base, scale)
+        for _ in range(10_000):
+            nome = NomePair(rng.uniform(0, 0.95), rng.uniform(0, 0.95) * _phase(rng))
+            r = 1.0 - 10 ** rng.uniform(-3, -1e-6)
+            assert _series_order(nome, r) == oracles.series_order_reference(
+                abs(nome.p), abs(nome.q), r)
+
+    def test_smallest_order_under_the_tolerance(self):
+        tol = special_functions.TRUNCATION_TOL
+        for c, base in ((1.0, 0.5), (2.0, 0.99), (1e-20, 0.5), (3e5, 1e-9)):
+            j = _truncation_order(c, base, "test")
+            assert j >= 1 and c * base**j < tol
+            assert j == 1 or c * base ** (j - 1) >= tol
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +579,24 @@ class TestGammaRings:
         assume(_off_lattice(scales, n, nome))
         _assert_rings_match_pointwise(scales, n, nome)
 
-    @_PROPERTY
-    @given(data=st.data(), nome=_nomes(allow_zero=False), n=_ring_sizes,
-           terms=st.integers(1, 80))
-    def test_fixed_terms_policy(self, data, nome, n, terms):
-        nome = NomePair(nome.p, nome.q, TruncationPolicy(mode="fixed_terms", max_terms=terms))
-        scales = data.draw(_scales(nome, 3))
-        assume(_off_lattice(scales, n, nome))
-        _assert_rings_match_pointwise(scales, n, nome)
+    def test_fixed_terms_policy(self):
+        # nomes of modulus down to 1e-14 take the series order M down to 1-3,
+        # below the ring size, where the fold leaves residues mod n empty
+        orders = []
+
+        @_PROPERTY
+        @given(data=st.data(), nome=_nomes(allow_zero=False, moduli=_tiny_moduli), n=_ring_sizes)
+        def check(data, nome, n):
+            scales = data.draw(_scales(nome, 3))
+            # the shift boundaries of tiny nomes reach |s| where the pole
+            # guard's reach, POLE_GUARD_FACTOR |s|, covers the lattice near 0
+            assume(np.abs(scales).max() < 1e10 and _off_lattice(scales, n, nome))
+            orders.append((_series_order(nome, _annulus_shift(np.log(np.abs(scales)), nome)[1]), n))
+            _assert_rings_match_pointwise(scales, n, nome)
+
+        check()
+        assert any(m < n for m, n in orders)
+        assert min(m for m, _n in orders) <= 3
 
     @pytest.mark.parametrize("n", [2, 64, 1024])
     def test_batch_mixes_small_and_large_shifts(self, n):
