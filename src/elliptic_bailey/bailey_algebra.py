@@ -275,16 +275,24 @@ def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
 
     Every theta factor comes from one theta call: the rows theta(z q^j; p),
     j < 2N, for z in {qa, q, k, k/a}, and theta(a q^i; p), i <= 2N.  Only the
-    denominators theta(qa)_j and theta(q)_j and theta(a; p) are guarded.
+    denominators theta(qa)_j and theta(q)_j and theta(a; p) are guarded, and
+    an entry that overflows raises :class:`DegenerateParameterError`.
     """
     a, k = complex(a), complex(k)
-    try:
-        factors, poch = _guarded_pochhammer(*_m_rows(N, a, k, nome.q), nome, 2, "a denominator")
-    except Exception as exc:
-        raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): {exc}") from exc
-    if abs(factors[4, 0]) < THETA_GUARD:
-        raise DegenerateParameterError(f"theta(a; p) = {factors[4, 0]} is under the guard threshold")
-    ent = _assemble_M(a, poch[2], poch[3], poch[0], poch[1], factors[4])
+    # products may overflow where the entries do not (the theta(a q^i) row's
+    # product is never read), so they are formed as in the DiscreteParams table
+    # and only a non-finite entry is an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            factors, poch = _guarded_pochhammer(*_m_rows(N, a, k, nome.q), nome, 2,
+                                                "a denominator")
+        except Exception as exc:
+            raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): {exc}") from exc
+        if abs(factors[4, 0]) < THETA_GUARD:
+            raise DegenerateParameterError(f"theta(a; p) = {factors[4, 0]} is under the guard threshold")
+        ent = _assemble_M(a, poch[2], poch[3], poch[0], poch[1], factors[4])
+    if not np.isfinite(ent).all():
+        raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): an entry overflows")
     return BaileyMatrix(entries=ent, a=a, k=k)
 
 
