@@ -327,13 +327,18 @@ def build_D(N: int, a, b, c, nome: NomePair) -> DiagonalOp:
     theta(z q^j; p), j < N, for z in {aq/b, aq/c, b, c}.
 
     Raises :class:`DegenerateParameterError` when some factor theta(aq/b q^j; p)
-    or theta(aq/c q^j; p), j < N, of the denominators is under the guard.
+    or theta(aq/c q^j; p), j < N, of the denominators is under the guard, and
+    when an entry overflows.
     """
     a, b, c = complex(a), complex(b), complex(c)
     if b == 0 or c == 0:
         raise DomainError("D(a; b, c) requires b, c != 0")
-    _, poch = _guarded_pochhammer(*_d_rows(N, a, b, c, nome.q), nome, 2, "a denominator")
-    diag = _assemble_D(a * nome.q, (b, poch[2], poch[0]), (c, poch[3], poch[1]))
+    # products may overflow, as in build_M; only a non-finite entry is an error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, poch = _guarded_pochhammer(*_d_rows(N, a, b, c, nome.q), nome, 2, "a denominator")
+        diag = _assemble_D(a * nome.q, (b, poch[2], poch[0]), (c, poch[3], poch[1]))
+    if not np.isfinite(diag).all():
+        raise DegenerateParameterError(f"build_D(N={N}, a={a}, b={b}, c={c}): an entry overflows")
     return DiagonalOp(diag=diag, a=a, b=b, c=c)
 
 

@@ -12,9 +12,14 @@ theta(z^2; q) theta(z^{-2}; p), which is an entire function of z on the
 contour (the identity is asserted independently in the test suite).  On an
 equispaced grid z_k = r w^k with w = exp(2 pi i / n), every gamma-factor
 argument lies on a scaled copy of the same root-of-unity ring, so one
-quadrature pass evaluates all of its gamma rings in a single call of the FFT
-ring engine, however many grid pairs the kernels combine.  Gamma values that
-do not depend on the grid are evaluated once per check.
+quadrature pass evaluates all of its gamma rings, shift thetas included, in
+a single call of the FFT ring engine, however many grid pairs the kernels
+combine.  Both thetas of 1/Gamma(z^{+-2}) lie on the (n/2)-ring of z^2 and
+come from one call of the ring theta series, whose pointwise factor keeps
+them exactly 0 at z = +-1 on the unit circle.  No ring evaluates a theta
+product; the off-centre residue circles, which are not rings about 0, use
+the pointwise ``_kernel_at`` and its products.  Gamma values that do not
+depend on the grid are evaluated once per check.
 
 Every quadrature pass returns (weight, samples): its integrand on the n-node
 circle, one row per integral, and each row's prefactor.  ``_trapezoid`` alone
@@ -49,6 +54,7 @@ from .special_functions import (
     _gamma_vec,
     _guarded_pochhammer,
     _roots,
+    _theta_ring,
 )
 
 __all__ = [
@@ -327,11 +333,11 @@ def _pair(ring: tuple) -> np.ndarray:
 def _theta_rings(n: int, radius: float, nome: NomePair):
     """dden[k] = theta(z_k^2; q) * theta(z_k^{-2}; p), the inverted 1/Gamma(z^{+-2})
     on the grid z_k = r w^k, n even.  z_k^2 = r^2 w^{2k} runs twice over the
-    (n/2)-ring, where the thetas are evaluated."""
-    half = _roots(n // 2)
-    tq = np.asarray(theta(radius**2 * half, nome.q), dtype=complex)
-    tp = np.asarray(theta(radius**-2 * half, nome.p), dtype=complex)
-    return np.tile(tq * _reflect(tp), 2)
+    (n/2)-ring, where the ring series evaluates both thetas; at r = 1 both
+    vanish exactly at z_k^2 = 1."""
+    tq, tp = _theta_ring([radius**2, radius**-2], n // 2, [nome.q, nome.p], nome)
+    half = tq * _reflect(tp)
+    return np.concatenate([half, half])
 
 
 def _kernel_scales(t: complex, x: complex, radius: float) -> tuple:
@@ -796,7 +802,9 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
         k * q ** (N + ms), (k / a) * q ** (N - ms), q ** (-N - ms) / a,
         a * q ** (2 * ms), q ** (-2 * ms) / a,
     ])
-    gammas = elliptic_gamma(points, nome)
+    # an overflowing gamma value is rejected by the check below, not warned
+    with np.errstate(over="ignore"):
+        gammas = elliptic_gamma(points, nome)
     bad = np.flatnonzero(~np.isfinite(gammas) | (gammas == 0))
     if bad.size:
         i = bad[0]

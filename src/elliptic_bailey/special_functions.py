@@ -32,10 +32,19 @@ raises :class:`TruncationLimitError`.
 
 One engine, ``_gamma_rings``, evaluates gamma on R rings of n points
 s_i exp(2 pi i j / n); a flat array of single points is its n = 1 case.  On a
-ring of n > 1 points the series folds mod n and two FFTs sum it.  Theta
-evaluates its (points x J) factor products in blocks of ``_THETA_BLOCK``
-points, for every caller.  The theta-Pochhammer symbols and sequences are
-read from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
+ring of n > 1 points every log-series folds mod n and one DFT sums it.  Theta
+on a ring has its own log-series, ``_theta_series``: after the shift
+theta(v z; v) = -z^{-1} theta(z; v) into |v|^{1/2} <= |y| <= |v|^{-1/2},
+
+    log theta(y e; v) = log(1 - y e) - sum_{m>=1} v^m ((y e)^m + (y e)^{-m}) / (m (1 - v^m)),
+
+with the factor 1 - y e kept pointwise, so the zeros on |z| = 1 stay exact.
+The gamma engine adds the series of its shift thetas to its own table before
+the fold, and ``_theta_ring`` serves the thetas of the contour grids; no ring
+evaluates a product.  Pointwise theta evaluates its (points x J) factor
+products in blocks of ``_THETA_BLOCK`` points, for the n = 1 shifts and
+every pointwise caller.  The theta-Pochhammer symbols and sequences are read
+from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
 
 All functions accept scalars or numpy arrays in ``z`` and are pure; the
 default floating type is hardware complex128 (unit roundoff ~1e-16).
@@ -200,6 +209,7 @@ class NomePair:
     _pp_inf: complex = field(init=False, repr=False, compare=False)
     _qq_inf: complex = field(init=False, repr=False, compare=False)
     _series_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    _theta_coeffs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, q = complex(self.p), complex(self.q)
@@ -210,6 +220,7 @@ class NomePair:
         object.__setattr__(self, "_pp_inf", qpochhammer_inf(p, p))
         object.__setattr__(self, "_qq_inf", qpochhammer_inf(q, q))
         object.__setattr__(self, "_series_coeffs", np.empty(0, dtype=complex))
+        object.__setattr__(self, "_theta_coeffs", {})
 
     @property
     def pp_inf(self) -> complex:
@@ -237,6 +248,16 @@ class NomePair:
             m = np.arange(1, order + 1)
             c = 1.0 / (m * (1.0 - self.p**m) * (1.0 - self.q**m))
             object.__setattr__(self, "_series_coeffs", c)
+        return c[:order]
+
+    def theta_coefficients(self, v: complex, order: int) -> np.ndarray:
+        """The theta series coefficients 1 / (m (1 - v^m)), m = 1..order, for
+        v = p or v = q."""
+        c = self._theta_coeffs.get(v)
+        if c is None or c.size < order:
+            m = np.arange(1, order + 1)
+            c = 1.0 / (m * (1.0 - v**m))
+            self._theta_coeffs[v] = c
         return c[:order]
 
 
@@ -322,6 +343,124 @@ def _gamma_vec(z: np.ndarray, nome: NomePair) -> np.ndarray:
     return _gamma_rings(z, 1, nome)[:, 0]
 
 
+def _fold_rings(table: np.ndarray, n: int) -> np.ndarray:
+    """sum_m table[m, i] e_j^m + table[m, R + i] e_j^{-m} at the n-th roots of
+    unity e_j, as an (n, R) array, for a (rows, 2R) table whose row count is a
+    multiple of n.  The rows fold mod n, since e_j^n = 1; bin r of the second
+    half is the coefficient of e_j^{-r} = e_j^{n-r}, so it joins bin n - r of
+    the first, and one unscaled inverse DFT sums the bins.  The blocks of n
+    rows are added pairwise, halving their count each pass: a running sum
+    would add each small term of a long series to a large partial sum and
+    lose up to one ulp of it per block."""
+    rings = table.shape[1] // 2
+    blocks = table.reshape(-1, n, 2 * rings)
+    while blocks.shape[0] > 1:
+        half = blocks.shape[0] // 2
+        paired = blocks[:half] + blocks[half : 2 * half]
+        if blocks.shape[0] % 2:
+            paired[-1] += blocks[-1]
+        blocks = paired
+    folded = blocks[0]
+    bins = folded[:, :rings] + folded[-np.arange(n), rings:]
+    return np.fft.ifft(bins, axis=0, norm="forward")
+
+
+def _ipow(w: complex, e: int) -> complex:
+    """w**e for an integer e >= 0 by repeated squaring, whose rounding grows
+    with log e (Python's complex power squares only up to e = 100)."""
+    return w**e if e <= 100 else _ipow(w**100, e // 100) * w ** (e % 100)
+
+
+def _theta_series(x: np.ndarray, bases, n: int, nome: NomePair):
+    """theta(x_t e_j; v_t) on the rings x_t e_j, e_j the n-th roots of unity,
+    for the bases v_t in {p, q} of ``nome``, one per scale, as a log-series
+    for :func:`_fold_rings`: (terms, const, factors) with
+
+        theta(x_t e_j; v_t) = factors[t, j] exp(const_t
+                                  + sum_{m=1}^M terms[m - 1, t] e_j^m
+                                              + terms[m - 1, T + t] e_j^{-m}).
+
+    Each scale first moves to y = x v^{-k}, |v|^{1/2} <= |y| <= |v|^{-1/2}, by
+    theta(v z; v) = -z^{-1} theta(z; v), which leaves the monomial
+    (-1)^k (y e)^{-k} v^{-k(k-1)/2}.  Then
+
+        log theta(y e; v) = log(1 - y e)
+                            - sum_{m>=1} v^m ((y e)^m + (y e)^{-m}) / (m (1 - v^m)),
+
+    whose tail after M terms is at most 2 rho^{M+1} / ((1 - rho)(1 - |v|)),
+    rho = |v| max(|y|, 1/|y|) <= |v|^{1/2}; M is the smallest order >= 1
+    making that bound < TRUNCATION_TOL for every scale of the call.  The
+    factor 1 - y e stays pointwise, so theta vanishes exactly where y e_j = 1
+    in floating point; where |y| > 2 it is written -y e (1 - (y e)^{-1}), so
+    that every pointwise factor has modulus <= 3, and none loses digits to a
+    rounded 1/y near its zeros on |y e| = 1.  const holds the logs of
+    the monomials' constants: their moduli from the logs of |y| and |v|,
+    their phases from integer powers of unit numbers, since k(k-1)/2 arg v
+    would lose the phase to rounding at large k.  Their powers of e_j are
+    read from the root table into factors.  A base v = 0 gives
+    theta(z; 0) = 1 - z.
+    """
+    bases = [complex(b) for b in bases]
+    ys, points, flips, consts, winds = [], [], [], [], []
+    rho = 0.0
+    for xt, vt in zip(x.tolist(), bases):
+        k, y, log_ay, log_c, phase = 0, xt, math.log(abs(xt)), 0.0, 1.0
+        if vt != 0:
+            log_v = math.log(abs(vt))
+            k = round(log_ay / log_v)
+            log_ay -= k * log_v
+            rho = max(rho, abs(vt) * math.exp(abs(log_ay)))
+        if k:
+            y = xt / _ipow(vt, k) if k > 0 else xt * _ipow(vt, -k)
+            tri = k * (k - 1) // 2
+            unit_y = y / abs(y)
+            log_c = -k * log_ay - tri * log_v
+            phase = (_ipow(-unit_y.conjugate(), k) if k > 0 else _ipow(-unit_y, -k)) * _ipow(
+                (vt / abs(vt)).conjugate(), tri)
+        flip = abs(y) > 2.0
+        if flip:
+            phase *= -y / abs(y)
+            log_c += log_ay
+        ys.append(y)
+        points.append(1.0 / y if flip else y)
+        flips.append(flip)
+        winds.append(flip - k)
+        consts.append(complex(log_c, math.atan2(phase.imag, phase.real)))
+    order = 1
+    if rho:
+        top = max(abs(b) for b in bases)
+        order = max(1, _truncation_order(2.0 / ((1.0 - rho) * (1.0 - top)), rho, "theta series") - 1)
+    if len(set(bases)) == 1:
+        coeffs = nome.theta_coefficients(bases[0], order)[:, None]
+    else:
+        coeffs = np.array([nome.theta_coefficients(b, order) for b in bases] * 2).T
+    y, v_col = np.array(ys, dtype=complex), np.array(bases, dtype=complex)
+    first = np.concatenate([v_col * y, v_col / y])
+    # a running product: the rounding of power m grows like m, and the term
+    # it multiplies is below rho^m / (m (1 - |v|))
+    terms = -coeffs * np.cumprod(np.repeat(first[None], order, axis=0), axis=0)
+    # e_j^{-1} is read as conj(e_j): the points of a ring are s e_j, and
+    # near a zero of theta the factor amplifies any other rounding of them
+    roots = _roots(n)
+    if any(flips):
+        roots = np.where(np.array(flips)[:, None], roots.conj(), roots)
+    factors = 1.0 - np.array(points)[:, None] * roots
+    if any(winds):
+        factors *= _roots(n)[(np.array(winds)[:, None] * np.arange(n)) % n]
+    return terms, np.array(consts), factors
+
+
+def _theta_ring(scales, n: int, bases, nome: NomePair) -> np.ndarray:
+    """theta(s_i e_j; v_i) for the scales s_i = scales[i], the n-th roots of
+    unity e_j and the bases v_i = bases[i] in {p, q} of ``nome``, as an
+    (R, n) array: the series of :func:`_theta_series`, summed by one DFT of
+    :func:`_fold_rings`, times its pointwise factors."""
+    terms, const, factors = _theta_series(np.asarray(scales, dtype=complex).ravel(), bases, n, nome)
+    table = np.zeros((-(-(terms.shape[0] + 1) // n) * n, terms.shape[1]), dtype=complex)
+    table[1 : terms.shape[0] + 1] = terms
+    return factors * np.exp(_fold_rings(table, n).T + const[:, None])
+
+
 def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
     """Gamma(s_i e_j; p, q) for the scales s_i = scales[i] and the n-th roots
     of unity e_j = exp(2 pi i j / n), as an (R, n) array.  This is the one
@@ -330,18 +469,23 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
     Every point of ring i has modulus |s_i|, so all of them share the shift
     k_i, and w = sigma_i e_j with sigma_i = s_i u^{k_i}.  One table holds the
     powers sigma_i^m and (pq/sigma_i)^m, m = 1..M, with one order M at the
-    largest series radius of the call bounding every ring's tail.  At n = 1
-    the series is the product of the coefficients with that table.  For
-    n > 1 it folds mod n:
+    largest series radius of the call bounding every ring's tail.  The theta
+    shift factors of ring i are theta(x_i u^j e; v), j < |k_i|, with x = s for
+    k > 0 and x = sigma for k < 0.
+
+    At n = 1 the series is the product of the coefficients with that table,
+    and the shift factors come from one pointwise theta call.  For n > 1 the
+    series folds mod n:
 
         sum_{m=1}^M c_m (sigma_i e_j)^m = sum_{r<n} a_r e_j^r,
         a_r = sum_{m = r (mod n)} c_m sigma_i^m,
 
     an unscaled inverse DFT of a; the (pq/w)^m half is the forward DFT of b,
-    folded likewise from c_m (pq/sigma_i)^m.  A ring costs O(M + n log n)
-    where n single points cost O(M n).  The theta shift factors of ring i
-    are the rings x_i u^j e_m, j < |k_i|, with x = s for k > 0 and
-    x = sigma for k < 0, all from one theta call.
+    folded likewise from c_m (pq/sigma_i)^m.  The log-series of every shift
+    factor (:func:`_theta_series`) is added to ring i's rows of the same table
+    before the fold, so one DFT pair sums gamma and its shift thetas; only
+    their factors (1 - y e_j) and roots e_j^k are taken pointwise.  A ring
+    costs O(M + n log n + |k| n) where n single points cost O(M n).
     """
     scales = np.asarray(scales, dtype=complex)
     # values are laid out (n, R), ring points first, so that per-ring vectors
@@ -366,29 +510,51 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
         step = min(filled, m_top - filled)
         np.multiply(powers[:step], powers[filled - 1], out=powers[filled : filled + step])
         filled += step
+    n_shift = int(np.abs(k).max())
+    if n_shift:
+        # the shift factors' scales x u^j, j < |k|, on the masked (R, max|k|)
+        # grid: each ring's are a contiguous block
+        used = np.arange(n_shift) < np.abs(k)[:, None]
+        x = (np.where(k > 0, scales, sigma)[:, None] * u ** np.arange(n_shift))[used]
     if n == 1:
         series = coeffs @ powers
         log_gamma = (series[:rings] - series[rings:])[None]
-    else:
-        # c_m x^m in row m of a zero-padded table; the fold is then a reshape and a sum
-        terms = np.zeros((-(-(m_top + 1) // n) * n, 2 * rings), dtype=complex)
-        np.multiply(coeffs[:, None], powers, out=terms[1 : m_top + 1])
-        folded = terms.reshape(-1, n, 2 * rings).sum(axis=0)
-        log_gamma = (np.fft.ifft(folded[:, :rings], axis=0, norm="forward")
-                     - np.fft.fft(folded[:, rings:], axis=0))
-    n_shift = int(np.abs(k).max())
+        if n_shift:
+            # summed as logs, since their product over- or underflows where
+            # Gamma does
+            log_theta = np.zeros(used.shape, dtype=complex)
+            log_theta[used] = np.log(1.0 - x if v == 0 else _theta_raw(x, v))
+            log_gamma -= np.sign(k) * log_theta.sum(axis=1)
+        return np.exp(log_gamma).T
+    rows = 0
     if n_shift:
-        # theta(x u^j; v), j < |k|, on the masked (R, max|k|) grid, times the
-        # roots for n > 1.  Summed as logs, since their product over- or
-        # underflows where Gamma does.
-        used = np.arange(n_shift) < np.abs(k)[:, None]
-        x = (np.where(k > 0, scales, sigma)[:, None] * u ** np.arange(n_shift))[used]
-        if n > 1:
-            x = x[:, None] * _roots(n)
-        log_theta = np.zeros(used.shape + x.shape[1:], dtype=complex)
-        log_theta[used] = np.log(1.0 - x if v == 0 else _theta_raw(x, v))
-        log_gamma -= np.sign(k) * log_theta.sum(axis=1).T
-    return np.exp(log_gamma).T
+        th_terms, th_const, th_factors = _theta_series(x, [v] * x.size, n, nome)
+        rows = th_terms.shape[0]
+    # c_m sigma^m and -c_m (pq/sigma)^m in row m of a zero-padded table
+    table = np.zeros((-(-(max(m_top, rows) + 1) // n) * n, 2 * rings), dtype=complex)
+    np.multiply(coeffs[:, None], powers[:, :rings], out=table[1 : m_top + 1, :rings])
+    np.multiply(-coeffs[:, None], powers[:, rings:], out=table[1 : m_top + 1, rings:])
+    if not n_shift:
+        return np.exp(_fold_rings(table, n)).T
+    # ring i's shift factors enter its rows and its constant with the sign
+    # -sign(k_i), through a scatter matrix from the factors' columns to the
+    # rings'; their pointwise factors, each of modulus <= 3, multiply the
+    # ring for k_i < 0 and divide it for k_i > 0
+    ring_of = np.nonzero(used)[0]
+    sign = -np.sign(k)[ring_of]
+    scatter = np.zeros((2 * x.size, 2 * rings))
+    cols = np.arange(x.size)
+    scatter[cols, ring_of] = sign
+    scatter[x.size + cols, rings + ring_of] = sign
+    table[1 : rows + 1] += th_terms @ scatter
+    log_gamma = _fold_rings(table, n).T
+    log_gamma += (th_const @ scatter[: x.size, :rings])[:, None]
+    out = np.exp(log_gamma)
+    th_factors[sign < 0] = 1.0 / th_factors[sign < 0]
+    shifted = np.flatnonzero(k)
+    first = np.flatnonzero(np.r_[True, ring_of[1:] != ring_of[:-1]])
+    out[shifted] *= np.multiply.reduceat(th_factors, first)
+    return out
 
 
 def elliptic_gamma(z, nome: NomePair):

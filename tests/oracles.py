@@ -48,15 +48,17 @@ def qpoch_log_series(z, base, terms=60):
 
 def theta_series(z, p, n_max=40):
     """theta(z; p) from the Laurent series
-    sum_n p^{n(n-1)/2} (-z)^n / (p; p)_inf over n in [-n_max, n_max]."""
+    sum_n p^{n(n-1)/2} (-z)^n / (p; p)_inf over n in [-n_max, n_max]; the
+    product (p; p)_inf runs until its factors are 1 to 45 digits."""
     with mp.workdps(40):
         z, p = mp.mpmathify(z), mp.mpmathify(p)
         s = mp.mpf(0)
         for n in range(-n_max, n_max + 1):
             s += p ** (mp.mpf(n * (n - 1)) / 2) * (-z) ** n
-        pp = mp.mpf(1)
-        for j in range(200):
-            pp *= 1 - p ** (j + 1)
+        pp, pj = mp.mpf(1), p
+        while abs(pj) > mp.mpf(10) ** -45:
+            pp *= 1 - pj
+            pj *= p
         return complex(s / pp)
 
 

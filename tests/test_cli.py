@@ -284,6 +284,14 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[0].endswith("= 1.0")
 
+    def test_d_entry_overflow_exits_2(self, capsys):
+        # theta(b)_8 theta(c)_8 overflows at p = 0.5; the entry is not a number
+        code, out, err = run_cli(capsys, "eval", "d-entry", "--m", "8", "--a", "0.5", "--b", "0.3",
+                                 "--c", "0.7", "--p", "0.5", "--q", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
     def test_nonconvergence_exit_code(self, capsys, monkeypatch):
         import math
         from elliptic_bailey import cli

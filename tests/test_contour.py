@@ -360,13 +360,14 @@ class TestRingKernels:
         assert relative_residual(got, self._pointwise(self.T, roots[:, None], roots[None, :])) < 1e-13
 
     def test_theta_rings_read_the_half_ring(self):
-        # the (n/2)-ring values equal the even entries of the n-ring bit for bit
+        # entry k is the (n/2)-ring value at w^{2k}, bit for bit: z_k^2 runs
+        # twice over that ring and z_k^{-2} over its reflection
         for n, radius in ((64, 1.0), (128, 0.83), (2, 1.2)):
             z = radius * np.exp(2j * np.pi * np.arange(n) / n)
-            idx = (2 * np.arange(n)) % n
-            tq = ct.theta(radius**2 * ct._roots(n), self.NOME.q)
-            tp = ct.theta(radius**-2 * ct._roots(n), self.NOME.p)
-            want = tq[idx] * tp[(-idx) % n]
+            idx = np.arange(n) % (n // 2)
+            tq, tp = ct._theta_ring([radius**2, radius**-2], n // 2, [self.NOME.q, self.NOME.p],
+                                    self.NOME)
+            want = tq[idx] * tp[(-idx) % (n // 2)]
             assert np.array_equal(ct._theta_rings(n, radius, self.NOME), want)
             pointwise = ct.theta(z * z, self.NOME.q) * ct.theta(z**-2, self.NOME.p)
             # normwise: at radius 1 both vanish at z = +-1, one of them only nearly
@@ -406,6 +407,41 @@ class TestRingKernels:
         elliptic_beta_integral(0.5, 0.6, 0.45 * np.exp(0.5j), 0.55, 0.4, self.NOME)
         assert len(passes) >= 2
         assert calls == [(6, n) for n in passes]
+
+    def test_no_products_on_rings(self, monkeypatch):
+        # inside _drive every theta factor on a ring, the engine's shift
+        # thetas and the inverted 1/Gamma(z^{+-2}) alike, comes from the ring
+        # series; the products serve only the pointwise values outside it
+        counts = {"products": [0, 0], "series": [0, 0]}
+        inside = [False]
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name][inside[0]] += 1
+                return fn(*args)
+            return counted
+
+        def driving(*args, **kwargs):
+            inside[0] = True
+            try:
+                return drive(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        drive = ct._drive
+        monkeypatch.setattr(special_functions, "_qpoch_raw",
+                            counting("products", special_functions._qpoch_raw))
+        monkeypatch.setattr(special_functions, "_theta_series",
+                            counting("series", special_functions._theta_series))
+        monkeypatch.setattr(ct, "_drive", driving)
+        nome = NomePair(self.NOME.p, self.NOME.q)
+        spect = [np.exp(0.4j), np.exp(1.7j), np.exp(-2.2j)]
+        star_triangle_residual(0.55, 0.45, 0.9 * np.exp(0.3j), spect, constant_one(), nome)
+        elliptic_beta_integral(0.5, 0.6, 0.45 * np.exp(0.5j), 0.55, 0.4, nome)
+        assert counts["products"][True] == 0
+        assert counts["products"][False] > 0
+        # every pass makes the dden ring and at least one shifted gamma ring
+        assert counts["series"][True] >= 8 and counts["series"][False] == 0
 
 
 class TestStarTriangle:

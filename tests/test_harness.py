@@ -208,6 +208,15 @@ class TestPointwiseBatching:
         assert reports[83].passed
         assert reports[83].settings["rejected"] == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_residue_draws_are_rejected(self):
+        # at N = 12 most first samples overflow a gamma value of the residue
+        # sum; they were internal errors under the warning filter, and must
+        # be resampled instead
+        reports = run_campaign(CampaignConfig(identity="residue-reduction", N=12, seed=7, draws=30))
+        assert [r.error for r in reports if r.error] == []
+        assert sum(r.settings["rejected"] for r in reports) > 0
+
 
 class TestDeterminism:
     def test_identical_configs_identical_reports(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from elliptic_bailey import special_functions
+from elliptic_bailey import contour, special_functions
 from elliptic_bailey.errors import (
     DomainError,
     PoleProximityError,
@@ -29,6 +29,7 @@ from elliptic_bailey.special_functions import (
     _roots,
     _series_order,
     _shift_nomes,
+    _theta_ring,
     _truncation_order,
 )
 
@@ -112,7 +113,7 @@ def _assert_rings_match_pointwise(scales, n, nome):
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
-_PROPERTY = settings(max_examples=60, deadline=None,
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.filter_too_much])
 
 
@@ -662,3 +663,93 @@ class TestGammaRings:
         assume(_off_lattice(scales, n, nome) and _off_lattice(partners, n, nome))
         reflected = _gamma_rings(partners, n, nome)[:, (-np.arange(n)) % n]
         assert np.max(np.abs(_gamma_rings(scales, n, nome) * reflected - 1.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# theta on root-of-unity rings
+# ---------------------------------------------------------------------------
+
+# |v| from 0.02 up to 0.9 with complex phases, and v = 0
+_theta_bases = st.builds(lambda mod, phase: mod * np.exp(2j * np.pi * phase),
+                         st.one_of(st.just(0.0), st.floats(0.02, 0.9)), _phases)
+
+
+@st.composite
+def _theta_scales(draw, v, count):
+    """Ring scales anywhere in 0.05 < |x| < 20, several quasi-periods of
+    theta(.; v) away from |x| = 1 at |v| near 0.9; or nudged to either side
+    of |x| = |v|^{k + 1/2}, where the ring series' shift k changes; or of
+    x = 1, so that the ring passes next to the zero of theta at 1."""
+    out = []
+    for _ in range(count):
+        phase = np.exp(2j * np.pi * draw(_phases))
+        nudge = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-9, 1e-2))
+        kind = draw(st.sampled_from(["any", "shift", "zero"]))
+        if kind == "shift" and v != 0:
+            out.append(abs(v) ** (draw(st.integers(-3, 3)) + 0.5) * math.exp(nudge) * phase)
+        elif kind == "zero":
+            out.append(math.exp(nudge))
+        else:
+            out.append(math.exp(draw(st.floats(math.log(0.05), math.log(20.0)))) * phase)
+    return np.array(out)
+
+
+def _theta_nome(v, which):
+    """A NomePair whose p (which = "p") or q is v, and the base itself."""
+    nome = NomePair(v, 0.3) if which == "p" else NomePair(0.3, v)
+    return nome, (nome.p if which == "p" else nome.q)
+
+
+class TestThetaRings:
+    """_theta_ring, the ring series of theta, against pointwise theta and the
+    mpmath Laurent series, each ring to 1e-13 of its largest value."""
+
+    @_PROPERTY
+    @given(data=st.data(), v=_theta_bases, which=st.sampled_from("pq"), n=_ring_sizes,
+           count=st.integers(1, 4))
+    def test_matches_pointwise(self, data, v, which, n, count):
+        nome, v = _theta_nome(v, which)
+        scales = data.draw(_theta_scales(v, count))
+        got = _theta_ring(scales, n, [v] * count, nome)
+        want = theta(scales[:, None] * _roots(n), v)
+        assert got.shape == (count, n)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * np.max(np.abs(want), axis=1))
+
+    @_PROPERTY
+    @given(data=st.data(), v=_theta_bases, which=st.sampled_from("pq"),
+           n=st.sampled_from([2, 3, 8, 64]), j=st.integers(0, 63))
+    def test_matches_the_series_oracle(self, data, v, which, n, j):
+        nome, v = _theta_nome(v, which)
+        (scale,) = data.draw(_theta_scales(v, 1))
+        ring = _theta_ring([scale], n, [v], nome)[0]
+        scale_max = np.max(np.abs(theta(scale * _roots(n), v)))
+        want = oracles.theta_series(scale * _roots(n)[j % n], v, n_max=120)
+        assert abs(ring[j % n] - want) < 1e-13 * scale_max
+
+    @_PROPERTY
+    @given(q=_theta_bases, p=_theta_bases, n=st.sampled_from([2, 4, 16, 64, 256]),
+           shrink=st.floats(0.3, 0.999))
+    def test_cauchy_inner_circle(self, q, p, n, shrink):
+        # the deformation check's inner circle has r^2 < |q| at q near 0.8,
+        # where theta(z^2; q) needs the quasi-periodic shift
+        assume(abs(q) > 0.1)
+        nome = NomePair(p, q)
+        radius = shrink * math.sqrt(abs(q))
+        z = radius * _roots(n)
+        # a gap of 1e-2 from the zeros, as for the gamma rings: on a small
+        # ring next to one, the largest value is itself near 0, and the
+        # rounded nodes of the pointwise side move it by eps / gap
+        assume(_theta_gap(z * z, nome.q) > 1e-2 and (p == 0 or _theta_gap(z**-2, nome.p) > 1e-2))
+        want = theta(z * z, nome.q) * theta(z**-2, nome.p)
+        got = contour._theta_rings(n, radius, nome)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @_PROPERTY
+    @given(q=_theta_bases, p=_theta_bases, n=st.sampled_from([2, 4, 16, 64, 256, 1024]))
+    def test_exact_zeros_at_radius_one(self, q, p, n):
+        # the inverted 1/Gamma(z^{+-2}) vanishes exactly at z^2 = 1, z = +-1
+        nome = NomePair(p, q)
+        assert _theta_ring([1.0], n, [nome.q], nome)[0, 0] == 0
+        dden = contour._theta_rings(n, 1.0, nome)
+        assert dden[0] == 0 and dden[n // 2] == 0
+        assert np.all(dden[1 : n // 2] != 0)
