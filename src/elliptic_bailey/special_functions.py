@@ -430,10 +430,8 @@ def _theta_series(x: np.ndarray, bases, n: int, nome: NomePair):
     if rho:
         top = max(abs(b) for b in bases)
         order = max(1, _truncation_order(2.0 / ((1.0 - rho) * (1.0 - top)), rho, "theta series") - 1)
-    if len(set(bases)) == 1:
-        coeffs = nome.theta_coefficients(bases[0], order)[:, None]
-    else:
-        coeffs = np.array([nome.theta_coefficients(b, order) for b in bases] * 2).T
+    by_base = {b: nome.theta_coefficients(b, order) for b in set(bases)}
+    coeffs = np.array([by_base[b] for b in bases] * 2).T
     y, v_col = np.array(ys, dtype=complex), np.array(bases, dtype=complex)
     first = np.concatenate([v_col * y, v_col / y])
     # a running product: the rounding of power m grows like m, and the term
