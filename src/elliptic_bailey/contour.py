@@ -11,12 +11,12 @@ is evaluated through the inverted-denominator form 1/Gamma(z^{+-2}) =
 theta(z^2; q) theta(z^{-2}; p), which is an entire function of z on the
 contour (the identity is asserted independently in the test suite).  On an
 equispaced grid z_k = r w^k with w = exp(2 pi i / n), every gamma-factor
-argument lies on a scaled copy of the same root-of-unity ring, so one
-quadrature pass evaluates all of its gamma rings, shift thetas included, in
-a single call of the FFT ring engine, however many grid pairs the kernels
-combine.  Both thetas of 1/Gamma(z^{+-2}) lie on the (n/2)-ring of z^2 and
-come from one call of the ring theta series, whose pointwise factor keeps
-them exactly 0 at z = +-1 on the unit circle.  No ring evaluates a theta
+argument lies on a scaled copy of the same root-of-unity ring, so the nodes
+a quadrature pass adds get all of their gamma rings, shift thetas included,
+from a single call of the FFT ring engine, however many grid pairs the
+kernels combine.  Both thetas of 1/Gamma(z^{+-2}) lie on the (n/2)-ring of
+z^2 and come from one call of the ring theta series, whose pointwise factor
+keeps them exactly 0 at z = +-1 on the unit circle.  No ring evaluates a theta
 product; the off-centre residue circles, which are not rings about 0, use
 the pointwise ``_kernel_at`` and its products.  Gamma values that do not
 depend on the grid are evaluated once per check.
@@ -25,10 +25,15 @@ Every quadrature pass returns (weight, samples): its integrand on the n-node
 circle, one row per integral, and each row's prefactor.  ``_trapezoid`` alone
 turns them into values weight * (2 pi i / n) * sum and into the scale of the
 one rounding floor ``_FLOOR``; ``_drive`` alone doubles n until every row
-agrees with its previous pass.  One M-kernel quadrature, ``_m_quadrature``,
-serves every single-spectator transform: ``apply_M``, the finite-difference
-oracle, both inversion passes, both circles of the deformation check and its
-conditioning probe.
+agrees with its previous pass.  A pass reads its rings and samples from the
+node history of its quadrature, ``_Nodes``, which evaluates each node once:
+the first request evaluates twice its grid in one engine call, so the second
+pass evaluates nothing, and each later pass only the n/2 new nodes, the
+previous grid turned by half a step.  One M-kernel quadrature,
+``_m_quadrature``, serves every single-spectator transform of a pointwise
+function: ``apply_M``, the finite-difference oracle, the inner passes of the
+inversion check and both circles of the deformation check; its pass
+``_m_single`` also serves the conditioning probe.
 """
 
 from __future__ import annotations
@@ -51,9 +56,11 @@ from .special_functions import (
     elliptic_pochhammer,  # unused here; perfbench/tracing.py wraps this binding
     theta,
     _gamma_rings,
+    _gamma_rings_turned,
     _gamma_vec,
     _guarded_pochhammer,
-    _roots,
+    _ring,
+    _roots,  # unused here; tests read the grid roots through this binding
     _theta_ring,
 )
 
@@ -134,9 +141,13 @@ def _drive(eval_at, rel_tol: float, n0: int = DEFAULT_N0, cap: int = DEFAULT_NOD
            label: str = "integral"):
     """Double the node count until successive values differ by less than the
     tolerance.  ``eval_at(n)`` returns (weight, samples) for :func:`_trapezoid`,
-    one row of samples per integral; the worst row decides.  The scale sets the
-    rounding floor ``_FLOOR * scale``, the accuracy limit of the trapezoid sum
-    itself, through which integrals that are exactly zero converge too."""
+    one row of samples per integral on the full n-grid in natural order; the
+    worst row decides.  The scale sets the rounding floor ``_FLOOR * scale``,
+    the accuracy limit of the trapezoid sum itself, through which integrals
+    that are exactly zero converge too.  Each pass sums its whole grid, but an
+    ``eval_at`` that reads a :class:`_Nodes` history evaluates only the nodes
+    no earlier pass held: the passes n0 and 2 n0 share one evaluation of the
+    2 n0-grid, and each later pass adds the n/2 nodes of the turned ring."""
     prev = None
     n = n0
     while n <= cap:
@@ -153,6 +164,64 @@ def _drive(eval_at, rel_tol: float, n0: int = DEFAULT_N0, cap: int = DEFAULT_NOD
     )
 
 
+class _Nodes:
+    """The node history of one adaptive quadrature on the circle |z| = radius,
+    which evaluates each node once.
+
+    ``at(n)`` returns three things on the grid z_k = radius w^k with
+    w = exp(2 pi i / n): the table {s: (G, G reflected)} of the gamma rings
+    G[k] = Gamma(s w^k) of the distinct ``scales``, with their values
+    G[-k mod n] at w^{-k}; the dden ring of :func:`_theta_rings` if ``dden``
+    is set, else None; and the samples f(z_k) of a pointwise ``f``, else None.
+
+    The first request, at n, evaluates the 2n-grid if 2n <= ``cap`` (else the
+    n-grid alone) and answers from its even entries, so the request at 2n
+    that follows makes no engine call.  A request beyond the m nodes held
+    evaluates only the m new nodes radius c w_m^j, c = exp(i pi / m), the odd
+    nodes of the 2m-grid: the gamma rings at the same scales turned by c in
+    one engine call, the dden from one theta call, and f; and interleaves
+    them with the values held.  Gamma(s / w^k) stays the reflection of the
+    interleaved ring, since 1/c_j = c_{-j-1} for the points c_j = c w_m^j of
+    the turned ring, so every engine call holds as many scales as the first.
+    The turn enters the ring series exactly (:func:`_gamma_rings_turned`),
+    not through rounded scales s c.
+    """
+
+    def __init__(self, radius: float, nome: NomePair | None = None, scales=(), f=None,
+                 dden: bool = False, cap: int = DEFAULT_NODE_CAP):
+        self.radius, self.nome, self.f, self.dden, self.cap = radius, nome, f, dden, cap
+        self.scales = list(dict.fromkeys(scales))
+        self.size = 0
+        self.held = None
+
+    def _evaluate(self, m: int, turned: bool) -> list:
+        """[gamma rings, dden, samples] on the m-grid, or on the m-grid turned
+        by c = exp(i pi / m), whose points are the odd nodes of the 2m-grid."""
+        gamma = dden = samples = None
+        if self.scales:
+            engine = _gamma_rings_turned if turned else _gamma_rings
+            gamma = engine(np.array(self.scales, dtype=complex), m, self.nome)
+        if self.dden:
+            dden = _theta_rings(m, self.radius, self.nome, turned)
+        if self.f is not None:
+            samples = np.asarray(self.f(self.radius * _ring(m, turned)), dtype=complex)
+        return [gamma, dden, samples]
+
+    def at(self, n: int):
+        if self.held is None:
+            self.size = 2 * n if 2 * n <= self.cap else n
+            self.held = self._evaluate(self.size, turned=False)
+        while self.size < n:
+            new = self._evaluate(self.size, turned=True)
+            self.held = [None if old is None else
+                         np.stack([old, add], axis=-1).reshape(*old.shape[:-1], -1)
+                         for old, add in zip(self.held, new)]
+            self.size *= 2
+        gamma, dden, samples = (None if v is None else v[..., :: self.size // n] for v in self.held)
+        rings = {} if gamma is None else dict(zip(self.scales, zip(gamma, _reflect(gamma))))
+        return rings, dden, samples
+
+
 def circle_integral(f, grid: QuadratureGrid, rel_tol: float | None = None,
                     max_nodes: int = DEFAULT_NODE_CAP) -> complex:
     """Contour integral of f(z) dz/z over the circle |z| = grid.radius.
@@ -161,8 +230,10 @@ def circle_integral(f, grid: QuadratureGrid, rel_tol: float | None = None,
     until successive values agree, raising
     :class:`QuadratureConvergenceError` at the cap.
     """
+    nodes = _Nodes(grid.radius, f=f, cap=grid.n_nodes if rel_tol is None else max_nodes)
+
     def eval_at(n):
-        return 1.0, np.asarray(f(grid.radius * _roots(n)), dtype=complex)
+        return 1.0, nodes.at(n)[2]
 
     if rel_tol is None:
         return complex(_trapezoid(*eval_at(grid.n_nodes))[0])
@@ -171,9 +242,11 @@ def circle_integral(f, grid: QuadratureGrid, rel_tol: float | None = None,
 
 def _offcenter_residue(f, center: complex, radius: float, rel_tol: float) -> complex:
     """(1 / 2 pi i) * integral of f(z) dz around a small positively oriented circle."""
+    nodes = _Nodes(radius, f=lambda step: np.asarray(f(center + step), dtype=complex) * step,
+                   cap=_RESIDUE_NODE_CAP)
+
     def eval_at(n):
-        step = radius * _roots(n)
-        return 1 / (2j * math.pi), np.asarray(f(center + step), dtype=complex) * step
+        return 1 / (2j * math.pi), nodes.at(n)[2]
 
     return complex(_drive(eval_at, rel_tol, n0=_RESIDUE_N0, cap=_RESIDUE_NODE_CAP,
                           label="residue circle")[0])
@@ -317,26 +390,20 @@ def _reflect(ring: np.ndarray) -> np.ndarray:
     return np.concatenate([ring[..., :1], ring[..., :0:-1]], axis=-1)
 
 
-def _gamma_ring_table(scales, n: int, nome: NomePair) -> dict:
-    """{scale: (G, G reflected)} with G[m] = Gamma(scale w^m) and its values
-    G[-m mod n] at w^{-m}, for each distinct scale, from one ring-engine call."""
-    distinct = list(dict.fromkeys(scales))
-    g = _gamma_rings(np.array(distinct, dtype=complex), n, nome)
-    return dict(zip(distinct, zip(g, _reflect(g))))
-
-
 def _pair(ring: tuple) -> np.ndarray:
     """P[m] = Gamma(s w^m) Gamma(s w^{-m}), the z^{+-1} pair factor of a table ring."""
     return ring[0] * ring[1]
 
 
-def _theta_rings(n: int, radius: float, nome: NomePair):
+def _theta_rings(n: int, radius: float, nome: NomePair, turned: bool = False):
     """dden[k] = theta(z_k^2; q) * theta(z_k^{-2}; p), the inverted 1/Gamma(z^{+-2})
-    on the grid z_k = r w^k, n even.  z_k^2 = r^2 w^{2k} runs twice over the
-    (n/2)-ring, where the ring series evaluates both thetas; at r = 1 both
-    vanish exactly at z_k^2 = 1."""
-    tq, tp = _theta_ring([radius**2, radius**-2], n // 2, [nome.q, nome.p], nome)
-    half = tq * _reflect(tp)
+    on the grid z_k = r w^k, n even, or on the grid turned by exp(i pi / n).
+    z_k^2 = r^2 w^{2k} runs twice over the (n/2)-ring, turned alike, where
+    the ring series evaluates both thetas; z_k^{-2} is the reflection of that
+    ring, which on the turned ring maps point k to -k-1 and so reverses it.
+    At r = 1 both thetas vanish exactly at z_k^2 = 1."""
+    tq, tp = _theta_ring([radius**2, radius**-2], n // 2, [nome.q, nome.p], nome, turned)
+    half = tq * (tp[::-1] if turned else _reflect(tp))
     return np.concatenate([half, half])
 
 
@@ -352,12 +419,6 @@ def _kernel_from(rings: dict, t: complex, x: complex, radius: float) -> np.ndarr
     a table of gamma rings that holds the four scales."""
     (g_a, _), (_, g_b), (g_c, _), (_, g_d) = (rings[scale] for scale in _kernel_scales(t, x, radius))
     return g_a * g_b * g_c * g_d
-
-
-def _kernel_ring(t: complex, x: complex, n: int, radius: float, nome: NomePair) -> np.ndarray:
-    """The kernel K[k] of :func:`_kernel_from` from one ring-engine call; factors
-    with equal scales share one ring, so at radius 1 two rings serve all four."""
-    return _kernel_from(_gamma_ring_table(_kernel_scales(t, x, radius), n, nome), t, x, radius)
 
 
 def _m_kernel_rows(pair: np.ndarray):
@@ -389,20 +450,26 @@ def _m_apply_grid(pair: np.ndarray, n: int, weighted_alpha: np.ndarray, g_t2: co
 
 
 def _m_single(t: complex, w: complex, n: int, radius: float, f, g_t2: complex,
-             nome: NomePair):
+             nome: NomePair, nodes: _Nodes | None = None):
     """(weight, samples) of [M(t) f](w) for a single spectator w on the n-node
     circle |z| = radius, given g_t2 = Gamma(t^2): the weight kappa and the
-    samples K(w, z_k) dden[k] f(z_k) / g_t2."""
-    kern = _kernel_ring(t, w, n, radius, nome)
-    vals = np.asarray(f(radius * _roots(n)), dtype=complex)
-    return nome.kappa, kern * _theta_rings(n, radius, nome) * vals / g_t2
+    samples K(w, z_k) dden[k] f(z_k) / g_t2.  ``nodes`` is the node history
+    of the quadrature the pass belongs to, by default a fresh one that
+    evaluates the n-grid alone; factors with equal scales share one ring, so
+    at radius 1 two rings serve the kernel's four."""
+    if nodes is None:
+        nodes = _Nodes(radius, nome, _kernel_scales(t, w, radius), f, dden=True, cap=n)
+    rings, dden, vals = nodes.at(n)
+    return nome.kappa, _kernel_from(rings, t, w, radius) * dden * vals / g_t2
 
 
 def _m_quadrature(t: complex, w: complex, f, radius: float, g_t2: complex, nome: NomePair,
                   rel_tol: float, label: str) -> tuple[complex, QuadratureInfo]:
     """[M(t) f](w) by adaptive trapezoid quadrature on the circle |z| = radius,
     given g_t2 = Gamma(t^2); returns (value, info)."""
-    val, info = _drive(lambda n: _m_single(t, w, n, radius, f, g_t2, nome), rel_tol, label=label)
+    nodes = _Nodes(radius, nome, _kernel_scales(t, w, radius), f, dden=True)
+    val, info = _drive(lambda n: _m_single(t, w, n, radius, f, g_t2, nome, nodes), rel_tol,
+                       label=label)
     return complex(val), info
 
 
@@ -461,9 +528,10 @@ def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
         if abs(v) >= 1.0:
             raise ConstraintViolationError(f"|t{j + 1}| = {abs(v):.4f} >= 1")
 
+    nodes = _Nodes(1.0, nome, ts, dden=True)
+
     def eval_at(n):
-        dden = _theta_rings(n, 1.0, nome)
-        rings = _gamma_ring_table(ts, n, nome)
+        rings, dden, _ = nodes.at(n)
         kern = np.ones(n, dtype=complex)
         for v in ts:
             kern = kern * _pair(rings[v])
@@ -526,11 +594,10 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
     m = len(spectators)
     weights = np.concatenate([np.full(m, nome.kappa / g_s2), d_t * nome.kappa / g_st2])
 
+    nodes = _Nodes(1.0, nome, scales, alpha, dden=True)
+
     def eval_at(n):
-        z = _roots(n)
-        dden = _theta_rings(n, 1.0, nome)
-        alpha_vals = np.asarray(alpha(z), dtype=complex)
-        rings = _gamma_ring_table(scales, n, nome)
+        rings, dden, alpha_vals = nodes.at(n)
 
         # LHS: beta1 = M(t) alpha on the grid, D(st; y, x) weight, outer M(s)
         beta1 = _m_apply_grid(_pair(rings[t]), n, dden * alpha_vals, g_t2, nome)
@@ -914,13 +981,18 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
             res = gg(t * t / w**2) / (2.0 * gg(w**-2)) * complex(alpha(np.asarray([w]))[0])
         return quad + res
 
-    def g_on_grid(z):
-        # g = M(t) alpha at every node of the unit-circle grid z, in one pass
-        n = z.size
-        pair = _pair(_gamma_ring_table([t], n, nome)[t])
-        return _m_apply_grid(pair, n, _theta_rings(n, 1.0, nome) * alpha(z), g_t2, nome)
+    # the outer M(1/t) quadrature of g = M(t) alpha, which each pass evaluates
+    # at every node of its unit-circle grid; the rings of both kernels come
+    # from one engine call per pass
+    nodes = _Nodes(1.0, nome, [*_kernel_scales(t_inv, w, 1.0), t], alpha, dden=True)
 
-    outer, info = _m_quadrature(t_inv, w, g_on_grid, 1.0, g_inv2, nome, rel_tol, "inversion outer")
+    def eval_at(n):
+        rings, dden, alpha_vals = nodes.at(n)
+        g = _m_apply_grid(_pair(rings[t]), n, dden * alpha_vals, g_t2, nome)
+        return nome.kappa, _kernel_from(rings, t_inv, w, 1.0) * dden * g / g_inv2
+
+    outer, info = _drive(eval_at, rel_tol, label="inversion outer")
+    outer = complex(outer)
     corr1 = gg(w**-2) / gg(t * t / w**2) * g_cont(w / t, head_is_recip=False)
     corr2 = gg(w**2) / gg(t * t * w**2) * g_cont(t * w, head_is_recip=True)
     total = outer + corr1 + corr2

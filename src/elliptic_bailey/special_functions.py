@@ -32,7 +32,10 @@ raises :class:`TruncationLimitError`.
 
 One engine, ``_gamma_rings``, evaluates gamma on R rings of n points
 s_i exp(2 pi i j / n); a flat array of single points is its n = 1 case.  On a
-ring of n > 1 points every log-series folds mod n and one DFT sums it.  Theta
+ring of n > 1 points every log-series folds mod n and one DFT sums it.  The
+same engine on the rings turned by exp(i pi / n), ``_gamma_rings_turned``,
+gives the nodes a nested quadrature adds at each doubling, with the turn
+folded into the series exactly.  Theta
 on a ring has its own log-series, ``_theta_series``: after the shift
 theta(v z; v) = -z^{-1} theta(z; v) into |v|^{1/2} <= |y| <= |v|^{-1/2},
 
@@ -99,6 +102,13 @@ def _roots(n: int) -> np.ndarray:
         r.setflags(write=False)
         _ROOT_CACHE[n] = r
     return r
+
+
+def _ring(n: int, turned: bool = False) -> np.ndarray:
+    """The points e_j of an n-point ring: the n-th roots of unity, or, turned
+    by c = exp(i pi / n), the odd 2n-th roots, which are the odd nodes of the
+    2n-grid bit for bit (read-only)."""
+    return _roots(2 * n)[1::2] if turned else _roots(n)
 
 
 def _truncation_order(c: float, base: float, what: str) -> int:
@@ -343,17 +353,27 @@ def _gamma_vec(z: np.ndarray, nome: NomePair) -> np.ndarray:
     return _gamma_rings(z, 1, nome)[:, 0]
 
 
-def _fold_rings(table: np.ndarray, n: int) -> np.ndarray:
-    """sum_m table[m, i] e_j^m + table[m, R + i] e_j^{-m} at the n-th roots of
-    unity e_j, as an (n, R) array, for a (rows, 2R) table whose row count is a
-    multiple of n.  The rows fold mod n, since e_j^n = 1; bin r of the second
-    half is the coefficient of e_j^{-r} = e_j^{n-r}, so it joins bin n - r of
-    the first, and one unscaled inverse DFT sums the bins.  The blocks of n
-    rows are added pairwise, halving their count each pass: a running sum
-    would add each small term of a long series to a large partial sum and
-    lose up to one ulp of it per block."""
+def _fold_rings(table: np.ndarray, n: int, turned: bool = False) -> np.ndarray:
+    """sum_m table[m, i] e_j^m + table[m, R + i] e_j^{-m} at the points e_j of
+    the n-ring (:func:`_ring`), as an (n, R) array, for a (rows, 2R) table
+    whose row count is a multiple of n.  The rows fold mod n, since
+    e_j^n = 1; bin r of the second half is the coefficient of
+    e_j^{-r} = e_j^{n-r}, so it joins bin n - r of the first, and one unscaled
+    inverse DFT sums the bins.  The blocks of n rows are added pairwise,
+    halving their count each pass: a running sum would add each small term
+    of a long series to a large partial sum and lose up to one ulp of it per
+    block.
+
+    On the ring turned by c = exp(i pi / n), (c e_j)^{b n + r} =
+    (-1)^b c^r e_j^r: block b changes sign b times, bin r is multiplied by
+    c^r from the root table, and the second half joins with the sign of
+    c^{-r} = -c^{n - r}, r >= 1.  So the turn enters exactly, and the points
+    carry no rounding of a turned scale s c that the untwisted ring's
+    points do not carry too."""
     rings = table.shape[1] // 2
     blocks = table.reshape(-1, n, 2 * rings)
+    if turned:
+        blocks = blocks * np.where(np.arange(blocks.shape[0]) % 2, -1.0, 1.0)[:, None, None]
     while blocks.shape[0] > 1:
         half = blocks.shape[0] // 2
         paired = blocks[:half] + blocks[half : 2 * half]
@@ -361,7 +381,12 @@ def _fold_rings(table: np.ndarray, n: int) -> np.ndarray:
             paired[-1] += blocks[-1]
         blocks = paired
     folded = blocks[0]
-    bins = folded[:, :rings] + folded[-np.arange(n), rings:]
+    second = folded[-np.arange(n), rings:]
+    if turned:
+        second[1:] *= -1.0
+        bins = (folded[:, :rings] + second) * _roots(2 * n)[:n, None]
+    else:
+        bins = folded[:, :rings] + second
     return np.fft.ifft(bins, axis=0, norm="forward")
 
 
@@ -371,10 +396,11 @@ def _ipow(w: complex, e: int) -> complex:
     return w**e if e <= 100 else _ipow(w**100, e // 100) * w ** (e % 100)
 
 
-def _theta_series(x: np.ndarray, bases, n: int, nome: NomePair):
-    """theta(x_t e_j; v_t) on the rings x_t e_j, e_j the n-th roots of unity,
-    for the bases v_t in {p, q} of ``nome``, one per scale, as a log-series
-    for :func:`_fold_rings`: (terms, const, factors) with
+def _theta_series(x: np.ndarray, bases, n: int, nome: NomePair, turned: bool = False):
+    """theta(x_t e_j; v_t) on the rings x_t e_j, e_j the points of the n-ring
+    (:func:`_ring`, turned or not), for the bases v_t in {p, q} of ``nome``,
+    one per scale, as a log-series for :func:`_fold_rings`: (terms, const,
+    factors) with
 
         theta(x_t e_j; v_t) = factors[t, j] exp(const_t
                                   + sum_{m=1}^M terms[m - 1, t] e_j^m
@@ -439,30 +465,56 @@ def _theta_series(x: np.ndarray, bases, n: int, nome: NomePair):
     terms = -coeffs * np.cumprod(np.repeat(first[None], order, axis=0), axis=0)
     # e_j^{-1} is read as conj(e_j): the points of a ring are s e_j, and
     # near a zero of theta the factor amplifies any other rounding of them
-    roots = _roots(n)
+    roots = _ring(n, turned)
     if any(flips):
         roots = np.where(np.array(flips)[:, None], roots.conj(), roots)
     factors = 1.0 - np.array(points)[:, None] * roots
     if any(winds):
-        factors *= _roots(n)[(np.array(winds)[:, None] * np.arange(n)) % n]
+        # e_j^w from the root table; the turned points are the odd 2n-th roots
+        w = np.array(winds)[:, None]
+        factors *= (_roots(2 * n)[(w * (2 * np.arange(n) + 1)) % (2 * n)] if turned
+                    else _roots(n)[(w * np.arange(n)) % n])
     return terms, np.array(consts), factors
 
 
-def _theta_ring(scales, n: int, bases, nome: NomePair) -> np.ndarray:
-    """theta(s_i e_j; v_i) for the scales s_i = scales[i], the n-th roots of
-    unity e_j and the bases v_i = bases[i] in {p, q} of ``nome``, as an
-    (R, n) array: the series of :func:`_theta_series`, summed by one DFT of
-    :func:`_fold_rings`, times its pointwise factors."""
-    terms, const, factors = _theta_series(np.asarray(scales, dtype=complex).ravel(), bases, n, nome)
+def _theta_ring(scales, n: int, bases, nome: NomePair, turned: bool = False) -> np.ndarray:
+    """theta(s_i e_j; v_i) for the scales s_i = scales[i], the points e_j of
+    the n-ring (:func:`_ring`, turned or not) and the bases v_i = bases[i] in
+    {p, q} of ``nome``, as an (R, n) array: the series of
+    :func:`_theta_series`, summed by one DFT of :func:`_fold_rings`, times
+    its pointwise factors."""
+    terms, const, factors = _theta_series(np.asarray(scales, dtype=complex).ravel(), bases, n,
+                                          nome, turned)
     table = np.zeros((-(-(terms.shape[0] + 1) // n) * n, terms.shape[1]), dtype=complex)
     table[1 : terms.shape[0] + 1] = terms
-    return factors * np.exp(_fold_rings(table, n).T + const[:, None])
+    return factors * np.exp(_fold_rings(table, n, turned).T + const[:, None])
 
 
 def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
     """Gamma(s_i e_j; p, q) for the scales s_i = scales[i] and the n-th roots
-    of unity e_j = exp(2 pi i j / n), as an (R, n) array.  This is the one
-    gamma engine; n = 1 is the pointwise case, which :func:`_gamma_vec` reads.
+    of unity e_j = exp(2 pi i j / n), as an (R, n) array: the one gamma
+    engine, :func:`_gamma_ring_engine`, on untwisted rings; n = 1 is the
+    pointwise case, which :func:`_gamma_vec` reads."""
+    return _gamma_ring_engine(scales, n, nome, turned=False)
+
+
+def _gamma_rings_turned(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
+    """Gamma(s_i c e_j; p, q) for c = exp(i pi / n), n > 1: the gamma engine on
+    the rings turned by half a step, whose points s_i c e_j are s_i times the
+    odd nodes of the 2n-grid.  A nested quadrature adds these nodes at each
+    doubling.  The turn enters the fold exactly (:func:`_fold_rings`), so the
+    new values share the rounding of those at the even nodes.  A rounded
+    scale s_i c would move the odd nodes against the even ones by its own
+    rounding, and the trapezoid sum picks that alternating error up
+    coherently: on the Cauchy check's inner circle it raised the median
+    residual about 1.5-fold."""
+    return _gamma_ring_engine(scales, n, nome, turned=True)
+
+
+def _gamma_ring_engine(scales: np.ndarray, n: int, nome: NomePair, turned: bool) -> np.ndarray:
+    """Gamma(s_i e_j; p, q) for the scales s_i = scales[i] and the points e_j
+    of the n-ring (:func:`_ring`, turned by exp(i pi / n) if ``turned``), as
+    an (R, n) array.  This is the one gamma engine.
 
     Every point of ring i has modulus |s_i|, so all of them share the shift
     k_i, and w = sigma_i e_j with sigma_i = s_i u^{k_i}.  One table holds the
@@ -488,7 +540,7 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
     scales = np.asarray(scales, dtype=complex)
     # values are laid out (n, R), ring points first, so that per-ring vectors
     # broadcast against them; at n = 1 z is the scales themselves
-    z = scales[None] if n == 1 else scales * _roots(n)[:, None]
+    z = scales[None] if n == 1 else scales * _ring(n, turned)[:, None]
     az = np.abs(z)
     if not az.all():
         raise DomainError("elliptic gamma is undefined at z = 0")
@@ -526,14 +578,14 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
         return np.exp(log_gamma).T
     rows = 0
     if n_shift:
-        th_terms, th_const, th_factors = _theta_series(x, [v] * x.size, n, nome)
+        th_terms, th_const, th_factors = _theta_series(x, [v] * x.size, n, nome, turned)
         rows = th_terms.shape[0]
     # c_m sigma^m and -c_m (pq/sigma)^m in row m of a zero-padded table
     table = np.zeros((-(-(max(m_top, rows) + 1) // n) * n, 2 * rings), dtype=complex)
     np.multiply(coeffs[:, None], powers[:, :rings], out=table[1 : m_top + 1, :rings])
     np.multiply(-coeffs[:, None], powers[:, rings:], out=table[1 : m_top + 1, rings:])
     if not n_shift:
-        return np.exp(_fold_rings(table, n)).T
+        return np.exp(_fold_rings(table, n, turned)).T
     # ring i's shift factors enter its rows and its constant with the sign
     # -sign(k_i), through a scatter matrix from the factors' columns to the
     # rings'; their pointwise factors, each of modulus <= 3, multiply the
@@ -545,7 +597,7 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
     scatter[cols, ring_of] = sign
     scatter[x.size + cols, rings + ring_of] = sign
     table[1 : rows + 1] += th_terms @ scatter
-    log_gamma = _fold_rings(table, n).T
+    log_gamma = _fold_rings(table, n, turned).T
     log_gamma += (th_const @ scatter[: x.size, :rings])[:, None]
     out = np.exp(log_gamma)
     th_factors[sign < 0] = 1.0 / th_factors[sign < 0]

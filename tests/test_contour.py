@@ -9,6 +9,7 @@ from elliptic_bailey.bailey_algebra import build_M
 from elliptic_bailey.contour import (
     OperatorParams,
     QuadratureGrid,
+    SymmetricTestFunction,
     apply_M,
     circle_integral,
     constant_one,
@@ -295,15 +296,18 @@ class TestRingKernels:
 
     @staticmethod
     def _count_rings(monkeypatch):
-        """Record (ring count, n) of every ring-engine call made by contour."""
+        """Record (ring count, n) of every ring-engine call made by contour,
+        on untwisted and on turned rings."""
         calls = []
-        gamma_rings = ct._gamma_rings
 
-        def counted(scales, n, nome):
-            calls.append((len(scales), n))
-            return gamma_rings(scales, n, nome)
+        def counting(engine):
+            def counted(scales, n, nome):
+                calls.append((len(scales), n))
+                return engine(scales, n, nome)
+            return counted
 
-        monkeypatch.setattr(ct, "_gamma_rings", counted)
+        for name in ("_gamma_rings", "_gamma_rings_turned"):
+            monkeypatch.setattr(ct, name, counting(getattr(ct, name)))
         return calls
 
     @staticmethod
@@ -321,6 +325,18 @@ class TestRingKernels:
         monkeypatch.setattr(ct, "_drive", counted)
         return passes
 
+    @staticmethod
+    def _ladder(passes):
+        """The ring size of each engine call of a quadrature with these passes:
+        twice the first pass, none for the second, then the n/2 new nodes of
+        each later pass n."""
+        return [2 * passes[0]] + [n // 2 for n in passes[2:]]
+
+    def _kernel_ring(self, t, x, n, radius):
+        """The kernel of ``_kernel_from`` on the n-grid alone, from one engine call."""
+        nodes = ct._Nodes(radius, self.NOME, ct._kernel_scales(t, x, radius), cap=n)
+        return ct._kernel_from(nodes.at(n)[0], t, x, radius)
+
     def _pointwise(self, t, x, z):
         g = lambda v: elliptic_gamma(v, self.NOME)
         return g(t * x * z) * g(t * x / z) * g(t * z / x) * g(t / (x * z))
@@ -329,15 +345,15 @@ class TestRingKernels:
     def test_kernel_ring_matches_pointwise_gamma(self, radius):
         n = 32
         z = radius * np.exp(2j * np.pi * np.arange(n) / n)
-        got = ct._kernel_ring(self.T, self.X, n, radius, self.NOME)
+        got = self._kernel_ring(self.T, self.X, n, radius)
         assert relative_residual(got, self._pointwise(self.T, self.X, z)) < 1e-13
 
     def test_equal_scales_share_one_ring(self, monkeypatch):
         calls = self._count_rings(monkeypatch)
-        ct._kernel_ring(self.T, self.X, 64, 1.0, self.NOME)
+        self._kernel_ring(self.T, self.X, 64, 1.0)
         assert calls == [(2, 64)]
         calls.clear()
-        ct._kernel_ring(self.T, self.X, 64, 0.7, self.NOME)
+        self._kernel_ring(self.T, self.X, 64, 0.7)
         assert calls == [(4, 64)]
 
     def test_grid_kernel_reads_one_ring(self, monkeypatch):
@@ -355,7 +371,7 @@ class TestRingKernels:
     def test_grid_kernel_matches_pointwise_gamma(self):
         n = 16
         roots = np.exp(2j * np.pi * np.arange(n) / n)
-        pair = ct._pair(ct._gamma_ring_table([self.T], n, self.NOME)[self.T])
+        pair = ct._pair(ct._Nodes(1.0, self.NOME, [self.T], cap=n).at(n)[0][self.T])
         (_j, got), = ct._m_kernel_rows(pair)
         assert relative_residual(got, self._pointwise(self.T, roots[:, None], roots[None, :])) < 1e-13
 
@@ -388,31 +404,31 @@ class TestRingKernels:
     def test_one_engine_call_per_single_kernel_pass(self, monkeypatch):
         calls = self._count_rings(monkeypatch)
         passes = self._count_passes(monkeypatch)
-        apply_M(0.3, np.exp(0.4j), z_plus_inverse(), self.NOME, radius=0.8)
-        assert len(passes) >= 2
-        assert calls == [(4, n) for n in passes]
+        apply_M(0.6, np.exp(0.4j), z_plus_inverse(), self.NOME, radius=0.8)
+        assert len(passes) >= 3
+        assert calls == [(4, n) for n in self._ladder(passes)]
 
     def test_one_engine_call_per_star_triangle_pass(self, monkeypatch):
         calls = self._count_rings(monkeypatch)
         passes = self._count_passes(monkeypatch)
         spect = [np.exp(0.4j), np.exp(1.7j), np.exp(-2.2j)]
-        star_triangle_residual(0.55, 0.45, 0.9 * np.exp(0.3j), spect, constant_one(), self.NOME)
-        assert len(passes) >= 2
+        star_triangle_residual(0.85, 0.8, 0.9 * np.exp(0.3j), spect, constant_one(), self.NOME)
+        assert len(passes) >= 3
         # t, the four D pair scales, and s w^{+-1}, st w^{+-1} per spectator
-        assert calls == [(5 + 4 * len(spect), n) for n in passes]
+        assert calls == [(5 + 4 * len(spect), n) for n in self._ladder(passes)]
 
     def test_one_engine_call_per_beta_integral_pass(self, monkeypatch):
         calls = self._count_rings(monkeypatch)
         passes = self._count_passes(monkeypatch)
-        elliptic_beta_integral(0.5, 0.6, 0.45 * np.exp(0.5j), 0.55, 0.4, self.NOME)
-        assert len(passes) >= 2
-        assert calls == [(6, n) for n in passes]
+        elliptic_beta_integral(0.9, 0.6, 0.45 * np.exp(0.5j), 0.55, 0.4, self.NOME)
+        assert len(passes) >= 3
+        assert calls == [(6, n) for n in self._ladder(passes)]
 
     def test_no_products_on_rings(self, monkeypatch):
         # inside _drive every theta factor on a ring, the engine's shift
         # thetas and the inverted 1/Gamma(z^{+-2}) alike, comes from the ring
         # series; the products serve only the pointwise values outside it
-        counts = {"products": [0, 0], "series": [0, 0]}
+        counts = {"products": [0, 0], "series": [0, 0], "rings": [0, 0]}
         inside = [False]
 
         def counting(name, fn):
@@ -434,14 +450,175 @@ class TestRingKernels:
         monkeypatch.setattr(special_functions, "_theta_series",
                             counting("series", special_functions._theta_series))
         monkeypatch.setattr(ct, "_drive", driving)
+        for name in ("_gamma_rings", "_gamma_rings_turned"):
+            monkeypatch.setattr(ct, name, counting("rings", getattr(ct, name)))
         nome = NomePair(self.NOME.p, self.NOME.q)
         spect = [np.exp(0.4j), np.exp(1.7j), np.exp(-2.2j)]
-        star_triangle_residual(0.55, 0.45, 0.9 * np.exp(0.3j), spect, constant_one(), nome)
-        elliptic_beta_integral(0.5, 0.6, 0.45 * np.exp(0.5j), 0.55, 0.4, nome)
+        star_triangle_residual(0.85, 0.8, 0.9 * np.exp(0.3j), spect, constant_one(), nome)
+        elliptic_beta_integral(0.9, 0.6, 0.45 * np.exp(0.5j), 0.55, 0.4, nome)
         assert counts["products"][True] == 0
         assert counts["products"][False] > 0
-        # every pass makes the dden ring and at least one shifted gamma ring
-        assert counts["series"][True] >= 8 and counts["series"][False] == 0
+        # every engine call, on the first grid or on a turned ring, comes with
+        # one dden ring and one series for its shifted gamma rings
+        assert counts["rings"][True] >= 6
+        assert counts["series"][True] == 2 * counts["rings"][True]
+        assert counts["series"][False] == 0
+
+
+class TestNodeLadder:
+    """The node history of one quadrature, ``_Nodes``: the first request
+    evaluates twice its grid, each later one only the turned ring of new
+    nodes, and the interleaved values equal a direct evaluation of the grid."""
+
+    @staticmethod
+    def _direct(nodes, n):
+        """The same quantities on the n-grid alone, from one engine call."""
+        return ct._Nodes(nodes.radius, nodes.nome, nodes.scales, nodes.f, nodes.dden, cap=n).at(n)
+
+    @pytest.mark.parametrize("nome, scales, radius", [
+        (NomePair(0.08, 0.12), [0.45 * np.exp(0.7j), 0.9, 0.098 * np.exp(-0.3j)], 1.0),
+        # complex nomes, scales shifted by up to four periods either way
+        (NomePair(0.3 * np.exp(0.7j), 0.45 * np.exp(-1.2j)),
+         [0.45 * np.exp(0.7j), 2.7 * np.exp(2.1j), 0.021j, 9.5, 0.13], 0.7),
+        # the Cauchy inner circle, r^2 < |q|, at the nome of the slow shifts
+        (NomePair(0.05, 0.8), [0.2, 1.4 * np.exp(1.1j), 14.3, 9e-3j], 0.5),
+        (NomePair(0.2, 0.35 * np.exp(0.4j)), [0.6 * np.exp(-2.0j), 3.1], 1.3),
+    ])
+    def test_interleaved_rings_match_a_direct_call(self, nome, scales, radius):
+        nodes = ct._Nodes(radius, nome, scales, lambda z: z + 1 / z, dden=True)
+        for n in (16, 32, 64, 128, 256):
+            rings, dden, samples = nodes.at(n)
+            want_rings, want_dden, want_samples = self._direct(nodes, n)
+            for scale in scales:
+                # the ring and its reflected read, entry by entry
+                for got, want in zip(rings[scale], want_rings[scale]):
+                    assert relative_residual(got, want) < 1e-13
+            # normwise: at radius 1 the dden vanishes at z = +-1
+            assert np.max(np.abs(dden - want_dden)) < 1e-13 * np.max(np.abs(want_dden))
+            # a pointwise f sees the grid's own points, bit for bit
+            assert np.array_equal(samples, want_samples)
+        assert nodes.size == 256
+
+    def test_offcenter_circle_matches_a_direct_evaluation(self, monkeypatch):
+        # the integrand of a Cauchy excursion, on a circle about a reciprocal pole
+        nome = NomePair(0.3 * np.exp(0.5j), 0.8)
+        t, x = 0.35 * np.exp(0.2j), np.exp(0.9j)
+        alpha = designated_poles(0.6 * np.exp(0.4j), 1, nome.q, [1.0, -0.5j])
+        g_t2 = complex(elliptic_gamma(t * t, nome))
+        centre, rho = 1 / alpha.poles[0], 0.3
+
+        def f(z):
+            return ct._kernel_at(t, x, z, g_t2, nome) * alpha(z) / z
+
+        seen = []
+        drive = ct._drive
+
+        def recording(eval_at, *args, **kwargs):
+            def each(n):
+                weight, samples = eval_at(n)
+                seen.append((n, samples.copy()))
+                return weight, samples
+            return drive(each, *args, **kwargs)
+
+        monkeypatch.setattr(ct, "_drive", recording)
+        ct._offcenter_residue(f, centre, rho, rel_tol=1e-14)
+        assert len(seen) >= 3
+        for n, got in seen:
+            step = rho * ct._roots(n)
+            assert relative_residual(got, f(centre + step) * step) < 1e-13
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count the points of every gamma-ring, dden and sample evaluation,
+        and the passes of _drive."""
+        seen = {"rings": [], "dden": [], "f": [], "passes": []}
+        theta_rings, drive = ct._theta_rings, ct._drive
+
+        def rings(engine):
+            def counted(scales, n, nome):
+                seen["rings"].append((len(scales), n))
+                return engine(scales, n, nome)
+            return counted
+
+        def dden(n, *args):
+            seen["dden"].append(n)
+            return theta_rings(n, *args)
+
+        def driving(eval_at, *args, **kwargs):
+            def each(n):
+                seen["passes"].append(n)
+                return eval_at(n)
+            return drive(each, *args, **kwargs)
+
+        for name in ("_gamma_rings", "_gamma_rings_turned"):
+            monkeypatch.setattr(ct, name, rings(getattr(ct, name)))
+        monkeypatch.setattr(ct, "_theta_rings", dden)
+        monkeypatch.setattr(ct, "_drive", driving)
+        return seen
+
+    @pytest.mark.parametrize("identity", ["apply_M", "star-triangle", "beta", "circle", "residue"])
+    def test_each_node_is_evaluated_once(self, monkeypatch, identity):
+        seen = self._counted(monkeypatch)
+        nome = NomePair(0.08, 0.12)
+
+        def one(z):
+            seen["f"].append(z.size)
+            return np.ones_like(z)
+
+        def z_inv(z):
+            seen["f"].append(z.size)
+            return z + 1 / z
+
+        if identity == "apply_M":
+            apply_M(0.6, np.exp(0.4j), SymmetricTestFunction(z_inv), nome, radius=0.8)
+        elif identity == "star-triangle":
+            star_triangle_residual(0.85, 0.8, 0.9 * np.exp(0.3j), [np.exp(0.4j), np.exp(1.7j)],
+                                   SymmetricTestFunction(one), nome)
+        elif identity == "beta":
+            elliptic_beta_integral(0.9, 0.6, 0.45 * np.exp(0.5j), 0.55, 0.4, nome)
+        elif identity == "circle":
+            circle_integral(lambda z: z_inv(z) / (1.2 - z), QuadratureGrid(1.0, 8), rel_tol=1e-13)
+        else:
+            ct._offcenter_residue(lambda z: z_inv(z) / (z - 0.5), 0.5, 0.3, rel_tol=1e-14)
+        final = seen["passes"][-1]
+        assert len(seen["passes"]) >= 3
+        if identity in ("apply_M", "star-triangle", "beta"):
+            # every engine call holds each scale once, and the calls add up to
+            # the final grid
+            assert len({count for count, _n in seen["rings"]}) == 1
+            assert sum(n for _count, n in seen["rings"]) == final
+            assert sum(seen["dden"]) == final
+        if identity != "beta":
+            assert sum(seen["f"]) == final
+
+    @pytest.mark.parametrize("cap", [64, 128])
+    def test_no_node_beyond_the_cap(self, cap):
+        # n0 == cap evaluates n0 alone; n0 == cap / 2 fuses its two passes
+        # into one evaluation of cap nodes
+        sizes = []
+
+        def f(z):
+            sizes.append(z.size)
+            return 1.0 / (1.0 + 1e-9 - z)
+
+        message = (f"integral did not converge by {cap} nodes "
+                   r"\(a pole may sit too close to the contour\)")
+        with pytest.raises(QuadratureConvergenceError, match=message):
+            circle_integral(f, QuadratureGrid(1.0, 64), rel_tol=1e-12, max_nodes=cap)
+        assert sizes == [cap]
+
+    def test_no_engine_point_beyond_the_cap(self, monkeypatch):
+        seen = self._counted(monkeypatch)
+        nome = NomePair(0.08, 0.12)
+        nodes = ct._Nodes(1.0, nome, [0.5], dden=True, cap=64)
+
+        def eval_at(n):
+            rings, dden, _ = nodes.at(n)
+            return 1.0, ct._pair(rings[0.5]) * dden
+
+        with pytest.raises(QuadratureConvergenceError, match="integral did not converge by 64 nodes"):
+            ct._drive(eval_at, 1e-10, n0=64, cap=64)
+        assert seen["rings"] == [(1, 64)] and seen["dden"] == [64] and seen["passes"] == [64]
 
 
 class TestStarTriangle:
