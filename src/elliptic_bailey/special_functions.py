@@ -136,7 +136,7 @@ def _qpoch_order(base_mod: float, scale: float) -> int:
 def _qpoch_raw(z: np.ndarray, base: complex, n_terms: int) -> np.ndarray:
     """prod_{j=0}^{n_terms-1} (1 - z base^j), vectorized over z."""
     powers = base ** np.arange(n_terms)
-    return np.prod(1.0 - z[..., None] * powers, axis=-1)
+    return (1.0 - z[..., None] * powers).prod(axis=-1)
 
 
 def qpochhammer_inf(z, base):
@@ -153,7 +153,7 @@ def qpochhammer_inf(z, base):
     if base == 0.0:
         out = 1.0 - z_arr
         return out if z_arr.ndim else complex(out)
-    scale = float(np.max(np.abs(z_arr))) if z_arr.size else 1.0
+    scale = float(np.abs(z_arr).max()) if z_arr.size else 1.0
     n = _qpoch_order(abs(base), scale)
     out = _qpoch_raw(z_arr, base, n)
     return out if z_arr.ndim else complex(out)
@@ -169,7 +169,7 @@ def theta(z, p):
     if abs(p) >= 1.0:
         raise DomainError(f"theta nome must satisfy |p| < 1, got |p|={abs(p):g}")
     z_arr = np.asarray(z, dtype=complex)
-    if np.any(z_arr == 0):
+    if not z_arr.all():
         raise DomainError("theta(z; p) requires z != 0")
     if p == 0.0:
         out = 1.0 - z_arr
@@ -182,7 +182,7 @@ def theta_truncation_order(z, p) -> int:
     """The order J of the products in one theta call at the nonzero points z:
     one order serves them all, from the largest of |z| and |p/z| over them."""
     z = np.abs(np.asarray(z, dtype=complex))
-    return _qpoch_order(abs(p), float(np.max(np.maximum(z, abs(p) / z))))
+    return _qpoch_order(abs(p), float(np.maximum(z, abs(p) / z).max()))
 
 
 def _theta_raw(z: np.ndarray, p: complex) -> np.ndarray:
@@ -190,18 +190,22 @@ def _theta_raw(z: np.ndarray, p: complex) -> np.ndarray:
     argument checks.
 
     One truncation order J (:func:`theta_truncation_order`) serves every
-    point.  The (points x J) factor products run over blocks of _THETA_BLOCK
-    points, which bounds their temporaries; a point's value does not depend
-    on the block it falls in.
+    point, so both products (z; p)_J and (p/z; p)_J come from one call on the
+    stacked points, which builds one vector of powers of p.  The
+    (points x J) factor products run over blocks of _THETA_BLOCK points,
+    which bounds their temporaries; a point's value does not depend on the
+    block it falls in.
     """
     n = theta_truncation_order(z, p)
     if z.size <= _THETA_BLOCK:
-        return _qpoch_raw(z, p, n) * _qpoch_raw(p / z, p, n)
+        both = _qpoch_raw(np.array((z, p / z)), p, n)
+        return both[0] * both[1]
     flat = z.reshape(-1)
     out = np.empty_like(flat)
     for lo in range(0, flat.size, _THETA_BLOCK):
         block = flat[lo : lo + _THETA_BLOCK]
-        out[lo : lo + _THETA_BLOCK] = _qpoch_raw(block, p, n) * _qpoch_raw(p / block, p, n)
+        both = _qpoch_raw(np.array((block, p / block)), p, n)
+        out[lo : lo + _THETA_BLOCK] = both[0] * both[1]
     return out.reshape(z.shape)
 
 
@@ -210,14 +214,17 @@ class NomePair:
     """The two base parameters (p, q) with cached derived constants
     (p; p)_inf, (q; q)_inf and kappa = (p;p)_inf (q;q)_inf / (4 pi i).
 
-    Frozen and compared on (p, q); safe to share across threads (the cached
-    gamma series coefficients only ever grow to identical values).
+    Each product is computed on the first read of ``pp_inf``, ``qq_inf`` or
+    ``kappa``: the discrete and residue-sum checks never read them.  Frozen
+    and compared on (p, q); safe to share across threads, since every lazy
+    write (a product, or the series coefficients, which only ever grow)
+    stores the same bits whichever thread makes it.
     """
 
     p: complex
     q: complex
-    _pp_inf: complex = field(init=False, repr=False, compare=False)
-    _qq_inf: complex = field(init=False, repr=False, compare=False)
+    _pp_inf: complex | None = field(default=None, init=False, repr=False, compare=False)
+    _qq_inf: complex | None = field(default=None, init=False, repr=False, compare=False)
     _series_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     _theta_coeffs: dict = field(init=False, repr=False, compare=False)
 
@@ -227,29 +234,41 @@ class NomePair:
             raise DomainError(f"nomes must satisfy |p|, |q| < 1, got |p|={abs(p):g}, |q|={abs(q):g}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_pp_inf", qpochhammer_inf(p, p))
-        object.__setattr__(self, "_qq_inf", qpochhammer_inf(q, q))
         object.__setattr__(self, "_series_coeffs", np.empty(0, dtype=complex))
         object.__setattr__(self, "_theta_coeffs", {})
 
     @property
     def pp_inf(self) -> complex:
         """(p; p)_inf."""
+        if self._pp_inf is None:
+            object.__setattr__(self, "_pp_inf", qpochhammer_inf(self.p, self.p))
         return self._pp_inf
 
     @property
     def qq_inf(self) -> complex:
         """(q; q)_inf."""
+        if self._qq_inf is None:
+            object.__setattr__(self, "_qq_inf", qpochhammer_inf(self.q, self.q))
         return self._qq_inf
 
     @property
     def kappa(self) -> complex:
         """(p;p)_inf (q;q)_inf / (4 pi i), the prefactor of the integral transform."""
-        return self._pp_inf * self._qq_inf / (4j * math.pi)
+        return self.pp_inf * self.qq_inf / (4j * math.pi)
 
     def swapped(self) -> "NomePair":
-        """The pair with p and q exchanged (for base-symmetry checks)."""
-        return NomePair(self.q, self.p)
+        """The pair with p and q exchanged (for base-symmetry checks).
+
+        It takes over the products computed so far and the theta coefficients,
+        which depend on one base each.  It builds its own gamma series
+        coefficients: the rounding of 1 / (m (1 - p^m)(1 - q^m)) depends on
+        the order of the factors, and shared ones would make the symmetry
+        check compare a value with itself."""
+        other = NomePair(self.q, self.p)
+        object.__setattr__(other, "_pp_inf", self._qq_inf)
+        object.__setattr__(other, "_qq_inf", self._pp_inf)
+        object.__setattr__(other, "_theta_coeffs", self._theta_coeffs)
+        return other
 
     def series_coefficients(self, order: int) -> np.ndarray:
         """The gamma series coefficients 1 / (m (1 - p^m)(1 - q^m)), m = 1..order."""
@@ -291,7 +310,7 @@ def _annulus_shift(log_az: np.ndarray, nome: NomePair) -> tuple[np.ndarray, floa
     k = np.rint(exact)
     # log|w| - target = (k - exact) log|u|, and log|pq/w| - target is its negative
     miss = (k - exact) * log_u
-    r = math.exp(target + float(np.max(np.abs(miss) if v != 0 else miss)))
+    r = math.exp(target + float((np.abs(miss) if v != 0 else miss).max()))
     return k, r
 
 
@@ -308,40 +327,64 @@ def _series_order(nome: NomePair, r: float) -> int:
 
 def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
     """Raise PoleProximityError iff some j, k >= 0 has
-    |1 - z p^j q^k| < POLE_GUARD_FACTOR |z|.
+    |1 - z p^j q^k| < POLE_GUARD_FACTOR |z|, for the points z of an (n, R)
+    array of R rings of n points and their moduli az; a flat call is R rings
+    of one point.
 
-    A lattice point x = z v^j u^k can meet that predicate only if
-    ||x| - 1| < POLE_GUARD_FACTOR |z|, so only x with |x| in
-    [1 - reach, 1 + reach], widened to [1/2, 2], are tested, where reach is
-    POLE_GUARD_FACTOR max|z|.  They lie in one rectangle of (j, k) for every
-    z of the call.  From reach = 1 on, the lattice points x -> 0 count as
-    meeting the predicate, since |1 - x| -> 1.
+    Since |1 - z L| >= ||z| |L| - 1|, a lattice point x = z L, L = v^j u^k,
+    can meet that predicate only if ||x| - 1| < POLE_GUARD_FACTOR |z|, so the
+    candidates are the x with |x| in [1 - band, 1 + band], where reach is
+    POLE_GUARD_FACTOR max|z| and band = 2 reach + 1e-9.  The margin over the
+    predicate's own bound is far above the rounding of the moduli, of z L
+    and of the logs below, a few ulps of max(1, |x|), so no point the
+    complex test would flag is dropped.  From band = 1/2 on the interval is
+    [1 - reach, 1 + reach], widened to [1/2, 2], and from reach = 1 on the
+    lattice points x -> 0 count as meeting the predicate, since
+    |1 - x| -> 1.
+
+    The candidates lie in one rectangle of (j, k) for every z of the call,
+    usually an empty one.  The points of a ring share one modulus a (that of
+    its first point, up to rounding), so the rectangle's values L are then
+    filtered on reals, keeping those with |a |L| - 1| <= band for some ring.
+    The complex test runs on the rings with a candidate left, against the
+    whole rectangle.
     """
     hi = float(az.max())
     reach = POLE_GUARD_FACTOR * hi
-    low, high = min(0.5, 1.0 - reach), max(2.0, 1.0 + reach)
+    band = 2.0 * reach + 1e-9
+    if band < 0.5:
+        low, high = 1.0 - band, 1.0 + band
+    else:
+        low, high = min(0.5, 1.0 - reach), max(2.0, 1.0 + reach)
     if hi < low:
         return
     u, v = _shift_nomes(nome)
-    lattice = np.ones(1, dtype=complex)
     if u != 0:
         if low <= 0:
             raise PoleProximityError(
                 f"|z|={hi:g} puts every small lattice point within guard distance"
             )
         neg_log_u, log_low, log_high = -math.log(abs(u)), math.log(low), math.log(high)
+        span = math.log(hi) - log_low
         j_max, log_v = 0, 0.0
         if v != 0:
             log_v = math.log(abs(v))
-            j_max = int((math.log(hi) - log_low) // -log_v)
+            j_max = int(span // -log_v)
         # k_lo: the first k with |z v^j u^k| <= high for the smallest |z| and j = j_max
         k_lo = max(0, math.ceil((math.log(float(az.min())) + j_max * log_v - log_high) / neg_log_u))
-        k_hi = int((math.log(hi) - log_low) // neg_log_u)
+        k_hi = int(span // neg_log_u)
         if k_lo > k_hi:
             return
         lattice = np.outer(v ** np.arange(j_max + 1), u ** np.arange(k_lo, k_hi + 1)).ravel()
-    gap = np.abs(1.0 - z[:, None] * lattice).min(axis=1)
-    bad = gap < POLE_GUARD_FACTOR * az
+    else:
+        lattice = np.ones(1, dtype=complex)
+    near = np.abs(np.multiply.outer(az[0], np.abs(lattice)) - 1.0) <= band
+    if not near.any():
+        return
+    rings = np.flatnonzero(near.any(axis=1))
+    gap = np.abs(1.0 - z[:, rings, None] * lattice).min(axis=2)
+    bad = np.zeros(z.shape, dtype=bool)
+    bad[:, rings] = gap < POLE_GUARD_FACTOR * az[:, rings]
     if bad.any():
         raise PoleProximityError(
             f"z={z[bad][0]} is within guard distance of the pole lattice p^-j q^-k"
@@ -544,7 +587,7 @@ def _gamma_ring_engine(scales: np.ndarray, n: int, nome: NomePair, turned: bool)
     az = np.abs(z)
     if not az.all():
         raise DomainError("elliptic gamma is undefined at z = 0")
-    _pole_guard(z.ravel(), az.ravel(), nome)
+    _pole_guard(z, az, nome)
     u, v = _shift_nomes(nome)
     if u == 0:
         return (1.0 / (1.0 - z)).T
@@ -560,12 +603,14 @@ def _gamma_ring_engine(scales: np.ndarray, n: int, nome: NomePair, turned: bool)
         step = min(filled, m_top - filled)
         np.multiply(powers[:step], powers[filled - 1], out=powers[filled : filled + step])
         filled += step
-    n_shift = int(np.abs(k).max())
+    shifts = np.abs(k)
+    n_shift = int(shifts.max())
     if n_shift:
         # the shift factors' scales x u^j, j < |k|, on the masked (R, max|k|)
         # grid: each ring's are a contiguous block
-        used = np.arange(n_shift) < np.abs(k)[:, None]
-        x = (np.where(k > 0, scales, sigma)[:, None] * u ** np.arange(n_shift))[used]
+        steps = np.arange(n_shift)
+        used = steps < shifts[:, None]
+        x = (np.where(k > 0, scales, sigma)[:, None] * u**steps)[used]
     if n == 1:
         series = coeffs @ powers
         log_gamma = (series[:rings] - series[rings:])[None]
@@ -599,11 +644,23 @@ def _gamma_ring_engine(scales: np.ndarray, n: int, nome: NomePair, turned: bool)
     table[1 : rows + 1] += th_terms @ scatter
     log_gamma = _fold_rings(table, n, turned).T
     log_gamma += (th_const @ scatter[: x.size, :rings])[:, None]
-    out = np.exp(log_gamma)
+    with np.errstate(over="ignore"):
+        out = np.exp(log_gamma)
     th_factors[sign < 0] = 1.0 / th_factors[sign < 0]
     shifted = np.flatnonzero(k)
     first = np.flatnonzero(np.r_[True, ring_of[1:] != ring_of[:-1]])
-    out[shifted] *= np.multiply.reduceat(th_factors, first)
+    factors = np.multiply.reduceat(th_factors, first)
+    over = np.isinf(out)
+    if not over.any():
+        out[shifted] *= factors
+        return out
+    # exp overflowed, though the pointwise factors may bring the value back
+    # into range: those points alone are taken in log form, as the n = 1 case
+    # takes every point, and they overflow only where it does
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[shifted] *= factors
+        log_gamma[shifted] += np.log(factors)
+    out[over] = np.exp(log_gamma[over])
     return out
 
 
@@ -674,7 +731,7 @@ def elliptic_pochhammer(z, n: int, nome: NomePair):
     # theta(z)_n = 1 / theta(z q^n)_{-n}, whose factor i is theta(z q^{-j}), j = -n - i
     factors, poch = _guarded_pochhammer([z * nome.q**n], [-n], nome)
     small = np.abs(factors[0]) < THETA_GUARD
-    if np.any(small):
+    if small.any():
         i = int(np.flatnonzero(small)[-1])
         raise DegenerateParameterError(
             f"theta(z q^-{-n - i}; p) = {factors[0, i]} is below the division guard"
@@ -713,7 +770,7 @@ def _quadratic_residual(values: np.ndarray) -> float:
     """|Gamma(z^2) - prod Gamma(s)| / |Gamma(z^2)| from the gamma values at
     :func:`_quadratic_points`."""
     lhs = complex(values[0])
-    return abs(lhs - complex(np.prod(values[1:]))) / abs(lhs)
+    return abs(lhs - complex(values[1:].prod())) / abs(lhs)
 
 
 def gamma_quadratic_check(z, nome: NomePair) -> float:

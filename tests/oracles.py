@@ -186,27 +186,44 @@ def _log1m(u: np.ndarray) -> np.ndarray:
 _GAMMA_CHUNK = 2_000_000  # max elements of the (z, lattice) product grid per block
 
 
+def _lattice_for(z: np.ndarray, nome: NomePair) -> np.ndarray:
+    """The rectangle of values p^j q^k that the double product at the nonzero
+    points z runs over."""
+    az = np.abs(z)
+    scale = float(np.max(np.maximum(az, abs(nome.p * nome.q) / az)))
+    return _gamma_lattice(nome, *_gamma_order(nome, scale))
+
+
+def pole_guard_hits(z: np.ndarray, nome: NomePair) -> np.ndarray:
+    """The double product's pole guard at the nonzero points of a flat array
+    z: whether |1 - z p^j q^k| < POLE_GUARD_FACTOR |z| for some (j, k) of its
+    rectangle, tested in complex arithmetic on every pair."""
+    w = _lattice_for(z, nome)
+    hits = np.empty(z.shape, dtype=bool)
+    step = max(1, _GAMMA_CHUNK // max(w.size, 1))
+    for lo in range(0, z.size, step):
+        zb = z[lo : lo + step]
+        gap = np.abs(1.0 - zb[:, None] * w[None, :]).min(axis=1)
+        hits[lo : lo + step] = gap < POLE_GUARD_FACTOR * np.abs(zb)
+    return hits
+
+
 def _gamma_vec(z: np.ndarray, nome: NomePair) -> np.ndarray:
     """Gamma(z; p, q) on a flat complex array, log-space accumulation."""
     pq = nome.p * nome.q
-    az = np.abs(z)
-    if np.any(az == 0):
+    if np.any(z == 0):
         raise DomainError("elliptic gamma is undefined at z = 0")
-    scale = float(np.max(np.maximum(az, abs(pq) / az)))
-    jp, jq = _gamma_order(nome, scale)
-    w = _gamma_lattice(nome, jp, jq)
+    bad = pole_guard_hits(z, nome)
+    if np.any(bad):
+        raise PoleProximityError(
+            f"z={z[bad][0]} is within guard distance of the pole lattice p^-j q^-k"
+        )
+    w = _lattice_for(z, nome)
     out = np.empty_like(z)
     step = max(1, _GAMMA_CHUNK // max(w.size, 1))
     for lo in range(0, z.size, step):
         zb = z[lo : lo + step, None]
         den_u = zb * w[None, :]
-        gap = np.abs(1.0 - den_u).min(axis=1)
-        bad = gap < POLE_GUARD_FACTOR * np.abs(zb[:, 0])
-        if np.any(bad):
-            zbad = zb[bad, 0][0]
-            raise PoleProximityError(
-                f"z={zbad} is within guard distance of the pole lattice p^-j q^-k"
-            )
         num_u = (pq * w)[None, :] / zb
         out[lo : lo + step] = np.exp(np.sum(_log1m(num_u) - _log1m(den_u), axis=1))
     return out

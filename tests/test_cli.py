@@ -12,6 +12,7 @@ from elliptic_bailey.cli import main, parse_complex, CliError
 from elliptic_bailey.harness import IDENTITIES, CampaignConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +199,19 @@ class TestVerify:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    # two runs of today's code agree with each other whatever it computes;
+    # the committed output pins every value, residual and encoded bit
+    @pytest.mark.parametrize("golden, argv", [
+        ("special-functions-seed20108.jsonl",
+         ("special-functions", "--draws", "20", "--seed", "20108")),
+        ("residue-reduction-N4-seed20800.jsonl",
+         ("residue-reduction", "--N", "4", "--draws", "10", "--seed", "20800")),
+    ])
+    def test_json_matches_the_committed_output(self, capsys, golden, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--json")
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     # each quadrature keeps its node history for one integral only; a history
     # that leaked into the next draw or the next run would show here

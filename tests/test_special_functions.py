@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -355,6 +358,15 @@ def _guard_raises(z, nome):
     return fired[0]
 
 
+def _guard_fires(z, nome):
+    """Whether the pole guard fires on the (n, R) ring points z."""
+    try:
+        special_functions._pole_guard(z, np.abs(z), nome)
+    except PoleProximityError:
+        return True
+    return False
+
+
 class TestGammaAgainstDoubleProduct:
     """The annulus series against the former numpy double product
     (oracles.elliptic_gamma_double_product), on 9-point calls.
@@ -433,6 +445,45 @@ class TestGammaAgainstDoubleProduct:
         nome = NomePair(0.0, 0.2)
         assert _guard_raises(0.45 * 5.0**19, nome)
         assert not _guard_raises(-0.45 * 5.0**19, nome)
+
+    @pytest.mark.parametrize("n, turned", [(1, False), (2, False), (2, True), (64, False),
+                                           (64, True), (128, False), (128, True)])
+    def test_ring_guard_matches_oracle(self, n, turned):
+        # one point of one ring sits 1e-14 |z| (inside the guard) or 1e-12 |z|
+        # (outside it) from a lattice point; the guard filters the rectangle
+        # by modulus first, and must still raise exactly where the oracle's
+        # complex test on every point does
+        rng = np.random.default_rng(67 + n + 2 * turned)
+        outcomes = set()
+        for trial in range(16):
+            nome = _random_nome(rng, 0.5, 0.5, complex_nomes=trial % 2 == 1)
+            scales = 10 ** rng.uniform(-1.5, 1.5, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+            j, k = rng.integers(0, 4, 2)
+            base = nome.p**j * nome.q**k
+            if base != 0:
+                pole = 1.0 / base
+                factor = 1e-14 if trial % 4 < 2 else 1e-12
+                scales[rng.integers(3)] = (pole / (1.0 - factor * abs(pole) * _phase(rng))
+                                           / _ring(n, turned)[rng.integers(n)])
+            z = scales * _ring(n, turned)[:, None]
+            fires = _guard_fires(z, nome)
+            assert fires == oracles.pole_guard_hits(z.ravel(), nome).any(), (trial, nome)
+            outcomes.add(fires)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_ring_guard_matches_oracle_at_huge_arguments(self, n):
+        rng = np.random.default_rng(71 + n)
+        nomes = (NomePair(0.1, 0.3), NomePair(0.2 + 0.2j, 0.5j), NomePair(0.0, 0.2))
+        outcomes = set()
+        for trial in range(18):
+            nome = nomes[trial % 3]
+            z = (10 ** rng.uniform(10, 14, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+                 * _ring(n)[:, None])
+            fires = _guard_fires(z, nome)
+            assert fires == oracles.pole_guard_hits(z.ravel(), nome).any(), (trial, nome)
+            outcomes.add(fires)
+        assert outcomes == {True, False}
 
     def test_series_cap_raises(self, monkeypatch):
         # |z| = 0.5 needs no shift and M ~ 50 series terms at r = 0.5; the
@@ -562,6 +613,80 @@ class TestNomePair:
         with pytest.raises(AttributeError):
             nome.p = 0.5
 
+    def test_products_are_computed_on_first_read(self, monkeypatch):
+        calls = []
+        product = special_functions.qpochhammer_inf
+
+        def counting(z, base):
+            calls.append(complex(base))
+            return product(z, base)
+
+        monkeypatch.setattr(special_functions, "qpochhammer_inf", counting)
+        nome = NomePair(0.1 + 0.05j, 0.2)
+        swapped = nome.swapped()
+        assert calls == []
+        pp = nome.pp_inf
+        assert calls == [nome.p] and nome.pp_inf is pp
+        nome.kappa
+        assert calls == [nome.p, nome.q]
+        # the swap was taken before the reads, so it computes its own
+        assert swapped.qq_inf == pp
+        assert calls == [nome.p, nome.q, nome.p]
+
+    def test_lazy_products_under_threads(self):
+        # racing first reads may each compute a product; every one of them
+        # stores the same bits, so every reader sees the single-threaded value
+        want = NomePair(0.37 + 0.2j, 0.61 - 0.1j)
+        want = (want.pp_inf, want.qq_inf, want.kappa)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                nome = NomePair(0.37 + 0.2j, 0.61 - 0.1j)
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [pool.submit(lambda: (nome.pp_inf, nome.qq_inf, nome.kappa))
+                               for _ in range(12)]
+                    seen = {f.result(timeout=30) for f in futures}
+                assert seen == {want}
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("p, q", [(0.1, 0.2), (0.3 - 0.2j, 0.05j), (0.0, 0.6), (0.85, 0.0)])
+    def test_swapped_takes_over_the_products(self, monkeypatch, p, q):
+        nome = NomePair(p, q)
+        fresh = NomePair(q, p)
+        want = (fresh.pp_inf, fresh.qq_inf, fresh.kappa)
+        nome.kappa
+        monkeypatch.setattr(special_functions, "qpochhammer_inf", None)
+        swapped = nome.swapped()
+        got = (swapped.pp_inf, swapped.qq_inf, swapped.kappa)
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == [
+            (v.real.hex(), v.imag.hex()) for v in want]
+        # 1 / (m (1 - v^m)) depends on v alone, so both pairs share one table
+        assert swapped._theta_coeffs is nome._theta_coeffs
+
+    def test_swapped_builds_its_own_series_coefficients(self):
+        # 1 / (m (1 - p^m)(1 - q^m)) rounds by the order of its factors; shared
+        # coefficients would make the base-symmetry check compare a value
+        # with itself
+        nome = NomePair(0.23 + 0.11j, 0.31 - 0.07j)
+        mine = nome.series_coefficients(40)
+        swapped = nome.swapped()
+        theirs = swapped.series_coefficients(40)
+        assert swapped._series_coeffs is not nome._series_coeffs
+        assert np.array_equal(theirs, NomePair(nome.q, nome.p).series_coefficients(40))
+        assert np.allclose(mine, theirs, rtol=1e-15, atol=0)
+        assert not np.array_equal(mine, theirs)
+
+    def test_base_symmetry_keeps_its_bits(self, capsys):
+        from elliptic_bailey.cli import main
+
+        assert main(["verify", "special-functions", "--draws", "6", "--seed", "123", "--json"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        got = [d["details"]["base_symmetry"]["f"] for d in lines if "details" in d]
+        assert got == ["0x1.e2d8a39311333p-54", "0x1.1f04b9431275ap-52", "0x1.16e4d9b9fb384p-53",
+                       "0x1.76dde11eaa252p-53", "0x1.581332cd16c63p-52", "0x0.0p+0"]
+
 
 class TestTruncationOrder:
     """_truncation_order, the one order rule, against the two rules it replaced."""
@@ -685,6 +810,22 @@ class TestGammaRings:
     def test_zero_scale_raises(self):
         with pytest.raises(DomainError):
             _gamma_rings(np.array([0.4, 0.0]), 16, NomePair(0.1, 0.2))
+
+    @pytest.mark.parametrize("n, turned", [(2, False), (8, False), (8, True), (64, False)])
+    def test_overflows_only_where_pointwise_does(self, n, turned):
+        # near the zero p^3 q^6 the shift factors are tiny and exp of the
+        # folded log-series alone overflows, though Gamma is ~4e293 at z
+        p, q = 0.59, 0.035
+        nome = NomePair(p, q)
+        z = p**3 * q**6 * (1 + 1e-5j)
+        engine = _gamma_rings_turned if turned else _gamma_rings
+        with np.errstate(over="ignore"):
+            want = _gamma_rings(z * _ring(n, turned), 1, nome)[:, 0]
+            got = engine(np.array([z]), n, nome)[0]
+        finite = np.isfinite(want)
+        assert finite.any()
+        assert np.array_equal(np.isfinite(got), finite)
+        assert _max_rel(got[finite], want[finite]) < 1e-9
 
     @_PROPERTY
     @given(data=st.data(), nome=_nomes(moduli=st.floats(0.02, 0.35)), n=_ring_sizes,
