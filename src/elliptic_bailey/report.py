@@ -18,22 +18,13 @@ SCHEMA_TAG = "elliptic-bailey-report/1"
 
 RESIDUAL_FLOOR = 1e-300
 
-_SCALARS = (complex, float, np.complex128, np.float64)
-
 
 def relative_residual(lhs, rhs) -> float:
-    """max entrywise |lhs - rhs| / max(|lhs|, |rhs|, floor).
-
-    Two scalars skip the arrays but not the ufuncs: as np.complex128 scalars
-    they round exactly as arrays do, where Python's abs would not."""
-    if type(lhs) in _SCALARS and type(rhs) in _SCALARS:
-        lhs, rhs = np.complex128(lhs), np.complex128(rhs)
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), RESIDUAL_FLOOR)
-        return float(np.abs(lhs - rhs) / scale)
+    """max entrywise |lhs - rhs| / max(|lhs|, |rhs|, floor)."""
     lhs = np.asarray(lhs, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), RESIDUAL_FLOOR)
-    return float((np.abs(lhs - rhs) / scale).max())
+    return float(np.max(np.abs(lhs - rhs) / scale))
 
 
 def identity_deviation(mat) -> float:
@@ -45,15 +36,6 @@ def identity_deviation(mat) -> float:
 
 
 def _encode(value):
-    # the exact types of nearly every value first; np.float64 and
-    # np.complex128 subclass float and complex, and encode as they do
-    kind = type(value)
-    if kind is float or kind is np.float64:
-        return {"f": value.hex()}
-    if kind is complex or kind is np.complex128:
-        return {"c": [value.real.hex(), value.imag.hex()]}
-    if kind is dict:
-        return {str(k): _encode(v) for k, v in value.items()}
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):

@@ -44,7 +44,7 @@ theta(v z; v) = -z^{-1} theta(z; v) into |v|^{1/2} <= |y| <= |v|^{-1/2},
 with the factor 1 - y e kept pointwise, so the zeros on |z| = 1 stay exact.
 The gamma engine adds the series of its shift thetas to its own table before
 the fold, and ``_theta_ring`` serves the thetas of the contour grids; no ring
-evaluates a product.  Pointwise theta evaluates its (points x J) factor
+evaluates a product.  Pointwise theta evaluates its (2 x points x J) factor
 products in blocks of ``_THETA_BLOCK`` points, for the n = 1 shifts and
 every pointwise caller.  The theta-Pochhammer symbols and sequences are read
 from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
@@ -86,9 +86,10 @@ THETA_GUARD = 1e-10
 # the relative tail bound of every truncated product and series, and its term cap
 TRUNCATION_TOL = 1e-14
 MAX_TERMS = 500_000
-# points per block of a theta evaluation's (points x J) factor products; one
-# block over a large call builds temporaries that outgrow the cache
-_THETA_BLOCK = 2048
+# points per block of a theta evaluation's (2 x points x J) factor products,
+# which stack z and p/z; one block over a large call builds temporaries that
+# outgrow the cache
+_THETA_BLOCK = 1024
 
 
 _ROOT_CACHE: dict[int, np.ndarray] = {}
@@ -192,7 +193,7 @@ def _theta_raw(z: np.ndarray, p: complex) -> np.ndarray:
     One truncation order J (:func:`theta_truncation_order`) serves every
     point, so both products (z; p)_J and (p/z; p)_J come from one call on the
     stacked points, which builds one vector of powers of p.  The
-    (points x J) factor products run over blocks of _THETA_BLOCK points,
+    (2 x points x J) factor products run over blocks of _THETA_BLOCK points,
     which bounds their temporaries; a point's value does not depend on the
     block it falls in.
     """
@@ -257,18 +258,8 @@ class NomePair:
         return self.pp_inf * self.qq_inf / (4j * math.pi)
 
     def swapped(self) -> "NomePair":
-        """The pair with p and q exchanged (for base-symmetry checks).
-
-        It takes over the products computed so far and the theta coefficients,
-        which depend on one base each.  It builds its own gamma series
-        coefficients: the rounding of 1 / (m (1 - p^m)(1 - q^m)) depends on
-        the order of the factors, and shared ones would make the symmetry
-        check compare a value with itself."""
-        other = NomePair(self.q, self.p)
-        object.__setattr__(other, "_pp_inf", self._qq_inf)
-        object.__setattr__(other, "_qq_inf", self._pp_inf)
-        object.__setattr__(other, "_theta_coeffs", self._theta_coeffs)
-        return other
+        """The pair with p and q exchanged (for base-symmetry checks)."""
+        return NomePair(self.q, self.p)
 
     def series_coefficients(self, order: int) -> np.ndarray:
         """The gamma series coefficients 1 / (m (1 - p^m)(1 - q^m)), m = 1..order."""
