@@ -81,6 +81,13 @@ _M_ROWS = ("a", "k", "t", "k/a", "a/k", "a/t", "t/a", "k/t", "t/k", "qa", "qk", 
 _D_ROWS = ("b", "c", "qt/b", "qt/c", "aq/b", "aq/c", "kb/t", "kc/t")
 _ROW = {name: i for i, name in enumerate(_M_ROWS + _D_ROWS)}
 
+# The six matrices M(x, y) of a draw, keyed "xy", in the order of their stack:
+# each sits three places before its inverse M(y, x).
+_M_PAIRS = ("ak", "at", "tk", "ka", "ta", "kt")
+# the theta-table rows (y, y/x, qx, q, x) each M(x, y) of the stack reads
+_M_PAIR_ROWS = np.array([[_ROW[y], _ROW[f"{y}/{x}"], _ROW["q" + x], _ROW["q"], _ROW[x]]
+                         for x, y in _M_PAIRS]).T
+
 # The four diagonals the identities use, keyed by their arguments x; u, v:
 # rows (x, u, v, xq/u, xq/v) of the theta table.
 _DIAGONALS = {
@@ -101,12 +108,16 @@ class DiscreteParams:
     and j <= N in the D rows.  A factor under ``THETA_GUARD`` rejects the
     parameter set; the values are kept.
 
-    The six matrices M(x, y), x != y in {a, k, t_tilde}, the four diagonals
-    D(a;b,c), D(t;b,c), D(k;qt/b,qt/c), D(t;qt/c,qt/b) and the left side of the
-    key identity are assembled from those values once, on first use, and
-    shared by :func:`conditioning_amplification`, the identity checks and
-    :func:`bailey_transform`.  Entries that overflow come out non-finite
-    without a warning; the sampler's conditioning cap rejects them.
+    On first use the six matrices M(x, y), x != y in {a, k, t_tilde}, are
+    assembled from those values as one (6, N+1, N+1) stack, in the order
+    ``ak, at, tk, ka, ta, kt`` (each three places before its inverse), and
+    their entrywise moduli are taken once, in the same memo.  The four
+    diagonals D(a;b,c), D(t;b,c), D(k;qt/b,qt/c), D(t;qt/c,qt/b) are one
+    (4, N+1) stack, and the left side of the key identity is formed from
+    both.  :func:`conditioning_amplification`, the identity checks and
+    :func:`bailey_transform` share these memos.  Entries that overflow come
+    out non-finite without a warning; the sampler's conditioning cap rejects
+    them.
     """
 
     a: complex
@@ -149,33 +160,35 @@ class DiscreteParams:
         return bases, lengths
 
     @cached_property
-    def matrices(self) -> dict:
-        """Entries of M(x, y) at size N, keyed "xy" with t for t_tilde; read-only."""
-        base, poch, factors = self._bases, self._poch, self._factors
-        out = {}
+    def _m_stack(self) -> tuple:
+        """The six M(x, y) as one stack in ``_M_PAIRS`` order, and its
+        entrywise moduli; both read-only."""
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, y in ("ak", "ta", "ka", "at", "tk", "kt"):
-                ent = _assemble_M(complex(base[_ROW[x]]), poch[_ROW[y]], poch[_ROW[f"{y}/{x}"]],
-                                  poch[_ROW["q" + x]], poch[_ROW["q"]], factors[_ROW[x]])
-                ent.setflags(write=False)
-                out[x + y] = ent
-        return out
+            ent = _stacked_M(self._bases[_M_PAIR_ROWS[4]], self._poch, self._factors, _M_PAIR_ROWS)
+        mods = np.abs(ent)
+        ent.setflags(write=False)
+        mods.setflags(write=False)
+        return ent, mods
+
+    @cached_property
+    def matrices(self) -> dict:
+        """Entries of M(x, y) at size N, keyed "xy" with t for t_tilde; read-only
+        views of the stack."""
+        return dict(zip(_M_PAIRS, self._m_stack[0]))
 
     @cached_property
     def diagonals(self) -> dict:
-        """D_m, m = 0..N, of the four diagonals in ``_DIAGONALS``; read-only."""
-        base, poch, q, n1 = self._bases, self._poch, self.nome.q, self.N + 1
-        out = {}
+        """D_m, m = 0..N, of the four diagonals in ``_DIAGONALS``; read-only
+        views of their stack."""
+        base, q = self._bases.tolist(), self.nome.q
         with np.errstate(over="ignore", invalid="ignore"):
-            for key, (x, u, v, du, dv) in _DIAGONALS.items():
-                diag = _assemble_D(
-                    complex(base[_ROW[x]]) * q,
-                    (complex(base[_ROW[u]]), poch[_ROW[u], :n1], poch[_ROW[du], :n1]),
-                    (complex(base[_ROW[v]]), poch[_ROW[v], :n1], poch[_ROW[dv], :n1]),
-                )
-                diag.setflags(write=False)
-                out[key] = diag
-        return out
+            diags = _stacked_D(self._poch, self.N + 1, [
+                (base[_ROW[x]] * q,
+                 (base[_ROW[u]], _ROW[u], _ROW[du]), (base[_ROW[v]], _ROW[v], _ROW[dv]))
+                for x, u, v, du, dv in _DIAGONALS.values()
+            ])
+        diags.setflags(write=False)
+        return dict(zip(_DIAGONALS, diags))
 
     @cached_property
     def key_lhs(self) -> tuple:
@@ -184,7 +197,7 @@ class DiscreteParams:
         m = self.matrices
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = self.diagonals["a;b,c"][:, None] * m["ta"]
-            sides = (m["ak"] @ scaled, np.abs(m["ak"]) @ np.abs(scaled))
+            sides = (m["ak"] @ scaled, self._m_stack[1][0] @ np.abs(scaled))
         for side in sides:
             side.setflags(write=False)
         return sides
@@ -197,46 +210,61 @@ class DiscreteParams:
 
 
 @cache
-def _tril(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices (n, m), m <= n < size, of a lower triangle; read-only."""
+def _tril(size: int) -> tuple[np.ndarray, ...]:
+    """For the entries (n, m), m <= n < size, of a lower triangle: the flat
+    index n*size + m, the column m, the power n - m, and the indices
+    (n+m, n-m, n+m, n-m) at which an entry of M reads its four Pochhammer
+    sequences, shaped (4, 1, entries); read-only."""
     n, m = np.tril_indices(size)
-    n.setflags(write=False)
-    m.setflags(write=False)
-    return n, m
+    out = (n * size + m, m, n - m, np.stack((n + m, n - m, n + m, n - m))[:, None])
+    for index in out:
+        index.setflags(write=False)
+    return out
 
 
-def _assemble_M(x: complex, poch_y, poch_yx, poch_qx, poch_q, th_x) -> np.ndarray:
-    """Entries of M(x, y) from the Pochhammer sequences theta(y)_j,
-    theta(y/x)_j, theta(qx)_j, theta(q)_j (j = 0..2N at least) and the
-    factors th_x[i] = theta(x q^i; p), i = 0..2N."""
-    th_x2m = th_x[::2]
-    N = th_x2m.size - 1
-    n, m = _tril(N + 1)
+def _stacked_M(x: np.ndarray, poch: np.ndarray, factors: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """Entries of a stack of matrices M(x_s, y_s), shape (S, N+1, N+1).
+
+    ``rows`` holds, for each matrix s, the rows (y, y/x, qx, q, x) of a theta
+    table: its Pochhammer sequences ``poch`` give theta(y)_j, theta(y/x)_j,
+    theta(qx)_j and theta(q)_j (j = 0..2N at least), and its ``factors``
+    theta(x q^i; p), i = 0..2N.  One elementwise expression serves the whole
+    stack, so each slice has the bits a single matrix would.
+    """
+    th_x2m = factors[rows[4], ::2]
+    n1 = th_x2m.shape[1]
+    flat, m, d, seq_at = _tril(n1)
+    # one gather of the four sequences, from the contiguous table's flat index
+    y, yx, qx, q = poch.ravel()[rows[:4, :, None] * poch.shape[1] + seq_at]
+    th_ratio = th_x2m / th_x2m[:, :1]
     # the m = 0 ratio must be exactly 1 (numpy's complex division does not
     # guarantee x/x == 1), so the diagonal corner entries stay exact
-    th_ratio = np.empty(N + 1, dtype=complex)
-    th_ratio[0] = 1.0
-    th_ratio[1:] = th_x2m[1:] / th_x2m[0]
-    ent = np.zeros((N + 1, N + 1), dtype=complex)
-    ent[n, m] = (
-        poch_y[n + m] * poch_yx[n - m] / (poch_qx[n + m] * poch_q[n - m])
-        * th_ratio[m] * x ** (n - m)
-    )
-    return ent
+    th_ratio[:, 0] = 1.0
+    ent = np.zeros((x.size, n1 * n1), dtype=complex)
+    ent[:, flat] = y * yx / (qx * q) * th_ratio[:, m] * x[:, None] ** d
+    return ent.reshape(x.size, n1, n1)
 
 
-def _assemble_D(xq: complex, side_u, side_v) -> np.ndarray:
-    """D_m(x; u, v) = theta(u)_m theta(v)_m / (theta(xq/u)_m theta(xq/v)_m)
-    * (xq/(uv))^m from the sides (u, theta(u)_m, theta(xq/u)_m) and
-    (v, theta(v)_m, theta(xq/v)_m), m = 0..N.
+def _stacked_D(poch: np.ndarray, n1: int, diagonals) -> np.ndarray:
+    """A stack of diagonals D_m(x; u, v) = theta(u)_m theta(v)_m /
+    (theta(xq/u)_m theta(xq/v)_m) * (xq/(uv))^m, m = 0..n1-1, shape (S, n1).
 
-    numpy's complex multiply is not commutative bit for bit, so the sides
-    multiply in the order of u and v by real, then imaginary part: D(x; u, v)
-    and D(x; v, u) agree exactly.
+    Each diagonal is given as (xq, (u, row_u, row_xq/u), (v, row_v, row_xq/v)),
+    with rows of the Pochhammer sequences ``poch``.  numpy's complex multiply
+    is not commutative bit for bit, so the sides multiply in the order of u and
+    v by real, then imaginary part: D(x; u, v) and D(x; v, u) agree exactly.
+    Each scale xq/(uv) is formed in Python complex arithmetic.
     """
-    (u, num_u, den_u), (v, num_v, den_v) = sorted((side_u, side_v),
-                                                  key=lambda s: (s[0].real, s[0].imag))
-    return num_u * num_v / (den_u * den_v) * (xq / (u * v)) ** np.arange(num_u.size)
+    rows, scales = [], []
+    for xq, side_u, side_v in diagonals:
+        if (side_v[0].real, side_v[0].imag) < (side_u[0].real, side_u[0].imag):
+            side_u, side_v = side_v, side_u
+        (u, num_u, den_u), (v, num_v, den_v) = side_u, side_v
+        rows.append((num_u, num_v, den_u, den_v))
+        scales.append(xq / (u * v))
+    num_u, num_v, den_u, den_v = poch[:, :n1][np.array(rows).T]
+    return num_u * num_v / (den_u * den_v) * np.array(scales)[:, None] ** np.arange(n1)
 
 
 def m_entry(N: int, m: int, a, k, nome: NomePair) -> complex:
@@ -270,6 +298,10 @@ def _m_rows(N: int, a: complex, k: complex, q) -> tuple[list, list]:
     return [q * a, q, k, k / a, a], [2 * N] * 4 + [2 * N + 1]
 
 
+# the rows (y, y/x, qx, q, x) = (k, k/a, qa, q, a) of that table, as a stack of one
+_BUILD_M_ROWS = np.array([[2], [3], [0], [1], [4]])
+
+
 def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
     """Assemble the (N+1) x (N+1) matrix M(a, k); upper entries are exact zeros.
 
@@ -290,7 +322,7 @@ def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
             raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): {exc}") from exc
         if abs(factors[4, 0]) < THETA_GUARD:
             raise DegenerateParameterError(f"theta(a; p) = {factors[4, 0]} is under the guard threshold")
-        ent = _assemble_M(a, poch[2], poch[3], poch[0], poch[1], factors[4])
+        ent = _stacked_M(np.array([a]), poch, factors, _BUILD_M_ROWS)[0]
     if not np.isfinite(ent).all():
         raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): an entry overflows")
     return BaileyMatrix(entries=ent, a=a, k=k)
@@ -336,7 +368,7 @@ def build_D(N: int, a, b, c, nome: NomePair) -> DiagonalOp:
     # products may overflow, as in build_M; only a non-finite entry is an error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _, poch = _guarded_pochhammer(*_d_rows(N, a, b, c, nome.q), nome, 2, "a denominator")
-        diag = _assemble_D(a * nome.q, (b, poch[2], poch[0]), (c, poch[3], poch[1]))
+        diag = _stacked_D(poch, N + 1, [(a * nome.q, (b, 2, 0), (c, 3, 1))])[0]
     if not np.isfinite(diag).all():
         raise DegenerateParameterError(f"build_D(N={N}, a={a}, b={b}, c={c}): an entry overflows")
     return DiagonalOp(diag=diag, a=a, b=b, c=c)
@@ -397,22 +429,20 @@ def conditioning_amplification(params: DiscreteParams) -> float:
     the admissible-parameter sampler rejects such draws like any other
     degeneracy.
 
-    It reads the six M matrices and D(a;b,c) from the memos of ``params``,
-    which the checks that run on the same draw afterwards read too.  A
-    non-finite product gives NaN or inf here, without a warning, wherever it
-    sits among the products.
+    It reads the memos of ``params``, which the checks that run on the same
+    draw afterwards read too: the key identity's two sides, and the moduli of
+    the stack of six M matrices.  The stack puts each matrix three places
+    before its inverse, so the three inversion products |M(x,y)| |M(y,x)| are
+    one stacked product of its halves.  A non-finite product gives NaN or inf
+    here, without a warning, wherever it sits among the products.
     """
-    m = params.matrices
+    mods = params._m_stack[1]
     lhs, lhs_abs = params.key_lhs
-    tri = _tril(params.N + 1)
+    tri = _tril(params.N + 1)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        # np.max, not max: Python's max drops a NaN that follows a number
-        return float(np.max([
-            np.max(lhs_abs[tri] / np.maximum(np.abs(lhs[tri]), RESIDUAL_FLOOR)),
-            np.max(np.abs(m["ak"]) @ np.abs(m["ka"])),
-            np.max(np.abs(m["at"]) @ np.abs(m["ta"])),
-            np.max(np.abs(m["tk"]) @ np.abs(m["kt"])),
-        ]))
+        key = np.max(lhs_abs.ravel()[tri] / np.maximum(np.abs(lhs.ravel()[tri]), RESIDUAL_FLOOR))
+        # np.maximum, not max: Python's max drops a NaN that follows a number
+        return float(np.maximum(key, np.max(mods[:3] @ mods[3:])))
 
 
 def _matrix_bailey_sides(params: DiscreteParams):
@@ -430,14 +460,12 @@ def _matrix_bailey_sides(params: DiscreteParams):
 def verify_matrix_bailey(params: DiscreteParams, tolerance: float = 1e-9) -> VerificationReport:
     """Check M(a,k) D(a;b,c) M(t,a) = D(k;qt/b,qt/c) M(t,k) D(t;b,c) entrywise
     at size ``params.N``, reusing the matrices ``params`` already holds."""
-    lhs, rhs = _matrix_bailey_sides(params)
-    residual = relative_residual(lhs, rhs)
-    idx = _argmax_residual(lhs, rhs)
+    residual, lhs, rhs = _worst_entry(*_matrix_bailey_sides(params))
     return VerificationReport(
         identity="matrix-bailey",
         params=_param_dict(params, N=params.N),
-        lhs=complex(lhs[idx]),
-        rhs=complex(rhs[idx]),
+        lhs=lhs,
+        rhs=rhs,
         residual=residual,
         tolerance=tolerance,
         settings={"N": params.N},
@@ -466,16 +494,14 @@ def verify_coxeter(params: DiscreteParams, tolerance: float = 1e-9) -> Verificat
     s2_sq = np.diag(d["t;qt/c,qt/b"] * d["t;b,c"])
     res_s2 = identity_deviation(s2_sq)
 
-    lhs, rhs = _matrix_bailey_sides(params)
-    res_cubic = relative_residual(lhs, rhs)
+    res_cubic, lhs, rhs = _worst_entry(*_matrix_bailey_sides(params))
 
     residual = max(res_s1, res_s2, res_cubic)
-    idx = _argmax_residual(lhs, rhs)
     return VerificationReport(
         identity="coxeter",
         params=_param_dict(params, N=params.N),
-        lhs=complex(lhs[idx]),
-        rhs=complex(rhs[idx]),
+        lhs=lhs,
+        rhs=rhs,
         residual=residual,
         tolerance=tolerance,
         settings={"N": params.N},
@@ -518,9 +544,15 @@ def bressoud_limit_check(N: int, a, k, q, tolerance: float = 1e-6) -> Verificati
     )
 
 
-def _argmax_residual(lhs: np.ndarray, rhs: np.ndarray):
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    return np.unravel_index(np.argmax(np.abs(lhs - rhs) / scale), lhs.shape)
+def _worst_entry(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, complex, complex]:
+    """``relative_residual(lhs, rhs)`` and the entries of lhs and rhs where it
+    is attained (the first, or the first NaN), from one ratio array.  The
+    residual is the ratio's ``np.max``, which keeps the bits of a NaN that
+    indexing at the argmax may not."""
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), RESIDUAL_FLOOR)
+    ratio = np.abs(lhs - rhs) / scale
+    idx = np.unravel_index(np.argmax(ratio), ratio.shape)
+    return float(np.max(ratio)), complex(lhs[idx]), complex(rhs[idx])
 
 
 def _param_dict(params: DiscreteParams, **extra):

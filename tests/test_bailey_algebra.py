@@ -454,6 +454,47 @@ def _assert_close(got, want):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _random_params(rng):
+    """A seeded parameter set over N = 0..9 with real or complex nomes; at
+    small q and large N some of its matrices overflow.  None where the theta
+    guard rejects it."""
+    N = int(rng.integers(0, 10))
+    p, q = rng.uniform(0.02, 0.3), rng.uniform(0.05, 0.6)
+    if rng.uniform() < 0.4:
+        p, q = p * cmath.exp(2j * math.pi * rng.uniform()), q * cmath.exp(2j * math.pi * rng.uniform())
+    nome = NomePair(p, q)
+    a, k, t = (rng.uniform(0.1, 0.8) * cmath.exp(2j * math.pi * rng.uniform()) for _ in range(3))
+    try:
+        if rng.uniform() < 0.5:
+            y = rng.uniform(0.5, 1.5) * cmath.exp(2j * math.pi * rng.uniform())
+            return DiscreteParams.from_y(a, k, t, y, N, nome)
+        b = rng.uniform(0.3, 1.2) * cmath.exp(2j * math.pi * rng.uniform())
+        return DiscreteParams(a=a, k=k, t_tilde=t, b=b, c=nome.q * a * t / (k * b),
+                              y=1.0, N=N, nome=nome)
+    except DegenerateParameterError:
+        return None
+
+
+def _per_matrix_conditioning(params):
+    """The conditioning estimate as four separate terms, each modulus taken
+    from its own matrix."""
+    m = params.matrices
+    tri = np.tril_indices(params.N + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = params.diagonals["a;b,c"][:, None] * m["ta"]
+        lhs, lhs_abs = m["ak"] @ scaled, np.abs(m["ak"]) @ np.abs(scaled)
+        return float(np.max([
+            np.max(lhs_abs[tri] / np.maximum(np.abs(lhs[tri]), 1e-300)),
+            np.max(np.abs(m["ak"]) @ np.abs(m["ka"])),
+            np.max(np.abs(m["at"]) @ np.abs(m["ta"])),
+            np.max(np.abs(m["tk"]) @ np.abs(m["kt"])),
+        ]))
+
+
 class TestThetaTable:
     """The memoised matrices of a draw against the public builders, which make
     their own table, and against the per-entry reference formulas."""
@@ -487,21 +528,90 @@ class TestThetaTable:
                                           for m in range(N + 1)]))
 
     def test_assembly_equals_the_row_loop(self):
-        # the one-expression assembly multiplies the same factors in the same
-        # order as a loop over rows, so every entry is bit-identical
+        # the stacked assembly multiplies the same factors in the same order
+        # as a loop over the rows of one matrix, so every entry of every slice
+        # of a stack, of one matrix or of six, is bit-identical
         rng = np.random.default_rng(61)
         for N in range(10):
-            poch = rng.normal(size=(4, 2 * N + 2)) + 1j * rng.normal(size=(4, 2 * N + 2))
-            th_x = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
-            x = complex(rng.normal(), rng.normal())
-            ratio = np.ones(N + 1, dtype=complex)
-            ratio[1:] = th_x[2::2] / th_x[0]
-            want = np.zeros((N + 1, N + 1), dtype=complex)
-            for n in range(N + 1):
-                m = np.arange(n + 1)
-                want[n, : n + 1] = (poch[0][n + m] * poch[1][n - m] / (poch[2][n + m] * poch[3][n - m])
-                                    * ratio[m] * x ** (n - m))
-            assert np.array_equal(ba._assemble_M(x, *poch, th_x), want)
+            poch = _complex_normal(rng, (21, 2 * N + 2))
+            factors = _complex_normal(rng, (21, 2 * N + 1))
+            for size in (1, 6):
+                rows = rng.integers(0, 21, size=(5, size))
+                x = _complex_normal(rng, size)
+                got = ba._stacked_M(x, poch, factors, rows)
+                assert got.shape == (size, N + 1, N + 1)
+                for s in range(size):
+                    y, yx, qx, q, xr = rows[:, s]
+                    ratio = np.ones(N + 1, dtype=complex)
+                    ratio[1:] = factors[xr, 2::2] / factors[xr, 0]
+                    want = np.zeros((N + 1, N + 1), dtype=complex)
+                    for n in range(N + 1):
+                        m = np.arange(n + 1)
+                        want[n, : n + 1] = (poch[y][n + m] * poch[yx][n - m]
+                                            / (poch[qx][n + m] * poch[q][n - m])
+                                            * ratio[m] * complex(x[s]) ** (n - m))
+                    assert np.array_equal(got[s], want)
+
+    def test_stacked_diagonals_equal_the_single_formula(self):
+        # each slice of a stack of one or four diagonals has the bits of
+        # D_m(x; u, v) formed alone, sides multiplied in the order of u and v
+        rng = np.random.default_rng(62)
+
+        def side():
+            u = complex(*rng.normal(size=2))
+            return u, *rng.integers(0, 8, size=2)
+
+        for N in range(10):
+            n1 = N + 1
+            poch = _complex_normal(rng, (8, n1 + 2))
+            for size in (1, 4):
+                spec = [(complex(*rng.normal(size=2)), side(), side()) for _ in range(size)]
+                # a tie in the real part is broken by the imaginary part
+                xq, (u, nu, du), _ = spec[0]
+                spec[0] = (xq, (u, nu, du), (complex(u.real, -u.imag), *rng.integers(0, 8, size=2)))
+                got = ba._stacked_D(poch, n1, spec)
+                assert got.shape == (size, n1)
+                for s, (xq, *sides) in enumerate(spec):
+                    (u, nu, du), (v, nv, dv) = sorted(sides, key=lambda e: (e[0].real, e[0].imag))
+                    want = (poch[nu, :n1] * poch[nv, :n1] / (poch[du, :n1] * poch[dv, :n1])
+                            * (xq / (u * v)) ** np.arange(n1))
+                    assert np.array_equal(got[s], want)
+                swapped = [(xq, side_v, side_u) for xq, side_u, side_v in spec]
+                assert np.array_equal(ba._stacked_D(poch, n1, swapped), got)
+
+    def test_conditioning_equals_the_per_matrix_formula(self):
+        # the stacked moduli and the one stacked inversion product give the
+        # bits of the four-term formula that took each modulus separately,
+        # NaN and inf included
+        rng = np.random.default_rng(63)
+        drawn = nonfinite = 0
+        while drawn < 2000:
+            params = _random_params(rng)
+            if params is None:
+                continue
+            drawn += 1
+            got = conditioning_amplification(params)
+            want = _per_matrix_conditioning(params)
+            nonfinite += not np.isfinite(want)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert nonfinite >= 50
+
+    def test_worst_entry_is_the_relative_residual_and_its_argmax(self):
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            shape = (int(rng.integers(1, 10)),) * 2
+            lhs = _complex_normal(rng, shape)
+            rhs = lhs * (1 + 1e-12 * _complex_normal(rng, shape))
+            for arr in (lhs, rhs):
+                special = rng.random(shape) < 0.1
+                arr[special] = rng.choice([0, np.inf, np.nan, 1e-310], size=special.sum())
+            with np.errstate(invalid="ignore"):
+                residual, at_lhs, at_rhs = ba._worst_entry(lhs, rhs)
+                want = relative_residual(lhs, rhs)
+                scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+                idx = np.unravel_index(np.argmax(np.abs(lhs - rhs) / scale), shape)
+            assert np.float64(residual).tobytes() == np.float64(want).tobytes()
+            assert np.array([at_lhs, at_rhs]).tobytes() == np.array([lhs[idx], rhs[idx]]).tobytes()
 
     @pytest.mark.parametrize("N,nome,a,k,b,c", _sweep_cases())
     def test_build_D_is_exactly_symmetric_in_b_and_c(self, N, nome, a, k, b, c):

@@ -207,6 +207,12 @@ class TestVerify:
          ("special-functions", "--draws", "20", "--seed", "20108")),
         ("residue-reduction-N4-seed20800.jsonl",
          ("residue-reduction", "--N", "4", "--draws", "10", "--seed", "20800")),
+        ("matrix-bailey-N8-seed20308.jsonl",
+         ("matrix-bailey", "--N", "8", "--draws", "20", "--seed", "20308")),
+        ("coxeter-N8-seed20500.jsonl",
+         ("coxeter", "--N", "8", "--draws", "20", "--seed", "20500")),
+        ("matrix-bailey-N5-seed21000-complex.jsonl",
+         ("matrix-bailey", "--N", "5", "--draws", "20", "--seed", "21000", "--complex-nomes")),
     ])
     def test_json_matches_the_committed_output(self, capsys, golden, argv):
         code, out, _ = run_cli(capsys, "verify", *argv, "--json")
