@@ -27,7 +27,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import BaileyPairError, DegenerateParameterError, DomainError
-from .report import RESIDUAL_FLOOR, VerificationReport, identity_deviation, relative_residual
+from .report import (RESIDUAL_FLOOR, VerificationReport, identity_deviation, relative_residual,
+                     _residual_ratio)
 from .special_functions import (
     THETA_GUARD,
     NomePair,
@@ -308,18 +309,17 @@ def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
     Every theta factor comes from one theta call: the rows theta(z q^j; p),
     j < 2N, for z in {qa, q, k, k/a}, and theta(a q^i; p), i <= 2N.  Only the
     denominators theta(qa)_j and theta(q)_j and theta(a; p) are guarded, and
-    an entry that overflows raises :class:`DegenerateParameterError`.
+    an entry that overflows raises :class:`DegenerateParameterError`; a or k
+    = 0 raises :class:`DomainError`.
     """
     a, k = complex(a), complex(k)
+    if a == 0 or k == 0:
+        raise DomainError(f"build_M needs a, k != 0, got a = {a}, k = {k}")
     # products may overflow where the entries do not (the theta(a q^i) row's
     # product is never read), so they are formed as in the DiscreteParams table
     # and only a non-finite entry is an error
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            factors, poch = _guarded_pochhammer(*_m_rows(N, a, k, nome.q), nome, 2,
-                                                "a denominator")
-        except Exception as exc:
-            raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): {exc}") from exc
+        factors, poch = _guarded_pochhammer(*_m_rows(N, a, k, nome.q), nome, 2, "a denominator")
         if abs(factors[4, 0]) < THETA_GUARD:
             raise DegenerateParameterError(f"theta(a; p) = {factors[4, 0]} is under the guard threshold")
         ent = _stacked_M(np.array([a]), poch, factors, _BUILD_M_ROWS)[0]
@@ -549,8 +549,7 @@ def _worst_entry(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, complex, comp
     is attained (the first, or the first NaN), from one ratio array.  The
     residual is the ratio's ``np.max``, which keeps the bits of a NaN that
     indexing at the argmax may not."""
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), RESIDUAL_FLOOR)
-    ratio = np.abs(lhs - rhs) / scale
+    ratio = _residual_ratio(lhs, rhs)
     idx = np.unravel_index(np.argmax(ratio), ratio.shape)
     return float(np.max(ratio)), complex(lhs[idx]), complex(rhs[idx])
 

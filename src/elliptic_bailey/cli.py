@@ -229,9 +229,7 @@ def cmd_verify(args) -> int:
     if args.json:
         for rep in reports:
             print(rep.to_json(include_timing=args.timing))
-        import json as _json
-
-        print(_json.dumps(summary.to_json_dict(), sort_keys=True, separators=(",", ":")))
+        print(summary.to_json())
     else:
         _print_table(reports, summary, verbose=args.verbose)
 

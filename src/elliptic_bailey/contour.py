@@ -123,7 +123,6 @@ class QuadratureInfo:
     """Convergence metadata of one adaptive integral."""
 
     n_nodes: int
-    converged: bool
     est_error: float
 
 
@@ -156,7 +155,7 @@ def _drive(eval_at, rel_tol: float, n0: int = DEFAULT_N0, cap: int = DEFAULT_NOD
             diff = float(np.max(np.abs(val - prev)))
             bound = max(rel_tol * float(np.max(np.abs(val))), _FLOOR * scale, 1e-305)
             if diff <= bound:
-                return val, QuadratureInfo(n_nodes=n, converged=True, est_error=diff)
+                return val, QuadratureInfo(n_nodes=n, est_error=diff)
         prev = val
         n *= 2
     raise QuadratureConvergenceError(
@@ -407,9 +406,10 @@ def _theta_rings(n: int, radius: float, nome: NomePair, turned: bool = False):
     return np.concatenate([half, half])
 
 
-def _kernel_scales(t: complex, x: complex, radius: float) -> tuple:
+def _kernel_scales(t: complex, x: complex, radius) -> tuple:
     """The ring scales of Gamma(t x z), Gamma(t x / z), Gamma(t z / x) and
-    Gamma(t / (x z)) on |z| = radius; the 2nd and 4th are read at w^{-k}."""
+    Gamma(t / (x z)) on |z| = radius, where the 2nd and 4th are read at
+    w^{-k}; for an array of points z as ``radius``, the four arguments there."""
     return (t * x * radius, t * x / radius, t * radius / x, t / (x * radius))
 
 
@@ -636,8 +636,7 @@ def _kernel_at(t: complex, x: complex, z, g_t2: complex, nome: NomePair):
     given g_t2 = Gamma(t^2); the four gamma factors come from one call."""
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    g = _gamma_vec(np.concatenate([t * x * flat, t * x / flat, t * flat / x, t / (x * flat)]),
-                   nome).reshape(4, -1)
+    g = _gamma_vec(np.concatenate(_kernel_scales(t, x, flat)), nome).reshape(4, -1)
     num = (g[0] * g[1] * g[2] * g[3]).reshape(z.shape)
     dden = theta(z * z, nome.q) * theta(z**-2, nome.p)
     return num * dden / g_t2

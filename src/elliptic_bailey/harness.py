@@ -13,7 +13,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     PoleProximityError,
     QuadratureConvergenceError,
 )
-from .report import VerificationReport, _encode, relative_residual
+from .report import SUMMARY_SCHEMA_TAG, VerificationReport, _canonical, _encode, relative_residual
 from .special_functions import (
     NomePair,
     elliptic_gamma,
@@ -43,14 +43,17 @@ __all__ = ["IDENTITIES", "CampaignConfig", "CampaignSummary", "run_campaign", "s
 @dataclass(frozen=True)
 class _Identity:
     """One identity's campaign facts: default tolerance and N, the largest N
-    its runner honours (None: no bound), and the names ``fixed`` may pin, which
-    are exactly those the runner reads; a ``bounded`` one needs modulus < 1."""
+    its runner honours (None: no bound), the names ``fixed`` may pin, which
+    are exactly those the runner reads (a ``bounded`` one needs 0 < modulus
+    < 1, a ``free`` one a nonzero value), and the default tolerance at N = 0
+    where that check is exact up to rounding (None: ``tolerance``)."""
 
     tolerance: float
     N: int
     max_N: int | None
     bounded: tuple = ()
     free: tuple = ()
+    tolerance_N0: float | None = None
 
 
 _IDENTITY = {
@@ -61,7 +64,7 @@ _IDENTITY = {
     "coxeter": _Identity(1e-9, 4, None, ("a", "k", "t_tilde"), ("y",)),
     "residue-reduction": _Identity(1e-9, 4, None, ("a", "k")),
     "cauchy-deformation": _Identity(1e-8, 3, 3, ("z0", "t")),
-    "finite-difference": _Identity(1e-5, 1, 1),
+    "finite-difference": _Identity(1e-5, 1, 1, tolerance_N0=1e-14),
 }
 
 IDENTITIES = tuple(_IDENTITY)
@@ -81,9 +84,9 @@ class CampaignConfig:
     ``seed`` is a 64-bit integer that fully determines every draw.  ``fixed``
     pins named parameters instead of sampling them.  The configuration is
     checked here against the identity's record, so an N the runner does not
-    honour, a name it never reads, or a fixed nome or ``bounded`` parameter
-    of modulus >= 1 raises :class:`DomainError` before any draw.  Unknown keys
-    in ``from_mapping`` are hard errors.
+    honour, a name it never reads, a fixed nome of modulus >= 1, a zero fixed
+    parameter or a ``bounded`` one of modulus >= 1 raises :class:`DomainError`
+    before any draw.  Unknown keys in ``from_mapping`` are hard errors.
     """
 
     identity: str = "matrix-bailey"
@@ -110,9 +113,11 @@ class CampaignConfig:
         if unknown:
             names = ", ".join(spec.bounded + spec.free) or "nothing"
             raise DomainError(f"{self.identity} cannot fix {', '.join(unknown)}; [fixed] accepts {names}")
-        for name in spec.bounded:
-            if name in self.fixed and abs(complex(self.fixed[name])) >= 1.0:
-                raise DomainError(f"fixed parameter {name} = {self.fixed[name]} needs modulus < 1")
+        for name, value in self.fixed.items():
+            if name in spec.bounded and abs(complex(value)) >= 1.0:
+                raise DomainError(f"fixed parameter {name} = {value} needs modulus < 1")
+            if complex(value) == 0:
+                raise DomainError(f"fixed parameter {name} = {value} needs a nonzero value")
         for name in ("p", "q"):
             val = getattr(self, name)
             if val is not None and abs(complex(val)) >= 1.0:
@@ -124,7 +129,9 @@ class CampaignConfig:
 
     @property
     def effective_tolerance(self) -> float:
-        return self.tolerance if self.tolerance is not None else _IDENTITY[self.identity].tolerance
+        spec = _IDENTITY[self.identity]
+        default = spec.tolerance_N0 if self.effective_N == 0 and spec.tolerance_N0 else spec.tolerance
+        return self.tolerance if self.tolerance is not None else default
 
     @property
     def effective_N(self) -> int:
@@ -152,20 +159,9 @@ class CampaignSummary:
     rejected_draws: int
     failures: list
 
-    def to_json_dict(self):
-        return {
-            "schema": "elliptic-bailey-summary/1",
-            "identity": self.identity,
-            "n_reports": self.n_reports,
-            "n_pass": self.n_pass,
-            "n_fail": self.n_fail,
-            "n_error": self.n_error,
-            "pass_rate": {"f": float(self.pass_rate).hex()},
-            "max_residual": {"f": float(self.max_residual).hex()},
-            "median_residual": {"f": float(self.median_residual).hex()},
-            "rejected_draws": self.rejected_draws,
-            "failures": self.failures,
-        }
+    def to_json(self) -> str:
+        # the failure entries are encoded already, and encoding leaves them as they are
+        return _canonical({"schema": SUMMARY_SCHEMA_TAG, **_encode(asdict(self))})
 
 
 # --------------------------------------------------------------------------
@@ -437,8 +433,7 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         lhs=complex(lhs),
         rhs=complex(rhs),
         residual=residual,
-        # N = 0 is exact up to rounding, so its default is tighter
-        tolerance=cfg.effective_tolerance if cfg.effective_N or cfg.tolerance is not None else 1e-14,
+        tolerance=cfg.effective_tolerance,
         settings=settings,
     )
 
@@ -513,19 +508,13 @@ def _thread_cap() -> int:
 
 def summarize(reports: list[VerificationReport]) -> CampaignSummary:
     """Pass rate, residual statistics, and a reproduction list of failures."""
-    if not reports:
-        return CampaignSummary(
-            identity="", n_reports=0, n_pass=0, n_fail=0, n_error=0,
-            pass_rate=0.0, max_residual=0.0, median_residual=0.0,
-            rejected_draws=0, failures=[],
-        )
     n_err = sum(1 for r in reports if r.error is not None)
     n_pass = sum(1 for r in reports if r.passed)
     residuals = [r.residual for r in reports if r.error is None]
     failures = [
         {
             "draw_index": r.draw_index,
-            "residual": None if not math.isfinite(r.residual) else {"f": float(r.residual).hex()},
+            "residual": _encode(float(r.residual)) if math.isfinite(r.residual) else None,
             "error": r.error,
             "params": _encode(r.params),
         }
@@ -533,12 +522,12 @@ def summarize(reports: list[VerificationReport]) -> CampaignSummary:
         if not r.passed
     ]
     return CampaignSummary(
-        identity=reports[0].identity,
+        identity=reports[0].identity if reports else "",
         n_reports=len(reports),
         n_pass=n_pass,
         n_fail=len(reports) - n_pass - n_err,
         n_error=n_err,
-        pass_rate=n_pass / len(reports),
+        pass_rate=n_pass / len(reports) if reports else 0.0,
         max_residual=max(residuals, default=math.inf if n_err else 0.0),
         median_residual=float(np.median(residuals)) if residuals else 0.0,
         rejected_draws=sum(int(r.settings.get("rejected", 0)) for r in reports),

@@ -15,16 +15,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SCHEMA_TAG = "elliptic-bailey-report/1"
+SUMMARY_SCHEMA_TAG = "elliptic-bailey-summary/1"
 
 RESIDUAL_FLOOR = 1e-300
 
 
-def relative_residual(lhs, rhs) -> float:
-    """max entrywise |lhs - rhs| / max(|lhs|, |rhs|, floor)."""
+def _residual_ratio(lhs, rhs) -> np.ndarray:
+    """Entrywise |lhs - rhs| / max(|lhs|, |rhs|, floor)."""
     lhs = np.asarray(lhs, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), RESIDUAL_FLOOR)
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), RESIDUAL_FLOOR)
+
+
+def relative_residual(lhs, rhs) -> float:
+    """max entrywise |lhs - rhs| / max(|lhs|, |rhs|, floor)."""
+    return float(np.max(_residual_ratio(lhs, rhs)))
 
 
 def identity_deviation(mat) -> float:
@@ -56,6 +61,11 @@ def _encode(value):
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
     raise TypeError(f"cannot encode {type(value)!r} in a report")
+
+
+def _canonical(doc: dict) -> str:
+    """The one canonical JSON line: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _decode(value):
@@ -107,7 +117,7 @@ class VerificationReport:
         }
         if include_timing:
             doc["wall_time_s"] = _encode(float(self.wall_time_s))
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return _canonical(doc)
 
     @classmethod
     def from_json(cls, line: str) -> "VerificationReport":

@@ -126,6 +126,21 @@ class TestMEntry:
         with pytest.raises(ValueError):
             mat.entries[0, 0] = 5.0
 
+    @pytest.mark.parametrize("a, k", [(0, 0.5), (0.5, 0)])
+    def test_zero_a_or_k_is_a_domain_error(self, nome, a, k):
+        with pytest.raises(DomainError):
+            build_M(2, a, k, nome)
+
+    def test_a_fault_in_the_table_is_not_turned_into_a_rejection(self, nome, monkeypatch):
+        # a sampler resamples a DegenerateParameterError, so a fault must
+        # surface as itself
+        def fault(*args):
+            raise ValueError("stub fault")
+
+        monkeypatch.setattr(ba, "_guarded_pochhammer", fault)
+        with pytest.raises(ValueError, match="stub fault"):
+            build_M(2, 0.5, 0.4, nome)
+
 
 class TestDEntry:
     def test_zeroth_is_one(self, nome):

@@ -9,7 +9,7 @@ import pytest
 
 from elliptic_bailey import cli, special_functions
 from elliptic_bailey.cli import main, parse_complex, CliError
-from elliptic_bailey.harness import IDENTITIES, CampaignConfig
+from elliptic_bailey.harness import _IDENTITY, IDENTITIES, CampaignConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -180,6 +180,19 @@ class TestVerify:
         assert out == ""
         assert f"[fixed] accepts {accepts}" in err
 
+    @pytest.mark.parametrize("identity, name", [
+        (identity, name) for identity, spec in _IDENTITY.items() for name in spec.bounded + spec.free
+    ])
+    def test_zero_fixed_value_exits_2_before_any_draw(self, capsys, tmp_path, monkeypatch,
+                                                      identity, name):
+        monkeypatch.setattr(cli, "run_campaign", lambda config: pytest.fail("a draw ran"))
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[campaign]\ndraws = 2\n\n[fixed]\n{name} = 0\n")
+        code, out, err = run_cli(capsys, "verify", identity, "--config", str(cfg), "--json")
+        assert code == 2
+        assert out == ""
+        assert f"fixed parameter {name} = " in err
+
     def test_every_benchmark_campaign_passes_the_config_boundary(self, capsys, monkeypatch):
         spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
@@ -213,10 +226,29 @@ class TestVerify:
          ("coxeter", "--N", "8", "--draws", "20", "--seed", "20500")),
         ("matrix-bailey-N5-seed21000-complex.jsonl",
          ("matrix-bailey", "--N", "5", "--draws", "20", "--seed", "21000", "--complex-nomes")),
+        ("beta-integral-seed20205.jsonl", ("beta-integral", "--draws", "4", "--seed", "20205")),
+        ("star-triangle-seed20600.jsonl", ("star-triangle", "--draws", "4", "--seed", "20600")),
+        ("cauchy-deformation-seed20700.jsonl",
+         ("cauchy-deformation", "--draws", "3", "--seed", "20700")),
+        ("finite-difference-seed20900.jsonl",
+         ("finite-difference", "--draws", "4", "--seed", "20900")),
     ])
     def test_json_matches_the_committed_output(self, capsys, golden, argv):
         code, out, _ = run_cli(capsys, "verify", *argv, "--json")
         assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    # the summary's failure list, for failed draws and for draws that exhaust
+    # the retry cap
+    @pytest.mark.parametrize("golden, argv", [
+        ("special-functions-seed5-tol1e-15.jsonl",
+         ("special-functions", "--draws", "12", "--seed", "5", "--tol", "1e-15")),
+        ("star-triangle-seed1-p06-q06.jsonl",
+         ("star-triangle", "--draws", "2", "--seed", "1", "--p", "0.6", "--q", "0.6")),
+    ])
+    def test_failing_json_matches_the_committed_output(self, capsys, golden, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--json")
+        assert code == 1
         assert out == (GOLDEN / golden).read_text()
 
     # each quadrature keeps its node history for one integral only; a history

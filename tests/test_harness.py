@@ -26,6 +26,13 @@ class TestCampaignConfig:
         assert CampaignConfig(identity="star-triangle").effective_tolerance == 1e-8
         assert CampaignConfig(identity="matrix-bailey", tolerance=1e-6).effective_tolerance == 1e-6
 
+    def test_finite_difference_default_tolerance_at_N0(self):
+        fd = "finite-difference"
+        assert CampaignConfig(identity=fd, N=0).effective_tolerance == 1e-14
+        assert CampaignConfig(identity=fd, N=1).effective_tolerance == 1e-5
+        assert CampaignConfig(identity=fd).effective_tolerance == 1e-5
+        assert CampaignConfig(identity=fd, N=0, tolerance=1e-3).effective_tolerance == 1e-3
+
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(DomainError, match="tolerance"):
@@ -282,6 +289,15 @@ class TestValidationAndErrors:
         # run_campaign times every draw, an error report's too
         assert all(r.wall_time_s > 0.0 for r in reports)
 
+    def test_error_report_carries_the_tolerance_a_pass_would(self, monkeypatch):
+        def boom(cfg, rng, idx):
+            raise ValueError("stub fault")
+
+        monkeypatch.setitem(hmod._RUNNERS, "finite-difference", boom)
+        (rep,) = run_campaign(CampaignConfig(identity="finite-difference", N=0, draws=1))
+        assert rep.error is not None
+        assert rep.tolerance == 1e-14
+
 
 class TestInternalErrors:
     CFG = dict(identity="special-functions", seed=11, draws=3)
@@ -334,6 +350,13 @@ class TestSummarize:
     def test_empty(self):
         s = summarize([])
         assert s.n_reports == 0 and s.pass_rate == 0.0 and s.failures == []
+        # the summary line ``verify --draws 0 --json`` prints
+        assert s.to_json() == (
+            '{"failures":[],"identity":"","max_residual":{"f":"0x0.0p+0"},'
+            '"median_residual":{"f":"0x0.0p+0"},"n_error":0,"n_fail":0,"n_pass":0,'
+            '"n_reports":0,"pass_rate":{"f":"0x0.0p+0"},"rejected_draws":0,'
+            '"schema":"elliptic-bailey-summary/1"}'
+        )
 
     def test_all_pass_rate(self):
         reports = run_campaign(CampaignConfig(identity="matrix-bailey", seed=7, draws=4, N=3))
