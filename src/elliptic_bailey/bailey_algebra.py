@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BaileyPairError, DegenerateParameterError, DomainError
 from .report import (RESIDUAL_FLOOR, VerificationReport, identity_deviation, relative_residual,
-                     _residual_ratio)
+                     worst, _residual_ratio)
 from .special_functions import (
     THETA_GUARD,
     NomePair,
@@ -409,7 +409,7 @@ def bailey_transform(
         raise DomainError("sequence lengths must equal N + 1")
     m, d = params.matrices, params.diagonals
     pair_res = relative_residual(beta.values, m["at"] @ alpha.values)
-    if pair_res > input_tol:
+    if not pair_res <= input_tol:
         raise BaileyPairError(
             f"input pair violates beta = M(a,t) alpha: residual {pair_res:.3e} > {input_tol:.3e}"
         )
@@ -441,8 +441,7 @@ def conditioning_amplification(params: DiscreteParams) -> float:
     tri = _tril(params.N + 1)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         key = np.max(lhs_abs.ravel()[tri] / np.maximum(np.abs(lhs.ravel()[tri]), RESIDUAL_FLOOR))
-        # np.maximum, not max: Python's max drops a NaN that follows a number
-        return float(np.maximum(key, np.max(mods[:3] @ mods[3:])))
+        return float(worst(key, np.max(mods[:3] @ mods[3:])))
 
 
 def _matrix_bailey_sides(params: DiscreteParams):
@@ -496,7 +495,7 @@ def verify_coxeter(params: DiscreteParams, tolerance: float = 1e-9) -> Verificat
 
     res_cubic, lhs, rhs = _worst_entry(*_matrix_bailey_sides(params))
 
-    residual = max(res_s1, res_s2, res_cubic)
+    residual = worst(res_s1, res_s2, res_cubic)
     return VerificationReport(
         identity="coxeter",
         params=_param_dict(params, N=params.N),
@@ -531,7 +530,7 @@ def bressoud_limit_check(N: int, a, k, q, tolerance: float = 1e-6) -> Verificati
     extrap = (1e4 * a1b - a1) / (1e4 - 1.0)
     res_extrap = relative_residual(extrap, m_zero)
     res_small = relative_residual(mats[2], m_zero)
-    residual = max(res_extrap, res_small)
+    residual = worst(res_extrap, res_small)
     return VerificationReport(
         identity="bressoud-limit",
         params={"N": N, "a": complex(a), "k": complex(k), "q": float(q)},

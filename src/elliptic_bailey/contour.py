@@ -49,7 +49,7 @@ from .errors import (
     DomainError,
     QuadratureConvergenceError,
 )
-from .report import RESIDUAL_FLOOR, VerificationReport, relative_residual
+from .report import RESIDUAL_FLOOR, VerificationReport, relative_residual, worst, _residual_ratio
 from .special_functions import (
     NomePair,
     elliptic_gamma,
@@ -59,6 +59,7 @@ from .special_functions import (
     _gamma_rings_turned,
     _gamma_vec,
     _guarded_pochhammer,
+    _nonzero_finite_gamma,
     _ring,
     _roots,  # unused here; tests read the grid roots through this binding
     _theta_ring,
@@ -275,15 +276,15 @@ class SymmetricTestFunction:
         r = np.exp(rng.uniform(np.log(max(lo, 1e-3)), np.log(hi), samples))
         z = r * np.exp(2j * np.pi * rng.uniform(size=samples))
         dev = np.abs(self(z) - self(1.0 / z))
-        worst = float(np.max(dev))
-        if worst > tol:
-            raise DomainError(f"{self.name} violates alpha(z) = alpha(1/z): {worst:.3e}")
-        return worst
+        deviation = float(np.max(dev))
+        if not deviation <= tol:
+            raise DomainError(f"{self.name} violates alpha(z) = alpha(1/z): {deviation:.3e}")
+        return deviation
 
     def check_residues(self, rel_tol: float = 1e-11) -> float:
         """Max relative deviation of declared residues of alpha(z)/z from
         small-circle numerical contour integrals."""
-        worst = 0.0
+        deviations = [0.0]
         for pole, res in zip(self.poles, self.residues):
             spacing = min(
                 [abs(pole - o) for o in self.poles if o != pole]
@@ -292,10 +293,11 @@ class SymmetricTestFunction:
             )
             rho = 0.25 * min(spacing, abs(pole))
             got = _offcenter_residue(lambda z: self(z) / z, pole, rho, rel_tol=1e-12)
-            worst = max(worst, abs(got - res) / max(abs(res), RESIDUAL_FLOOR))
-        if worst > rel_tol:
-            raise DomainError(f"{self.name} declared residues deviate by {worst:.3e}")
-        return worst
+            deviations.append(abs(got - res) / max(abs(res), RESIDUAL_FLOOR))
+        deviation = worst(*deviations)
+        if not deviation <= rel_tol:
+            raise DomainError(f"{self.name} declared residues deviate by {deviation:.3e}")
+        return deviation
 
 
 def constant_one() -> SymmetricTestFunction:
@@ -613,17 +615,17 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
 
     both, info = _drive(eval_at, rel_tol, label="star-triangle")
     lhs, rhs = both[:m], both[m:]
-    residual = max(relative_residual(lhs[i], rhs[i]) for i in range(m))
+    per_spectator = _residual_ratio(lhs, rhs).tolist()
     return VerificationReport(
         identity="star-triangle",
         params={"s": s, "t": t, "y": y, "p": nome.p, "q": nome.q,
                 "spectators": spectators, "alpha": alpha.name},
         lhs=complex(lhs[0]),
         rhs=complex(rhs[0]),
-        residual=residual,
+        residual=worst(*per_spectator),
         tolerance=tolerance,
         settings={"n_nodes": info.n_nodes, "quad_rel_tol": rel_tol},
-        details={"per_spectator": [relative_residual(lhs[i], rhs[i]) for i in range(m)]},
+        details={"per_spectator": per_spectator},
     )
 
 
@@ -765,7 +767,8 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
 
     For N = 0 this is exactly f(x) (t_sign = +1) or f(-x) (t_sign = -1).
     Raises :class:`DegenerateParameterError` when a denominator factor
-    theta(q^{j+1}; p) or theta(q^{j+1} x^2; p), j < N, is under the guard.
+    theta(q^{j+1}; p) or theta(q^{j+1} x^2; p), j < N, is under the guard, or
+    when a gamma value of the prefactor underflows to zero or overflows.
     """
     if t_sign not in (1, -1):
         raise DomainError("t_sign must be +1 or -1")
@@ -775,7 +778,10 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
     q = nome.q
     t = t_sign * q ** (-N / 2.0) if N else complex(t_sign)
     tx2 = (t * x) ** 2
-    pre = complex(elliptic_gamma(x**-2, nome)) / complex(elliptic_gamma(x**-2 / (t * t), nome))
+    # one gamma call per value: a joint call would share one truncation order, and change bits
+    g_num, g_den = (complex(_nonzero_finite_gamma([v], nome, "the finite-difference prefactor")[0])
+                    for v in (x**-2, x**-2 / (t * t)))
+    pre = g_num / g_den
     # rows theta(z q^j; p): the guarded denominators theta(q)_k and theta(q x^2)_k,
     # theta(t^2)_k, and theta(tx^2 q^j), j <= 2N, whose even entries are the shifts
     factors, poch = _guarded_pochhammer([q, q * x * x, t * t, tx2], [N, N, N, 2 * N + 1], nome,
@@ -868,16 +874,7 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
         k * q ** (N + ms), (k / a) * q ** (N - ms), q ** (-N - ms) / a,
         a * q ** (2 * ms), q ** (-2 * ms) / a,
     ])
-    # an overflowing gamma value is rejected by the check below, not warned
-    with np.errstate(over="ignore"):
-        gammas = elliptic_gamma(points, nome)
-    bad = np.flatnonzero(~np.isfinite(gammas) | (gammas == 0))
-    if bad.size:
-        i = bad[0]
-        raise DegenerateParameterError(
-            f"Gamma({complex(points[i])}) = {complex(gammas[i])} is zero or not finite"
-            " in the residue sum"
-        )
+    gammas = _nonzero_finite_gamma(points, nome, "the residue sum")
     g_ka, g_k, g_a = gammas[:3]
     upper, lower_q, lower_a, pair_plus, pair_minus = gammas[3:].reshape(5, N + 1)
     # row m holds theta(q^{m-N} q^j; p), j < N - m, padded with ones
@@ -900,20 +897,20 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
 
     res_plus = relative_residual(sum_res, sum_plus)
     res_minus = relative_residual(sum_res, sum_minus)
-    selected = "m(m+1)" if res_plus <= res_minus else "m(m-1)"
-    residual = min(res_plus, res_minus)
+    plus = not res_minus < res_plus  # m(m+1) unless m(m-1) is strictly better: a NaN stays
+    residual, rhs = (res_plus, sum_plus) if plus else (res_minus, sum_minus)
     return VerificationReport(
         identity="residue-reduction",
         params={"z0": z0, "t": t, "a": a, "k": k, "N": N, "p": nome.p, "q": nome.q},
         lhs=complex(sum_res),
-        rhs=complex(sum_plus if res_plus <= res_minus else sum_minus),
+        rhs=complex(rhs),
         residual=residual,
         tolerance=tolerance,
         settings={"alpha": alpha.name},
         details={
             "residual_exponent_m_plus_1": res_plus,
             "residual_exponent_m_minus_1": res_minus,
-            "selected_exponent": selected,
+            "selected_exponent": "m(m+1)" if plus else "m(m-1)",
         },
     )
 

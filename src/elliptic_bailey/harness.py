@@ -27,12 +27,13 @@ from .errors import (
     PoleProximityError,
     QuadratureConvergenceError,
 )
-from .report import SUMMARY_SCHEMA_TAG, VerificationReport, _canonical, _encode, relative_residual
+from .report import SUMMARY_SCHEMA_TAG, VerificationReport, _canonical, _encode, relative_residual, worst
 from .special_functions import (
     NomePair,
     elliptic_gamma,
     gamma_residue_constant,
     theta,
+    _nonzero_finite_gamma,
     _quadratic_points,
     _quadratic_residual,
 )
@@ -84,9 +85,10 @@ class CampaignConfig:
     ``seed`` is a 64-bit integer that fully determines every draw.  ``fixed``
     pins named parameters instead of sampling them.  The configuration is
     checked here against the identity's record, so an N the runner does not
-    honour, a name it never reads, a fixed nome of modulus >= 1, a zero fixed
-    parameter or a ``bounded`` one of modulus >= 1 raises :class:`DomainError`
-    before any draw.  Unknown keys in ``from_mapping`` are hard errors.
+    honour, a name it never reads, a fixed nome of modulus >= 1, a fixed q = 0
+    (every identity divides by it or by theta(q; p)), a zero fixed parameter
+    or a ``bounded`` one of modulus >= 1 raises :class:`DomainError` before
+    any draw.  Unknown keys in ``from_mapping`` are hard errors.
     """
 
     identity: str = "matrix-bailey"
@@ -122,6 +124,8 @@ class CampaignConfig:
             val = getattr(self, name)
             if val is not None and abs(complex(val)) >= 1.0:
                 raise DomainError(f"fixed nome {name} = {val} needs modulus < 1")
+        if self.q is not None and complex(self.q) == 0:
+            raise DomainError(f"fixed nome q = {self.q} needs a nonzero value")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
         if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -211,9 +215,11 @@ def _sample_until(cfg, rng, build):
             return build(rng), rejects
         except _REJECTIONS:
             rejects += 1
-    raise ConstraintViolationError(
+    exc = ConstraintViolationError(
         f"no admissible draw within retry cap {_RETRY_CAP} ({rejects} rejections)"
     )
+    exc.rejected = rejects  # run_campaign's error report keeps the count
+    raise exc
 
 
 # --------------------------------------------------------------------------
@@ -227,11 +233,12 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
 
     The sampler's ``build`` evaluates every gamma value the draw needs at
     (p, q) in one call: z, qz, pz, pq/z, then z^2 and the eight
-    quadratic-transformation arguments, then q.  A point on the pole lattice
-    rejects the draw; the residuals are read from the values ``build``
-    returns, so the only other gamma call is the one at (q, p) for base
-    symmetry.  The residue limit rests on Gamma(q) = (p;p)_inf / (q;q)_inf,
-    so Gamma(q) / (p;p)_inf^2 must equal lim (1 - z) Gamma(z) at z = 1, which
+    quadratic-transformation arguments, then q.  A point on the pole lattice,
+    or a value that underflows to zero or overflows, rejects the draw; the
+    residuals are read from the values ``build`` returns, so the only other
+    gamma call is the one at (q, p) for base symmetry.  The residue limit
+    rests on Gamma(q) = (p;p)_inf / (q;q)_inf, so Gamma(q) / (p;p)_inf^2 must
+    equal lim (1 - z) Gamma(z) at z = 1, which
     :func:`gamma_residue_constant` builds from both products instead.
     """
     def build(rng):
@@ -239,7 +246,7 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         z = rng.uniform(0.3, 1.5) * _unit_phase(rng)
         points = np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
                                  _quadratic_points(z, nome), [nome.q]])
-        return nome, z, elliptic_gamma(points, nome)
+        return nome, z, _nonzero_finite_gamma(points, nome, "the special-functions draw")
 
     (nome, z, values), rejects = _sample_until(cfg, rng, build)
     g, g_qz, g_pz, g_inv = (complex(v) for v in values[:4])
@@ -249,13 +256,12 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     res_fd_p = relative_residual(g_pz, complex(theta(z, nome.q)) * g)
     res_quad = _quadratic_residual(values[4:13])
     res_limit = relative_residual(complex(values[13]) / nome.pp_inf**2, gamma_residue_constant(nome))
-    residual = max(res_sym, res_inv, res_fd_q, res_fd_p, res_quad, res_limit)
     return VerificationReport(
         identity="special-functions",
         params={"z": z, "p": nome.p, "q": nome.q},
         lhs=g,
         rhs=g,
-        residual=residual,
+        residual=worst(res_sym, res_inv, res_fd_q, res_fd_p, res_quad, res_limit),
         tolerance=cfg.effective_tolerance,
         settings={"rejected": rejects},
         details={
@@ -392,7 +398,7 @@ def _run_cauchy_deformation(cfg: CampaignConfig, rng, idx: int) -> VerificationR
             raise _Rejected
         coeffs = rng.normal(size=n_poles + 1) + 1j * rng.normal(size=n_poles + 1)
         alpha = ct.designated_poles(z0, n_poles, nome.q, coeffs)
-        if ct.deformation_conditioning(alpha, t, x, None, nome) > 0.1 * cfg.effective_tolerance:
+        if not ct.deformation_conditioning(alpha, t, x, None, nome) <= 0.1 * cfg.effective_tolerance:
             raise _Rejected
         return nome, alpha, t, x
 
@@ -415,7 +421,7 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     if cfg.effective_N == 0:
         plus = ct.finite_difference_M(0, 1, x, f, nome)
         minus = ct.finite_difference_M(0, -1, x, f, nome)
-        residual = max(relative_residual(plus, f(x)), relative_residual(minus, f(-x)))
+        residual = relative_residual([plus, minus], [f(x), f(-x)])
         lhs, rhs = plus, complex(f(x))
         settings = {"mode": "identity/sign", "rejected": rejects}
     else:
@@ -463,13 +469,15 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     def one(idx: int) -> VerificationReport:
         rng = np.random.default_rng(int(sub_seeds[idx]))
         start = time.perf_counter()
-        err = None
+        err, settings = None, {}
         try:
             rep = runner(config, rng, idx)
         except QuadratureConvergenceError as exc:
             err = f"non-convergence: {exc}"
         except EllipticBaileyError as exc:
             err = f"{type(exc).__name__}: {exc}"
+            if hasattr(exc, "rejected"):  # the sampler's retry cap
+                settings = {"rejected": exc.rejected}
         except Exception as exc:
             err = f"internal error: {type(exc).__name__}: {exc}"
         if err is not None:
@@ -479,6 +487,7 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
                 lhs=None, rhs=None,
                 residual=math.inf,
                 tolerance=config.effective_tolerance,
+                settings=settings,
                 error=err,
             )
         rep.wall_time_s = time.perf_counter() - start
@@ -528,7 +537,7 @@ def summarize(reports: list[VerificationReport]) -> CampaignSummary:
         n_fail=len(reports) - n_pass - n_err,
         n_error=n_err,
         pass_rate=n_pass / len(reports) if reports else 0.0,
-        max_residual=max(residuals, default=math.inf if n_err else 0.0),
+        max_residual=worst(*residuals) if residuals else math.inf if n_err else 0.0,
         median_residual=float(np.median(residuals)) if residuals else 0.0,
         rejected_draws=sum(int(r.settings.get("rejected", 0)) for r in reports),
         failures=failures,

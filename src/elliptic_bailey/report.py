@@ -27,6 +27,16 @@ def _residual_ratio(lhs, rhs) -> np.ndarray:
     return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), RESIDUAL_FLOOR)
 
 
+def worst(*residuals: float) -> float:
+    """The verdict's fold of a check's component residuals: the first NaN
+    among them, bits kept, else their max.  Python's max alone drops a NaN
+    that follows a number, and the draw would pass."""
+    for r in residuals:
+        if r != r:
+            return r
+    return max(residuals)
+
+
 def relative_residual(lhs, rhs) -> float:
     """max entrywise |lhs - rhs| / max(|lhs|, |rhs|, floor)."""
     return float(np.max(_residual_ratio(lhs, rhs)))

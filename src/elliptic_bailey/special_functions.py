@@ -670,6 +670,23 @@ def elliptic_gamma(z, nome: NomePair):
     return out if z_arr.ndim else complex(out)
 
 
+def _nonzero_finite_gamma(points, nome: NomePair, where: str) -> np.ndarray:
+    """:func:`elliptic_gamma` at an array of points, for a check that divides
+    by its values: a value that underflows to zero or overflows raises
+    :class:`DegenerateParameterError` naming the first such point and
+    ``where``, instead of warning."""
+    points = np.asarray(points, dtype=complex)
+    with np.errstate(over="ignore"):
+        values = elliptic_gamma(points, nome)
+    bad = np.flatnonzero(~np.isfinite(values) | (values == 0))
+    if bad.size:
+        i = bad[0]
+        raise DegenerateParameterError(
+            f"Gamma({complex(points[i])}) = {complex(values[i])} is zero or not finite in {where}"
+        )
+    return values
+
+
 def _pochhammer_grid(bases, lengths, q) -> tuple[np.ndarray, np.ndarray]:
     """The points z q^j of a theta-Pochhammer table, one row per base point
     z, and the mask of its factors j < length: the one theta call of

@@ -1,0 +1,20 @@
+import math
+
+import pytest
+
+
+@pytest.fixture
+def nan_on_call():
+    """``wrap(fn, index, nan=math.nan)``: ``fn``, except that its call number
+    ``index`` (from 0) returns ``nan``; it puts a NaN into one component of a
+    check without touching the others."""
+    def wrap(fn, index, nan=math.nan):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return nan if len(calls) == index + 1 else fn(*args, **kwargs)
+
+        return wrapped
+
+    return wrap

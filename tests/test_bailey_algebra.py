@@ -360,6 +360,15 @@ class TestBaileyTransform:
         with pytest.raises(BaileyPairError):
             bailey_transform(alpha, beta, params)
 
+    def test_nan_pair_residual_rejected(self, nome, monkeypatch):
+        params = draw_params(np.random.default_rng(37), 3, nome)
+        alpha = BaileySequence(values=np.ones(4, dtype=complex))
+        beta = BaileySequence(values=build_M(3, params.a, params.t_tilde, nome).entries @ alpha.values,
+                              role="beta")
+        monkeypatch.setattr(ba, "relative_residual", lambda lhs, rhs: math.nan)
+        with pytest.raises(BaileyPairError, match="residual nan"):
+            bailey_transform(alpha, beta, params)
+
 
 class TestCoxeter:
     def test_relations(self, nome):
@@ -376,6 +385,20 @@ class TestCoxeter:
         cox = verify_coxeter(params)
         bailey = verify_matrix_bailey(params)
         assert cox.details["cubic_residual"] == bailey.residual
+
+    def test_a_nan_term_fails_the_draw(self, nome, monkeypatch, nan_on_call):
+        params = draw_params(np.random.default_rng(41), 4, nome)
+        poisons = {
+            "s1_squared_residual": ("identity_deviation", 0, math.nan),
+            "s2_squared_residual": ("identity_deviation", 1, math.nan),
+            "cubic_residual": ("_worst_entry", 0, (math.nan, 0j, 0j)),
+        }
+        for term, (name, call, nan) in poisons.items():
+            with monkeypatch.context() as m:
+                m.setattr(ba, name, nan_on_call(getattr(ba, name), call, nan))
+                rep = verify_coxeter(params)
+            assert math.isnan(rep.details[term]), term
+            assert math.isnan(rep.residual) and not rep.passed, term
 
 
 class TestBuiltOncePerDraw:
@@ -661,6 +684,15 @@ class TestBressoudLimit:
         assert rep.details["smallest_p_residual"] < 1e-6
         assert rep.details["extrapolation_residual"] < 1e-9
         assert rep.passed
+
+    def test_a_nan_part_fails_the_check(self, monkeypatch, nan_on_call):
+        residual = ba.relative_residual
+        for call, part in enumerate(["extrapolation_residual", "smallest_p_residual"]):
+            with monkeypatch.context() as m:
+                m.setattr(ba, "relative_residual", nan_on_call(residual, call))
+                rep = bressoud_limit_check(3, 0.45, 0.7, 0.5)
+            assert math.isnan(rep.details[part]), part
+            assert math.isnan(rep.residual) and not rep.passed, part
 
     def test_triangularity_survives_all_p(self):
         for p in (0.0, 1e-8, 1e-4, 0.2):

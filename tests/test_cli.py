@@ -193,6 +193,16 @@ class TestVerify:
         assert out == ""
         assert f"fixed parameter {name} = " in err
 
+    @pytest.mark.parametrize("identity", IDENTITIES)
+    def test_fixed_q_zero_exits_2_before_any_draw(self, capsys, monkeypatch, identity):
+        # every identity divides by q or by theta(q; p); p = 0 stays admissible
+        monkeypatch.setattr(cli, "run_campaign", lambda config: pytest.fail("a draw ran"))
+        code, out, err = run_cli(capsys, "verify", identity, "--q", "0", "--draws", "2", "--json")
+        assert code == 2
+        assert out == ""
+        assert "fixed nome q = " in err
+        assert CampaignConfig(identity=identity, p=0.0).p == 0.0
+
     def test_every_benchmark_campaign_passes_the_config_boundary(self, capsys, monkeypatch):
         spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)

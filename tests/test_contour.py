@@ -136,6 +136,20 @@ class TestSymmetricTestFunctions:
         # declared residues of alpha(z)/z match small-circle contour integrals
         assert alpha.check_residues(rel_tol=1e-9) < 1e-9
 
+    def test_nan_residue_deviation_fails(self, monkeypatch, nan_on_call):
+        # the second pole's small-circle integral is NaN; 0 and the first
+        # pole's deviation precede it in the fold
+        alpha = designated_poles(0.7, 3, 0.5, np.ones(4))
+        monkeypatch.setattr(ct, "_offcenter_residue",
+                            nan_on_call(ct._offcenter_residue, 1, complex(math.nan)))
+        with pytest.raises(DomainError, match="deviate by nan"):
+            alpha.check_residues(rel_tol=1e-9)
+
+    def test_nan_symmetry_deviation_fails(self):
+        alpha = SymmetricTestFunction(fn=lambda z: np.full_like(z, math.nan), name="nan")
+        with pytest.raises(DomainError, match="nan"):
+            alpha.check_symmetry(np.random.default_rng(3))
+
     def test_gamma_product_symmetry(self):
         nome = NomePair(0.08, 0.12)
         alpha = gamma_product_function([0.4, 0.5 * np.exp(0.8j)], nome)
@@ -637,6 +651,28 @@ class TestStarTriangle:
                                      z_plus_inverse(), nome)
         assert rep.residual < 1e-8
 
+    def test_a_nan_spectator_fails_the_check(self, monkeypatch):
+        nome = NomePair(0.08, 0.12)
+        drive = ct._drive
+        sides = []
+
+        def nan_second_spectator(eval_at, *rest, **kwargs):
+            both, info = drive(eval_at, *rest, **kwargs)
+            both = both.copy()
+            both[1] = math.nan  # the second spectator's left side
+            sides.append(both)
+            return both, info
+
+        monkeypatch.setattr(ct, "_drive", nan_second_spectator)
+        rep = star_triangle_residual(0.55, 0.45, 0.9 * np.exp(0.3j),
+                                     [np.exp(0.4j), np.exp(1.7j), np.exp(-2.2j)],
+                                     constant_one(), nome)
+        per = rep.details["per_spectator"]
+        assert math.isnan(per[1]) and math.isnan(rep.residual) and not rep.passed
+        # the other entries keep the bits of the per-spectator scalar residual
+        (both,) = sides
+        assert [per[0], per[2]] == [relative_residual(both[i], both[3 + i]) for i in (0, 2)]
+
     def test_degenerate_t_excluded_by_precondition(self):
         nome = NomePair(0.08, 0.12)
         with pytest.raises(ConstraintViolationError):
@@ -852,6 +888,22 @@ class TestResidueMatrixBridge:
         alpha = designated_poles(z0, N, nome.q, np.ones(N + 1))
         assert residue_matrix_reduction_check(alpha, z0, t, N, nome).residual < 1e-11
         assert calls == {"gamma": [3 + 5 * (N + 1)], "pochhammer": 1, "build_M": 1}
+
+    @pytest.mark.parametrize("poisoned", [0, 1], ids=["m_plus_1", "m_minus_1"])
+    def test_a_nan_normalization_is_never_passed_over(self, monkeypatch, nan_on_call, poisoned):
+        # m(m+1) stays selected unless m(m-1) is strictly better, and the one
+        # selection sets the residual, the right side and the exponent
+        nome = NomePair(0.1, 0.4)
+        z0, t = np.sqrt(0.49), np.sqrt(0.3 / 0.49)
+        alpha = designated_poles(z0, 3, nome.q, np.ones(4))
+        reference = residue_matrix_reduction_check(alpha, z0, t, 3, nome)
+        monkeypatch.setattr(ct, "relative_residual", nan_on_call(ct.relative_residual, poisoned))
+        rep = residue_matrix_reduction_check(alpha, z0, t, 3, nome)
+        assert rep.details["selected_exponent"] == "m(m+1)"
+        selected = rep.details["residual_exponent_m_plus_1"]
+        assert np.float64(rep.residual).tobytes() == np.float64(selected).tobytes()
+        assert rep.rhs == reference.rhs
+        assert rep.passed == (poisoned == 1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_gamma_names_its_argument(self):

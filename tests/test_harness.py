@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -163,6 +164,31 @@ class TestSampler:
         assert reports[0].settings["rejected"] == 1
 
 
+    def test_nan_deformation_conditioning_is_rejected(self, monkeypatch):
+        # the Cauchy sampler's gate admits an estimate only if it is <= the cap
+        monkeypatch.setattr(hmod.ct, "deformation_conditioning", lambda *args: math.nan)
+        (rep,) = run_campaign(CampaignConfig(identity="cauchy-deformation", seed=1, draws=1))
+        assert rep.error == ("ConstraintViolationError: no admissible draw within retry cap 100"
+                             " (100 rejections)")
+
+    def test_retry_cap_error_reports_keep_their_rejections(self, monkeypatch):
+        # every draw of this campaign exhausts the retry cap
+        reports = run_campaign(CampaignConfig(identity="star-triangle", draws=3, seed=1,
+                                              p=0.6, q=0.6))
+        assert all(r.error.endswith("(100 rejections)") for r in reports)
+        assert [r.settings for r in reports] == [{"rejected": 100}] * 3
+        assert summarize(reports).rejected_draws == 300
+
+        # the same error type from elsewhere carries no count
+        def boom(cfg, rng, idx):
+            raise hmod.ConstraintViolationError("not from the sampler")
+
+        monkeypatch.setitem(hmod._RUNNERS, "star-triangle", boom)
+        (rep,) = run_campaign(CampaignConfig(identity="star-triangle", draws=1))
+        assert rep.error == "ConstraintViolationError: not from the sampler"
+        assert rep.settings == {}
+
+
 class TestPointwiseBatching:
     def test_special_functions_draw_makes_one_engine_call_per_nome_pair(self, monkeypatch):
         from elliptic_bailey import special_functions
@@ -223,6 +249,77 @@ class TestPointwiseBatching:
         reports = run_campaign(CampaignConfig(identity="residue-reduction", N=12, seed=7, draws=30))
         assert [r.error for r in reports if r.error] == []
         assert sum(r.settings["rejected"] for r in reports) > 0
+
+
+@functools.cache
+def _near_unit_nome_campaign():
+    # `verify special-functions --draws 20 --seed 3 --p 0.95 --q 0.9`; the
+    # product in the quadratic transformation overflows on draws 11, 13 and 19
+    with np.errstate(all="ignore"):
+        return run_campaign(CampaignConfig(identity="special-functions", draws=20, seed=3,
+                                           p=0.95, q=0.9))
+
+
+class TestVerdictFold:
+    _COMPONENTS = ["base_symmetry", "inversion", "fd_equation_q", "fd_equation_p",
+                   "quadratic_transformation", "residue_limit"]
+
+    def test_a_nan_special_functions_component_fails_its_draw(self, monkeypatch, nan_on_call):
+        cfg = CampaignConfig(identity="special-functions", seed=3, draws=1)
+        gammas = hmod._nonzero_finite_gamma
+
+        def nan_inverse(points, nome, where):
+            values = gammas(points, nome, where).copy()
+            values[3] = math.nan  # Gamma(pq/z), read by the inversion alone
+            return values
+
+        # relative_residual's calls, in order: base symmetry, the two
+        # difference equations, the residue limit
+        poisons = {
+            "base_symmetry": ("relative_residual", 0),
+            "inversion": ("_nonzero_finite_gamma", nan_inverse),
+            "fd_equation_q": ("relative_residual", 1),
+            "fd_equation_p": ("relative_residual", 2),
+            "quadratic_transformation": ("_quadratic_residual", 0),
+            "residue_limit": ("relative_residual", 3),
+        }
+        assert list(poisons) == self._COMPONENTS
+        for component, (name, poison) in poisons.items():
+            with monkeypatch.context() as m:
+                if not callable(poison):
+                    poison = nan_on_call(getattr(hmod, name), poison)
+                m.setattr(hmod, name, poison)
+                (rep,) = run_campaign(cfg)
+            assert math.isnan(rep.details[component]), component
+            assert math.isnan(rep.residual) and not rep.passed, component
+            others = [rep.details[c] for c in self._COMPONENTS if c != component]
+            assert all(v < 1e-11 for v in others), component
+
+    def test_overflowing_quadratic_product_fails_the_draw(self):
+        reports = _near_unit_nome_campaign()
+        failed = [r.draw_index for r in reports if not r.passed]
+        assert failed == [11, 13, 19]
+        for idx in failed:
+            assert reports[idx].error is None
+            assert math.isnan(reports[idx].details["quadratic_transformation"])
+            assert math.isnan(reports[idx].residual)
+        assert math.isnan(summarize(reports).max_residual)
+
+    def test_underflowing_gamma_value_is_rejected(self):
+        # draw 9 first samples a z whose Gamma(z^2) underflows to 0; the
+        # quadratic residual divided by it (an internal ZeroDivisionError)
+        rep = _near_unit_nome_campaign()[9]
+        assert rep.error is None and rep.passed
+        assert rep.settings["rejected"] == 1
+
+    def test_finite_difference_N0_degenerate_prefactor_is_a_library_error(self):
+        # near q = 1 a gamma value of the prefactor underflows or overflows;
+        # it divided 0 by 0 or overflowed (internal errors under the warning filter)
+        reports = run_campaign(CampaignConfig(identity="finite-difference", N=0, q=0.99999,
+                                              draws=4, seed=1))
+        for rep in reports:
+            assert rep.error.startswith("DegenerateParameterError: Gamma("), rep.error
+            assert rep.error.endswith("is zero or not finite in the finite-difference prefactor")
 
 
 class TestDeterminism:
@@ -382,6 +479,20 @@ class TestSummarize:
         assert s.n_pass == 1 and s.n_fail == 1 and s.n_error == 1
         assert [f["draw_index"] for f in s.failures] == [1, 2]
         assert s.failures[0]["params"]["a"] == {"c": [(3.0).hex(), (0.5).hex()]}
+
+
+    def test_max_residual_is_nan_whatever_the_order(self):
+        def report(residual, error=None):
+            return VerificationReport(identity="demo", params={}, lhs=None, rhs=None,
+                                      residual=residual, tolerance=1e-9, error=error)
+
+        for at in range(4):
+            residuals = [1e-12, 4e-10, 3e-10, 2e-11]
+            residuals[at] = math.nan
+            reports = [report(r) for r in residuals] + [report(math.inf, error="boom")]
+            s = summarize(reports)
+            assert math.isnan(s.max_residual), at
+            assert s.n_fail == 1 and s.n_error == 1
 
 
 class TestReportSerialization:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from elliptic_bailey.report import _encode
+from elliptic_bailey.report import _encode, worst
 
 _CANONICAL = [
     (1.5, '{"f":"0x1.8000000000000p+0"}'),
@@ -53,3 +53,22 @@ class TestEncode:
     def test_rejects_other_types(self, value):
         with pytest.raises(TypeError):
             _encode(value)
+
+
+class TestWorst:
+    def test_max_of_numbers(self):
+        assert worst(1e-12, 3e-9, 0.0) == 3e-9
+        assert worst(0.25) == 0.25
+        assert worst(1.0, math.inf) == math.inf
+
+    def test_a_nan_in_any_position_is_returned(self):
+        # Python's max returns 2.0 for max(1.0, nan, 2.0); the verdict must not
+        for at in range(4):
+            values = [1e-12, 2.0, 0.0, 5e-9]
+            values[at] = math.nan
+            assert math.isnan(worst(*values)), at
+
+    def test_the_first_nan_keeps_its_bits(self):
+        payload = np.frombuffer(np.uint64(0x7FF8_0000_0000_0123).tobytes(), dtype=np.float64)[0]
+        got = worst(1.0, payload, -math.nan, 2.0)
+        assert np.float64(got).tobytes() == payload.tobytes()
