@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 
 from .bailey_algebra import d_entry, m_entry, _d_rows, _m_rows
@@ -108,7 +109,11 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    most of a zero-draw campaign.  Parsing leaves it unchanged, since each
+    parse fills a fresh namespace and every default is None or False."""
     top = argparse.ArgumentParser(
         prog="elliptic-bailey",
         description="Verify elliptic Bailey-lemma identities to floating-point tolerance.",

@@ -184,14 +184,16 @@ class _Nodes:
     interleaved ring, since 1/c_j = c_{-j-1} for the points c_j = c w_m^j of
     the turned ring, so every engine call holds as many scales as the first.
     The turn enters the ring series exactly (:func:`_gamma_rings_turned`),
-    not through rounded scales s c.
+    not through rounded scales s c, and every turned call decides its shifts
+    against the first grid's size, so each scale keeps the shift of the
+    first call.
     """
 
     def __init__(self, radius: float, nome: NomePair | None = None, scales=(), f=None,
                  dden: bool = False, cap: int = DEFAULT_NODE_CAP):
         self.radius, self.nome, self.f, self.dden, self.cap = radius, nome, f, dden, cap
         self.scales = list(dict.fromkeys(scales))
-        self.size = 0
+        self.size = self.first = 0
         self.held = None
 
     def _evaluate(self, m: int, turned: bool) -> list:
@@ -199,8 +201,9 @@ class _Nodes:
         by c = exp(i pi / m), whose points are the odd nodes of the 2m-grid."""
         gamma = dden = samples = None
         if self.scales:
-            engine = _gamma_rings_turned if turned else _gamma_rings
-            gamma = engine(np.array(self.scales, dtype=complex), m, self.nome)
+            scales = np.array(self.scales, dtype=complex)
+            gamma = (_gamma_rings_turned(scales, m, self.nome, self.first) if turned
+                     else _gamma_rings(scales, m, self.nome))
         if self.dden:
             dden = _theta_rings(m, self.radius, self.nome, turned)
         if self.f is not None:
@@ -209,7 +212,7 @@ class _Nodes:
 
     def at(self, n: int):
         if self.held is None:
-            self.size = 2 * n if 2 * n <= self.cap else n
+            self.size = self.first = 2 * n if 2 * n <= self.cap else n
             self.held = self._evaluate(self.size, turned=False)
         while self.size < n:
             new = self._evaluate(self.size, turned=True)

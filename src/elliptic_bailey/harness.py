@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -207,19 +208,26 @@ class _Rejected(Exception):
 _REJECTIONS = (_Rejected, PoleProximityError, DegenerateParameterError, ConstraintViolationError)
 
 
+# the rejections of the draw running on this thread, once its sampler has
+# returned or given up: run_campaign's error report keeps them
+_sampled = threading.local()
+
+
 def _sample_until(cfg, rng, build):
     # cfg is unused; perfbench's tracer reads ``build`` at position 2
     rejects = 0
     for _ in range(_RETRY_CAP):
         try:
-            return build(rng), rejects
+            out = build(rng)
         except _REJECTIONS:
             rejects += 1
-    exc = ConstraintViolationError(
+        else:
+            _sampled.rejected = rejects
+            return out, rejects
+    _sampled.rejected = rejects
+    raise ConstraintViolationError(
         f"no admissible draw within retry cap {_RETRY_CAP} ({rejects} rejections)"
     )
-    exc.rejected = rejects  # run_campaign's error report keeps the count
-    raise exc
 
 
 # --------------------------------------------------------------------------
@@ -459,8 +467,10 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """Run all draws of a campaign; deterministic given the config.
 
     Per-draw errors become error reports instead of aborting: library errors
-    by their type, any other exception as an internal error.  Each report's
-    ``wall_time_s`` is the whole draw, sampling included, timed here only.
+    by their type, any other exception as an internal error.  An error
+    report keeps the rejections of its draw's sampler, once the sampler has
+    returned or reached its retry cap.  Each report's ``wall_time_s`` is the
+    whole draw, sampling included, timed here only.
     """
     runner = _RUNNERS[config.identity]
     master = np.random.default_rng(config.seed)
@@ -469,25 +479,26 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     def one(idx: int) -> VerificationReport:
         rng = np.random.default_rng(int(sub_seeds[idx]))
         start = time.perf_counter()
-        err, settings = None, {}
+        err = _sampled.rejected = None
         try:
             rep = runner(config, rng, idx)
         except QuadratureConvergenceError as exc:
             err = f"non-convergence: {exc}"
         except EllipticBaileyError as exc:
             err = f"{type(exc).__name__}: {exc}"
-            if hasattr(exc, "rejected"):  # the sampler's retry cap
-                settings = {"rejected": exc.rejected}
         except Exception as exc:
             err = f"internal error: {type(exc).__name__}: {exc}"
         if err is not None:
+            # an error after the sampler returned, or its retry cap, keeps
+            # the draw's rejections
+            rejected = _sampled.rejected
             rep = VerificationReport(
                 identity=config.identity,
                 params={"draw_seed": int(sub_seeds[idx])},
                 lhs=None, rhs=None,
                 residual=math.inf,
                 tolerance=config.effective_tolerance,
-                settings=settings,
+                settings={} if rejected is None else {"rejected": rejected},
                 error=err,
             )
         rep.wall_time_s = time.perf_counter() - start

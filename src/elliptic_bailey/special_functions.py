@@ -28,7 +28,10 @@ Gamma(u z) = theta(z; v) Gamma(z) undoes the shift:
 Every product and series keeps the fewest terms whose relative tail bound,
 2 r^{M+1} / ((1 - r)(1 - |p|)(1 - |q|)) for the series, is below
 ``TRUNCATION_TOL`` = 1e-14; needing more than ``MAX_TERMS`` = 500 000 terms
-raises :class:`TruncationLimitError`.
+raises :class:`TruncationLimitError`.  A ring of n > 1 points (below) keeps
+k = 0 when its unshifted radius r0 = max(|z|, |pq/z|) < 1 needs at most
+n - 1 terms: its series then fits the n bins of its fold, and it needs no
+shift factor.
 
 One engine, ``_gamma_rings``, evaluates gamma on R rings of n points
 s_i exp(2 pi i j / n); a flat array of single points is its n = 1 case.  On a
@@ -42,11 +45,11 @@ theta(v z; v) = -z^{-1} theta(z; v) into |v|^{1/2} <= |y| <= |v|^{-1/2},
     log theta(y e; v) = log(1 - y e) - sum_{m>=1} v^m ((y e)^m + (y e)^{-m}) / (m (1 - v^m)),
 
 with the factor 1 - y e kept pointwise, so the zeros on |z| = 1 stay exact.
-The gamma engine adds the series of its shift thetas to its own table before
-the fold, and ``_theta_ring`` serves the thetas of the contour grids; no ring
-evaluates a product.  Pointwise theta evaluates its (2 x points x J) factor
-products in blocks of ``_THETA_BLOCK`` points, for the n = 1 shifts and
-every pointwise caller.  The theta-Pochhammer symbols and sequences are read
+The gamma engine adds the series of the shift thetas of its shifted rings to
+its own table before the fold, and ``_theta_ring`` serves the thetas of the
+contour grids; no ring evaluates a product.  Pointwise theta evaluates its
+(2 x points x J) factor products in blocks of ``_THETA_BLOCK`` points, for
+the n = 1 shifts and every pointwise caller.  The theta-Pochhammer symbols and sequences are read
 from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
 
 All functions accept scalars or numpy arrays in ``z`` and are pure; the
@@ -55,6 +58,7 @@ default floating type is hardware complex128 (unit roundoff ~1e-16).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -286,13 +290,21 @@ def _shift_nomes(nome: NomePair) -> tuple[complex, complex]:
     return (nome.p, nome.q) if abs(nome.p) >= abs(nome.q) else (nome.q, nome.p)
 
 
-def _annulus_shift(log_az: np.ndarray, nome: NomePair) -> tuple[np.ndarray, float]:
+def _annulus_shift(log_az: np.ndarray, nome: NomePair, n: int = 1) -> tuple[np.ndarray, float]:
     """Shift exponents k, with w = z u^k in the series annulus, and the series
-    radius r = max |w|, |pq/w| over the points.  Requires u != 0.
+    radius r = max |w|, |pq/w| over the points, for the moduli |z| = exp(log_az)
+    of single points (n = 1) or of rings of n points.  Requires u != 0.
 
     k puts log|w| nearest to log sqrt|pq|, so r <= sqrt|v|.  With v = 0 the
     annulus is 0 < |w| < 1, and k puts log|w| nearest to log|u|, so
     r <= sqrt|u|.
+
+    A ring of n > 1 points keeps k = 0 when its unshifted series fits one
+    block of its fold: r0 = max(|z|, |pq/z|) < 1 and
+    :func:`_series_order` at r0 is at most n - 1, that is
+    2 r0^n / ((1 - r0)(1 - |p|)(1 - |q|)) < TRUNCATION_TOL, tested in log
+    form.  Its terms then fill bins the fold would pad with zeros, and it
+    needs no theta shift factor.  No single point fits.
     """
     u, v = _shift_nomes(nome)
     log_u = math.log(abs(u))
@@ -301,8 +313,16 @@ def _annulus_shift(log_az: np.ndarray, nome: NomePair) -> tuple[np.ndarray, floa
     k = np.rint(exact)
     # log|w| - target = (k - exact) log|u|, and log|pq/w| - target is its negative
     miss = (k - exact) * log_u
-    r = math.exp(target + float((np.abs(miss) if v != 0 else miss).max()))
-    return k, r
+    log_r = target + (np.abs(miss) if v != 0 else miss)
+    if n > 1:
+        log_r0 = np.maximum(log_az, math.log(abs(u * v)) - log_az) if v != 0 else log_az
+        inside = log_r0 < 0.0
+        log_c = (math.log(2.0 / ((1.0 - abs(nome.p)) * (1.0 - abs(nome.q))))
+                 - np.log1p(-np.exp(np.where(inside, log_r0, -np.inf))))
+        fit = inside & (n * log_r0 + log_c < math.log(TRUNCATION_TOL))
+        k[fit] = 0.0
+        log_r[fit] = log_r0[fit]
+    return k, math.exp(float(log_r.max()))
 
 
 def _series_order(nome: NomePair, r: float) -> int:
@@ -532,7 +552,8 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
     return _gamma_ring_engine(scales, n, nome, turned=False)
 
 
-def _gamma_rings_turned(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
+def _gamma_rings_turned(scales: np.ndarray, n: int, nome: NomePair,
+                        fit: int | None = None) -> np.ndarray:
     """Gamma(s_i c e_j; p, q) for c = exp(i pi / n), n > 1: the gamma engine on
     the rings turned by half a step, whose points s_i c e_j are s_i times the
     odd nodes of the 2n-grid.  A nested quadrature adds these nodes at each
@@ -541,19 +562,26 @@ def _gamma_rings_turned(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarra
     scale s_i c would move the odd nodes against the even ones by its own
     rounding, and the trapezoid sum picks that alternating error up
     coherently: on the Cauchy check's inner circle it raised the median
-    residual about 1.5-fold."""
-    return _gamma_ring_engine(scales, n, nome, turned=True)
+    residual about 1.5-fold.  For the same reason the quadrature passes its
+    first grid's size as ``fit``, the ring size its shift rule is decided
+    against (:func:`_annulus_shift`), so that each scale keeps one shift at
+    every doubling."""
+    return _gamma_ring_engine(scales, n, nome, turned=True, fit=fit)
 
 
-def _gamma_ring_engine(scales: np.ndarray, n: int, nome: NomePair, turned: bool) -> np.ndarray:
+def _gamma_ring_engine(scales: np.ndarray, n: int, nome: NomePair, turned: bool,
+                       fit: int | None = None) -> np.ndarray:
     """Gamma(s_i e_j; p, q) for the scales s_i = scales[i] and the points e_j
     of the n-ring (:func:`_ring`, turned by exp(i pi / n) if ``turned``), as
     an (R, n) array.  This is the one gamma engine.
 
     Every point of ring i has modulus |s_i|, so all of them share the shift
-    k_i, and w = sigma_i e_j with sigma_i = s_i u^{k_i}.  One table holds the
-    powers sigma_i^m and (pq/sigma_i)^m, m = 1..M, with one order M at the
-    largest series radius of the call bounding every ring's tail.  The theta
+    k_i, and w = sigma_i e_j with sigma_i = s_i u^{k_i}.  The shift rule
+    (:func:`_annulus_shift`) sees the ring size ``fit``, n by default: a ring
+    whose unshifted series fits one block of a fit-point fold keeps k_i = 0.
+    One table holds the powers sigma_i^m and (pq/sigma_i)^m, m = 1..M, with
+    one order M at the largest series radius of the call bounding every
+    ring's tail.  The theta
     shift factors of ring i are theta(x_i u^j e; v), j < |k_i|, with x = s for
     k > 0 and x = sigma for k < 0.
 
@@ -569,7 +597,8 @@ def _gamma_ring_engine(scales: np.ndarray, n: int, nome: NomePair, turned: bool)
     factor (:func:`_theta_series`) is added to ring i's rows of the same table
     before the fold, so one DFT pair sums gamma and its shift thetas; only
     their factors (1 - y e_j) and roots e_j^k are taken pointwise.  A ring
-    costs O(M + n log n + |k| n) where n single points cost O(M n).
+    costs O(M + n log n) unshifted, where M < n, and O(M + n log n + |k| n)
+    shifted; n single points cost O(M n).
     """
     scales = np.asarray(scales, dtype=complex)
     # values are laid out (n, R), ring points first, so that per-ring vectors
@@ -582,7 +611,11 @@ def _gamma_ring_engine(scales: np.ndarray, n: int, nome: NomePair, turned: bool)
     u, v = _shift_nomes(nome)
     if u == 0:
         return (1.0 / (1.0 - z)).T
-    k, r = _annulus_shift(np.log(az[0]), nome)
+    # the moduli of the scales themselves, which a turned ring shares with
+    # the untwisted one, so that both take one shift; an untwisted ring's
+    # first point is its scale
+    k, r = _annulus_shift(np.log(np.abs(scales) if turned else az[0]), nome,
+                          n if fit is None else fit)
     sigma = scales * u**k
     coeffs = nome.series_coefficients(_series_order(nome, r))
     rings, m_top = scales.size, coeffs.size
@@ -776,9 +809,16 @@ def _quadratic_points(z: complex, nome: NomePair) -> np.ndarray:
 
 def _quadratic_residual(values: np.ndarray) -> float:
     """|Gamma(z^2) - prod Gamma(s)| / |Gamma(z^2)| from the gamma values at
-    :func:`_quadratic_points`."""
+    :func:`_quadratic_points`.  Where the product of the eight values is not
+    finite, though each of them may be, the ratio prod Gamma(s) / Gamma(z^2)
+    is formed from a sum of logs instead, and the residual is |1 - ratio|."""
     lhs = complex(values[0])
-    return abs(lhs - complex(values[1:].prod())) / abs(lhs)
+    with np.errstate(all="ignore"):
+        rhs = complex(values[1:].prod())
+        if cmath.isfinite(rhs):
+            return abs(lhs - rhs) / abs(lhs)
+        ratio = complex(np.exp(np.log(values[1:]).sum() - np.log(values[0])))
+    return abs(1.0 - ratio)
 
 
 def gamma_quadratic_check(z, nome: NomePair) -> float:

@@ -10,7 +10,8 @@ formulas the library used before it assembled both from guarded
 theta-Pochhammer sequences; the tests compare ``build_M`` and ``build_D``
 against them.  ``qpoch_order_reference`` and ``series_order_reference`` are
 the product and series order rules the library kept separately before one
-``_truncation_order`` served both.
+``_truncation_order`` served both; ``fit_radius`` solves the series bound
+for the radius at which a ring's unshifted series fits its fold.
 """
 
 import math
@@ -130,6 +131,23 @@ def series_order_reference(p_mod: float, q_mod: float, r: float) -> int:
             f"elliptic gamma series needs {m} terms (r={r:g}), cap is {MAX_TERMS}"
         )
     return m
+
+
+def fit_radius(p_mod: float, q_mod: float, n: int) -> float:
+    """The radius r0 at which 2 r0^n / ((1 - r0)(1 - |p|)(1 - |q|)) equals
+    TRUNCATION_TOL, by bisection on log r0: a ring of n points whose series
+    radius r0 = max(|s|, |pq/s|) is smaller has a series of at most n - 1
+    terms (:func:`series_order_reference`), and takes no theta shift."""
+    log_tol = math.log(TRUNCATION_TOL)
+    log_c = math.log(2.0 / ((1.0 - p_mod) * (1.0 - q_mod)))
+    lo, hi = -80.0, 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if n * mid + log_c - math.log1p(-math.exp(mid)) < log_tol:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(lo)
 
 
 # ---------------------------------------------------------------------------

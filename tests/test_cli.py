@@ -36,6 +36,28 @@ class TestComplexParsing:
             parse_complex("spam")
 
 
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # two main calls share one parser, and a usage error in the first
+        # leaves the second's parse as a fresh parser's
+        argv = ["verify", "coxeter", "--N", "0", "--draws", "1", "--seed", "7", "--json"]
+        fresh = cli.build_parser.__wrapped__().parse_args(argv)
+        parsers, parsed = [], []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(self, args=None, namespace=None):
+            parsers.append(self)
+            parsed.append(parse_args(self, args, namespace))
+            return parsed[-1]
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        code, _, err = run_cli(capsys, "verify", "coxeter", "--draws", "many", "--p", "0.5")
+        assert code == 2 and "invalid int value: 'many'" in err
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        assert parsed == [fresh]
+
+
 class TestVerify:
     def test_json_line_count_and_exit(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "matrix-bailey", "--N", "4",

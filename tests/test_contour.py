@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from elliptic_bailey import bailey_algebra, special_functions
 from elliptic_bailey import contour as ct
 from elliptic_bailey.bailey_algebra import build_M
@@ -315,9 +317,9 @@ class TestRingKernels:
         calls = []
 
         def counting(engine):
-            def counted(scales, n, nome):
+            def counted(scales, n, nome, *fit):
                 calls.append((len(scales), n))
-                return engine(scales, n, nome)
+                return engine(scales, n, nome, *fit)
             return counted
 
         for name in ("_gamma_rings", "_gamma_rings_turned"):
@@ -442,7 +444,7 @@ class TestRingKernels:
         # inside _drive every theta factor on a ring, the engine's shift
         # thetas and the inverted 1/Gamma(z^{+-2}) alike, comes from the ring
         # series; the products serve only the pointwise values outside it
-        counts = {"products": [0, 0], "series": [0, 0], "rings": [0, 0]}
+        counts = {"products": [0, 0], "series": [0, 0], "rings": [0, 0], "shifting": [0, 0]}
         inside = [False]
 
         def counting(name, fn):
@@ -450,6 +452,13 @@ class TestRingKernels:
                 counts[name][inside[0]] += 1
                 return fn(*args)
             return counted
+
+        annulus_shift = special_functions._annulus_shift
+
+        def shifting(log_az, nome, n=1):
+            k, r = annulus_shift(log_az, nome, n)
+            counts["shifting"][inside[0]] += bool(k.any())
+            return k, r
 
         def driving(*args, **kwargs):
             inside[0] = True
@@ -464,18 +473,23 @@ class TestRingKernels:
         monkeypatch.setattr(special_functions, "_theta_series",
                             counting("series", special_functions._theta_series))
         monkeypatch.setattr(ct, "_drive", driving)
+        monkeypatch.setattr(special_functions, "_annulus_shift", shifting)
         for name in ("_gamma_rings", "_gamma_rings_turned"):
             monkeypatch.setattr(ct, name, counting("rings", getattr(ct, name)))
         nome = NomePair(self.NOME.p, self.NOME.q)
         spect = [np.exp(0.4j), np.exp(1.7j), np.exp(-2.2j)]
         star_triangle_residual(0.85, 0.8, 0.9 * np.exp(0.3j), spect, constant_one(), nome)
         elliptic_beta_integral(0.9, 0.6, 0.45 * np.exp(0.5j), 0.55, 0.4, nome)
+        # every ring of this one fits its fold unshifted
+        elliptic_beta_integral(0.6, 0.5, 0.45 * np.exp(0.5j), 0.55, 0.4, nome)
         assert counts["products"][True] == 0
         assert counts["products"][False] > 0
         # every engine call, on the first grid or on a turned ring, comes with
-        # one dden ring and one series for its shifted gamma rings
-        assert counts["rings"][True] >= 6
-        assert counts["series"][True] == 2 * counts["rings"][True]
+        # one dden ring, and with one series for its shifted gamma rings if
+        # it shifts any
+        assert counts["rings"][True] >= 7
+        assert 0 < counts["shifting"][True] < counts["rings"][True]
+        assert counts["series"][True] == counts["rings"][True] + counts["shifting"][True]
         assert counts["series"][False] == 0
 
 
@@ -549,9 +563,9 @@ class TestNodeLadder:
         theta_rings, drive = ct._theta_rings, ct._drive
 
         def rings(engine):
-            def counted(scales, n, nome):
+            def counted(scales, n, nome, *fit):
                 seen["rings"].append((len(scales), n))
-                return engine(scales, n, nome)
+                return engine(scales, n, nome, *fit)
             return counted
 
         def dden(n, *args):
@@ -620,6 +634,45 @@ class TestNodeLadder:
         with pytest.raises(QuadratureConvergenceError, match=message):
             circle_integral(f, QuadratureGrid(1.0, 64), rel_tol=1e-12, max_nodes=cap)
         assert sizes == [cap]
+
+    def test_each_scale_keeps_one_shift_through_the_doublings(self, monkeypatch):
+        # scales at the fit bound of the first grid, 32 nodes, on both sides
+        # of it and from both sides of the annulus, and scales inside the
+        # bounds of the later grids 64, 256 and 1024 alone: every engine call,
+        # on the first grid and on each turned ring, gives each scale one shift
+        nome = NomePair(0.08, 0.12)
+        pq = abs(nome.p * nome.q)
+
+        def bound(n):
+            return oracles.fit_radius(abs(nome.p), abs(nome.q), n)
+
+        first = bound(32)
+        moduli = ([first * math.exp(-1e-9), first * math.exp(1e-9),
+                   pq / first * math.exp(1e-9), pq / first * math.exp(-1e-9)]
+                  + [0.999 * bound(n) for n in (64, 256, 1024)])
+        scales = [m * np.exp(0.7j * i) for i, m in enumerate(moduli)]
+        log_moduli = np.log(moduli)
+        shifts = []
+        annulus_shift = special_functions._annulus_shift
+
+        def recording(log_az, nome, n=1):
+            k, r = annulus_shift(log_az, nome, n)
+            shifts.append(k)
+            return k, r
+
+        monkeypatch.setattr(special_functions, "_annulus_shift", recording)
+        nodes = ct._Nodes(1.0, nome, scales)
+        for n in (16, 32, 64, 128, 256, 512, 1024):
+            rings = nodes.at(n)[0]
+        # the first grid, then the turned rings of 32 to 512 nodes
+        assert len(shifts) == 6
+        assert all(np.array_equal(k, shifts[0]) for k in shifts)
+        assert list(shifts[0] == 0) == [True, False, True, False, False, False, False]
+        # at their own sizes, the later grids would have left the last three unshifted
+        assert not annulus_shift(log_moduli, nome, 1024)[0][-3:].any()
+        for scale in scales:
+            want = special_functions._gamma_vec(scale * ct._roots(1024), nome)
+            assert relative_residual(rings[scale][0], want) < 1e-13
 
     def test_no_engine_point_beyond_the_cap(self, monkeypatch):
         seen = self._counted(monkeypatch)

@@ -859,6 +859,88 @@ class TestGammaRings:
 
 
 # ---------------------------------------------------------------------------
+# shift-free rings: a ring whose unshifted series fits its fold
+# ---------------------------------------------------------------------------
+
+def _singular_gap(points, nome):
+    """The relative distance of each point to the nearest zero p^{j+1} q^{k+1}
+    or pole p^{-j} q^{-k} of Gamma, j, k <= 40, counting only those whose
+    modulus is within 2% of the point's: any other is more than 1e-2 away."""
+    lattice = np.outer(nome.p ** np.arange(41), nome.q ** np.arange(41)).ravel()
+    lattice = lattice[np.abs(lattice) > 1e-250]
+    singular = np.concatenate([nome.p * nome.q * lattice, 1.0 / lattice])
+    singular = singular[singular != 0]
+    gap = np.full(points.shape, np.inf)
+    for i, ring in enumerate(points):
+        near = singular[np.abs(np.log(np.abs(singular) / abs(ring[0]))) < 0.02]
+        if near.size:
+            gap[i] = np.min(np.abs(near - ring[:, None]) / np.abs(near), axis=1)
+    return gap
+
+
+@st.composite
+def _fit_scales(draw, nome, n, count, turned):
+    """Ring scales whose radius r0 = max(|s|, |pq/s|) lies just inside or just
+    outside the fit bound of n points, from either side of the annulus; or
+    rings that pass 0.1% to 5% from a zero p^{j+1} q^{k+1} of Gamma."""
+    bound = oracles.fit_radius(abs(nome.p), abs(nome.q), n)
+    pq = nome.p * nome.q
+    out = []
+    for _ in range(count):
+        phase = np.exp(2j * np.pi * draw(_phases))
+        nudge = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-9, 1e-2))
+        kind = draw(st.sampled_from(["inner", "outer", "zero"]) if pq else st.just("inner"))
+        if kind == "inner":
+            out.append(bound * math.exp(nudge) * phase)
+        elif kind == "outer":
+            out.append(abs(pq) / bound * math.exp(-nudge) * phase)
+        else:
+            zero = pq * nome.p ** draw(st.integers(0, 2)) * nome.q ** draw(st.integers(0, 2))
+            # a point of the ring lands next to the zero
+            point = _ring(n, turned)[draw(st.integers(0, n - 1))]
+            out.append(zero * (1.0 + draw(st.floats(1e-3, 5e-2))) / point
+                       * np.exp(1e-4j * draw(st.floats(-1.0, 1.0))))
+    return np.array(out)
+
+
+class TestShiftFreeRings:
+    """A ring of n > 1 points whose unshifted series fits one block of its
+    fold takes no theta shift: its values against the shifted engine, which
+    the rule with a fold of one point gives, and against the product oracle."""
+
+    def test_against_the_shifted_engine_and_the_oracle(self):
+        fitted = []
+
+        # the oracle's double product sets the cost: few examples, |p|, |q| <= 0.3
+        @settings(max_examples=20, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.filter_too_much])
+        @given(data=st.data(), nome=_nomes(moduli=st.floats(0.02, 0.3)),
+               n=st.sampled_from([2, 64, 128, 1024, 4096]), count=st.integers(1, 3),
+               turned=st.booleans())
+        def check(data, nome, n, count, turned):
+            assume(_shift_nomes(nome)[0] != 0)
+            scales = data.draw(_fit_scales(nome, n, count, turned))
+            log_moduli = np.log(np.abs(scales))
+            k = _annulus_shift(log_moduli, nome, n)[0]
+            fitted.extend(k[_annulus_shift(log_moduli, nome)[0] != 0] == 0)
+            points = scales[:, None] * _ring(n, turned)
+            gap = _singular_gap(points, nome)
+            got = special_functions._gamma_ring_engine(scales, n, nome, turned)
+            shifted = special_functions._gamma_ring_engine(scales, n, nome, turned, fit=1)
+            # each within _NEAR_ZERO_C eps/gap of Gamma near a zero or a pole
+            bound = np.maximum(1e-13, _NEAR_ZERO_C * np.finfo(float).eps / gap)
+            assert np.all(np.abs(got - shifted) < 2 * bound * np.abs(shifted))
+            # the point nearest a zero or a pole, against the product
+            i, j = np.unravel_index(np.argmin(gap), gap.shape)
+            ref = _gamma_oracle(points[i, j], nome)
+            assert abs(got[i, j] - ref) < bound[i, j] * abs(ref)
+
+        check()
+        # rings that the rule left unshifted, and rings it shifted as before
+        assert any(fitted) and not all(fitted)
+
+
+# ---------------------------------------------------------------------------
 # theta on root-of-unity rings
 # ---------------------------------------------------------------------------
 
