@@ -70,6 +70,8 @@ def derive_bc(t_tilde, a, k, y, nome: NomePair):
     if k == 0:
         raise DomainError("derive_bc requires k != 0")
     p, q = nome.p, nome.q
+    if p == 0:
+        raise DomainError("derive_bc requires p != 0 (c divides by sqrt(p))")
     b = np.sqrt(complex(p * q * t_tilde * a / k)) * y
     c = np.sqrt(complex(q * t_tilde * a / (p * k))) / y
     return complex(b), complex(c)

@@ -90,7 +90,7 @@ __all__ = [
 DEFAULT_N0 = 64
 DEFAULT_NODE_CAP = 16384
 DEFAULT_REL_TOL = 1e-10
-# kernel rows per block of the n x n grid kernel; bounds a block's memory
+# kernel rows per block of the grid kernel's half block; bounds a block's memory
 _ROW_CHUNK = 256
 # grid size of the conditioning probe of the deformation check
 _PROBE_NODES = 64
@@ -426,31 +426,50 @@ def _kernel_from(rings: dict, t: complex, x: complex, radius: float) -> np.ndarr
     return g_a * g_b * g_c * g_d
 
 
-def _m_kernel_rows(pair: np.ndarray):
-    """Kernel matrix K[j, k] = Gamma(t x_j z_k^{+-1}) Gamma((t / x_j) z_k^{+-1})
-    for x_j = w^j and z_k = w^k on the unit circle, yielded in row blocks.
+def _m_kernel_half(pair: np.ndarray):
+    """The block j, k in [0, n/2] of the kernel matrix K[j, k] =
+    Gamma(t x_j z_k^{+-1}) Gamma((t / x_j) z_k^{+-1}) for x_j = w^j and z_k = w^k
+    on the unit circle, n even, yielded in row blocks (rows, K[rows, 0..n/2]).
 
     Every factor is a value of the one ring G[m] = Gamma(t w^m), and they pair
     up into the ring pair[m] = G[m] G[-m]: Gamma(t x_j z_k^{+-1}) =
-    pair[(j + k) mod n] and Gamma((t / x_j) z_k^{+-1}) = pair[(j - k) mod n].
-    Both are windows of the doubled ring: row j reads pair2[j : j + n] and
-    pair2[j + 1 : j + n + 1] reversed.
+    pair[(j + k) mod n] and Gamma((t / x_j) z_k^{+-1}) = pair[(j - k) mod n],
+    read as strided views of the doubled ring with strides +1 and -1 along k.
+    Since pair[-m] is the product of the same two values as pair[m],
+    K[j, k] = K[j, n - k] = K[n - j, k], so this block holds every distinct
+    entry; the mirrored entries agree to rounding, as numpy's complex product
+    may round a b and b a apart.
     """
-    n = pair.size
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pair, pair]), n)
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n)
-        yield np.arange(lo, hi), windows[lo:hi] * windows[lo + 1 : hi + 1, ::-1]
+    h = pair.size // 2
+    pair2 = np.concatenate([pair, pair])
+    step = pair2.strides[0]
+    strided = np.lib.stride_tricks.as_strided
+    plus = strided(pair2, shape=(h + 1, h + 1), strides=(step, step), writeable=False)
+    minus = strided(pair2[pair.size:], shape=(h + 1, h + 1), strides=(step, -step), writeable=False)
+    for lo in range(0, h + 1, _ROW_CHUNK):
+        rows = slice(lo, min(lo + _ROW_CHUNK, h + 1))
+        yield rows, plus[rows] * minus[rows]
 
 
 def _m_apply_grid(pair: np.ndarray, n: int, weighted_alpha: np.ndarray, g_t2: complex,
                   nome: NomePair) -> np.ndarray:
-    """[M(t) alpha](x_j) for every x_j on the same unit-circle n-grid, given the
-    pair ring pair[m] = Gamma(t w^{+-m}), g_t2 = Gamma(t^2) and the vector
-    weighted_alpha[k] = dden[k] * alpha(z_k); includes kappa and measure."""
+    """[M(t) alpha](x_j) for every x_j on the same unit-circle n-grid, n even,
+    given the pair ring pair[m] = Gamma(t w^{+-m}), g_t2 = Gamma(t^2) and the
+    vector weighted_alpha[k] = dden[k] * alpha(z_k); includes kappa and measure.
+
+    The kernel is mirror-symmetric, K[j, k] = K[j, n - k] = K[n - j, k], so
+    the apply forms only the (n/2 + 1)^2 entries of :func:`_m_kernel_half`:
+    the columns fold as v_k + v_{n-k} for 0 < k < n/2, rows 0..n/2 are summed,
+    and entry n - j is a copy of entry j.  That is a quarter of the n^2
+    products of the full kernel, with at most ``_ROW_CHUNK`` rows of the
+    block held at once; the result agrees with the full K @ v to rounding."""
+    h = n // 2
+    folded = weighted_alpha[: h + 1].copy()
+    folded[1:h] += weighted_alpha[:h:-1]
     out = np.empty(n, dtype=complex)
-    for j, rows in _m_kernel_rows(pair):
-        out[j] = rows @ weighted_alpha
+    for rows, block in _m_kernel_half(pair):
+        out[rows] = block @ folded
+    out[h + 1 :] = out[h - 1 : 0 : -1]
     return nome.kappa * 2j * math.pi / n * out / g_t2
 
 
@@ -569,8 +588,10 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
     """Verify M(s) D(st; y, .) M(t) = D(t; y, w) M(st) D(s; y, .) applied to
     ``alpha`` at each spectator point w.
 
-    The left side is a nested double quadrature (the inner M(t)-image is
-    evaluated on the outer grid in one pass via the shared-ring kernel); the
+    The left side is a nested double quadrature: the inner M(t)-image is
+    evaluated on the outer grid in one pass by :func:`_m_apply_grid`, which
+    reads the kernel from one pair ring and forms only its mirror-folded
+    (n/2 + 1)^2 block, so each pass costs about n^2 / 4 kernel products.  The
     right side is a single quadrature of the D-weighted test function.  The
     residual is the worst relative deviation over the spectator set.
     """

@@ -47,8 +47,11 @@ class _Identity:
     """One identity's campaign facts: default tolerance and N, the largest N
     its runner honours (None: no bound), the names ``fixed`` may pin, which
     are exactly those the runner reads (a ``bounded`` one needs 0 < modulus
-    < 1, a ``free`` one a nonzero value), and the default tolerance at N = 0
-    where that check is exact up to rounding (None: ``tolerance``)."""
+    < 1, a ``free`` one a nonzero value), the default tolerance at N = 0
+    where that check is exact up to rounding (None: ``tolerance``), whether
+    every draw needs p != 0 (it evaluates elliptic gamma, which is undefined
+    at p = 0), and the fixed names under which every draw needs it (a fixed
+    y makes every discrete draw y-split, and that split divides by sqrt(p))."""
 
     tolerance: float
     N: int
@@ -56,14 +59,18 @@ class _Identity:
     bounded: tuple = ()
     free: tuple = ()
     tolerance_N0: float | None = None
+    needs_p: bool = False
+    needs_p_when_fixed: tuple = ()
 
 
 _IDENTITY = {
-    "special-functions": _Identity(1e-11, 0, 0),
-    "beta-integral": _Identity(1e-9, 0, 0, ("t1", "t2", "t3", "t4", "t5")),
-    "matrix-bailey": _Identity(1e-9, 4, None, ("a", "k", "t_tilde"), ("y",)),
-    "star-triangle": _Identity(1e-8, 0, 0, ("s", "t"), ("y",)),
-    "coxeter": _Identity(1e-9, 4, None, ("a", "k", "t_tilde"), ("y",)),
+    "special-functions": _Identity(1e-11, 0, 0, needs_p=True),
+    "beta-integral": _Identity(1e-9, 0, 0, ("t1", "t2", "t3", "t4", "t5"), needs_p=True),
+    "matrix-bailey": _Identity(1e-9, 4, None, ("a", "k", "t_tilde"), ("y",),
+                               needs_p_when_fixed=("y",)),
+    "star-triangle": _Identity(1e-8, 0, 0, ("s", "t"), ("y",), needs_p=True),
+    "coxeter": _Identity(1e-9, 4, None, ("a", "k", "t_tilde"), ("y",),
+                         needs_p_when_fixed=("y",)),
     "residue-reduction": _Identity(1e-9, 4, None, ("a", "k")),
     "cauchy-deformation": _Identity(1e-8, 3, 3, ("z0", "t")),
     "finite-difference": _Identity(1e-5, 1, 1, tolerance_N0=1e-14),
@@ -87,7 +94,8 @@ class CampaignConfig:
     pins named parameters instead of sampling them.  The configuration is
     checked here against the identity's record, so an N the runner does not
     honour, a name it never reads, a fixed nome of modulus >= 1, a fixed q = 0
-    (every identity divides by it or by theta(q; p)), a zero fixed parameter
+    (every identity divides by it or by theta(q; p)), a fixed p = 0 where the
+    identity's record says every draw needs p != 0, a zero fixed parameter
     or a ``bounded`` one of modulus >= 1 raises :class:`DomainError` before
     any draw.  Unknown keys in ``from_mapping`` are hard errors.
     """
@@ -127,6 +135,13 @@ class CampaignConfig:
                 raise DomainError(f"fixed nome {name} = {val} needs modulus < 1")
         if self.q is not None and complex(self.q) == 0:
             raise DomainError(f"fixed nome q = {self.q} needs a nonzero value")
+        if self.p is not None and complex(self.p) == 0:
+            if spec.needs_p:
+                raise DomainError(f"{self.identity} needs a nonzero nome p, got fixed p = {self.p}")
+            pinned = sorted(set(spec.needs_p_when_fixed) & set(self.fixed))
+            if pinned:
+                raise DomainError(f"{self.identity} with {', '.join(pinned)} fixed needs a nonzero "
+                                  f"nome p, got fixed p = {self.p}")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
         if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -531,6 +546,8 @@ def summarize(reports: list[VerificationReport]) -> CampaignSummary:
     n_err = sum(1 for r in reports if r.error is not None)
     n_pass = sum(1 for r in reports if r.passed)
     residuals = [r.residual for r in reports if r.error is None]
+    # with no residual to take, an errored campaign reads inf and an empty one 0
+    no_residual = math.inf if n_err else 0.0
     failures = [
         {
             "draw_index": r.draw_index,
@@ -548,8 +565,8 @@ def summarize(reports: list[VerificationReport]) -> CampaignSummary:
         n_fail=len(reports) - n_pass - n_err,
         n_error=n_err,
         pass_rate=n_pass / len(reports) if reports else 0.0,
-        max_residual=worst(*residuals) if residuals else math.inf if n_err else 0.0,
-        median_residual=float(np.median(residuals)) if residuals else 0.0,
+        max_residual=worst(*residuals) if residuals else no_residual,
+        median_residual=float(np.median(residuals)) if residuals else no_residual,
         rejected_draws=sum(int(r.settings.get("rejected", 0)) for r in reports),
         failures=failures,
     )

@@ -87,6 +87,10 @@ class TestDeriveBc:
         with pytest.raises(DomainError):
             derive_bc(0.2, 0.3, 0.0, 1.0, nome)
 
+    def test_zero_p_rejected(self):
+        with pytest.raises(DomainError, match="p != 0"):
+            derive_bc(0.2, 0.3, 0.5, 1.0, NomePair(0.0, 0.3))
+
 
 class TestMEntry:
     def test_corner_is_one(self, nome):

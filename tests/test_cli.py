@@ -126,6 +126,12 @@ class TestVerify:
          "identity matrix-bailey but the command runs special-functions"),
         (("special-functions",), "[campaign]\nallow_complex_nomes = maybe\n",
          "allow_complex_nomes: 'maybe'"),
+        # elliptic gamma is undefined at p = 0, and a fixed y makes every
+        # discrete draw y-split, which divides by sqrt(p)
+        (("special-functions", "--p", "0"), "", "special-functions needs a nonzero nome p"),
+        (("star-triangle", "--p", "0"), "", "star-triangle needs a nonzero nome p"),
+        (("beta-integral", "--p", "0"), "", "beta-integral needs a nonzero nome p"),
+        (("coxeter", "--p", "0"), "[fixed]\ny = 1.1\n", "coxeter with y fixed needs a nonzero nome p"),
     ])
     def test_config_error_exits_2_before_any_draw(self, capsys, tmp_path, monkeypatch,
                                                   argv, ini, named):
@@ -218,12 +224,14 @@ class TestVerify:
     @pytest.mark.parametrize("identity", IDENTITIES)
     def test_fixed_q_zero_exits_2_before_any_draw(self, capsys, monkeypatch, identity):
         # every identity divides by q or by theta(q; p); p = 0 stays admissible
+        # wherever the identity's record does not need p
         monkeypatch.setattr(cli, "run_campaign", lambda config: pytest.fail("a draw ran"))
         code, out, err = run_cli(capsys, "verify", identity, "--q", "0", "--draws", "2", "--json")
         assert code == 2
         assert out == ""
         assert "fixed nome q = " in err
-        assert CampaignConfig(identity=identity, p=0.0).p == 0.0
+        if not _IDENTITY[identity].needs_p:
+            assert CampaignConfig(identity=identity, p=0.0).p == 0.0
 
     def test_every_benchmark_campaign_passes_the_config_boundary(self, capsys, monkeypatch):
         spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)

@@ -372,24 +372,63 @@ class TestRingKernels:
         self._kernel_ring(self.T, self.X, 64, 0.7)
         assert calls == [(4, 64)]
 
+    @staticmethod
+    def _random_pair(rng, n):
+        """A pair ring g[m] g[-m] of a random complex ring g, built as _pair builds it."""
+        g = rng.normal(size=(n, 2)) @ np.array([1.0, 1j])
+        return g * ct._reflect(g)
+
     def test_grid_kernel_reads_one_ring(self, monkeypatch):
-        # K[j, k] = pair[(j + k) mod n] * pair[(j - k) mod n] and nothing else
+        # the half block K[j, k], j, k <= n/2, is pair[(j + k) mod n] *
+        # pair[(j - k) mod n] and nothing else, and every entry of the full
+        # n x n kernel mirrors one of the block's: the same two values
+        # multiplied, in an order that numpy's complex product may round apart
         calls = self._count_rings(monkeypatch)
-        n = 64
-        pair = np.random.default_rng(3).normal(size=(n, 2)) @ np.array([1.0, 1j])
-        blocks = list(ct._m_kernel_rows(pair))
+        n, h = 64, 32
+        pair = self._random_pair(np.random.default_rng(3), n)
+        blocks = list(ct._m_kernel_half(pair))
         assert calls == []
-        assert np.array_equal(np.concatenate([j for j, _rows in blocks]), np.arange(n))
+        assert np.array_equal(np.concatenate([np.arange(n)[rows] for rows, _b in blocks]),
+                              np.arange(h + 1))
         j, k = np.arange(n)[:, None], np.arange(n)[None, :]
-        want = pair[(j + k) % n] * pair[(j - k) % n]
-        assert np.array_equal(np.concatenate([rows for _j, rows in blocks]), want)
+        full = pair[(j + k) % n] * pair[(j - k) % n]
+        assert np.array_equal(np.concatenate([block for _rows, block in blocks]),
+                              full[: h + 1, : h + 1])
+        mirror = -np.arange(n) % n
+        rounding = 8 * np.finfo(float).eps * np.abs(full)
+        assert np.all(np.abs(full[:, mirror] - full) <= rounding)
+        assert np.all(np.abs(full[mirror] - full) <= rounding)
 
     def test_grid_kernel_matches_pointwise_gamma(self):
         n = 16
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        roots = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
         pair = ct._pair(ct._Nodes(1.0, self.NOME, [self.T], cap=n).at(n)[0][self.T])
-        (_j, got), = ct._m_kernel_rows(pair)
+        (_rows, got), = ct._m_kernel_half(pair)
         assert relative_residual(got, self._pointwise(self.T, roots[:, None], roots[None, :])) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 64, 512, 4096])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["v", "symmetric-v"])
+    def test_grid_apply_matches_the_dense_kernel(self, n, symmetric):
+        rng = np.random.default_rng(n)
+        pair = self._random_pair(rng, n)
+        v = rng.normal(size=(n, 2)) @ np.array([1.0, 1j])
+        if symmetric:
+            v = v + ct._reflect(v)
+        got = ct._m_apply_grid(pair, n, v, 1.0, self.NOME)
+        # the dense product K @ v, in blocks of 256 rows
+        k = np.arange(n)[None, :]
+        dense = np.concatenate([(pair[(j + k) % n] * pair[(j - k) % n]) @ v
+                                for j in np.array_split(np.arange(n)[:, None], -(-n // 256))])
+        want = self.NOME.kappa * 2j * np.pi / n * dense
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got[1:], got[:0:-1])
+
+    def test_one_block_at_the_node_cap_is_bounded(self):
+        n = ct.DEFAULT_NODE_CAP
+        pair = self._random_pair(np.random.default_rng(5), n)
+        rows, block = next(ct._m_kernel_half(pair))
+        assert rows == slice(0, ct._ROW_CHUNK)
+        assert block.shape == (ct._ROW_CHUNK, n // 2 + 1)
 
     def test_theta_rings_read_the_half_ring(self):
         # entry k is the (n/2)-ring value at w^{2k}, bit for bit: z_k^2 runs

@@ -387,6 +387,14 @@ class TestValidationAndErrors:
         (rep,) = run_campaign(cfg)
         assert rep.error is None and rep.params["y"] == 2.0
 
+    @pytest.mark.parametrize("identity", ["matrix-bailey", "coxeter"])
+    def test_y_split_draw_at_p_zero_records_a_library_error(self, identity):
+        reports = run_campaign(CampaignConfig(identity=identity, draws=4, seed=1, N=2, p=0))
+        split = [r for r in reports if r.error is not None]
+        assert [r.draw_index for r in split] == [0]
+        assert split[0].error == "DomainError: derive_bc requires p != 0 (c divides by sqrt(p))"
+        assert all(r.passed and r.settings["bc_mode"] == "free-bc" for r in reports[1:])
+
     def test_error_isolation(self):
         # an impossible fixed parameter set errors every draw via the retry
         # cap, without aborting the campaign
@@ -507,6 +515,12 @@ class TestSummarize:
         assert [f["draw_index"] for f in s.failures] == [1, 2]
         assert s.failures[0]["params"]["a"] == {"c": [(3.0).hex(), (0.5).hex()]}
 
+
+    def test_all_error_campaign_reads_inf_residuals(self):
+        errored = VerificationReport(identity="demo", params={}, lhs=None, rhs=None,
+                                     residual=math.inf, tolerance=1e-9, error="boom")
+        s = summarize([errored, errored])
+        assert s.max_residual == s.median_residual == math.inf
 
     def test_max_residual_is_nan_whatever_the_order(self):
         def report(residual, error=None):
