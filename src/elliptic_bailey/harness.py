@@ -28,10 +28,11 @@ from .errors import (
     PoleProximityError,
     QuadratureConvergenceError,
 )
-from .report import SUMMARY_SCHEMA_TAG, VerificationReport, _canonical, _encode, relative_residual, worst
+from .report import (SUMMARY_SCHEMA_TAG, VerificationReport, _canonical, _encode, _residual_ratio,
+                     relative_residual, worst)
 from .special_functions import (
     NomePair,
-    elliptic_gamma,
+    elliptic_gamma,  # unused here; tests read it as harness.elliptic_gamma
     gamma_residue_constant,
     theta,
     _nonzero_finite_gamma,
@@ -254,31 +255,36 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     """Base symmetry, inversion, both difference equations, the quadratic
     transformation and the residue limit at one point z.
 
-    The sampler's ``build`` evaluates every gamma value the draw needs at
-    (p, q) in one call: z, qz, pz, pq/z, then z^2 and the eight
-    quadratic-transformation arguments, then q.  A point on the pole lattice,
-    or a value that underflows to zero or overflows, rejects the draw; the
-    residuals are read from the values ``build`` returns, so the only other
-    gamma call is the one at (q, p) for base symmetry.  The residue limit
-    rests on Gamma(q) = (p;p)_inf / (q;q)_inf, so Gamma(q) / (p;p)_inf^2 must
-    equal lim (1 - z) Gamma(z) at z = 1, which
-    :func:`gamma_residue_constant` builds from both products instead.
+    The sampler's ``build`` evaluates every gamma value the draw needs in one
+    engine call: z, qz, pz, pq/z, then z^2 and the eight
+    quadratic-transformation arguments, then q, all at (p, q), and
+    Gamma(z; q, p) for base symmetry, from the powers of z already in the
+    call and the swapped pair's own series coefficients.  A point on the pole
+    lattice, or a (p, q) value that underflows to zero or overflows, rejects
+    the draw.  theta(z; p) and theta(z; q) come from one theta call, and the
+    products (p;p)_inf and (q;q)_inf from one q-Pochhammer call in
+    ``nome``.  The residue limit rests on Gamma(q) = (p;p)_inf / (q;q)_inf,
+    so Gamma(q) / (p;p)_inf^2 must equal lim (1 - z) Gamma(z) at z = 1,
+    which :func:`gamma_residue_constant` builds from both products instead.
+    Base symmetry, the difference equations and the residue limit are four
+    entries of one residual ratio.
     """
     def build(rng):
         nome = _draw_nome(cfg, rng, p_range=(0.05, 0.25), q_range=(0.1, 0.35))
         z = rng.uniform(0.3, 1.5) * _unit_phase(rng)
         points = np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
                                  _quadratic_points(z, nome), [nome.q]])
-        return nome, z, _nonzero_finite_gamma(points, nome, "the special-functions draw")
+        return nome, z, _nonzero_finite_gamma(points, nome, "the special-functions draw",
+                                              swapped=[0])
 
     (nome, z, values), rejects = _sample_until(cfg, rng, build)
     g, g_qz, g_pz, g_inv = (complex(v) for v in values[:4])
-    res_sym = relative_residual(g, complex(elliptic_gamma(z, nome.swapped())))
+    theta_p, theta_q = (complex(v) for v in theta([z, z], [nome.p, nome.q]))
+    res_sym, res_fd_q, res_fd_p, res_limit = _residual_ratio(
+        [g, g_qz, g_pz, complex(values[13]) / nome.pp_inf**2],
+        [complex(values[14]), theta_p * g, theta_q * g, gamma_residue_constant(nome)]).tolist()
     res_inv = abs(g * g_inv - 1.0)
-    res_fd_q = relative_residual(g_qz, complex(theta(z, nome.p)) * g)
-    res_fd_p = relative_residual(g_pz, complex(theta(z, nome.q)) * g)
     res_quad = _quadratic_residual(values[4:13])
-    res_limit = relative_residual(complex(values[13]) / nome.pp_inf**2, gamma_residue_constant(nome))
     return VerificationReport(
         identity="special-functions",
         params={"z": z, "p": nome.p, "q": nome.q},

@@ -210,19 +210,32 @@ class TestPointwiseBatching:
     def test_special_functions_draw_makes_one_engine_call_per_nome_pair(self, monkeypatch):
         from elliptic_bailey import special_functions
 
-        rings = special_functions._gamma_rings
-        calls = []
+        engine, theta, qpoch = (special_functions._gamma_ring_engine, hmod.theta,
+                                special_functions.qpochhammer_inf)
+        calls, thetas, products = [], [], []
 
-        def spy(scales, n, nome):
-            calls.append(((nome.p, nome.q), np.size(scales) * n))
-            return rings(scales, n, nome)
+        def spy(scales, n, nome, turned, fit=None, swapped=()):
+            calls.append(((nome.p, nome.q), np.size(scales) * n, list(swapped)))
+            return engine(scales, n, nome, turned, fit, swapped)
 
-        monkeypatch.setattr(special_functions, "_gamma_rings", spy)
+        def theta_spy(z, p):
+            thetas.append(np.asarray(p).tolist())
+            return theta(z, p)
+
+        def qpoch_spy(z, base):
+            products.append(np.asarray(base).tolist())
+            return qpoch(z, base)
+
+        monkeypatch.setattr(special_functions, "_gamma_ring_engine", spy)
+        monkeypatch.setattr(hmod, "theta", theta_spy)
+        monkeypatch.setattr(special_functions, "qpochhammer_inf", qpoch_spy)
         (rep,) = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=1))
         assert rep.passed and rep.settings["rejected"] == 0
         p, q = rep.params["p"], rep.params["q"]
-        # the sampler's 14 points at (p, q), then Gamma(z; q, p)
-        assert calls == [((p, q), 14), ((q, p), 1)]
+        # the sampler's 14 points at (p, q), with Gamma(z; q, p) at point 0, z;
+        # one theta call and one product call, each with one base per point
+        assert calls == [((p, q), 14, [0])]
+        assert thetas == [[p, q]] and products == [[p, q]]
 
     def test_residue_limit_fails_when_only_qq_inf_is_off(self, monkeypatch):
         # (q; q)_inf enters gamma_residue_constant but not the gamma engine,
@@ -235,8 +248,11 @@ class TestPointwiseBatching:
         qpoch = special_functions.qpochhammer_inf
 
         def perturbed(z, base):
+            # NomePair's one call, on [p, q] with the bases [p, q]: its q entry
             value = qpoch(z, base)
-            return value * (1 + 1e-9) if np.ndim(z) == 0 and z == base == q else value
+            if np.shape(z) == (2,) and z[1] == base[1] == q:
+                value = value * np.array([1.0, 1.0 + 1e-9])
+            return value
 
         # every binding of the name, so that a check rebuilding the constant
         # from the same products would see the same error and cancel it
@@ -288,20 +304,29 @@ class TestVerdictFold:
         cfg = CampaignConfig(identity="special-functions", seed=3, draws=1)
         gammas = hmod._nonzero_finite_gamma
 
-        def nan_inverse(points, nome, where):
-            values = gammas(points, nome, where).copy()
+        ratio = hmod._residual_ratio
+
+        def nan_inverse(points, nome, where, swapped=()):
+            values = gammas(points, nome, where, swapped).copy()
             values[3] = math.nan  # Gamma(pq/z), read by the inversion alone
             return values
 
-        # relative_residual's calls, in order: base symmetry, the two
-        # difference equations, the residue limit
+        def nan_entry(i):
+            def poisoned(lhs, rhs):
+                out = ratio(lhs, rhs).copy()
+                out[i] = math.nan
+                return out
+            return poisoned
+
+        # the entries of the one residual ratio, in order: base symmetry, the
+        # two difference equations, the residue limit
         poisons = {
-            "base_symmetry": ("relative_residual", 0),
+            "base_symmetry": ("_residual_ratio", nan_entry(0)),
             "inversion": ("_nonzero_finite_gamma", nan_inverse),
-            "fd_equation_q": ("relative_residual", 1),
-            "fd_equation_p": ("relative_residual", 2),
+            "fd_equation_q": ("_residual_ratio", nan_entry(1)),
+            "fd_equation_p": ("_residual_ratio", nan_entry(2)),
             "quadratic_transformation": ("_quadratic_residual", 0),
-            "residue_limit": ("relative_residual", 3),
+            "residue_limit": ("_residual_ratio", nan_entry(3)),
         }
         assert list(poisons) == self._COMPONENTS
         for component, (name, poison) in poisons.items():

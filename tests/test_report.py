@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elliptic_bailey.report import _encode, worst
+from elliptic_bailey.report import _encode, _residual_ratio, relative_residual, worst
 
 _CANONICAL = [
     (1.5, '{"f":"0x1.8000000000000p+0"}'),
@@ -72,3 +74,23 @@ class TestWorst:
         payload = np.frombuffer(np.uint64(0x7FF8_0000_0000_0123).tobytes(), dtype=np.float64)[0]
         got = worst(1.0, payload, -math.nan, 2.0)
         assert np.float64(got).tobytes() == payload.tobytes()
+
+
+# moduli from 1e-300 to 1e300, exact zeros, infinities and NaN
+_values = st.one_of(
+    st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300, allow_infinity=False,
+                       allow_nan=False),
+    st.sampled_from([0j, -0.0 + 0j, complex(math.inf, 0), complex(math.nan, 1.0)]))
+
+
+class TestResidualRatio:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(_values, _values), min_size=1, max_size=6))
+    def test_each_entry_has_the_bits_of_its_own_call(self, pairs):
+        # one call over several residuals replaces a relative_residual call
+        # for each of them
+        lhs, rhs = zip(*pairs)
+        with np.errstate(invalid="ignore"):
+            got = _residual_ratio(list(lhs), list(rhs)).tolist()
+            want = [relative_residual(a, b) for a, b in pairs]
+        assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -618,20 +618,25 @@ class TestNomePair:
         product = special_functions.qpochhammer_inf
 
         def counting(z, base):
-            calls.append(complex(base))
+            calls.append(np.asarray(base).tolist())
             return product(z, base)
 
         monkeypatch.setattr(special_functions, "qpochhammer_inf", counting)
         nome = NomePair(0.1 + 0.05j, 0.2)
         swapped = nome.swapped()
         assert calls == []
+        # one call, with one base per point, fills both products
         pp = nome.pp_inf
-        assert calls == [nome.p] and nome.pp_inf is pp
+        assert calls == [[nome.p, nome.q]] and nome.pp_inf is pp
+        qq = nome.qq_inf
         nome.kappa
-        assert calls == [nome.p, nome.q]
+        assert calls == [[nome.p, nome.q]]
+        # each with the bits of its own scalar call
+        assert (pp, qq) == (product(nome.p, nome.p), product(nome.q, nome.q))
+        assert nome.kappa == pp * qq / (4j * np.pi)
         # the swapped pair computes its own products, bit-equal to the source's
-        assert swapped.qq_inf == pp and swapped.pp_inf == nome.qq_inf
-        assert calls == [nome.p, nome.q, nome.p, nome.q]
+        assert swapped.qq_inf == pp and swapped.pp_inf == qq
+        assert calls == [[nome.p, nome.q], [nome.q, nome.p]]
 
     def test_lazy_products_under_threads(self):
         # racing first reads may each compute a product; every one of them
@@ -670,8 +675,154 @@ class TestNomePair:
         assert main(["verify", "special-functions", "--draws", "6", "--seed", "123", "--json"]) == 0
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         got = [d["details"]["base_symmetry"]["f"] for d in lines if "details" in d]
-        assert got == ["0x1.e2d8a39311333p-54", "0x1.1f04b9431275ap-52", "0x1.16e4d9b9fb384p-53",
-                       "0x1.76dde11eaa252p-53", "0x1.581332cd16c63p-52", "0x0.0p+0"]
+        assert got == ["0x0.0p+0", "0x1.95e7c7762613ep-53", "0x0.0p+0",
+                       "0x1.285bb06a38f2dp-52", "0x0.0p+0", "0x1.d0da04cb399dfp-53"]
+
+
+# ---------------------------------------------------------------------------
+# one base per point in the product kernels, and Gamma(z; q, p) from the
+# powers of the (p, q) engine call
+# ---------------------------------------------------------------------------
+
+def _bits(values):
+    """The bit patterns of complex values, which tell apart the signs of zero."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+_ONE_PER_POINT = settings(max_examples=40, deadline=None, derandomize=True)
+# bases from 1e-14, order 1, to 0.6, order ~70 at |z| = 5, complex, or 0
+_point_bases = st.one_of(
+    st.just(0.0), st.floats(-14.0, math.log10(0.6)).map(lambda e: 10.0**e)).flatmap(
+        lambda mod: _phases.map(lambda t: mod * np.exp(2j * np.pi * t)))
+
+
+def _assert_as_scalar_calls(z, bases):
+    """Both kernels with one base per point against their calls on each
+    scalar z and base, bit for bit."""
+    want = [qpochhammer_inf(complex(zi), complex(bi)) for zi, bi in zip(z, bases)]
+    assert _bits(qpochhammer_inf(z, bases)) == _bits(want)
+    z, bases = z[z != 0], bases[z != 0]
+    want = [theta(complex(zi), complex(bi)) for zi, bi in zip(z, bases)]
+    assert _bits(theta(z, bases)) == _bits(want)
+
+
+class TestOneBasePerPoint:
+    @_ONE_PER_POINT
+    @given(bases=st.lists(_point_bases, min_size=1, max_size=3),
+           points=st.lists(st.tuples(st.floats(-3.0, math.log10(5.0)), _phases, st.integers(0, 2)),
+                           min_size=1, max_size=8))
+    def test_each_value_is_its_scalar_call(self, bases, points):
+        # points share bases, and each takes the order of its own scalar call
+        z = np.array([10.0**e * np.exp(2j * np.pi * t) for e, t, _ in points])
+        per_point = np.array([bases[i % len(bases)] for *_, i in points], dtype=complex)
+        _assert_as_scalar_calls(z, per_point)
+
+    def test_exact_zero_factors_keep_their_sign_of_zero(self):
+        # z = b^e with b = u 2^-k makes one factor of (z; b) or (b/z; b)
+        # exactly 0; the partial products before it set the signs of the
+        # zero, and a product padded to a companion's order with trailing
+        # factors of 1 would change them (at k = 15 and 30, whose few terms
+        # end on a zero of sign (+0, -0))
+        units, ks, exponents = (1, -1, 1j, -1j, (1 + 1j) / 2), (1, 2, 3, 15, 30), range(-5, 4)
+        bases = np.array([u * 2.0**-k for u in units for k in ks for _ in exponents], dtype=complex)
+        z = np.array([b**e for b, e in zip(bases, list(exponents) * (len(units) * len(ks)))],
+                     dtype=complex)
+        # companions of a larger order, and a zero base
+        z = np.concatenate([z, [0.3 + 0.4j, -2.0, 0.7j]])
+        bases = np.concatenate([bases, [0.55 - 0.1j, 0.6, 0.0]])
+        _assert_as_scalar_calls(z, bases)
+        products = np.concatenate([qpochhammer_inf(z, bases), theta(z, bases)])
+        zeros = products[products == 0]
+        assert zeros.size and (np.signbit(zeros.real) | np.signbit(zeros.imag)).any()
+
+    def test_a_repeated_base_and_the_domain_checks(self):
+        z = np.array([0.3, 0.5 + 0.1j, -0.8])
+        assert _bits(theta(z, [0.4] * 3)) == _bits([theta(complex(w), 0.4) for w in z])
+        with pytest.raises(DomainError):
+            qpochhammer_inf(z, [0.4, 1.0, 0.2])
+        with pytest.raises(DomainError):
+            theta(z, [0.4, 0.2, -1.5])
+        with pytest.raises(DomainError):
+            theta([0.3, 0.0], [0.4, 0.2])
+
+
+# the special-functions draw at q = 0.8, as in the lattice-q08 workload
+_lattice_q08 = st.floats(0.05, 0.25).map(lambda p: NomePair(p, 0.8))
+
+
+@st.composite
+def _equal_moduli(draw):
+    """(p, q) with |p| = |q| and p != q: the shift nome depends on the order."""
+    mod, a, b = draw(_moduli), draw(_phases), draw(_phases)
+    assume(a != b)
+    return NomePair(mod * np.exp(2j * np.pi * a), mod * np.exp(2j * np.pi * b))
+
+
+def _draw_points(z, nome):
+    """The 14 points of a special-functions draw at z, z first."""
+    return np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
+                           special_functions._quadratic_points(z, nome), [nome.q]])
+
+
+class TestSwappedColumn:
+    @_ONE_PER_POINT
+    @given(nome=st.one_of(_lattice_q08, _nomes(allow_zero=False), _equal_moduli()),
+           mod=st.floats(0.3, 1.5), phase=_phases, k=st.integers(-4, 4))
+    def test_against_a_call_on_the_swapped_pair(self, nome, mod, phase, k):
+        # z moves |k| shifts of the shift nome from the draw's box
+        z = mod * abs(_shift_nomes(nome)[0]) ** k * np.exp(2j * np.pi * phase)
+        points = _draw_points(z, nome)
+        assume(_lattice_gap(points, nome) > 1e-2 and _zero_gap(np.array([z]), nome)[0] > 1e-2)
+        got = _gamma_vec(points, nome, swapped=[0])
+        assert got.shape == (15,)
+        assert _bits(got[:14]) == _bits(_gamma_vec(points, nome))
+        want = complex(elliptic_gamma(z, nome.swapped()))
+        alone = _gamma_vec(points[:1], nome, swapped=[0])[1]
+        # alone, with |p| != |q|, the column takes the shift and the orders of
+        # the call on the swapped pair; in the draw's call, the orders of all
+        # 14 points (a call on z alone errs by up to 1.9e-14 against a
+        # 40-digit product on lattice-q08 draws), and with |p| = |q| the
+        # other nome's shift
+        if abs(nome.p) != abs(nome.q):
+            assert rel(alone, want) <= 1e-14
+        assert rel(alone, want) <= 3e-14 and rel(got[14], want) <= 3e-14
+
+    @_ONE_PER_POINT
+    @given(nome=st.one_of(_lattice_q08, _nomes(allow_zero=False)), seed=st.integers(0, 2**32 - 1))
+    def test_the_column_reads_the_swapped_coefficients(self, nome, seed):
+        # 1 / (m (1 - q^m)(1 - p^m)) rounds apart from the (p, q) table
+        # (test_swapped_builds_its_own_series_coefficients), and the column
+        # must read it: marking the swapped pair's table by a factor 1 + 1e-6
+        # moves the column alone
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0.3, 1.5, 14) * np.exp(2j * np.pi * rng.uniform(size=14))
+        assume(_lattice_gap(points, nome) > 1e-2)
+        got = _gamma_vec(points, nome, swapped=np.arange(14))
+        assert np.allclose(got[14:], got[:14], rtol=1e-13, atol=0)
+
+        class Marked(NomePair):
+            def series_coefficients(self, order):
+                return super().series_coefficients(order) * (1 + 1e-6)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(NomePair, "swapped", lambda pair: Marked(pair.q, pair.p))
+            marked = _gamma_vec(points, nome, swapped=np.arange(14))
+        assert _bits(marked[:14]) == _bits(got[:14])
+        # log Gamma moves by 1e-6 of its series, about |w| with |w| > |pq|,
+        # so by 1e-10 at the least of these nomes
+        assert np.all(np.abs(marked[14:] / got[14:] - 1.0) > 1e-12)
+
+    def test_nomes_zero_and_rejected_points(self):
+        nome = NomePair(0.0, 0.0)
+        z = np.array([0.3, -0.5j])
+        assert _bits(_gamma_vec(z, nome, swapped=[1, 0])) == _bits(1.0 / (1.0 - z[[0, 1, 1, 0]]))
+        # a zero or overflowing Gamma(z; p, q) rejects the call; the column
+        # follows the tested values
+        nome = NomePair(0.2, 0.3)
+        values = special_functions._nonzero_finite_gamma([0.5, 0.7j], nome, "here", swapped=[1])
+        assert values.shape == (3,) and rel(values[2], values[1]) < 1e-14
+        with pytest.raises(DegenerateParameterError, match="here"):
+            special_functions._nonzero_finite_gamma([0.5, 1e-20], nome, "here", swapped=[0])
 
 
 class TestTruncationOrder:
