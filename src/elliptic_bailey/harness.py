@@ -32,7 +32,6 @@ from .report import (SUMMARY_SCHEMA_TAG, VerificationReport, _canonical, _encode
                      relative_residual, worst)
 from .special_functions import (
     NomePair,
-    elliptic_gamma,  # unused here; tests read it as harness.elliptic_gamma
     gamma_residue_constant,
     theta,
     _nonzero_finite_gamma,
@@ -261,13 +260,15 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     Gamma(z; q, p) for base symmetry, from the powers of z already in the
     call and the swapped pair's own series coefficients.  A point on the pole
     lattice, or a (p, q) value that underflows to zero or overflows, rejects
-    the draw.  theta(z; p) and theta(z; q) come from one theta call, and the
-    products (p;p)_inf and (q;q)_inf from one q-Pochhammer call in
-    ``nome``.  The residue limit rests on Gamma(q) = (p;p)_inf / (q;q)_inf,
-    so Gamma(q) / (p;p)_inf^2 must equal lim (1 - z) Gamma(z) at z = 1,
-    which :func:`gamma_residue_constant` builds from both products instead.
-    Base symmetry, the difference equations and the residue limit are four
-    entries of one residual ratio.
+    the draw.  Gamma(z; q, p) shares the powers, the truncation order, the
+    shift and the shift factors of Gamma(z; p, q), so base symmetry measures
+    only how the two coefficient tables and their sums round; the symmetry
+    itself is guarded by ``TestSwappedColumn`` in the tests, which compares
+    the column with a call on the swapped pair.  The residue limit rests on
+    Gamma(q) = (p;p)_inf / (q;q)_inf, so Gamma(q) / (p;p)_inf^2 must equal
+    lim (1 - z) Gamma(z) at z = 1, which :func:`gamma_residue_constant`
+    builds from both products instead.  Base symmetry, the difference
+    equations and the residue limit are four entries of one residual ratio.
     """
     def build(rng):
         nome = _draw_nome(cfg, rng, p_range=(0.05, 0.25), q_range=(0.1, 0.35))
@@ -279,10 +280,10 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
 
     (nome, z, values), rejects = _sample_until(cfg, rng, build)
     g, g_qz, g_pz, g_inv = (complex(v) for v in values[:4])
-    theta_p, theta_q = (complex(v) for v in theta([z, z], [nome.p, nome.q]))
     res_sym, res_fd_q, res_fd_p, res_limit = _residual_ratio(
         [g, g_qz, g_pz, complex(values[13]) / nome.pp_inf**2],
-        [complex(values[14]), theta_p * g, theta_q * g, gamma_residue_constant(nome)]).tolist()
+        [complex(values[14]), complex(theta(z, nome.p)) * g, complex(theta(z, nome.q)) * g,
+         gamma_residue_constant(nome)]).tolist()
     res_inv = abs(g * g_inv - 1.0)
     res_quad = _quadratic_residual(values[4:13])
     return VerificationReport(

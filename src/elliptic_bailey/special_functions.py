@@ -54,11 +54,8 @@ from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
 
 A call at n = 1 may also return Gamma(z; q, p) at some of its points: the
 same powers of z against the swapped pair's own series coefficients, with
-the shift of the (p, q) call.  theta and qpochhammer_inf take one base per
-point as well as one for all: theta([z, z], [p, q]) and
-qpochhammer_inf([p, q], [p, q]) each replace two scalar calls, and every
-value keeps the bits of its scalar call.  So a special-functions draw makes
-one gamma, one theta and one q-Pochhammer call.
+the shift of the (p, q) call.  So a special-functions draw makes one gamma
+call for both orders of the nomes.
 
 All functions accept scalars or numpy arrays in ``z`` and are pure; the
 default floating type is hardware complex128 (unit roundoff ~1e-16).
@@ -146,57 +143,19 @@ def _qpoch_order(base_mod: float, scale: float) -> int:
     return _truncation_order(2.0 * max(scale, 1.0) / (1.0 - base_mod), base_mod, "q-Pochhammer")
 
 
-def _qpoch_raw(z: np.ndarray, base, n_terms) -> np.ndarray:
-    """prod_{j=0}^{n_terms-1} (1 - z base^j), vectorized over z.
-
-    ``base`` and ``n_terms`` are scalars, or an array of one base per point,
-    of the shape of z's trailing axes, and the flat list of their orders.
-    Then each point's product is formed as a scalar base forms it, so it
-    keeps the value of a call on its base and order alone; a Python loop
-    over the points, for the few points of such a call.
-    """
-    if not isinstance(base, np.ndarray):
-        return (1.0 - z[..., None] * base ** np.arange(n_terms)).prod(axis=-1)
-    flat = z.reshape(z.shape[: z.ndim - base.ndim] + (base.size,))
-    out = np.empty(flat.shape, dtype=complex)
-    for i, (b, n) in enumerate(zip(base.ravel().tolist(), n_terms)):
-        out[..., i] = (1.0 - flat[..., i, None] * b ** np.arange(n)).prod(axis=-1)
-    return out.reshape(z.shape)
-
-
-def _orders_per_point(base: np.ndarray, scale) -> list:
-    """:func:`_qpoch_order` point by point, for an array of one base per
-    point and the flat list of the points' tail scales: each point takes the
-    order of a call on itself alone."""
-    return [_qpoch_order(abs(b), s) for b, s in zip(base.ravel().tolist(), scale)]
-
-
-def _per_point_bases(z, base, what: str):
-    """z and the bases of a product with one base per point, as complex
-    arrays of one shape; raises :class:`DomainError` unless every
-    |base| < 1."""
-    z, base = np.asarray(z, dtype=complex), np.asarray(base, dtype=complex)
-    top = max(map(abs, base.ravel().tolist()), default=0.0)
-    if top >= 1.0:
-        raise DomainError(f"{what} must satisfy |base| < 1, got |base|={top:g}")
-    return (z, base) if z.shape == base.shape else np.broadcast_arrays(z, base)
+def _qpoch_raw(z: np.ndarray, base: complex, n_terms: int) -> np.ndarray:
+    """prod_{j=0}^{n_terms-1} (1 - z base^j), vectorized over z."""
+    powers = base ** np.arange(n_terms)
+    return (1.0 - z[..., None] * powers).prod(axis=-1)
 
 
 def qpochhammer_inf(z, base):
     """Infinite q-Pochhammer symbol (z; base)_inf.
 
     The relative truncation error is below ``TRUNCATION_TOL`` with the
-    tail constant C = 2 max(|z|, 1)/(1 - |base|), from the largest |z| of the
-    call.  ``z`` may be a scalar or an array.  ``base`` may be one base for
-    every point, or an array of bases that broadcasts against ``z``, one per
-    point: qpochhammer_inf([p, q], [p, q]) gives (p; p)_inf and (q; q)_inf
-    from one call.  Then each point takes its order from its own |z|, and
-    each value has the bits of the call on its scalar z and base alone.
-    Raises :class:`DomainError` for |base| >= 1.
+    tail constant C = 2 max(|z|, 1)/(1 - |base|).  ``z`` may be a scalar or an
+    array.  Raises :class:`DomainError` for |base| >= 1.
     """
-    if np.ndim(base):
-        z_arr, base = _per_point_bases(z, base, "q-Pochhammer base")
-        return _qpoch_raw(z_arr, base, _orders_per_point(base, np.abs(z_arr).ravel().tolist()))
     base = complex(base)
     if abs(base) >= 1.0:
         raise DomainError(f"q-Pochhammer base must satisfy |base| < 1, got |base|={abs(base):g}")
@@ -213,25 +172,16 @@ def qpochhammer_inf(z, base):
 def theta(z, p):
     """Short Jacobi theta function theta(z; p) = (z; p)_inf (p/z; p)_inf.
 
-    ``p`` may be one nome for every point, or an array of nomes, one per
-    point, that broadcasts against ``z``: theta([z, z], [p, q]) gives
-    theta(z; p) and theta(z; q) from one call, each with the bits of the
-    call on the scalar z and its nome alone (:func:`_theta_raw`).  This
-    serves a few points; the final products run in a Python loop.  Zeros
-    sit exactly on z = p^j, j in Z.  Raises :class:`DomainError` on z = 0 or
-    |p| >= 1.
+    Zeros sit exactly on z = p^j, j in Z.  Raises :class:`DomainError` on
+    z = 0 or |p| >= 1.
     """
-    per_point = np.ndim(p) > 0
-    if per_point:
-        z_arr, p = _per_point_bases(z, p, "theta nome")
-    else:
-        p = complex(p)
-        if abs(p) >= 1.0:
-            raise DomainError(f"theta nome must satisfy |p| < 1, got |p|={abs(p):g}")
-        z_arr = np.asarray(z, dtype=complex)
+    p = complex(p)
+    if abs(p) >= 1.0:
+        raise DomainError(f"theta nome must satisfy |p| < 1, got |p|={abs(p):g}")
+    z_arr = np.asarray(z, dtype=complex)
     if not z_arr.all():
         raise DomainError("theta(z; p) requires z != 0")
-    if not per_point and p == 0.0:
+    if p == 0.0:
         out = 1.0 - z_arr
         return out if z_arr.ndim else complex(out)
     out = _theta_raw(z_arr, p)
@@ -239,42 +189,23 @@ def theta(z, p):
 
 
 def theta_truncation_order(z, p) -> int:
-    """The order J of the products in one theta call at the nonzero points z
-    on one nome p: one order serves them all, from the largest of |z| and
-    |p/z| over them."""
+    """The order J of the products in one theta call at the nonzero points z:
+    one order serves them all, from the largest of |z| and |p/z| over them."""
     z = np.abs(np.asarray(z, dtype=complex))
     return _qpoch_order(abs(p), float(np.maximum(z, abs(p) / z).max()))
 
 
-def _scalar_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays, each entry rounded as the product of two
-    complex scalars: two rounded products and a rounded sum per part.  The
-    array loop fuses a product into the sum (FMA) and rounds apart.  A Python
-    loop, for the few points of a call with one nome per point."""
-    return np.array([x * y for x, y in zip(a.ravel().tolist(), b.ravel().tolist())],
-                    dtype=complex).reshape(a.shape)
-
-
-def _theta_raw(z: np.ndarray, p) -> np.ndarray:
-    """theta(z; p) for nonzero z of any shape and |p| < 1, without argument
-    checks: p is one nonzero nome, or an array of z's shape with one nome
-    per point.
+def _theta_raw(z: np.ndarray, p: complex) -> np.ndarray:
+    """theta(z; p) for nonzero z of any shape and 0 < |p| < 1, without
+    argument checks.
 
     One truncation order J (:func:`theta_truncation_order`) serves every
     point, so both products (z; p)_J and (p/z; p)_J come from one call on the
     stacked points, which builds one vector of powers of p.  The
     (2 x points x J) factor products run over blocks of _THETA_BLOCK points,
     which bounds their temporaries; a point's value does not depend on the
-    block it falls in.  With one nome per point each point takes the order of
-    that rule on itself alone, its products are formed one point at a time
-    (:func:`_qpoch_raw`), and the two are multiplied as scalars, so each
-    value has the bits of theta at its scalar z and nome alone.
+    block it falls in.
     """
-    if isinstance(p, np.ndarray):
-        # theta_truncation_order's scale, point by point
-        n = _orders_per_point(p, [max(a, abs(b) / a) for b, a in
-                                  zip(p.ravel().tolist(), np.abs(z).ravel().tolist())])
-        return _scalar_products(*_qpoch_raw(np.array((z, p / z)), p, n))
     n = theta_truncation_order(z, p)
     if z.size <= _THETA_BLOCK:
         both = _qpoch_raw(np.array((z, p / z)), p, n)
@@ -293,18 +224,17 @@ class NomePair:
     """The two base parameters (p, q) with cached derived constants
     (p; p)_inf, (q; q)_inf and kappa = (p;p)_inf (q;q)_inf / (4 pi i).
 
-    Both products come from one q-Pochhammer call, with one base per point,
-    on the first read of ``pp_inf``, ``qq_inf`` or ``kappa``: the discrete
-    and residue-sum checks never read them.  Frozen and compared on (p, q);
-    safe to share across threads, since every lazy write (the pair of
-    products, stored together, or the series coefficients, which only ever
-    grow) stores the same bits whichever thread makes it.
+    Each product is computed on the first read of ``pp_inf``, ``qq_inf`` or
+    ``kappa``: the discrete and residue-sum checks never read them.  Frozen
+    and compared on (p, q); safe to share across threads, since every lazy
+    write (a product, or the series coefficients, which only ever grow)
+    stores the same bits whichever thread makes it.
     """
 
     p: complex
     q: complex
-    _inf_products: tuple[complex, complex] | None = field(default=None, init=False, repr=False,
-                                                         compare=False)
+    _pp_inf: complex | None = field(default=None, init=False, repr=False, compare=False)
+    _qq_inf: complex | None = field(default=None, init=False, repr=False, compare=False)
     _series_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     _theta_coeffs: dict = field(init=False, repr=False, compare=False)
 
@@ -317,24 +247,19 @@ class NomePair:
         object.__setattr__(self, "_series_coeffs", np.empty(0, dtype=complex))
         object.__setattr__(self, "_theta_coeffs", {})
 
-    def _products(self) -> tuple[complex, complex]:
-        """((p; p)_inf, (q; q)_inf), each with the bits of its own call."""
-        pair = self._inf_products
-        if pair is None:
-            both = [self.p, self.q]
-            pair = tuple(qpochhammer_inf(both, both).tolist())
-            object.__setattr__(self, "_inf_products", pair)
-        return pair
-
     @property
     def pp_inf(self) -> complex:
         """(p; p)_inf."""
-        return self._products()[0]
+        if self._pp_inf is None:
+            object.__setattr__(self, "_pp_inf", qpochhammer_inf(self.p, self.p))
+        return self._pp_inf
 
     @property
     def qq_inf(self) -> complex:
         """(q; q)_inf."""
-        return self._products()[1]
+        if self._qq_inf is None:
+            object.__setattr__(self, "_qq_inf", qpochhammer_inf(self.q, self.q))
+        return self._qq_inf
 
     @property
     def kappa(self) -> complex:
