@@ -13,10 +13,11 @@ contour (the identity is asserted independently in the test suite).  On an
 equispaced grid z_k = r w^k with w = exp(2 pi i / n), every gamma-factor
 argument lies on a scaled copy of the same root-of-unity ring, so the nodes
 a quadrature pass adds get all of their gamma rings, shift thetas included,
-from a single call of the FFT ring engine, however many grid pairs the
-kernels combine.  Both thetas of 1/Gamma(z^{+-2}) lie on the (n/2)-ring of
-z^2 and come from one call of the ring theta series, whose pointwise factor
-keeps them exactly 0 at z = +-1 on the unit circle.  No ring evaluates a theta
+from a single call of the one gamma engine, ``_gamma_rings``, however many
+grid pairs the kernels combine; the later passes call it on turned rings.
+Both thetas of 1/Gamma(z^{+-2}) lie on the (n/2)-ring of z^2 and come from
+one call of the ring theta series, whose pointwise factor keeps them exactly
+0 at z = +-1 on the unit circle.  No ring evaluates a theta
 product; the off-centre residue circles, which are not rings about 0, use
 the pointwise ``_kernel_at`` and its products.  Gamma values that do not
 depend on the grid are evaluated once per check.
@@ -56,12 +57,10 @@ from .special_functions import (
     elliptic_pochhammer,  # unused here; perfbench/tracing.py wraps this binding
     theta,
     _gamma_rings,
-    _gamma_rings_turned,
     _gamma_vec,
     _guarded_pochhammer,
     _nonzero_finite_gamma,
     _ring,
-    _roots,  # unused here; tests read the grid roots through this binding
     _theta_ring,
 )
 
@@ -183,10 +182,10 @@ class _Nodes:
     them with the values held.  Gamma(s / w^k) stays the reflection of the
     interleaved ring, since 1/c_j = c_{-j-1} for the points c_j = c w_m^j of
     the turned ring, so every engine call holds as many scales as the first.
-    The turn enters the ring series exactly (:func:`_gamma_rings_turned`),
-    not through rounded scales s c, and every turned call decides its shifts
-    against the first grid's size, so each scale keeps the shift of the
-    first call.
+    The turn enters the ring series exactly (:func:`_gamma_rings` with
+    ``turned``), not through rounded scales s c, and every call passes the
+    first grid's size as the size its shifts are decided against, so each
+    scale keeps the shift of the first call.
     """
 
     def __init__(self, radius: float, nome: NomePair | None = None, scales=(), f=None,
@@ -202,8 +201,7 @@ class _Nodes:
         gamma = dden = samples = None
         if self.scales:
             scales = np.array(self.scales, dtype=complex)
-            gamma = (_gamma_rings_turned(scales, m, self.nome, self.first) if turned
-                     else _gamma_rings(scales, m, self.nome))
+            gamma = _gamma_rings(scales, m, self.nome, turned, self.first)
         if self.dden:
             dden = _theta_rings(m, self.radius, self.nome, turned)
         if self.f is not None:

@@ -224,12 +224,17 @@ _REJECTIONS = (_Rejected, PoleProximityError, DegenerateParameterError, Constrai
 
 
 # the rejections of the draw running on this thread, once its sampler has
-# returned or given up: run_campaign's error report keeps them
+# returned or given up: run_campaign copies them into the draw's report
 _sampled = threading.local()
 
 
 def _sample_until(cfg, rng, build):
-    # cfg is unused; perfbench's tracer reads ``build`` at position 2
+    """The first admissible ``build(rng)``, retried while it raises one of
+    ``_REJECTIONS``; past ``_RETRY_CAP`` tries, a
+    :class:`ConstraintViolationError`.  The rejection count goes to
+    ``_sampled.rejected`` alone, which run_campaign copies into the draw's
+    report.  ``cfg`` is unused; perfbench's tracer reads ``build`` at
+    position 2."""
     rejects = 0
     for _ in range(_RETRY_CAP):
         try:
@@ -238,7 +243,7 @@ def _sample_until(cfg, rng, build):
             rejects += 1
         else:
             _sampled.rejected = rejects
-            return out, rejects
+            return out
     _sampled.rejected = rejects
     raise ConstraintViolationError(
         f"no admissible draw within retry cap {_RETRY_CAP} ({rejects} rejections)"
@@ -247,7 +252,7 @@ def _sample_until(cfg, rng, build):
 
 # --------------------------------------------------------------------------
 # per-identity runners (each maps (cfg, rng, draw_index) -> VerificationReport;
-# run_campaign stamps the draw index on the report)
+# run_campaign stamps the draw index and the sampler's rejections on the report)
 # --------------------------------------------------------------------------
 
 def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
@@ -278,7 +283,7 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         return nome, z, _nonzero_finite_gamma(points, nome, "the special-functions draw",
                                               swapped=[0])
 
-    (nome, z, values), rejects = _sample_until(cfg, rng, build)
+    nome, z, values = _sample_until(cfg, rng, build)
     g, g_qz, g_pz, g_inv = (complex(v) for v in values[:4])
     res_sym, res_fd_q, res_fd_p, res_limit = _residual_ratio(
         [g, g_qz, g_pz, complex(values[13]) / nome.pp_inf**2],
@@ -293,7 +298,6 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         rhs=g,
         residual=worst(res_sym, res_inv, res_fd_q, res_fd_p, res_quad, res_limit),
         tolerance=cfg.effective_tolerance,
-        settings={"rejected": rejects},
         details={
             "base_symmetry": res_sym,
             "inversion": res_inv,
@@ -317,12 +321,10 @@ def _run_beta_integral(cfg: CampaignConfig, rng, idx: int) -> VerificationReport
             raise _Rejected
         return nome, ts
 
-    (nome, ts), rejects = _sample_until(cfg, rng, build)
-    rep = ct.elliptic_beta_integral(
+    nome, ts = _sample_until(cfg, rng, build)
+    return ct.elliptic_beta_integral(
         *ts, nome, rel_tol=_QUAD_REL_TOL, tolerance=cfg.effective_tolerance
     )
-    rep.settings["rejected"] = rejects
-    return rep
 
 
 def _discrete_sampler(cfg: CampaignConfig, rng):
@@ -354,9 +356,9 @@ def _discrete_sampler(cfg: CampaignConfig, rng):
 
 
 def _run_discrete(verify, cfg: CampaignConfig, rng) -> VerificationReport:
-    (params, mode), rejects = _discrete_sampler(cfg, rng)
+    params, mode = _discrete_sampler(cfg, rng)
     rep = verify(params, tolerance=cfg.effective_tolerance)
-    rep.settings.update({"rejected": rejects, "bc_mode": mode})
+    rep.settings["bc_mode"] = mode
     return rep
 
 
@@ -381,14 +383,12 @@ def _run_star_triangle(cfg: CampaignConfig, rng, idx: int) -> VerificationReport
             ct.OperatorParams(t=t, s=s, w=w, y=y).validate_star_triangle(nome, margin=margin)
         return nome, s, t, y, spectators
 
-    (nome, s, t, y, spectators), rejects = _sample_until(cfg, rng, build)
+    nome, s, t, y, spectators = _sample_until(cfg, rng, build)
     alpha = ct.constant_one() if idx % 2 == 0 else ct.z_plus_inverse()
-    rep = ct.star_triangle_residual(
+    return ct.star_triangle_residual(
         s, t, y, spectators, alpha, nome,
         rel_tol=_QUAD_REL_TOL, tolerance=cfg.effective_tolerance, margin=margin,
     )
-    rep.settings["rejected"] = rejects
-    return rep
 
 
 def _run_residue_reduction(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
@@ -410,9 +410,7 @@ def _run_residue_reduction(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         return ct.residue_matrix_reduction_check(alpha, z0, t, cfg.effective_N, nome,
                                                  tolerance=cfg.effective_tolerance)
 
-    rep, rejects = _sample_until(cfg, rng, build)
-    rep.settings["rejected"] = rejects
-    return rep
+    return _sample_until(cfg, rng, build)
 
 
 def _run_cauchy_deformation(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
@@ -432,12 +430,10 @@ def _run_cauchy_deformation(cfg: CampaignConfig, rng, idx: int) -> VerificationR
             raise _Rejected
         return nome, alpha, t, x
 
-    (nome, alpha, t, x), rejects = _sample_until(cfg, rng, build)
-    rep = ct.contour_deformation_check(alpha, t, x, None, nome,
-                                       rel_tol=_QUAD_REL_TOL,
-                                       tolerance=cfg.effective_tolerance)
-    rep.settings["rejected"] = rejects
-    return rep
+    nome, alpha, t, x = _sample_until(cfg, rng, build)
+    return ct.contour_deformation_check(alpha, t, x, None, nome,
+                                        rel_tol=_QUAD_REL_TOL,
+                                        tolerance=cfg.effective_tolerance)
 
 
 def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
@@ -446,14 +442,14 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         x = rng.uniform(0.88, 0.95) * _unit_phase(rng)
         return nome, x
 
-    (nome, x), rejects = _sample_until(cfg, rng, build)
+    nome, x = _sample_until(cfg, rng, build)
     f = lambda z: z + 1.0 / z
     if cfg.effective_N == 0:
         plus = ct.finite_difference_M(0, 1, x, f, nome)
         minus = ct.finite_difference_M(0, -1, x, f, nome)
         residual = relative_residual([plus, minus], [f(x), f(-x)])
         lhs, rhs = plus, complex(f(x))
-        settings = {"mode": "identity/sign", "rejected": rejects}
+        settings = {"mode": "identity/sign"}
     else:
         fd = ct.finite_difference_M(1, 1, x, f, nome)
         eps = (1e-2, 5e-3, 2.5e-3)
@@ -462,7 +458,7 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         extrapolated = (4 * a1[1] - a1[0]) / 3
         residual = relative_residual(fd, extrapolated)
         lhs, rhs = fd, extrapolated
-        settings = {"mode": "regularized-oracle", "eps": list(eps), "rejected": rejects}
+        settings = {"mode": "regularized-oracle", "eps": list(eps)}
     return VerificationReport(
         identity="finite-difference",
         params={"N": cfg.effective_N, "x": complex(x), "p": nome.p, "q": nome.q},
@@ -489,8 +485,9 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """Run all draws of a campaign; deterministic given the config.
 
     Per-draw errors become error reports instead of aborting: library errors
-    by their type, any other exception as an internal error.  An error
-    report keeps the rejections of its draw's sampler, once the sampler has
+    by their type, any other exception as an internal error.  Here alone a
+    report gets ``settings["rejected"]``, the rejections of its draw's
+    sampler, whether it passed, failed or errored, once the sampler has
     returned or reached its retry cap.  Each report's ``wall_time_s`` is the
     whole draw, sampling included, timed here only.
     """
@@ -511,18 +508,17 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
         except Exception as exc:
             err = f"internal error: {type(exc).__name__}: {exc}"
         if err is not None:
-            # an error after the sampler returned, or its retry cap, keeps
-            # the draw's rejections
-            rejected = _sampled.rejected
             rep = VerificationReport(
                 identity=config.identity,
                 params={"draw_seed": int(sub_seeds[idx])},
                 lhs=None, rhs=None,
                 residual=math.inf,
                 tolerance=config.effective_tolerance,
-                settings={} if rejected is None else {"rejected": rejected},
                 error=err,
             )
+        # None where the draw failed before its sampler returned or gave up
+        if _sampled.rejected is not None:
+            rep.settings["rejected"] = _sampled.rejected
         rep.wall_time_s = time.perf_counter() - start
         rep.draw_index = idx
         return rep

@@ -35,12 +35,12 @@ shift factor.
 
 One engine, ``_gamma_rings``, evaluates gamma on R rings of n points
 s_i exp(2 pi i j / n); a flat array of single points is its n = 1 case.  On a
-ring of n > 1 points every log-series folds mod n and one DFT sums it.  The
-same engine on the rings turned by exp(i pi / n), ``_gamma_rings_turned``,
-gives the nodes a nested quadrature adds at each doubling, with the turn
-folded into the series exactly.  Theta
-on a ring has its own log-series, ``_theta_series``: after the shift
-theta(v z; v) = -z^{-1} theta(z; v) into |v|^{1/2} <= |y| <= |v|^{-1/2},
+ring of n > 1 points every log-series folds mod n and one DFT sums it.  With
+``turned`` the same engine takes the rings turned by exp(i pi / n), the nodes
+a nested quadrature adds at each doubling, with the turn folded into the
+series exactly.  Theta on a ring has its own log-series, ``_theta_series``:
+after the shift theta(v z; v) = -z^{-1} theta(z; v) into
+|v|^{1/2} <= |y| <= |v|^{-1/2},
 
     log theta(y e; v) = log(1 - y e) - sum_{m>=1} v^m ((y e)^m + (y e)^{-m}) / (m (1 - v^m)),
 
@@ -409,12 +409,9 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
 
 def _gamma_vec(z: np.ndarray, nome: NomePair, swapped=()) -> np.ndarray:
     """Gamma(z; p, q) on a flat complex array: the one-root case of
-    _gamma_rings.  The points indexed by ``swapped`` also get Gamma(z; q, p),
-    which follow the len(z) values in that order; the engine takes them
-    itself, since _gamma_rings takes rings alone (:func:`_gamma_ring_engine`)."""
-    if len(swapped):
-        return _gamma_ring_engine(z, 1, nome, turned=False, swapped=swapped)[:, 0]
-    return _gamma_rings(z, 1, nome)[:, 0]
+    :func:`_gamma_rings`.  The points indexed by ``swapped`` also get
+    Gamma(z; q, p), which follow the len(z) values in that order."""
+    return _gamma_rings(z, 1, nome, swapped=swapped)[:, 0]
 
 
 def _fold_rings(table: np.ndarray, n: int, turned: bool = False) -> np.ndarray:
@@ -554,41 +551,28 @@ def _theta_ring(scales, n: int, bases, nome: NomePair, turned: bool = False) -> 
     return factors * np.exp(_fold_rings(table, n, turned).T + const[:, None])
 
 
-def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair) -> np.ndarray:
-    """Gamma(s_i e_j; p, q) for the scales s_i = scales[i] and the n-th roots
-    of unity e_j = exp(2 pi i j / n), as an (R, n) array: the one gamma
-    engine, :func:`_gamma_ring_engine`, on untwisted rings; n = 1 is the
-    pointwise case, which :func:`_gamma_vec` reads."""
-    return _gamma_ring_engine(scales, n, nome, turned=False)
-
-
-def _gamma_rings_turned(scales: np.ndarray, n: int, nome: NomePair,
-                        fit: int | None = None) -> np.ndarray:
-    """Gamma(s_i c e_j; p, q) for c = exp(i pi / n), n > 1: the gamma engine on
-    the rings turned by half a step, whose points s_i c e_j are s_i times the
-    odd nodes of the 2n-grid.  A nested quadrature adds these nodes at each
-    doubling.  The turn enters the fold exactly (:func:`_fold_rings`), so the
-    new values share the rounding of those at the even nodes.  A rounded
-    scale s_i c would move the odd nodes against the even ones by its own
-    rounding, and the trapezoid sum picks that alternating error up
-    coherently: on the Cauchy check's inner circle it raised the median
-    residual about 1.5-fold.  For the same reason the quadrature passes its
-    first grid's size as ``fit``, the ring size its shift rule is decided
-    against (:func:`_annulus_shift`), so that each scale keeps one shift at
-    every doubling."""
-    return _gamma_ring_engine(scales, n, nome, turned=True, fit=fit)
-
-
-def _gamma_ring_engine(scales: np.ndarray, n: int, nome: NomePair, turned: bool,
-                       fit: int | None = None, swapped=()) -> np.ndarray:
+def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = False,
+                 fit: int | None = None, swapped=()) -> np.ndarray:
     """Gamma(s_i e_j; p, q) for the scales s_i = scales[i] and the points e_j
-    of the n-ring (:func:`_ring`, turned by exp(i pi / n) if ``turned``), as
-    an (R, n) array.  This is the one gamma engine.
+    of the n-ring (:func:`_ring`), as an (R, n) array.  This is the one gamma
+    engine; n = 1 is the pointwise case, which :func:`_gamma_vec` reads.
+
+    With ``turned`` (n > 1) the ring is turned by c = exp(i pi / n): its
+    points s_i c e_j are s_i times the odd nodes of the 2n-grid, which a
+    nested quadrature adds at each doubling.  The turn enters the fold
+    exactly (:func:`_fold_rings`), so the new values share the rounding of
+    those at the even nodes.  A rounded scale s_i c would move the odd nodes
+    against the even ones by its own rounding, and the trapezoid sum picks
+    that alternating error up coherently: on the Cauchy check's inner circle
+    it raised the median residual about 1.5-fold.
 
     Every point of ring i has modulus |s_i|, so all of them share the shift
     k_i, and w = sigma_i e_j with sigma_i = s_i u^{k_i}.  The shift rule
     (:func:`_annulus_shift`) sees the ring size ``fit``, n by default: a ring
     whose unshifted series fits one block of a fit-point fold keeps k_i = 0.
+    A nested quadrature passes its first grid's size as ``fit`` at every
+    doubling, for the reason above: each scale then keeps one shift on
+    every turned ring.
     One table holds the powers sigma_i^m and (pq/sigma_i)^m, m = 1..M, with
     one order M at the largest series radius of the call bounding every
     ring's tail.  The theta

@@ -96,7 +96,7 @@ def test_criterion_04_inversions():
     for i in range(50):
         N = i % 9
         cfg = CampaignConfig(identity="matrix-bailey", seed=0, N=N)
-        (params, _mode), _rej = _discrete_sampler(cfg, rng)
+        params, _mode = _discrete_sampler(cfg, rng)
         nome = params.nome
         m_prod = (
             build_M(N, params.a, params.k, nome).entries
@@ -124,7 +124,7 @@ def test_criterion_05_coxeter_suite():
     for i in range(12):
         N = 1 + i % 8
         cfg = CampaignConfig(identity="coxeter", seed=0, N=N)
-        (params, _mode), _rej = _discrete_sampler(cfg, rng)
+        params, _mode = _discrete_sampler(cfg, rng)
         cox = verify_coxeter(params)
         bailey = verify_matrix_bailey(params)
         worst_s1 = max(worst_s1, cox.details["s1_squared_residual"])

@@ -42,11 +42,14 @@ def test_positions_the_tracer_reads():
     assert _names(contour._kernel_at)[2] == "z"
     assert _names(bailey_algebra.build_M)[:4] == ["N", "a", "k", "nome"]
     assert _names(harness._sample_until)[2] == "build"
+    # _after_gamma reads the pointwise engine's (z, nome)
+    assert _names(special_functions._gamma_vec)[:2] == ["z", "nome"]
 
 
 def test_ring_engine_arguments():
-    # a hook on the ring engine reads (scales, n, nome) by position
-    assert _names(special_functions._gamma_rings) == ["scales", "n", "nome"]
+    # no hook wraps the ring engine; contour's nodes and _gamma_vec both call
+    # the one engine, which takes (scales, n, nome) first
+    assert _names(special_functions._gamma_rings)[:3] == ["scales", "n", "nome"]
     assert contour._gamma_rings is special_functions._gamma_rings
 
 
@@ -60,7 +63,7 @@ def test_drive_contract_the_tracer_reads():
 
         def eval_at(n):
             passes.append(n)
-            return 1.0, 1.0 / (1.0 - 0.9 * contour._roots(n))
+            return 1.0, 1.0 / (1.0 - 0.9 * special_functions._roots(n))
 
         value, info = contour._drive(eval_at, 1e-12)
         report = contour.elliptic_beta_integral(0.5, 0.6, 0.45, 0.55, 0.4,

@@ -211,14 +211,14 @@ class TestPointwiseBatching:
     def test_special_functions_draw_makes_one_engine_call_per_nome_pair(self, monkeypatch):
         from elliptic_bailey import special_functions
 
-        engine = special_functions._gamma_ring_engine
+        engine = special_functions._gamma_rings
         calls = []
 
-        def spy(scales, n, nome, turned, fit=None, swapped=()):
+        def spy(scales, n, nome, turned=False, fit=None, swapped=()):
             calls.append(((nome.p, nome.q), np.size(scales) * n, list(swapped)))
             return engine(scales, n, nome, turned, fit, swapped)
 
-        monkeypatch.setattr(special_functions, "_gamma_ring_engine", spy)
+        monkeypatch.setattr(special_functions, "_gamma_rings", spy)
         (rep,) = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=1))
         assert rep.passed and rep.settings["rejected"] == 0
         p, q = rep.params["p"], rep.params["q"]

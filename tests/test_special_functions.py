@@ -26,7 +26,6 @@ from elliptic_bailey.special_functions import (
     theta_pochhammer_sequence,
     _annulus_shift,
     _gamma_rings,
-    _gamma_rings_turned,
     _gamma_vec,
     _qpoch_order,
     _qpoch_raw,
@@ -144,7 +143,7 @@ def _assert_rings_match_pointwise(scales, n, nome, turned=False):
     _NEAR_ZERO_C eps/gap."""
     points = scales[:, None] * _ring(n, turned)
     want = _gamma_vec(points.ravel(), nome).reshape(points.shape)
-    got = (_gamma_rings_turned if turned else _gamma_rings)(scales, n, nome)
+    got = _gamma_rings(scales, n, nome, turned)
     assert got.shape == (scales.size, n)
     gap = _zero_gap(points, nome)
     far = gap >= 1e-2
@@ -831,7 +830,8 @@ class TestGammaRings:
         # pq/s read at point -j-1, that is reversed
         partners = nome.p * nome.q / scales
         if nome.p * nome.q != 0 and _off_lattice(partners, 2 * n, nome):
-            both = _gamma_rings_turned(scales, n, nome) * _gamma_rings_turned(partners, n, nome)[:, ::-1]
+            both = (_gamma_rings(scales, n, nome, turned=True)
+                    * _gamma_rings(partners, n, nome, turned=True)[:, ::-1])
             assert np.max(np.abs(both - 1.0)) < 1e-12
 
     @_PROPERTY
@@ -899,10 +899,9 @@ class TestGammaRings:
         p, q = 0.59, 0.035
         nome = NomePair(p, q)
         z = p**3 * q**6 * (1 + 1e-5j)
-        engine = _gamma_rings_turned if turned else _gamma_rings
         with np.errstate(over="ignore"):
             want = _gamma_rings(z * _ring(n, turned), 1, nome)[:, 0]
-            got = engine(np.array([z]), n, nome)[0]
+            got = _gamma_rings(np.array([z]), n, nome, turned)[0]
         finite = np.isfinite(want)
         assert finite.any()
         assert np.array_equal(np.isfinite(got), finite)
@@ -1020,8 +1019,8 @@ class TestShiftFreeRings:
             fitted.extend(k[_annulus_shift(log_moduli, nome)[0] != 0] == 0)
             points = scales[:, None] * _ring(n, turned)
             gap = _singular_gap(points, nome)
-            got = special_functions._gamma_ring_engine(scales, n, nome, turned)
-            shifted = special_functions._gamma_ring_engine(scales, n, nome, turned, fit=1)
+            got = _gamma_rings(scales, n, nome, turned)
+            shifted = _gamma_rings(scales, n, nome, turned, fit=1)
             # each within _NEAR_ZERO_C eps/gap of Gamma near a zero or a pole
             bound = np.maximum(1e-13, _NEAR_ZERO_C * np.finfo(float).eps / gap)
             assert np.all(np.abs(got - shifted) < 2 * bound * np.abs(shifted))
