@@ -17,10 +17,14 @@ from a single call of the one gamma engine, ``_gamma_rings``, however many
 grid pairs the kernels combine; the later passes call it on turned rings.
 Both thetas of 1/Gamma(z^{+-2}) lie on the (n/2)-ring of z^2 and come from
 one call of the ring theta series, whose pointwise factor keeps them exactly
-0 at z = +-1 on the unit circle.  No ring evaluates a theta
-product; the off-centre residue circles, which are not rings about 0, use
-the pointwise ``_kernel_at`` and its products.  Gamma values that do not
-depend on the grid are evaluated once per check.
+0 at z = +-1 on the unit circle.  No ring evaluates a theta product; the
+off-centre residue circles, which are not rings about 0, use the pointwise
+``_kernel_at`` and its products.  A check's gamma values off its grid come
+from one call: of ``_nonzero_finite_gamma`` where it divides by them (a zero
+or infinite one raises), else of ``_gamma_vec``.  Cauchy keeps Gamma(t^2) out
+of its residue sum's kernel call, a term up to 1e9 |I_T| whose bits set
+floor-level residuals; star-triangle divides by ``_gamma_vec`` values, which
+its traced benchmark run must hit.
 
 Every quadrature pass returns (weight, samples): its integrand on the n-node
 circle, one row per integral, and each row's prefactor.  ``_trapezoid`` alone
@@ -53,7 +57,6 @@ from .errors import (
 from .report import RESIDUAL_FLOOR, VerificationReport, relative_residual, worst, _residual_ratio
 from .special_functions import (
     NomePair,
-    elliptic_gamma,
     elliptic_pochhammer,  # unused here; perfbench/tracing.py wraps this binding
     theta,
     _gamma_rings,
@@ -346,10 +349,10 @@ def gamma_product_function(params, nome: NomePair) -> SymmetricTestFunction:
     top = max(abs(u) for u in params)
 
     def fn(z):
-        out = np.ones_like(z)
+        out = np.ones(z.size, dtype=complex)
         for u in params:
-            out = out * elliptic_gamma(u * z, nome) * elliptic_gamma(u / z, nome)
-        return out
+            out = out * _gamma_vec(u * z.ravel(), nome) * _gamma_vec(u / z.ravel(), nome)
+        return out.reshape(z.shape)
 
     return SymmetricTestFunction(fn=fn, name="gamma-product", annulus=(top, 1.0 / top))
 
@@ -509,7 +512,7 @@ def apply_M(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         raise ConstraintViolationError(
             f"contour |z| = {radius} does not separate kernel poles: |t w^+-1| max = {top:.4f}"
         )
-    g_t2 = complex(elliptic_gamma(t * t, nome))
+    g_t2 = complex(_nonzero_finite_gamma([t * t], nome, "apply_M")[0])
     return _m_quadrature(t, w, alpha, radius, g_t2, nome, rel_tol, "apply_M")[0]
 
 
@@ -523,7 +526,7 @@ def d_factor(s, y, w, nome: NomePair) -> complex:
     """D(s; y, w) = Gamma(sqrt(pq) s^{-1} y^{+-1} w^{+-1}; p, q), four factors,
     principal square root."""
     args = np.array(_d_args(complex(s), complex(y), complex(w), nome))
-    return complex(np.prod(elliptic_gamma(args, nome)))
+    return complex(np.prod(_gamma_vec(args, nome)))
 
 
 # --------------------------------------------------------------------------
@@ -562,7 +565,7 @@ def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
     lhs, info = _drive(eval_at, rel_tol, label="beta integral")
     lhs = complex(lhs)
     pairs = np.array([ts[i] * ts[j] for i in range(6) for j in range(i + 1, 6)])
-    rhs = complex(np.prod(elliptic_gamma(pairs, nome)))
+    rhs = complex(np.prod(_gamma_vec(pairs, nome)))
     residual = relative_residual(lhs, rhs)
     return VerificationReport(
         identity="beta-integral",
@@ -701,7 +704,7 @@ def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: f
     """
     t, x = complex(t), complex(x)
     inner_radius = _deformation_radii(alpha, t, x, inner_radius)[2]
-    g_t2 = complex(elliptic_gamma(t * t, nome))
+    g_t2 = complex(_nonzero_finite_gamma([t * t], nome, "the deformation probe")[0])
     _, scale_in = _trapezoid(*_m_single(t, x, _PROBE_NODES, inner_radius, alpha, g_t2, nome))
     i_t, _ = _trapezoid(*_m_single(t, x, _PROBE_NODES, 1.0, alpha, g_t2, nome))
     residue_term = 4j * math.pi * nome.kappa * _residue_sum(alpha, t, x, g_t2, nome)
@@ -737,7 +740,7 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
             f"{inner_radius:.3f} < min|pole| = {pole_lo:.3f} and max|pole| < 1"
         )
 
-    g_t2 = complex(elliptic_gamma(t * t, nome))
+    g_t2 = complex(_nonzero_finite_gamma([t * t], nome, "the deformation check")[0])
     i_t, info_t = _m_quadrature(t, x, alpha, 1.0, g_t2, nome, rel_tol, "deformation integral")
     i_c, info_c = _m_quadrature(t, x, alpha, inner_radius, g_t2, nome, rel_tol,
                                 "deformation integral")
@@ -800,10 +803,9 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
     q = nome.q
     t = t_sign * q ** (-N / 2.0) if N else complex(t_sign)
     tx2 = (t * x) ** 2
-    # one gamma call per value: a joint call would share one truncation order, and change bits
-    g_num, g_den = (complex(_nonzero_finite_gamma([v], nome, "the finite-difference prefactor")[0])
-                    for v in (x**-2, x**-2 / (t * t)))
-    pre = g_num / g_den
+    g_num, g_den = _nonzero_finite_gamma([x**-2, x**-2 / (t * t)], nome,
+                                         "the finite-difference prefactor")
+    pre = complex(g_num) / complex(g_den)
     # rows theta(z q^j; p): the guarded denominators theta(q)_k and theta(q x^2)_k,
     # theta(t^2)_k, and theta(tx^2 q^j), j <= 2N, whose even entries are the shifts
     factors, poch = _guarded_pochhammer([q, q * x * x, t * t, tx2], [N, N, N, 2 * N + 1], nome,
@@ -831,7 +833,7 @@ def finite_difference_oracle(x, f, nome: NomePair, eps: float,
                            + Gamma(x^2, t^2 x^{-2}) / Gamma((t/x)^{+-2}) f(t/x)
 
     Requires real q in (0, 1), 1 < |t x^{+-1}| < min(1/q, 1/|p|), and
-    f(1/z) = f(z).
+    f(1/z) = f(z); a zero or infinite gamma value raises DegenerateParameterError.
     """
     q = nome.q
     if not (q.imag == 0 and 0 < q.real < 1):
@@ -844,13 +846,12 @@ def finite_difference_oracle(x, f, nome: NomePair, eps: float,
             raise ConstraintViolationError(
                 f"{label} = {val:.4f} outside the single-escape window (1, {lim:.3f})"
             )
-    def g(v):
-        return complex(elliptic_gamma(v, nome))
-
-    quad = _m_quadrature(t, x, f, 1.0, g(t * t), nome, rel_tol, "fd oracle")[0]
-
-    corr_tx = g(t * t * x * x) * g(x**-2) / (g((t * x) ** 2) * g((t * x) ** -2)) * f(t * x)
-    corr_tox = g(x * x) * g(t * t / (x * x)) / (g((t / x) ** 2) * g((t / x) ** -2)) * f(t / x)
+    g_t2, *g = (complex(v) for v in _nonzero_finite_gamma(
+        [t * t, t * t * x * x, x**-2, (t * x) ** 2, (t * x) ** -2,
+         x * x, t * t / (x * x), (t / x) ** 2, (t / x) ** -2], nome, "the fd oracle"))
+    quad = _m_quadrature(t, x, f, 1.0, g_t2, nome, rel_tol, "fd oracle")[0]
+    corr_tx = g[0] * g[1] / (g[2] * g[3]) * f(t * x)
+    corr_tox = g[4] * g[5] / (g[6] * g[7]) * f(t / x)
     return quad + complex(corr_tx) + complex(corr_tox)
 
 
@@ -960,7 +961,8 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
     where g = M(t) alpha is itself evaluated at the correction points by
     deformed quadrature plus one residue term.  For |t| <= max(|p|, |q|) the
     next ladder poles w^{+-1} p/t or w^{+-1} q/t leave the unit disc as well
-    and would need corrections of their own, so such t is rejected.
+    and would need corrections of their own, so such t is rejected.  A zero or
+    infinite gamma value raises :class:`DegenerateParameterError`.
     """
     t, w = complex(t), complex(w)
     b = max(abs(nome.p), abs(nome.q))
@@ -976,8 +978,8 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         raise ConstraintViolationError("alpha must be analytic in a wide annulus")
 
     t_inv = 1.0 / t
-    g_t2, g_inv2 = (complex(v) for v in _gamma_vec(np.array([t * t, t_inv * t_inv]), nome))
-    gg = lambda v: complex(elliptic_gamma(v, nome))
+    g_t2, g_inv2, g_w2, g_wm2, g_tw2, g_twm2 = (complex(v) for v in _nonzero_finite_gamma(
+        [t * t, t_inv * t_inv, w**2, w**-2, t * t * w**2, t * t / w**2], nome, "inversion"))
 
     def g_cont(xstar, head_is_recip):
         """g(xstar) = [M(t) alpha](xstar) at a correction point where one
@@ -993,10 +995,8 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
             raise ConstraintViolationError("no separating radius for the inversion correction")
         r = min(max(math.sqrt(inner_max * upper), inner_max * 1.2), upper)
         quad = _m_quadrature(t, xstar, alpha, r, g_t2, nome, rel_tol, "inversion inner")[0]
-        if head_is_recip:
-            res = gg(t * t * w**2) / (2.0 * gg(w**2)) * complex(alpha(np.asarray([1 / w]))[0])
-        else:
-            res = gg(t * t / w**2) / (2.0 * gg(w**-2)) * complex(alpha(np.asarray([w]))[0])
+        res = (g_tw2 / (2.0 * g_w2) * complex(alpha(np.asarray([1 / w]))[0]) if head_is_recip
+               else g_twm2 / (2.0 * g_wm2) * complex(alpha(np.asarray([w]))[0]))
         return quad + res
 
     # the outer M(1/t) quadrature of g = M(t) alpha, which each pass evaluates
@@ -1011,8 +1011,8 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
 
     outer, info = _drive(eval_at, rel_tol, label="inversion outer")
     outer = complex(outer)
-    corr1 = gg(w**-2) / gg(t * t / w**2) * g_cont(w / t, head_is_recip=False)
-    corr2 = gg(w**2) / gg(t * t * w**2) * g_cont(t * w, head_is_recip=True)
+    corr1 = g_wm2 / g_twm2 * g_cont(w / t, head_is_recip=False)
+    corr2 = g_w2 / g_tw2 * g_cont(t * w, head_is_recip=True)
     total = outer + corr1 + corr2
     target = complex(alpha(np.asarray([w]))[0])
     residual = relative_residual(total, target)

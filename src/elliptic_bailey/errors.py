@@ -15,7 +15,8 @@ class PoleProximityError(EllipticBaileyError):
 
 
 class DegenerateParameterError(EllipticBaileyError):
-    """A theta factor appearing in a denominator vanishes within the guard threshold."""
+    """A theta factor appearing in a denominator vanishes within the guard threshold,
+    or a value the caller needs finite (and nonzero, where it divides) is not."""
 
 
 class ConstraintViolationError(EllipticBaileyError):

@@ -702,11 +702,23 @@ def elliptic_gamma(z, nome: NomePair):
     docstring); valid for every z off the pole lattice z = p^{-j} q^{-k},
     j, k >= 0.  Raises
     :class:`PoleProximityError` when a denominator factor is within the guard
-    threshold of zero (the caller chose z too close to a pole), and
-    :class:`DomainError` at z = 0.
+    threshold of zero (the caller chose z too close to a pole),
+    :class:`DomainError` at z = 0, and, as ``build_M`` and ``build_D`` do
+    for an overflowing entry, :class:`DegenerateParameterError` naming the
+    first z whose value is not finite in double precision (near z = 0: at
+    (p, q) = (0.2, 0.3), by z = 1e-10), without a numpy warning.  A value
+    that underflows to 0 is returned, as Gamma has true zeros at
+    z = p^{j+1} q^{k+1}, j, k >= 0.
     """
     z_arr = np.asarray(z, dtype=complex)
-    out = _gamma_vec(z_arr.ravel(), nome).reshape(z_arr.shape)
+    flat = z_arr.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _gamma_vec(flat, nome)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = bad[0]
+        raise DegenerateParameterError(f"Gamma({complex(flat[i])}) = {complex(out[i])} is not finite")
+    out = out.reshape(z_arr.shape)
     return out if z_arr.ndim else complex(out)
 
 
@@ -718,7 +730,7 @@ def _nonzero_finite_gamma(points, nome: NomePair, where: str, swapped=()) -> np.
     get Gamma(z; q, p), appended in that order from the same engine call
     (:func:`_gamma_vec`); only the (p, q) values are tested."""
     points = np.asarray(points, dtype=complex)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         values = _gamma_vec(points, nome, swapped)
     bad = np.flatnonzero(~np.isfinite(values[: points.size]) | (values[: points.size] == 0))
     if bad.size:

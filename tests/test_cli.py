@@ -368,6 +368,13 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "gamma", "--z", "1.0", "--p", "0.1", "--q", "0.2")
         assert code == 2
 
+    def test_gamma_beyond_the_double_range_exits_2(self, capsys):
+        # the value overflows; it printed nan-nani with RuntimeWarnings before
+        code, out, err = run_cli(capsys, "eval", "gamma", "--z", "1e-40", "--p", "0.2", "--q", "0.3")
+        assert code == 2
+        assert out == ""
+        assert "Gamma((1e-40+0j))" in err and "not finite" in err
+
     def test_missing_argument_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "gamma", "--p", "0.1", "--q", "0.2")
         assert code == 2

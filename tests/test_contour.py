@@ -883,6 +883,46 @@ class TestFiniteDifference:
             finite_difference_oracle(0.3, lambda z: z + 1 / z, nome, 1e-2)
 
 
+class TestFixedGammaValues:
+    """Each check takes the Gamma values it needs outside its quadrature grid
+    from one pointwise engine call (n = 1); the grids' rings are separate
+    calls of the contour module's own binding, which the spy does not see."""
+
+    NOME = NomePair(0.1, 0.4)
+    X = 0.92 * np.exp(0.4j)
+
+    @staticmethod
+    def _pointwise_sizes(monkeypatch):
+        sizes = []
+        rings = special_functions._gamma_rings
+
+        def spy(scales, n, nome, *args, **kwargs):
+            if n == 1:
+                sizes.append(np.size(scales))
+            return rings(scales, n, nome, *args, **kwargs)
+
+        monkeypatch.setattr(special_functions, "_gamma_rings", spy)
+        return sizes
+
+    def test_finite_difference_M(self, monkeypatch):
+        sizes = self._pointwise_sizes(monkeypatch)
+        finite_difference_M(1, 1, self.X, lambda z: z + 1 / z, self.NOME)
+        assert sizes == [2]
+
+    def test_finite_difference_oracle(self, monkeypatch):
+        sizes = self._pointwise_sizes(monkeypatch)
+        finite_difference_oracle(self.X, lambda z: z + 1 / z, self.NOME, 1e-2)
+        assert sizes == [9]
+
+    def test_m_inversion_check(self, monkeypatch):
+        sizes = self._pointwise_sizes(monkeypatch)
+        m_inversion_check(0.4, np.exp(0.7j), z_plus_inverse(), NomePair(0.1, 0.15))
+        assert sizes == [6]
+
+    def test_contour_does_not_bind_the_public_gamma(self):
+        assert not hasattr(ct, "elliptic_gamma")
+
+
 def _per_scalar_residue_reduction(alpha, z0, t, N, nome):
     """The residue sum (i) and the ratio Gamma(k)/Gamma(a) of (ii), one scalar
     gamma call per factor and one elliptic_pochhammer call per chain, as the

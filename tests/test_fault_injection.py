@@ -1,0 +1,109 @@
+"""Fault injection: a check that cannot fail shows nothing when it passes.
+
+Each cell runs a short fixed-seed campaign of one identity with one fault
+injected through ``monkeypatch`` and asserts that every draw fails its
+comparison.  A fault's size eps sits just above what the check detects: the
+smallest eps on the grid 10^(-k/2) at which every draw of the cell's
+campaign failed is recorded beside it.  A cell the check cannot see is
+marked ``xfail(strict=True)`` with the measured reason, so a change that
+makes the check see it has to flip the mark.
+
+Finite-difference N = 0 has no row.  It compares [M(+-1) f](x) with f(+-x),
+which ``finite_difference_M`` meets by construction: at t = +-1 the
+prefactor is Gamma(x^-2) / Gamma(x^-2) and the sum has the one term f(t x),
+so no fault of the gamma engine reaches the residual.
+"""
+
+import numpy as np
+import pytest
+
+from elliptic_bailey import contour, special_functions
+from elliptic_bailey.harness import CampaignConfig, run_campaign
+from elliptic_bailey.special_functions import NomePair
+
+# finite-difference N = 1: six draws, against tolerance 1e-5; clean, their
+# worst residual is 1.6e-8
+FD = CampaignConfig(identity="finite-difference", N=1, draws=6, seed=27)
+
+
+def _gamma_value_fault(monkeypatch, eps):
+    """Gamma(z) -> Gamma(z) (1 + eps z) at every point of every engine call,
+    pointwise and on rings."""
+    engine = special_functions._gamma_rings
+
+    def faulty(scales, n, nome, turned=False, fit=None, swapped=()):
+        out = engine(scales, n, nome, turned, fit, swapped)
+        scales = np.asarray(scales, dtype=complex)
+        z = np.concatenate([scales, scales[np.asarray(swapped, dtype=int)]])[:, None]
+        return out * (1 + eps * z * special_functions._ring(n, turned))
+
+    monkeypatch.setattr(special_functions, "_gamma_rings", faulty)
+    monkeypatch.setattr(contour, "_gamma_rings", faulty)
+
+
+def _gamma_coefficient_fault(monkeypatch, eps):
+    """The gamma series coefficient c_2 -> c_2 (1 + eps), for both orders of
+    the nomes."""
+    coefficients = NomePair.series_coefficients
+
+    def faulty(self, order):
+        c = coefficients(self, order).copy()
+        c[1:2] *= 1 + eps
+        return c
+
+    monkeypatch.setattr(NomePair, "series_coefficients", faulty)
+
+
+def _oracle_value_fault(index):
+    """The value ``index`` of the regularized oracle's one pointwise call
+    (0: Gamma(t^2); 1-4 and 5-8: the values of its two residue corrections)
+    times 1 + eps; the other eight are left alone."""
+    def fault(monkeypatch, eps):
+        merged = contour._nonzero_finite_gamma
+
+        def faulty(points, nome, where, swapped=()):
+            values = merged(points, nome, where, swapped)
+            if where == "the fd oracle":
+                values = values.copy()
+                values[index] *= 1 + eps
+            return values
+
+        monkeypatch.setattr(contour, "_nonzero_finite_gamma", faulty)
+
+    return fault
+
+
+def _failed_draws(cfg):
+    """Draws whose comparison failed; a draw that errors is not counted."""
+    return sum(r.error is None and not r.passed for r in run_campaign(cfg))
+
+
+def test_the_campaign_passes_without_a_fault():
+    assert _failed_draws(FD) == 0
+
+
+@pytest.mark.parametrize("fault, eps", [
+    # smallest eps detected: 3e-5 (1e-5 fails no draw)
+    pytest.param(_gamma_value_fault, 3e-5, id="gamma-value"),
+    pytest.param(
+        _gamma_coefficient_fault, 1e-3, id="gamma-coefficient",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "measured: 0 of 6 draws fail at every eps from 1e-1 to 3e-7.  Past the "
+            "extrapolation each gamma value enters as a ratio Gamma(z) / Gamma(q z), and the "
+            "engine shifts both points onto one series argument, so both read the same faulty "
+            "series value; the same fault applied as a function of z fails 6 of 6 draws at "
+            "3e-5"))),
+    pytest.param(
+        _oracle_value_fault(0), 1e-3, id="oracle-merged-gamma-t2",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "measured: 0 of 6 draws fail at every eps from 1e-1 to 1e-5.  The unit-circle "
+            "integral, the only term that reads Gamma(t^2), is O(t^2 q - 1) and the "
+            "extrapolation over the three regularizations removes its linear and quadratic "
+            "terms"))),
+    # smallest eps detected: 3e-5 (1e-5 fails 2 of 6 draws); each of the eight
+    # correction values is detected at 3e-5, which shows the merged call is read
+    pytest.param(_oracle_value_fault(2), 3e-5, id="oracle-merged-gamma-x-2"),
+])
+def test_finite_difference_n1_fails_under_the_fault(monkeypatch, fault, eps):
+    fault(monkeypatch, eps)
+    assert _failed_draws(FD) == FD.draws

@@ -313,6 +313,25 @@ class TestEllipticGamma:
         with pytest.raises(DomainError):
             elliptic_gamma(0.0, nome)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z", [1e-10, 1e-20, 1e-30, 1e-40])
+    def test_value_beyond_the_double_range_raises(self, z):
+        # near z = 0 the value leaves the double range: it came out as
+        # -inf+infj (phase lost) at 1e-10 and 1e-20, and as NaN at 1e-30 and
+        # 1e-40 where the shift factors' product overflows, with warnings
+        with pytest.raises(DegenerateParameterError,
+                           match=rf"Gamma\(\({z:g}\+0j\)\) = .* is not finite"):
+            elliptic_gamma(z, NomePair(0.2, 0.3))
+        with pytest.raises(DegenerateParameterError):
+            elliptic_gamma(np.array([0.5, z]), NomePair(0.2, 0.3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_value_that_underflows_to_zero_is_returned(self):
+        # Gamma(z) = 1 / Gamma(pq / z): far out it rounds to 0 like the true
+        # zeros p^{j+1} q^{k+1} do, and 0 is a value, not an error
+        nome = NomePair(0.2, 0.3)
+        assert elliptic_gamma(0.06 / 1e-10, nome) == 0
+
     def test_large_argument(self, nome):
         # log-space evaluation stays finite and inversion-consistent at |z| ~ 1e3
         z = 1234.5 + 321.0j
