@@ -803,9 +803,11 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
     q = nome.q
     t = t_sign * q ** (-N / 2.0) if N else complex(t_sign)
     tx2 = (t * x) ** 2
-    g_num, g_den = _nonzero_finite_gamma([x**-2, x**-2 / (t * t)], nome,
-                                         "the finite-difference prefactor")
-    pre = complex(g_num) / complex(g_den)
+    points = [x**-2, x**-2 / (t * t)]
+    g_num, g_den = _nonzero_finite_gamma(points, nome, "the finite-difference prefactor")
+    # at N = 0, t^2 = 1 and the two points are one: the prefactor is exactly
+    # 1, which Python's complex v / v is not for every v
+    pre = 1.0 if points[0] == points[1] else complex(g_num) / complex(g_den)
     # rows theta(z q^j; p): the guarded denominators theta(q)_k and theta(q x^2)_k,
     # theta(t^2)_k, and theta(tx^2 q^j), j <= 2N, whose even entries are the shifts
     factors, poch = _guarded_pochhammer([q, q * x * x, t * t, tx2], [N, N, N, 2 * N + 1], nome,

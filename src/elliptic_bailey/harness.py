@@ -9,6 +9,7 @@ execution order (draws may run on a thread pool).
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import threading
@@ -34,7 +35,7 @@ from .special_functions import (
     NomePair,
     gamma_residue_constant,
     theta,
-    _nonzero_finite_gamma,
+    _gamma_groups,
     _quadratic_points,
     _quadratic_residual,
 )
@@ -82,6 +83,10 @@ IDENTITIES = tuple(_IDENTITY)
 # star-triangle's spectator points and every campaign quadrature's tolerance
 _RETRY_CAP = 100
 _AMPLIFICATION_CAP = 1e5
+# draws per chunk of a chunked identity (_CHUNKED): one gamma-engine pass per
+# sampling round of a chunk.  At 32 special-functions draws and
+# special_functions._PASS_BYTES, no array of a pass reaches 1 MiB
+_DRAW_CHUNK = 32
 _SPECTATORS = 3
 _QUAD_REL_TOL = 1e-10
 
@@ -228,6 +233,74 @@ _REJECTIONS = (_Rejected, PoleProximityError, DegenerateParameterError, Constrai
 _sampled = threading.local()
 
 
+def _retry_cap_error(rejects: int) -> ConstraintViolationError:
+    return ConstraintViolationError(
+        f"no admissible draw within retry cap {_RETRY_CAP} ({rejects} rejections)")
+
+
+def _sample_chunk(cfg, rngs, sample, where: str) -> list:
+    """The draws of a chunk, draw i on its own stream rngs[i], by the rules of
+    :func:`_sample_until`, with one gamma-engine pass
+    (:func:`special_functions._gamma_groups`) per round over the draws still
+    pending.
+
+    ``sample(cfg, rng)`` makes one attempt, returning the draw's head and
+    the group (points, nome, swapped) of its gamma points; a draw's values
+    are its head followed by the group's gamma values.  An attempt is
+    rejected if ``sample`` raises one of ``_REJECTIONS`` or its group comes
+    back as one (a point on the pole lattice, a value that is zero or not
+    finite in ``where``), and a rejected draw samples again from its own
+    stream; past ``_RETRY_CAP`` rejections it gets the retry-cap error.  Any
+    other error from ``sample`` or from its group is the draw's fault.
+    Returns, per draw, (values or error, rejections), with None for the
+    rejections of a fault, as :func:`_sample_until` leaves them.  An error
+    of the pass itself, outside every group, is raised."""
+    outcomes = [None] * len(rngs)
+    rejects = [0] * len(rngs)
+
+    def reject(i):
+        rejects[i] += 1
+        if rejects[i] == _RETRY_CAP:
+            outcomes[i] = (_retry_cap_error(rejects[i]), rejects[i])
+
+    pending = range(len(rngs))
+    while pending:
+        heads, groups = [], []
+        for i in pending:
+            try:
+                head, group = sample(cfg, rngs[i])
+            except _REJECTIONS:
+                reject(i)
+            except Exception as exc:
+                outcomes[i] = (exc, None)
+            else:
+                heads.append((i, head))
+                groups.append(group)
+        for (i, head), values in zip(heads, _gamma_groups(groups, where)):
+            if isinstance(values, _REJECTIONS):
+                reject(i)
+            elif isinstance(values, Exception):
+                outcomes[i] = (values, None)
+            else:
+                outcomes[i] = ((*head, values), rejects[i])
+        pending = [i for i in pending if outcomes[i] is None]
+    return outcomes
+
+
+def _chunk_draw(cfg, rng, sample, where: str):
+    """The values of this runner call's draw: the outcome run_campaign
+    sampled for it in its chunk, or, on a call outside a campaign, a
+    one-draw chunk sampled now.  Sets ``_sampled.rejected`` as
+    :func:`_sample_until` does, and raises the draw's recorded error."""
+    outcome, _sampled.drawn = getattr(_sampled, "drawn", None), None
+    if outcome is None:
+        (outcome,) = _sample_chunk(cfg, [rng], sample, where)
+    values, _sampled.rejected = outcome
+    if isinstance(values, Exception):
+        raise values
+    return values
+
+
 def _sample_until(cfg, rng, build):
     """The first admissible ``build(rng)``, retried while it raises one of
     ``_REJECTIONS``; past ``_RETRY_CAP`` tries, a
@@ -245,9 +318,7 @@ def _sample_until(cfg, rng, build):
             _sampled.rejected = rejects
             return out
     _sampled.rejected = rejects
-    raise ConstraintViolationError(
-        f"no admissible draw within retry cap {_RETRY_CAP} ({rejects} rejections)"
-    )
+    raise _retry_cap_error(rejects)
 
 
 # --------------------------------------------------------------------------
@@ -255,35 +326,42 @@ def _sample_until(cfg, rng, build):
 # run_campaign stamps the draw index and the sampler's rejections on the report)
 # --------------------------------------------------------------------------
 
+def _sample_special_functions(cfg: CampaignConfig, rng):
+    """One attempt at a special-functions draw: its head (nome, z) and the
+    group of its gamma points z, qz, pz, pq/z, then z^2 and the eight
+    quadratic-transformation arguments, then q, all at (p, q), with
+    Gamma(z; q, p) at point 0."""
+    nome = _draw_nome(cfg, rng, p_range=(0.05, 0.25), q_range=(0.1, 0.35))
+    z = rng.uniform(0.3, 1.5) * _unit_phase(rng)
+    points = np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
+                             _quadratic_points(z, nome), [nome.q]])
+    return (nome, z), (points, nome, (0,))
+
+
 def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
     """Base symmetry, inversion, both difference equations, the quadratic
     transformation and the residue limit at one point z.
 
-    The sampler's ``build`` evaluates every gamma value the draw needs in one
-    engine call: z, qz, pz, pq/z, then z^2 and the eight
-    quadratic-transformation arguments, then q, all at (p, q), and
-    Gamma(z; q, p) for base symmetry, from the powers of z already in the
-    call and the swapped pair's own series coefficients.  A point on the pole
-    lattice, or a (p, q) value that underflows to zero or overflows, rejects
-    the draw.  Gamma(z; q, p) shares the powers, the truncation order, the
-    shift and the shift factors of Gamma(z; p, q), so base symmetry measures
-    only how the two coefficient tables and their sums round; the symmetry
-    itself is guarded by ``TestSwappedColumn`` in the tests, which compares
-    the column with a call on the swapped pair.  The residue limit rests on
+    The draw is sampled a chunk at a time (:func:`_sample_chunk`, through
+    run_campaign): one gamma-engine pass evaluates the 14 points of
+    :func:`_sample_special_functions` for every pending draw of the chunk,
+    each draw a group with its own nome, so its values have the bits of a
+    pass on that draw alone.  Gamma(z; q, p) for base symmetry comes from
+    the powers of z already in the pass and the swapped pair's own series
+    coefficients.  A point on the pole lattice, or a (p, q) value that
+    underflows to zero or overflows, rejects the draw.  Gamma(z; q, p)
+    shares the powers, the truncation order, the shift and the shift factors
+    of Gamma(z; p, q), so base symmetry measures only how the two
+    coefficient tables and their sums round; the symmetry itself is guarded
+    by ``TestSwappedColumn`` in the tests, which compares the column with a
+    call on the swapped pair.  The residue limit rests on
     Gamma(q) = (p;p)_inf / (q;q)_inf, so Gamma(q) / (p;p)_inf^2 must equal
     lim (1 - z) Gamma(z) at z = 1, which :func:`gamma_residue_constant`
     builds from both products instead.  Base symmetry, the difference
     equations and the residue limit are four entries of one residual ratio.
+    The thetas and the two products stay per draw.
     """
-    def build(rng):
-        nome = _draw_nome(cfg, rng, p_range=(0.05, 0.25), q_range=(0.1, 0.35))
-        z = rng.uniform(0.3, 1.5) * _unit_phase(rng)
-        points = np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
-                                 _quadratic_points(z, nome), [nome.q]])
-        return nome, z, _nonzero_finite_gamma(points, nome, "the special-functions draw",
-                                              swapped=[0])
-
-    nome, z, values = _sample_until(cfg, rng, build)
+    nome, z, values = _chunk_draw(cfg, rng, *_CHUNKED["special-functions"])
     g, g_qz, g_pz, g_inv = (complex(v) for v in values[:4])
     res_sym, res_fd_q, res_fd_p, res_limit = _residual_ratio(
         [g, g_qz, g_pz, complex(values[13]) / nome.pp_inf**2],
@@ -445,6 +523,9 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     nome, x = _sample_until(cfg, rng, build)
     f = lambda z: z + 1.0 / z
     if cfg.effective_N == 0:
+        # f at the Python complex x, as finite_difference_M reads it: numpy's
+        # complex 1 / x rounds apart from Python's
+        x = complex(x)
         plus = ct.finite_difference_M(0, 1, x, f, nome)
         minus = ct.finite_difference_M(0, -1, x, f, nome)
         residual = relative_residual([plus, minus], [f(x), f(-x)])
@@ -470,6 +551,12 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     )
 
 
+# identities whose draws run_campaign samples a chunk at a time: the sampler
+# of one attempt and the ``where`` of its gamma values
+_CHUNKED = {
+    "special-functions": (_sample_special_functions, "the special-functions draw"),
+}
+
 _RUNNERS = {
     "special-functions": _run_special_functions,
     "beta-integral": _run_beta_integral,
@@ -484,19 +571,69 @@ _RUNNERS = {
 def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """Run all draws of a campaign; deterministic given the config.
 
+    Every draw makes one ``_RUNNERS[identity]`` call, with the generator of
+    its own sub-seed.  An identity in ``_CHUNKED`` has its draws sampled a
+    chunk of ``_DRAW_CHUNK`` at a time, after a first chunk of draw 0 alone,
+    when the chunk's first draw is reached (:func:`_sample_chunk`), and each
+    runner call takes its draw's outcome; a draw's values, rejections and
+    errors are those of sampling it alone.  Should a chunk's engine pass
+    fail outside every draw, the chunk is sampled again one draw at a time
+    from fresh streams, so one bad draw never takes down another; a draw
+    whose sampling fails raises its error from its runner call.
+
     Per-draw errors become error reports instead of aborting: library errors
     by their type, any other exception as an internal error.  Here alone a
     report gets ``settings["rejected"]``, the rejections of its draw's
     sampler, whether it passed, failed or errored, once the sampler has
     returned or reached its retry cap.  Each report's ``wall_time_s`` is the
-    whole draw, sampling included, timed here only.
+    draw's runner call, timed here only, plus, for a chunked identity, an
+    equal share of its chunk's sampling.
     """
     runner = _RUNNERS[config.identity]
     master = np.random.default_rng(config.seed)
     sub_seeds = master.integers(0, 2**63 - 1, size=config.draws, dtype=np.int64)
+    chunked = _CHUNKED.get(config.identity)
+    # chunk c holds draws bounds[c] .. bounds[c + 1] - 1; the first holds
+    # draw 0 alone, so that the first runner call waits for one draw's sampling
+    bounds = [0, *range(1, config.draws, _DRAW_CHUNK), config.draws] if chunked else [0]
+    chunks: dict = {}
+    locks = [threading.Lock() for _ in bounds[1:]]
+
+    def streams(lo, hi):
+        return [np.random.default_rng(int(seed)) for seed in sub_seeds[lo:hi]]
+
+    def sampled(idx):
+        """(rng, outcome, sampling seconds per draw) of a chunked draw."""
+        c = bisect.bisect_right(bounds, idx) - 1
+        lo, hi, i = bounds[c], bounds[c + 1], idx - bounds[c]
+        with locks[c]:
+            if c not in chunks:
+                start = time.perf_counter()
+                rngs = streams(lo, hi)
+                try:
+                    outcomes = _sample_chunk(config, rngs, *chunked)
+                except Exception:
+                    rngs, outcomes = streams(lo, hi), []
+                    for rng in rngs:
+                        try:
+                            outcomes += _sample_chunk(config, [rng], *chunked)
+                        except Exception as exc:
+                            outcomes.append((exc, None))
+                chunks[c] = [rngs, outcomes, (time.perf_counter() - start) / (hi - lo), hi - lo]
+            entry = chunks[c]
+            out = entry[0][i], entry[1][i], entry[2]
+            entry[0][i] = entry[1][i] = None
+            entry[3] -= 1
+            if not entry[3]:
+                del chunks[c]
+        return out
 
     def one(idx: int) -> VerificationReport:
-        rng = np.random.default_rng(int(sub_seeds[idx]))
+        share = 0.0
+        if chunked:
+            rng, _sampled.drawn, share = sampled(idx)
+        else:
+            rng = np.random.default_rng(int(sub_seeds[idx]))
         start = time.perf_counter()
         err = _sampled.rejected = None
         try:
@@ -507,6 +644,9 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
             err = f"{type(exc).__name__}: {exc}"
         except Exception as exc:
             err = f"internal error: {type(exc).__name__}: {exc}"
+        finally:
+            # a runner that never claimed its draw leaves nothing for the next
+            _sampled.drawn = None
         if err is not None:
             rep = VerificationReport(
                 identity=config.identity,
@@ -519,7 +659,7 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
         # None where the draw failed before its sampler returned or gave up
         if _sampled.rejected is not None:
             rep.settings["rejected"] = _sampled.rejected
-        rep.wall_time_s = time.perf_counter() - start
+        rep.wall_time_s = time.perf_counter() - start + share
         rep.draw_index = idx
         return rep
 

@@ -34,8 +34,16 @@ n - 1 terms: its series then fits the n bins of its fold, and it needs no
 shift factor.
 
 One engine, ``_gamma_rings``, evaluates gamma on R rings of n points
-s_i exp(2 pi i j / n); a flat array of single points is its n = 1 case.  On a
-ring of n > 1 points every log-series folds mod n and one DFT sums it.  With
+s_i exp(2 pi i j / n).  Its n = 1 case, single points, is ``_gamma_groups``:
+groups of points, each group with its own nome pair, so that a campaign
+evaluates the points of a chunk of draws, one group per draw, in one pass.
+Whatever sets a value's bits stays per group (the pole guard, the series and
+theta orders, the series gemv and the sum of the shift logs), so a group's
+values have the bits of a pass on it alone, and a group that fails returns
+its error without failing the others; the elementwise work runs across the
+groups.  ``_gamma_vec`` and ``_nonzero_finite_gamma`` are its one-group
+call.  On a ring of n > 1 points every log-series folds mod n and one DFT
+sums it.  With
 ``turned`` the same engine takes the rings turned by exp(i pi / n), the nodes
 a nested quadrature adds at each doubling, with the turn folded into the
 series exactly.  Theta on a ring has its own log-series, ``_theta_series``:
@@ -48,14 +56,15 @@ with the factor 1 - y e kept pointwise, so the zeros on |z| = 1 stay exact.
 The gamma engine adds the series of the shift thetas of its shifted rings to
 its own table before the fold, and ``_theta_ring`` serves the thetas of the
 contour grids; no ring evaluates a product.  Pointwise theta evaluates its
-(2 x points x J) factor products in blocks of ``_THETA_BLOCK`` points, for
-the n = 1 shifts and every pointwise caller.  The theta-Pochhammer symbols and sequences are read
+(2 x points x J) factor products in blocks of ``_THETA_BLOCK`` points, as
+the shift thetas of one group do; a pass of several groups takes blocks of
+``_PASS_BYTES``.  The theta-Pochhammer symbols and sequences are read
 from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
 
-A call at n = 1 may also return Gamma(z; q, p) at some of its points: the
-same powers of z against the swapped pair's own series coefficients, with
-the shift of the (p, q) call.  So a special-functions draw makes one gamma
-call for both orders of the nomes.
+A group may also return Gamma(z; q, p) at some of its points: the same
+powers of z against the swapped pair's own series coefficients, with the
+shift of the (p, q) values.  So a special-functions draw is one group for
+both orders of the nomes.
 
 All functions accept scalars or numpy arrays in ``z`` and are pure; the
 default floating type is hardware complex128 (unit roundoff ~1e-16).
@@ -64,12 +73,14 @@ default floating type is hardware complex128 (unit roundoff ~1e-16).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PoleProximityError, DegenerateParameterError, TruncationLimitError
+from .errors import (DegenerateParameterError, DomainError, EllipticBaileyError, PoleProximityError,
+                     TruncationLimitError)
 
 __all__ = [
     "NomePair",
@@ -99,6 +110,11 @@ MAX_TERMS = 500_000
 # which stack z and p/z; one block over a large call builds temporaries that
 # outgrow the cache
 _THETA_BLOCK = 1024
+# bytes of the largest table a grouped pointwise gamma pass builds: a block of
+# groups' powers, or a block of shift-theta factor products.  A chunk of
+# campaign draws then allocates no array near 1 MiB, whose release would move
+# the C allocator's mmap threshold for everything that runs after it
+_PASS_BYTES = 1 << 17
 
 
 _ROOT_CACHE: dict[int, np.ndarray] = {}
@@ -236,6 +252,8 @@ class NomePair:
     _pp_inf: complex | None = field(default=None, init=False, repr=False, compare=False)
     _qq_inf: complex | None = field(default=None, init=False, repr=False, compare=False)
     _series_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    # m, 1 - p^m and 1 - q^m of the series coefficients, which swapped() reuses
+    _factors: tuple = field(init=False, repr=False, compare=False)
     _theta_coeffs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -245,6 +263,7 @@ class NomePair:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_series_coeffs", np.empty(0, dtype=complex))
+        object.__setattr__(self, "_factors", (np.empty(0, dtype=int),) * 3)
         object.__setattr__(self, "_theta_coeffs", {})
 
     @property
@@ -267,16 +286,24 @@ class NomePair:
         return self.pp_inf * self.qq_inf / (4j * math.pi)
 
     def swapped(self) -> "NomePair":
-        """The pair with p and q exchanged (for base-symmetry checks)."""
-        return NomePair(self.q, self.p)
+        """The pair with p and q exchanged (for base-symmetry checks).  Its
+        series coefficients 1 / (m (1 - q^m)(1 - p^m)), which round apart
+        from these, start from this pair's factors 1 - p^m and 1 - q^m."""
+        pair = NomePair(self.q, self.p)
+        m, fp, fq = self._factors
+        if m.size:
+            object.__setattr__(pair, "_series_coeffs", 1.0 / (m * fq * fp))
+        return pair
 
     def series_coefficients(self, order: int) -> np.ndarray:
         """The gamma series coefficients 1 / (m (1 - p^m)(1 - q^m)), m = 1..order."""
         c = self._series_coeffs
         if c.size < order:
             m = np.arange(1, order + 1)
-            c = 1.0 / (m * (1.0 - self.p**m) * (1.0 - self.q**m))
+            fp, fq = 1.0 - self.p**m, 1.0 - self.q**m
+            c = 1.0 / (m * fp * fq)
             object.__setattr__(self, "_series_coeffs", c)
+            object.__setattr__(self, "_factors", (m, fp, fq))
         return c[:order]
 
     def theta_coefficients(self, v: complex, order: int) -> np.ndarray:
@@ -293,6 +320,28 @@ class NomePair:
 def _shift_nomes(nome: NomePair) -> tuple[complex, complex]:
     """(u, v): the nome of larger modulus, which shifts z, and the other."""
     return (nome.p, nome.q) if abs(nome.p) >= abs(nome.q) else (nome.q, nome.p)
+
+
+def _shift_constants(u: complex, v: complex) -> tuple[float, float, bool]:
+    """log|u|, the annulus target log|w| of :func:`_annulus_shift`, and
+    whether v != 0, for the shift nomes (u, v) of one pair, u != 0."""
+    log_u = math.log(abs(u))
+    return log_u, (0.5 * math.log(abs(u * v)) if v != 0 else log_u), v != 0
+
+
+def _shift_exponents(log_az, log_u, target, has_v):
+    """The shift exponents k and the log series radii log max(|w|, |pq/w|)
+    of the points with moduli exp(log_az), from :func:`_shift_constants`:
+    scalars for one nome pair, or one value per point for groups of points
+    with their own pairs.  Every operation is elementwise, so a point's k and
+    radius do not depend on the points beside it."""
+    exact = (target - log_az) / log_u
+    k = np.rint(exact)
+    # log|w| - target = (k - exact) log|u|, and log|pq/w| - target is its negative
+    miss = (k - exact) * log_u
+    if has_v is True:
+        return k, target + np.abs(miss)
+    return k, target + np.where(has_v, np.abs(miss), miss)
 
 
 def _annulus_shift(log_az: np.ndarray, nome: NomePair, n: int = 1) -> tuple[np.ndarray, float]:
@@ -312,13 +361,7 @@ def _annulus_shift(log_az: np.ndarray, nome: NomePair, n: int = 1) -> tuple[np.n
     needs no theta shift factor.  No single point fits.
     """
     u, v = _shift_nomes(nome)
-    log_u = math.log(abs(u))
-    target = 0.5 * math.log(abs(u * v)) if v != 0 else log_u
-    exact = (target - log_az) / log_u
-    k = np.rint(exact)
-    # log|w| - target = (k - exact) log|u|, and log|pq/w| - target is its negative
-    miss = (k - exact) * log_u
-    log_r = target + (np.abs(miss) if v != 0 else miss)
+    k, log_r = _shift_exponents(log_az, *_shift_constants(u, v))
     if n > 1:
         log_r0 = np.maximum(log_az, math.log(abs(u * v)) - log_az) if v != 0 else log_az
         inside = log_r0 < 0.0
@@ -391,7 +434,9 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
         k_hi = int(span // neg_log_u)
         if k_lo > k_hi:
             return
-        lattice = np.outer(v ** np.arange(j_max + 1), u ** np.arange(k_lo, k_hi + 1)).ravel()
+        lattice = u ** np.arange(k_lo, k_hi + 1)
+        if j_max:
+            lattice = np.multiply.outer(v ** np.arange(j_max + 1), lattice).ravel()
     else:
         lattice = np.ones(1, dtype=complex)
     near = np.abs(np.multiply.outer(az[0], np.abs(lattice)) - 1.0) <= band
@@ -408,9 +453,12 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
 
 
 def _gamma_vec(z: np.ndarray, nome: NomePair, swapped=()) -> np.ndarray:
-    """Gamma(z; p, q) on a flat complex array: the one-root case of
-    :func:`_gamma_rings`.  The points indexed by ``swapped`` also get
-    Gamma(z; q, p), which follow the len(z) values in that order."""
+    """Gamma(z; p, q) on a flat complex array: the one-group call of the
+    pointwise engine (:func:`_gamma_rings` at n = 1, which is
+    :func:`_gamma_groups` on one group).  The points indexed by ``swapped``
+    also get Gamma(z; q, p), which follow the len(z) values in that order.
+    A group's values have the same bits whatever groups share its pass, so
+    this call and a draw's group in a chunk pass agree bit for bit."""
     return _gamma_rings(z, 1, nome, swapped=swapped)[:, 0]
 
 
@@ -555,7 +603,10 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
                  fit: int | None = None, swapped=()) -> np.ndarray:
     """Gamma(s_i e_j; p, q) for the scales s_i = scales[i] and the points e_j
     of the n-ring (:func:`_ring`), as an (R, n) array.  This is the one gamma
-    engine; n = 1 is the pointwise case, which :func:`_gamma_vec` reads.
+    engine.  At n = 1 it is the one-group call of the pointwise path,
+    :func:`_gamma_groups`, which :func:`_gamma_vec` reads; the points indexed
+    by ``swapped`` (n = 1 only) also get Gamma(z; q, p), appended as further
+    rows in that order, and ``turned`` and ``fit`` apply to rings alone.
 
     With ``turned`` (n > 1) the ring is turned by c = exp(i pi / n): its
     points s_i c e_j are s_i times the odd nodes of the 2n-grid, which a
@@ -577,17 +628,7 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
     one order M at the largest series radius of the call bounding every
     ring's tail.  The theta
     shift factors of ring i are theta(x_i u^j e; v), j < |k_i|, with x = s for
-    k > 0 and x = sigma for k < 0.
-
-    At n = 1 the series is the product of the coefficients with that table,
-    and the shift factors come from one pointwise theta call.  The points
-    indexed by ``swapped`` (n = 1 only) also get Gamma(z; q, p), appended as
-    further rows in that order: the same powers against the swapped pair's
-    own coefficients 1 / (m (1 - q^m)(1 - p^m)), which round apart from
-    these, with the same shift and shift factors.  For |p| = |q|, p != q,
-    that shifts by p where a call on the swapped pair shifts by q; both are
-    valid.  The (p, q) values keep the bits of a call without ``swapped``.
-    For n > 1 the series folds mod n:
+    k > 0 and x = sigma for k < 0.  The series folds mod n:
 
         sum_{m=1}^M c_m (sigma_i e_j)^m = sum_{r<n} a_r e_j^r,
         a_r = sum_{m = r (mod n)} c_m sigma_i^m,
@@ -600,19 +641,22 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
     costs O(M + n log n) unshifted, where M < n, and O(M + n log n + |k| n)
     shifted; n single points cost O(M n).
     """
+    if n == 1:
+        (out,) = _gamma_groups([(scales, nome, swapped)])
+        if isinstance(out, Exception):
+            raise out
+        return out[:, None]
     scales = np.asarray(scales, dtype=complex)
     # values are laid out (n, R), ring points first, so that per-ring vectors
-    # broadcast against them; at n = 1 z is the scales themselves
-    z = scales[None] if n == 1 else scales * _ring(n, turned)[:, None]
+    # broadcast against them
+    z = scales * _ring(n, turned)[:, None]
     az = np.abs(z)
     if not az.all():
         raise DomainError("elliptic gamma is undefined at z = 0")
     _pole_guard(z, az, nome)
     u, v = _shift_nomes(nome)
-    swapped = np.asarray(swapped, dtype=int)
     if u == 0:
-        out = (1.0 / (1.0 - z)).T
-        return np.concatenate([out, out[swapped]]) if swapped.size else out
+        return (1.0 / (1.0 - z)).T
     # the moduli of the scales themselves, which a turned ring shares with
     # the untwisted one, so that both take one shift; an untwisted ring's
     # first point is its scale
@@ -624,36 +668,16 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
     # rows m = 1..M hold sigma^m and (pq/sigma)^m; each pass doubles the rows filled
     powers = np.empty((m_top, 2 * rings), dtype=complex)
     powers[0] = np.concatenate([sigma, nome.p * nome.q / sigma])
-    filled = 1
-    while filled < m_top:
-        step = min(filled, m_top - filled)
-        np.multiply(powers[:step], powers[filled - 1], out=powers[filled : filled + step])
-        filled += step
+    _fill_powers(powers)
     shifts = np.abs(k)
     n_shift = int(shifts.max())
+    rows = 0
     if n_shift:
         # the shift factors' scales x u^j, j < |k|, on the masked (R, max|k|)
         # grid: each ring's are a contiguous block
         steps = np.arange(n_shift)
         used = steps < shifts[:, None]
         x = (np.where(k > 0, scales, sigma)[:, None] * u**steps)[used]
-    if n == 1:
-        series = coeffs @ powers
-        log_gamma = series[:rings] - series[rings:]
-        if swapped.size:
-            other = (nome.swapped().series_coefficients(m_top)
-                     @ powers[:, np.concatenate([swapped, rings + swapped])])
-            log_gamma = np.concatenate([log_gamma, other[: swapped.size] - other[swapped.size :]])
-        if n_shift:
-            # summed as logs, since their product over- or underflows where
-            # Gamma does
-            log_theta = np.zeros(used.shape, dtype=complex)
-            log_theta[used] = np.log(1.0 - x if v == 0 else _theta_raw(x, v))
-            shift = np.sign(k) * log_theta.sum(axis=1)
-            log_gamma -= np.concatenate([shift, shift[swapped]])
-        return np.exp(log_gamma)[:, None]
-    rows = 0
-    if n_shift:
         th_terms, th_const, th_factors = _theta_series(x, [v] * x.size, n, nome, turned)
         rows = th_terms.shape[0]
     # c_m sigma^m and -c_m (pq/sigma)^m in row m of a zero-padded table
@@ -695,6 +719,301 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
     return out
 
 
+def _fill_powers(powers: np.ndarray) -> None:
+    """Fill rows 1.. of an (M, W) table of powers from its row 0: row m holds the (m + 1)-th powers.  Each pass doubles the rows filled,
+    row f + i from rows i and f - 1, so a row's bits do not depend on how
+    many rows the table has."""
+    m_top = powers.shape[0]
+    filled = 1
+    while filled < m_top:
+        step = min(filled, m_top - filled)
+        np.multiply(powers[:step], powers[filled - 1], out=powers[filled : filled + step])
+        filled += step
+
+
+def _nonzero_finite_error(z: np.ndarray, values: np.ndarray, where: str):
+    """The :class:`DegenerateParameterError` naming the first of the points
+    z whose gamma value is zero or not finite in ``where``, else None."""
+    bad = np.flatnonzero(~np.isfinite(values) | (values == 0))
+    if not bad.size:
+        return None
+    i = bad[0]
+    return DegenerateParameterError(
+        f"Gamma({complex(z[i])}) = {complex(values[i])} is zero or not finite in {where}")
+
+
+def _gamma_groups(groups, where: str | None = None) -> list:
+    """Gamma(z; p, q) on groups of single points, each group a triple
+    ``(z, nome, swapped)`` with its own nome pair: the one pointwise path,
+    the n = 1 case of the gamma engine.  Returns one entry per group, its
+    values as :func:`_gamma_vec` lays them out (the points indexed by
+    ``swapped`` also get Gamma(z; q, p), after the len(z) values), or the
+    library error the group raised: :class:`DomainError` at z = 0, the pole
+    guard, :class:`TruncationLimitError`, and, with ``where``, the
+    :class:`DegenerateParameterError` of a (p, q) value that is zero or not
+    finite.  One group's error never reaches another group.
+
+    A group's values have the bits of a pass on that group alone, so a
+    campaign may sample its draws a chunk at a time and evaluate all their
+    points in one pass.  What stays per group, and why:
+
+    - the pole guard, the series order M and the shift-theta order J, each
+      taken over the group's own points;
+    - the series, one gemv of the group's coefficients on its (M, 2R) block
+      of the powers table, a row-major view as a pass on the group alone
+      lays it out, and of the swapped pair's coefficients on the same
+      columns taken by fancy index: a gemv's bits depend on the shape and
+      order of its operand (a fancy-indexed block, column-major, rounds
+      apart from a row-major one);
+    - the sum of each point's shift logs, over the group's own width max|k|,
+      since a pairwise sum's bits depend on its length;
+    - the products of its shift thetas, to its own order J: the groups of
+      one order are multiplied together;
+    - the scalars p q, log|u| and the annulus target, formed from Python
+      complex numbers (numpy's product of complex arrays rounds apart).
+
+    Elementwise work runs across the groups: moduli, shifts, sigma, the
+    powers doubling (:func:`_fill_powers`), the shift-theta factors, log and
+    exp.  The powers tables and the theta products are built in blocks of at
+    most ``_PASS_BYTES`` bytes.
+    """
+    if where is not None:
+        # a value that is zero or not finite is the group's error, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _gamma_groups(groups)
+        done = [(g, np.size(groups[g][0])) for g, values in enumerate(out)
+                if isinstance(values, np.ndarray)]
+        if done:
+            head = np.concatenate([out[g][:size] for g, size in done])
+            if not (np.isfinite(head).all() and head.all()):
+                for g, size in done:
+                    z = np.asarray(groups[g][0], dtype=complex).ravel()
+                    out[g] = _nonzero_finite_error(z, out[g][:size], where) or out[g]
+        return out
+    out = [None] * len(groups)
+    live = []  # (index, z, |z|, nome, swapped, u, v) of the groups past the guard
+    for g, (z, nome, swapped) in enumerate(groups):
+        z = np.asarray(z, dtype=complex).ravel()
+        az = np.abs(z)
+        try:
+            if not az.all():
+                raise DomainError("elliptic gamma is undefined at z = 0")
+            _pole_guard(z[None], az[None], nome)
+        except EllipticBaileyError as exc:
+            out[g] = exc
+            continue
+        swapped = np.asarray(swapped, dtype=int)
+        u, v = _shift_nomes(nome)
+        if u == 0:
+            values = 1.0 / (1.0 - z)
+            out[g] = np.concatenate([values, values[swapped]]) if swapped.size else values
+        else:
+            live.append((g, z, az, nome, swapped, u, v))
+    if live:
+        _gamma_series(live, out)
+    return out
+
+
+def _gamma_series(live: list, out: list) -> None:
+    """The shifted series of :func:`_gamma_groups` for the groups ``live``,
+    (index, z, |z|, nome, swapped, u, v) with u != 0, writing each group's
+    values or error into ``out``; one group takes scalars where several take
+    one value per point."""
+    one = len(live) == 1
+    sizes = [entry[1].size for entry in live]
+    bounds = [0, *itertools.accumulate(sizes)]
+    starts = bounds[:-1]
+    if one:
+        _g, z, az, _nome, _swapped, u, v = live[0]
+        k, log_r = _shift_exponents(np.log(az), *_shift_constants(u, v))
+        radii = [log_r.max()]
+    else:
+        z = np.concatenate([entry[1] for entry in live])
+        consts = [_shift_constants(entry[5], entry[6]) for entry in live]
+        log_u, target = (np.repeat([c[i] for c in consts], sizes) for i in (0, 1))
+        has_v = all(c[2] for c in consts) or np.repeat([c[2] for c in consts], sizes)
+        k, log_r = _shift_exponents(np.log(np.concatenate([entry[2] for entry in live])),
+                                    log_u, target, has_v)
+        radii = np.maximum.reduceat(log_r, starts)
+        u = np.repeat(np.array([entry[5] for entry in live]), sizes)
+    sigma = z * u**k
+    shifts = np.abs(k)
+    coeffs = []
+    for (g, _z, _az, nome, *_rest), log_rad, lo, hi in zip(live, radii, starts, bounds[1:]):
+        try:
+            coeffs.append(nome.series_coefficients(_series_order(nome, math.exp(float(log_rad)))))
+        except EllipticBaileyError as exc:
+            out[g] = exc
+            coeffs.append(None)
+            shifts[lo:hi] = 0.0  # it takes no shift factors
+    widths = [int(shifts.max())] if one else np.maximum.reduceat(shifts, starts).astype(int).tolist()
+    # the shift-log sums, times sign(k); zero at the points of a group
+    # without shifts, which leaves its values as they are
+    shift = _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) if max(widths) else None
+    # each group's log values, from its block of the powers table; the
+    # blocks hold at most _PASS_BYTES; then the shifts and one exp over all
+    # the groups
+    logs, owners, spans, slots = [], [], [], []
+    orders = [0 if c is None else c.size for c in coeffs]
+    ready = [i for i, entry in enumerate(live) if out[entry[0]] is None]
+    for block in _blocks(ready, orders, sizes):
+        # group j of the block holds columns j W .. j W + 2R - 1: sigma, then pq/sigma
+        width = 2 * max([sizes[i] for i in block])
+        table = np.empty((max([orders[i] for i in block]), len(block) * width), dtype=complex)
+        if len(block) > 1 and min([sizes[i] for i in block]) * 2 < width:
+            table[0] = 0.0
+        for j, i in enumerate(block):
+            lo, hi, col = starts[i], bounds[i + 1], j * width
+            table[0, col : col + hi - lo] = sigma[lo:hi]
+            nome = live[i][3]
+            np.divide(nome.p * nome.q, sigma[lo:hi], out=table[0, col + hi - lo : col + 2 * (hi - lo)])
+        _fill_powers(table)
+        for j, i in enumerate(block):
+            g, _z, _az, nome, swapped, _u, _v = live[i]
+            rings, c = sizes[i], coeffs[i]
+            powers = table[: c.size, j * width : j * width + 2 * rings]
+            series = c @ powers
+            logs.append(series[:rings] - series[rings:])
+            if swapped.size:
+                other = (nome.swapped().series_coefficients(c.size)
+                         @ powers[:, np.concatenate([swapped, rings + swapped])])
+                logs.append(other[: swapped.size] - other[swapped.size :])
+            owners.append(g)
+            spans.append(rings + swapped.size)
+            if shift is not None and (swapped.size or not one):
+                # the points whose shift each value takes: its own, then
+                # those of its swapped values
+                slots.extend(range(starts[i], bounds[i + 1]))
+                slots.extend((starts[i] + swapped).tolist())
+    if not logs:
+        return
+    log_gamma = logs[0] if len(logs) == 1 else np.concatenate(logs)
+    if shift is not None:
+        # summed as logs, since their product over- or underflows where
+        # Gamma does
+        log_gamma -= shift[slots] if slots else shift
+    values = np.exp(log_gamma)
+    lo = 0
+    for g, span in zip(owners, spans):
+        out[g] = values[lo : lo + span]
+        lo += span
+
+
+def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarray:
+    """sign(k) times the sum over j < |k| of log theta(x u^j; v) at every
+    point, x = z for k > 0 and x = sigma for k < 0, for the groups of
+    ``live`` (as :func:`_gamma_series` takes them), each point's sum taken
+    over its group's own width max|k| and 0 at a point without shifts.  A
+    group whose theta order fails gets its error in ``out`` and takes no
+    factor.
+
+    Each group's products theta(y; v) = (y; v)_J (v/y; v)_J run to its own
+    order J, taken over its own factors as :func:`_theta_raw` takes it, so
+    the factors of the groups of one order are multiplied together; the
+    powers u^j and v^j are formed once per group, and the (2, factors, J)
+    products are built in blocks of at most _PASS_BYTES."""
+    one = len(live) == 1
+    steps = np.arange(max(widths))
+    used = steps < shifts[:, None]
+    vs = [entry[6] for entry in live]
+    if one:
+        x = (np.where(k > 0, z, sigma)[:, None] * live[0][5] ** steps)[used]
+        v = vs[0]
+    else:
+        at_point = np.repeat(np.arange(len(live)), [entry[1].size for entry in live])
+        u_steps = (np.array([entry[5] for entry in live])[:, None] ** steps)[at_point]
+        x = (np.where(k > 0, z, sigma)[:, None] * u_steps)[used]
+        at_x = at_point[np.nonzero(used)[0]]
+        v = np.array(vs)[at_x]
+    # theta_truncation_order over each group's factors, with |v| from Python
+    ax = np.abs(x)
+    if one:
+        tops = [np.maximum(ax, abs(v) / ax).max()]
+    else:
+        grid = np.zeros(used.shape)
+        grid[used] = np.maximum(ax, np.array([abs(b) for b in vs])[at_x] / ax)
+        tops = np.maximum.reduceat(grid.max(axis=1), bounds[:-1])
+    orders = [0] * len(live)
+    for i, (g, *_rest, b) in enumerate(live):
+        if widths[i]:
+            try:
+                orders[i] = _qpoch_order(abs(b), float(tops[i]))
+            except EllipticBaileyError as exc:
+                out[g] = exc
+    log_theta = np.zeros(used.shape, dtype=complex)
+    if max(orders):
+        if one:
+            theta = _theta_products(x, v, v ** np.arange(orders[0]))
+        else:
+            by_order = np.array(orders)[at_x]
+            if not by_order.all():
+                # the factors of a group whose theta order failed
+                kept = by_order > 0
+                used[used] = kept
+                x, v, at_x, by_order = x[kept], v[kept], at_x[kept], by_order[kept]
+            theta = np.empty(x.size, dtype=complex)
+            powers = np.array(vs)[:, None] ** np.arange(max(orders))
+            for order in sorted(set(orders) - {0}):
+                sel = np.flatnonzero(by_order == order)
+                theta[sel] = _theta_products(x[sel], v[sel], powers[:, :order], at_x[sel])
+        if 0 in vs:
+            theta = np.where(v == 0, 1.0 - x, theta)
+        log_theta[used] = np.log(theta)
+    # each point's sum over its group's width, a pairwise sum whose bits
+    # depend on its length: the rows of one width are summed together
+    if one:
+        sums = log_theta.sum(axis=1)
+    else:
+        sums = np.zeros(z.size, dtype=complex)
+        width_at = np.repeat([w if o else 0 for w, o in zip(widths, orders)],
+                             np.diff(bounds))
+        for width in set(widths) - {0}:
+            rows = np.flatnonzero(width_at == width)
+            if rows.size:
+                sums[rows] = log_theta[rows, :width].sum(axis=1)
+    return np.sign(k) * sums
+
+
+def _theta_products(x: np.ndarray, v, powers: np.ndarray, rows=None) -> np.ndarray:
+    """(x; v)_J (v/x; v)_J for the factors x and their bases v (one, or one
+    per factor), from the powers v^j, j < J: a (J,) vector, or a table with
+    one row per base, row rows[i] serving factor i.  Formed as
+    :func:`_theta_raw` forms them: one group's in blocks of _THETA_BLOCK
+    points, as there; the factors of a pass of several groups in blocks
+    whose (2, points, J) arrays hold _PASS_BYTES / 2."""
+    step = _THETA_BLOCK if rows is None else max(1, _PASS_BYTES // (64 * powers.shape[-1]))
+    if x.size <= step and rows is None:
+        both = (1.0 - np.array((x, v / x))[..., None] * powers).prod(axis=-1)
+        return both[0] * both[1]
+    out = np.empty(x.size, dtype=complex)
+    for lo in range(0, x.size, step):
+        block = slice(lo, lo + step)
+        vb = v if np.ndim(v) == 0 else v[block]
+        both = (1.0 - np.array((x[block], vb / x[block]))[..., None]
+                * (powers if rows is None else powers[rows[block]])).prod(axis=-1)
+        out[block] = both[0] * both[1]
+    return out
+
+
+def _blocks(items: list, orders: list, sizes: list) -> list:
+    """``items`` in order, cut into blocks whose powers tables, the largest
+    order x twice the largest size x the block's length in complex entries,
+    hold at most _PASS_BYTES bytes; a block holds at least one item."""
+    if len(items) < 2:
+        return [items] if items else []
+    blocks, block, top, wide = [], [], 0, 0
+    for item in items:
+        grown, widened = max(top, orders[item]), max(wide, sizes[item])
+        if block and (len(block) + 1) * grown * 2 * widened * 16 > _PASS_BYTES:
+            blocks.append(block)
+            block, grown, widened = [], orders[item], sizes[item]
+        block.append(item)
+        top, wide = grown, widened
+    if block:
+        blocks.append(block)
+    return blocks
+
+
 def elliptic_gamma(z, nome: NomePair):
     """Elliptic gamma function Gamma(z; p, q).
 
@@ -732,12 +1051,9 @@ def _nonzero_finite_gamma(points, nome: NomePair, where: str, swapped=()) -> np.
     points = np.asarray(points, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _gamma_vec(points, nome, swapped)
-    bad = np.flatnonzero(~np.isfinite(values[: points.size]) | (values[: points.size] == 0))
-    if bad.size:
-        i = bad[0]
-        raise DegenerateParameterError(
-            f"Gamma({complex(points[i])}) = {complex(values[i])} is zero or not finite in {where}"
-        )
+    error = _nonzero_finite_error(points, values[: points.size], where)
+    if error is not None:
+        raise error
     return values
 
 

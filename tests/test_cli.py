@@ -291,6 +291,24 @@ class TestVerify:
         assert code == 1
         assert out == (GOLDEN / golden).read_text()
 
+    # special-functions campaigns recorded before their draws were sampled a
+    # chunk at a time: complex nomes, two threads over a draw count that is
+    # not a multiple of the chunk, near-unit nomes with one rejection (draw
+    # 9), and a fixed p = 0.999 where every draw reaches the retry cap
+    @pytest.mark.parametrize("golden, argv, code", [
+        ("special-functions-seed21-complex.jsonl",
+         ("--draws", "20", "--seed", "21", "--complex-nomes"), 0),
+        ("special-functions-seed22-threads2.jsonl",
+         ("--draws", "35", "--seed", "22", "--threads", "2"), 0),
+        ("special-functions-seed3-p095-q09.jsonl",
+         ("--draws", "20", "--seed", "3", "--p", "0.95", "--q", "0.9"), 0),
+        ("special-functions-seed1-p0999.jsonl", ("--draws", "2", "--seed", "1", "--p", "0.999"), 1),
+    ])
+    def test_chunked_special_functions_match_the_committed_output(self, capsys, golden, argv, code):
+        got, out, _ = run_cli(capsys, "verify", "special-functions", *argv, "--json")
+        assert got == code
+        assert out == (GOLDEN / golden).read_text()
+
     # each quadrature keeps its node history for one integral only; a history
     # that leaked into the next draw or the next run would show here
     @pytest.mark.parametrize("identity", ["star-triangle", "cauchy-deformation", "beta-integral",

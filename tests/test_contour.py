@@ -919,6 +919,21 @@ class TestFixedGammaValues:
         m_inversion_check(0.4, np.exp(0.7j), z_plus_inverse(), NomePair(0.1, 0.15))
         assert sizes == [6]
 
+    def test_finite_difference_M_at_N0_is_exactly_f(self):
+        # the prefactor Gamma(x^-2) / Gamma(x^-2) is taken as 1: Python's
+        # complex v / v is not 1 for about 8% of v, and at these x it is not
+        f = lambda z: z + 1 / z
+        rng = np.random.default_rng(27)
+        inexact = []
+        while len(inexact) < 4:
+            x = rng.uniform(0.88, 0.95) * np.exp(2j * np.pi * rng.uniform())
+            v = complex(special_functions._gamma_vec(np.array([x**-2]), self.NOME)[0])
+            if v / v != 1:
+                inexact.append(complex(x))
+        for x in inexact:
+            for sign in (1, -1):
+                assert finite_difference_M(0, sign, x, f, self.NOME) == f(sign * x)
+
     def test_contour_does_not_bind_the_public_gamma(self):
         assert not hasattr(ct, "elliptic_gamma")
 

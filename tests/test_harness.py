@@ -209,21 +209,23 @@ class TestSampler:
 
 class TestPointwiseBatching:
     def test_special_functions_draw_makes_one_engine_call_per_nome_pair(self, monkeypatch):
-        from elliptic_bailey import special_functions
-
-        engine = special_functions._gamma_rings
+        # a campaign's draws are sampled a chunk at a time, after a first
+        # chunk of draw 0 alone: one engine pass per chunk, one group per
+        # draw with the draw's own nome pair
+        engine = hmod._gamma_groups
         calls = []
 
-        def spy(scales, n, nome, turned=False, fit=None, swapped=()):
-            calls.append(((nome.p, nome.q), np.size(scales) * n, list(swapped)))
-            return engine(scales, n, nome, turned, fit, swapped)
+        def spy(groups, where=None):
+            calls.append([((nome.p, nome.q), np.size(z), list(swapped)) for z, nome, swapped in groups])
+            return engine(groups, where)
 
-        monkeypatch.setattr(special_functions, "_gamma_rings", spy)
-        (rep,) = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=1))
-        assert rep.passed and rep.settings["rejected"] == 0
-        p, q = rep.params["p"], rep.params["q"]
+        monkeypatch.setattr(hmod, "_gamma_groups", spy)
+        draws = hmod._DRAW_CHUNK + 3
+        reports = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=draws))
+        assert all(r.passed and r.settings["rejected"] == 0 for r in reports)
         # the sampler's 14 points at (p, q), with Gamma(z; q, p) at point 0, z
-        assert calls == [((p, q), 14, [0])]
+        groups = [((r.params["p"], r.params["q"]), 14, [0]) for r in reports]
+        assert calls == [groups[:1], groups[1 : 1 + hmod._DRAW_CHUNK], groups[1 + hmod._DRAW_CHUNK :]]
 
     def test_residue_limit_fails_when_only_qq_inf_is_off(self, monkeypatch):
         # (q; q)_inf enters gamma_residue_constant but not the gamma engine,
@@ -269,6 +271,61 @@ class TestPointwiseBatching:
         assert sum(r.settings["rejected"] for r in reports) > 0
 
 
+class TestChunkSampler:
+    # draw 0, a full chunk and a short one
+    CFG = dict(identity="special-functions", seed=11, draws=hmod._DRAW_CHUNK + 8)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_fault_in_one_draw_of_a_chunk_stays_in_that_draw(self, monkeypatch, threads):
+        # the chunk's engine pass raises for one draw's group; the chunk is
+        # sampled again one draw at a time, and only that draw errors
+        reference = run_campaign(CampaignConfig(**self.CFG))
+        bad = reference[5].params["p"]
+        engine = hmod._gamma_groups
+
+        def faulty(groups, where=None):
+            if any(nome.p == bad for _z, nome, _swapped in groups):
+                raise ValueError("stub fault")
+            return engine(groups, where)
+
+        monkeypatch.setattr(hmod, "_gamma_groups", faulty)
+        monkeypatch.setenv("ELLIPTIC_BAILEY_THREADS", "2")
+        reports = run_campaign(CampaignConfig(**self.CFG, threads=threads))
+        assert [r.draw_index for r in reports] == list(range(self.CFG["draws"]))
+        assert reports[5].error == "internal error: ValueError: stub fault"
+        assert "rejected" not in reports[5].settings
+        assert [r.to_json() for i, r in enumerate(reports) if i != 5] == [
+            r.to_json() for i, r in enumerate(reference) if i != 5]
+
+    def test_a_runner_call_outside_a_campaign_samples_its_own_draw(self):
+        # a one-draw chunk, with the bits of the campaign's draw
+        cfg = CampaignConfig(**self.CFG)
+        (first,) = run_campaign(CampaignConfig(**{**self.CFG, "draws": 1}))
+        seed = np.random.default_rng(cfg.seed).integers(0, 2**63 - 1, size=1, dtype=np.int64)[0]
+        rep = hmod._RUNNERS["special-functions"](cfg, np.random.default_rng(int(seed)), 0)
+        rep.draw_index, rep.settings["rejected"] = 0, hmod._sampled.rejected
+        assert rep.to_json() == first.to_json()
+
+    @pytest.mark.parametrize("q", [0.8, None], ids=["lattice-q08", "default-box"])
+    def test_a_chunk_pass_allocates_under_1_mib(self, q):
+        # releasing a larger array would move the C allocator's mmap
+        # threshold for whatever runs next; the peak over one whole chunk
+        # sampling bounds every array it allocates
+        import tracemalloc
+
+        cfg = CampaignConfig(identity="special-functions", q=q, draws=hmod._DRAW_CHUNK)
+        seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=hmod._DRAW_CHUNK)
+        rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+        tracemalloc.start()
+        try:
+            outcomes = hmod._sample_chunk(cfg, rngs, *hmod._CHUNKED["special-functions"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(values, tuple) for values, _rejected in outcomes)
+        assert peak < 1 << 20
+
+
 @functools.cache
 def _near_unit_nome_campaign():
     # `verify special-functions --draws 20 --seed 3 --p 0.95 --q 0.9`; the
@@ -287,14 +344,15 @@ class TestVerdictFold:
 
     def test_a_nan_special_functions_component_fails_its_draw(self, monkeypatch, nan_on_call):
         cfg = CampaignConfig(identity="special-functions", seed=3, draws=1)
-        gammas = hmod._nonzero_finite_gamma
+        gammas = hmod._gamma_groups
 
         ratio = hmod._residual_ratio
 
-        def nan_inverse(points, nome, where, swapped=()):
-            values = gammas(points, nome, where, swapped).copy()
-            values[3] = math.nan  # Gamma(pq/z), read by the inversion alone
-            return values
+        def nan_inverse(groups, where=None):
+            out = gammas(groups, where)
+            for values in out:
+                values[3] = math.nan  # Gamma(pq/z), read by the inversion alone
+            return out
 
         def nan_entry(i):
             def poisoned(lhs, rhs):
@@ -307,7 +365,7 @@ class TestVerdictFold:
         # two difference equations, the residue limit
         poisons = {
             "base_symmetry": ("_residual_ratio", nan_entry(0)),
-            "inversion": ("_nonzero_finite_gamma", nan_inverse),
+            "inversion": ("_gamma_groups", nan_inverse),
             "fd_equation_q": ("_residual_ratio", nan_entry(1)),
             "fd_equation_p": ("_residual_ratio", nan_entry(2)),
             "quadratic_transformation": ("_quadratic_residual", 0),
@@ -348,6 +406,13 @@ class TestVerdictFold:
         rep = _near_unit_nome_campaign()[0][9]
         assert rep.error is None and rep.passed
         assert rep.settings["rejected"] == 1
+
+    def test_finite_difference_N0_is_exact(self):
+        # M(+-1) f at N = 0 is f(+-x): the prefactor Gamma(x^-2) / Gamma(x^-2)
+        # is 1, and f is compared at the x finite_difference_M reads
+        reports = run_campaign(CampaignConfig(identity="finite-difference", N=0, seed=1, draws=100))
+        assert [r.residual for r in reports] == [0.0] * 100
+        assert all(r.lhs == r.rhs for r in reports)
 
     def test_finite_difference_N0_degenerate_prefactor_is_a_library_error(self):
         # near q = 1 a gamma value of the prefactor underflows or overflows;

@@ -1165,3 +1165,76 @@ class TestThetaRings:
         dden = contour._theta_rings(n, 1.0, nome)
         assert dden[0] == 0 and dden[n // 2] == 0
         assert np.all(dden[1 : n // 2] != 0)
+
+
+# ---------------------------------------------------------------------------
+# the grouped pointwise path: a group's values, or its error, do not depend
+# on the groups that share its pass
+# ---------------------------------------------------------------------------
+
+# moduli up to 0.95, the edge the special-functions campaigns reach with --p 0.95
+_wide_moduli = st.floats(0.02, 0.95)
+
+
+@st.composite
+def _groups(draw):
+    """One pass's groups (z, nome, swapped): 1 to 5 draws of 14 points or of
+    3, each with its own real or complex nome pair (either nome may be 0),
+    and some made to fail:
+    a point on the pole lattice, a value that underflows to zero at
+    (p, q) = (0.95, 0.9), a series needing more than MAX_TERMS terms, z = 0."""
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            # either nome may be 0: no shift factors, or Gamma = 1 / (1 - z)
+            nome = draw(_nomes(moduli=_wide_moduli))
+        else:
+            nome = NomePair(draw(_wide_moduli), draw(_wide_moduli))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        size = draw(st.sampled_from([14, 14, 3]))
+        z = rng.uniform(0.05, 3.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+        fault = draw(st.sampled_from([None, None, None, "pole", "zero", "truncation", "origin"]))
+        if fault == "pole":
+            z[1] = 1.0 / nome.q if nome.q != 0 else 1.0
+        elif fault == "zero":
+            nome, z[1] = NomePair(0.95, 0.9), 80.0 * np.exp(0.3j)
+        elif fault == "truncation":
+            # |z| < 1, where the pole guard has no lattice point to build
+            nome, z = NomePair(1.0 - 1e-7, 1.0 - 1e-7), 0.5 * z / np.abs(z)
+        elif fault == "origin":
+            z[2] = 0.0
+        groups.append((z, nome, draw(st.sampled_from([(), (0,), (0, 2)]))))
+    return groups
+
+
+def _outcome(values):
+    """A group's values as bits, or its error as (type, message)."""
+    if isinstance(values, Exception):
+        return type(values).__name__, str(values)
+    return _bits(values)
+
+
+class TestGammaGroups:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(groups=_groups(), where=st.sampled_from([None, "the draw"]))
+    def test_each_group_reads_as_in_a_pass_alone(self, groups, where):
+        with np.errstate(over="ignore", invalid="ignore"):
+            together = special_functions._gamma_groups(groups, where)
+            alone = [special_functions._gamma_groups([group], where)[0] for group in groups]
+        assert [_outcome(v) for v in together] == [_outcome(v) for v in alone]
+
+    def test_the_faults_come_back_as_their_groups_errors(self):
+        nome = NomePair(0.2, 0.3)
+        good = (np.array([0.5 + 0.2j, 1.2]), nome, ())
+        groups = [good, (np.array([0.5, 1.0 / nome.q]), nome, ()),
+                  (np.array([80.0 * np.exp(0.3j)]), NomePair(0.95, 0.9), ()),
+                  (np.array([0.5j]), NomePair(1.0 - 1e-7, 1.0 - 1e-7), ()),
+                  (np.array([0.0, 0.5]), nome, ()), good]
+        out = special_functions._gamma_groups(groups, "the draw")
+        assert [type(v).__name__ for v in out] == [
+            "ndarray", "PoleProximityError", "DegenerateParameterError", "TruncationLimitError",
+            "DomainError", "ndarray"]
+        assert str(out[2]).endswith("is zero or not finite in the draw")
+        assert _bits(out[0]) == _bits(out[5]) == _bits(_gamma_vec(good[0], nome))
+        # without ``where``, the underflow is a value
+        assert special_functions._gamma_groups(groups[2:3])[0][0] == 0
