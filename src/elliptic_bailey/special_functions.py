@@ -720,9 +720,10 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
 
 
 def _fill_powers(powers: np.ndarray) -> None:
-    """Fill rows 1.. of an (M, W) table of powers from its row 0: row m holds the (m + 1)-th powers.  Each pass doubles the rows filled,
-    row f + i from rows i and f - 1, so a row's bits do not depend on how
-    many rows the table has."""
+    """Fill rows 1.. of an (M, W) table of powers from its row 0: row m holds
+    the (m + 1)-th powers.  Each pass doubles the rows filled, row f + i
+    from rows i and f - 1, so a row's bits do not depend on how many rows
+    the table has."""
     m_top = powers.shape[0]
     filled = 1
     while filled < m_top:
@@ -746,12 +747,18 @@ def _gamma_groups(groups, where: str | None = None) -> list:
     """Gamma(z; p, q) on groups of single points, each group a triple
     ``(z, nome, swapped)`` with its own nome pair: the one pointwise path,
     the n = 1 case of the gamma engine.  Returns one entry per group, its
-    values as :func:`_gamma_vec` lays them out (the points indexed by
-    ``swapped`` also get Gamma(z; q, p), after the len(z) values), or the
-    library error the group raised: :class:`DomainError` at z = 0, the pole
-    guard, :class:`TruncationLimitError`, and, with ``where``, the
+    values as :func:`_gamma_vec` lays them out, or the library error the
+    group raised: :class:`DomainError` at z = 0, the pole guard,
+    :class:`TruncationLimitError`, and, with ``where``, the
     :class:`DegenerateParameterError` of a (p, q) value that is zero or not
     finite.  One group's error never reaches another group.
+
+    The points indexed by ``swapped`` also get Gamma(z; q, p), after the
+    len(z) values in that order: the same powers against the swapped pair's
+    own coefficients 1 / (m (1 - q^m)(1 - p^m)), which round apart from
+    these, with the same shift and shift factors.  For |p| = |q|, p != q,
+    that shifts by p where a call on the swapped pair shifts by q; both are
+    valid.  The (p, q) values keep the bits of a call without ``swapped``.
 
     A group's values have the bits of a pass on that group alone, so a
     campaign may sample its draws a chunk at a time and evaluate all their
