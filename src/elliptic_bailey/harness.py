@@ -34,8 +34,9 @@ from .report import (SUMMARY_SCHEMA_TAG, VerificationReport, _canonical, _encode
 from .special_functions import (
     NomePair,
     gamma_residue_constant,
-    theta,
+    theta,  # unused here; perfbench/tracing.py wraps this binding
     _gamma_groups,
+    _theta_pass,
     _quadratic_points,
     _quadratic_residual,
 )
@@ -238,11 +239,11 @@ def _retry_cap_error(rejects: int) -> ConstraintViolationError:
         f"no admissible draw within retry cap {_RETRY_CAP} ({rejects} rejections)")
 
 
-def _sample_chunk(cfg, rngs, sample, where: str) -> list:
+def _sample_chunk(cfg, rngs, sample, where: str, finish) -> list:
     """The draws of a chunk, draw i on its own stream rngs[i], by the rules of
     :func:`_sample_until`, with one gamma-engine pass
     (:func:`special_functions._gamma_groups`) per round over the draws still
-    pending.
+    pending, then one ``finish`` pass over the draws accepted.
 
     ``sample(cfg, rng)`` makes one attempt, returning the draw's head and
     the group (points, nome, swapped) of its gamma points; a draw's values
@@ -252,6 +253,9 @@ def _sample_chunk(cfg, rngs, sample, where: str) -> list:
     finite in ``where``), and a rejected draw samples again from its own
     stream; past ``_RETRY_CAP`` rejections it gets the retry-cap error.  Any
     other error from ``sample`` or from its group is the draw's fault.
+    ``finish(draws)`` takes the values of the accepted draws and returns, per
+    draw, the values to append, or the error that ends the draw; that draw
+    keeps its rejections, as a runner that raises after sampling does.
     Returns, per draw, (values or error, rejections), with None for the
     rejections of a fault, as :func:`_sample_until` leaves them.  An error
     of the pass itself, outside every group, is raised."""
@@ -284,17 +288,22 @@ def _sample_chunk(cfg, rngs, sample, where: str) -> list:
             else:
                 outcomes[i] = ((*head, values), rejects[i])
         pending = [i for i in pending if outcomes[i] is None]
+    done = [i for i, (values, _rejected) in enumerate(outcomes) if not isinstance(values, Exception)]
+    if done:
+        for i, more in zip(done, finish([outcomes[i][0] for i in done])):
+            values, rejected = outcomes[i]
+            outcomes[i] = (more if isinstance(more, Exception) else (*values, *more)), rejected
     return outcomes
 
 
-def _chunk_draw(cfg, rng, sample, where: str):
+def _chunk_draw(cfg, rng, sample, where: str, finish):
     """The values of this runner call's draw: the outcome run_campaign
     sampled for it in its chunk, or, on a call outside a campaign, a
     one-draw chunk sampled now.  Sets ``_sampled.rejected`` as
     :func:`_sample_until` does, and raises the draw's recorded error."""
     outcome, _sampled.drawn = getattr(_sampled, "drawn", None), None
     if outcome is None:
-        (outcome,) = _sample_chunk(cfg, [rng], sample, where)
+        (outcome,) = _sample_chunk(cfg, [rng], sample, where, finish)
     values, _sampled.rejected = outcome
     if isinstance(values, Exception):
         raise values
@@ -338,6 +347,15 @@ def _sample_special_functions(cfg: CampaignConfig, rng):
     return (nome, z), (points, nome, (0,))
 
 
+def _special_functions_thetas(draws) -> list:
+    """theta(z; p) and theta(z; q) of a chunk's accepted special-functions
+    draws (nome, z, gamma values), from one product pass
+    (:func:`special_functions._theta_pass`), which caches each nome's
+    (p; p)_inf and (q; q)_inf on the way; a draw whose product order fails
+    gets its :class:`TruncationLimitError`."""
+    return _theta_pass([(z, nome) for nome, z, _values in draws])
+
+
 def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
     """Base symmetry, inversion, both difference equations, the quadratic
     transformation and the residue limit at one point z.
@@ -359,14 +377,15 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     lim (1 - z) Gamma(z) at z = 1, which :func:`gamma_residue_constant`
     builds from both products instead.  Base symmetry, the difference
     equations and the residue limit are four entries of one residual ratio.
-    The thetas and the two products stay per draw.
+    theta(z; p), theta(z; q), (p; p)_inf and (q; q)_inf come from one
+    product pass per chunk (:func:`_special_functions_thetas`), with the bits
+    of the scalar calls.
     """
-    nome, z, values = _chunk_draw(cfg, rng, *_CHUNKED["special-functions"])
+    nome, z, values, theta_p, theta_q = _chunk_draw(cfg, rng, *_CHUNKED["special-functions"])
     g, g_qz, g_pz, g_inv = (complex(v) for v in values[:4])
     res_sym, res_fd_q, res_fd_p, res_limit = _residual_ratio(
         [g, g_qz, g_pz, complex(values[13]) / nome.pp_inf**2],
-        [complex(values[14]), complex(theta(z, nome.p)) * g, complex(theta(z, nome.q)) * g,
-         gamma_residue_constant(nome)]).tolist()
+        [complex(values[14]), theta_p * g, theta_q * g, gamma_residue_constant(nome)]).tolist()
     res_inv = abs(g * g_inv - 1.0)
     res_quad = _quadratic_residual(values[4:13])
     return VerificationReport(
@@ -552,9 +571,11 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
 
 
 # identities whose draws run_campaign samples a chunk at a time: the sampler
-# of one attempt and the ``where`` of its gamma values
+# of one attempt, the ``where`` of its gamma values and the pass that
+# finishes the chunk's accepted draws
 _CHUNKED = {
-    "special-functions": (_sample_special_functions, "the special-functions draw"),
+    "special-functions": (_sample_special_functions, "the special-functions draw",
+                          _special_functions_thetas),
 }
 
 _RUNNERS = {

@@ -58,8 +58,11 @@ its own table before the fold, and ``_theta_ring`` serves the thetas of the
 contour grids; no ring evaluates a product.  Pointwise theta evaluates its
 (2 x points x J) factor products in blocks of ``_THETA_BLOCK`` points, as
 the shift thetas of one group do; a pass of several groups takes blocks of
-``_PASS_BYTES``.  The theta-Pochhammer symbols and sequences are read
-from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
+``_PASS_BYTES``.  ``_theta_pass`` takes the thetas and the products
+(p; p)_inf, (q; q)_inf of a chunk of special-functions draws from one
+table of rows, each with its own base and order (``_qpoch_rows``), with
+the bits of the scalar calls.  The theta-Pochhammer symbols and sequences
+are read from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
 
 A group may also return Gamma(z; q, p) at some of its points: the same
 powers of z against the swapped pair's own series coefficients, with the
@@ -110,8 +113,9 @@ MAX_TERMS = 500_000
 # which stack z and p/z; one block over a large call builds temporaries that
 # outgrow the cache
 _THETA_BLOCK = 1024
-# bytes of the largest table a grouped pointwise gamma pass builds: a block of
-# groups' powers, or a block of shift-theta factor products.  A chunk of
+# bytes of the largest table a grouped pointwise gamma pass builds (a block of
+# groups' powers, or a block of shift-theta factor products) and of a block of
+# the theta pass's product rows (unless one row outgrows it).  A chunk of
 # campaign draws then allocates no array near 1 MiB, whose release would move
 # the C allocator's mmap threshold for everything that runs after it
 _PASS_BYTES = 1 << 17
@@ -163,6 +167,45 @@ def _qpoch_raw(z: np.ndarray, base: complex, n_terms: int) -> np.ndarray:
     """prod_{j=0}^{n_terms-1} (1 - z base^j), vectorized over z."""
     powers = base ** np.arange(n_terms)
     return (1.0 - z[..., None] * powers).prod(axis=-1)
+
+
+def _qpoch_rows(x: np.ndarray, bases: list, at: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """prod_{j < orders[i]} (1 - x[i] b^j), b = bases[at[i]], for each row i:
+    :func:`_qpoch_raw` with one base and one order per row, and its bits.
+
+    The powers b^j, j < J, are formed once per distinct base, J the largest
+    order of its rows, elementwise as ``b ** np.arange(J)`` forms them, so a
+    power's bits do not depend on J.  Each row's product is read
+    off the running product (``np.multiply.accumulate``, which multiplies in
+    ``prod``'s order) at the row's own order, so the columns a longer row
+    adds to a table leave it as it is.  The rows are taken by order, in
+    blocks whose (rows, J) tables hold at most _PASS_BYTES bytes; a block
+    holds at least one row."""
+    lengths = np.zeros(len(bases), dtype=int)
+    np.maximum.at(lengths, at, orders)
+    # b ** np.arange(J_b) for every base, laid end to end, in one elementwise call
+    starts = np.cumsum(lengths) - lengths
+    flat = np.power(np.repeat(np.array(bases, dtype=complex), lengths),
+                    np.arange(lengths.sum()) - np.repeat(starts, lengths))
+    by_order = np.argsort(orders, kind="stable")
+    ranked = orders[by_order]
+    out = np.empty(x.size, dtype=complex)
+    lo = 0
+    while lo < x.size:
+        # the longest run of rows from lo whose table fits: rows x the last one's order
+        fits = np.searchsorted(np.arange(1, x.size - lo + 1) * ranked[lo:], _PASS_BYTES // 16, "right")
+        rows = by_order[lo : lo + max(1, fits)]
+        width = int(ranked[lo + rows.size - 1])
+        # column j of row i holds b^min(j, J_b - 1): past a row's order the
+        # table may hold anything
+        cols = np.minimum(np.arange(width), (lengths[at[rows]] - 1)[:, None])
+        table = flat[starts[at[rows]][:, None] + cols]
+        np.multiply(x[rows, None], table, out=table)
+        np.subtract(1.0, table, out=table)
+        np.multiply.accumulate(table, axis=1, out=table)
+        out[rows] = table[np.arange(rows.size), orders[rows] - 1]
+        lo += rows.size
+    return out
 
 
 def qpochhammer_inf(z, base):
@@ -235,13 +278,82 @@ def _theta_raw(z: np.ndarray, p: complex) -> np.ndarray:
     return out.reshape(z.shape)
 
 
+def _theta_pass(draws) -> list:
+    """theta(z; p) and theta(z; q) for each (z, nome) of ``draws``, nonzero z
+    and nomes, from one :func:`_qpoch_rows` pass that also forms the
+    products (p; p)_inf and (q; q)_inf a nome has not cached yet, and caches
+    them.  One entry per draw: its two thetas, or the
+    :class:`TruncationLimitError` of the first of (p; p)_inf, theta(z; p),
+    theta(z; q) and (q; q)_inf whose order fails.
+
+    Every value has the bits of the scalar call, :func:`theta` or
+    :func:`qpochhammer_inf`: each row keeps the order and the factors the
+    scalar call takes, and each theta is the Python complex product of its
+    two halves, as :func:`_theta_raw` multiplies two numpy scalars (numpy's
+    product of complex arrays rounds apart)."""
+    z = np.array([entry[0] for entry in draws], dtype=complex)
+    nomes = [entry[1] for entry in draws]
+    p, q = [nome.p for nome in nomes], [nome.q for nome in nomes]
+    mod_p, mod_q = [abs(b) for b in p], [abs(b) for b in q]
+    # b / z, and theta_truncation_order's scales max(|z|, |b| / |z|), as
+    # numpy forms them on one point
+    p_z, q_z = (np.array(p) / z).tolist(), (np.array(q) / z).tolist()
+    az = np.abs(z)
+    scale_p, scale_q = (np.maximum(az, np.array(mods) / az).tolist() for mods in (mod_p, mod_q))
+    zs = z.tolist()
+    bases: dict = {}
+
+    def base(b):
+        # keyed with the signs of b's parts, which a power's zeros may carry
+        return bases.setdefault((b, math.copysign(1.0, b.real), math.copysign(1.0, b.imag)), len(bases))
+
+    xs, at, orders, out = [], [], [], []
+    for i, nome in enumerate(nomes):
+        pp, qq = nome._pp_inf is None, nome._qq_inf is None
+        try:
+            # in the order a draw reads them; (b; b)_inf takes the scale |b| < 1
+            n_pp = _qpoch_order(mod_p[i], mod_p[i]) if pp else 0
+            n_p, n_q = _qpoch_order(mod_p[i], scale_p[i]), _qpoch_order(mod_q[i], scale_q[i])
+            n_qq = _qpoch_order(mod_q[i], mod_q[i]) if qq else 0
+        except TruncationLimitError as exc:
+            out.append(exc)
+            continue
+        out.append((len(xs), pp, qq))
+        at_p, at_q = base(p[i]), base(q[i])
+        xs += [zs[i], p_z[i], zs[i], q_z[i]]
+        at += [at_p, at_p, at_q, at_q]
+        orders += [n_p, n_p, n_q, n_q]
+        if pp:
+            xs.append(p[i])
+            at.append(at_p)
+            orders.append(n_pp)
+        if qq:
+            xs.append(q[i])
+            at.append(at_q)
+            orders.append(n_qq)
+    if not xs:
+        return out
+    values = _qpoch_rows(np.array(xs), [key[0] for key in bases], np.array(at), np.array(orders)).tolist()
+    for i, entry in enumerate(out):
+        if isinstance(entry, Exception):
+            continue
+        first, pp, qq = entry
+        out[i] = (values[first] * values[first + 1], values[first + 2] * values[first + 3])
+        if pp:
+            object.__setattr__(nomes[i], "_pp_inf", values[first + 4])
+        if qq:
+            object.__setattr__(nomes[i], "_qq_inf", values[first + 4 + pp])
+    return out
+
+
 @dataclass(frozen=True)
 class NomePair:
     """The two base parameters (p, q) with cached derived constants
     (p; p)_inf, (q; q)_inf and kappa = (p;p)_inf (q;q)_inf / (4 pi i).
 
     Each product is computed on the first read of ``pp_inf``, ``qq_inf`` or
-    ``kappa``: the discrete and residue-sum checks never read them.  Frozen
+    ``kappa``, unless :func:`_theta_pass` has cached it with the same bits:
+    the discrete and residue-sum checks never read them.  Frozen
     and compared on (p, q); safe to share across threads, since every lazy
     write (a product, or the series coefficients, which only ever grow)
     stores the same bits whichever thread makes it.
@@ -406,7 +518,9 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
     its first point, up to rounding), so the rectangle's values L are then
     filtered on reals, keeping those with |a |L| - 1| <= band for some ring.
     The complex test runs on the rings with a candidate left, against the
-    whole rectangle.
+    whole rectangle.  A rectangle of more than ``MAX_TERMS`` candidates,
+    which nomes near the unit circle ask for, raises
+    :class:`TruncationLimitError` before it is built.
     """
     hi = float(az.max())
     reach = POLE_GUARD_FACTOR * hi
@@ -434,6 +548,11 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
         k_hi = int(span // neg_log_u)
         if k_lo > k_hi:
             return
+        size = (j_max + 1) * (k_hi - k_lo + 1)
+        if size > MAX_TERMS:
+            raise TruncationLimitError(
+                f"pole guard needs {size} lattice candidates (|u|={abs(u):g}, |v|={abs(v):g}), "
+                f"cap is {MAX_TERMS}")
         lattice = u ** np.arange(k_lo, k_hi + 1)
         if j_max:
             lattice = np.multiply.outer(v ** np.arange(j_max + 1), lattice).ravel()

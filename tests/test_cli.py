@@ -294,7 +294,10 @@ class TestVerify:
     # special-functions campaigns recorded before their draws were sampled a
     # chunk at a time: complex nomes, two threads over a draw count that is
     # not a multiple of the chunk, near-unit nomes with one rejection (draw
-    # 9), and a fixed p = 0.999 where every draw reaches the retry cap
+    # 9), and a fixed p = 0.999 where every draw reaches the retry cap; and
+    # two recorded before a chunk's thetas came from one product pass:
+    # lattice-q08's first campaign, and q = 0.99, whose theta products of
+    # ~3800 factors span several blocks of the pass
     @pytest.mark.parametrize("golden, argv, code", [
         ("special-functions-seed21-complex.jsonl",
          ("--draws", "20", "--seed", "21", "--complex-nomes"), 0),
@@ -303,6 +306,10 @@ class TestVerify:
         ("special-functions-seed3-p095-q09.jsonl",
          ("--draws", "20", "--seed", "3", "--p", "0.95", "--q", "0.9"), 0),
         ("special-functions-seed1-p0999.jsonl", ("--draws", "2", "--seed", "1", "--p", "0.999"), 1),
+        ("special-functions-seed20108-q08.jsonl",
+         ("--draws", "40", "--seed", "20108", "--q", "0.8"), 0),
+        ("special-functions-seed20199-q099.jsonl",
+         ("--draws", "20", "--seed", "20199", "--q", "0.99"), 0),
     ])
     def test_chunked_special_functions_match_the_committed_output(self, capsys, golden, argv, code):
         got, out, _ = run_cli(capsys, "verify", "special-functions", *argv, "--json")

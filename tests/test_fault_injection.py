@@ -8,6 +8,10 @@ campaign failed is recorded beside it.  A cell the check cannot see is
 marked ``xfail(strict=True)`` with the measured reason, so a change that
 makes the check see it has to flip the mark.
 
+The special-functions row faults the thetas of the difference equations,
+which a chunk of draws takes from one batched product pass
+(``special_functions._theta_pass``).
+
 Finite-difference N = 0 has no row.  It compares [M(+-1) f](x) with f(+-x),
 which ``finite_difference_M`` meets by construction: at t = +-1 the
 prefactor is Gamma(x^-2) / Gamma(x^-2) and the sum has the one term f(t x),
@@ -17,13 +21,16 @@ so no fault of the gamma engine reaches the residual.
 import numpy as np
 import pytest
 
-from elliptic_bailey import contour, special_functions
+from elliptic_bailey import contour, harness, special_functions
 from elliptic_bailey.harness import CampaignConfig, run_campaign
 from elliptic_bailey.special_functions import NomePair
 
 # finite-difference N = 1: six draws, against tolerance 1e-5; clean, their
 # worst residual is 1.6e-8
 FD = CampaignConfig(identity="finite-difference", N=1, draws=6, seed=27)
+# special-functions: six draws, against tolerance 1e-11; clean, their worst
+# residual is 3.8e-15
+SF = CampaignConfig(identity="special-functions", draws=6, seed=3)
 
 
 def _gamma_value_fault(monkeypatch, eps):
@@ -73,6 +80,19 @@ def _oracle_value_fault(index):
     return fault
 
 
+def _theta_product_fault(monkeypatch, eps):
+    """theta(z; b) -> theta(z; b) (1 + eps z), for both thetas of every draw
+    the batched product pass serves."""
+    thetas = special_functions._theta_pass
+
+    def faulty(draws):
+        return [out if isinstance(out, Exception) else tuple(t * (1 + eps * z) for t in out)
+                for (z, _nome), out in zip(draws, thetas(draws))]
+
+    monkeypatch.setattr(special_functions, "_theta_pass", faulty)
+    monkeypatch.setattr(harness, "_theta_pass", faulty)
+
+
 def _failed_draws(cfg):
     """Draws whose comparison failed; a draw that errors is not counted."""
     return sum(r.error is None and not r.passed for r in run_campaign(cfg))
@@ -107,3 +127,14 @@ def test_the_campaign_passes_without_a_fault():
 def test_finite_difference_n1_fails_under_the_fault(monkeypatch, fault, eps):
     fault(monkeypatch, eps)
     assert _failed_draws(FD) == FD.draws
+
+
+def test_special_functions_passes_without_a_fault():
+    assert _failed_draws(SF) == 0
+
+
+# smallest eps detected: 1e-10 (3e-11 fails 5 of 6 draws, the one at |z| = 0.30
+# reading 9.5e-12 in fd_equation_p)
+def test_special_functions_fails_under_the_theta_product_fault(monkeypatch):
+    _theta_product_fault(monkeypatch, 1e-10)
+    assert _failed_draws(SF) == SF.draws

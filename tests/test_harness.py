@@ -229,20 +229,26 @@ class TestPointwiseBatching:
 
     def test_residue_limit_fails_when_only_qq_inf_is_off(self, monkeypatch):
         # (q; q)_inf enters gamma_residue_constant but not the gamma engine,
-        # so an error in it alone must show in residue_limit
+        # so an error in it alone must show in residue_limit.  The chunk's
+        # theta pass forms it as a row of its batched products
         from elliptic_bailey import special_functions
 
         cfg = CampaignConfig(identity="special-functions", seed=3, draws=1)
         (reference,) = run_campaign(cfg)
         q = reference.params["q"]
-        qpoch = special_functions.qpochhammer_inf
+        rows, qpoch = special_functions._qpoch_rows, special_functions.qpochhammer_inf
+
+        def perturbed_rows(x, bases, at, orders):
+            values = rows(x, bases, at, orders)
+            return np.where((x == q) & (np.asarray(bases)[at] == q), values * (1 + 1e-9), values)
 
         def perturbed(z, base):
             value = qpoch(z, base)
             return value * (1 + 1e-9) if np.ndim(z) == 0 and z == base == q else value
 
-        # every binding of the name, so that a check rebuilding the constant
-        # from the same products would see the same error and cancel it
+        # every place the product is formed, so that a check rebuilding the
+        # constant from the same products would see the same error and cancel it
+        monkeypatch.setattr(special_functions, "_qpoch_rows", perturbed_rows)
         monkeypatch.setattr(special_functions, "qpochhammer_inf", perturbed)
         monkeypatch.setattr(hmod, "qpochhammer_inf", perturbed, raising=False)
         (rep,) = run_campaign(cfg)
@@ -250,6 +256,36 @@ class TestPointwiseBatching:
         assert not rep.passed
         assert rep.details["residue_limit"] == pytest.approx(1e-9, rel=1e-3)
         assert rep.residual == rep.details["residue_limit"]
+
+    def test_special_functions_thetas_come_from_one_pass_per_chunk(self, monkeypatch):
+        # theta(z; p), theta(z; q), (p; p)_inf and (q; q)_inf of every draw
+        # of a chunk from one batched product pass, and no scalar call
+        from elliptic_bailey import special_functions
+
+        thetas = hmod._theta_pass
+        passes, scalar = [], []
+
+        def spy(draws):
+            passes.append([((nome.p, nome.q), z) for z, nome in draws])
+            return thetas(draws)
+
+        def counted(name, f):
+            def call(*args):
+                scalar.append(name)
+                return f(*args)
+            return call
+
+        monkeypatch.setattr(hmod, "_theta_pass", spy)
+        for module in (special_functions, hmod):
+            monkeypatch.setattr(module, "theta", counted("theta", special_functions.theta))
+        monkeypatch.setattr(special_functions, "qpochhammer_inf",
+                            counted("qpochhammer_inf", special_functions.qpochhammer_inf))
+        draws = hmod._DRAW_CHUNK + 3
+        reports = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=draws))
+        assert all(r.passed for r in reports)
+        heads = [((r.params["p"], r.params["q"]), r.params["z"]) for r in reports]
+        assert passes == [heads[:1], heads[1 : 1 + hmod._DRAW_CHUNK], heads[1 + hmod._DRAW_CHUNK :]]
+        assert scalar == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_residue_draw_is_rejected(self):
@@ -296,6 +332,28 @@ class TestChunkSampler:
         assert "rejected" not in reports[5].settings
         assert [r.to_json() for i, r in enumerate(reports) if i != 5] == [
             r.to_json() for i, r in enumerate(reference) if i != 5]
+
+    def test_a_draw_whose_product_order_fails_keeps_its_rejections(self, monkeypatch):
+        # an order past MAX_TERMS in the chunk's theta pass ends that draw
+        # alone, with the rejections its sampling made, as a runner that
+        # raised after sampling recorded them; draw 9 was rejected once
+        from elliptic_bailey.errors import TruncationLimitError
+
+        cfg = CampaignConfig(identity="special-functions", draws=20, seed=3, p=0.95, q=0.9)
+        reference = run_campaign(cfg)
+        bad = reference[9].params["z"]
+        thetas = hmod._theta_pass
+
+        def failing(draws):
+            return [TruncationLimitError("stub order") if z == bad else out
+                    for (z, _nome), out in zip(draws, thetas(draws))]
+
+        monkeypatch.setattr(hmod, "_theta_pass", failing)
+        reports = run_campaign(cfg)
+        assert reports[9].error == "TruncationLimitError: stub order"
+        assert reports[9].settings == {"rejected": 1} == reference[9].settings
+        assert [r.to_json() for i, r in enumerate(reports) if i != 9] == [
+            r.to_json() for i, r in enumerate(reference) if i != 9]
 
     def test_a_runner_call_outside_a_campaign_samples_its_own_draw(self):
         # a one-draw chunk, with the bits of the campaign's draw

@@ -464,6 +464,18 @@ class TestGammaAgainstDoubleProduct:
         assert _guard_raises(0.45 * 5.0**19, nome)
         assert not _guard_raises(-0.45 * 5.0**19, nome)
 
+    def test_a_guard_lattice_past_max_terms_raises_before_it_is_built(self):
+        # near |p| = |q| = 1 the candidate lattice has ~span^2 / (log|p| log|q|)
+        # points: 4.8e11 here, which numpy could not allocate
+        import time
+
+        start = time.perf_counter()
+        with pytest.raises(TruncationLimitError, match="pole guard needs 482185110420 lattice"):
+            _gamma_vec(np.array([2 + 0.1j]), NomePair(1 - 1e-6, 1 - 1e-6))
+        with pytest.raises(TruncationLimitError, match="pole guard needs"):
+            _gamma_vec(np.array([1.5]), NomePair(1 - 1e-4, 1 - 1e-4))
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("n, turned", [(1, False), (2, False), (2, True), (64, False),
                                            (64, True), (128, False), (128, True)])
     def test_ring_guard_matches_oracle(self, n, turned):
@@ -1238,3 +1250,72 @@ class TestGammaGroups:
         assert _bits(out[0]) == _bits(out[5]) == _bits(_gamma_vec(good[0], nome))
         # without ``where``, the underflow is a value
         assert special_functions._gamma_groups(groups[2:3])[0][0] == 0
+
+
+# the nome moduli of the theta pass: |b| <= 0.95, or a nome whose products
+# need more than MAX_TERMS terms
+_pass_moduli = st.one_of(st.floats(0.02, 0.95), st.floats(0.02, 0.95),
+                         st.just(1.0 - 1e-7))
+
+
+@st.composite
+def _theta_draws(draw):
+    """One theta pass's draws (z, nome): 1 to 6, with real or complex nomes,
+    p = q on some, |z| from 0.05 to 3, and some nomes with (p; p)_inf or
+    (q; q)_inf cached already."""
+    draws = []
+    for _ in range(draw(st.integers(1, 6))):
+        p, q = (draw(_pass_moduli) * (np.exp(2j * np.pi * draw(_phases)) if draw(st.booleans())
+                                      else 1.0) for _ in range(2))
+        nome = NomePair(p, p if draw(st.integers(0, 4)) == 0 else q)
+        for name in ("pp_inf", "qq_inf"):
+            if draw(st.integers(0, 3)) == 0:
+                try:
+                    getattr(nome, name)
+                except TruncationLimitError:
+                    pass
+        z = math.exp(draw(st.floats(math.log(0.05), math.log(3.0)))) * np.exp(2j * np.pi * draw(_phases))
+        draws.append((complex(z), nome))
+    return draws
+
+
+def _scalar_thetas(z, nome):
+    """theta(z; p), theta(z; q), (p; p)_inf and (q; q)_inf from the scalar
+    calls, in the order a special-functions draw read them, as bits, or the
+    first error as (type, message)."""
+    fresh = NomePair(nome.p, nome.q)
+    try:
+        pp = fresh.pp_inf
+        values = [theta(z, nome.p), theta(z, nome.q), pp, fresh.qq_inf]
+    except TruncationLimitError as exc:
+        return type(exc).__name__, str(exc)
+    return _bits(values)
+
+
+class TestThetaPass:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(draws=_theta_draws(), pass_bytes=st.sampled_from([16, 512, 4096, 1 << 17]))
+    def test_each_row_has_the_bits_of_the_scalar_call(self, draws, pass_bytes):
+        # tables from one row (16 bytes) to the default blocks, so that the
+        # rows of a base straddle blocks; an order that fails stays in its draw
+        from unittest import mock
+
+        expected = [_scalar_thetas(z, nome) for z, nome in draws]
+        with mock.patch.object(special_functions, "_PASS_BYTES", pass_bytes):
+            out = special_functions._theta_pass(draws)
+        got = []
+        for (z, nome), entry in zip(draws, out):
+            if isinstance(entry, Exception):
+                got.append((type(entry).__name__, str(entry)))
+            else:
+                got.append(_bits([*entry, nome.pp_inf, nome.qq_inf]))
+        assert got == expected
+
+    def test_the_rows_straddle_blocks_at_q_099(self, monkeypatch):
+        # theta(z; 0.99) needs ~3800 factors; 16 KiB blocks hold one row of them
+        monkeypatch.setattr(special_functions, "_PASS_BYTES", 1 << 14)
+        draws = [(0.7 * np.exp(0.3j * k), NomePair(0.05 * k, 0.99)) for k in range(1, 5)]
+        out = special_functions._theta_pass(draws)
+        assert [_bits([*entry, nome.pp_inf, nome.qq_inf]) for (z, nome), entry in zip(draws, out)] == [
+            _scalar_thetas(z, nome) for z, nome in draws]
+        assert special_functions.theta_truncation_order(0.7, 0.99) * 16 > 1 << 14
