@@ -1252,8 +1252,8 @@ class TestGammaGroups:
         assert special_functions._gamma_groups(groups[2:3])[0][0] == 0
 
 
-# the nome moduli of the theta pass: |b| <= 0.95, or a nome whose products
-# need more than MAX_TERMS terms
+# the nome moduli of the theta pass: |b| <= 0.95, or, one in three, a nome
+# whose products need more than MAX_TERMS terms
 _pass_moduli = st.one_of(st.floats(0.02, 0.95), st.floats(0.02, 0.95),
                          st.just(1.0 - 1e-7))
 
@@ -1288,7 +1288,7 @@ def _scalar_thetas(z, nome):
         pp = fresh.pp_inf
         values = [theta(z, nome.p), theta(z, nome.q), pp, fresh.qq_inf]
     except TruncationLimitError as exc:
-        return type(exc).__name__, str(exc)
+        return _outcome(exc)
     return _bits(values)
 
 
@@ -1303,12 +1303,8 @@ class TestThetaPass:
         expected = [_scalar_thetas(z, nome) for z, nome in draws]
         with mock.patch.object(special_functions, "_PASS_BYTES", pass_bytes):
             out = special_functions._theta_pass(draws)
-        got = []
-        for (z, nome), entry in zip(draws, out):
-            if isinstance(entry, Exception):
-                got.append((type(entry).__name__, str(entry)))
-            else:
-                got.append(_bits([*entry, nome.pp_inf, nome.qq_inf]))
+        got = [_outcome(entry) if isinstance(entry, Exception) else _bits([*entry, nome.pp_inf, nome.qq_inf])
+               for (_z, nome), entry in zip(draws, out)]
         assert got == expected
 
     def test_the_rows_straddle_blocks_at_q_099(self, monkeypatch):
