@@ -27,16 +27,17 @@ Gamma(u z) = theta(z; v) Gamma(z) undoes the shift:
 
 Every product and series keeps the fewest terms whose relative tail bound,
 2 r^{M+1} / ((1 - r)(1 - |p|)(1 - |q|)) for the series, is below
-``TRUNCATION_TOL`` = 1e-14; needing more than ``MAX_TERMS`` = 500 000 terms
+``TRUNCATION_TOL`` = 1e-14; needing more than ``MAX_TERMS`` = 500 000 terms,
+or a table of more than ``MAX_TERMS`` theta shift factors (points x max|k|),
 raises :class:`TruncationLimitError`.  A ring of n > 1 points (below) keeps
 k = 0 when its unshifted radius r0 = max(|z|, |pq/z|) < 1 needs at most
 n - 1 terms: its series then fits the n bins of its fold, and it needs no
 shift factor.
 
-One engine, ``_gamma_rings``, evaluates gamma on R rings of n points
-s_i exp(2 pi i j / n).  Its n = 1 case, single points, is ``_gamma_groups``:
-groups of points, each group with its own nome pair, so that a campaign
-evaluates the points of a chunk of draws, one group per draw, in one pass.
+One engine evaluates gamma: ``_gamma_rings`` on R rings of n > 1 points
+s_i exp(2 pi i j / n), and ``_gamma_groups`` on single points: groups of
+points, each group with its own nome pair, so that a campaign evaluates the
+points of a chunk of draws, one group per draw, in one pass.
 Whatever sets a value's bits stays per group (the pole guard, the series and
 theta orders, the series gemv and the sum of the shift logs), so a group's
 values have the bits of a pass on it alone, and a group that fails returns
@@ -55,14 +56,17 @@ after the shift theta(v z; v) = -z^{-1} theta(z; v) into
 with the factor 1 - y e kept pointwise, so the zeros on |z| = 1 stay exact.
 The gamma engine adds the series of the shift thetas of its shifted rings to
 its own table before the fold, and ``_theta_ring`` serves the thetas of the
-contour grids; no ring evaluates a product.  Pointwise theta evaluates its
-(2 x points x J) factor products in blocks of ``_THETA_BLOCK`` points, as
-the shift thetas of one group do; a pass of several groups takes blocks of
-``_PASS_BYTES``.  ``_theta_pass`` takes the thetas and the products
-(p; p)_inf, (q; q)_inf of a chunk of special-functions draws from one
-table of rows, each with its own base and order (``_qpoch_rows``), with
-the bits of the scalar calls.  The theta-Pochhammer symbols and sequences
-are read from one table of factors theta(z q^j; p), ``_guarded_pochhammer``.
+contour grids; no ring evaluates a product.  Every pointwise product
+prod_{j<J} (1 - x b^j) comes from one kernel, ``_qpoch_rows``: rows, each
+with its own base and order, read off a running product in blocks of at
+most ``_PASS_BYTES``, so that a row's value does not depend on the rows
+beside it.  ``qpochhammer_inf`` and ``theta`` call it, theta on the
+stacked halves (z; p)_J (p/z; p)_J; so do the shift thetas of
+``_gamma_groups`` and ``_theta_pass``, which takes the thetas and the
+products (p; p)_inf, (q; q)_inf of a chunk of special-functions draws from
+one call, with the bits of the scalar calls.  The theta-Pochhammer symbols
+and sequences are read from one table of factors theta(z q^j; p),
+``_guarded_pochhammer``.
 
 A group may also return Gamma(z; q, p) at some of its points: the same
 powers of z against the swapped pair's own series coefficients, with the
@@ -109,15 +113,11 @@ THETA_GUARD = 1e-10
 # the relative tail bound of every truncated product and series, and its term cap
 TRUNCATION_TOL = 1e-14
 MAX_TERMS = 500_000
-# points per block of a theta evaluation's (2 x points x J) factor products,
-# which stack z and p/z; one block over a large call builds temporaries that
-# outgrow the cache
-_THETA_BLOCK = 1024
 # bytes of the largest table a grouped pointwise gamma pass builds (a block of
-# groups' powers, or a block of shift-theta factor products) and of a block of
-# the theta pass's product rows (unless one row outgrows it).  A chunk of
-# campaign draws then allocates no array near 1 MiB, whose release would move
-# the C allocator's mmap threshold for everything that runs after it
+# groups' powers) and of a block of the product kernel's rows (unless one row
+# outgrows it).  A chunk of campaign draws then allocates no array near 1 MiB,
+# whose release would move the C allocator's mmap threshold for everything
+# that runs after it
 _PASS_BYTES = 1 << 17
 
 
@@ -163,49 +163,73 @@ def _qpoch_order(base_mod: float, scale: float) -> int:
     return _truncation_order(2.0 * max(scale, 1.0) / (1.0 - base_mod), base_mod, "q-Pochhammer")
 
 
-def _qpoch_raw(z: np.ndarray, base: complex, n_terms: int) -> np.ndarray:
-    """prod_{j=0}^{n_terms-1} (1 - z base^j), vectorized over z."""
-    powers = base ** np.arange(n_terms)
-    return (1.0 - z[..., None] * powers).prod(axis=-1)
-
-
-def _qpoch_rows(x: np.ndarray, bases: list, at: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """prod_{j < orders[i]} (1 - x[i] b^j), b = bases[at[i]], for each row i:
-    :func:`_qpoch_raw` with one base and one order per row, and its bits.
+def _qpoch_rows(x: np.ndarray, bases: list, at, orders) -> np.ndarray:
+    """prod_{j < J_i} (1 - x_i b_i^j) for each entry x_i of the array x, with
+    b_i = bases[at_i] and J_i = orders_i, in x's shape: the one kernel of
+    every pointwise product.  ``at`` and ``orders`` are arrays of x's shape,
+    or ``at`` = 0 and an int order: every row has the one base.
 
     The powers b^j, j < J, are formed once per distinct base, J the largest
     order of its rows, elementwise as ``b ** np.arange(J)`` forms them, so a
-    power's bits do not depend on J.  Each row's product is read
-    off the running product (``np.multiply.accumulate``, which multiplies in
+    power's bits do not depend on J.  Each row's product is read off the
+    running product (``np.multiply.accumulate``, which multiplies in
     ``prod``'s order) at the row's own order, so the columns a longer row
-    adds to a table leave it as it is.  The rows are taken by order, in
-    blocks whose (rows, J) tables hold at most _PASS_BYTES bytes; a block
-    holds at least one row."""
-    lengths = np.zeros(len(bases), dtype=int)
+    adds to a table leave it as it is: a row's value does not depend on the
+    rows beside it.  A table has at least three columns, since over two
+    columns accumulate multiplies them as arrays, which rounds apart from
+    ``prod``.  Rows of one order are taken as they come, rows of several by
+    order, in blocks whose (rows, J) tables hold at most _PASS_BYTES bytes;
+    a block holds at least one row."""
+    if isinstance(orders, int):
+        powers = bases[0] ** np.arange(max(3, orders))
+
+        def running(rows):
+            table = 1.0 - rows[..., None] * powers
+            return np.multiply.accumulate(table, axis=-1, out=table)[..., orders - 1]
+
+        if 16 * x.size * powers.size <= _PASS_BYTES:
+            return running(x)
+        step = max(1, _PASS_BYTES // (16 * powers.size))
+        flat, out = x.reshape(-1), np.empty(x.size, dtype=complex)
+        for lo in range(0, x.size, step):
+            out[lo : lo + step] = running(flat[lo : lo + step])
+        return out.reshape(x.shape)
+    shape, x = x.shape, x.reshape(-1)
+    at, orders = at.reshape(-1), orders.reshape(-1)
+    out = np.empty(x.size, dtype=complex)
+    lengths = np.ones(len(bases), dtype=int)
     np.maximum.at(lengths, at, orders)
     # b ** np.arange(J_b) for every base, laid end to end, in one elementwise call
     starts = np.cumsum(lengths) - lengths
     flat = np.power(np.repeat(np.array(bases, dtype=complex), lengths),
                     np.arange(lengths.sum()) - np.repeat(starts, lengths))
+    # a table's column j holds b^min(j, J_b - 1), so that past a row's order
+    # it may hold anything.  When the table of every base fits one block it
+    # is built whole, and a block takes whole rows of it; else a block
+    # gathers its own entries
+    cap = _PASS_BYTES // 16
+    cols = np.arange(max(3, int(lengths.max())))
+    padded = None
+    if len(bases) * cols.size <= cap:
+        padded = flat[starts[:, None] + np.minimum(cols, lengths[:, None] - 1)]
     by_order = np.argsort(orders, kind="stable")
-    ranked = orders[by_order]
-    out = np.empty(x.size, dtype=complex)
     lo = 0
     while lo < x.size:
-        # the longest run of rows from lo whose table fits: rows x the last one's order
-        fits = np.searchsorted(np.arange(1, x.size - lo + 1) * ranked[lo:], _PASS_BYTES // 16, "right")
-        rows = by_order[lo : lo + max(1, fits)]
-        width = int(ranked[lo + rows.size - 1])
-        # column j of row i holds b^min(j, J_b - 1): past a row's order the
-        # table may hold anything
-        cols = np.minimum(np.arange(width), (lengths[at[rows]] - 1)[:, None])
-        table = flat[starts[at[rows]][:, None] + cols]
+        # the longest run of rows from lo whose table fits: rows x the last
+        # one's width, which grows along the run, so the run is no longer
+        # than cap over the first one's width
+        run = by_order[lo : lo + max(1, cap // max(3, orders[by_order[lo]]))]
+        widths = np.maximum(orders[run], 3)
+        rows = run[: max(1, np.searchsorted(np.arange(1, run.size + 1) * widths, cap, "right"))]
+        width, b = widths[rows.size - 1], at[rows]
+        table = (padded[b, :width] if padded is not None
+                 else flat[starts[b, None] + np.minimum(cols[:width], lengths[b, None] - 1)])
         np.multiply(x[rows, None], table, out=table)
         np.subtract(1.0, table, out=table)
         np.multiply.accumulate(table, axis=1, out=table)
         out[rows] = table[np.arange(rows.size), orders[rows] - 1]
         lo += rows.size
-    return out
+    return out.reshape(shape)
 
 
 def qpochhammer_inf(z, base):
@@ -223,8 +247,7 @@ def qpochhammer_inf(z, base):
         out = 1.0 - z_arr
         return out if z_arr.ndim else complex(out)
     scale = float(np.abs(z_arr).max()) if z_arr.size else 1.0
-    n = _qpoch_order(abs(base), scale)
-    out = _qpoch_raw(z_arr, base, n)
+    out = _qpoch_rows(z_arr, [base], 0, _qpoch_order(abs(base), scale))
     return out if z_arr.ndim else complex(out)
 
 
@@ -256,26 +279,12 @@ def theta_truncation_order(z, p) -> int:
 
 def _theta_raw(z: np.ndarray, p: complex) -> np.ndarray:
     """theta(z; p) for nonzero z of any shape and 0 < |p| < 1, without
-    argument checks.
-
-    One truncation order J (:func:`theta_truncation_order`) serves every
-    point, so both products (z; p)_J and (p/z; p)_J come from one call on the
-    stacked points, which builds one vector of powers of p.  The
-    (2 x points x J) factor products run over blocks of _THETA_BLOCK points,
-    which bounds their temporaries; a point's value does not depend on the
-    block it falls in.
-    """
-    n = theta_truncation_order(z, p)
-    if z.size <= _THETA_BLOCK:
-        both = _qpoch_raw(np.array((z, p / z)), p, n)
-        return both[0] * both[1]
-    flat = z.reshape(-1)
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, _THETA_BLOCK):
-        block = flat[lo : lo + _THETA_BLOCK]
-        both = _qpoch_raw(np.array((block, p / block)), p, n)
-        out[lo : lo + _THETA_BLOCK] = both[0] * both[1]
-    return out.reshape(z.shape)
+    argument checks: both products (z; p)_J and (p/z; p)_J from one
+    :func:`_qpoch_rows` call on the stacked points, at the one truncation
+    order J (:func:`theta_truncation_order`) that serves every point, and
+    multiplied in z's shape (at 0-d, as two numpy scalars)."""
+    both = _qpoch_rows(np.array((z, p / z)), [p], 0, theta_truncation_order(z, p))
+    return both[0] * both[1]
 
 
 def _theta_pass(draws) -> list:
@@ -572,13 +581,15 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
 
 
 def _gamma_vec(z: np.ndarray, nome: NomePair, swapped=()) -> np.ndarray:
-    """Gamma(z; p, q) on a flat complex array: the one-group call of the
-    pointwise engine (:func:`_gamma_rings` at n = 1, which is
-    :func:`_gamma_groups` on one group).  The points indexed by ``swapped``
-    also get Gamma(z; q, p), which follow the len(z) values in that order.
-    A group's values have the same bits whatever groups share its pass, so
-    this call and a draw's group in a chunk pass agree bit for bit."""
-    return _gamma_rings(z, 1, nome, swapped=swapped)[:, 0]
+    """Gamma(z; p, q) on a flat complex array: :func:`_gamma_groups` on one
+    group, raising its error.  The points indexed by ``swapped`` also get
+    Gamma(z; q, p), which follow the len(z) values in that order.  A group's
+    values have the same bits whatever groups share its pass, so this call
+    and a draw's group in a chunk pass agree bit for bit."""
+    (out,) = _gamma_groups([(z, nome, swapped)])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _fold_rings(table: np.ndarray, n: int, turned: bool = False) -> np.ndarray:
@@ -719,13 +730,10 @@ def _theta_ring(scales, n: int, bases, nome: NomePair, turned: bool = False) -> 
 
 
 def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = False,
-                 fit: int | None = None, swapped=()) -> np.ndarray:
+                 fit: int | None = None) -> np.ndarray:
     """Gamma(s_i e_j; p, q) for the scales s_i = scales[i] and the points e_j
-    of the n-ring (:func:`_ring`), as an (R, n) array.  This is the one gamma
-    engine.  At n = 1 it is the one-group call of the pointwise path,
-    :func:`_gamma_groups`, which :func:`_gamma_vec` reads; the points indexed
-    by ``swapped`` (n = 1 only) also get Gamma(z; q, p), appended as further
-    rows in that order, and ``turned`` and ``fit`` apply to rings alone.
+    of the n-ring (:func:`_ring`), n > 1, as an (R, n) array.  Single points
+    take the pointwise path of the same engine, :func:`_gamma_groups`.
 
     With ``turned`` (n > 1) the ring is turned by c = exp(i pi / n): its
     points s_i c e_j are s_i times the odd nodes of the 2n-grid, which a
@@ -758,13 +766,8 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
     before the fold, so one DFT pair sums gamma and its shift thetas; only
     their factors (1 - y e_j) and roots e_j^k are taken pointwise.  A ring
     costs O(M + n log n) unshifted, where M < n, and O(M + n log n + |k| n)
-    shifted; n single points cost O(M n).
+    shifted; n single points on the pointwise path cost O(M n).
     """
-    if n == 1:
-        (out,) = _gamma_groups([(scales, nome, swapped)])
-        if isinstance(out, Exception):
-            raise out
-        return out[:, None]
     scales = np.asarray(scales, dtype=complex)
     # values are laid out (n, R), ring points first, so that per-ring vectors
     # broadcast against them
@@ -790,6 +793,7 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
     _fill_powers(powers)
     shifts = np.abs(k)
     n_shift = int(shifts.max())
+    _shift_table_guard(rings, n_shift, nome)
     rows = 0
     if n_shift:
         # the shift factors' scales x u^j, j < |k|, on the masked (R, max|k|)
@@ -836,6 +840,16 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
         log_gamma[shifted] += np.log(factors)
     out[over] = np.exp(log_gamma[over])
     return out
+
+
+def _shift_table_guard(points: int, width: int, nome: NomePair) -> None:
+    """Raise :class:`TruncationLimitError` before a (points x max|k|) table of
+    theta shift factors of more than ``MAX_TERMS`` entries is built: max|k|
+    grows as 1 / |log|u||, so nomes near the unit circle ask for it."""
+    if points * width > MAX_TERMS:
+        raise TruncationLimitError(
+            f"theta shift factors need a {points} x {width} table "
+            f"(|p|={abs(nome.p):g}, |q|={abs(nome.q):g}), cap is {MAX_TERMS} entries")
 
 
 def _fill_powers(powers: np.ndarray) -> None:
@@ -964,15 +978,19 @@ def _gamma_series(live: list, out: list) -> None:
         u = np.repeat(np.array([entry[5] for entry in live]), sizes)
     sigma = z * u**k
     shifts = np.abs(k)
+    widths = [int(shifts.max())] if one else np.maximum.reduceat(shifts, starts).astype(int).tolist()
     coeffs = []
-    for (g, _z, _az, nome, *_rest), log_rad, lo, hi in zip(live, radii, starts, bounds[1:]):
+    for i, ((g, _z, _az, nome, *_rest), log_rad, lo, hi) in enumerate(zip(live, radii, starts, bounds[1:])):
         try:
-            coeffs.append(nome.series_coefficients(_series_order(nome, math.exp(float(log_rad)))))
+            c = nome.series_coefficients(_series_order(nome, math.exp(float(log_rad))))
+            _shift_table_guard(hi - lo, widths[i], nome)
+            coeffs.append(c)
         except EllipticBaileyError as exc:
             out[g] = exc
             coeffs.append(None)
-            shifts[lo:hi] = 0.0  # it takes no shift factors
-    widths = [int(shifts.max())] if one else np.maximum.reduceat(shifts, starts).astype(int).tolist()
+            # it takes no shift factors
+            shifts[lo:hi] = 0.0
+            widths[i] = 0
     # the shift-log sums, times sign(k); zero at the points of a group
     # without shifts, which leaves its values as they are
     shift = _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) if max(widths) else None
@@ -1034,10 +1052,8 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
     factor.
 
     Each group's products theta(y; v) = (y; v)_J (v/y; v)_J run to its own
-    order J, taken over its own factors as :func:`_theta_raw` takes it, so
-    the factors of the groups of one order are multiplied together; the
-    powers u^j and v^j are formed once per group, and the (2, factors, J)
-    products are built in blocks of at most _PASS_BYTES."""
+    order J, taken over its own factors as :func:`_theta_raw` takes it, all
+    from one :func:`_qpoch_rows` call with one base and one order per row."""
     one = len(live) == 1
     steps = np.arange(max(widths))
     used = steps < shifts[:, None]
@@ -1069,7 +1085,7 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
     log_theta = np.zeros(used.shape, dtype=complex)
     if max(orders):
         if one:
-            theta = _theta_products(x, v, v ** np.arange(orders[0]))
+            at_x, by_order = 0, orders[0]
         else:
             by_order = np.array(orders)[at_x]
             if not by_order.all():
@@ -1077,11 +1093,7 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
                 kept = by_order > 0
                 used[used] = kept
                 x, v, at_x, by_order = x[kept], v[kept], at_x[kept], by_order[kept]
-            theta = np.empty(x.size, dtype=complex)
-            powers = np.array(vs)[:, None] ** np.arange(max(orders))
-            for order in sorted(set(orders) - {0}):
-                sel = np.flatnonzero(by_order == order)
-                theta[sel] = _theta_products(x[sel], v[sel], powers[:, :order], at_x[sel])
+        theta = _qpoch_rows(x, vs, at_x, by_order) * _qpoch_rows(v / x, vs, at_x, by_order)
         if 0 in vs:
             theta = np.where(v == 0, 1.0 - x, theta)
         log_theta[used] = np.log(theta)
@@ -1098,27 +1110,6 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
             if rows.size:
                 sums[rows] = log_theta[rows, :width].sum(axis=1)
     return np.sign(k) * sums
-
-
-def _theta_products(x: np.ndarray, v, powers: np.ndarray, rows=None) -> np.ndarray:
-    """(x; v)_J (v/x; v)_J for the factors x and their bases v (one, or one
-    per factor), from the powers v^j, j < J: a (J,) vector, or a table with
-    one row per base, row rows[i] serving factor i.  Formed as
-    :func:`_theta_raw` forms them: one group's in blocks of _THETA_BLOCK
-    points, as there; the factors of a pass of several groups in blocks
-    whose (2, points, J) arrays hold _PASS_BYTES / 2."""
-    step = _THETA_BLOCK if rows is None else max(1, _PASS_BYTES // (64 * powers.shape[-1]))
-    if x.size <= step and rows is None:
-        both = (1.0 - np.array((x, v / x))[..., None] * powers).prod(axis=-1)
-        return both[0] * both[1]
-    out = np.empty(x.size, dtype=complex)
-    for lo in range(0, x.size, step):
-        block = slice(lo, lo + step)
-        vb = v if np.ndim(v) == 0 else v[block]
-        both = (1.0 - np.array((x[block], vb / x[block]))[..., None]
-                * (powers if rows is None else powers[rows[block]])).prod(axis=-1)
-        out[block] = both[0] * both[1]
-    return out
 
 
 def _blocks(items: list, orders: list, sizes: list) -> list:

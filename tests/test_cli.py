@@ -316,6 +316,22 @@ class TestVerify:
         assert got == code
         assert out == (GOLDEN / golden).read_text()
 
+    def test_a_shift_table_past_max_terms_ends_each_draw_at_once(self, capsys):
+        # at p = 0.99999 each draw's 14 points take ~1e5 theta shifts apiece;
+        # before the cap every attempt built those tables, and two draws ran
+        # for minutes
+        import time
+
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "special-functions", "--draws", "2", "--seed", "1",
+                               "--p", "0.99999", "--json")
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        reports = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert len(reports) == 2
+        assert all(r["error"].startswith("TruncationLimitError: theta shift factors need a 14 x ")
+                   for r in reports)
+
     # each quadrature keeps its node history for one integral only; a history
     # that leaked into the next draw or the next run would show here
     @pytest.mark.parametrize("identity", ["star-triangle", "cauchy-deformation", "beta-integral",
@@ -352,16 +368,16 @@ class TestEval:
         ("d-entry", "--m", "0", "--a", "0.4", "--b", "0.5", "--c", "0.9", "--p", "0.1", "--q", "0.2"),
     ])
     def test_printed_theta_order_is_the_order_used(self, capsys, monkeypatch, argv):
-        # records the product length of every _qpoch_raw call made by theta
-        raw = special_functions._qpoch_raw
+        # records the product length of every _qpoch_rows call made by theta
+        rows = special_functions._qpoch_rows
         used = set()
 
-        def recording(z, base, n_terms):
+        def recording(x, bases, at, orders):
             if sys._getframe(1).f_code.co_name == "_theta_raw":
-                used.add(n_terms)
-            return raw(z, base, n_terms)
+                used.add(orders)
+            return rows(x, bases, at, orders)
 
-        monkeypatch.setattr(special_functions, "_qpoch_raw", recording)
+        monkeypatch.setattr(special_functions, "_qpoch_rows", recording)
         code, out, _ = run_cli(capsys, "eval", *argv)
         assert code == 0
         printed = {int(line.rstrip("]").split()[-1]) for line in out.splitlines()[1:]}

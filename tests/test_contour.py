@@ -505,8 +505,8 @@ class TestRingKernels:
                 inside[0] = False
 
         drive = ct._drive
-        monkeypatch.setattr(special_functions, "_qpoch_raw",
-                            counting("products", special_functions._qpoch_raw))
+        monkeypatch.setattr(special_functions, "_qpoch_rows",
+                            counting("products", special_functions._qpoch_rows))
         monkeypatch.setattr(special_functions, "_theta_series",
                             counting("series", special_functions._theta_series))
         monkeypatch.setattr(ct, "_drive", driving)
@@ -885,8 +885,8 @@ class TestFiniteDifference:
 
 class TestFixedGammaValues:
     """Each check takes the Gamma values it needs outside its quadrature grid
-    from one pointwise engine call (n = 1); the grids' rings are separate
-    calls of the contour module's own binding, which the spy does not see."""
+    from one pointwise engine call (one group); the grids' rings are calls
+    of the ring engine, which the spy does not see."""
 
     NOME = NomePair(0.1, 0.4)
     X = 0.92 * np.exp(0.4j)
@@ -894,14 +894,13 @@ class TestFixedGammaValues:
     @staticmethod
     def _pointwise_sizes(monkeypatch):
         sizes = []
-        rings = special_functions._gamma_rings
+        groups = special_functions._gamma_groups
 
-        def spy(scales, n, nome, *args, **kwargs):
-            if n == 1:
-                sizes.append(np.size(scales))
-            return rings(scales, n, nome, *args, **kwargs)
+        def spy(entries, *args, **kwargs):
+            sizes.extend(np.size(entry[0]) for entry in entries)
+            return groups(entries, *args, **kwargs)
 
-        monkeypatch.setattr(special_functions, "_gamma_rings", spy)
+        monkeypatch.setattr(special_functions, "_gamma_groups", spy)
         return sizes
 
     def test_finite_difference_M(self, monkeypatch):
@@ -1008,7 +1007,7 @@ class TestResidueMatrixBridge:
 
     def test_one_gamma_call_and_one_pochhammer_table(self, monkeypatch):
         calls = {"gamma": [], "pochhammer": 0, "build_M": 0}
-        rings = special_functions._gamma_rings
+        rings, groups = special_functions._gamma_rings, special_functions._gamma_groups
 
         def count(name, fn):
             def wrapped(*args, **kwargs):
@@ -1020,8 +1019,13 @@ class TestResidueMatrixBridge:
             calls["gamma"].append(np.size(scales) * n)
             return rings(scales, n, nome, *args, **kwargs)
 
+        def pointwise_spy(entries, *args, **kwargs):
+            calls["gamma"].extend(np.size(entry[0]) for entry in entries)
+            return groups(entries, *args, **kwargs)
+
         monkeypatch.setattr(special_functions, "_gamma_rings", gamma_spy)
         monkeypatch.setattr(ct, "_gamma_rings", gamma_spy)
+        monkeypatch.setattr(special_functions, "_gamma_groups", pointwise_spy)
         monkeypatch.setattr(ct, "_guarded_pochhammer", count("pochhammer", ct._guarded_pochhammer))
         monkeypatch.setattr(bailey_algebra, "_guarded_pochhammer",
                             count("build_M", bailey_algebra._guarded_pochhammer))

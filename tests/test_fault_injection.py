@@ -35,17 +35,22 @@ SF = CampaignConfig(identity="special-functions", draws=6, seed=3)
 
 def _gamma_value_fault(monkeypatch, eps):
     """Gamma(z) -> Gamma(z) (1 + eps z) at every point of every engine call,
-    pointwise and on rings."""
-    engine = special_functions._gamma_rings
+    pointwise (the one-group call) and on rings."""
+    rings, pointwise = special_functions._gamma_rings, special_functions._gamma_vec
 
-    def faulty(scales, n, nome, turned=False, fit=None, swapped=()):
-        out = engine(scales, n, nome, turned, fit, swapped)
+    def faulty_rings(scales, n, nome, turned=False, fit=None):
+        out = rings(scales, n, nome, turned, fit)
         scales = np.asarray(scales, dtype=complex)
-        z = np.concatenate([scales, scales[np.asarray(swapped, dtype=int)]])[:, None]
-        return out * (1 + eps * z * special_functions._ring(n, turned))
+        return out * (1 + eps * scales[:, None] * special_functions._ring(n, turned))
 
-    monkeypatch.setattr(special_functions, "_gamma_rings", faulty)
-    monkeypatch.setattr(contour, "_gamma_rings", faulty)
+    def faulty_pointwise(z, nome, swapped=()):
+        z = np.asarray(z, dtype=complex)
+        points = np.concatenate([z, z[np.asarray(swapped, dtype=int)]])
+        return pointwise(z, nome, swapped) * (1 + eps * points)
+
+    for module in (special_functions, contour):
+        monkeypatch.setattr(module, "_gamma_rings", faulty_rings)
+        monkeypatch.setattr(module, "_gamma_vec", faulty_pointwise)
 
 
 def _gamma_coefficient_fault(monkeypatch, eps):

@@ -21,6 +21,7 @@ from elliptic_bailey.special_functions import (
     elliptic_pochhammer,
     gamma_quadratic_check,
     gamma_residue_constant,
+    gamma_truncation_orders,
     qpochhammer_inf,
     theta,
     theta_pochhammer_sequence,
@@ -28,7 +29,7 @@ from elliptic_bailey.special_functions import (
     _gamma_rings,
     _gamma_vec,
     _qpoch_order,
-    _qpoch_raw,
+    _qpoch_rows,
     _ring,
     _roots,
     _series_order,
@@ -219,11 +220,11 @@ class TestTheta:
             theta(0.5, 1.1)
 
     def test_blocks_do_not_change_values(self, monkeypatch):
-        # 5000 points run in five blocks; one block gives the same bits
+        # 5000 points run in blocks of _PASS_BYTES; one block gives the same bits
         rng = np.random.default_rng(5)
         z = (rng.uniform(0.2, 3.0, 5000) * np.exp(2j * np.pi * rng.uniform(size=5000))).reshape(50, 100)
         blocked = theta(z, 0.3 + 0.1j)
-        monkeypatch.setattr(special_functions, "_THETA_BLOCK", z.size)
+        monkeypatch.setattr(special_functions, "_PASS_BYTES", 1 << 30)
         assert np.array_equal(theta(z, 0.3 + 0.1j), blocked)
 
     def test_reflection_and_quasiperiodicity(self):
@@ -476,6 +477,39 @@ class TestGammaAgainstDoubleProduct:
             _gamma_vec(np.array([1.5]), NomePair(1 - 1e-4, 1 - 1e-4))
         assert time.perf_counter() - start < 1.0
 
+    def test_a_shift_table_past_max_terms_raises_before_it_is_built(self):
+        # max|k| grows as 1 / |log|u||: at p = 1 - 1e-5 each point at |z| = 0.8
+        # takes ~37900 shift factors, 14 points 530000, past MAX_TERMS
+        import time
+
+        nome = NomePair(1 - 1e-5, 0.3)
+        z = 0.8 * np.exp(1j * np.linspace(0.1, 3.0, 14))
+        assert 14 * gamma_truncation_orders(z, nome)[1] > special_functions.MAX_TERMS
+        start = time.perf_counter()
+        with pytest.raises(TruncationLimitError, match="theta shift factors need a 14 x 37885 table"):
+            _gamma_vec(z, nome)
+        with pytest.raises(TruncationLimitError, match="theta shift factors need a 14 x 37885 table"):
+            _gamma_rings(z, 16, nome)
+        assert time.perf_counter() - start < 1.0
+        # the group fails alone in a pass, and one point stays under the cap
+        other = (z, NomePair(0.2, 0.3), ())
+        with np.errstate(over="ignore"):
+            out = special_functions._gamma_groups([(z, nome, ()), other, (z[:1], nome, ())])
+        assert isinstance(out[0], TruncationLimitError)
+        assert _bits(out[1]) == _bits(_gamma_vec(*other))
+        assert out[2].shape == (1,)
+
+    def test_shifts_under_the_cap_keep_their_bits(self):
+        # 4 points x 5817 shifts at p = 0.9999, whose shift factors take
+        # Gamma across hundreds of decades; bits recorded before the cap
+        z = np.array([0.25 + 0.76j, 0.2 + 0.77j, 0.15 + 0.785j, 0.1 + 0.79j])
+        nome = NomePair(0.9999, 0.2)
+        assert gamma_truncation_orders(z, nome) == (53, 5817)
+        assert _bits(_gamma_vec(z, nome, [0])) == [
+            8965508729663404285, 8972148920880527338, 6223071240879430536, 15446041770589203816,
+            12714836949360844006, 12708784287280039712, 993635892411177993, 992323947166803312,
+            8965508729663407854, 8972148920880529831]
+
     @pytest.mark.parametrize("n, turned", [(1, False), (2, False), (2, True), (64, False),
                                            (64, True), (128, False), (128, True)])
     def test_ring_guard_matches_oracle(self, n, turned):
@@ -630,7 +664,7 @@ class TestNomePair:
         n_used = 1
         while 2 / (1 - 0.4) * 0.4**n_used >= special_functions.TRUNCATION_TOL:
             n_used += 1
-        refined = complex(_qpoch_raw(np.asarray(nome.q), nome.q, n_used + 1))
+        refined = complex(_qpoch_rows(np.array([nome.q]), [nome.q], 0, n_used + 1)[0])
         assert rel(nome.qq_inf, refined) < special_functions.TRUNCATION_TOL
 
     def test_kappa(self):
@@ -827,9 +861,8 @@ class TestTruncationOrder:
 # ---------------------------------------------------------------------------
 
 class TestGammaRings:
-    """_gamma_rings, the one gamma engine, on rings and on single points
-    (n = 1): against _gamma_vec on the same points, and against checks that
-    share no code with the engine."""
+    """_gamma_rings, the gamma engine on rings: against _gamma_vec on the
+    same points, and against checks that share no code with the engine."""
 
     @pytest.mark.parametrize("scale", [0.0769, 0.0767])
     def test_near_a_zero_each_evaluation_meets_the_oracle(self, scale):
@@ -931,7 +964,7 @@ class TestGammaRings:
         nome = NomePair(p, q)
         z = p**3 * q**6 * (1 + 1e-5j)
         with np.errstate(over="ignore"):
-            want = _gamma_rings(z * _ring(n, turned), 1, nome)[:, 0]
+            want = _gamma_vec(z * _ring(n, turned), nome)
             got = _gamma_rings(np.array([z]), n, nome, turned)[0]
         finite = np.isfinite(want)
         assert finite.any()
@@ -1252,9 +1285,11 @@ class TestGammaGroups:
         assert special_functions._gamma_groups(groups[2:3])[0][0] == 0
 
 
-# the nome moduli of the theta pass: |b| <= 0.95, or, one in three, a nome
-# whose products need more than MAX_TERMS terms
+# the nome moduli of the theta pass: |b| <= 0.95, log-uniform from 1e-10,
+# where the products take orders 1 to 3, or a nome whose products need more
+# than MAX_TERMS terms
 _pass_moduli = st.one_of(st.floats(0.02, 0.95), st.floats(0.02, 0.95),
+                         st.floats(-10.0, math.log10(0.02)).map(lambda e: 10.0**e),
                          st.just(1.0 - 1e-7))
 
 
@@ -1292,6 +1327,51 @@ def _scalar_thetas(z, nome):
     return _bits(values)
 
 
+# the product kernel's rows: a base from a pool of one to four, real or
+# complex, with modulus log-uniform from 1e-10 to 0.97; an order from a pool
+# of one to three, each from 1 to 3 or from 1 to 80; |x| log-uniform from
+# 0.05 to 3
+_kernel_bases = st.builds(lambda e, phase, real: complex(10.0**e * (np.sign(phase - 0.5) or 1.0) if real
+                                                         else 10.0**e * np.exp(2j * np.pi * phase)),
+                          st.floats(-10.0, math.log10(0.97)), _phases, st.booleans())
+
+
+@st.composite
+def _kernel_rows(draw):
+    """One kernel call: (x, bases, at, orders), x of 0 to 2 dimensions."""
+    bases = draw(st.lists(_kernel_bases, min_size=1, max_size=4))
+    pool = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 80)), min_size=1, max_size=3))
+    shape = draw(st.sampled_from([(), (1,), (7,), (2, 3), (4, 5)]))
+    size = int(np.prod(shape))
+    x = [math.exp(draw(st.floats(math.log(0.05), math.log(3.0)))) * np.exp(2j * np.pi * draw(_phases))
+         for _ in range(size)]
+    at = [draw(st.integers(0, len(bases) - 1)) for _ in range(size)]
+    orders = [draw(st.sampled_from(pool)) for _ in range(size)]
+    return (np.array(x, dtype=complex).reshape(shape), bases, np.array(at).reshape(shape),
+            np.array(orders).reshape(shape))
+
+
+class TestQpochRows:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rows=_kernel_rows(), pass_bytes=st.sampled_from([16, 512, 4096, 1 << 17]))
+    def test_a_row_has_the_bits_of_its_product_whatever_rows_share_its_call(self, rows, pass_bytes):
+        # each value against the row alone and against the product it
+        # replaced, (1 - x b^j).prod() over j < J, at every order and
+        # block size: bases, orders and blocks shared with other rows leave
+        # it as it is
+        from unittest import mock
+
+        x, bases, at, orders = rows
+        with mock.patch.object(special_functions, "_PASS_BYTES", pass_bytes):
+            got = _qpoch_rows(x, bases, at, orders)
+            alone = [_qpoch_rows(np.asarray(xi), [bases[ai]], 0, int(oi))
+                     for xi, ai, oi in zip(x.ravel(), at.ravel(), orders.ravel())]
+        want = [(1.0 - xi * bases[ai] ** np.arange(oi)).prod()
+                for xi, ai, oi in zip(x.ravel(), at.ravel(), orders.ravel())]
+        assert got.shape == x.shape
+        assert _bits(got.ravel()) == _bits(alone) == _bits(want)
+
+
 class TestThetaPass:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(draws=_theta_draws(), pass_bytes=st.sampled_from([16, 512, 4096, 1 << 17]))
@@ -1306,6 +1386,19 @@ class TestThetaPass:
         got = [_outcome(entry) if isinstance(entry, Exception) else _bits([*entry, nome.pp_inf, nome.qq_inf])
                for (_z, nome), entry in zip(draws, out)]
         assert got == expected
+
+    @pytest.mark.parametrize("modulus, order", [(1e-15, 1), (1e-10, 2), (1e-6, 3)])
+    def test_one_draw_passes_at_low_orders(self, modulus, order):
+        # every row of a one-draw pass at this order: a table of fewer than
+        # three columns would round apart from the scalar call at order 2
+        rng = np.random.default_rng(order)
+        for _ in range(100):
+            z = complex(rng.uniform(0.05, 3.0) * np.exp(2j * np.pi * rng.uniform()))
+            p, q = (modulus * np.exp(2j * np.pi * rng.uniform()) for _ in range(2))
+            nome = NomePair(p, q)
+            assert special_functions.theta_truncation_order(z, nome.p) == order
+            (entry,) = special_functions._theta_pass([(z, nome)])
+            assert _bits([*entry, nome.pp_inf, nome.qq_inf]) == _scalar_thetas(z, nome)
 
     def test_the_rows_straddle_blocks_at_q_099(self, monkeypatch):
         # theta(z; 0.99) needs ~3800 factors; 16 KiB blocks hold one row of them
