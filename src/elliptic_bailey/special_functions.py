@@ -197,6 +197,7 @@ def _qpoch_rows(x: np.ndarray, bases: list, at, orders) -> np.ndarray:
     shape, x = x.shape, x.reshape(-1)
     at, orders = at.reshape(-1), orders.reshape(-1)
     out = np.empty(x.size, dtype=complex)
+    # J_b: the largest order of base b's rows, and 1 for a base no row uses
     lengths = np.ones(len(bases), dtype=int)
     np.maximum.at(lengths, at, orders)
     # b ** np.arange(J_b) for every base, laid end to end, in one elementwise call
@@ -1052,8 +1053,8 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
     factor.
 
     Each group's products theta(y; v) = (y; v)_J (v/y; v)_J run to its own
-    order J, taken over its own factors as :func:`_theta_raw` takes it, all
-    from one :func:`_qpoch_rows` call with one base and one order per row."""
+    order J, taken over its own factors as :func:`_theta_raw` takes it: one
+    :func:`_qpoch_rows` call per half, with one base and one order per row."""
     one = len(live) == 1
     steps = np.arange(max(widths))
     used = steps < shifts[:, None]
