@@ -96,14 +96,15 @@ _QUAD_REL_TOL = 1e-10
 class CampaignConfig:
     """One campaign: which identity, how many draws, where to sample.
 
-    ``seed`` is a 64-bit integer that fully determines every draw.  ``fixed``
-    pins named parameters instead of sampling them.  The configuration is
-    checked here against the identity's record, so an N the runner does not
-    honour, a name it never reads, a fixed nome of modulus >= 1, a fixed q = 0
-    (every identity divides by it or by theta(q; p)), a fixed p = 0 where the
-    identity's record says every draw needs p != 0, a zero fixed parameter
-    or a ``bounded`` one of modulus >= 1 raises :class:`DomainError` before
-    any draw.  Unknown keys in ``from_mapping`` are hard errors.
+    ``seed`` is a non-negative integer that fully determines every draw.
+    ``fixed`` pins named parameters instead of sampling them.  The
+    configuration is checked here against the identity's record, so a
+    negative seed, an N the runner does not honour, a name it never reads,
+    a fixed nome of modulus >= 1, a fixed q = 0 (every identity divides by
+    it or by theta(q; p)), a fixed p = 0 where the identity's record says
+    every draw needs p != 0, a zero fixed parameter or a ``bounded`` one of
+    modulus >= 1 raises :class:`DomainError` before any draw.  Unknown
+    keys in ``from_mapping`` are hard errors.
     """
 
     identity: str = "matrix-bailey"
@@ -123,6 +124,8 @@ class CampaignConfig:
         spec = _IDENTITY[self.identity]
         if self.draws < 0 or (self.N is not None and self.N < 0):
             raise DomainError("draws and N must be >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be a non-negative integer")
         if spec.max_N is not None and self.effective_N > spec.max_N:
             admissible = f"N in 0..{spec.max_N}" if spec.max_N else "N = 0"
             raise DomainError(f"{self.identity} runs only at {admissible}, got N = {self.N}")
@@ -246,7 +249,7 @@ def _sample_chunk(cfg, rngs, sample, where: str, finish) -> list:
     pending, then one ``finish`` pass over the draws accepted.
 
     ``sample(cfg, rng)`` makes one attempt, returning the draw's head and
-    the group (points, nome, swapped) of its gamma points; a draw's values
+    the group (points, nome) of its gamma points; a draw's values
     are its head followed by the group's gamma values.  An attempt is
     rejected if ``sample`` raises one of ``_REJECTIONS`` or its group comes
     back as one (a point on the pole lattice, a value that is zero or not
@@ -337,14 +340,13 @@ def _sample_until(cfg, rng, build):
 
 def _sample_special_functions(cfg: CampaignConfig, rng):
     """One attempt at a special-functions draw: its head (nome, z) and the
-    group of its gamma points z, qz, pz, pq/z, then z^2 and the eight
-    quadratic-transformation arguments, then q, all at (p, q), with
-    Gamma(z; q, p) at point 0."""
+    group of its 14 gamma points z, qz, pz, pq/z, then z^2 and the eight
+    quadratic-transformation arguments, then q."""
     nome = _draw_nome(cfg, rng, p_range=(0.05, 0.25), q_range=(0.1, 0.35))
     z = rng.uniform(0.3, 1.5) * _unit_phase(rng)
     points = np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
                              _quadratic_points(z, nome), [nome.q]])
-    return (nome, z), (points, nome, (0,))
+    return (nome, z), (points, nome)
 
 
 def _special_functions_thetas(draws) -> list:
@@ -357,35 +359,29 @@ def _special_functions_thetas(draws) -> list:
 
 
 def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
-    """Base symmetry, inversion, both difference equations, the quadratic
-    transformation and the residue limit at one point z.
+    """Inversion, both difference equations, the quadratic transformation
+    and the residue limit at one point z.
 
     The draw is sampled a chunk at a time (:func:`_sample_chunk`, through
     run_campaign): one gamma-engine pass evaluates the 14 points of
     :func:`_sample_special_functions` for every pending draw of the chunk,
     each draw a group with its own nome, so its values have the bits of a
-    pass on that draw alone.  Gamma(z; q, p) for base symmetry comes from
-    the powers of z already in the pass and the swapped pair's own series
-    coefficients.  A point on the pole lattice, or a (p, q) value that
-    underflows to zero or overflows, rejects the draw.  Gamma(z; q, p)
-    shares the powers, the truncation order, the shift and the shift factors
-    of Gamma(z; p, q), so base symmetry measures only how the two
-    coefficient tables and their sums round; the symmetry itself is guarded
-    by ``TestSwappedColumn`` in the tests, which compares the column with a
-    call on the swapped pair.  The residue limit rests on
-    Gamma(q) = (p;p)_inf / (q;q)_inf, so Gamma(q) / (p;p)_inf^2 must equal
-    lim (1 - z) Gamma(z) at z = 1, which :func:`gamma_residue_constant`
-    builds from both products instead.  Base symmetry, the difference
-    equations and the residue limit are four entries of one residual ratio.
-    theta(z; p), theta(z; q), (p; p)_inf and (q; q)_inf come from one
-    product pass per chunk (:func:`_special_functions_thetas`), with the bits
-    of the scalar calls.
+    pass on that draw alone.  A point on the pole lattice, or a value that
+    underflows to zero or overflows, rejects the draw.  Base symmetry holds
+    by construction of the engine, and ``TestBaseSymmetry`` in the tests
+    guards it.  The residue limit rests on Gamma(q) = (p;p)_inf / (q;q)_inf,
+    so Gamma(q) / (p;p)_inf^2 must equal lim (1 - z) Gamma(z) at z = 1,
+    which :func:`gamma_residue_constant` builds from both products instead.
+    The difference equations and the residue limit are three entries of one
+    residual ratio.  theta(z; p), theta(z; q), (p; p)_inf and (q; q)_inf
+    come from one product pass per chunk (:func:`_special_functions_thetas`),
+    with the bits of the scalar calls.
     """
     nome, z, values, theta_p, theta_q = _chunk_draw(cfg, rng, *_CHUNKED["special-functions"])
     g, g_qz, g_pz, g_inv = (complex(v) for v in values[:4])
-    res_sym, res_fd_q, res_fd_p, res_limit = _residual_ratio(
-        [g, g_qz, g_pz, complex(values[13]) / nome.pp_inf**2],
-        [complex(values[14]), theta_p * g, theta_q * g, gamma_residue_constant(nome)]).tolist()
+    res_fd_q, res_fd_p, res_limit = _residual_ratio(
+        [g_qz, g_pz, complex(values[13]) / nome.pp_inf**2],
+        [theta_p * g, theta_q * g, gamma_residue_constant(nome)]).tolist()
     res_inv = abs(g * g_inv - 1.0)
     res_quad = _quadratic_residual(values[4:13])
     return VerificationReport(
@@ -393,10 +389,9 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
         params={"z": z, "p": nome.p, "q": nome.q},
         lhs=g,
         rhs=g,
-        residual=worst(res_sym, res_inv, res_fd_q, res_fd_p, res_quad, res_limit),
+        residual=worst(res_inv, res_fd_q, res_fd_p, res_quad, res_limit),
         tolerance=cfg.effective_tolerance,
         details={
-            "base_symmetry": res_sym,
             "inversion": res_inv,
             "fd_equation_q": res_fd_q,
             "fd_equation_p": res_fd_p,

@@ -132,6 +132,9 @@ class TestVerify:
         (("star-triangle", "--p", "0"), "", "star-triangle needs a nonzero nome p"),
         (("beta-integral", "--p", "0"), "", "beta-integral needs a nonzero nome p"),
         (("coxeter", "--p", "0"), "[fixed]\ny = 1.1\n", "coxeter with y fixed needs a nonzero nome p"),
+        # numpy's generator rejects a negative seed with a raw ValueError
+        (("matrix-bailey", "--seed", "-1"), "", "seed must be a non-negative integer"),
+        (("matrix-bailey",), "[campaign]\nseed = -1\n", "seed must be a non-negative integer"),
     ])
     def test_config_error_exits_2_before_any_draw(self, capsys, tmp_path, monkeypatch,
                                                   argv, ini, named):

@@ -43,10 +43,8 @@ def _gamma_value_fault(monkeypatch, eps):
         scales = np.asarray(scales, dtype=complex)
         return out * (1 + eps * scales[:, None] * special_functions._ring(n, turned))
 
-    def faulty_pointwise(z, nome, swapped=()):
-        z = np.asarray(z, dtype=complex)
-        points = np.concatenate([z, z[np.asarray(swapped, dtype=int)]])
-        return pointwise(z, nome, swapped) * (1 + eps * points)
+    def faulty_pointwise(z, nome):
+        return pointwise(z, nome) * (1 + eps * np.asarray(z, dtype=complex))
 
     for module in (special_functions, contour):
         monkeypatch.setattr(module, "_gamma_rings", faulty_rings)
@@ -54,8 +52,7 @@ def _gamma_value_fault(monkeypatch, eps):
 
 
 def _gamma_coefficient_fault(monkeypatch, eps):
-    """The gamma series coefficient c_2 -> c_2 (1 + eps), for both orders of
-    the nomes."""
+    """The gamma series coefficient c_2 -> c_2 (1 + eps)."""
     coefficients = NomePair.series_coefficients
 
     def faulty(self, order):
@@ -73,8 +70,8 @@ def _oracle_value_fault(index):
     def fault(monkeypatch, eps):
         merged = contour._nonzero_finite_gamma
 
-        def faulty(points, nome, where, swapped=()):
-            values = merged(points, nome, where, swapped)
+        def faulty(points, nome, where):
+            values = merged(points, nome, where)
             if where == "the fd oracle":
                 values = values.copy()
                 values[index] *= 1 + eps
@@ -83,6 +80,19 @@ def _oracle_value_fault(index):
         monkeypatch.setattr(contour, "_nonzero_finite_gamma", faulty)
 
     return fault
+
+
+def _m_integral_fault(monkeypatch, eps):
+    """[M(t) f](w) -> [M(t) f](w) (1 + eps) for every integral of the
+    adaptive quadrature ``contour._m_quadrature``, the oracle's unit-circle
+    integral among them."""
+    quadrature = contour._m_quadrature
+
+    def faulty(*args):
+        value, info = quadrature(*args)
+        return value * (1 + eps), info
+
+    monkeypatch.setattr(contour, "_m_quadrature", faulty)
 
 
 def _theta_product_fault(monkeypatch, eps):
@@ -128,6 +138,13 @@ def test_the_campaign_passes_without_a_fault():
     # smallest eps detected: 3e-5 (1e-5 fails 2 of 6 draws); each of the eight
     # correction values is detected at 3e-5, which shows the merged call is read
     pytest.param(_oracle_value_fault(2), 3e-5, id="oracle-merged-gamma-x-2"),
+    pytest.param(
+        _m_integral_fault, 1e-3, id="m-integral",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "measured: 0 of 6 draws fail at eps = 1e-3, 1e-1 and 9, with worst residuals "
+            "1.2e-8, 1.7e-8 and 9.5e-7 against the tolerance 1e-5.  The oracle's unit-circle "
+            "integral is O(t^2 q - 1), and the extrapolation over the three regularizations "
+            "removes it from the limit, so the verdict does not read M(t)"))),
 ])
 def test_finite_difference_n1_fails_under_the_fault(monkeypatch, fault, eps):
     fault(monkeypatch, eps)

@@ -216,15 +216,15 @@ class TestPointwiseBatching:
         calls = []
 
         def spy(groups, where=None):
-            calls.append([((nome.p, nome.q), np.size(z), list(swapped)) for z, nome, swapped in groups])
+            calls.append([((nome.p, nome.q), np.size(z)) for z, nome in groups])
             return engine(groups, where)
 
         monkeypatch.setattr(hmod, "_gamma_groups", spy)
         draws = hmod._DRAW_CHUNK + 3
         reports = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=draws))
         assert all(r.passed and r.settings["rejected"] == 0 for r in reports)
-        # the sampler's 14 points at (p, q), with Gamma(z; q, p) at point 0, z
-        groups = [((r.params["p"], r.params["q"]), 14, [0]) for r in reports]
+        # the sampler's 14 points
+        groups = [((r.params["p"], r.params["q"]), 14) for r in reports]
         assert calls == [groups[:1], groups[1 : 1 + hmod._DRAW_CHUNK], groups[1 + hmod._DRAW_CHUNK :]]
 
     def test_residue_limit_fails_when_only_qq_inf_is_off(self, monkeypatch):
@@ -315,7 +315,7 @@ class TestChunkSampler:
         engine = hmod._gamma_groups
 
         def faulty(groups, where=None):
-            if any(nome.p == bad for _z, nome, _swapped in groups):
+            if any(nome.p == bad for _z, nome in groups):
                 raise ValueError("stub fault")
             return engine(groups, where)
 
@@ -392,8 +392,8 @@ def _near_unit_nome_campaign():
 
 
 class TestVerdictFold:
-    _COMPONENTS = ["base_symmetry", "inversion", "fd_equation_q", "fd_equation_p",
-                   "quadratic_transformation", "residue_limit"]
+    _COMPONENTS = ["inversion", "fd_equation_q", "fd_equation_p", "quadratic_transformation",
+                   "residue_limit"]
 
     def test_a_nan_special_functions_component_fails_its_draw(self, monkeypatch, nan_on_call):
         cfg = CampaignConfig(identity="special-functions", seed=3, draws=1)
@@ -414,15 +414,14 @@ class TestVerdictFold:
                 return out
             return poisoned
 
-        # the entries of the one residual ratio, in order: base symmetry, the
-        # two difference equations, the residue limit
+        # the entries of the one residual ratio, in order: the two difference
+        # equations, the residue limit
         poisons = {
-            "base_symmetry": ("_residual_ratio", nan_entry(0)),
             "inversion": ("_gamma_groups", nan_inverse),
-            "fd_equation_q": ("_residual_ratio", nan_entry(1)),
-            "fd_equation_p": ("_residual_ratio", nan_entry(2)),
+            "fd_equation_q": ("_residual_ratio", nan_entry(0)),
+            "fd_equation_p": ("_residual_ratio", nan_entry(1)),
             "quadratic_transformation": ("_quadratic_residual", 0),
-            "residue_limit": ("_residual_ratio", nan_entry(3)),
+            "residue_limit": ("_residual_ratio", nan_entry(2)),
         }
         assert list(poisons) == self._COMPONENTS
         for component, (name, poison) in poisons.items():
