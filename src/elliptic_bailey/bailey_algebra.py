@@ -26,7 +26,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import BaileyPairError, DegenerateParameterError, DomainError
+from .errors import BaileyPairError, DegenerateParameterError, DomainError, TruncationLimitError
 from .report import (RESIDUAL_FLOOR, VerificationReport, identity_deviation, relative_residual,
                      worst, _residual_ratio)
 from .special_functions import (
@@ -35,7 +35,10 @@ from .special_functions import (
     elliptic_pochhammer,  # unused here; perfbench/tracing.py wraps this binding
     theta,  # unused here; perfbench/tracing.py wraps this binding
     theta_pochhammer_sequence,  # unused here; perfbench/tracing.py wraps this binding
+    _PASS_BYTES,
     _guarded_pochhammer,
+    _qpoch_order,
+    _qpoch_rows,
 )
 
 __all__ = [
@@ -105,21 +108,23 @@ _DIAGONALS = {
 class DiscreteParams:
     """Parameter set for the discrete Bailey lemma.
 
-    Validates the product rule k*b*c = q*a*t_tilde and evaluates every theta
-    factor theta(z q^j; p) of the M and D matrices the identities use, in one
-    theta call: numerators and denominators alike, j <= 2N in the M(x, y) rows
-    and j <= N in the D rows.  A factor under ``THETA_GUARD`` rejects the
-    parameter set; the values are kept.
+    Validates the product rule k*b*c = q*a*t_tilde and builds, at
+    construction, everything the identity checks read: the theta factors
+    theta(z q^j; p) of the M and D matrices (numerators and denominators
+    alike, j <= 2N in the M(x, y) rows and j <= N in the D rows) and their
+    Pochhammer sequences; the six matrices M(x, y), x != y in {a, k,
+    t_tilde}, as one (6, N+1, N+1) stack in the order ``ak, at, tk, ka, ta,
+    kt`` (each three places before its inverse), with its entrywise moduli;
+    the four diagonals D(a;b,c), D(t;b,c), D(k;qt/b,qt/c), D(t;qt/c,qt/b) as
+    one (4, N+1) stack; the left side of the key identity; and the
+    conditioning estimate (:func:`conditioning_amplification`).  Every memo
+    is read-only.
 
-    On first use the six matrices M(x, y), x != y in {a, k, t_tilde}, are
-    assembled from those values as one (6, N+1, N+1) stack, in the order
-    ``ak, at, tk, ka, ta, kt`` (each three places before its inverse), and
-    their entrywise moduli are taken once, in the same memo.  The four
-    diagonals D(a;b,c), D(t;b,c), D(k;qt/b,qt/c), D(t;qt/c,qt/b) are one
-    (4, N+1) stack, and the left side of the key identity is formed from
-    both.  :func:`conditioning_amplification`, the identity checks and
-    :func:`bailey_transform` share these memos.  Entries that overflow come
-    out non-finite without a warning; the sampler's conditioning cap rejects
+    Construction is the one-draw case of :meth:`stack`, which builds the
+    draws of a campaign chunk together, each with the bits it has alone.  A
+    factor under ``THETA_GUARD`` rejects the parameter set
+    (:class:`DegenerateParameterError`).  Entries that overflow come out
+    non-finite without a warning; the sampler's conditioning cap rejects
     them.
     """
 
@@ -133,45 +138,37 @@ class DiscreteParams:
     nome: NomePair
 
     def __post_init__(self):
-        if self.N < 0:
-            raise DomainError("N must be a non-negative integer")
-        q, t = self.nome.q, self.t_tilde
-        lhs, rhs = self.k * self.b * self.c, q * self.a * t
-        if abs(lhs - rhs) > PRODUCT_RULE_TOL * max(abs(lhs), abs(rhs)):
-            raise DegenerateParameterError(
-                f"product rule violated: k*b*c = {lhs}, q*a*t_tilde = {rhs}"
-            )
-        bases, lengths = self._theta_args()
-        with np.errstate(over="ignore", invalid="ignore"):
-            factors, poch = _guarded_pochhammer(bases, lengths, self.nome, len(bases),
-                                                "a matrix entry")
-        object.__setattr__(self, "_bases", bases)
-        object.__setattr__(self, "_factors", factors)
-        object.__setattr__(self, "_poch", poch)
+        (error,) = _build([self])
+        if error is not None:
+            raise error
 
-    def _theta_args(self) -> tuple[np.ndarray, np.ndarray]:
-        """Base points z of the theta table's rows (``_M_ROWS`` then
-        ``_D_ROWS``) and the number of q-shifts j each row takes."""
-        q = self.nome.q
-        a, k, t, b, c = self.a, self.k, self.t_tilde, self.b, self.c
-        bases = np.array(
-            [a, k, t, k / a, a / k, a / t, t / a, k / t, t / k, q * a, q * k, q * t, q,
-             b, c, q * t / b, q * t / c, a * q / b, a * q / c, k * b / t, k * c / t],
-            dtype=complex,
-        )
-        lengths = np.repeat([2 * self.N + 1, self.N + 1], [len(_M_ROWS), len(_D_ROWS)])
-        return bases, lengths
+    @classmethod
+    def stack(cls, drafts: list, cap: float | None = None) -> list:
+        """Parameter sets of one N from one stacked build: per mapping of
+        fields in ``drafts``, its DiscreteParams with the memos and bits that
+        constructing it alone gives, or the error that construction raises.
+        With a ``cap``, a draw whose :func:`conditioning_amplification` is
+        not at most ``cap`` (NaN included) comes back as a
+        :class:`DegenerateParameterError`, as a sampler rejects it."""
+        built = []
+        for fields in drafts:
+            params = object.__new__(cls)
+            vars(params).update(fields)
+            built.append(params)
+        return [params if error is None else error
+                for params, error in zip(built, _build(built, cap))]
 
-    @cached_property
-    def _m_stack(self) -> tuple:
-        """The six M(x, y) as one stack in ``_M_PAIRS`` order, and its
-        entrywise moduli; both read-only."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            ent = _stacked_M(self._bases[_M_PAIR_ROWS[4]], self._poch, self._factors, _M_PAIR_ROWS)
-        mods = np.abs(ent)
-        ent.setflags(write=False)
-        mods.setflags(write=False)
-        return ent, mods
+    @staticmethod
+    def y_split(a, k, t_tilde, y, N, nome: NomePair) -> dict:
+        """The fields of the y-split parameter set: (b, c) from
+        :func:`derive_bc`, every parameter a Python complex."""
+        b, c = derive_bc(t_tilde, a, k, y, nome)
+        return dict(a=complex(a), k=complex(k), t_tilde=complex(t_tilde),
+                    b=b, c=c, y=complex(y), N=int(N), nome=nome)
+
+    @classmethod
+    def from_y(cls, a, k, t_tilde, y, N, nome: NomePair) -> "DiscreteParams":
+        return cls(**cls.y_split(a, k, t_tilde, y, N, nome))
 
     @cached_property
     def matrices(self) -> dict:
@@ -179,37 +176,171 @@ class DiscreteParams:
         views of the stack."""
         return dict(zip(_M_PAIRS, self._m_stack[0]))
 
-    @cached_property
-    def diagonals(self) -> dict:
-        """D_m, m = 0..N, of the four diagonals in ``_DIAGONALS``; read-only
-        views of their stack."""
-        base, q = self._bases.tolist(), self.nome.q
-        with np.errstate(over="ignore", invalid="ignore"):
-            diags = _stacked_D(self._poch, self.N + 1, [
-                (base[_ROW[x]] * q,
-                 (base[_ROW[u]], _ROW[u], _ROW[du]), (base[_ROW[v]], _ROW[v], _ROW[dv]))
-                for x, u, v, du, dv in _DIAGONALS.values()
-            ])
-        diags.setflags(write=False)
-        return dict(zip(_DIAGONALS, diags))
 
-    @cached_property
-    def key_lhs(self) -> tuple:
-        """M(a,k) D(a;b,c) M(t,a), with D(a;b,c) scaling the rows of M(t,a)
-        first, and the same product of entrywise moduli; both read-only."""
-        m = self.matrices
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = self.diagonals["a;b,c"][:, None] * m["ta"]
-            sides = (m["ak"] @ scaled, self._m_stack[1][0] @ np.abs(scaled))
-        for side in sides:
-            side.setflags(write=False)
-        return sides
+def _base_points(params: DiscreteParams) -> list:
+    """Base points z of the theta table's rows, ``_M_ROWS`` then
+    ``_D_ROWS``, each formed in the scalar arithmetic of the fields' own
+    types."""
+    q = params.nome.q
+    a, k, t, b, c = params.a, params.k, params.t_tilde, params.b, params.c
+    return [a, k, t, k / a, a / k, a / t, t / a, k / t, t / k, q * a, q * k, q * t, q,
+            b, c, q * t / b, q * t / c, a * q / b, a * q / c, k * b / t, k * c / t]
 
-    @classmethod
-    def from_y(cls, a, k, t_tilde, y, N, nome: NomePair) -> "DiscreteParams":
-        b, c = derive_bc(t_tilde, a, k, y, nome)
-        return cls(a=complex(a), k=complex(k), t_tilde=complex(t_tilde),
-                   b=b, c=c, y=complex(y), N=int(N), nome=nome)
+
+def _block_draws(N: int) -> int:
+    """Draws per block of a stacked build at size N: the largest tables of
+    a block, its theta rows (two per factor) and its M stack, hold at most
+    ``_PASS_BYTES`` bytes; a block holds at least one draw."""
+    factors = len(_M_ROWS) * (2 * N + 1) + len(_D_ROWS) * (N + 1)
+    return max(1, _PASS_BYTES // (16 * max(2 * factors, len(_M_PAIRS) * (N + 1) ** 2)))
+
+
+def _build(drafts: list, cap: float | None = None) -> list:
+    """Build the memos of each DiscreteParams in ``drafts``, all of one N,
+    in blocks of ``_block_draws(N)`` draws; per draw, None or the error its
+    construction raises, after which it holds no memo.  With a ``cap``, a
+    draw whose conditioning amplification is not at most ``cap`` (NaN
+    included) gets a :class:`DegenerateParameterError` too.
+
+    Whatever sets a value's bits stays per draw: the base points and the D
+    scales xq/(uv), in Python scalar arithmetic; the theta order, from the
+    draw's own factors and p, as one theta call on them would take it.  The
+    rest is elementwise or a stack of matrix products, each slice with the
+    bits of its own product, so each draw has the bits of its build alone.
+    Only the draws that pass the guard are assembled, and only those that
+    pass the cap keep memos, views of their block's read-only tables."""
+    errors = [None] * len(drafts)
+    live = []
+    for s, params in enumerate(drafts):
+        if params.N < 0:
+            errors[s] = DomainError("N must be a non-negative integer")
+            continue
+        lhs, rhs = params.k * params.b * params.c, params.nome.q * params.a * params.t_tilde
+        if abs(lhs - rhs) > PRODUCT_RULE_TOL * max(abs(lhs), abs(rhs)):
+            errors[s] = DegenerateParameterError(
+                f"product rule violated: k*b*c = {lhs}, q*a*t_tilde = {rhs}")
+            continue
+        live.append(s)
+    if live:
+        step = _block_draws(drafts[live[0]].N)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(live), step):
+                at = live[lo : lo + step]
+                for s, error in zip(at, _build_block([drafts[s] for s in at], cap)):
+                    errors[s] = error
+    return errors
+
+
+def _theta_tables(block: list, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """The base points (D, 21) and theta factor tables (D, 21, 2N+1) of a
+    block's draws, each table as :func:`special_functions._guarded_pochhammer`
+    forms it (row z holds theta(z q^j; p), 1 past the row's length), from
+    one :func:`special_functions._qpoch_rows` call whose rows each take
+    their draw's p and its draw's order.  A draw whose factors include
+    z = 0 gets the :class:`DomainError` of theta in ``errors``, one whose
+    theta order fails its :class:`TruncationLimitError`, and one with a
+    factor under ``THETA_GUARD`` a :class:`DegenerateParameterError`."""
+    N = block[0].N
+    width = 2 * N + 1
+    nomes = [params.nome for params in block]
+    bases = np.array([_base_points(params) for params in block], dtype=complex)
+    used = np.arange(width) < np.repeat([width, N + 1], [len(_M_ROWS), len(_D_ROWS)])[:, None]
+    grid = bases[:, :, None] * (np.array([nome.q for nome in nomes])[:, None, None]
+                                ** np.arange(width))
+    z = grid[:, used]
+    factors = np.ones_like(grid)
+    mod_p = [abs(nome.p) for nome in nomes]
+    az = np.abs(z)
+    with np.errstate(divide="ignore"):
+        # theta_truncation_order's scale per draw; a draw with z = 0 takes none
+        scales = np.maximum(az, np.array(mod_p)[:, None] / az).max(axis=1).tolist()
+    thetas, orders = [], []
+    for s, nome in enumerate(nomes):
+        if not z[s].all():
+            errors[s] = DomainError("theta(z; p) requires z != 0")
+        elif nome.p == 0:
+            factors[s, used] = 1.0 - z[s]
+        else:
+            try:
+                orders.append(_qpoch_order(mod_p[s], scales[s]))
+            except TruncationLimitError as exc:
+                errors[s] = exc
+            else:
+                thetas.append(s)
+    if thetas:
+        # theta(z; p) = (z; p)_J (p/z; p)_J: both halves of every draw, draw
+        # i's rows on base i
+        p = [nomes[s].p for s in thetas]
+        x = np.empty((len(thetas), 2, z.shape[1]), dtype=complex)
+        x[:, 0] = z[thetas]
+        np.divide(np.array(p)[:, None], x[:, 0], out=x[:, 1])
+        if len(thetas) == 1:
+            # one draw: the kernel's one-base mode, as theta itself takes it
+            halves = _qpoch_rows(x, p, 0, orders[0])
+        else:
+            at = np.repeat(np.arange(len(thetas)), x[0].size).reshape(x.shape)
+            halves = _qpoch_rows(x, p, at, np.array(orders)[at])
+        factors[np.array(thetas)[:, None], used] = halves[:, 0] * halves[:, 1]
+    mods = np.abs(factors)
+    for s in np.flatnonzero(mods.reshape(len(block), -1).min(axis=1) < THETA_GUARD):
+        if errors[s] is None:
+            i = np.unravel_index(np.argmin(mods[s]), mods[s].shape)
+            errors[s] = DegenerateParameterError(
+                f"theta({complex(grid[s][i])}; p) = {mods[s][i]:.3e} in a matrix entry is under the guard")
+    return bases, factors
+
+
+def _build_block(block: list, cap: float | None) -> list:
+    """The memos of one block of :func:`_build`, and its errors."""
+    errors = [None] * len(block)
+    bases, factors = _theta_tables(block, errors)
+    kept = [s for s, error in enumerate(errors) if error is None]
+    if not kept:
+        return errors
+    if len(kept) < len(block):
+        bases, factors = bases[kept], factors[kept]
+    n1 = block[0].N + 1
+    poch = np.ones((len(kept), factors.shape[1], factors.shape[2] + 1), dtype=complex)
+    np.cumprod(factors, axis=2, out=poch[:, :, 1:])
+    ent = _stacked_M(bases[:, _M_PAIR_ROWS[4]], poch, factors, _M_PAIR_ROWS)
+    ent_mods = np.abs(ent)
+    diags = _stacked_D(poch, n1, [
+        [(base[_ROW[x]] * block[s].nome.q,
+          (base[_ROW[u]], _ROW[u], _ROW[du]), (base[_ROW[v]], _ROW[v], _ROW[dv]))
+         for x, u, v, du, dv in _DIAGONALS.values()]
+        for s, base in zip(kept, bases.tolist())
+    ])
+    # the key identity's left side: D(a;b,c) scales the rows of M(t,a) first
+    scaled = diags[:, 0, :, None] * ent[:, _M_PAIRS.index("ta")]
+    lhs, lhs_abs = ent[:, 0] @ scaled, ent_mods[:, 0] @ np.abs(scaled)
+    # the conditioning estimate: the key identity's left side, entry by entry
+    # on the lower triangle, and the three inversion products |M(x,y)| |M(y,x)|
+    # of the stack's halves
+    tri = _tril(n1)[0]
+    key = (lhs_abs.reshape(len(kept), -1)[:, tri]
+           / np.maximum(np.abs(lhs.reshape(len(kept), -1)[:, tri]), RESIDUAL_FLOOR)).max(axis=1)
+    inverse = (ent_mods[:, :3] @ ent_mods[:, 3:]).reshape(len(kept), -1).max(axis=1)
+    amps = [float(worst(*pair)) for pair in zip(key, inverse)]
+    tables = [bases, factors, poch, ent, ent_mods, diags, lhs, lhs_abs]
+    if cap is not None:
+        capped = [i for i, amp in enumerate(amps) if not amp <= cap]
+        for i in capped:
+            errors[kept[i]] = DegenerateParameterError(
+                f"conditioning amplification {amps[i]:.3e} is over the cap {cap:.0e}")
+        if capped:
+            # the tables of the draws that keep memos, and no more
+            below = [i for i, amp in enumerate(amps) if amp <= cap]
+            tables = [table[below] for table in tables]
+            kept, amps = [kept[i] for i in below], [amps[i] for i in below]
+    for table in tables:
+        table.setflags(write=False)
+    bases, factors, poch, ent, ent_mods, diags, lhs, lhs_abs = tables
+    for i, s in enumerate(kept):
+        vars(block[s]).update(
+            _bases=bases[i], _factors=factors[i], _poch=poch[i], _m_stack=(ent[i], ent_mods[i]),
+            diagonals=dict(zip(_DIAGONALS, diags[i])), key_lhs=(lhs[i], lhs_abs[i]),
+            _amplification=amps[i])
+    return errors
 
 
 @cache
@@ -227,47 +358,54 @@ def _tril(size: int) -> tuple[np.ndarray, ...]:
 
 def _stacked_M(x: np.ndarray, poch: np.ndarray, factors: np.ndarray,
                rows: np.ndarray) -> np.ndarray:
-    """Entries of a stack of matrices M(x_s, y_s), shape (S, N+1, N+1).
+    """Entries of stacks of matrices M(x_ds, y_ds), one stack per draw d,
+    shape (D, S, N+1, N+1).
 
-    ``rows`` holds, for each matrix s, the rows (y, y/x, qx, q, x) of a theta
-    table: its Pochhammer sequences ``poch`` give theta(y)_j, theta(y/x)_j,
-    theta(qx)_j and theta(q)_j (j = 0..2N at least), and its ``factors``
-    theta(x q^i; p), i = 0..2N.  One elementwise expression serves the whole
-    stack, so each slice has the bits a single matrix would.
+    ``rows`` holds, for each matrix s, the rows (y, y/x, qx, q, x) of a
+    draw's theta table: draw d's Pochhammer sequences ``poch[d]`` give
+    theta(y)_j, theta(y/x)_j, theta(qx)_j and theta(q)_j (j = 0..2N at least),
+    and its ``factors[d]`` theta(x q^i; p), i = 0..2N; x is (D, S).  One
+    elementwise expression serves every stack, so each slice has the bits a
+    single matrix would.
     """
-    th_x2m = factors[rows[4], ::2]
-    n1 = th_x2m.shape[1]
+    th_x2m = factors[:, rows[4], ::2]
+    n1 = th_x2m.shape[2]
     flat, m, d, seq_at = _tril(n1)
-    # one gather of the four sequences, from the contiguous table's flat index
-    y, yx, qx, q = poch.ravel()[rows[:4, :, None] * poch.shape[1] + seq_at]
-    th_ratio = th_x2m / th_x2m[:, :1]
+    # each of the four sequences gathered on its own, a (D, S, entries) table
+    y, yx, qx, q = (poch[:, rows[j, :, None], seq_at[j]] for j in range(4))
+    th_ratio = th_x2m / th_x2m[:, :, :1]
     # the m = 0 ratio must be exactly 1 (numpy's complex division does not
     # guarantee x/x == 1), so the diagonal corner entries stay exact
-    th_ratio[:, 0] = 1.0
-    ent = np.zeros((x.size, n1 * n1), dtype=complex)
-    ent[:, flat] = y * yx / (qx * q) * th_ratio[:, m] * x[:, None] ** d
-    return ent.reshape(x.size, n1, n1)
+    th_ratio[:, :, 0] = 1.0
+    ent = np.zeros((*x.shape, n1 * n1), dtype=complex)
+    ent[:, :, flat] = y * yx / (qx * q) * th_ratio[:, :, m] * x[:, :, None] ** d
+    return ent.reshape(*x.shape, n1, n1)
 
 
 def _stacked_D(poch: np.ndarray, n1: int, diagonals) -> np.ndarray:
-    """A stack of diagonals D_m(x; u, v) = theta(u)_m theta(v)_m /
-    (theta(xq/u)_m theta(xq/v)_m) * (xq/(uv))^m, m = 0..n1-1, shape (S, n1).
+    """Stacks of diagonals D_m(x; u, v) = theta(u)_m theta(v)_m /
+    (theta(xq/u)_m theta(xq/v)_m) * (xq/(uv))^m, m = 0..n1-1, one stack of K
+    per draw d, shape (D, K, n1).
 
-    Each diagonal is given as (xq, (u, row_u, row_xq/u), (v, row_v, row_xq/v)),
-    with rows of the Pochhammer sequences ``poch``.  numpy's complex multiply
-    is not commutative bit for bit, so the sides multiply in the order of u and
-    v by real, then imaginary part: D(x; u, v) and D(x; v, u) agree exactly.
-    Each scale xq/(uv) is formed in Python complex arithmetic.
+    ``diagonals[d]`` gives draw d's K diagonals, each as (xq, (u, row_u,
+    row_xq/u), (v, row_v, row_xq/v)), with rows of its Pochhammer sequences
+    ``poch[d]``.  numpy's complex multiply is not commutative bit for bit, so
+    the sides multiply in the order of u and v by real, then imaginary part:
+    D(x; u, v) and D(x; v, u) agree exactly.  Each scale xq/(uv) is formed
+    in Python complex arithmetic.
     """
     rows, scales = [], []
-    for xq, side_u, side_v in diagonals:
-        if (side_v[0].real, side_v[0].imag) < (side_u[0].real, side_u[0].imag):
-            side_u, side_v = side_v, side_u
-        (u, num_u, den_u), (v, num_v, den_v) = side_u, side_v
-        rows.append((num_u, num_v, den_u, den_v))
-        scales.append(xq / (u * v))
-    num_u, num_v, den_u, den_v = poch[:, :n1][np.array(rows).T]
-    return num_u * num_v / (den_u * den_v) * np.array(scales)[:, None] ** np.arange(n1)
+    for draw in diagonals:
+        for xq, side_u, side_v in draw:
+            if (side_v[0].real, side_v[0].imag) < (side_u[0].real, side_u[0].imag):
+                side_u, side_v = side_v, side_u
+            (u, num_u, den_u), (v, num_v, den_v) = side_u, side_v
+            rows.append((num_u, num_v, den_u, den_v))
+            scales.append(xq / (u * v))
+    shape = (len(diagonals), len(diagonals[0]))
+    at = np.array(rows).T.reshape(4, *shape)
+    num_u, num_v, den_u, den_v = poch[np.arange(shape[0])[:, None], at, :n1]
+    return num_u * num_v / (den_u * den_v) * np.array(scales).reshape(*shape, 1) ** np.arange(n1)
 
 
 def m_entry(N: int, m: int, a, k, nome: NomePair) -> complex:
@@ -324,7 +462,7 @@ def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
         factors, poch = _guarded_pochhammer(*_m_rows(N, a, k, nome.q), nome, 2, "a denominator")
         if abs(factors[4, 0]) < THETA_GUARD:
             raise DegenerateParameterError(f"theta(a; p) = {factors[4, 0]} is under the guard threshold")
-        ent = _stacked_M(np.array([a]), poch, factors, _BUILD_M_ROWS)[0]
+        ent = _stacked_M(np.array([[a]]), poch[None], factors[None], _BUILD_M_ROWS)[0, 0]
     if not np.isfinite(ent).all():
         raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): an entry overflows")
     return BaileyMatrix(entries=ent, a=a, k=k)
@@ -370,7 +508,7 @@ def build_D(N: int, a, b, c, nome: NomePair) -> DiagonalOp:
     # products may overflow, as in build_M; only a non-finite entry is an error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _, poch = _guarded_pochhammer(*_d_rows(N, a, b, c, nome.q), nome, 2, "a denominator")
-        diag = _stacked_D(poch, N + 1, [(a * nome.q, (b, 2, 0), (c, 3, 1))])[0]
+        diag = _stacked_D(poch[None], N + 1, [[(a * nome.q, (b, 2, 0), (c, 3, 1))]])[0, 0]
     if not np.isfinite(diag).all():
         raise DegenerateParameterError(f"build_D(N={N}, a={a}, b={b}, c={c}): an entry overflows")
     return DiagonalOp(diag=diag, a=a, b=b, c=c)
@@ -431,19 +569,16 @@ def conditioning_amplification(params: DiscreteParams) -> float:
     the admissible-parameter sampler rejects such draws like any other
     degeneracy.
 
-    It reads the memos of ``params``, which the checks that run on the same
-    draw afterwards read too: the key identity's two sides, and the moduli of
-    the stack of six M matrices.  The stack puts each matrix three places
-    before its inverse, so the three inversion products |M(x,y)| |M(y,x)| are
-    one stacked product of its halves.  A non-finite product gives NaN or inf
-    here, without a warning, wherever it sits among the products.
+    The estimate is made with the draw's build (:meth:`DiscreteParams.stack`,
+    of which construction is the one-draw case), from memos the checks read
+    too: the key identity's two sides, and the moduli of the stack of six M
+    matrices.  The stack puts each matrix three places before its inverse,
+    so the three inversion products |M(x,y)| |M(y,x)| are one stacked
+    product of its halves, stacked again over the draws of a build.  A
+    non-finite product gives NaN or inf here, without a warning, wherever it
+    sits among the products.
     """
-    mods = params._m_stack[1]
-    lhs, lhs_abs = params.key_lhs
-    tri = _tril(params.N + 1)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        key = np.max(lhs_abs.ravel()[tri] / np.maximum(np.abs(lhs.ravel()[tri]), RESIDUAL_FLOOR))
-        return float(worst(key, np.max(mods[:3] @ mods[3:])))
+    return params._amplification
 
 
 def _matrix_bailey_sides(params: DiscreteParams):

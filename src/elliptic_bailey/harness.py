@@ -84,9 +84,11 @@ IDENTITIES = tuple(_IDENTITY)
 # star-triangle's spectator points and every campaign quadrature's tolerance
 _RETRY_CAP = 100
 _AMPLIFICATION_CAP = 1e5
-# draws per chunk of a chunked identity (_CHUNKED): one gamma-engine pass per
-# sampling round of a chunk.  At 32 special-functions draws and
-# special_functions._PASS_BYTES, no array of a pass reaches 1 MiB
+# draws per chunk of a chunked identity (_CHUNKED): one pass over the pending
+# draws per sampling round of a chunk.  At 32 special-functions draws and
+# special_functions._PASS_BYTES, no array of a gamma pass reaches 1 MiB; a
+# stacked DiscreteParams build cuts its draws into blocks whose tables hold
+# at most _PASS_BYTES bytes
 _DRAW_CHUNK = 32
 _SPECTATORS = 3
 _QUAD_REL_TOL = 1e-10
@@ -242,26 +244,25 @@ def _retry_cap_error(rejects: int) -> ConstraintViolationError:
         f"no admissible draw within retry cap {_RETRY_CAP} ({rejects} rejections)")
 
 
-def _sample_chunk(cfg, rngs, sample, where: str, finish) -> list:
+def _sample_chunk(cfg, rngs, sample, evaluate, finish) -> list:
     """The draws of a chunk, draw i on its own stream rngs[i], by the rules of
-    :func:`_sample_until`, with one gamma-engine pass
-    (:func:`special_functions._gamma_groups`) per round over the draws still
-    pending, then one ``finish`` pass over the draws accepted.
+    :func:`_sample_until`, with one ``evaluate`` pass per round over the
+    draws still pending, then one ``finish`` pass over the draws accepted.
 
     ``sample(cfg, rng)`` makes one attempt, returning the draw's head and
-    the group (points, nome) of its gamma points; a draw's values
-    are its head followed by the group's gamma values.  An attempt is
-    rejected if ``sample`` raises one of ``_REJECTIONS`` or its group comes
-    back as one (a point on the pole lattice, a value that is zero or not
-    finite in ``where``), and a rejected draw samples again from its own
-    stream; past ``_RETRY_CAP`` rejections it gets the retry-cap error.  Any
-    other error from ``sample`` or from its group is the draw's fault.
-    ``finish(draws)`` takes the values of the accepted draws and returns, per
-    draw, the values to append, or the error that ends the draw; that draw
-    keeps its rejections, as a runner that raises after sampling does.
-    Returns, per draw, (values or error, rejections), with None for the
-    rejections of a fault, as :func:`_sample_until` leaves them.  An error
-    of the pass itself, outside every group, is raised."""
+    the item the round's pass takes; ``evaluate(items)`` returns, per item,
+    its value or its error, and a draw's values are its head followed by its
+    item's value.  An attempt is rejected if ``sample`` raises one of
+    ``_REJECTIONS`` or its item comes back as one, and a rejected draw
+    samples again from its own stream; past ``_RETRY_CAP`` rejections it
+    gets the retry-cap error.  Any other error from ``sample`` or from its
+    item is the draw's fault.  ``finish(draws)`` takes the values of the
+    accepted draws and returns, per draw, the values to append, or the error
+    that ends the draw; that draw keeps its rejections, as a runner that
+    raises after sampling does.  Returns, per draw, (values or error,
+    rejections), with None for the rejections of a fault, as
+    :func:`_sample_until` leaves them.  An error of a pass itself, outside
+    every item, is raised."""
     outcomes = [None] * len(rngs)
     rejects = [0] * len(rngs)
 
@@ -272,18 +273,18 @@ def _sample_chunk(cfg, rngs, sample, where: str, finish) -> list:
 
     pending = range(len(rngs))
     while pending:
-        heads, groups = [], []
+        heads, items = [], []
         for i in pending:
             try:
-                head, group = sample(cfg, rngs[i])
+                head, item = sample(cfg, rngs[i])
             except _REJECTIONS:
                 reject(i)
             except Exception as exc:
                 outcomes[i] = (exc, None)
             else:
                 heads.append((i, head))
-                groups.append(group)
-        for (i, head), values in zip(heads, _gamma_groups(groups, where)):
+                items.append(item)
+        for (i, head), values in zip(heads, evaluate(items)):
             if isinstance(values, _REJECTIONS):
                 reject(i)
             elif isinstance(values, Exception):
@@ -299,14 +300,14 @@ def _sample_chunk(cfg, rngs, sample, where: str, finish) -> list:
     return outcomes
 
 
-def _chunk_draw(cfg, rng, sample, where: str, finish):
+def _chunk_draw(cfg, rng, sample, evaluate, finish):
     """The values of this runner call's draw: the outcome run_campaign
     sampled for it in its chunk, or, on a call outside a campaign, a
     one-draw chunk sampled now.  Sets ``_sampled.rejected`` as
     :func:`_sample_until` does, and raises the draw's recorded error."""
     outcome, _sampled.drawn = getattr(_sampled, "drawn", None), None
     if outcome is None:
-        (outcome,) = _sample_chunk(cfg, [rng], sample, where, finish)
+        (outcome,) = _sample_chunk(cfg, [rng], sample, evaluate, finish)
     values, _sampled.rejected = outcome
     if isinstance(values, Exception):
         raise values
@@ -347,6 +348,15 @@ def _sample_special_functions(cfg: CampaignConfig, rng):
     points = np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
                              _quadratic_points(z, nome), [nome.q]])
     return (nome, z), (points, nome)
+
+
+def _special_functions_gammas(groups) -> list:
+    """Gamma at the 14 points of each pending special-functions draw, one
+    group per draw, from one gamma-engine pass
+    (:func:`special_functions._gamma_groups`): a point on the pole lattice,
+    or a value that is zero or not finite, comes back as its group's
+    rejection."""
+    return _gamma_groups(groups, "the special-functions draw")
 
 
 def _special_functions_thetas(draws) -> list:
@@ -419,32 +429,47 @@ def _run_beta_integral(cfg: CampaignConfig, rng, idx: int) -> VerificationReport
     )
 
 
-def _discrete_sampler(cfg: CampaignConfig, rng):
-    def build(rng):
-        nome = _draw_nome(cfg, rng, q_real=not cfg.allow_complex_nomes,
-                          p_range=(0.05, 0.12), q_range=(0.25, 0.4))
-        a = _take(cfg, rng, "a", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
-        k = _take(cfg, rng, "k", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
-        t = _take(cfg, rng, "t_tilde", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
-        # alternate between the y-split parametrization and a free (b, c)
-        # obeying only the product rule; the identity must hold for both.  A
-        # fixed y makes every draw y-split; the coin is drawn regardless, so
-        # the stream of an unfixed campaign does not depend on this rule
-        if rng.uniform() < 0.5 or "y" in cfg.fixed:
-            y = _take(cfg, rng, "y", lambda r: r.uniform(0.5, 1.5) * _unit_phase(r))
-            params = ba.DiscreteParams.from_y(a=a, k=k, t_tilde=t, y=y, N=cfg.effective_N, nome=nome)
-            mode = "y-split"
-        else:
-            b = rng.uniform(0.3, 1.2) * _unit_phase(rng)
-            c = nome.q * a * t / (k * b)
-            params = ba.DiscreteParams(a=a, k=k, t_tilde=t, b=b, c=c, y=1.0, N=cfg.effective_N, nome=nome)
-            mode = "free-bc"
-        # NaN (overflow in the products at large N) must reject as well
-        if not ba.conditioning_amplification(params) <= _AMPLIFICATION_CAP:
-            raise _Rejected
-        return params, mode
+def _sample_discrete(cfg: CampaignConfig, rng):
+    """One attempt at a matrix-Bailey or Coxeter draw: its head, the bc mode,
+    and the fields of its :class:`bailey_algebra.DiscreteParams`, which the
+    round's stacked build takes (:func:`_discrete_builds`)."""
+    nome = _draw_nome(cfg, rng, q_real=not cfg.allow_complex_nomes,
+                      p_range=(0.05, 0.12), q_range=(0.25, 0.4))
+    a = _take(cfg, rng, "a", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
+    k = _take(cfg, rng, "k", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
+    t = _take(cfg, rng, "t_tilde", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
+    # alternate between the y-split parametrization and a free (b, c)
+    # obeying only the product rule; the identity must hold for both.  A
+    # fixed y makes every draw y-split; the coin is drawn regardless, so
+    # the stream of an unfixed campaign does not depend on this rule
+    if rng.uniform() < 0.5 or "y" in cfg.fixed:
+        y = _take(cfg, rng, "y", lambda r: r.uniform(0.5, 1.5) * _unit_phase(r))
+        return ("y-split",), ba.DiscreteParams.y_split(a, k, t, y, cfg.effective_N, nome)
+    b = rng.uniform(0.3, 1.2) * _unit_phase(rng)
+    c = nome.q * a * t / (k * b)
+    return ("free-bc",), dict(a=a, k=k, t_tilde=t, b=b, c=c, y=1.0, N=cfg.effective_N, nome=nome)
 
-    return _sample_until(cfg, rng, build)
+
+def _discrete_builds(drafts) -> list:
+    """The parameter sets of a round's pending discrete draws, from one
+    stacked build (:meth:`bailey_algebra.DiscreteParams.stack`), each with
+    the bits it has built alone.  A draw the build rejects comes back as its
+    error, and so does one whose conditioning amplification is over
+    ``_AMPLIFICATION_CAP`` or NaN (overflow in the products at large N)."""
+    return ba.DiscreteParams.stack(drafts, _AMPLIFICATION_CAP)
+
+
+def _no_finish(draws) -> list:
+    """Nothing to append to a chunk's accepted draws."""
+    return [()] * len(draws)
+
+
+def _discrete_sampler(cfg: CampaignConfig, rng):
+    """(params, bc mode) of this runner call's matrix-Bailey or Coxeter draw,
+    sampled with its chunk (:func:`_chunk_draw`), or as a one-draw chunk
+    outside a campaign."""
+    mode, params = _chunk_draw(cfg, rng, *_CHUNKED[cfg.identity])
+    return params, mode
 
 
 def _run_discrete(verify, cfg: CampaignConfig, rng) -> VerificationReport:
@@ -565,12 +590,15 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     )
 
 
-# identities whose draws run_campaign samples a chunk at a time: the sampler
-# of one attempt, the ``where`` of its gamma values and the pass that
-# finishes the chunk's accepted draws
+# identities whose draws run_campaign samples a chunk at a time
+# (_sample_chunk): the sampler of one attempt, the pass that evaluates a
+# round's pending attempts together (a gamma-engine pass, or a stacked
+# DiscreteParams build) and the pass that finishes the chunk's accepted draws
 _CHUNKED = {
-    "special-functions": (_sample_special_functions, "the special-functions draw",
+    "special-functions": (_sample_special_functions, _special_functions_gammas,
                           _special_functions_thetas),
+    "matrix-bailey": (_sample_discrete, _discrete_builds, _no_finish),
+    "coxeter": (_sample_discrete, _discrete_builds, _no_finish),
 }
 
 _RUNNERS = {
@@ -588,11 +616,15 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """Run all draws of a campaign; deterministic given the config.
 
     Every draw makes one ``_RUNNERS[identity]`` call, with the generator of
-    its own sub-seed.  An identity in ``_CHUNKED`` has its draws sampled a
-    chunk of ``_DRAW_CHUNK`` at a time, after a first chunk of draw 0 alone,
-    when the chunk's first draw is reached (:func:`_sample_chunk`), and each
-    runner call takes its draw's outcome; a draw's values, rejections and
-    errors are those of sampling it alone.  Should a chunk's engine pass
+    its own sub-seed.  An identity in ``_CHUNKED`` (special-functions,
+    matrix-bailey and coxeter) has its draws sampled a chunk of
+    ``_DRAW_CHUNK`` at a time, after a first chunk of draw 0 alone, when the
+    chunk's first draw is reached (:func:`_sample_chunk`): each sampling
+    round evaluates the chunk's pending draws together, in one gamma-engine
+    pass or one stacked :class:`bailey_algebra.DiscreteParams` build, a
+    rejected draw samples again on its own stream, and each runner call
+    takes its draw's outcome; a draw's values, rejections and errors are
+    those of sampling it alone.  Should a chunk's engine pass
     fail outside every draw, the chunk is sampled again one draw at a time
     from fresh streams, so one bad draw never takes down another; a draw
     whose sampling fails raises its error from its runner call.

@@ -81,6 +81,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1058,7 +1059,11 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
         theta = _qpoch_rows(x, vs, at_x, by_order) * _qpoch_rows(v / x, vs, at_x, by_order)
         if 0 in vs:
             theta = np.where(v == 0, 1.0 - x, theta)
-        log_theta[used] = np.log(theta)
+        # an exact zero of a shift factor is a zero of Gamma: its log is -inf,
+        # and the value exp(-inf) = 0, without a warning (here, or where the
+        # sign multiplies it below)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_theta[used] = np.log(theta)
     # each point's sum over its group's width, a pairwise sum whose bits
     # depend on its length: the rows of one width are summed together
     if one:
@@ -1071,7 +1076,8 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
             rows = np.flatnonzero(width_at == width)
             if rows.size:
                 sums[rows] = log_theta[rows, :width].sum(axis=1)
-    return np.sign(k) * sums
+    with np.errstate(invalid="ignore"):
+        return np.sign(k) * sums
 
 
 def _blocks(items: list, orders: list, sizes: list) -> list:
@@ -1228,12 +1234,13 @@ def _quadratic_points(z: complex, nome: NomePair) -> np.ndarray:
 def _quadratic_residual(values: np.ndarray) -> float:
     """|Gamma(z^2) - prod Gamma(s)| / |Gamma(z^2)| from the gamma values at
     :func:`_quadratic_points`.  Where the product of the eight values is not
-    finite, though each of them may be, the ratio prod Gamma(s) / Gamma(z^2)
-    is formed from a sum of logs instead, and the residual is |1 - ratio|."""
+    finite, or underflows (to 0, or below the smallest normal double), though
+    each of them may be neither, the ratio prod Gamma(s) / Gamma(z^2) is
+    formed from a sum of logs instead, and the residual is |1 - ratio|."""
     lhs = complex(values[0])
     with np.errstate(all="ignore"):
         rhs = complex(values[1:].prod())
-        if cmath.isfinite(rhs):
+        if cmath.isfinite(rhs) and abs(rhs) >= sys.float_info.min:
             return abs(lhs - rhs) / abs(lhs)
         ratio = complex(np.exp(np.log(values[1:]).sum() - np.log(values[0])))
     return abs(1.0 - ratio)

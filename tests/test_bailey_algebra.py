@@ -406,26 +406,31 @@ class TestCoxeter:
 
 
 class TestBuiltOncePerDraw:
-    """A draw evaluates every theta factor once, in its guard's one theta
-    call; its six M and four D are assembled from those values on first use,
-    and neither the conditioning estimate nor any check calls theta, build_M
-    or build_D again."""
+    """A draw evaluates every theta factor once, in its build's one product
+    call; its six M and four D are assembled from those values in the same
+    build, and neither the conditioning estimate nor any check calls the
+    product kernel, theta, build_M or build_D again."""
 
     @staticmethod
     def _count_calls(monkeypatch):
-        # a draw's one theta call is _guarded_pochhammer's, through special_functions
+        # a draw's one product call is its build's, through bailey_algebra;
+        # theta itself is not called at all
         calls = {"theta": 0, "build": 0}
-        theta_orig = sf.theta
+        rows_orig = ba._qpoch_rows
 
-        def counted_theta(*args, **kwargs):
+        def counted_rows(*args, **kwargs):
             calls["theta"] += 1
-            return theta_orig(*args, **kwargs)
+            return rows_orig(*args, **kwargs)
+
+        def no_theta(*args, **kwargs):
+            raise AssertionError("a draw takes its thetas from its build's product call")
 
         def no_build(*args, **kwargs):
             calls["build"] += 1
             raise AssertionError("a draw must not call the public builders")
 
-        monkeypatch.setattr(sf, "theta", counted_theta)
+        monkeypatch.setattr(ba, "_qpoch_rows", counted_rows)
+        monkeypatch.setattr(sf, "theta", no_theta)
         monkeypatch.setattr(ba, "build_M", no_build)
         monkeypatch.setattr(ba, "build_D", no_build)
         return calls
@@ -580,7 +585,7 @@ class TestThetaTable:
             for size in (1, 6):
                 rows = rng.integers(0, 21, size=(5, size))
                 x = _complex_normal(rng, size)
-                got = ba._stacked_M(x, poch, factors, rows)
+                got = ba._stacked_M(x[None], poch[None], factors[None], rows)[0]
                 assert got.shape == (size, N + 1, N + 1)
                 for s in range(size):
                     y, yx, qx, q, xr = rows[:, s]
@@ -611,7 +616,7 @@ class TestThetaTable:
                 # a tie in the real part is broken by the imaginary part
                 xq, (u, nu, du), _ = spec[0]
                 spec[0] = (xq, (u, nu, du), (complex(u.real, -u.imag), *rng.integers(0, 8, size=2)))
-                got = ba._stacked_D(poch, n1, spec)
+                got = ba._stacked_D(poch[None], n1, [spec])[0]
                 assert got.shape == (size, n1)
                 for s, (xq, *sides) in enumerate(spec):
                     (u, nu, du), (v, nv, dv) = sorted(sides, key=lambda e: (e[0].real, e[0].imag))
@@ -619,7 +624,7 @@ class TestThetaTable:
                             * (xq / (u * v)) ** np.arange(n1))
                     assert np.array_equal(got[s], want)
                 swapped = [(xq, side_v, side_u) for xq, side_u, side_v in spec]
-                assert np.array_equal(ba._stacked_D(poch, n1, swapped), got)
+                assert np.array_equal(ba._stacked_D(poch[None], n1, [swapped])[0], got)
 
     def test_conditioning_equals_the_per_matrix_formula(self):
         # the stacked moduli and the one stacked inversion product give the

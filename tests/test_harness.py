@@ -111,22 +111,25 @@ class TestSampler:
 
     def test_overflowing_draw_reaches_the_cap_without_warnings(self, monkeypatch):
         # the same campaign with RuntimeWarning as an error: the overflowing
-        # attempt's amplification is non-finite and rejected by the cap, and
-        # no numpy warning is raised on the way
-        amplifications = []
-        estimate = hmod.ba.conditioning_amplification
+        # attempt's amplification is non-finite and rejected by the cap in
+        # the chunk's stacked build, and no numpy warning is raised on the way
+        capped = []
+        stack = hmod.ba.DiscreteParams.stack
 
-        def recorded(params):
-            amplifications.append(estimate(params))
-            return amplifications[-1]
+        def recorded(drafts, cap=None):
+            out = stack(drafts, cap)
+            capped.extend(str(params) for params in out if isinstance(params, Exception)
+                          and "conditioning amplification" in str(params))
+            return out
 
-        monkeypatch.setattr(hmod.ba, "conditioning_amplification", recorded)
+        monkeypatch.setattr(hmod.ba.DiscreteParams, "stack", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             reports = run_campaign(CampaignConfig(identity="matrix-bailey", N=8, seed=4, draws=5))
         assert all(r.passed for r in reports)
         assert reports[4].settings["rejected"] >= 1
-        assert not all(np.isfinite(amplifications))
+        assert any(amplification in message for message in capped
+                   for amplification in ("amplification nan", "amplification inf"))
 
     def test_library_fault_is_reported_not_resampled(self, monkeypatch):
         # a TruncationLimitError while sampling is a fault, not an inadmissible
