@@ -711,3 +711,126 @@ class TestBressoudLimit:
     def test_complex_q_rejected(self):
         with pytest.raises(DomainError):
             bressoud_limit_check(2, 0.4, 0.6, 0.5 + 0.1j)
+
+
+def _memo_bits(params):
+    """Every memo of a built parameter set, as bytes, and its field types."""
+    arrays = (params._bases, params._factors, params._poch, *params._m_stack,
+              *params.diagonals.values(), *params.key_lhs)
+    assert not any(memo.flags.writeable for memo in arrays)
+    return ([memo.tobytes() for memo in arrays]
+            + [list(params.diagonals), np.float64(conditioning_amplification(params)).tobytes()]
+            + [type(getattr(params, name)) for name in ("a", "k", "t_tilde", "b", "c", "y")])
+
+
+def _built_alone(fields):
+    try:
+        return DiscreteParams(**fields)
+    except Exception as exc:
+        return exc
+
+
+def _assert_stack_matches_alone(drafts, cap=None):
+    """DiscreteParams.stack(drafts, cap) against DiscreteParams(**fields) per
+    draft: the same memo bits, or the same error, and under the cap
+    exactly the draws whose amplification is at most cap (NaN rejects)."""
+    stacked = DiscreteParams.stack(drafts, cap)
+    assert len(stacked) == len(drafts)
+    for fields, got in zip(drafts, stacked):
+        alone = _built_alone(fields)
+        if isinstance(alone, Exception):
+            assert (type(got), str(got)) == (type(alone), str(alone))
+        elif cap is not None and not conditioning_amplification(alone) <= cap:
+            assert isinstance(got, DegenerateParameterError)
+            assert "conditioning amplification" in str(got)
+        else:
+            assert isinstance(got, DiscreteParams)
+            assert _memo_bits(got) == _memo_bits(alone)
+    return stacked
+
+
+@st.composite
+def _draft(draw, N, fixed_a, shared_nome):
+    """The fields of one draw at size N, as the sampler forms them: y-split
+    with Python complex fields, or a free (b, c) with numpy complex128 ones;
+    on its own real or complex nome or on one the chunk shares, and with a
+    or without the chunk's fixed a (a Python complex, as a fixed value is)."""
+    if draw(st.booleans()):
+        nome = shared_nome
+    else:
+        p, q = draw(st.floats(0.02, 0.3)), draw(st.floats(0.1, 0.6))
+        if draw(st.booleans()):
+            p, q = p * cmath.exp(2j * math.pi * draw(_phase)), q * cmath.exp(2j * math.pi * draw(_phase))
+        nome = NomePair(p, q)
+    fixed = draw(st.booleans())
+    a, k, t = (_on_circle(draw, _modulus) for _ in range(3))
+    if draw(st.booleans()):
+        return DiscreteParams.y_split(fixed_a if fixed else a, k, t,
+                                      _on_circle(draw, st.floats(0.5, 1.5)), N, nome)
+    a = fixed_a if fixed else np.complex128(a)
+    k, t, b = np.complex128(k), np.complex128(t), np.complex128(_on_circle(draw, st.floats(0.3, 1.2)))
+    return dict(a=a, k=k, t_tilde=t, b=b, c=nome.q * a * t / (k * b), y=1.0, N=N, nome=nome)
+
+
+def _faulty_drafts(N):
+    """Three draws of size N that their build ends: theta(aq/b; p) = theta(1;
+    p) = 0 under the guard, a product rule that fails, and p so near 1 that
+    the theta order passes MAX_TERMS."""
+    nome = NomePair(0.1, 0.3)
+    guard = dict(a=0.5, k=0.4, t_tilde=0.6, b=0.5 * nome.q, c=0.6 / 0.4, y=1.0, N=N, nome=nome)
+    rule = dict(guard, b=0.5, c=0.9)
+    order = DiscreteParams.y_split(0.5, 0.4, 0.6, 1.1, N, NomePair(1 - 1e-12, 0.3))
+    return [guard, rule, order]
+
+
+class TestStackedBuild:
+    """A stacked build gives each draw the memos, bits and errors of its
+    build alone, whatever draws share its chunk and its blocks."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(0, 8))
+    def test_each_draw_keeps_the_bits_of_its_build_alone(self, data, N):
+        fixed_a = _on_circle(data.draw, _modulus)
+        shared = NomePair(data.draw(st.floats(0.02, 0.3)), data.draw(st.floats(0.1, 0.6)))
+        drafts = data.draw(st.lists(_draft(N, fixed_a, shared), min_size=1, max_size=40))
+        at = data.draw(st.integers(0, len(drafts)))
+        drafts[at:at] = _faulty_drafts(N)
+        stacked = _assert_stack_matches_alone(drafts)
+        _assert_stack_matches_alone(drafts, cap=1e5)
+        assert isinstance(stacked[at], DegenerateParameterError)
+        assert isinstance(stacked[at + 1], DegenerateParameterError)
+        assert isinstance(stacked[at + 2], sf.TruncationLimitError)
+
+    def test_a_nan_amplification_a_guard_and_an_order_fault_in_one_chunk(self):
+        # TestConditioning's draw, whose inversion products overflow to NaN,
+        # among 30 regular draws and the three faulty ones, across blocks
+        nan_draw = dict(a=0.75, k=0.125, t_tilde=0.5, b=0.5, c=0.65625, y=1, N=5,
+                        nome=NomePair(0.234375, 0.109375))
+        rng = np.random.default_rng(71)
+        drafts = []
+        for _ in range(30):
+            nome = NomePair(rng.uniform(0.05, 0.12), rng.uniform(0.25, 0.4))
+            a, k, t = (rng.uniform(0.1, 0.8) * np.exp(2j * np.pi * rng.uniform()) for _ in range(3))
+            drafts.append(DiscreteParams.y_split(a, k, t, 1.2, 5, nome))
+        drafts[7:7] = [nan_draw, *_faulty_drafts(5)]
+        assert len(drafts) > ba._block_draws(5)
+        stacked = _assert_stack_matches_alone(drafts)
+        assert math.isnan(conditioning_amplification(stacked[7]))
+        capped = _assert_stack_matches_alone(drafts, cap=1e5)
+        assert str(capped[7]) == "conditioning amplification nan is over the cap 1e+05"
+        assert sum(isinstance(params, DiscreteParams) for params in capped) > 20
+
+    def test_no_table_of_a_block_passes_the_pass_bytes(self):
+        # each memo views a table of its block; at N = 8 one draw's M stack
+        # and theta rows are ~8-9 KB, so 32 draws take three blocks
+        rng = np.random.default_rng(72)
+        drafts = [DiscreteParams.y_split(*(rng.uniform(0.1, 0.8) * np.exp(2j * np.pi * rng.uniform())
+                                           for _ in range(3)), 1.1, 8, NomePair(0.08, 0.3))
+                  for _ in range(32)]
+        built = [params for params in DiscreteParams.stack(drafts) if isinstance(params, DiscreteParams)]
+        assert len(built) > 20
+        for params in built:
+            for memo in (params._bases, params._factors, params._poch, *params._m_stack,
+                         *params.diagonals.values(), *params.key_lhs):
+                assert memo.base.nbytes <= sf._PASS_BYTES
+        assert len({id(params._m_stack[0].base) for params in built}) == -(-32 // ba._block_draws(8))

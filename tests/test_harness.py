@@ -353,6 +353,30 @@ class TestChunkSampler:
         assert [r.to_json() for i, r in enumerate(reports) if i != 9] == [
             r.to_json() for i, r in enumerate(reference) if i != 9]
 
+    def test_a_theta_order_fault_in_a_stacked_build_stays_in_its_draw(self, monkeypatch):
+        # one draw's theta order fails inside the chunk's stacked build: that
+        # draw alone ends with the error, and, as a fault while sampling, no
+        # rejection count; the other draws of its chunk and block keep their
+        # bytes
+        from elliptic_bailey.errors import TruncationLimitError
+
+        cfg = CampaignConfig(identity="matrix-bailey", N=3, draws=40, seed=5)
+        reference = run_campaign(cfg)
+        bad = abs(reference[9].params["p"])
+        order = hmod.ba._qpoch_order
+
+        def failing(base_mod, scale):
+            if base_mod == bad:
+                raise TruncationLimitError("stub order")
+            return order(base_mod, scale)
+
+        monkeypatch.setattr(hmod.ba, "_qpoch_order", failing)
+        reports = run_campaign(cfg)
+        assert reports[9].error == "TruncationLimitError: stub order"
+        assert "rejected" not in reports[9].settings
+        assert [r.to_json() for i, r in enumerate(reports) if i != 9] == [
+            r.to_json() for i, r in enumerate(reference) if i != 9]
+
     def test_a_runner_call_outside_a_campaign_samples_its_own_draw(self):
         # a one-draw chunk, with the bits of the campaign's draw
         cfg = CampaignConfig(**self.CFG)
@@ -380,6 +404,32 @@ class TestChunkSampler:
             tracemalloc.stop()
         assert all(isinstance(values, tuple) for values, _rejected in outcomes)
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("identity", ["matrix-bailey", "coxeter"])
+    def test_a_discrete_chunk_allocates_under_1_mib_past_what_it_keeps(self, identity):
+        # at N = 8 the chunk's 32 accepted draws keep their memos, as a draw
+        # built alone does: ~29 KB each, ~0.93 MB in all, views of their
+        # blocks' tables.  The peak past what the chunk keeps bounds every
+        # array it allocated and freed, and no table a draw keeps is larger
+        # than special_functions._PASS_BYTES
+        import tracemalloc
+
+        cfg = CampaignConfig(identity=identity, N=8, draws=hmod._DRAW_CHUNK)
+        seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=hmod._DRAW_CHUNK)
+        rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+        tracemalloc.start()
+        try:
+            outcomes = hmod._sample_chunk(cfg, rngs, *hmod._CHUNKED[identity])
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        built = [values[1] for values, _rejected in outcomes]
+        assert all(isinstance(params, hmod.ba.DiscreteParams) for params in built)
+        assert sum(rejected for _values, rejected in outcomes) > 0
+        assert peak - kept < 1 << 20
+        for params in built:
+            for memo in (params._factors, params._poch, *params._m_stack, *params.key_lhs):
+                assert memo.base.nbytes <= hmod.ba._PASS_BYTES
 
 
 @functools.cache

@@ -332,6 +332,22 @@ class TestEllipticGamma:
         nome = NomePair(0.2, 0.3)
         assert elliptic_gamma(0.06 / 1e-10, nome) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_exact_zero_is_returned_without_a_warning(self):
+        # z = pq is a true zero: its one shift factor theta(z / q; p) = theta(p;
+        # p) is an exact 0, whose log is -inf.  Alone, and as one point of a
+        # 14-point call (a special-functions draw's group), it reads 0 and
+        # the other points keep their values
+        nome = NomePair(0.2, 0.3)
+        assert elliptic_gamma(0.06, nome) == 0
+        points = np.linspace(0.3, 1.4, 14).astype(complex)
+        points[5] = 0.06
+        values = _gamma_vec(points, nome)
+        assert values[5] == 0
+        others = np.delete(values, 5)
+        assert np.all(np.isfinite(others)) and np.all(others != 0)
+        assert _max_rel(others, [elliptic_gamma(z, nome) for z in np.delete(points, 5)]) < 1e-13
+
     def test_large_argument(self, nome):
         # log-space evaluation stays finite and inversion-consistent at |z| ~ 1e3
         z = 1234.5 + 321.0j
@@ -647,6 +663,24 @@ class TestQuadraticTransformation:
         nome = NomePair(0.1, 0.2)
         z = complex((nome.p * nome.q) ** 0.25)
         assert gamma_quadratic_check(z, nome) < 1e-12
+
+    @pytest.mark.parametrize("moduli", [
+        # in order, the product reaches 1e-330 and rounds to 0 before the
+        # large values come; the true product is 1e-105
+        (1e-110, 1e-110, 1e-110, 1e85, 1e85, 1e85, 1e-20, 1e-10),
+        # the product 1e-310 is below the smallest normal double
+        (1e-160, 1e-160, 1e10, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ], ids=["zero", "subnormal"])
+    def test_a_product_that_underflows_takes_the_log_form(self, moduli):
+        # each of the eight values is a normal double; their product in
+        # order underflows, so the residual comes from the log-form ratio
+        # and not from |Gamma(z^2) - 0| / |Gamma(z^2)| = 1
+        phases = np.exp(1j * np.linspace(0.1, 0.8, 8))
+        values = np.array(moduli) * phases
+        lhs = np.exp(np.log(values).sum())
+        with np.errstate(under="ignore"):
+            assert abs(values.prod()) < sys.float_info.min
+        assert special_functions._quadratic_residual(np.concatenate([[lhs], values])) < 1e-12
 
 
 class TestNomePair:
