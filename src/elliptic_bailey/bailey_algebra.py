@@ -189,10 +189,12 @@ def _base_points(params: DiscreteParams) -> list:
 
 def _block_draws(N: int) -> int:
     """Draws per block of a stacked build at size N: the largest tables of
-    a block, its theta rows (two per factor) and its M stack, hold at most
+    a block, its theta rows (two per factor) and each pair of Pochhammer
+    sequences gathered for its M stack (larger than the stack), hold at most
     ``_PASS_BYTES`` bytes; a block holds at least one draw."""
     factors = len(_M_ROWS) * (2 * N + 1) + len(_D_ROWS) * (N + 1)
-    return max(1, _PASS_BYTES // (16 * max(2 * factors, len(_M_PAIRS) * (N + 1) ** 2)))
+    gathered = len(_M_PAIRS) * (N + 1) * (N + 2)
+    return max(1, _PASS_BYTES // (16 * max(2 * factors, gathered)))
 
 
 def _build(drafts: list, cap: float | None = None) -> list:
@@ -371,8 +373,11 @@ def _stacked_M(x: np.ndarray, poch: np.ndarray, factors: np.ndarray,
     th_x2m = factors[:, rows[4], ::2]
     n1 = th_x2m.shape[2]
     flat, m, d, seq_at = _tril(n1)
-    # each of the four sequences gathered on its own, a (D, S, entries) table
-    y, yx, qx, q = (poch[:, rows[j, :, None], seq_at[j]] for j in range(4))
+    # the numerators' two sequences in one gather from each draw's flat
+    # table, and the denominators' two in another, (D, 2, S, entries) each
+    at, table = rows[:4, :, None] * poch.shape[2] + seq_at, poch.reshape(len(poch), -1)
+    num, den = table[:, at[:2]], table[:, at[2:]]
+    y, yx, qx, q = num[:, 0], num[:, 1], den[:, 0], den[:, 1]
     th_ratio = th_x2m / th_x2m[:, :, :1]
     # the m = 0 ratio must be exactly 1 (numpy's complex division does not
     # guarantee x/x == 1), so the diagonal corner entries stay exact

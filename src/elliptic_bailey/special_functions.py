@@ -1046,6 +1046,7 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
             except EllipticBaileyError as exc:
                 out[g] = exc
     log_theta = np.zeros(used.shape, dtype=complex)
+    quiet = False
     if max(orders):
         if one:
             at_x, by_order = 0, orders[0]
@@ -1060,9 +1061,14 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
         if 0 in vs:
             theta = np.where(v == 0, 1.0 - x, theta)
         # an exact zero of a shift factor is a zero of Gamma: its log is -inf,
-        # and the value exp(-inf) = 0, without a warning (here, or where the
-        # sign multiplies it below)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # and the value exp(-inf) = 0, without a warning here or where the
+        # sign multiplies it below.  Only a call that holds one enters
+        # np.errstate, which costs microseconds
+        quiet = np.count_nonzero(theta) < theta.size
+        if quiet:
+            with np.errstate(divide="ignore"):
+                log_theta[used] = np.log(theta)
+        else:
             log_theta[used] = np.log(theta)
     # each point's sum over its group's width, a pairwise sum whose bits
     # depend on its length: the rows of one width are summed together
@@ -1076,8 +1082,10 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
             rows = np.flatnonzero(width_at == width)
             if rows.size:
                 sums[rows] = log_theta[rows, :width].sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        return np.sign(k) * sums
+    if quiet:
+        with np.errstate(invalid="ignore"):
+            return np.sign(k) * sums
+    return np.sign(k) * sums
 
 
 def _blocks(items: list, orders: list, sizes: list) -> list:
