@@ -21,12 +21,12 @@ realized below.  All theta Pochhammers carry the implicit nome pair (p, q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import BaileyPairError, DegenerateParameterError, DomainError, TruncationLimitError
+from .errors import BaileyPairError, DegenerateParameterError, DomainError
 from .report import (RESIDUAL_FLOOR, VerificationReport, identity_deviation, relative_residual,
                      worst, _residual_ratio)
 from .special_functions import (
@@ -37,8 +37,6 @@ from .special_functions import (
     theta_pochhammer_sequence,  # unused here; perfbench/tracing.py wraps this binding
     _PASS_BYTES,
     _guarded_pochhammer,
-    _qpoch_order,
-    _qpoch_rows,
 )
 
 __all__ = [
@@ -149,11 +147,20 @@ class DiscreteParams:
         constructing it alone gives, or the error that construction raises.
         With a ``cap``, a draw whose :func:`conditioning_amplification` is
         not at most ``cap`` (NaN included) comes back as a
-        :class:`DegenerateParameterError`, as a sampler rejects it."""
+        :class:`DegenerateParameterError`, as a sampler rejects it.  A draft
+        whose keys are not the fields raises :class:`TypeError`, as
+        construction does, and drafts of several N :class:`DomainError`."""
+        names = {entry.name for entry in fields(cls)}
+        for draft in drafts:
+            if draft.keys() != names:
+                raise TypeError(f"DiscreteParams fields are {sorted(names)}, got {sorted(draft)}")
+        if len({draft["N"] for draft in drafts}) > 1:
+            raise DomainError("a stacked build takes parameter sets of one N, "
+                              f"got N in {sorted({draft['N'] for draft in drafts})}")
         built = []
-        for fields in drafts:
+        for draft in drafts:
             params = object.__new__(cls)
-            vars(params).update(fields)
+            vars(params).update(draft)
             built.append(params)
         return [params if error is None else error
                 for params, error in zip(built, _build(built, cap))]
@@ -205,10 +212,11 @@ def _build(drafts: list, cap: float | None = None) -> list:
     included) gets a :class:`DegenerateParameterError` too.
 
     Whatever sets a value's bits stays per draw: the base points and the D
-    scales xq/(uv), in Python scalar arithmetic; the theta order, from the
-    draw's own factors and p, as one theta call on them would take it.  The
-    rest is elementwise or a stack of matrix products, each slice with the
-    bits of its own product, so each draw has the bits of its build alone.
+    scales xq/(uv), in Python scalar arithmetic.  A block's theta tables
+    come from one stacked :func:`special_functions._guarded_pochhammer`
+    call, each table with the bits and the error it has alone.  The rest is
+    elementwise or a stack of matrix products, each slice with the bits of
+    its own product, so each draw has the bits of its build alone.
     Only the draws that pass the guard are assembled, and only those that
     pass the cap keep memos, views of their block's read-only tables."""
     errors = [None] * len(drafts)
@@ -233,77 +241,20 @@ def _build(drafts: list, cap: float | None = None) -> list:
     return errors
 
 
-def _theta_tables(block: list, errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """The base points (D, 21) and theta factor tables (D, 21, 2N+1) of a
-    block's draws, each table as :func:`special_functions._guarded_pochhammer`
-    forms it (row z holds theta(z q^j; p), 1 past the row's length), from
-    one :func:`special_functions._qpoch_rows` call whose rows each take
-    their draw's p and its draw's order.  A draw whose factors include
-    z = 0 gets the :class:`DomainError` of theta in ``errors``, one whose
-    theta order fails its :class:`TruncationLimitError`, and one with a
-    factor under ``THETA_GUARD`` a :class:`DegenerateParameterError`."""
-    N = block[0].N
-    width = 2 * N + 1
-    nomes = [params.nome for params in block]
-    bases = np.array([_base_points(params) for params in block], dtype=complex)
-    used = np.arange(width) < np.repeat([width, N + 1], [len(_M_ROWS), len(_D_ROWS)])[:, None]
-    grid = bases[:, :, None] * (np.array([nome.q for nome in nomes])[:, None, None]
-                                ** np.arange(width))
-    z = grid[:, used]
-    factors = np.ones_like(grid)
-    mod_p = [abs(nome.p) for nome in nomes]
-    az = np.abs(z)
-    with np.errstate(divide="ignore"):
-        # theta_truncation_order's scale per draw; a draw with z = 0 takes none
-        scales = np.maximum(az, np.array(mod_p)[:, None] / az).max(axis=1).tolist()
-    thetas, orders = [], []
-    for s, nome in enumerate(nomes):
-        if not z[s].all():
-            errors[s] = DomainError("theta(z; p) requires z != 0")
-        elif nome.p == 0:
-            factors[s, used] = 1.0 - z[s]
-        else:
-            try:
-                orders.append(_qpoch_order(mod_p[s], scales[s]))
-            except TruncationLimitError as exc:
-                errors[s] = exc
-            else:
-                thetas.append(s)
-    if thetas:
-        # theta(z; p) = (z; p)_J (p/z; p)_J: both halves of every draw, draw
-        # i's rows on base i
-        p = [nomes[s].p for s in thetas]
-        x = np.empty((len(thetas), 2, z.shape[1]), dtype=complex)
-        x[:, 0] = z[thetas]
-        np.divide(np.array(p)[:, None], x[:, 0], out=x[:, 1])
-        if len(thetas) == 1:
-            # one draw: the kernel's one-base mode, as theta itself takes it
-            halves = _qpoch_rows(x, p, 0, orders[0])
-        else:
-            at = np.repeat(np.arange(len(thetas)), x[0].size).reshape(x.shape)
-            halves = _qpoch_rows(x, p, at, np.array(orders)[at])
-        factors[np.array(thetas)[:, None], used] = halves[:, 0] * halves[:, 1]
-    mods = np.abs(factors)
-    for s in np.flatnonzero(mods.reshape(len(block), -1).min(axis=1) < THETA_GUARD):
-        if errors[s] is None:
-            i = np.unravel_index(np.argmin(mods[s]), mods[s].shape)
-            errors[s] = DegenerateParameterError(
-                f"theta({complex(grid[s][i])}; p) = {mods[s][i]:.3e} in a matrix entry is under the guard")
-    return bases, factors
-
-
 def _build_block(block: list, cap: float | None) -> list:
     """The memos of one block of :func:`_build`, and its errors."""
-    errors = [None] * len(block)
-    bases, factors = _theta_tables(block, errors)
+    n1 = block[0].N + 1
+    # the theta table of each draw: row z holds theta(z q^j; p), j < 2N+1 on
+    # the rows M(x, y) reads and j < N+1 on the rows D reads, all guarded
+    bases = np.array([_base_points(params) for params in block], dtype=complex)
+    factors, poch, errors = _guarded_pochhammer(
+        bases, np.repeat([2 * n1 - 1, n1], [len(_M_ROWS), len(_D_ROWS)]),
+        [params.nome for params in block], len(_ROW), "a matrix entry")
     kept = [s for s, error in enumerate(errors) if error is None]
     if not kept:
         return errors
     if len(kept) < len(block):
-        bases, factors = bases[kept], factors[kept]
-    n1 = block[0].N + 1
-    poch = np.ones((len(kept), factors.shape[1], factors.shape[2] + 1), dtype=complex)
-    np.cumprod(factors, axis=2, out=poch[:, :, 1:])
+        bases, factors, poch = bases[kept], factors[kept], poch[kept]
     ent = _stacked_M(bases[:, _M_PAIR_ROWS[4]], poch, factors, _M_PAIR_ROWS)
     ent_mods = np.abs(ent)
     diags = _stacked_D(poch, n1, [

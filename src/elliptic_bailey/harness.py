@@ -256,12 +256,12 @@ def _sample_chunk(cfg, rngs, sample, evaluate, finish) -> list:
     ``_REJECTIONS`` or its item comes back as one, and a rejected draw
     samples again from its own stream; past ``_RETRY_CAP`` rejections it
     gets the retry-cap error.  Any other error from ``sample`` or from its
-    item is the draw's fault.  ``finish(draws)`` takes the values of the
-    accepted draws and returns, per draw, the values to append, or the error
-    that ends the draw; that draw keeps its rejections, as a runner that
-    raises after sampling does.  Returns, per draw, (values or error,
-    rejections), with None for the rejections of a fault, as
-    :func:`_sample_until` leaves them.  An error of a pass itself, outside
+    item is the draw's fault.  ``finish(draws)``, unless it is None, takes
+    the values of the accepted draws and returns, per draw, the values to
+    append, or the error that ends the draw; that draw keeps its
+    rejections, as a runner that raises after sampling does.  Returns, per
+    draw, (values or error, rejections), with None for the rejections of a
+    fault, as :func:`_sample_until` leaves them.  An error of a pass itself, outside
     every item, is raised."""
     outcomes = [None] * len(rngs)
     rejects = [0] * len(rngs)
@@ -293,7 +293,7 @@ def _sample_chunk(cfg, rngs, sample, evaluate, finish) -> list:
                 outcomes[i] = ((*head, values), rejects[i])
         pending = [i for i in pending if outcomes[i] is None]
     done = [i for i, (values, _rejected) in enumerate(outcomes) if not isinstance(values, Exception)]
-    if done:
+    if done and finish is not None:
         for i, more in zip(done, finish([outcomes[i][0] for i in done])):
             values, rejected = outcomes[i]
             outcomes[i] = (more if isinstance(more, Exception) else (*values, *more)), rejected
@@ -348,15 +348,6 @@ def _sample_special_functions(cfg: CampaignConfig, rng):
     points = np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
                              _quadratic_points(z, nome), [nome.q]])
     return (nome, z), (points, nome)
-
-
-def _special_functions_gammas(groups) -> list:
-    """Gamma at the 14 points of each pending special-functions draw, one
-    group per draw, from one gamma-engine pass
-    (:func:`special_functions._gamma_groups`): a point on the pole lattice,
-    or a value that is zero or not finite, comes back as its group's
-    rejection."""
-    return _gamma_groups(groups, "the special-functions draw")
 
 
 def _special_functions_thetas(draws) -> list:
@@ -432,7 +423,8 @@ def _run_beta_integral(cfg: CampaignConfig, rng, idx: int) -> VerificationReport
 def _sample_discrete(cfg: CampaignConfig, rng):
     """One attempt at a matrix-Bailey or Coxeter draw: its head, the bc mode,
     and the fields of its :class:`bailey_algebra.DiscreteParams`, which the
-    round's stacked build takes (:func:`_discrete_builds`)."""
+    round's stacked build takes (:meth:`bailey_algebra.DiscreteParams.stack`,
+    with the conditioning cap ``_AMPLIFICATION_CAP``)."""
     nome = _draw_nome(cfg, rng, q_real=not cfg.allow_complex_nomes,
                       p_range=(0.05, 0.12), q_range=(0.25, 0.4))
     a = _take(cfg, rng, "a", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
@@ -448,20 +440,6 @@ def _sample_discrete(cfg: CampaignConfig, rng):
     b = rng.uniform(0.3, 1.2) * _unit_phase(rng)
     c = nome.q * a * t / (k * b)
     return ("free-bc",), dict(a=a, k=k, t_tilde=t, b=b, c=c, y=1.0, N=cfg.effective_N, nome=nome)
-
-
-def _discrete_builds(drafts) -> list:
-    """The parameter sets of a round's pending discrete draws, from one
-    stacked build (:meth:`bailey_algebra.DiscreteParams.stack`), each with
-    the bits it has built alone.  A draw the build rejects comes back as its
-    error, and so does one whose conditioning amplification is over
-    ``_AMPLIFICATION_CAP`` or NaN (overflow in the products at large N)."""
-    return ba.DiscreteParams.stack(drafts, _AMPLIFICATION_CAP)
-
-
-def _no_finish(draws) -> list:
-    """Nothing to append to a chunk's accepted draws."""
-    return [()] * len(draws)
 
 
 def _discrete_sampler(cfg: CampaignConfig, rng):
@@ -593,13 +571,17 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
 # identities whose draws run_campaign samples a chunk at a time
 # (_sample_chunk): the sampler of one attempt, the pass that evaluates a
 # round's pending attempts together (a gamma-engine pass, or a stacked
-# DiscreteParams build) and the pass that finishes the chunk's accepted draws
+# DiscreteParams build under the conditioning cap; a pass reads its function
+# from the module when it runs) and the pass that finishes the chunk's
+# accepted draws, or None
 _CHUNKED = {
-    "special-functions": (_sample_special_functions, _special_functions_gammas,
+    "special-functions": (_sample_special_functions,
+                          lambda groups: _gamma_groups(groups, "the special-functions draw"),
                           _special_functions_thetas),
-    "matrix-bailey": (_sample_discrete, _discrete_builds, _no_finish),
-    "coxeter": (_sample_discrete, _discrete_builds, _no_finish),
+    "matrix-bailey": (_sample_discrete,
+                      lambda drafts: ba.DiscreteParams.stack(drafts, _AMPLIFICATION_CAP), None),
 }
+_CHUNKED["coxeter"] = _CHUNKED["matrix-bailey"]
 
 _RUNNERS = {
     "special-functions": _run_special_functions,

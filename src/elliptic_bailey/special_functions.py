@@ -65,8 +65,10 @@ stacked halves (z; p)_J (p/z; p)_J; so do the shift thetas of
 ``_gamma_groups`` and ``_theta_pass``, which takes the thetas and the
 products (p; p)_inf, (q; q)_inf of a chunk of special-functions draws from
 one call, with the bits of the scalar calls.  The theta-Pochhammer symbols
-and sequences are read from one table of factors theta(z q^j; p),
-``_guarded_pochhammer``.
+and sequences are read from tables of factors theta(z q^j; p) built by
+``_guarded_pochhammer``, which calls the kernel too: on one table, or on a
+stack of tables with a nome each, as a stacked ``DiscreteParams`` build
+takes them, each table with the bits it has alone.
 
 Gamma(z; p, q) = Gamma(z; q, p) by construction: the series coefficients
 are symmetric in p and q, and the shift nome is chosen by modulus;
@@ -1046,7 +1048,6 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
             except EllipticBaileyError as exc:
                 out[g] = exc
     log_theta = np.zeros(used.shape, dtype=complex)
-    quiet = False
     if max(orders):
         if one:
             at_x, by_order = 0, orders[0]
@@ -1062,13 +1063,8 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
             theta = np.where(v == 0, 1.0 - x, theta)
         # an exact zero of a shift factor is a zero of Gamma: its log is -inf,
         # and the value exp(-inf) = 0, without a warning here or where the
-        # sign multiplies it below.  Only a call that holds one enters
-        # np.errstate, which costs microseconds
-        quiet = np.count_nonzero(theta) < theta.size
-        if quiet:
-            with np.errstate(divide="ignore"):
-                log_theta[used] = np.log(theta)
-        else:
+        # sign multiplies it below
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_theta[used] = np.log(theta)
     # each point's sum over its group's width, a pairwise sum whose bits
     # depend on its length: the rows of one width are summed together
@@ -1082,10 +1078,8 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
             rows = np.flatnonzero(width_at == width)
             if rows.size:
                 sums[rows] = log_theta[rows, :width].sum(axis=1)
-    if quiet:
-        with np.errstate(invalid="ignore"):
-            return np.sign(k) * sums
-    return np.sign(k) * sums
+    with np.errstate(invalid="ignore"):
+        return np.sign(k) * sums
 
 
 def _blocks(items: list, orders: list, sizes: list) -> list:
@@ -1153,39 +1147,101 @@ def _nonzero_finite_gamma(points, nome: NomePair, where: str) -> np.ndarray:
 
 
 def _pochhammer_grid(bases, lengths, q) -> tuple[np.ndarray, np.ndarray]:
-    """The points z q^j of a theta-Pochhammer table, one row per base point
-    z, and the mask of its factors j < length: the one theta call of
-    :func:`_guarded_pochhammer` is made at the masked points."""
+    """The points z q^j of theta-Pochhammer tables, one row per base point
+    z, and the mask of their factors j < length.  ``bases`` is one table's
+    base points, or a stack of tables (T, R); q is one q for every table,
+    or one per table.  Each table's powers q^j are formed as
+    ``q ** np.arange(width)`` forms them.  :func:`_guarded_pochhammer`
+    evaluates the masked points."""
     bases = np.asarray(bases, dtype=complex)
     lengths = np.asarray(lengths)
     width = int(lengths.max())
-    return bases[:, None] * q ** np.arange(width), np.arange(width) < lengths[:, None]
+    powers = np.asarray(q, dtype=complex)[..., None, None] ** np.arange(width)
+    return bases[..., None] * powers, np.arange(width) < lengths[:, None]
 
 
-def _guarded_pochhammer(bases, lengths, nome: NomePair, guarded: int = 0, where: str = ""):
-    """The one theta-Pochhammer path: a factor table and its sequences.
+def _guarded_pochhammer(bases, lengths, nome, guarded: int = 0, where: str = ""):
+    """The one theta-Pochhammer path: factor tables and their sequences.
 
-    Evaluates theta(z q^j; p), j < length, for each base point z in one theta
-    call, as a factor table with one row per base point (1 past a row's
-    length), and returns it with the Pochhammer sequences [theta(z; p)_0, ...,
-    theta(z; p)_length] of its rows, one row-wise cumulative product.  A
-    factor under ``THETA_GUARD`` in the first ``guarded`` rows raises
-    :class:`DegenerateParameterError`: a product of many small factors is
-    fine, a single small one is not.
+    ``nome`` is a NomePair, for one table of base points ``bases``, or a
+    list of them, for a stack of tables (T, R), table i on ``nome[i]``;
+    every table has the row lengths ``lengths``.  A table holds theta(z q^j;
+    p), j < length, for each base point z, one row per base point (1 past a
+    row's length), and its Pochhammer sequences [theta(z; p)_0, ...,
+    theta(z; p)_length] are one cumulative product along the rows.  Every
+    table's factors come from one :func:`_qpoch_rows` call on the halves
+    (z; p)_J (p/z; p)_J, each table's rows on its own p and at its own
+    order J, the order a :func:`theta` call on its factors takes
+    (:func:`theta_truncation_order`); one table is a :func:`theta` call,
+    the kernel's one-base mode.  Both modes give a row the same bits, so
+    each table has the bits of a theta call on it alone, whatever tables
+    share the call.
+
+    A table fails, as theta fails on its factors, with :class:`DomainError`
+    at a factor z = 0 and with :class:`TruncationLimitError` where its order
+    passes ``MAX_TERMS``; and with :class:`DegenerateParameterError` where a
+    factor in its first ``guarded`` rows is under ``THETA_GUARD``: a product
+    of many small factors is fine, a single small one is not.  One table
+    raises its error, else returns (factors, poch); a stack returns
+    (factors, poch, errors), per table None or its error, a failed table's
+    entries unspecified.
     """
-    grid, used = _pochhammer_grid(bases, lengths, nome.q)
+    one = isinstance(nome, NomePair)
+    nomes = [nome] if one else nome
+    grid, used = _pochhammer_grid(np.asarray(bases, dtype=complex).reshape(len(nomes), -1),
+                                  lengths, nome.q if one else [entry.q for entry in nomes])
     factors = np.ones_like(grid)
-    if grid.size:
-        factors[used] = theta(grid[used], nome.p)
-    mods = np.abs(factors[:guarded])
-    if mods.size and mods.min() < THETA_GUARD:
-        i = np.unravel_index(np.argmin(mods), mods.shape)
-        raise DegenerateParameterError(
-            f"theta({complex(grid[i])}; p) = {mods[i]:.3e} in {where} is under the guard"
-        )
-    poch = np.ones((grid.shape[0], grid.shape[1] + 1), dtype=complex)
-    np.cumprod(factors, axis=1, out=poch[:, 1:])
-    return factors, poch
+    errors = [None] * len(nomes)
+    if grid.size and len(nomes) == 1:
+        try:
+            factors[0][used] = theta(grid[0][used], nomes[0].p)
+        except (DomainError, TruncationLimitError) as exc:
+            errors[0] = exc
+    elif grid.size:
+        z = grid[:, used]
+        az = np.abs(z)
+        mod_p = [abs(entry.p) for entry in nomes]
+        with np.errstate(divide="ignore"):
+            # theta_truncation_order's scale per table; a table with z = 0 takes none
+            scales = np.maximum(az, np.array(mod_p)[:, None] / az).max(axis=1).tolist()
+        thetas, orders = [], []
+        for i, entry in enumerate(nomes):
+            if not z[i].all():
+                errors[i] = DomainError("theta(z; p) requires z != 0")
+            elif entry.p == 0:
+                factors[i, used] = 1.0 - z[i]
+            else:
+                try:
+                    orders.append(_qpoch_order(mod_p[i], scales[i]))
+                except TruncationLimitError as exc:
+                    errors[i] = exc
+                else:
+                    thetas.append(i)
+        if thetas:
+            # (z; p)_J (p/z; p)_J, table i's rows on its own p at its own J
+            p = [nomes[i].p for i in thetas]
+            halves = np.empty((len(thetas), 2, z.shape[1]), dtype=complex)
+            halves[:, 0] = z[thetas]
+            np.divide(np.array(p)[:, None], halves[:, 0], out=halves[:, 1])
+            at = np.repeat(np.arange(len(thetas)), halves[0].size).reshape(halves.shape)
+            halves = _qpoch_rows(halves, p, at, np.array(orders)[at])
+            factors[np.array(thetas)[:, None], used] = halves[:, 0] * halves[:, 1]
+    mods = np.abs(factors[:, :guarded])
+    # a table's NaN factor hides its minimum, as np.min takes it, but no
+    # other table's
+    if not (mods >= THETA_GUARD).all():
+        for i in np.flatnonzero(mods.reshape(len(nomes), -1).min(axis=1) < THETA_GUARD):
+            if errors[i] is None:
+                at = np.unravel_index(np.argmin(mods[i]), mods[i].shape)
+                errors[i] = DegenerateParameterError(
+                    f"theta({complex(grid[i][at])}; p) = {mods[i][at]:.3e} in {where} is under the guard")
+    poch = np.ones((*grid.shape[:2], grid.shape[2] + 1), dtype=complex)
+    np.cumprod(factors, axis=2, out=poch[:, :, 1:])
+    if one:
+        if errors[0] is not None:
+            raise errors[0]
+        return factors[0], poch[0]
+    return factors, poch, errors
 
 
 def elliptic_pochhammer(z, n: int, nome: NomePair):

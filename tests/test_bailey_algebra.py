@@ -413,24 +413,20 @@ class TestBuiltOncePerDraw:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        # a draw's one product call is its build's, through bailey_algebra;
-        # theta itself is not called at all
+        # a draw's one product call is its build's theta table, through
+        # special_functions (a theta call, for a draw built alone)
         calls = {"theta": 0, "build": 0}
-        rows_orig = ba._qpoch_rows
+        rows_orig = sf._qpoch_rows
 
         def counted_rows(*args, **kwargs):
             calls["theta"] += 1
             return rows_orig(*args, **kwargs)
 
-        def no_theta(*args, **kwargs):
-            raise AssertionError("a draw takes its thetas from its build's product call")
-
         def no_build(*args, **kwargs):
             calls["build"] += 1
             raise AssertionError("a draw must not call the public builders")
 
-        monkeypatch.setattr(ba, "_qpoch_rows", counted_rows)
-        monkeypatch.setattr(sf, "theta", no_theta)
+        monkeypatch.setattr(sf, "_qpoch_rows", counted_rows)
         monkeypatch.setattr(ba, "build_M", no_build)
         monkeypatch.setattr(ba, "build_D", no_build)
         return calls
@@ -819,6 +815,19 @@ class TestStackedBuild:
         capped = _assert_stack_matches_alone(drafts, cap=1e5)
         assert str(capped[7]) == "conditioning amplification nan is over the cap 1e+05"
         assert sum(isinstance(params, DiscreteParams) for params in capped) > 20
+
+    def test_drafts_of_several_N_or_other_fields_are_refused(self):
+        # a block is built at its first draw's N, so a draw of another N
+        # would get another size's tables; a missing field would surface
+        # only later, as an AttributeError
+        nome = NomePair(0.08, 0.3)
+        drafts = [DiscreteParams.y_split(0.5, 0.4, 0.6, 1.1, N, nome) for N in (8, 3)]
+        with pytest.raises(DomainError, match="one N"):
+            DiscreteParams.stack(drafts)
+        missing = {name: value for name, value in drafts[1].items() if name != "y"}
+        for bad in (missing, {**drafts[1], "extra": 1}):
+            with pytest.raises(TypeError, match="fields"):
+                DiscreteParams.stack([drafts[1], bad])
 
     def test_no_table_of_a_block_passes_the_pass_bytes(self):
         # each memo views a table of its block; at N = 8 one draw's M stack

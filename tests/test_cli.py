@@ -371,12 +371,13 @@ class TestEval:
         ("d-entry", "--m", "0", "--a", "0.4", "--b", "0.5", "--c", "0.9", "--p", "0.1", "--q", "0.2"),
     ])
     def test_printed_theta_order_is_the_order_used(self, capsys, monkeypatch, argv):
-        # records the product length of every _qpoch_rows call made by theta
+        # records the product length of every _qpoch_rows call that forms
+        # thetas: theta's own, and a theta-Pochhammer table's
         rows = special_functions._qpoch_rows
         used = set()
 
         def recording(x, bases, at, orders):
-            if sys._getframe(1).f_code.co_name == "_theta_raw":
+            if sys._getframe(1).f_code.co_name in ("_theta_raw", "_guarded_pochhammer"):
                 used.add(orders)
             return rows(x, bases, at, orders)
 

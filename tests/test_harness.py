@@ -358,19 +358,20 @@ class TestChunkSampler:
         # draw alone ends with the error, and, as a fault while sampling, no
         # rejection count; the other draws of its chunk and block keep their
         # bytes
+        from elliptic_bailey import special_functions
         from elliptic_bailey.errors import TruncationLimitError
 
         cfg = CampaignConfig(identity="matrix-bailey", N=3, draws=40, seed=5)
         reference = run_campaign(cfg)
         bad = abs(reference[9].params["p"])
-        order = hmod.ba._qpoch_order
+        order = special_functions._qpoch_order
 
         def failing(base_mod, scale):
             if base_mod == bad:
                 raise TruncationLimitError("stub order")
             return order(base_mod, scale)
 
-        monkeypatch.setattr(hmod.ba, "_qpoch_order", failing)
+        monkeypatch.setattr(special_functions, "_qpoch_order", failing)
         reports = run_campaign(cfg)
         assert reports[9].error == "TruncationLimitError: stub order"
         assert "rejected" not in reports[9].settings
@@ -405,13 +406,10 @@ class TestChunkSampler:
         assert all(isinstance(values, tuple) for values, _rejected in outcomes)
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("identity", ["matrix-bailey", "coxeter"])
-    def test_a_discrete_chunk_allocates_under_1_mib_past_what_it_keeps(self, identity):
-        # at N = 8 the chunk's 32 accepted draws keep their memos, as a draw
-        # built alone does: ~29 KB each, ~0.93 MB in all, views of their
-        # blocks' tables.  The peak past what the chunk keeps bounds every
-        # array it allocated and freed, and no table a draw keeps is larger
-        # than special_functions._PASS_BYTES
+    @staticmethod
+    def _discrete_chunk_memory(identity):
+        """(outcomes, bytes kept, peak bytes) of sampling one N = 8 chunk
+        under tracemalloc."""
         import tracemalloc
 
         cfg = CampaignConfig(identity=identity, N=8, draws=hmod._DRAW_CHUNK)
@@ -426,6 +424,23 @@ class TestChunkSampler:
         built = [values[1] for values, _rejected in outcomes]
         assert all(isinstance(params, hmod.ba.DiscreteParams) for params in built)
         assert sum(rejected for _values, rejected in outcomes) > 0
+        return built, kept, peak
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "one N = 8 chunk peaks at ~1.43 MB: its 32 accepted draws keep ~0.93 MB "
+        "of memos (~29 KB each, as a draw built alone keeps them), and the "
+        "build's freed tables peak ~0.50 MB above that"))
+    @pytest.mark.parametrize("identity", ["matrix-bailey", "coxeter"])
+    def test_a_discrete_chunk_peaks_under_1_mib(self, identity):
+        _built, _kept, peak = self._discrete_chunk_memory(identity)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("identity", ["matrix-bailey", "coxeter"])
+    def test_a_discrete_chunk_allocates_under_1_mib_past_what_it_keeps(self, identity):
+        # the peak past the memos the chunk's draws keep bounds every array
+        # the build allocated and freed, and no table a draw keeps is larger
+        # than special_functions._PASS_BYTES
+        built, kept, peak = self._discrete_chunk_memory(identity)
         assert peak - kept < 1 << 20
         for params in built:
             for memo in (params._factors, params._poch, *params._m_stack, *params.key_lhs):

@@ -635,6 +635,60 @@ class TestEllipticPochhammer:
             assert theta_pochhammer_sequence(z, n, nome)[n] == elliptic_pochhammer(z, n, nome)
 
 
+class TestGuardedPochhammer:
+    """The one theta-Pochhammer path, on one table or on a stack of tables."""
+
+    LENGTHS = [5, 5, 2, 0, 3]
+
+    @staticmethod
+    def _alone(bases, lengths, nome, guarded):
+        try:
+            return special_functions._guarded_pochhammer(bases, lengths, nome, guarded, "a row")
+        except Exception as exc:
+            return exc
+
+    def test_one_table_has_the_bits_of_theta_on_its_factors(self):
+        rng = np.random.default_rng(31)
+        for nome in (NomePair(0.1, 0.3), NomePair(0.2j, 0.25 - 0.1j), NomePair(0.0, 0.4)):
+            bases = rng.uniform(0.2, 1.5, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
+            factors, poch = special_functions._guarded_pochhammer(bases, self.LENGTHS, nome)
+            grid, used = special_functions._pochhammer_grid(bases, self.LENGTHS, nome.q)
+            assert factors[used].tobytes() == np.asarray(theta(grid[used], nome.p)).tobytes()
+            assert np.all(factors[~used] == 1.0)
+            assert poch[:, 1:].tobytes() == np.cumprod(factors, axis=1).tobytes()
+
+    def test_each_table_of_a_stack_has_its_bits_and_error_alone(self):
+        # tables on their own nomes, real, complex, p = 0 and shared; three
+        # that fail: a zero base point, an order past MAX_TERMS, and a
+        # factor theta(1; p) = 0 in a guarded row; and one whose factors
+        # overflow to NaN, which hides no other table's guard
+        rng = np.random.default_rng(32)
+        shared = NomePair(0.08, 0.3)
+        nomes = [shared, NomePair(0.2, 0.5), NomePair(0.1j, 0.2 + 0.2j), NomePair(0.0, 0.3),
+                 shared, NomePair(0.05, 0.1), NomePair(1 - 1e-12, 0.3), NomePair(0.1, 0.25),
+                 NomePair(0.1, 0.3)]
+        shape = (len(nomes), 5)
+        bases = rng.uniform(0.2, 1.5, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+        bases[5, 2] = 0.0
+        bases[7, 1] = 1.0 / 0.25
+        bases[8, 0] = 1e155
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors, poch, errors = special_functions._guarded_pochhammer(
+                bases, self.LENGTHS, nomes, 2, "a row")
+            alone = [self._alone(bases[i], self.LENGTHS, nome, 2) for i, nome in enumerate(nomes)]
+        for i, table in enumerate(alone):
+            if isinstance(table, Exception):
+                assert (type(errors[i]), str(errors[i])) == (type(table), str(table))
+            else:
+                assert errors[i] is None
+                assert factors[i].tobytes() == table[0].tobytes()
+                assert poch[i].tobytes() == table[1].tobytes()
+        assert [type(error) for error in errors[5:8]] == [
+            DomainError, TruncationLimitError, DegenerateParameterError]
+        assert errors[:5] + errors[8:] == [None] * 6
+        assert np.isnan(factors[8]).any()
+
+
 class TestResidueConstant:
     def test_trivial_nomes(self):
         assert gamma_residue_constant(NomePair(0.0, 0.0)) == 1.0
