@@ -1048,37 +1048,36 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
             except EllipticBaileyError as exc:
                 out[g] = exc
     log_theta = np.zeros(used.shape, dtype=complex)
-    if max(orders):
-        if one:
-            at_x, by_order = 0, orders[0]
-        else:
-            by_order = np.array(orders)[at_x]
-            if not by_order.all():
-                # the factors of a group whose theta order failed
-                kept = by_order > 0
-                used[used] = kept
-                x, v, at_x, by_order = x[kept], v[kept], at_x[kept], by_order[kept]
-        theta = _qpoch_rows(x, vs, at_x, by_order) * _qpoch_rows(v / x, vs, at_x, by_order)
-        if 0 in vs:
-            theta = np.where(v == 0, 1.0 - x, theta)
-        # an exact zero of a shift factor is a zero of Gamma: its log is -inf,
-        # and the value exp(-inf) = 0, without a warning here or where the
-        # sign multiplies it below
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # an exact zero of a shift factor is a zero of Gamma: its log is -inf,
+    # and the value exp(-inf) = 0, without a warning where the log is taken
+    # or where the sign multiplies the sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if max(orders):
+            if one:
+                at_x, by_order = 0, orders[0]
+            else:
+                by_order = np.array(orders)[at_x]
+                if not by_order.all():
+                    # the factors of a group whose theta order failed
+                    kept = by_order > 0
+                    used[used] = kept
+                    x, v, at_x, by_order = x[kept], v[kept], at_x[kept], by_order[kept]
+            theta = _qpoch_rows(x, vs, at_x, by_order) * _qpoch_rows(v / x, vs, at_x, by_order)
+            if 0 in vs:
+                theta = np.where(v == 0, 1.0 - x, theta)
             log_theta[used] = np.log(theta)
-    # each point's sum over its group's width, a pairwise sum whose bits
-    # depend on its length: the rows of one width are summed together
-    if one:
-        sums = log_theta.sum(axis=1)
-    else:
-        sums = np.zeros(z.size, dtype=complex)
-        width_at = np.repeat([w if o else 0 for w, o in zip(widths, orders)],
-                             np.diff(bounds))
-        for width in set(widths) - {0}:
-            rows = np.flatnonzero(width_at == width)
-            if rows.size:
-                sums[rows] = log_theta[rows, :width].sum(axis=1)
-    with np.errstate(invalid="ignore"):
+        # each point's sum over its group's width, a pairwise sum whose bits
+        # depend on its length: the rows of one width are summed together
+        if one:
+            sums = log_theta.sum(axis=1)
+        else:
+            sums = np.zeros(z.size, dtype=complex)
+            width_at = np.repeat([w if o else 0 for w, o in zip(widths, orders)],
+                                 np.diff(bounds))
+            for width in set(widths) - {0}:
+                rows = np.flatnonzero(width_at == width)
+                if rows.size:
+                    sums[rows] = log_theta[rows, :width].sum(axis=1)
         return np.sign(k) * sums
 
 
@@ -1229,7 +1228,7 @@ def _guarded_pochhammer(bases, lengths, nome, guarded: int = 0, where: str = "")
     mods = np.abs(factors[:, :guarded])
     # a table's NaN factor hides its minimum, as np.min takes it, but no
     # other table's
-    if not (mods >= THETA_GUARD).all():
+    if mods.size and not (mods >= THETA_GUARD).all():
         for i in np.flatnonzero(mods.reshape(len(nomes), -1).min(axis=1) < THETA_GUARD):
             if errors[i] is None:
                 at = np.unravel_index(np.argmin(mods[i]), mods[i].shape)
