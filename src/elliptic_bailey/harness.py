@@ -1,10 +1,13 @@
 """Randomized verification campaigns.
 
 A campaign draws admissible parameters for one identity family, runs the
-check per draw, and collects :class:`VerificationReport` records.  The seed
-fully determines the draw sequence: per-draw generators are spawned from
+check per draw, and collects :class:`VerificationReport` records.  Every
+identity is sampled the same way: a chunk of draws at a time by one retry
+loop (:func:`_sample_until`), each draw on its own generator, and each
+draw's sampled values are handed to the identity's runner.  The seed fully
+determines the draw sequence: per-draw generators are spawned from
 pre-generated sub-seeds, so reports are bit-reproducible and independent of
-execution order (draws may run on a thread pool).
+chunking and execution order (draws may run on a thread pool).
 """
 
 from __future__ import annotations
@@ -81,16 +84,18 @@ _IDENTITY = {
 IDENTITIES = tuple(_IDENTITY)
 
 # the sampler's attempts per draw, the discrete samplers' conditioning cap,
-# star-triangle's spectator points and every campaign quadrature's tolerance
+# star-triangle's spectator points and pole margin, and every campaign
+# quadrature's tolerance
 _RETRY_CAP = 100
 _AMPLIFICATION_CAP = 1e5
-# draws per chunk of a chunked identity (_CHUNKED): one pass over the pending
-# draws per sampling round of a chunk.  At 32 special-functions draws and
-# special_functions._PASS_BYTES, no array of a gamma pass reaches 1 MiB; a
-# stacked DiscreteParams build cuts its draws into blocks whose tables hold
-# at most _PASS_BYTES bytes
+# draws per chunk of a campaign, sampled together by _sample_until: one pass
+# over the pending draws per sampling round, where the identity has one.  At
+# 32 special-functions draws and special_functions._PASS_BYTES, no array of
+# a gamma pass reaches 1 MiB; a stacked DiscreteParams build cuts its draws
+# into blocks whose tables hold at most _PASS_BYTES bytes
 _DRAW_CHUNK = 32
 _SPECTATORS = 3
+_STAR_MARGIN = 0.85
 _QUAD_REL_TOL = 1e-10
 
 
@@ -234,35 +239,30 @@ class _Rejected(Exception):
 _REJECTIONS = (_Rejected, PoleProximityError, DegenerateParameterError, ConstraintViolationError)
 
 
-# the rejections of the draw running on this thread, once its sampler has
-# returned or given up: run_campaign copies them into the draw's report
-_sampled = threading.local()
-
-
 def _retry_cap_error(rejects: int) -> ConstraintViolationError:
     return ConstraintViolationError(
         f"no admissible draw within retry cap {_RETRY_CAP} ({rejects} rejections)")
 
 
-def _sample_chunk(cfg, rngs, sample, evaluate, finish) -> list:
-    """The draws of a chunk, draw i on its own stream rngs[i], by the rules of
-    :func:`_sample_until`, with one ``evaluate`` pass per round over the
-    draws still pending, then one ``finish`` pass over the draws accepted.
+def _sample_until(cfg, rngs, build, evaluate=None, finish=None) -> list:
+    """The draws of a chunk, draw i on its own stream rngs[i], each the first
+    admissible attempt, with one ``evaluate`` pass per round over the draws
+    still pending, then one ``finish`` pass over the draws accepted.
 
-    ``sample(cfg, rng)`` makes one attempt, returning the draw's head and
-    the item the round's pass takes; ``evaluate(items)`` returns, per item,
-    its value or its error, and a draw's values are its head followed by its
-    item's value.  An attempt is rejected if ``sample`` raises one of
-    ``_REJECTIONS`` or its item comes back as one, and a rejected draw
-    samples again from its own stream; past ``_RETRY_CAP`` rejections it
-    gets the retry-cap error.  Any other error from ``sample`` or from its
-    item is the draw's fault.  ``finish(draws)``, unless it is None, takes
-    the values of the accepted draws and returns, per draw, the values to
-    append, or the error that ends the draw; that draw keeps its
-    rejections, as a runner that raises after sampling does.  Returns, per
-    draw, (values or error, rejections), with None for the rejections of a
-    fault, as :func:`_sample_until` leaves them.  An error of a pass itself, outside
-    every item, is raised."""
+    ``build(rng)`` makes one attempt, returning the draw's head and the item
+    the round's pass takes; ``evaluate(items)`` returns, per item, its value
+    or its error, and with ``evaluate`` None an item is its own value.  A
+    draw's values are its head followed by its item's value.  An attempt is
+    rejected if ``build`` raises one of ``_REJECTIONS`` or its item comes
+    back as one, and a rejected draw samples again from its own stream; at
+    ``_RETRY_CAP`` rejections it gets the retry-cap error.  Any other error
+    from ``build`` or from its item is the draw's fault.  ``finish(draws)``,
+    unless it is None, takes the values of the accepted draws and returns,
+    per draw, the values to append, or the error that ends the draw; that
+    draw keeps its rejections, as one whose runner raises does.  Returns,
+    per draw, (values or error, rejections), with None for the rejections
+    of a fault.  An error of a pass itself, outside every item, is raised.
+    ``cfg`` is unused; perfbench's tracer reads ``build`` at position 2."""
     outcomes = [None] * len(rngs)
     rejects = [0] * len(rngs)
 
@@ -276,7 +276,7 @@ def _sample_chunk(cfg, rngs, sample, evaluate, finish) -> list:
         heads, items = [], []
         for i in pending:
             try:
-                head, item = sample(cfg, rngs[i])
+                head, item = build(rngs[i])
             except _REJECTIONS:
                 reject(i)
             except Exception as exc:
@@ -284,13 +284,13 @@ def _sample_chunk(cfg, rngs, sample, evaluate, finish) -> list:
             else:
                 heads.append((i, head))
                 items.append(item)
-        for (i, head), values in zip(heads, evaluate(items)):
-            if isinstance(values, _REJECTIONS):
+        for (i, head), value in zip(heads, items if evaluate is None else evaluate(items)):
+            if isinstance(value, _REJECTIONS):
                 reject(i)
-            elif isinstance(values, Exception):
-                outcomes[i] = (values, None)
+            elif isinstance(value, Exception):
+                outcomes[i] = (value, None)
             else:
-                outcomes[i] = ((*head, values), rejects[i])
+                outcomes[i] = ((*head, value), rejects[i])
         pending = [i for i in pending if outcomes[i] is None]
     done = [i for i, (values, _rejected) in enumerate(outcomes) if not isinstance(values, Exception)]
     if done and finish is not None:
@@ -300,43 +300,11 @@ def _sample_chunk(cfg, rngs, sample, evaluate, finish) -> list:
     return outcomes
 
 
-def _chunk_draw(cfg, rng, sample, evaluate, finish):
-    """The values of this runner call's draw: the outcome run_campaign
-    sampled for it in its chunk, or, on a call outside a campaign, a
-    one-draw chunk sampled now.  Sets ``_sampled.rejected`` as
-    :func:`_sample_until` does, and raises the draw's recorded error."""
-    outcome, _sampled.drawn = getattr(_sampled, "drawn", None), None
-    if outcome is None:
-        (outcome,) = _sample_chunk(cfg, [rng], sample, evaluate, finish)
-    values, _sampled.rejected = outcome
-    if isinstance(values, Exception):
-        raise values
-    return values
-
-
-def _sample_until(cfg, rng, build):
-    """The first admissible ``build(rng)``, retried while it raises one of
-    ``_REJECTIONS``; past ``_RETRY_CAP`` tries, a
-    :class:`ConstraintViolationError`.  The rejection count goes to
-    ``_sampled.rejected`` alone, which run_campaign copies into the draw's
-    report.  ``cfg`` is unused; perfbench's tracer reads ``build`` at
-    position 2."""
-    rejects = 0
-    for _ in range(_RETRY_CAP):
-        try:
-            out = build(rng)
-        except _REJECTIONS:
-            rejects += 1
-        else:
-            _sampled.rejected = rejects
-            return out
-    _sampled.rejected = rejects
-    raise _retry_cap_error(rejects)
-
-
 # --------------------------------------------------------------------------
-# per-identity runners (each maps (cfg, rng, draw_index) -> VerificationReport;
-# run_campaign stamps the draw index and the sampler's rejections on the report)
+# per-identity samplers, each (cfg, rng) -> (head, item) for one attempt, and
+# runners, each (cfg, values, draw_index) -> VerificationReport, where values
+# are the draw's head and its item's value (see _sample_until); run_campaign
+# stamps the draw index and the sampling's rejections on the report
 # --------------------------------------------------------------------------
 
 def _sample_special_functions(cfg: CampaignConfig, rng):
@@ -359,12 +327,11 @@ def _special_functions_thetas(draws) -> list:
     return _theta_pass([(z, nome) for nome, z, _values in draws])
 
 
-def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
+def _run_special_functions(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
     """Inversion, both difference equations, the quadratic transformation
     and the residue limit at one point z.
 
-    The draw is sampled a chunk at a time (:func:`_sample_chunk`, through
-    run_campaign): one gamma-engine pass evaluates the 14 points of
+    One gamma-engine pass of the chunk's sampling evaluates the 14 points of
     :func:`_sample_special_functions` for every pending draw of the chunk,
     each draw a group with its own nome, so its values have the bits of a
     pass on that draw alone.  A point on the pole lattice, or a value that
@@ -378,13 +345,13 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     come from one product pass per chunk (:func:`_special_functions_thetas`),
     with the bits of the scalar calls.
     """
-    nome, z, values, theta_p, theta_q = _chunk_draw(cfg, rng, *_CHUNKED["special-functions"])
-    g, g_qz, g_pz, g_inv = (complex(v) for v in values[:4])
+    nome, z, gammas, theta_p, theta_q = values
+    g, g_qz, g_pz, g_inv = (complex(v) for v in gammas[:4])
     res_fd_q, res_fd_p, res_limit = _residual_ratio(
-        [g_qz, g_pz, complex(values[13]) / nome.pp_inf**2],
+        [g_qz, g_pz, complex(gammas[13]) / nome.pp_inf**2],
         [theta_p * g, theta_q * g, gamma_residue_constant(nome)]).tolist()
     res_inv = abs(g * g_inv - 1.0)
-    res_quad = _quadratic_residual(values[4:13])
+    res_quad = _quadratic_residual(gammas[4:13])
     return VerificationReport(
         identity="special-functions",
         params={"z": z, "p": nome.p, "q": nome.q},
@@ -402,19 +369,20 @@ def _run_special_functions(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     )
 
 
-def _run_beta_integral(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
-    def build(rng):
-        nome = _draw_nome(cfg, rng, p_range=(0.05, 0.12), q_range=(0.1, 0.2))
-        ts = [
-            _take(cfg, rng, f"t{j + 1}", lambda r: r.uniform(0.35, 0.7) * _unit_phase(r))
-            for j in range(5)
-        ]
-        t6 = nome.p * nome.q / np.prod(ts)
-        if not 0.1 <= abs(t6) <= 0.8:
-            raise _Rejected
-        return nome, ts
+def _sample_beta_integral(cfg: CampaignConfig, rng):
+    nome = _draw_nome(cfg, rng, p_range=(0.05, 0.12), q_range=(0.1, 0.2))
+    ts = [
+        _take(cfg, rng, f"t{j + 1}", lambda r: r.uniform(0.35, 0.7) * _unit_phase(r))
+        for j in range(5)
+    ]
+    t6 = nome.p * nome.q / np.prod(ts)
+    if not 0.1 <= abs(t6) <= 0.8:
+        raise _Rejected
+    return (nome,), ts
 
-    nome, ts = _sample_until(cfg, rng, build)
+
+def _run_beta_integral(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
+    nome, ts = values
     return ct.elliptic_beta_integral(
         *ts, nome, rel_tol=_QUAD_REL_TOL, tolerance=cfg.effective_tolerance
     )
@@ -442,102 +410,93 @@ def _sample_discrete(cfg: CampaignConfig, rng):
     return ("free-bc",), dict(a=a, k=k, t_tilde=t, b=b, c=c, y=1.0, N=cfg.effective_N, nome=nome)
 
 
-def _discrete_sampler(cfg: CampaignConfig, rng):
-    """(params, bc mode) of this runner call's matrix-Bailey or Coxeter draw,
-    sampled with its chunk (:func:`_chunk_draw`), or as a one-draw chunk
-    outside a campaign."""
-    mode, params = _chunk_draw(cfg, rng, *_CHUNKED[cfg.identity])
-    return params, mode
-
-
-def _run_discrete(verify, cfg: CampaignConfig, rng) -> VerificationReport:
-    params, mode = _discrete_sampler(cfg, rng)
+def _run_discrete(verify, cfg: CampaignConfig, values) -> VerificationReport:
+    mode, params = values
     rep = verify(params, tolerance=cfg.effective_tolerance)
     rep.settings["bc_mode"] = mode
     return rep
 
 
-def _run_matrix_bailey(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
-    return _run_discrete(ba.verify_matrix_bailey, cfg, rng)
+def _run_matrix_bailey(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
+    return _run_discrete(ba.verify_matrix_bailey, cfg, values)
 
 
-def _run_coxeter(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
-    return _run_discrete(ba.verify_coxeter, cfg, rng)
+def _run_coxeter(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
+    return _run_discrete(ba.verify_coxeter, cfg, values)
 
 
-def _run_star_triangle(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
-    margin = 0.85
+def _sample_star_triangle(cfg: CampaignConfig, rng):
+    nome = _draw_nome(cfg, rng, p_range=(0.06, 0.12), q_range=(0.1, 0.18))
+    s = _take(cfg, rng, "s", lambda r: r.uniform(0.35, 0.65) * _unit_phase(r))
+    t = _take(cfg, rng, "t", lambda r: r.uniform(0.35, 0.65) * _unit_phase(r))
+    y = _take(cfg, rng, "y", lambda r: r.uniform(0.75, 1.3) * _unit_phase(r))
+    spectators = [_unit_phase(rng) for _ in range(_SPECTATORS)]
+    for w in spectators:
+        ct.OperatorParams(t=t, s=s, w=w, y=y).validate_star_triangle(nome, margin=_STAR_MARGIN)
+    return (nome, s, t, y), spectators
 
-    def build(rng):
-        nome = _draw_nome(cfg, rng, p_range=(0.06, 0.12), q_range=(0.1, 0.18))
-        s = _take(cfg, rng, "s", lambda r: r.uniform(0.35, 0.65) * _unit_phase(r))
-        t = _take(cfg, rng, "t", lambda r: r.uniform(0.35, 0.65) * _unit_phase(r))
-        y = _take(cfg, rng, "y", lambda r: r.uniform(0.75, 1.3) * _unit_phase(r))
-        spectators = [_unit_phase(rng) for _ in range(_SPECTATORS)]
-        for w in spectators:
-            ct.OperatorParams(t=t, s=s, w=w, y=y).validate_star_triangle(nome, margin=margin)
-        return nome, s, t, y, spectators
 
-    nome, s, t, y, spectators = _sample_until(cfg, rng, build)
+def _run_star_triangle(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
+    nome, s, t, y, spectators = values
     alpha = ct.constant_one() if idx % 2 == 0 else ct.z_plus_inverse()
     return ct.star_triangle_residual(
         s, t, y, spectators, alpha, nome,
-        rel_tol=_QUAD_REL_TOL, tolerance=cfg.effective_tolerance, margin=margin,
+        rel_tol=_QUAD_REL_TOL, tolerance=cfg.effective_tolerance, margin=_STAR_MARGIN,
     )
 
 
-def _run_residue_reduction(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
-    """The residue-sum to Bailey-matrix reduction at one (a, k, alpha).
-
-    The check runs in the sampler's ``build``, so that a draw whose gamma
-    batch has a zero or non-finite value (an underflow at large N) or a
-    point on the pole lattice is rejected and resampled; the check's one
-    gamma call is the draw's only one.
-    """
-    def build(rng):
-        nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.05, 0.15), q_range=(0.3, 0.5))
-        a = _take(cfg, rng, "a", lambda r: r.uniform(0.2, 0.8) * _unit_phase(r))
-        k = _take(cfg, rng, "k", lambda r: r.uniform(0.1, 0.7) * _unit_phase(r))
-        z0 = complex(np.sqrt(a))
-        t = complex(np.sqrt(k / a))
-        coeffs = rng.normal(size=cfg.effective_N + 1) + 1j * rng.normal(size=cfg.effective_N + 1)
-        alpha = ct.designated_poles(z0, cfg.effective_N, nome.q, coeffs)
-        return ct.residue_matrix_reduction_check(alpha, z0, t, cfg.effective_N, nome,
+def _sample_residue_reduction(cfg: CampaignConfig, rng):
+    """The residue-sum to Bailey-matrix reduction at one (a, k, alpha), as the
+    item of its attempt, so that a draw whose gamma batch has a zero or
+    non-finite value (an underflow at large N) or a point on the pole
+    lattice is rejected and resampled; the check's one gamma call is the
+    draw's only one."""
+    nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.05, 0.15), q_range=(0.3, 0.5))
+    a = _take(cfg, rng, "a", lambda r: r.uniform(0.2, 0.8) * _unit_phase(r))
+    k = _take(cfg, rng, "k", lambda r: r.uniform(0.1, 0.7) * _unit_phase(r))
+    z0 = complex(np.sqrt(a))
+    t = complex(np.sqrt(k / a))
+    coeffs = rng.normal(size=cfg.effective_N + 1) + 1j * rng.normal(size=cfg.effective_N + 1)
+    alpha = ct.designated_poles(z0, cfg.effective_N, nome.q, coeffs)
+    return (), ct.residue_matrix_reduction_check(alpha, z0, t, cfg.effective_N, nome,
                                                  tolerance=cfg.effective_tolerance)
 
-    return _sample_until(cfg, rng, build)
+
+def _run_residue_reduction(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
+    (rep,) = values
+    return rep
 
 
-def _run_cauchy_deformation(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
+def _sample_cauchy_deformation(cfg: CampaignConfig, rng):
     n_poles = cfg.effective_N
+    nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.03, 0.08), q_range=(0.76, 0.86))
+    z0 = _take(cfg, rng, "z0", lambda r: r.uniform(0.88, 0.94) * _unit_phase(r))
+    x = _unit_phase(rng)
+    pole_lo = abs(z0) * nome.q.real**n_poles
+    t = _take(cfg, rng, "t", lambda r: r.uniform(0.02, 0.35 * pole_lo) * _unit_phase(r))
+    if max(abs(t * x), abs(t / x)) >= 0.6 * pole_lo:
+        raise _Rejected
+    coeffs = rng.normal(size=n_poles + 1) + 1j * rng.normal(size=n_poles + 1)
+    alpha = ct.designated_poles(z0, n_poles, nome.q, coeffs)
+    if not ct.deformation_conditioning(alpha, t, x, None, nome) <= 0.1 * cfg.effective_tolerance:
+        raise _Rejected
+    return (nome, alpha, t), x
 
-    def build(rng):
-        nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.03, 0.08), q_range=(0.76, 0.86))
-        z0 = _take(cfg, rng, "z0", lambda r: r.uniform(0.88, 0.94) * _unit_phase(r))
-        x = _unit_phase(rng)
-        pole_lo = abs(z0) * nome.q.real**n_poles
-        t = _take(cfg, rng, "t", lambda r: r.uniform(0.02, 0.35 * pole_lo) * _unit_phase(r))
-        if max(abs(t * x), abs(t / x)) >= 0.6 * pole_lo:
-            raise _Rejected
-        coeffs = rng.normal(size=n_poles + 1) + 1j * rng.normal(size=n_poles + 1)
-        alpha = ct.designated_poles(z0, n_poles, nome.q, coeffs)
-        if not ct.deformation_conditioning(alpha, t, x, None, nome) <= 0.1 * cfg.effective_tolerance:
-            raise _Rejected
-        return nome, alpha, t, x
 
-    nome, alpha, t, x = _sample_until(cfg, rng, build)
+def _run_cauchy_deformation(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
+    nome, alpha, t, x = values
     return ct.contour_deformation_check(alpha, t, x, None, nome,
                                         rel_tol=_QUAD_REL_TOL,
                                         tolerance=cfg.effective_tolerance)
 
 
-def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationReport:
-    def build(rng):
-        nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.05, 0.15), q_range=(0.35, 0.5))
-        x = rng.uniform(0.88, 0.95) * _unit_phase(rng)
-        return nome, x
+def _sample_finite_difference(cfg: CampaignConfig, rng):
+    nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.05, 0.15), q_range=(0.35, 0.5))
+    return (nome,), rng.uniform(0.88, 0.95) * _unit_phase(rng)
 
-    nome, x = _sample_until(cfg, rng, build)
+
+def _run_finite_difference(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
+    nome, x = values
     f = lambda z: z + 1.0 / z
     if cfg.effective_N == 0:
         # f at the Python complex x, as finite_difference_M reads it: numpy's
@@ -568,20 +527,24 @@ def _run_finite_difference(cfg: CampaignConfig, rng, idx: int) -> VerificationRe
     )
 
 
-# identities whose draws run_campaign samples a chunk at a time
-# (_sample_chunk): the sampler of one attempt, the pass that evaluates a
-# round's pending attempts together (a gamma-engine pass, or a stacked
-# DiscreteParams build under the conditioning cap; a pass reads its function
-# from the module when it runs) and the pass that finishes the chunk's
-# accepted draws, or None
-_CHUNKED = {
+# each identity's sampler of one attempt; the pass that evaluates a round's
+# pending items together (a gamma-engine pass, or a stacked DiscreteParams
+# build under the conditioning cap; a pass reads its function from the module
+# when it runs), or None where an item is its own value; and the pass that
+# finishes the chunk's accepted draws, or None
+_SAMPLERS = {
     "special-functions": (_sample_special_functions,
                           lambda groups: _gamma_groups(groups, "the special-functions draw"),
                           _special_functions_thetas),
+    "beta-integral": (_sample_beta_integral, None, None),
     "matrix-bailey": (_sample_discrete,
                       lambda drafts: ba.DiscreteParams.stack(drafts, _AMPLIFICATION_CAP), None),
+    "star-triangle": (_sample_star_triangle, None, None),
+    "residue-reduction": (_sample_residue_reduction, None, None),
+    "cauchy-deformation": (_sample_cauchy_deformation, None, None),
+    "finite-difference": (_sample_finite_difference, None, None),
 }
-_CHUNKED["coxeter"] = _CHUNKED["matrix-bailey"]
+_SAMPLERS["coxeter"] = _SAMPLERS["matrix-bailey"]
 
 _RUNNERS = {
     "special-functions": _run_special_functions,
@@ -594,89 +557,85 @@ _RUNNERS = {
     "finite-difference": _run_finite_difference,
 }
 
+
 def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """Run all draws of a campaign; deterministic given the config.
 
-    Every draw makes one ``_RUNNERS[identity]`` call, with the generator of
-    its own sub-seed.  An identity in ``_CHUNKED`` (special-functions,
-    matrix-bailey and coxeter) has its draws sampled a chunk of
-    ``_DRAW_CHUNK`` at a time, after a first chunk of draw 0 alone, when the
-    chunk's first draw is reached (:func:`_sample_chunk`): each sampling
-    round evaluates the chunk's pending draws together, in one gamma-engine
-    pass or one stacked :class:`bailey_algebra.DiscreteParams` build, a
-    rejected draw samples again on its own stream, and each runner call
-    takes its draw's outcome; a draw's values, rejections and errors are
-    those of sampling it alone.  Should a chunk's engine pass
-    fail outside every draw, the chunk is sampled again one draw at a time
-    from fresh streams, so one bad draw never takes down another; a draw
-    whose sampling fails raises its error from its runner call.
+    The draws are sampled a chunk of ``_DRAW_CHUNK`` at a time, after a
+    first chunk of draw 0 alone, when the chunk's first draw is reached,
+    by :func:`_sample_until` with the identity's ``_SAMPLERS`` entry: each
+    draw on the generator of its own sub-seed, each sampling round
+    evaluating the chunk's pending draws together where the identity has a
+    pass for it (one gamma-engine pass, or one stacked
+    :class:`bailey_algebra.DiscreteParams` build), and a rejected draw
+    sampling again on its own stream; a draw's values, rejections and
+    errors are those of sampling it alone.  Should a pass fail outside
+    every draw, the chunk is sampled again one draw at a time from fresh
+    streams, so one bad draw never takes down another.  Every draw then
+    makes one ``_RUNNERS[identity](config, values, idx)`` call with its
+    sampled values, except a draw whose sampling ended in an error, which
+    is raised in its place.
 
     Per-draw errors become error reports instead of aborting: library errors
     by their type, any other exception as an internal error.  Here alone a
     report gets ``settings["rejected"]``, the rejections of its draw's
-    sampler, whether it passed, failed or errored, once the sampler has
-    returned or reached its retry cap.  Each report's ``wall_time_s`` is the
-    draw's runner call, timed here only, plus, for a chunked identity, an
-    equal share of its chunk's sampling.
+    sampling, whether it passed, failed or errored, unless its sampling
+    ended in a fault.  Each report's ``wall_time_s`` is the draw's runner
+    call, timed here only, plus an equal share of its chunk's sampling.
     """
     runner = _RUNNERS[config.identity]
+    sample, evaluate, finish = _SAMPLERS[config.identity]
     master = np.random.default_rng(config.seed)
     sub_seeds = master.integers(0, 2**63 - 1, size=config.draws, dtype=np.int64)
-    chunked = _CHUNKED.get(config.identity)
     # chunk c holds draws bounds[c] .. bounds[c + 1] - 1; the first holds
     # draw 0 alone, so that the first runner call waits for one draw's sampling
-    bounds = [0, *range(1, config.draws, _DRAW_CHUNK), config.draws] if chunked else [0]
+    bounds = [0, *range(1, config.draws, _DRAW_CHUNK), config.draws]
     chunks: dict = {}
     locks = [threading.Lock() for _ in bounds[1:]]
 
-    def streams(lo, hi):
-        return [np.random.default_rng(int(seed)) for seed in sub_seeds[lo:hi]]
+    def sampled(lo, hi):
+        rngs = [np.random.default_rng(int(seed)) for seed in sub_seeds[lo:hi]]
+        return _sample_until(config, rngs, lambda rng: sample(config, rng), evaluate, finish)
 
-    def sampled(idx):
-        """(rng, outcome, sampling seconds per draw) of a chunked draw."""
+    def outcome(idx):
+        """(values or error, rejections, sampling seconds per draw) of a draw."""
         c = bisect.bisect_right(bounds, idx) - 1
-        lo, hi, i = bounds[c], bounds[c + 1], idx - bounds[c]
+        lo, hi = bounds[c], bounds[c + 1]
         with locks[c]:
             if c not in chunks:
                 start = time.perf_counter()
-                rngs = streams(lo, hi)
                 try:
-                    outcomes = _sample_chunk(config, rngs, *chunked)
+                    outcomes = sampled(lo, hi)
                 except Exception:
-                    rngs, outcomes = streams(lo, hi), []
-                    for rng in rngs:
+                    outcomes = []
+                    for i in range(lo, hi):
                         try:
-                            outcomes += _sample_chunk(config, [rng], *chunked)
+                            outcomes += sampled(i, i + 1)
                         except Exception as exc:
                             outcomes.append((exc, None))
-                chunks[c] = [rngs, outcomes, (time.perf_counter() - start) / (hi - lo), hi - lo]
+                chunks[c] = [outcomes, (time.perf_counter() - start) / (hi - lo), hi - lo]
             entry = chunks[c]
-            out = entry[0][i], entry[1][i], entry[2]
-            entry[0][i] = entry[1][i] = None
-            entry[3] -= 1
-            if not entry[3]:
+            values, rejected = entry[0][idx - lo]
+            entry[0][idx - lo] = None  # keep no draw handed out
+            entry[2] -= 1
+            if not entry[2]:
                 del chunks[c]
-        return out
+        return values, rejected, entry[1]
 
     def one(idx: int) -> VerificationReport:
-        share = 0.0
-        if chunked:
-            rng, _sampled.drawn, share = sampled(idx)
-        else:
-            rng = np.random.default_rng(int(sub_seeds[idx]))
+        values, rejected, share = outcome(idx)
         start = time.perf_counter()
-        err = _sampled.rejected = None
+        err = None
         try:
-            rep = runner(config, rng, idx)
+            if isinstance(values, Exception):
+                raise values
+            rep = runner(config, values, idx)
         except QuadratureConvergenceError as exc:
             err = f"non-convergence: {exc}"
         except EllipticBaileyError as exc:
             err = f"{type(exc).__name__}: {exc}"
         except Exception as exc:
             err = f"internal error: {type(exc).__name__}: {exc}"
-        finally:
-            # a runner that never claimed its draw leaves nothing for the next
-            _sampled.drawn = None
         if err is not None:
             rep = VerificationReport(
                 identity=config.identity,
@@ -686,9 +645,9 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
                 tolerance=config.effective_tolerance,
                 error=err,
             )
-        # None where the draw failed before its sampler returned or gave up
-        if _sampled.rejected is not None:
-            rep.settings["rejected"] = _sampled.rejected
+        # None where the draw's sampling ended in a fault
+        if rejected is not None:
+            rep.settings["rejected"] = rejected
         rep.wall_time_s = time.perf_counter() - start + share
         rep.draw_index = idx
         return rep

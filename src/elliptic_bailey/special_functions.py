@@ -145,7 +145,12 @@ def _ring(n: int, turned: bool = False) -> np.ndarray:
 
 def _truncation_order(c: float, base: float, what: str) -> int:
     """The smallest J >= 1 with tail bound c * base**J < TRUNCATION_TOL, for
-    0 < base < 1; raises :class:`TruncationLimitError` when J > MAX_TERMS."""
+    0 < base < 1; raises :class:`TruncationLimitError` when J > MAX_TERMS, or
+    when c is not finite (an argument beyond the double range), since then no
+    J bounds the tail."""
+    if not math.isfinite(c):
+        raise TruncationLimitError(f"{what} tail bound {c:g} is not finite (base {base:g}); "
+                                   "no truncation order bounds it")
     j = max(1, int(math.ceil(math.log(TRUNCATION_TOL / c) / math.log(base))))
     while c * base**j >= TRUNCATION_TOL:
         j += 1

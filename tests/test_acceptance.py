@@ -24,7 +24,7 @@ from elliptic_bailey.contour import (
     finite_difference_oracle,
     residue_matrix_reduction_check,
 )
-from elliptic_bailey.harness import CampaignConfig, run_campaign, summarize, _discrete_sampler
+from elliptic_bailey.harness import CampaignConfig, run_campaign, summarize, _sample_until, _SAMPLERS
 from elliptic_bailey.report import identity_deviation, relative_residual
 from elliptic_bailey.special_functions import NomePair
 
@@ -32,6 +32,17 @@ from elliptic_bailey.special_functions import NomePair
 def _line(name, ok, detail):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}  ({detail})")
     assert ok, f"{name}: {detail}"
+
+
+def _discrete_draw(cfg, rng):
+    """The DiscreteParams of one matrix-Bailey or Coxeter draw sampled on rng,
+    as a campaign samples a draw."""
+    sample, evaluate, finish = _SAMPLERS[cfg.identity]
+    ((values, _rejected),) = _sample_until(cfg, [rng], lambda r: sample(cfg, r), evaluate, finish)
+    if isinstance(values, Exception):
+        raise values
+    _mode, params = values
+    return params
 
 
 def test_criterion_01_special_function_identity_suite():
@@ -96,7 +107,7 @@ def test_criterion_04_inversions():
     for i in range(50):
         N = i % 9
         cfg = CampaignConfig(identity="matrix-bailey", seed=0, N=N)
-        params, _mode = _discrete_sampler(cfg, rng)
+        params = _discrete_draw(cfg, rng)
         nome = params.nome
         m_prod = (
             build_M(N, params.a, params.k, nome).entries
@@ -124,7 +135,7 @@ def test_criterion_05_coxeter_suite():
     for i in range(12):
         N = 1 + i % 8
         cfg = CampaignConfig(identity="coxeter", seed=0, N=N)
-        params, _mode = _discrete_sampler(cfg, rng)
+        params = _discrete_draw(cfg, rng)
         cox = verify_coxeter(params)
         bailey = verify_matrix_bailey(params)
         worst_s1 = max(worst_s1, cox.details["s1_squared_residual"])

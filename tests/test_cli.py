@@ -420,6 +420,14 @@ class TestEval:
         assert out == ""
         assert "Gamma((1e-40+0j))" in err and "not finite" in err
 
+    def test_theta_beyond_the_double_range_exits_2(self, capsys):
+        # the product's tail bound overflows; it ended in a ValueError traceback
+        code, out, err = run_cli(capsys, "eval", "theta", "--z", "1e308", "--p", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: q-Pochhammer tail bound inf is not finite (base 0.1); "
+                       "no truncation order bounds it\n")
+
     def test_missing_argument_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "gamma", "--p", "0.1", "--q", "0.2")
         assert code == 2

@@ -14,6 +14,13 @@ from elliptic_bailey.report import VerificationReport
 from elliptic_bailey.special_functions import elliptic_gamma
 
 
+def _sampled(cfg, rngs):
+    """The outcomes of sampling a chunk of draws of cfg's identity, one on
+    each of rngs, as run_campaign samples them."""
+    sample, evaluate, finish = hmod._SAMPLERS[cfg.identity]
+    return hmod._sample_until(cfg, rngs, lambda rng: sample(cfg, rng), evaluate, finish)
+
+
 class TestCampaignConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(DomainError):
@@ -49,6 +56,7 @@ class TestCampaignConfig:
 class TestIdentityTable:
     def test_every_identity_has_a_runner(self):
         assert list(hmod._RUNNERS) == list(hmod.IDENTITIES)
+        assert sorted(hmod._SAMPLERS) == sorted(hmod.IDENTITIES)
 
     @pytest.mark.parametrize("identity", hmod.IDENTITIES)
     def test_fixable_names_are_the_names_the_runner_reads(self, monkeypatch, identity):
@@ -183,14 +191,15 @@ class TestSampler:
         assert [r.settings for r in reports] == [{"rejected": 100}] * 3
         assert summarize(reports).rejected_draws == 300
 
-        # the same error type from elsewhere carries no count
-        def boom(cfg, rng, idx):
+        # the same error type from the runner is no retry-cap error: the draw
+        # keeps the rejections of its sampling, which ran first, and made none
+        def boom(cfg, values, idx):
             raise hmod.ConstraintViolationError("not from the sampler")
 
         monkeypatch.setitem(hmod._RUNNERS, "star-triangle", boom)
         (rep,) = run_campaign(CampaignConfig(identity="star-triangle", draws=1))
         assert rep.error == "ConstraintViolationError: not from the sampler"
-        assert rep.settings == {}
+        assert rep.settings == {"rejected": 0}
 
     def test_error_after_sampling_keeps_its_rejections(self, monkeypatch):
         cfg = CampaignConfig(identity="cauchy-deformation", draws=6, seed=1)
@@ -378,13 +387,14 @@ class TestChunkSampler:
         assert [r.to_json() for i, r in enumerate(reports) if i != 9] == [
             r.to_json() for i, r in enumerate(reference) if i != 9]
 
-    def test_a_runner_call_outside_a_campaign_samples_its_own_draw(self):
-        # a one-draw chunk, with the bits of the campaign's draw
+    def test_a_one_draw_sampling_and_its_runner_give_the_campaign_draw(self):
+        # a one-draw chunk, then the runner, with the bits of the campaign's draw
         cfg = CampaignConfig(**self.CFG)
         (first,) = run_campaign(CampaignConfig(**{**self.CFG, "draws": 1}))
         seed = np.random.default_rng(cfg.seed).integers(0, 2**63 - 1, size=1, dtype=np.int64)[0]
-        rep = hmod._RUNNERS["special-functions"](cfg, np.random.default_rng(int(seed)), 0)
-        rep.draw_index, rep.settings["rejected"] = 0, hmod._sampled.rejected
+        ((values, rejected),) = _sampled(cfg, [np.random.default_rng(int(seed))])
+        rep = hmod._RUNNERS["special-functions"](cfg, values, 0)
+        rep.draw_index, rep.settings["rejected"] = 0, rejected
         assert rep.to_json() == first.to_json()
 
     @pytest.mark.parametrize("q", [0.8, None], ids=["lattice-q08", "default-box"])
@@ -399,7 +409,7 @@ class TestChunkSampler:
         rngs = [np.random.default_rng(int(seed)) for seed in seeds]
         tracemalloc.start()
         try:
-            outcomes = hmod._sample_chunk(cfg, rngs, *hmod._CHUNKED["special-functions"])
+            outcomes = _sampled(cfg, rngs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,7 +427,7 @@ class TestChunkSampler:
         rngs = [np.random.default_rng(int(seed)) for seed in seeds]
         tracemalloc.start()
         try:
-            outcomes = hmod._sample_chunk(cfg, rngs, *hmod._CHUNKED[identity])
+            outcomes = _sampled(cfg, rngs)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -445,6 +455,40 @@ class TestChunkSampler:
         for params in built:
             for memo in (params._factors, params._poch, *params._m_stack, *params.key_lhs):
                 assert memo.base.nbytes <= hmod.ba._PASS_BYTES
+
+
+class TestOneSampler:
+    # draw 0, a full chunk and a chunk of one
+    DRAWS = hmod._DRAW_CHUNK + 2
+
+    @staticmethod
+    def _each_alone(cfg):
+        """The canonical reports of cfg's draws, each sampled alone on its
+        sub-seed's stream, then run, with its rejections and index stamped."""
+        seeds = np.random.default_rng(cfg.seed).integers(0, 2**63 - 1, size=cfg.draws,
+                                                         dtype=np.int64)
+        out = []
+        for idx, seed in enumerate(seeds):
+            ((values, rejected),) = _sampled(cfg, [np.random.default_rng(int(seed))])
+            rep = hmod._RUNNERS[cfg.identity](cfg, values, idx)
+            rep.settings["rejected"], rep.draw_index = rejected, idx
+            out.append(rep.to_json())
+        return out
+
+    @pytest.mark.parametrize("identity", hmod.IDENTITIES)
+    def test_a_campaign_draw_is_its_draw_sampled_alone(self, identity):
+        cfg = CampaignConfig(identity=identity, seed=5, draws=self.DRAWS)
+        reports = run_campaign(cfg)
+        assert all(r.error is None for r in reports)
+        assert [r.to_json() for r in reports] == self._each_alone(cfg)
+
+    def test_a_threaded_campaign_whose_check_runs_in_its_sampler(self, monkeypatch):
+        # residue-reduction's check is the item of its sampling attempt
+        monkeypatch.setenv("ELLIPTIC_BAILEY_THREADS", "2")
+        cfg = CampaignConfig(identity="residue-reduction", seed=5, draws=self.DRAWS, threads=2)
+        reports = run_campaign(cfg)
+        assert all(r.error is None for r in reports)
+        assert [r.to_json() for r in reports] == self._each_alone(cfg)
 
 
 @functools.cache
@@ -606,7 +650,7 @@ class TestValidationAndErrors:
         from elliptic_bailey import harness as hmod
         from elliptic_bailey.errors import QuadratureConvergenceError
 
-        def boom(cfg, rng, idx):
+        def boom(cfg, values, idx):
             raise QuadratureConvergenceError("stub hit the node cap")
 
         monkeypatch.setitem(hmod._RUNNERS, "beta-integral", boom)
@@ -617,7 +661,7 @@ class TestValidationAndErrors:
         assert all(r.wall_time_s > 0.0 for r in reports)
 
     def test_error_report_carries_the_tolerance_a_pass_would(self, monkeypatch):
-        def boom(cfg, rng, idx):
+        def boom(cfg, values, idx):
             raise ValueError("stub fault")
 
         monkeypatch.setitem(hmod._RUNNERS, "finite-difference", boom)
@@ -632,10 +676,10 @@ class TestInternalErrors:
     def _flaky_runner(self, monkeypatch):
         real = hmod._RUNNERS["special-functions"]
 
-        def flaky(cfg, rng, idx):
+        def flaky(cfg, values, idx):
             if idx == 1:
                 raise ValueError("stub failure")
-            return real(cfg, rng, idx)
+            return real(cfg, values, idx)
 
         monkeypatch.setitem(hmod._RUNNERS, "special-functions", flaky)
 
@@ -665,7 +709,7 @@ class TestInternalErrors:
         class Stop(BaseException):
             pass
 
-        def stop(cfg, rng, idx):
+        def stop(cfg, values, idx):
             raise Stop
 
         monkeypatch.setitem(hmod._RUNNERS, "special-functions", stop)

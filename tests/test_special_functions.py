@@ -196,6 +196,16 @@ class TestQPochhammer:
         with pytest.raises(TruncationLimitError, match="q-Pochhammer"):
             qpochhammer_inf(0.5, 0.999999)
 
+    def test_an_argument_beyond_the_double_range_is_a_library_error(self):
+        # the tail bound 2 |z| / (1 - b) overflows to inf; its log was a bare
+        # "math domain error"
+        with pytest.raises(TruncationLimitError, match="q-Pochhammer tail bound inf is not finite"):
+            qpochhammer_inf(1e308, 0.5)
+        with pytest.raises(TruncationLimitError, match="tail bound inf is not finite"):
+            elliptic_pochhammer(1e308, 2, NomePair(0.1, 0.2))
+        with pytest.raises(TruncationLimitError, match="tail bound nan is not finite"):
+            _truncation_order(math.nan, 0.5, "test")
+
 
 class TestTheta:
     def test_p_zero(self):
