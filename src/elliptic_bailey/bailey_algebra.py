@@ -406,22 +406,56 @@ def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
     j < 2N, for z in {qa, q, k, k/a}, and theta(a q^i; p), i <= 2N.  Only the
     denominators theta(qa)_j and theta(q)_j and theta(a; p) are guarded, and
     an entry that overflows raises :class:`DegenerateParameterError`; a or k
-    = 0 raises :class:`DomainError`.
+    = 0 raises :class:`DomainError`.  It is the one-draw case of
+    :func:`_stacked_build_M`.
     """
-    a, k = complex(a), complex(k)
-    if a == 0 or k == 0:
-        raise DomainError(f"build_M needs a, k != 0, got a = {a}, k = {k}")
+    (out,) = _stacked_build_M(N, [(a, k, nome)])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _stacked_build_M(N: int, draws) -> list:
+    """The matrices M(a, k) of size N + 1 for each (a, k, nome) of
+    ``draws``, from one stacked theta-Pochhammer call
+    (:func:`special_functions._guarded_pochhammer`) and one
+    :func:`_stacked_M` over the draws past its guards; per draw its
+    :class:`BaileyMatrix` with the bits :func:`build_M` gives it, or the
+    error build_M raises, checked in build_M's order: a or k = 0, the
+    denominators' guard, theta(a; p), an entry that overflows."""
+    out, live = [None] * len(draws), []
+    for d, (a, k, _nome) in enumerate(draws):
+        a, k = complex(a), complex(k)
+        if a == 0 or k == 0:
+            out[d] = DomainError(f"build_M needs a, k != 0, got a = {a}, k = {k}")
+        else:
+            live.append((d, a, k))
+    if not live:
+        return out
+    nomes = [draws[d][2] for d, _a, _k in live]
+    tables = [_m_rows(N, a, k, nome.q) for (_d, a, k), nome in zip(live, nomes)]
     # products may overflow where the entries do not (the theta(a q^i) row's
     # product is never read), so they are formed as in the DiscreteParams table
     # and only a non-finite entry is an error
     with np.errstate(over="ignore", invalid="ignore"):
-        factors, poch = _guarded_pochhammer(*_m_rows(N, a, k, nome.q), nome, 2, "a denominator")
-        if abs(factors[4, 0]) < THETA_GUARD:
-            raise DegenerateParameterError(f"theta(a; p) = {factors[4, 0]} is under the guard threshold")
-        ent = _stacked_M(np.array([[a]]), poch[None], factors[None], _BUILD_M_ROWS)[0, 0]
-    if not np.isfinite(ent).all():
-        raise DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): an entry overflows")
-    return BaileyMatrix(entries=ent, a=a, k=k)
+        factors, poch, errors = _guarded_pochhammer(
+            [bases for bases, _lengths in tables], tables[0][1], nomes, 2, "a denominator")
+        for (d, _a, _k), error, theta_a in zip(live, errors, factors[:, 4, 0]):
+            if error is None and abs(theta_a) < THETA_GUARD:
+                error = DegenerateParameterError(f"theta(a; p) = {theta_a} is under the guard threshold")
+            out[d] = error
+        kept = [i for i, (d, _a, _k) in enumerate(live) if out[d] is None]
+        if not kept:
+            return out
+        x = np.array([[live[i][1]] for i in kept])
+        ents = _stacked_M(x, poch[kept], factors[kept], _BUILD_M_ROWS)[:, 0]
+    for i, ent in zip(kept, ents):
+        d, a, k = live[i]
+        if np.isfinite(ent).all():
+            out[d] = BaileyMatrix(entries=ent, a=a, k=k)
+        else:
+            out[d] = DegenerateParameterError(f"build_M(N={N}, a={a}, k={k}): an entry overflows")
+    return out
 
 
 def d_entry(m: int, a, b, c, nome: NomePair) -> complex:

@@ -22,6 +22,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import functools
 import sys
@@ -50,16 +51,30 @@ class CliError(Exception):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` / ``a-bi`` (no spaces); plain reals are accepted too."""
+    """Parse ``a+bi`` / ``a-bi`` (no spaces); plain reals are accepted too.
+    A part that is nan or infinite is refused here, before any arithmetic
+    sees it."""
     s = text.strip()
     if " " in s:
         raise CliError(f"complex literal may not contain spaces: {text!r}")
     if s.endswith(("i", "I")):
         s = s[:-1] + "j"
     try:
-        return complex(s)
+        value = complex(s)
     except ValueError as exc:
         raise CliError(f"cannot parse complex number {text!r} (use a+bi notation)") from exc
+    if not cmath.isfinite(value):
+        raise CliError(f"complex number {text!r} is not finite")
+    return value
+
+
+def _complex_arg(text: str) -> complex:
+    """:func:`parse_complex` as an argparse type: its error becomes a usage
+    error, which exits 2 with the message."""
+    try:
+        return parse_complex(text)
+    except CliError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_bool(text: str) -> bool:
@@ -128,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int)
     ver.add_argument("--N", type=int, dest="N")
     ver.add_argument("--tol", type=float, dest="tolerance", help="override the pass tolerance")
-    ver.add_argument("--p", type=parse_complex, help="fix the nome p (a+bi)")
-    ver.add_argument("--q", type=parse_complex, help="fix the nome q (a+bi)")
+    ver.add_argument("--p", type=_complex_arg, help="fix the nome p (a+bi)")
+    ver.add_argument("--q", type=_complex_arg, help="fix the nome q (a+bi)")
     ver.add_argument("--complex-nomes", action="store_true", dest="allow_complex_nomes",
                      default=None, help="sample complex nomes instead of real defaults")
     ver.add_argument("--threads", type=int, help="parallel draws (capped by ELLIPTIC_BAILEY_THREADS)")
@@ -139,16 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate one special function")
     ev.add_argument("function", choices=["gamma", "theta", "pochhammer", "m-entry", "d-entry"])
-    ev.add_argument("--z", type=parse_complex)
-    ev.add_argument("--p", type=parse_complex, required=True)
-    ev.add_argument("--q", type=parse_complex)
+    ev.add_argument("--z", type=_complex_arg)
+    ev.add_argument("--p", type=_complex_arg, required=True)
+    ev.add_argument("--q", type=_complex_arg)
     ev.add_argument("--n", type=int, help="pochhammer order (may be negative)")
     ev.add_argument("--N", type=int)
     ev.add_argument("--m", type=int)
-    ev.add_argument("--a", type=parse_complex)
-    ev.add_argument("--k", type=parse_complex)
-    ev.add_argument("--b", type=parse_complex)
-    ev.add_argument("--c", type=parse_complex)
+    ev.add_argument("--a", type=_complex_arg)
+    ev.add_argument("--k", type=_complex_arg)
+    ev.add_argument("--b", type=_complex_arg)
+    ev.add_argument("--c", type=_complex_arg)
     return top
 
 

@@ -21,7 +21,9 @@ one call of the ring theta series, whose pointwise factor keeps them exactly
 off-centre residue circles, which are not rings about 0, use the pointwise
 ``_kernel_at`` and its products.  A check's gamma values off its grid come
 from one call: of ``_nonzero_finite_gamma`` where it divides by them (a zero
-or infinite one raises), else of ``_gamma_vec``.  Cauchy keeps Gamma(t^2) out
+or infinite one raises), else of ``_gamma_vec``; a pass of residue-reduction
+checks takes them from one ``_gamma_groups`` call, a group per draw, where a
+zero or infinite value is that draw's error.  Cauchy keeps Gamma(t^2) out
 of its residue sum's kernel call, a term up to 1e9 |I_T| whose bits set
 floor-level residuals; star-triangle divides by ``_gamma_vec`` values, which
 its traced benchmark run must hit.
@@ -59,6 +61,7 @@ from .special_functions import (
     NomePair,
     elliptic_pochhammer,  # unused here; perfbench/tracing.py wraps this binding
     theta,
+    _gamma_groups,
     _gamma_rings,
     _gamma_vec,
     _guarded_pochhammer,
@@ -875,69 +878,142 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
     reported; the matrix form selects m(m+1), which the residual confirms
     (the m(m-1) variant deviates by a factor q^{-2m} per term).
 
-    The 3 + 5(N+1) gamma values come from one gamma call, and the N + 1 chains
-    theta(q^{m-N})_{N-m} from one theta-Pochhammer table, besides the theta
-    call of ``build_M``.  A gamma value or a term of (i) that is zero or not
+    The 3 + 5(N+1) gamma values come from one gamma call, the N + 1 chains
+    theta(q^{m-N})_{N-m} from one theta-Pochhammer table, and M(a, k) from
+    ``build_M``'s table.  A gamma value or a term of (i) that is zero or not
     finite (at large N, Gamma(q^{-2N}/a) can underflow double precision)
-    raises :class:`DegenerateParameterError`.
+    raises :class:`DegenerateParameterError`, as ``build_M`` does for its
+    guards.  It is the one-draw case of :func:`_residue_reduction_checks`.
     """
-    from .bailey_algebra import build_M  # local import to avoid a cycle
+    (out,) = _residue_reduction_checks([(alpha, z0, t, N, nome, tolerance)])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    z0, t = complex(z0), complex(t)
-    a = z0 * z0
-    k = (t * z0) ** 2
-    q = nome.q
-    poles = np.asarray(alpha.poles, dtype=complex)
-    want = z0 * q ** np.arange(N + 1)
-    if poles.shape != (N + 1,) or np.max(np.abs(poles - want)) > 1e-12:
-        raise DomainError("alpha must declare poles exactly at z0 q^m, m = 0..N")
-    alpha_res = np.asarray(alpha.residues, dtype=complex)
 
+def _residue_reduction_checks(draws) -> list:
+    """The residue-reduction checks of ``draws``, each (alpha, z0, t, N,
+    nome, tolerance) of one N, evaluated together: per draw its report, with
+    the bits :func:`residue_matrix_reduction_check` gives it alone, or the
+    library error it raises, the first in the check's order (alpha's poles,
+    the gamma values, the chains, the terms of (i), then ``build_M``'s).
+
+    The draws share one gamma pass (:func:`special_functions._gamma_groups`,
+    a group per draw), one stacked theta-Pochhammer call for the chains and
+    one stacked M build (:func:`bailey_algebra._stacked_build_M`), each of
+    which gives a draw the bits it has alone; a draw that fails one of them
+    takes no part in the next.  Whatever else sets a value's bits stays per
+    draw: its points, its terms, its sums and its report."""
+    from .bailey_algebra import _stacked_build_M  # local import to avoid a cycle
+
+    if len({draw[3] for draw in draws}) > 1:
+        raise DomainError("the residue-reduction checks of one pass take one N, "
+                          f"got N in {sorted({draw[3] for draw in draws})}")
+    out = [None] * len(draws)
+    live = _residue_gammas(draws, out)
+    if not live:
+        return out
+    terms = _residue_terms(draws, live, out)
+    live = [entry for entry in live if out[entry[0]] is None]
+    N = draws[0][3]
     ms = np.arange(N + 1)
-    points = np.concatenate([
-        [k / a, k, a],
-        k * q ** (N + ms), (k / a) * q ** (N - ms), q ** (-N - ms) / a,
-        a * q ** (2 * ms), q ** (-2 * ms) / a,
-    ])
-    gammas = _nonzero_finite_gamma(points, nome, "the residue sum")
-    g_ka, g_k, g_a = gammas[:3]
-    upper, lower_q, lower_a, pair_plus, pair_minus = gammas[3:].reshape(5, N + 1)
-    # row m holds theta(q^{m-N} q^j; p), j < N - m, padded with ones
-    chains = np.prod(_guarded_pochhammer(q ** (ms - N), N - ms, nome)[0], axis=1)
-    with np.errstate(all="ignore"):
-        terms = (upper * lower_q * lower_a) / (chains * g_ka * pair_plus * pair_minus)
-    bad = np.flatnonzero(~np.isfinite(terms) | (terms == 0))
-    if bad.size:
-        raise DegenerateParameterError(
-            f"term m = {bad[0]} of the residue sum is {complex(terms[bad[0]])}"
+    matrices = _stacked_build_M(N, [(a, k, draws[d][4]) for d, _z0, _t, a, k, *_rest in live])
+    for (d, z0, t, a, k, alpha_res, values), term, m_mat in zip(live, terms, matrices):
+        if isinstance(m_mat, Exception):
+            out[d] = m_mat
+            continue
+        alpha, _z0, _t, _N, nome, tolerance = draws[d]
+        q = nome.q
+        g_k, g_a = values[1], values[2]
+        sum_res = np.sum(term * alpha_res)
+        m_row = m_mat.entries[N, :]
+        weights_plus = q ** (N * (N + 1) - ms * (ms + 1)).astype(float)
+        weights_minus = q ** (N * (N + 1) - ms * (ms - 1)).astype(float)
+        ratio = g_k / g_a
+        sum_plus = ratio * np.sum(m_row * weights_plus * alpha_res)
+        sum_minus = ratio * np.sum(m_row * weights_minus * alpha_res)
+
+        res_plus = relative_residual(sum_res, sum_plus)
+        res_minus = relative_residual(sum_res, sum_minus)
+        plus = not res_minus < res_plus  # m(m+1) unless m(m-1) is strictly better: a NaN stays
+        residual, rhs = (res_plus, sum_plus) if plus else (res_minus, sum_minus)
+        out[d] = VerificationReport(
+            identity="residue-reduction",
+            params={"z0": z0, "t": t, "a": a, "k": k, "N": N, "p": nome.p, "q": nome.q},
+            lhs=complex(sum_res),
+            rhs=complex(rhs),
+            residual=residual,
+            tolerance=tolerance,
+            settings={"alpha": alpha.name},
+            details={
+                "residual_exponent_m_plus_1": res_plus,
+                "residual_exponent_m_minus_1": res_minus,
+                "selected_exponent": "m(m+1)" if plus else "m(m-1)",
+            },
         )
-    sum_res = np.sum(terms * alpha_res)
+    return out
 
-    m_mat = build_M(N, a, k, nome).entries
-    weights_plus = q ** (N * (N + 1) - ms * (ms + 1)).astype(float)
-    weights_minus = q ** (N * (N + 1) - ms * (ms - 1)).astype(float)
-    ratio = g_k / g_a
-    sum_plus = ratio * np.sum(m_mat[N, :] * weights_plus * alpha_res)
-    sum_minus = ratio * np.sum(m_mat[N, :] * weights_minus * alpha_res)
 
-    res_plus = relative_residual(sum_res, sum_plus)
-    res_minus = relative_residual(sum_res, sum_minus)
-    plus = not res_minus < res_plus  # m(m+1) unless m(m-1) is strictly better: a NaN stays
-    residual, rhs = (res_plus, sum_plus) if plus else (res_minus, sum_minus)
-    return VerificationReport(
-        identity="residue-reduction",
-        params={"z0": z0, "t": t, "a": a, "k": k, "N": N, "p": nome.p, "q": nome.q},
-        lhs=complex(sum_res),
-        rhs=complex(rhs),
-        residual=residual,
-        tolerance=tolerance,
-        settings={"alpha": alpha.name},
-        details={
-            "residual_exponent_m_plus_1": res_plus,
-            "residual_exponent_m_minus_1": res_minus,
-            "selected_exponent": "m(m+1)" if plus else "m(m-1)",
-        },
-    )
+def _residue_gammas(draws, out) -> list:
+    """The draws of :func:`_residue_reduction_checks` past alpha's poles
+    check and the gamma pass, each as (draw, z0, t, a, k, alpha's residues,
+    its 3 + 5(N+1) gamma values); a draw that fails either gets its error
+    in ``out``."""
+    entries, groups = [], []
+    for d, (alpha, z0, t, N, nome, _tolerance) in enumerate(draws):
+        z0, t = complex(z0), complex(t)
+        a = z0 * z0
+        k = (t * z0) ** 2
+        q = nome.q
+        poles = np.asarray(alpha.poles, dtype=complex)
+        want = z0 * q ** np.arange(N + 1)
+        if poles.shape != (N + 1,) or np.max(np.abs(poles - want)) > 1e-12:
+            out[d] = DomainError("alpha must declare poles exactly at z0 q^m, m = 0..N")
+            continue
+        ms = np.arange(N + 1)
+        groups.append((np.concatenate([
+            [k / a, k, a],
+            k * q ** (N + ms), (k / a) * q ** (N - ms), q ** (-N - ms) / a,
+            a * q ** (2 * ms), q ** (-2 * ms) / a,
+        ]), nome))
+        entries.append((d, z0, t, a, k, np.asarray(alpha.residues, dtype=complex)))
+    live = []
+    for entry, values in zip(entries, _gamma_groups(groups, "the residue sum")):
+        if isinstance(values, Exception):
+            out[entry[0]] = values
+        else:
+            live.append((*entry, values))
+    return live
+
+
+def _residue_terms(draws, live, out) -> list:
+    """The terms of the residue sum (i) of the draws ``live``, as
+    :func:`_residue_gammas` returns them, whose chains theta(q^{m-N})_{N-m}
+    come from one stacked theta-Pochhammer call; a draw whose chains or
+    terms fail gets its error in ``out``, and the others their terms, in
+    order."""
+    N = draws[0][3]
+    ms = np.arange(N + 1)
+    nomes = [draws[entry[0]][4] for entry in live]
+    # row m of a draw's table holds theta(q^{m-N} q^j; p), j < N - m, padded with ones
+    factors, _poch, errors = _guarded_pochhammer(
+        np.array([nome.q ** (ms - N) for nome in nomes], dtype=complex), N - ms, nomes)
+    terms = []
+    for (d, *_rest, values), table, error in zip(live, factors, errors):
+        if error is not None:
+            out[d] = error
+            continue
+        upper, lower_q, lower_a, pair_plus, pair_minus = values[3:].reshape(5, N + 1)
+        chains = np.prod(table, axis=1)
+        with np.errstate(all="ignore"):
+            term = (upper * lower_q * lower_a) / (chains * values[0] * pair_plus * pair_minus)
+        bad = np.flatnonzero(~np.isfinite(term) | (term == 0))
+        if bad.size:
+            out[d] = DegenerateParameterError(
+                f"term m = {bad[0]} of the residue sum is {complex(term[bad[0]])}")
+        else:
+            terms.append(term)
+    return terms
 
 
 # --------------------------------------------------------------------------

@@ -90,9 +90,11 @@ _RETRY_CAP = 100
 _AMPLIFICATION_CAP = 1e5
 # draws per chunk of a campaign, sampled together by _sample_until: one pass
 # over the pending draws per sampling round, where the identity has one.  At
-# 32 special-functions draws and special_functions._PASS_BYTES, no array of
-# a gamma pass reaches 1 MiB; a stacked DiscreteParams build cuts its draws
-# into blocks whose tables hold at most _PASS_BYTES bytes
+# 32 special-functions or residue-reduction draws (N <= 12) and
+# special_functions._PASS_BYTES, a round's pass peaks under 1 MiB: a gamma
+# pass takes its powers tables, shift grids and products in blocks of at
+# most _PASS_BYTES bytes, and a stacked DiscreteParams build cuts its draws
+# into such blocks
 _DRAW_CHUNK = 32
 _SPECTATORS = 3
 _STAR_MARGIN = 0.85
@@ -446,11 +448,14 @@ def _run_star_triangle(cfg: CampaignConfig, values, idx: int) -> VerificationRep
 
 
 def _sample_residue_reduction(cfg: CampaignConfig, rng):
-    """The residue-sum to Bailey-matrix reduction at one (a, k, alpha), as the
-    item of its attempt, so that a draw whose gamma batch has a zero or
-    non-finite value (an underflow at large N) or a point on the pole
-    lattice is rejected and resampled; the check's one gamma call is the
-    draw's only one."""
+    """One attempt at a residue-reduction draw: the inputs (alpha, z0, t, N,
+    nome, tolerance) of its check, as the item the round's pass takes
+    (:func:`contour._residue_reduction_checks`, which evaluates the pending
+    draws of a chunk together, each with the bits of its check alone).  A
+    draw with a point on the pole lattice, a gamma value or residue term
+    that is zero or not finite (an underflow at large N), or an M that
+    fails a guard, is rejected and resampled; the check's report is the
+    draw's value, so its runner makes no further call."""
     nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.05, 0.15), q_range=(0.3, 0.5))
     a = _take(cfg, rng, "a", lambda r: r.uniform(0.2, 0.8) * _unit_phase(r))
     k = _take(cfg, rng, "k", lambda r: r.uniform(0.1, 0.7) * _unit_phase(r))
@@ -458,8 +463,7 @@ def _sample_residue_reduction(cfg: CampaignConfig, rng):
     t = complex(np.sqrt(k / a))
     coeffs = rng.normal(size=cfg.effective_N + 1) + 1j * rng.normal(size=cfg.effective_N + 1)
     alpha = ct.designated_poles(z0, cfg.effective_N, nome.q, coeffs)
-    return (), ct.residue_matrix_reduction_check(alpha, z0, t, cfg.effective_N, nome,
-                                                 tolerance=cfg.effective_tolerance)
+    return (), (alpha, z0, t, cfg.effective_N, nome, cfg.effective_tolerance)
 
 
 def _run_residue_reduction(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
@@ -528,10 +532,10 @@ def _run_finite_difference(cfg: CampaignConfig, values, idx: int) -> Verificatio
 
 
 # each identity's sampler of one attempt; the pass that evaluates a round's
-# pending items together (a gamma-engine pass, or a stacked DiscreteParams
-# build under the conditioning cap; a pass reads its function from the module
-# when it runs), or None where an item is its own value; and the pass that
-# finishes the chunk's accepted draws, or None
+# pending items together (a gamma-engine pass, a stacked DiscreteParams build
+# under the conditioning cap, or the residue-reduction checks; a pass reads
+# its function from the module when it runs), or None where an item is its
+# own value; and the pass that finishes the chunk's accepted draws, or None
 _SAMPLERS = {
     "special-functions": (_sample_special_functions,
                           lambda groups: _gamma_groups(groups, "the special-functions draw"),
@@ -540,7 +544,8 @@ _SAMPLERS = {
     "matrix-bailey": (_sample_discrete,
                       lambda drafts: ba.DiscreteParams.stack(drafts, _AMPLIFICATION_CAP), None),
     "star-triangle": (_sample_star_triangle, None, None),
-    "residue-reduction": (_sample_residue_reduction, None, None),
+    "residue-reduction": (_sample_residue_reduction,
+                          lambda checks: ct._residue_reduction_checks(checks), None),
     "cauchy-deformation": (_sample_cauchy_deformation, None, None),
     "finite-difference": (_sample_finite_difference, None, None),
 }
@@ -566,8 +571,9 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     by :func:`_sample_until` with the identity's ``_SAMPLERS`` entry: each
     draw on the generator of its own sub-seed, each sampling round
     evaluating the chunk's pending draws together where the identity has a
-    pass for it (one gamma-engine pass, or one stacked
-    :class:`bailey_algebra.DiscreteParams` build), and a rejected draw
+    pass for it (one gamma-engine pass, one stacked
+    :class:`bailey_algebra.DiscreteParams` build, or the residue-reduction
+    checks of :func:`contour._residue_reduction_checks`), and a rejected draw
     sampling again on its own stream; a draw's values, rejections and
     errors are those of sampling it alone.  Should a pass fail outside
     every draw, the chunk is sampled again one draw at a time from fresh

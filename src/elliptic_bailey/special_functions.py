@@ -116,10 +116,10 @@ THETA_GUARD = 1e-10
 TRUNCATION_TOL = 1e-14
 MAX_TERMS = 500_000
 # bytes of the largest table a grouped pointwise gamma pass builds (a block of
-# groups' powers) and of a block of the product kernel's rows (unless one row
-# outgrows it).  A chunk of campaign draws then allocates no array near 1 MiB,
-# whose release would move the C allocator's mmap threshold for everything
-# that runs after it
+# groups' powers, or of their theta shift grids) and of a block of the product
+# kernel's rows (unless one row or group outgrows it).  A chunk of campaign
+# draws then allocates no array near 1 MiB, whose release would move the C
+# allocator's mmap threshold for everything that runs after it
 _PASS_BYTES = 1 << 17
 
 
@@ -333,7 +333,7 @@ def _theta_pass(draws) -> list:
             n_p, n_q = _qpoch_order(mod_p[i], scale_p[i]), _qpoch_order(mod_q[i], scale_q[i])
             n_qq = _qpoch_order(mod_q[i], mod_q[i]) if qq else 0
         except TruncationLimitError as exc:
-            out.append(exc)
+            out.append(exc.with_traceback(None))
             continue
         out.append((len(xs), pp, qq))
         at_p, at_q = base(p[i]), base(q[i])
@@ -524,9 +524,13 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
     its first point, up to rounding), so the rectangle's values L are then
     filtered on reals, keeping those with |a |L| - 1| <= band for some ring.
     The complex test runs on the rings with a candidate left, against the
-    whole rectangle.  A rectangle of more than ``MAX_TERMS`` candidates,
-    which nomes near the unit circle ask for, raises
-    :class:`TruncationLimitError` before it is built.
+    whole rectangle.  Both run on blocks of rings whose (rings x rectangle)
+    tables hold at most ``_PASS_BYTES`` bytes, so that a group of points
+    spread over many orders of magnitude, whose rectangle is large, does
+    not build one table for all of them; each point's verdict is its own.
+    A rectangle of more than ``MAX_TERMS`` candidates, which nomes near the
+    unit circle ask for, raises :class:`TruncationLimitError` before it is
+    built.
     """
     hi = float(az.max())
     reach = POLE_GUARD_FACTOR * hi
@@ -564,14 +568,19 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
             lattice = np.multiply.outer(v ** np.arange(j_max + 1), lattice).ravel()
     else:
         lattice = np.ones(1, dtype=complex)
-    near = np.abs(np.multiply.outer(az[0], np.abs(lattice)) - 1.0) <= band
-    if not near.any():
-        return
-    rings = np.flatnonzero(near.any(axis=1))
-    gap = np.abs(1.0 - z[:, rings, None] * lattice).min(axis=2)
-    bad = np.zeros(z.shape, dtype=bool)
-    bad[:, rings] = gap < POLE_GUARD_FACTOR * az[:, rings]
-    if bad.any():
+    bad = None
+    mod_lattice = np.abs(lattice)
+    step = max(1, _PASS_BYTES // (16 * lattice.size))
+    for lo in range(0, z.shape[1], step):
+        near = np.abs(np.multiply.outer(az[0, lo : lo + step], mod_lattice) - 1.0) <= band
+        if not near.any():
+            continue
+        rings = lo + np.flatnonzero(near.any(axis=1))
+        gap = np.abs(1.0 - z[:, rings, None] * lattice).min(axis=2)
+        if bad is None:
+            bad = np.zeros(z.shape, dtype=bool)
+        bad[:, rings] = gap < POLE_GUARD_FACTOR * az[:, rings]
+    if bad is not None and bad.any():
         raise PoleProximityError(
             f"z={z[bad][0]} is within guard distance of the pole lattice p^-j q^-k"
         )
@@ -902,7 +911,11 @@ def _gamma_groups(groups, where: str | None = None) -> list:
     Elementwise work runs across the groups: moduli, shifts, sigma, the
     powers doubling (:func:`_fill_powers`), the shift-theta factors, log and
     exp.  The powers tables and the theta products are built in blocks of at
-    most ``_PASS_BYTES`` bytes.
+    most ``_PASS_BYTES`` bytes, and so are the shift-theta grids, in blocks
+    of groups (:func:`_shift_log_sums`), and the pole guard's tables, in
+    blocks of points.  An error kept as a group's value carries no
+    traceback, which would hold the pass's arrays until the garbage
+    collector broke its cycle.
     """
     if where is not None:
         # a value that is zero or not finite is the group's error, not a warning
@@ -925,7 +938,8 @@ def _gamma_groups(groups, where: str | None = None) -> list:
                 raise DomainError("elliptic gamma is undefined at z = 0")
             _pole_guard(z[None], az[None], nome)
         except EllipticBaileyError as exc:
-            out[g] = exc
+            # kept as a value, without the frames of the pass its traceback holds
+            out[g] = exc.with_traceback(None)
             continue
         u, v = _shift_nomes(nome)
         if u == 0:
@@ -951,15 +965,19 @@ def _gamma_series(live: list, out: list) -> None:
         k, log_r = _shift_exponents(np.log(az), *_shift_constants(u, v))
         radii = [log_r.max()]
     else:
+        # the per-point constants live only as long as their call: a pass's
+        # memory peaks later, in its shift sums
         z = np.concatenate([entry[1] for entry in live])
         consts = [_shift_constants(entry[4], entry[5]) for entry in live]
-        log_u, target = (np.repeat([c[i] for c in consts], sizes) for i in (0, 1))
         has_v = all(c[2] for c in consts) or np.repeat([c[2] for c in consts], sizes)
         k, log_r = _shift_exponents(np.log(np.concatenate([entry[2] for entry in live])),
-                                    log_u, target, has_v)
+                                    *(np.repeat([c[i] for c in consts], sizes) for i in (0, 1)),
+                                    has_v)
         radii = np.maximum.reduceat(log_r, starts)
+        del log_r, has_v
         u = np.repeat(np.array([entry[4] for entry in live]), sizes)
     sigma = z * u**k
+    del u
     shifts = np.abs(k)
     widths = [int(shifts.max())] if one else np.maximum.reduceat(shifts, starts).astype(int).tolist()
     coeffs = []
@@ -969,7 +987,7 @@ def _gamma_series(live: list, out: list) -> None:
             _shift_table_guard(hi - lo, widths[i], nome)
             coeffs.append(c)
         except EllipticBaileyError as exc:
-            out[g] = exc
+            out[g] = exc.with_traceback(None)
             coeffs.append(None)
             # it takes no shift factors
             shifts[lo:hi] = 0.0
@@ -1021,6 +1039,34 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
     group whose theta order fails gets its error in ``out`` and takes no
     factor.
 
+    The groups are taken in blocks of consecutive groups
+    (:func:`_grid_blocks`) whose (points x width) grids hold at most
+    ``_PASS_BYTES`` bytes, the width being the block's largest, so that one
+    wide group does not size the grids of every point of a pass.  A group's
+    sums do not depend on the block it is in (:func:`_shift_log_block`)."""
+    if z.size * max(widths) * 16 <= _PASS_BYTES:
+        # the pass is one block
+        sums = _shift_log_block(live, z, sigma, k, shifts, widths, bounds, out)
+    else:
+        sums = np.zeros(z.size, dtype=complex)
+        for block in _grid_blocks(widths, np.diff(bounds).tolist()):
+            lo, hi = bounds[block[0]], bounds[block[-1] + 1]
+            if max(widths[i] for i in block):
+                sums[lo:hi] = _shift_log_block(
+                    [live[i] for i in block], z[lo:hi], sigma[lo:hi], k[lo:hi], shifts[lo:hi],
+                    [widths[i] for i in block], [bounds[i] - lo for i in (*block, block[-1] + 1)],
+                    out)
+    # an exact zero of a shift factor left a sum of -inf, which its sign
+    # multiplies without a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sign(k) * sums
+
+
+def _shift_log_block(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarray:
+    """The sums of :func:`_shift_log_sums` for one block of consecutive
+    groups, before their sign, over the block's points alone; ``bounds``
+    counts from the block's first point.
+
     Each group's products theta(y; v) = (y; v)_J (v/y; v)_J run to its own
     order J, taken over its own factors as :func:`_theta_raw` takes it: one
     :func:`_qpoch_rows` call per half, with one base and one order per row."""
@@ -1030,32 +1076,34 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
     vs = [entry[5] for entry in live]
     if one:
         x = (np.where(k > 0, z, sigma)[:, None] * live[0][4] ** steps)[used]
-        v = vs[0]
     else:
         at_point = np.repeat(np.arange(len(live)), [entry[1].size for entry in live])
-        u_steps = (np.array([entry[4] for entry in live])[:, None] ** steps)[at_point]
-        x = (np.where(k > 0, z, sigma)[:, None] * u_steps)[used]
+        x = (np.where(k > 0, z, sigma)[:, None]
+             * (np.array([entry[4] for entry in live])[:, None] ** steps)[at_point])[used]
         at_x = at_point[np.nonzero(used)[0]]
-        v = np.array(vs)[at_x]
-    # theta_truncation_order over each group's factors, with |v| from Python
+    # theta_truncation_order over each group's factors, with |v| from Python;
+    # the tables of the block's (points x width) grid are dropped once read,
+    # and each factor's v is gathered where it is read, so that the products
+    # below run beside the mask ``used`` and the factors alone
     ax = np.abs(x)
     if one:
-        tops = [np.maximum(ax, abs(v) / ax).max()]
+        tops = [np.maximum(ax, abs(vs[0]) / ax).max()]
     else:
         grid = np.zeros(used.shape)
         grid[used] = np.maximum(ax, np.array([abs(b) for b in vs])[at_x] / ax)
         tops = np.maximum.reduceat(grid.max(axis=1), bounds[:-1])
+        del grid
+    del ax
     orders = [0] * len(live)
     for i, (g, *_rest, b) in enumerate(live):
         if widths[i]:
             try:
                 orders[i] = _qpoch_order(abs(b), float(tops[i]))
             except EllipticBaileyError as exc:
-                out[g] = exc
-    log_theta = np.zeros(used.shape, dtype=complex)
+                out[g] = exc.with_traceback(None)
+    theta = None
     # an exact zero of a shift factor is a zero of Gamma: its log is -inf,
     # and the value exp(-inf) = 0, without a warning where the log is taken
-    # or where the sign multiplies the sum
     with np.errstate(divide="ignore", invalid="ignore"):
         if max(orders):
             if one:
@@ -1066,24 +1114,45 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
                     # the factors of a group whose theta order failed
                     kept = by_order > 0
                     used[used] = kept
-                    x, v, at_x, by_order = x[kept], v[kept], at_x[kept], by_order[kept]
-            theta = _qpoch_rows(x, vs, at_x, by_order) * _qpoch_rows(v / x, vs, at_x, by_order)
+                    x, at_x, by_order = x[kept], at_x[kept], by_order[kept]
+            # a new array for the product: numpy's in-place complex multiply
+            # rounds apart from it
+            theta = _qpoch_rows(x, vs, at_x, by_order) * _qpoch_rows(
+                (vs[0] if one else np.array(vs)[at_x]) / x, vs, at_x, by_order)
             if 0 in vs:
-                theta = np.where(v == 0, 1.0 - x, theta)
+                theta = np.where((vs[0] if one else np.array(vs)[at_x]) == 0, 1.0 - x, theta)
+        log_theta = np.zeros(used.shape, dtype=complex)
+        if theta is not None:
             log_theta[used] = np.log(theta)
         # each point's sum over its group's width, a pairwise sum whose bits
         # depend on its length: the rows of one width are summed together
         if one:
-            sums = log_theta.sum(axis=1)
-        else:
-            sums = np.zeros(z.size, dtype=complex)
-            width_at = np.repeat([w if o else 0 for w, o in zip(widths, orders)],
-                                 np.diff(bounds))
-            for width in set(widths) - {0}:
-                rows = np.flatnonzero(width_at == width)
-                if rows.size:
-                    sums[rows] = log_theta[rows, :width].sum(axis=1)
-        return np.sign(k) * sums
+            return log_theta.sum(axis=1)
+        sums = np.zeros(z.size, dtype=complex)
+        width_at = np.repeat([w if o else 0 for w, o in zip(widths, orders)], np.diff(bounds))
+        for width in set(widths) - {0}:
+            rows = np.flatnonzero(width_at == width)
+            if rows.size:
+                sums[rows] = log_theta[rows, :width].sum(axis=1)
+        return sums
+
+
+def _grid_blocks(widths: list, sizes: list) -> list:
+    """The groups 0, 1, ... of ``widths`` and ``sizes`` in order, cut into
+    blocks whose shift grids, the block's points x its largest width, hold
+    at most _PASS_BYTES bytes of complex entries; a block holds at least one
+    group."""
+    blocks, block, points, wide = [], [], 0, 0
+    for item in range(len(widths)):
+        grown, widened = points + sizes[item], max(wide, widths[item])
+        if block and grown * widened * 16 > _PASS_BYTES:
+            blocks.append(block)
+            block, grown, widened = [], sizes[item], widths[item]
+        block.append(item)
+        points, wide = grown, widened
+    if block:
+        blocks.append(block)
+    return blocks
 
 
 def _blocks(items: list, orders: list, sizes: list) -> list:
@@ -1200,7 +1269,7 @@ def _guarded_pochhammer(bases, lengths, nome, guarded: int = 0, where: str = "")
         try:
             factors[0][used] = theta(grid[0][used], nomes[0].p)
         except (DomainError, TruncationLimitError) as exc:
-            errors[0] = exc
+            errors[0] = exc.with_traceback(None)
     elif grid.size:
         z = grid[:, used]
         az = np.abs(z)
@@ -1218,7 +1287,7 @@ def _guarded_pochhammer(bases, lengths, nome, guarded: int = 0, where: str = "")
                 try:
                     orders.append(_qpoch_order(mod_p[i], scales[i]))
                 except TruncationLimitError as exc:
-                    errors[i] = exc
+                    errors[i] = exc.with_traceback(None)
                 else:
                     thetas.append(i)
         if thetas:

@@ -145,6 +145,43 @@ class TestMEntry:
         with pytest.raises(ValueError, match="stub fault"):
             build_M(2, 0.5, 0.4, nome)
 
+    @pytest.mark.parametrize("N", [0, 1, 3, 8])
+    def test_a_stacked_build_gives_each_matrix_as_built_alone(self, N):
+        # build_M is the one-draw case of the stacked build; each draw of a
+        # stack has the bits, or the error, of build_M on it alone, with
+        # faults of every kind among draws that build
+        rng = np.random.default_rng(60 + N)
+        draws = []
+        for i in range(10):
+            p, q = rng.uniform(0.05, 0.15), rng.uniform(0.25, 0.5)
+            if i % 2:
+                p, q = p * cmath.exp(2j * rng.uniform(0, np.pi)), q * cmath.exp(2j * rng.uniform(0, np.pi))
+            draws.append((complex(rng.uniform(0.1, 0.8) * cmath.exp(2j * rng.uniform(0, np.pi))),
+                          complex(rng.uniform(0.1, 0.8) * cmath.exp(2j * rng.uniform(0, np.pi))),
+                          NomePair(p, q)))
+        draws[1:1] = [(0.0, 0.5, NomePair(0.1, 0.4)),  # a = 0
+                      (0.49j, 1e30, NomePair(0.1, 0.4)),  # an entry overflows (N > 0)
+                      (0.1 * (1 + 1e-11), 0.37, NomePair(0.1, 0.4)),  # theta(a; p) under the guard
+                      (0.49j, 0.37, NomePair(0.09, 0.3))]  # theta(q^2; p) = theta(p; p) (N > 0)
+
+        def outcome(matrix):
+            if isinstance(matrix, Exception):
+                return type(matrix).__name__, str(matrix)
+            return matrix.entries.tobytes(), matrix.a, matrix.k
+
+        def alone(a, k, nome):
+            try:
+                return build_M(N, a, k, nome)
+            except (DomainError, DegenerateParameterError) as exc:
+                return exc
+
+        got = [outcome(m) for m in ba._stacked_build_M(N, draws)]
+        assert got == [outcome(alone(*draw)) for draw in draws]
+        kinds = [entry[0] if isinstance(entry[0], str) else "built" for entry in got[1:5]]
+        assert kinds == (["DomainError", "built", "DegenerateParameterError", "built"] if N == 0 else
+                         ["DomainError"] + ["DegenerateParameterError"] * 3)
+        assert all(isinstance(entry[0], bytes) for entry in got[5:] + got[:1])
+
 
 class TestDEntry:
     def test_zeroth_is_one(self, nome):

@@ -2,6 +2,9 @@ import argparse
 import dataclasses
 import importlib.util
 import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +37,11 @@ class TestComplexParsing:
             parse_complex("0.5 + 0.2i")
         with pytest.raises(CliError):
             parse_complex("spam")
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "nan+0.2i", "0.5-infi", "1e309"])
+    def test_rejects_a_value_that_is_not_finite(self, text):
+        with pytest.raises(CliError, match=re.escape(f"complex number '{text}' is not finite")):
+            parse_complex(text)
 
 
 class TestParser:
@@ -135,6 +143,10 @@ class TestVerify:
         # numpy's generator rejects a negative seed with a raw ValueError
         (("matrix-bailey", "--seed", "-1"), "", "seed must be a non-negative integer"),
         (("matrix-bailey",), "[campaign]\nseed = -1\n", "seed must be a non-negative integer"),
+        # a nan or infinite value is refused where it is parsed
+        (("special-functions", "--p", "nan"), "", "argument --p: complex number 'nan' is not finite"),
+        (("special-functions",), "[campaign]\nq = inf\n", "complex number 'inf' is not finite"),
+        (("matrix-bailey",), "[fixed]\na = nan+0.5i\n", "complex number 'nan+0.5i' is not finite"),
     ])
     def test_config_error_exits_2_before_any_draw(self, capsys, tmp_path, monkeypatch,
                                                   argv, ini, named):
@@ -271,6 +283,10 @@ class TestVerify:
          ("matrix-bailey", "--N", "5", "--draws", "20", "--seed", "21000", "--complex-nomes")),
         ("beta-integral-seed20205.jsonl", ("beta-integral", "--draws", "4", "--seed", "20205")),
         ("star-triangle-seed20600.jsonl", ("star-triangle", "--draws", "4", "--seed", "20600")),
+        # perfbench's rings-smallq campaign at seed 0, round 0; draw 6 takes
+        # its last bits from the shift products of a one-group gamma call
+        ("star-triangle-seed20600-draws10.jsonl",
+         ("star-triangle", "--draws", "10", "--seed", "20600")),
         ("cauchy-deformation-seed20700.jsonl",
          ("cauchy-deformation", "--draws", "3", "--seed", "20700")),
         ("finite-difference-seed20900.jsonl",
@@ -427,6 +443,29 @@ class TestEval:
         assert out == ""
         assert err == ("error: q-Pochhammer tail bound inf is not finite (base 0.1); "
                        "no truncation order bounds it\n")
+
+    def test_non_finite_argument_exits_2_before_any_arithmetic(self, capsys, monkeypatch):
+        # theta's p / z warned on nan before its error message
+        monkeypatch.setattr(cli, "theta", lambda *args: pytest.fail("theta ran"))
+        code, out, err = run_cli(capsys, "eval", "theta", "--z", "nan", "--p", "0.1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --z: complex number 'nan' is not finite\n")
+
+    def test_non_finite_argument_prints_no_warning(self):
+        # in a process of its own, where numpy's warnings reach stderr
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "elliptic_bailey.cli", "eval", "theta",
+                               "--z", "nan", "--p", "0.1"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "RuntimeWarning" not in proc.stderr
+        assert "complex number 'nan' is not finite" in proc.stderr
+
+    def test_unparsable_argument_is_a_usage_error(self, capsys):
+        # the parser's CliError ended in a traceback and exit code 1
+        code, out, err = run_cli(capsys, "eval", "theta", "--z", "0.5 + 0.2i", "--p", "0.1")
+        assert (code, out) == (2, "")
+        assert "argument --z: complex literal may not contain spaces" in err
 
     def test_missing_argument_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "gamma", "--p", "0.1", "--q", "0.2")

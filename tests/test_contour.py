@@ -31,6 +31,7 @@ from elliptic_bailey.errors import (
     ConstraintViolationError,
     DegenerateParameterError,
     DomainError,
+    EllipticBaileyError,
     PoleProximityError,
     QuadratureConvergenceError,
 )
@@ -1065,3 +1066,95 @@ class TestResidueMatrixBridge:
         with pytest.raises(DegenerateParameterError,
                            match=r"Gamma\(\(126495601\.\d+-658779150\.\d+j\)\) = \(-0\+0j\) is zero"):
             residue_matrix_reduction_check(alpha, z0, t, 8, nome)
+
+
+def _residue_draw(nome, a, k, N, seed=0):
+    """The inputs (alpha, z0, t, N, nome, tolerance) of a residue-reduction
+    check at (a, k), alpha with random residues."""
+    z0, t = complex(np.sqrt(a)), complex(np.sqrt(k / a))
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+    return designated_poles(z0, N, nome.q, coeffs), z0, t, N, nome, 1e-9
+
+
+def _check_alone(draw):
+    """The canonical report of the public check on ``draw``, or its error as
+    (type, message)."""
+    try:
+        return residue_matrix_reduction_check(*draw).to_json()
+    except EllipticBaileyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestStackedResidueChecks:
+    """A pass of residue-reduction checks gives each draw the report, bit for
+    bit, or the error of the public check on it alone."""
+
+    @staticmethod
+    def _random_draws(N, count, seed):
+        rng = np.random.default_rng(seed)
+        draws = []
+        for i in range(count):
+            p, q = rng.uniform(0.05, 0.15), rng.uniform(0.3, 0.5)
+            if i % 3 == 2:
+                p, q = p * np.exp(2j * np.pi * rng.uniform()), q * np.exp(2j * np.pi * rng.uniform())
+            a = rng.uniform(0.2, 0.8) * np.exp(2j * np.pi * rng.uniform())
+            k = rng.uniform(0.1, 0.7) * np.exp(2j * np.pi * rng.uniform())
+            draws.append(_residue_draw(NomePair(p, q), a, k, N, seed=i))
+        return draws
+
+    @staticmethod
+    def _pass(draws):
+        return [(type(out).__name__, str(out)) if isinstance(out, Exception) else out.to_json()
+                for out in ct._residue_reduction_checks(draws)]
+
+    def test_the_guarded_paths_of_a_pass_at_n_1(self):
+        # each failure among draws that pass, at its place in the check's
+        # order; the tier-1 filter turns any warning of the pass into an error
+        faults = {
+            # theta(q^2; p) = theta(p; p) in M's denominator theta(q)_2
+            "M guard": _residue_draw(NomePair(0.09, 0.3), 0.49j, 0.37 * np.exp(0.4j), 1),
+            # a next to p: theta(a; p) ~ 8e-12, and 1 / a is off the pole guard
+            "theta(a)": _residue_draw(NomePair(0.1, 0.4), 0.1 * (1 + 1e-11), 0.37 * np.exp(0.4j), 1),
+            # a = p: Gamma(1 / a) sits on the pole lattice
+            "pole": _residue_draw(NomePair(0.1, 0.4), 0.1, 0.37 * np.exp(0.4j), 1),
+            "poles of alpha": (designated_poles(0.5, 1, 0.4, [1.0, 1.0]), 0.7, 0.78, 1,
+                               NomePair(0.1, 0.4), 1e-9),
+        }
+        draws = self._random_draws(1, 9, seed=41)
+        for i, fault in enumerate(faults.values()):
+            draws.insert(2 * i + 1, fault)
+        got = self._pass(draws)
+        assert got == [_check_alone(draw) for draw in draws]
+        errors = [got[2 * i + 1] for i in range(len(faults))]
+        assert [name for name, _message in errors] == [
+            "DegenerateParameterError", "DegenerateParameterError", "PoleProximityError",
+            "DomainError"]
+        assert errors[0][1] == "theta((0.09+0j); p) = 9.031e-17 in a denominator is under the guard"
+        assert errors[1][1].startswith("theta(a; p) = (7.92")
+        assert all(isinstance(out, str) for out in got[len(faults) * 2:])
+
+    def test_an_underflowing_gamma_in_a_pass_at_n_8(self):
+        # draw 83 of `verify residue-reduction --N 8 --seed 29800`, whose
+        # Gamma(q^-16 / a) underflows, among draws that pass
+        nome = NomePair(0.1462028393234246, 0.30773309370508994)
+        a = 0.04345945221501911 + 0.22633341107984703j
+        draws = self._random_draws(8, 6, seed=43)
+        draws.insert(3, _residue_draw(nome, a, 0.3, 8))
+        got = self._pass(draws)
+        assert got == [_check_alone(draw) for draw in draws]
+        assert got[3][0] == "DegenerateParameterError"
+        assert got[3][1].endswith("is zero or not finite in the residue sum")
+        assert all(isinstance(out, str) for i, out in enumerate(got) if i != 3)
+
+    @pytest.mark.parametrize("N", [0, 4])
+    def test_a_draw_reads_the_same_in_any_pass(self, N):
+        draws = self._random_draws(N, 12, seed=47 + N)
+        got = self._pass(draws)
+        assert got == self._pass(draws[::-1])[::-1] == [_check_alone(draw) for draw in draws]
+
+    def test_a_pass_takes_one_N(self):
+        nome = NomePair(0.1, 0.4)
+        with pytest.raises(DomainError, match="take one N"):
+            ct._residue_reduction_checks([_residue_draw(nome, 0.49, 0.3, 1),
+                                          _residue_draw(nome, 0.49, 0.3, 2)])

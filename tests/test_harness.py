@@ -397,14 +397,21 @@ class TestChunkSampler:
         rep.draw_index, rep.settings["rejected"] = 0, rejected
         assert rep.to_json() == first.to_json()
 
-    @pytest.mark.parametrize("q", [0.8, None], ids=["lattice-q08", "default-box"])
-    def test_a_chunk_pass_allocates_under_1_mib(self, q):
+    @pytest.mark.parametrize("fields", [
+        dict(identity="special-functions", q=0.8),
+        dict(identity="special-functions"),
+        # a round's residue checks share one gamma pass, whose shift grids at
+        # N = 12 span ~30 shifts a point
+        dict(identity="residue-reduction", N=4),
+        dict(identity="residue-reduction", N=12),
+    ], ids=["lattice-q08", "default-box", "residue-N4", "residue-N12"])
+    def test_a_chunk_pass_allocates_under_1_mib(self, fields):
         # releasing a larger array would move the C allocator's mmap
         # threshold for whatever runs next; the peak over one whole chunk
         # sampling bounds every array it allocates
         import tracemalloc
 
-        cfg = CampaignConfig(identity="special-functions", q=q, draws=hmod._DRAW_CHUNK)
+        cfg = CampaignConfig(**fields, draws=hmod._DRAW_CHUNK)
         seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=hmod._DRAW_CHUNK)
         rngs = [np.random.default_rng(int(seed)) for seed in seeds]
         tracemalloc.start()
@@ -480,6 +487,17 @@ class TestOneSampler:
         cfg = CampaignConfig(identity=identity, seed=5, draws=self.DRAWS)
         reports = run_campaign(cfg)
         assert all(r.error is None for r in reports)
+        assert [r.to_json() for r in reports] == self._each_alone(cfg)
+
+    @pytest.mark.parametrize("N, seed, rejected", [(8, 36, 1), (10, 0, 23)])
+    def test_a_residue_campaign_with_rejections_is_each_draw_sampled_alone(self, N, seed,
+                                                                           rejected):
+        # a rejected draw samples again in the next round's pass, beside the
+        # other draws of its chunk still pending
+        cfg = CampaignConfig(identity="residue-reduction", N=N, seed=seed, draws=self.DRAWS)
+        reports = run_campaign(cfg)
+        assert all(r.error is None for r in reports)
+        assert sum(r.settings["rejected"] for r in reports) == rejected
         assert [r.to_json() for r in reports] == self._each_alone(cfg)
 
     def test_a_threaded_campaign_whose_check_runs_in_its_sampler(self, monkeypatch):

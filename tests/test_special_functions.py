@@ -1316,6 +1316,55 @@ class TestGammaGroups:
             alone = [special_functions._gamma_groups([group], where)[0] for group in groups]
         assert [_outcome(v) for v in together] == [_outcome(v) for v in alone]
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(groups=_groups(), pass_bytes=st.sampled_from([16, 2048, 4096, 1 << 16, 1 << 17]))
+    def test_a_group_reads_as_alone_whatever_blocks_cut_its_pass(self, groups, pass_bytes):
+        # the shift grids in blocks of groups, and the pole guard, the powers
+        # tables and the products in blocks of their own, down to one group
+        # or one point a block
+        from unittest import mock
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = [special_functions._gamma_groups([group], "the draw")[0] for group in groups]
+            with mock.patch.object(special_functions, "_PASS_BYTES", pass_bytes):
+                together = special_functions._gamma_groups(groups, "the draw")
+        assert [_outcome(v) for v in together] == [_outcome(v) for v in alone]
+
+    def test_a_wide_group_takes_a_block_of_its_own(self):
+        # eight groups at q = 0.8 and one at p = 0.9999, whose points shift
+        # by ~1e4 steps of p: every group keeps its bits, and the pass peaks
+        # near the wide group's pass alone, since the wide group's width no
+        # longer sizes the shift grids of every point (30 MiB against 3.3)
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        wide = NomePair(0.9999, 0.2)
+        # points where Gamma is finite at that nome, about one in seven
+        candidates = rng.uniform(0.3, 1.5, 90) * np.exp(2j * np.pi * rng.uniform(size=90))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.concatenate(special_functions._gamma_groups(
+                [(c, wide) for c in candidates.reshape(3, 30)]))
+        z_wide = candidates[np.isfinite(values) & (values != 0)][:10]
+        assert z_wide.size == 10
+        groups = [(rng.uniform(0.3, 1.5, 14) * np.exp(2j * np.pi * rng.uniform(size=14)),
+                   NomePair(rng.uniform(0.05, 0.25), 0.8)) for _ in range(8)]
+        groups.insert(5, (z_wide, wide))
+
+        def traced(pass_groups):
+            tracemalloc.start()
+            try:
+                out = special_functions._gamma_groups(pass_groups, "the pass")
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _values, alone_peak = traced(groups[5:6])
+        together, peak = traced(groups)
+        assert all(isinstance(v, np.ndarray) for v in together)
+        apart = [special_functions._gamma_groups([group], "the pass")[0] for group in groups]
+        assert [_bits(v) for v in together] == [_bits(v) for v in apart]
+        assert peak < 1.25 * alone_peak
+
     def test_the_faults_come_back_as_their_groups_errors(self):
         nome = NomePair(0.2, 0.3)
         good = (np.array([0.5 + 0.2j, 1.2]), nome)
