@@ -22,7 +22,7 @@ realized below.  All theta Pochhammers carry the implicit nome pair (p, q).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -107,16 +107,17 @@ class DiscreteParams:
     """Parameter set for the discrete Bailey lemma.
 
     Validates the product rule k*b*c = q*a*t_tilde and builds, at
-    construction, everything the identity checks read: the theta factors
-    theta(z q^j; p) of the M and D matrices (numerators and denominators
-    alike, j <= 2N in the M(x, y) rows and j <= N in the D rows) and their
-    Pochhammer sequences; the six matrices M(x, y), x != y in {a, k,
-    t_tilde}, as one (6, N+1, N+1) stack in the order ``ak, at, tk, ka, ta,
-    kt`` (each three places before its inverse), with its entrywise moduli;
-    the four diagonals D(a;b,c), D(t;b,c), D(k;qt/b,qt/c), D(t;qt/c,qt/b) as
-    one (4, N+1) stack; the left side of the key identity; and the
-    conditioning estimate (:func:`conditioning_amplification`).  Every memo
-    is read-only.
+    construction, what the identity checks and :func:`bailey_transform`
+    read, and no more: ``matrices``, the six matrices M(x, y), x != y in
+    {a, k, t_tilde}, keyed "xy" with t for t_tilde, views of one (6, N+1,
+    N+1) stack; ``diagonals``, the four diagonals D(a;b,c), D(t;b,c),
+    D(k;qt/b,qt/c), D(t;qt/c,qt/b), views of one (4, N+1) stack;
+    ``key_lhs``, the key identity's left side; and the conditioning
+    estimate (:func:`conditioning_amplification`).  Every memo is
+    read-only.  The theta factors theta(z q^j; p) of the M and D matrices
+    (j <= 2N in the M(x, y) rows and j <= N in the D rows), their
+    Pochhammer sequences and the stack's entrywise moduli are inputs to the
+    build, and are not kept.
 
     Construction is the one-draw case of :meth:`stack`, which builds the
     draws of a campaign chunk together, each with the bits it has alone.  A
@@ -176,12 +177,6 @@ class DiscreteParams:
     @classmethod
     def from_y(cls, a, k, t_tilde, y, N, nome: NomePair) -> "DiscreteParams":
         return cls(**cls.y_split(a, k, t_tilde, y, N, nome))
-
-    @cached_property
-    def matrices(self) -> dict:
-        """Entries of M(x, y) at size N, keyed "xy" with t for t_tilde; read-only
-        views of the stack."""
-        return dict(zip(_M_PAIRS, self._m_stack[0]))
 
 
 def _base_points(params: DiscreteParams) -> list:
@@ -274,7 +269,7 @@ def _build_block(block: list, cap: float | None) -> list:
            / np.maximum(np.abs(lhs.reshape(len(kept), -1)[:, tri]), RESIDUAL_FLOOR)).max(axis=1)
     inverse = (ent_mods[:, :3] @ ent_mods[:, 3:]).reshape(len(kept), -1).max(axis=1)
     amps = [float(worst(*pair)) for pair in zip(key, inverse)]
-    tables = [bases, factors, poch, ent, ent_mods, diags, lhs, lhs_abs]
+    tables = [ent, diags, lhs]
     if cap is not None:
         capped = [i for i, amp in enumerate(amps) if not amp <= cap]
         for i in capped:
@@ -287,12 +282,11 @@ def _build_block(block: list, cap: float | None) -> list:
             kept, amps = [kept[i] for i in below], [amps[i] for i in below]
     for table in tables:
         table.setflags(write=False)
-    bases, factors, poch, ent, ent_mods, diags, lhs, lhs_abs = tables
+    ent, diags, lhs = tables
     for i, s in enumerate(kept):
         vars(block[s]).update(
-            _bases=bases[i], _factors=factors[i], _poch=poch[i], _m_stack=(ent[i], ent_mods[i]),
-            diagonals=dict(zip(_DIAGONALS, diags[i])), key_lhs=(lhs[i], lhs_abs[i]),
-            _amplification=amps[i])
+            matrices=dict(zip(_M_PAIRS, ent[i])), diagonals=dict(zip(_DIAGONALS, diags[i])),
+            key_lhs=lhs[i], _amplification=amps[i])
     return errors
 
 
@@ -560,11 +554,12 @@ def conditioning_amplification(params: DiscreteParams) -> float:
     degeneracy.
 
     The estimate is made with the draw's build (:meth:`DiscreteParams.stack`,
-    of which construction is the one-draw case), from memos the checks read
-    too: the key identity's two sides, and the moduli of the stack of six M
-    matrices.  The stack puts each matrix three places before its inverse,
-    so the three inversion products |M(x,y)| |M(y,x)| are one stacked
-    product of its halves, stacked again over the draws of a build.  A
+    of which construction is the one-draw case): the key identity's left
+    side, which the checks read too, and its sum of moduli, and the moduli
+    of the stack of six M matrices, which the draw does not keep.  The
+    stack puts each matrix three places before its inverse, so the three
+    inversion products |M(x,y)| |M(y,x)| are one stacked product of its
+    halves, stacked again over the draws of a build.  A
     non-finite product gives NaN or inf here, without a warning, wherever it
     sits among the products.
     """
@@ -580,7 +575,7 @@ def _matrix_bailey_sides(params: DiscreteParams):
     """
     d = params.diagonals
     rhs = d["k;qt/b,qt/c"][:, None] * (params.matrices["tk"] * d["t;b,c"][None, :])
-    return params.key_lhs[0], rhs
+    return params.key_lhs, rhs
 
 
 def verify_matrix_bailey(params: DiscreteParams, tolerance: float = 1e-9) -> VerificationReport:

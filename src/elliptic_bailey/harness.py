@@ -7,18 +7,18 @@ loop (:func:`_sample_until`), each draw on its own generator, and each
 draw's sampled values are handed to the identity's runner.  The seed fully
 determines the draw sequence: per-draw generators are spawned from
 pre-generated sub-seeds, so reports are bit-reproducible and independent of
-chunking and execution order (draws may run on a thread pool).
+chunking and execution order (a chunk's runner calls may run on a thread
+pool).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -320,15 +320,6 @@ def _sample_special_functions(cfg: CampaignConfig, rng):
     return (nome, z), (points, nome)
 
 
-def _special_functions_thetas(draws) -> list:
-    """theta(z; p) and theta(z; q) of a chunk's accepted special-functions
-    draws (nome, z, gamma values), from one product pass
-    (:func:`special_functions._theta_pass`), which caches each nome's
-    (p; p)_inf and (q; q)_inf on the way; a draw whose product order fails
-    gets its :class:`TruncationLimitError`."""
-    return _theta_pass([(z, nome) for nome, z, _values in draws])
-
-
 def _run_special_functions(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
     """Inversion, both difference equations, the quadratic transformation
     and the residue limit at one point z.
@@ -344,8 +335,9 @@ def _run_special_functions(cfg: CampaignConfig, values, idx: int) -> Verificatio
     which :func:`gamma_residue_constant` builds from both products instead.
     The difference equations and the residue limit are three entries of one
     residual ratio.  theta(z; p), theta(z; q), (p; p)_inf and (q; q)_inf
-    come from one product pass per chunk (:func:`_special_functions_thetas`),
-    with the bits of the scalar calls.
+    come from one product pass per chunk (:func:`special_functions._theta_pass`,
+    which caches each nome's (p; p)_inf and (q; q)_inf on the way), with the
+    bits of the scalar calls.
     """
     nome, z, gammas, theta_p, theta_q = values
     g, g_qz, g_pz, g_inv = (complex(v) for v in gammas[:4])
@@ -535,11 +527,13 @@ def _run_finite_difference(cfg: CampaignConfig, values, idx: int) -> Verificatio
 # pending items together (a gamma-engine pass, a stacked DiscreteParams build
 # under the conditioning cap, or the residue-reduction checks; a pass reads
 # its function from the module when it runs), or None where an item is its
-# own value; and the pass that finishes the chunk's accepted draws, or None
+# own value; and the pass that finishes the chunk's accepted draws (the
+# special-functions thetas, where a failed product order ends the draw with
+# its TruncationLimitError), or None
 _SAMPLERS = {
     "special-functions": (_sample_special_functions,
                           lambda groups: _gamma_groups(groups, "the special-functions draw"),
-                          _special_functions_thetas),
+                          lambda draws: _theta_pass([(z, nome) for nome, z, _gammas in draws])),
     "beta-integral": (_sample_beta_integral, None, None),
     "matrix-bailey": (_sample_discrete,
                       lambda drafts: ba.DiscreteParams.stack(drafts, _AMPLIFICATION_CAP), None),
@@ -566,9 +560,9 @@ _RUNNERS = {
 def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """Run all draws of a campaign; deterministic given the config.
 
-    The draws are sampled a chunk of ``_DRAW_CHUNK`` at a time, after a
-    first chunk of draw 0 alone, when the chunk's first draw is reached,
-    by :func:`_sample_until` with the identity's ``_SAMPLERS`` entry: each
+    The draws are taken in order a chunk at a time, draw 0 alone and then
+    ``_DRAW_CHUNK`` at a time, each chunk sampled in the calling thread by
+    :func:`_sample_until` with the identity's ``_SAMPLERS`` entry: each
     draw on the generator of its own sub-seed, each sampling round
     evaluating the chunk's pending draws together where the identity has a
     pass for it (one gamma-engine pass, one stacked
@@ -577,10 +571,10 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     sampling again on its own stream; a draw's values, rejections and
     errors are those of sampling it alone.  Should a pass fail outside
     every draw, the chunk is sampled again one draw at a time from fresh
-    streams, so one bad draw never takes down another.  Every draw then
-    makes one ``_RUNNERS[identity](config, values, idx)`` call with its
-    sampled values, except a draw whose sampling ended in an error, which
-    is raised in its place.
+    streams, so one bad draw never takes down another.  Each draw of the
+    chunk then makes one ``_RUNNERS[identity](config, values, idx)`` call,
+    on a thread pool where ``threads`` > 1, except a draw whose sampling
+    ended in an error, which is raised in its place.
 
     Per-draw errors become error reports instead of aborting: library errors
     by their type, any other exception as an internal error.  Here alone a
@@ -591,45 +585,30 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     """
     runner = _RUNNERS[config.identity]
     sample, evaluate, finish = _SAMPLERS[config.identity]
+    threads = min(config.threads, _thread_cap())
     master = np.random.default_rng(config.seed)
     sub_seeds = master.integers(0, 2**63 - 1, size=config.draws, dtype=np.int64)
-    # chunk c holds draws bounds[c] .. bounds[c + 1] - 1; the first holds
-    # draw 0 alone, so that the first runner call waits for one draw's sampling
-    bounds = [0, *range(1, config.draws, _DRAW_CHUNK), config.draws]
-    chunks: dict = {}
-    locks = [threading.Lock() for _ in bounds[1:]]
 
     def sampled(lo, hi):
         rngs = [np.random.default_rng(int(seed)) for seed in sub_seeds[lo:hi]]
         return _sample_until(config, rngs, lambda rng: sample(config, rng), evaluate, finish)
 
-    def outcome(idx):
-        """(values or error, rejections, sampling seconds per draw) of a draw."""
-        c = bisect.bisect_right(bounds, idx) - 1
-        lo, hi = bounds[c], bounds[c + 1]
-        with locks[c]:
-            if c not in chunks:
-                start = time.perf_counter()
+    def chunk(lo, hi):
+        """The outcomes of sampling draws lo .. hi - 1, and its seconds per draw."""
+        start = time.perf_counter()
+        try:
+            outcomes = sampled(lo, hi)
+        except Exception:
+            outcomes = []
+            for i in range(lo, hi):
                 try:
-                    outcomes = sampled(lo, hi)
-                except Exception:
-                    outcomes = []
-                    for i in range(lo, hi):
-                        try:
-                            outcomes += sampled(i, i + 1)
-                        except Exception as exc:
-                            outcomes.append((exc, None))
-                chunks[c] = [outcomes, (time.perf_counter() - start) / (hi - lo), hi - lo]
-            entry = chunks[c]
-            values, rejected = entry[0][idx - lo]
-            entry[0][idx - lo] = None  # keep no draw handed out
-            entry[2] -= 1
-            if not entry[2]:
-                del chunks[c]
-        return values, rejected, entry[1]
+                    outcomes += sampled(i, i + 1)
+                except Exception as exc:
+                    outcomes.append((exc, None))
+        return outcomes, (time.perf_counter() - start) / (hi - lo)
 
-    def one(idx: int) -> VerificationReport:
-        values, rejected, share = outcome(idx)
+    def one(idx: int, outcome, share: float) -> VerificationReport:
+        values, rejected = outcome
         start = time.perf_counter()
         err = None
         try:
@@ -658,11 +637,23 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
         rep.draw_index = idx
         return rep
 
-    threads = min(config.threads, _thread_cap())
+    def run(each) -> list[VerificationReport]:
+        reports, lo = [], 0
+        while lo < config.draws:
+            # draw 0 alone first, so that the first runner call waits for one
+            # draw's sampling
+            hi = min(lo + _DRAW_CHUNK, config.draws) if lo else 1
+            outcomes, share = chunk(lo, hi)
+            for i, rep in enumerate(each(one, range(lo, hi), outcomes, repeat(share))):
+                outcomes[i] = None  # keep no draw's values past its report
+                reports.append(rep)
+            lo = hi
+        return reports
+
     if threads > 1 and config.draws > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(config.draws)))
-    return [one(i) for i in range(config.draws)]
+            return run(pool.map)
+    return run(map)
 
 
 def _thread_cap() -> int:

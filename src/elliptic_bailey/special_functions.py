@@ -995,13 +995,14 @@ def _gamma_series(live: list, out: list) -> None:
     # the shift-log sums, times sign(k); zero at the points of a group
     # without shifts, which leaves its values as they are
     shift = _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) if max(widths) else None
-    # each group's log values, from its block of the powers table; the
-    # blocks hold at most _PASS_BYTES; then the shifts and one exp over all
-    # the groups
+    # each group's log values, from its block of the powers table (its
+    # groups x their largest order x twice their largest size, at most
+    # _PASS_BYTES); then the shifts and one exp over all the groups
     logs = []
     orders = [0 if c is None else c.size for c in coeffs]
     ready = [i for i, entry in enumerate(live) if out[entry[0]] is None]
-    for block in _blocks(ready, orders, sizes):
+    for cut in _blocks([1] * len(ready), [orders[i] for i in ready], [2 * sizes[i] for i in ready]):
+        block = [ready[j] for j in cut]
         # group j of the block holds columns j W .. j W + 2R - 1: sigma, then pq/sigma
         width = 2 * max([sizes[i] for i in block])
         table = np.empty((max([orders[i] for i in block]), len(block) * width), dtype=complex)
@@ -1040,7 +1041,7 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
     factor.
 
     The groups are taken in blocks of consecutive groups
-    (:func:`_grid_blocks`) whose (points x width) grids hold at most
+    (:func:`_blocks`) whose (points x width) grids hold at most
     ``_PASS_BYTES`` bytes, the width being the block's largest, so that one
     wide group does not size the grids of every point of a pass.  A group's
     sums do not depend on the block it is in (:func:`_shift_log_block`)."""
@@ -1049,7 +1050,7 @@ def _shift_log_sums(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarra
         sums = _shift_log_block(live, z, sigma, k, shifts, widths, bounds, out)
     else:
         sums = np.zeros(z.size, dtype=complex)
-        for block in _grid_blocks(widths, np.diff(bounds).tolist()):
+        for block in _blocks(np.diff(bounds).tolist(), widths, [1] * len(widths)):
             lo, hi = bounds[block[0]], bounds[block[-1] + 1]
             if max(widths[i] for i in block):
                 sums[lo:hi] = _shift_log_block(
@@ -1137,38 +1138,19 @@ def _shift_log_block(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarr
         return sums
 
 
-def _grid_blocks(widths: list, sizes: list) -> list:
-    """The groups 0, 1, ... of ``widths`` and ``sizes`` in order, cut into
-    blocks whose shift grids, the block's points x its largest width, hold
-    at most _PASS_BYTES bytes of complex entries; a block holds at least one
-    group."""
-    blocks, block, points, wide = [], [], 0, 0
-    for item in range(len(widths)):
-        grown, widened = points + sizes[item], max(wide, widths[item])
-        if block and grown * widened * 16 > _PASS_BYTES:
+def _blocks(rows: list, a: list, b: list) -> list:
+    """The items 0, 1, ... of ``rows``, ``a`` and ``b`` in order, cut into
+    blocks whose tables, the block's rows in all x its largest a x its
+    largest b complex entries, hold at most _PASS_BYTES bytes; a block
+    holds at least one item."""
+    blocks, block, total, wide, deep = [], [], 0, 0, 0
+    for item in range(len(rows)):
+        grown, widened, deepened = total + rows[item], max(wide, a[item]), max(deep, b[item])
+        if block and grown * widened * deepened * 16 > _PASS_BYTES:
             blocks.append(block)
-            block, grown, widened = [], sizes[item], widths[item]
+            block, grown, widened, deepened = [], rows[item], a[item], b[item]
         block.append(item)
-        points, wide = grown, widened
-    if block:
-        blocks.append(block)
-    return blocks
-
-
-def _blocks(items: list, orders: list, sizes: list) -> list:
-    """``items`` in order, cut into blocks whose powers tables, the largest
-    order x twice the largest size x the block's length in complex entries,
-    hold at most _PASS_BYTES bytes; a block holds at least one item."""
-    if len(items) < 2:
-        return [items] if items else []
-    blocks, block, top, wide = [], [], 0, 0
-    for item in items:
-        grown, widened = max(top, orders[item]), max(wide, sizes[item])
-        if block and (len(block) + 1) * grown * 2 * widened * 16 > _PASS_BYTES:
-            blocks.append(block)
-            block, grown, widened = [], orders[item], sizes[item]
-        block.append(item)
-        top, wide = grown, widened
+        total, wide, deep = grown, widened, deepened
     if block:
         blocks.append(block)
     return blocks

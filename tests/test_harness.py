@@ -220,10 +220,12 @@ class TestSampler:
 
 
 class TestPointwiseBatching:
-    def test_special_functions_draw_makes_one_engine_call_per_nome_pair(self, monkeypatch):
-        # a campaign's draws are sampled a chunk at a time, after a first
-        # chunk of draw 0 alone: one engine pass per chunk, one group per
-        # draw with the draw's own nome pair
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_special_functions_draw_makes_one_engine_call_per_nome_pair(self, monkeypatch,
+                                                                         threads):
+        # a campaign's draws are sampled a chunk at a time, in order, after a
+        # first chunk of draw 0 alone: one engine pass per chunk, one group
+        # per draw with the draw's own nome pair, whatever the threads
         engine = hmod._gamma_groups
         calls = []
 
@@ -232,8 +234,10 @@ class TestPointwiseBatching:
             return engine(groups, where)
 
         monkeypatch.setattr(hmod, "_gamma_groups", spy)
+        monkeypatch.setenv("ELLIPTIC_BAILEY_THREADS", "2")
         draws = hmod._DRAW_CHUNK + 3
-        reports = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=draws))
+        reports = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=draws,
+                                              threads=threads))
         assert all(r.passed and r.settings["rejected"] == 0 for r in reports)
         # the sampler's 14 points
         groups = [((r.params["p"], r.params["q"]), 14) for r in reports]
@@ -264,7 +268,8 @@ class TestPointwiseBatching:
         assert rep.details["residue_limit"] == pytest.approx(1e-9, rel=1e-3)
         assert rep.residual == rep.details["residue_limit"]
 
-    def test_special_functions_thetas_come_from_one_pass_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_special_functions_thetas_come_from_one_pass_per_chunk(self, monkeypatch, threads):
         # theta(z; p), theta(z; q), (p; p)_inf and (q; q)_inf of every draw
         # of a chunk from one batched product pass, and no scalar call
         from elliptic_bailey import special_functions
@@ -287,8 +292,10 @@ class TestPointwiseBatching:
             monkeypatch.setattr(module, "theta", counted("theta", special_functions.theta))
         monkeypatch.setattr(special_functions, "qpochhammer_inf",
                             counted("qpochhammer_inf", special_functions.qpochhammer_inf))
+        monkeypatch.setenv("ELLIPTIC_BAILEY_THREADS", "2")
         draws = hmod._DRAW_CHUNK + 3
-        reports = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=draws))
+        reports = run_campaign(CampaignConfig(identity="special-functions", seed=3, draws=draws,
+                                              threads=threads))
         assert all(r.passed for r in reports)
         heads = [((r.params["p"], r.params["q"]), r.params["z"]) for r in reports]
         assert passes == [heads[:1], heads[1 : 1 + hmod._DRAW_CHUNK], heads[1 + hmod._DRAW_CHUNK :]]
@@ -444,9 +451,10 @@ class TestChunkSampler:
         return built, kept, peak
 
     @pytest.mark.xfail(strict=True, reason=(
-        "one N = 8 chunk peaks at ~1.43 MB: its 32 accepted draws keep ~0.93 MB "
-        "of memos (~29 KB each, as a draw built alone keeps them), and the "
-        "build's freed tables peak ~0.50 MB above that"))
+        "one N = 8 chunk peaks at ~1.13 MB: its 32 accepted draws keep ~0.40 MB "
+        "of memos (~13 KB each, as a draw built alone keeps them), and the peak "
+        "falls in a block's special_functions._qpoch_rows call, which allocates "
+        "~0.47 MB above its entry for a 0.12 MB table"))
     @pytest.mark.parametrize("identity", ["matrix-bailey", "coxeter"])
     def test_a_discrete_chunk_peaks_under_1_mib(self, identity):
         _built, _kept, peak = self._discrete_chunk_memory(identity)
@@ -456,11 +464,13 @@ class TestChunkSampler:
     def test_a_discrete_chunk_allocates_under_1_mib_past_what_it_keeps(self, identity):
         # the peak past the memos the chunk's draws keep bounds every array
         # the build allocated and freed, and no table a draw keeps is larger
-        # than special_functions._PASS_BYTES
+        # than special_functions._PASS_BYTES; a draw keeps only what its
+        # checks read (~13 KB at N = 8)
         built, kept, peak = self._discrete_chunk_memory(identity)
+        assert kept < 1 << 19
         assert peak - kept < 1 << 20
         for params in built:
-            for memo in (params._factors, params._poch, *params._m_stack, *params.key_lhs):
+            for memo in (*params.matrices.values(), *params.diagonals.values(), params.key_lhs):
                 assert memo.base.nbytes <= hmod.ba._PASS_BYTES
 
 
@@ -618,9 +628,10 @@ class TestDeterminism:
         b = [r.to_json() for r in run_campaign(CampaignConfig(identity="matrix-bailey", seed=2, draws=3, N=3))]
         assert a != b
 
-    def test_threaded_run_matches_sequential(self, monkeypatch):
+    @pytest.mark.parametrize("identity", hmod.IDENTITIES)
+    def test_threaded_run_matches_sequential(self, monkeypatch, identity):
         monkeypatch.setenv("ELLIPTIC_BAILEY_THREADS", "3")
-        cfg = dict(identity="special-functions", seed=99, draws=12)
+        cfg = dict(identity=identity, seed=99, draws=12)
         seq = [r.to_json() for r in run_campaign(CampaignConfig(**cfg, threads=1))]
         par = [r.to_json() for r in run_campaign(CampaignConfig(**cfg, threads=3))]
         assert seq == par

@@ -1365,6 +1365,32 @@ class TestGammaGroups:
         assert [_bits(v) for v in together] == [_bits(v) for v in apart]
         assert peak < 1.25 * alone_peak
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(items=st.lists(st.tuples(st.integers(0, 64), st.integers(0, 4000), st.integers(0, 400)),
+                          max_size=40),
+           pass_bytes=st.sampled_from([16, 4096, 1 << 17]))
+    def test_blocks_are_cut_greedily_under_the_pass_bytes(self, items, pass_bytes):
+        # the shift grids (rows: a group's points, a: its width, b: 1) and
+        # the powers tables (rows: 1, a: a group's order, b: twice its size)
+        # are cut by one rule: a block's (sum of rows) x largest a x largest
+        # b complex table fits in _PASS_BYTES or holds one item, and the
+        # next item would overflow it
+        from unittest import mock
+
+        rows, a, b = (list(column) for column in zip(*items)) if items else ([], [], [])
+
+        def nbytes(block):
+            return 16 * sum(rows[i] for i in block) * max(a[i] for i in block) * max(b[i] for i in block)
+
+        with mock.patch.object(special_functions, "_PASS_BYTES", pass_bytes):
+            blocks = special_functions._blocks(rows, a, b)
+        assert all(blocks)
+        assert [i for block in blocks for i in block] == list(range(len(items)))
+        for block in blocks:
+            assert len(block) == 1 or nbytes(block) <= pass_bytes
+        for block, following in zip(blocks, blocks[1:]):
+            assert nbytes([*block, following[0]]) > pass_bytes
+
     def test_the_faults_come_back_as_their_groups_errors(self):
         nome = NomePair(0.2, 0.3)
         good = (np.array([0.5 + 0.2j, 1.2]), nome)
