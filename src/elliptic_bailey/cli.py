@@ -147,7 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--q", type=_complex_arg, help="fix the nome q (a+bi)")
     ver.add_argument("--complex-nomes", action="store_true", dest="allow_complex_nomes",
                      default=None, help="sample complex nomes instead of real defaults")
-    ver.add_argument("--threads", type=int, help="parallel draws (capped by ELLIPTIC_BAILEY_THREADS)")
+    ver.add_argument("--threads", type=int,
+                     help="threads for the per-draw runner calls; sampling and every chunk pass, "
+                          "the residue-reduction, star-triangle and beta-integral checks among "
+                          "them, run in the calling thread (capped by ELLIPTIC_BAILEY_THREADS)")
     ver.add_argument("--json", action="store_true", help="line-delimited JSON reports + summary")
     ver.add_argument("--timing", action="store_true", help="include wall time in JSON output")
     ver.add_argument("-v", "--verbose", action="store_true")

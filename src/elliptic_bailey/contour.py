@@ -21,20 +21,31 @@ one call of the ring theta series, whose pointwise factor keeps them exactly
 off-centre residue circles, which are not rings about 0, use the pointwise
 ``_kernel_at`` and its products.  A check's gamma values off its grid come
 from one call: of ``_nonzero_finite_gamma`` where it divides by them (a zero
-or infinite one raises), else of ``_gamma_vec``; a pass of residue-reduction
-checks takes them from one ``_gamma_groups`` call, a group per draw, where a
-zero or infinite value is that draw's error.  Cauchy keeps Gamma(t^2) out
-of its residue sum's kernel call, a term up to 1e9 |I_T| whose bits set
-floor-level residuals; star-triangle divides by ``_gamma_vec`` values, which
-its traced benchmark run must hit.
+or infinite one raises), else of ``_gamma_vec``.  Cauchy keeps Gamma(t^2)
+out of its residue sum's kernel call, a term up to 1e9 |I_T| whose bits set
+floor-level residuals.
+
+The residue-reduction, star-triangle and beta-integral checks are each one
+pass over the draws of a campaign's sampling round, and the public check is
+its one-draw case: their fixed gamma values come from one ``_gamma_groups``
+call, a group per draw, and a draw that fails a step ends with its error in
+its own slot while the others go on.  The quadrature checks also take their
+nomes' products (p; p)_inf, (q; q)_inf from one pass and run their
+quadratures as stacked drives, a block of draws at a time
+(``_drive_blocks``): every draw of a block at the same n, its own gamma-ring
+engine calls and inner M(t) apply, the dden rings of the block from one
+theta call, and the pair products, kernel rows and trapezoid sums on
+stacked arrays, each draw with the bits of its check alone.
 
 Every quadrature pass returns (weight, samples): its integrand on the n-node
-circle, one row per integral, and each row's prefactor.  ``_trapezoid`` alone
-turns them into values weight * (2 pi i / n) * sum and into the scale of the
-one rounding floor ``_FLOOR``; ``_drive`` alone doubles n until every row
-agrees with its previous pass.  A pass reads its rings and samples from the
-node history of its quadrature, ``_Nodes``, which evaluates each node once:
-the first request evaluates twice its grid in one engine call, so the second
+circle, one row per integral, and each row's prefactor.  ``_trapezoids``
+alone turns them into values weight * (2 pi i / n) * sum and into the scale
+of the one rounding floor ``_FLOOR``; ``_stacked_drive`` alone doubles n
+until every row of a draw agrees with its previous pass, for a stack of
+draws, each leaving the stack as it converges, and ``_drive`` is its
+one-draw case.  A pass reads its rings and samples from the node history of
+its quadratures, ``_Nodes``, which evaluates each node once: the first
+request evaluates twice its grid in one engine call a draw, so the second
 pass evaluates nothing, and each later pass only the n/2 new nodes, the
 previous grid turned by half a step.  One M-kernel quadrature,
 ``_m_quadrature``, serves every single-spectator transform of a pointwise
@@ -47,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,9 +77,10 @@ from .special_functions import (
     _gamma_rings,
     _gamma_vec,
     _guarded_pochhammer,
+    _nome_products,
     _nonzero_finite_gamma,
     _ring,
-    _theta_ring,
+    _theta_ring_groups,
 )
 
 __all__ = [
@@ -104,6 +117,11 @@ _RESIDUE_N0 = 32
 _RESIDUE_NODE_CAP = 4096
 # rounding floor of a trapezoid sum, relative to the scale _trapezoid reports
 _FLOOR = 50.0 * np.finfo(float).eps
+# bytes of a block's rings on its first grid of 2 DEFAULT_N0 nodes, each
+# draw's gamma rings and the two theta rings of its dden: the quadrature
+# checks of a chunk of draws run a block of draws at a time, so that a
+# 32-draw chunk of beta integrals peaks under 1 MiB
+_BLOCK_BYTES = 3 << 17
 
 
 # --------------------------------------------------------------------------
@@ -135,98 +153,227 @@ class QuadratureInfo:
 def _trapezoid(weight, samples: np.ndarray):
     """Trapezoid rule on the circle, dz/z measure: the value weight * (2 pi i / n)
     * sum(samples) of each row of ``samples`` (shape (..., n)), and the scale
-    2 pi max over rows of |weight| mean|samples| that sets the rounding floor."""
-    n = samples.shape[-1]
-    value = weight * (2j * math.pi / n * np.sum(samples, axis=-1))
-    scale = float(np.max(np.mean(np.abs(samples), axis=-1) * 2 * math.pi * np.abs(weight)))
+    2 pi max over rows of |weight| mean|samples| that sets the rounding floor;
+    :func:`_trapezoids` on one draw."""
+    ((value, scale),) = _trapezoids([weight], samples[None])
     return value, scale
+
+
+def _trapezoids(weights, samples: np.ndarray) -> list:
+    """:func:`_trapezoid` on a stack of draws, samples[d] and weights[d] for
+    draw d: the sums and means along the last axis run on the whole stack,
+    which gives each row the bits it has alone, and the weights multiply per
+    draw, as numbers or per-row arrays as the draw gives them, since numpy's
+    product of complex scalars rounds apart from its product of arrays."""
+    n = samples.shape[-1]
+    sums = np.sum(samples, axis=-1)
+    means = np.mean(np.abs(samples), axis=-1)
+    return [(weight * (2j * math.pi / n * total),
+             float(np.max(mean * 2 * math.pi * np.abs(weight))))
+            for weight, total, mean in zip(weights, sums, means)]
 
 
 def _drive(eval_at, rel_tol: float, n0: int = DEFAULT_N0, cap: int = DEFAULT_NODE_CAP,
            label: str = "integral"):
     """Double the node count until successive values differ by less than the
-    tolerance.  ``eval_at(n)`` returns (weight, samples) for :func:`_trapezoid`,
-    one row of samples per integral on the full n-grid in natural order; the
-    worst row decides.  The scale sets the rounding floor ``_FLOOR * scale``,
-    the accuracy limit of the trapezoid sum itself, through which integrals
-    that are exactly zero converge too.  Each pass sums its whole grid, but an
-    ``eval_at`` that reads a :class:`_Nodes` history evaluates only the nodes
-    no earlier pass held: the passes n0 and 2 n0 share one evaluation of the
-    2 n0-grid, and each later pass adds the n/2 nodes of the turned ring."""
-    prev = None
+    tolerance: :func:`_stacked_drive` on one draw, raising its error.
+    ``eval_at(n)`` returns (weight, samples) for :func:`_trapezoid`, one row
+    of samples per integral on the full n-grid in natural order; the worst
+    row decides.  Each pass sums its whole grid, but an ``eval_at`` that
+    reads a :class:`_Nodes` history evaluates only the nodes no earlier pass
+    held: the passes n0 and 2 n0 share one evaluation of the 2 n0-grid, and
+    each later pass adds the n/2 nodes of the turned ring."""
+    out = [None]
+
+    def stacked(n, live):
+        weight, samples = eval_at(n)
+        return live, [weight], samples[None]
+
+    _stacked_drive(stacked, out, [0], rel_tol, n0, cap, label)
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
+
+
+def _stacked_drive(eval_at, out: list, live: list, rel_tol: float, n0: int = DEFAULT_N0,
+                   cap: int = DEFAULT_NODE_CAP, label: str = "integral") -> None:
+    """The adaptive trapezoid rule of every quadrature, on a stack of draws,
+    each with its own integrals: from n0 on, every draw of ``live`` is
+    evaluated at the same n, which doubles, and a draw leaves the stack once
+    its values differ from its previous pass's by at most the tolerance,
+    with out[d] = (values, :class:`QuadratureInfo`).  A draw still in the
+    stack past ``cap`` gets its :class:`QuadratureConvergenceError` in
+    out[d].
+
+    ``eval_at(n, live)`` returns (live, weights, samples) for the draws it
+    evaluated, a subsequence of ``live`` (a draw it drops has ended, and its
+    caller holds its error): per draw its weight and its samples, one row
+    per integral on the full n-grid, for :func:`_trapezoids`.  A draw's
+    worst row decides, and the scale sets the rounding floor
+    ``_FLOOR * scale``, the accuracy limit of the trapezoid sum itself,
+    through which integrals that are exactly zero converge too.  Each draw's
+    test reads its own values alone, so it converges at the n, with the
+    bits, of a drive on it alone."""
+    prev = {}
     n = n0
-    while n <= cap:
-        val, scale = _trapezoid(*eval_at(n))
-        if prev is not None:
-            diff = float(np.max(np.abs(val - prev)))
-            bound = max(rel_tol * float(np.max(np.abs(val))), _FLOOR * scale, 1e-305)
-            if diff <= bound:
-                return val, QuadratureInfo(n_nodes=n, est_error=diff)
-        prev = val
+    while live and n <= cap:
+        live, weights, samples = eval_at(n, live)
+        still = []
+        for d, (val, scale) in zip(live, _trapezoids(weights, samples) if live else []):
+            if d in prev:
+                diff = float(np.max(np.abs(val - prev[d])))
+                bound = max(rel_tol * float(np.max(np.abs(val))), _FLOOR * scale, 1e-305)
+                if diff <= bound:
+                    out[d] = (val, QuadratureInfo(n_nodes=n, est_error=diff))
+                    continue
+            prev[d] = val
+            still.append(d)
+        live = still
         n *= 2
-    raise QuadratureConvergenceError(
-        f"{label} did not converge by {cap} nodes (a pole may sit too close to the contour)"
-    )
+    for d in live:
+        out[d] = QuadratureConvergenceError(
+            f"{label} did not converge by {cap} nodes (a pole may sit too close to the contour)")
 
 
 class _Nodes:
-    """The node history of one adaptive quadrature on the circle |z| = radius,
-    which evaluates each node once.
+    """The node history of the adaptive quadratures of a block of draws on
+    one circle |z| = radius, which evaluates each node once.
 
-    ``at(n)`` returns three things on the grid z_k = radius w^k with
-    w = exp(2 pi i / n): the table {s: (G, G reflected)} of the gamma rings
-    G[k] = Gamma(s w^k) of the distinct ``scales``, with their values
-    G[-k mod n] at w^{-k}; the dden ring of :func:`_theta_rings` if ``dden``
-    is set, else None; and the samples f(z_k) of a pointwise ``f``, else None.
+    Each draw has its nome, the distinct ``scales`` of its gamma rings, and
+    a pointwise f or None (for every draw of a block alike); ``dden`` asks
+    for the dden ring of :func:`_theta_rings` of every draw.
+    ``rows(n, live)`` returns, on the grid z_k = radius w^k with
+    w = exp(2 pi i / n), for the draws ``live``: the draws held, in order;
+    their gamma rings G[k] = Gamma(s w^k), one row a scale, each draw's rows
+    in its scales' order from its entry of ``starts``; their dden rings, one
+    row a draw, or None; and their samples f(z_k), one row a draw, or None.
+    A draw left out of ``live`` leaves the history, and so does one whose
+    evaluation fails, with its error in ``errors``.  The one-draw history,
+    ``_Nodes(radius, nome, scales, f, dden, cap)``, raises that error, and
+    its ``at(n)`` returns the table {s: (G, G reflected)} of its rings, with
+    the values G[-k mod n] at w^{-k}, its dden ring or None, and its samples
+    or None.
 
     The first request, at n, evaluates the 2n-grid if 2n <= ``cap`` (else the
     n-grid alone) and answers from its even entries, so the request at 2n
     that follows makes no engine call.  A request beyond the m nodes held
     evaluates only the m new nodes radius c w_m^j, c = exp(i pi / m), the odd
     nodes of the 2m-grid: the gamma rings at the same scales turned by c in
-    one engine call, the dden from one theta call, and f; and interleaves
-    them with the values held.  Gamma(s / w^k) stays the reflection of the
-    interleaved ring, since 1/c_j = c_{-j-1} for the points c_j = c w_m^j of
-    the turned ring, so every engine call holds as many scales as the first.
-    The turn enters the ring series exactly (:func:`_gamma_rings` with
-    ``turned``), not through rounded scales s c, and every call passes the
-    first grid's size as the size its shifts are decided against, so each
-    scale keeps the shift of the first call.
+    one engine call a draw, the dden rings of every draw from one theta call,
+    and f; and interleaves them with the values held.  Gamma(s / w^k) stays
+    the reflection of the interleaved ring, since 1/c_j = c_{-j-1} for the
+    points c_j = c w_m^j of the turned ring, so every engine call holds as
+    many scales as the first.  The turn enters the ring series exactly
+    (:func:`_gamma_rings` with ``turned``), not through rounded scales s c,
+    and every call passes the first grid's size as the size its shifts are
+    decided against, so each scale keeps the shift of the first call.  Each
+    draw keeps its own gamma-ring engine calls, since a call's series order
+    depends on all of its scales; the dden rings give each draw its own
+    series order and fold.
     """
 
     def __init__(self, radius: float, nome: NomePair | None = None, scales=(), f=None,
                  dden: bool = False, cap: int = DEFAULT_NODE_CAP):
         self.radius, self.nome, self.f, self.dden, self.cap = radius, nome, f, dden, cap
         self.scales = list(dict.fromkeys(scales))
+        self.draws = [(nome, self.scales, f)]
+        self.errors = None
         self.size = self.first = 0
         self.held = None
+        self.members = []
+
+    @classmethod
+    def block(cls, radius: float, draws, dden: bool = False, cap: int = DEFAULT_NODE_CAP):
+        """The history of a block of ``draws``, each (nome, scales, f)."""
+        nodes = cls(radius, dden=dden, cap=cap)
+        nodes.draws = [(nome, list(dict.fromkeys(scales)), f) for nome, scales, f in draws]
+        nodes.errors = {}
+        return nodes
+
+    def drop(self, d: int, exc: Exception) -> None:
+        """End draw d with ``exc``, unless an earlier error ended it: the
+        one-draw history raises it."""
+        if self.errors is None:
+            raise exc
+        self.errors.setdefault(d, exc.with_traceback(None))
 
     def _evaluate(self, m: int, turned: bool) -> list:
-        """[gamma rings, dden, samples] on the m-grid, or on the m-grid turned
-        by c = exp(i pi / m), whose points are the odd nodes of the 2m-grid."""
-        gamma = dden = samples = None
-        if self.scales:
-            scales = np.array(self.scales, dtype=complex)
-            gamma = _gamma_rings(scales, m, self.nome, turned, self.first)
+        """[gamma rings, dden, samples] of the draws held on the m-grid, or on
+        the m-grid turned by c = exp(i pi / m), whose points are the odd nodes
+        of the 2m-grid; the entries of a draw whose evaluation fails hold
+        nothing, and its first error is recorded."""
+        counts = [len(self.draws[d][1]) for d in self.members]
+        gamma = np.empty((sum(counts), m), dtype=complex)
+        row = 0
+        for d, count in zip(self.members, counts):
+            nome, scales, _f = self.draws[d]
+            if count:
+                try:
+                    gamma[row : row + count] = _gamma_rings(np.array(scales, dtype=complex), m,
+                                                            nome, turned, self.first)
+                except Exception as exc:
+                    self.drop(d, exc)
+            row += count
+        dden = samples = None
         if self.dden:
-            dden = _theta_rings(m, self.radius, self.nome, turned)
-        if self.f is not None:
-            samples = np.asarray(self.f(self.radius * _ring(m, turned)), dtype=complex)
+            nomes = [self.draws[d][0] for d in self.members]
+            try:
+                dden = _theta_rings(m, self.radius, nomes, turned)
+            except Exception:
+                if self.errors is None:
+                    raise
+                # one draw at a time, so that a draw whose series fails ends alone
+                dden = np.zeros((len(nomes), m), dtype=complex)
+                for i, (d, nome) in enumerate(zip(self.members, nomes)):
+                    try:
+                        dden[i] = _theta_rings(m, self.radius, nome, turned)
+                    except Exception as exc:
+                        self.drop(d, exc)
+        if self.draws[0][2] is not None:
+            points = self.radius * _ring(m, turned)
+            samples = np.zeros((len(self.members), m), dtype=complex)
+            for i, d in enumerate(self.members):
+                try:
+                    samples[i] = self.draws[d][2](points)
+                except Exception as exc:
+                    self.drop(d, exc)
         return [gamma, dden, samples]
 
-    def at(self, n: int):
+    def _keep(self, live: list) -> None:
+        """Reduce the draws held, and the values held, to those of ``live``
+        that have not failed."""
+        members = [d for d in self.members if d in live and d not in (self.errors or ())]
+        if members == self.members:
+            return
+        starts = dict(zip(self.members, np.cumsum([0] + [len(self.draws[d][1])
+                                                         for d in self.members]).tolist()))
+        rows = [r for d in members for r in range(starts[d], starts[d] + len(self.draws[d][1]))]
+        keep = [self.members.index(d) for d in members]
+        self.held = [self.held[0][rows], *(None if v is None else v[keep] for v in self.held[1:])]
+        self.members = members
+
+    def rows(self, n: int, live: list):
         if self.held is None:
             self.size = self.first = 2 * n if 2 * n <= self.cap else n
+            self.members = list(live)
             self.held = self._evaluate(self.size, turned=False)
+        self._keep(live)
         while self.size < n:
             new = self._evaluate(self.size, turned=True)
             self.held = [None if old is None else
-                         np.stack([old, add], axis=-1).reshape(*old.shape[:-1], -1)
+                         np.stack([old, add], axis=-1).reshape(*old.shape[:-1], 2 * self.size)
                          for old, add in zip(self.held, new)]
             self.size *= 2
-        gamma, dden, samples = (None if v is None else v[..., :: self.size // n] for v in self.held)
-        rings = {} if gamma is None else dict(zip(self.scales, zip(gamma, _reflect(gamma))))
-        return rings, dden, samples
+            self._keep(live)
+        step = self.size // n
+        gamma, dden, samples = (None if v is None else v[..., ::step] for v in self.held)
+        starts = np.cumsum([0] + [len(self.draws[d][1]) for d in self.members])[:-1]
+        return self.members, gamma, starts, dden, samples
+
+    def at(self, n: int):
+        _live, gamma, _starts, dden, samples = self.rows(n, [0])
+        rings = dict(zip(self.scales, zip(gamma, _reflect(gamma))))
+        return rings, None if dden is None else dden[0], None if samples is None else samples[0]
 
 
 def circle_integral(f, grid: QuadratureGrid, rel_tol: float | None = None,
@@ -403,16 +550,22 @@ def _pair(ring: tuple) -> np.ndarray:
     return ring[0] * ring[1]
 
 
-def _theta_rings(n: int, radius: float, nome: NomePair, turned: bool = False):
+def _theta_rings(n: int, radius: float, nome, turned: bool = False):
     """dden[k] = theta(z_k^2; q) * theta(z_k^{-2}; p), the inverted 1/Gamma(z^{+-2})
     on the grid z_k = r w^k, n even, or on the grid turned by exp(i pi / n).
     z_k^2 = r^2 w^{2k} runs twice over the (n/2)-ring, turned alike, where
     the ring series evaluates both thetas; z_k^{-2} is the reflection of that
     ring, which on the turned ring maps point k to -k-1 and so reverses it.
-    At r = 1 both thetas vanish exactly at z_k^2 = 1."""
-    tq, tp = _theta_ring([radius**2, radius**-2], n // 2, [nome.q, nome.p], nome, turned)
-    half = tq * (tp[::-1] if turned else _reflect(tp))
-    return np.concatenate([half, half])
+    At r = 1 both thetas vanish exactly at z_k^2 = 1.  For a list of nomes in
+    place of ``nome``, the (D, n) rings of them all, each row with the bits
+    of a call on its nome alone, from one call of the ring theta series
+    (:func:`_theta_ring_groups`, a group per nome)."""
+    nomes = [nome] if isinstance(nome, NomePair) else nome
+    groups = [([radius**2, radius**-2], [v.q, v.p], v) for v in nomes]
+    tq, tp = _theta_ring_groups(groups, n // 2, turned).reshape(-1, 2, n // 2).transpose(1, 0, 2)
+    half = tq * (tp[:, ::-1] if turned else _reflect(tp))
+    both = np.concatenate([half, half], axis=-1)
+    return both[0] if nomes is not nome else both
 
 
 def _kernel_scales(t: complex, x: complex, radius) -> tuple:
@@ -533,6 +686,72 @@ def d_factor(s, y, w, nome: NomePair) -> complex:
 
 
 # --------------------------------------------------------------------------
+# quadrature checks a block of draws at a time
+# --------------------------------------------------------------------------
+
+def _one(outs: list):
+    """The report of a pass over one draw, or its error, raised."""
+    (out,) = outs
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+class _Quadrature(NamedTuple):
+    """The unit-circle quadrature of check d of a round: its nome, the scales
+    of its gamma rings, its pointwise f or None, its rel_tol, its shape (its
+    count of integrals, which the checks of one block share), and what the
+    block's ``eval_at`` reads of it."""
+
+    d: int
+    nome: NomePair
+    scales: list
+    f: object
+    rel_tol: float
+    shape: int
+    data: tuple
+
+
+def _drive_blocks(checks: list, out: list, make_eval, label: str) -> list:
+    """The quadratures ``checks`` as stacked drives (:func:`_stacked_drive`),
+    a block of checks at a time: consecutive checks of one rel_tol and one
+    shape, whose gamma rings and the two theta rings of each dden hold at
+    most ``_BLOCK_BYTES`` on a first grid of 2 DEFAULT_N0 nodes, share a
+    node history (:class:`_Nodes`) and a drive, whose ``eval_at`` is
+    ``make_eval(block, nodes)``.  Returns per check its (values, info), or
+    None where the check ended, with its error in out[d]."""
+    held = [(len(set(check.scales)) + 2) * 2 * DEFAULT_N0 * 16 for check in checks]
+    results = []
+    lo = 0
+    while lo < len(checks):
+        hi, total = lo + 1, held[lo]
+        while (hi < len(checks) and (checks[hi].rel_tol, checks[hi].shape)
+               == (checks[lo].rel_tol, checks[lo].shape) and total + held[hi] <= _BLOCK_BYTES):
+            total += held[hi]
+            hi += 1
+        block = checks[lo:hi]
+        nodes = _Nodes.block(1.0, [(check.nome, check.scales, check.f) for check in block],
+                             dden=True)
+        drives = [None] * len(block)
+        _stacked_drive(make_eval(block, nodes), drives, list(range(len(block))), block[0].rel_tol,
+                       label=label)
+        for i, (check, drive) in enumerate(zip(block, drives)):
+            error = nodes.errors.get(i, drive if isinstance(drive, Exception) else None)
+            if error is not None:
+                out[check.d] = error
+            results.append(None if error is not None else drive)
+        lo = hi
+    return results
+
+
+def _pairs(gamma: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """P[..., m] = Gamma(s w^m) Gamma(s w^{-m}) for the rings ``gamma[rows]``:
+    :func:`_pair` on rows of a block's rings."""
+    rings = gamma[rows]
+    return rings * _reflect(rings)
+
+
+# --------------------------------------------------------------------------
 # the elliptic beta integral
 # --------------------------------------------------------------------------
 
@@ -546,39 +765,86 @@ def elliptic_beta_integral(t1, t2, t3, t4, t5, nome: NomePair,
             = prod_{j<k} Gamma(t_j t_k).
 
     The left side is quadrature on |z| = 1, the right side a product of
-    fifteen gamma values; the report carries the relative residual.
+    fifteen gamma values; the report carries the relative residual.  It is
+    the one-draw case of :func:`_beta_integral_checks`.
     """
-    ts = [complex(v) for v in (t1, t2, t3, t4, t5)]
-    prod5 = np.prod(ts)
-    t6 = complex(nome.p * nome.q / prod5)
-    ts.append(t6)
-    for j, v in enumerate(ts):
-        if abs(v) >= 1.0:
-            raise ConstraintViolationError(f"|t{j + 1}| = {abs(v):.4f} >= 1")
+    return _one(_beta_integral_checks([(t1, t2, t3, t4, t5, nome, rel_tol, tolerance)]))
 
-    nodes = _Nodes(1.0, nome, ts, dden=True)
 
-    def eval_at(n):
-        rings, dden, _ = nodes.at(n)
-        kern = np.ones(n, dtype=complex)
-        for v in ts:
-            kern = kern * _pair(rings[v])
-        return nome.kappa, kern * dden
+def _beta_integral_checks(draws) -> list:
+    """The beta-integral checks of ``draws``, each (t1, ..., t5, nome,
+    rel_tol, tolerance), evaluated together: per draw its report, with the
+    bits :func:`elliptic_beta_integral` gives it alone, or the error it
+    raises, the first in the check's order (the moduli |t_j|, the
+    quadrature, then the fifteen gamma values of the right side).
 
-    lhs, info = _drive(eval_at, rel_tol, label="beta integral")
-    lhs = complex(lhs)
-    pairs = np.array([ts[i] * ts[j] for i in range(6) for j in range(i + 1, 6)])
-    rhs = complex(np.prod(_gamma_vec(pairs, nome)))
-    residual = relative_residual(lhs, rhs)
-    return VerificationReport(
-        identity="beta-integral",
-        params={f"t{j + 1}": ts[j] for j in range(6)} | {"p": nome.p, "q": nome.q},
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tolerance=tolerance,
-        settings={"n_nodes": info.n_nodes, "quad_rel_tol": rel_tol},
-    )
+    The draws' products (p; p)_inf and (q; q)_inf come from one pass
+    (:func:`special_functions._nome_products`), their quadratures run as
+    stacked drives a block of draws at a time (:func:`_drive_blocks`), and
+    their right sides come from one gamma pass, a group per draw."""
+    out = [None] * len(draws)
+    checks = []
+    for d, (*five, nome, rel_tol, _tolerance) in enumerate(draws):
+        try:
+            ts = [complex(v) for v in five]
+            ts.append(complex(nome.p * nome.q / np.prod(ts)))
+            for j, v in enumerate(ts):
+                if abs(v) >= 1.0:
+                    raise ConstraintViolationError(f"|t{j + 1}| = {abs(v):.4f} >= 1")
+        except Exception as exc:
+            out[d] = exc.with_traceback(None)
+            continue
+        at = {v: j for j, v in enumerate(dict.fromkeys(ts))}
+        checks.append(_Quadrature(d, nome, ts, None, rel_tol, 1, [at[v] for v in ts]))
+    _nome_products([check.nome for check in checks])
+    done = [(check, drive) for check, drive in
+            zip(checks, _drive_blocks(checks, out, _beta_integral_pass, "beta integral"))
+            if drive is not None]
+    groups = [(np.array([ts[i] * ts[j] for i in range(6) for j in range(i + 1, 6)]), check.nome)
+              for check, _drive in done for ts in [check.scales]]
+    for (check, (lhs, info)), values in zip(done, _gamma_groups(groups)):
+        if isinstance(values, Exception):
+            out[check.d] = values
+            continue
+        ts, nome = check.scales, check.nome
+        lhs, rhs = complex(lhs), complex(np.prod(values))
+        out[check.d] = VerificationReport(
+            identity="beta-integral",
+            params={f"t{j + 1}": ts[j] for j in range(6)} | {"p": nome.p, "q": nome.q},
+            lhs=lhs,
+            rhs=rhs,
+            residual=relative_residual(lhs, rhs),
+            tolerance=draws[check.d][7],
+            settings={"n_nodes": info.n_nodes, "quad_rel_tol": check.rel_tol},
+        )
+    return out
+
+
+def _beta_integral_pass(block: list, nodes: _Nodes):
+    """The ``eval_at`` of a block of beta integrals: per draw the weight kappa,
+    read on the first pass as a check alone reads it, and the samples
+    prod_j Gamma(t_j z^{+-1}) dden(z), stacked."""
+    at = np.array([check.data for check in block])
+
+    def eval_at(n, live):
+        live, gamma, starts, dden, _samples = nodes.rows(n, live)
+        weights = []
+        for d in live:
+            try:
+                weights.append(block[d].nome.kappa)
+            except Exception as exc:
+                nodes.drop(d, exc)
+        if len(weights) < len(live):
+            live, gamma, starts, dden, _samples = nodes.rows(n, live)
+        if not live:
+            return live, [], None
+        rows = starts[:, None] + at[live]
+        kern = np.ones((len(live), n), dtype=complex)
+        for j in range(rows.shape[1]):
+            kern = kern * _pairs(gamma, rows[:, j])
+        return live, weights, kern * dden
+
+    return eval_at
 
 
 # --------------------------------------------------------------------------
@@ -597,64 +863,131 @@ def star_triangle_residual(s, t, y, spectators, alpha: SymmetricTestFunction,
     reads the kernel from one pair ring and forms only its mirror-folded
     (n/2 + 1)^2 block, so each pass costs about n^2 / 4 kernel products.  The
     right side is a single quadrature of the D-weighted test function.  The
-    residual is the worst relative deviation over the spectator set.
+    residual is the worst relative deviation over the spectator set.  It is
+    the one-draw case of :func:`_star_triangle_checks`.
     """
-    s, t, y = complex(s), complex(t), complex(y)
-    spectators = [complex(w) for w in spectators]
-    root = complex(np.sqrt(complex(nome.p * nome.q)))
-    for w in spectators:
-        OperatorParams(t=t, s=s, w=w, y=y).validate_star_triangle(nome, margin=margin)
-    if alpha.poles and max(abs(p) for p in alpha.poles) >= 1.0:
-        raise ConstraintViolationError("alpha poles must lie strictly inside the unit circle")
+    return _one(_star_triangle_checks([(s, t, y, spectators, alpha, nome, rel_tol, tolerance,
+                                        margin)]))
 
-    # the grid-independent values Gamma(t^2), Gamma(s^2), Gamma((st)^2) and
-    # D(t; y, w) per spectator, in one evaluation
-    fixed = _gamma_vec(np.array([t * t, s * s, (s * t) ** 2]
-                                + [v for w in spectators for v in _d_args(t, y, w, nome)]), nome)
-    g_t2, g_s2, g_st2 = (complex(v) for v in fixed[:3])
-    d_t = np.prod(fixed[3:].reshape(-1, 4), axis=1)
-    # pair scales of D(st; y, z) and D(s; y, z), then the spectator kernels'
-    d_st = (root * y / (s * t), root / (y * s * t))
-    d_s = (root * y / s, root / (y * s))
-    scales = [t, *d_st, *d_s]
-    for w in spectators:
-        scales += [*_kernel_scales(s, w, 1.0), *_kernel_scales(s * t, w, 1.0)]
 
-    # row weights of the spectators' M(s) rows, then of their M(st) rows
-    m = len(spectators)
-    weights = np.concatenate([np.full(m, nome.kappa / g_s2), d_t * nome.kappa / g_st2])
+def _star_triangle_checks(draws) -> list:
+    """The star-triangle checks of ``draws``, each (s, t, y, spectators, alpha,
+    nome, rel_tol, tolerance, margin), evaluated together: per draw its
+    report, with the bits :func:`star_triangle_residual` gives it alone, or
+    the error it raises, the first in the check's order (the constraints,
+    the fixed gamma values, kappa, then the quadrature).
 
-    nodes = _Nodes(1.0, nome, scales, alpha, dden=True)
+    The grid-independent values Gamma(t^2), Gamma(s^2), Gamma((st)^2) and
+    D(t; y, w) per spectator come from one gamma pass, a group per draw; the
+    products (p; p)_inf and (q; q)_inf from one pass
+    (:func:`special_functions._nome_products`); and the quadratures run as
+    stacked drives a block of draws at a time (:func:`_drive_blocks`).
+    Whatever sets a value's bits stays per draw: its gamma-ring engine
+    calls, its inner M(t) apply (a gemv, whose bits depend on its operands'
+    shapes), its convergence test and its report."""
+    out = [None] * len(draws)
+    ready, groups = [], []
+    for d, (s, t, y, spectators, alpha, nome, _rel_tol, _tolerance, margin) in enumerate(draws):
+        try:
+            s, t, y = complex(s), complex(t), complex(y)
+            spectators = [complex(w) for w in spectators]
+            for w in spectators:
+                OperatorParams(t=t, s=s, w=w, y=y).validate_star_triangle(nome, margin=margin)
+            if alpha.poles and max(abs(p) for p in alpha.poles) >= 1.0:
+                raise ConstraintViolationError(
+                    "alpha poles must lie strictly inside the unit circle")
+        except Exception as exc:
+            out[d] = exc.with_traceback(None)
+            continue
+        ready.append((d, s, t, y, spectators))
+        groups.append((np.array([t * t, s * s, (s * t) ** 2]
+                                + [v for w in spectators for v in _d_args(t, y, w, nome)]), nome))
+    fixed_values = _gamma_groups(groups)
+    _nome_products([draws[d][5] for (d, *_rest), fixed in zip(ready, fixed_values)
+                    if not isinstance(fixed, Exception)])
+    checks = []
+    for (d, s, t, y, spectators), fixed in zip(ready, fixed_values):
+        if isinstance(fixed, Exception):
+            out[d] = fixed
+            continue
+        alpha, nome, rel_tol = draws[d][4:7]
+        g_t2, g_s2, g_st2 = (complex(v) for v in fixed[:3])
+        d_t = np.prod(fixed[3:].reshape(-1, 4), axis=1)
+        # pair scales of D(st; y, z) and D(s; y, z), then the spectator kernels'
+        root = complex(np.sqrt(complex(nome.p * nome.q)))
+        pair_scales = (t, root * y / (s * t), root / (y * s * t), root * y / s, root / (y * s))
+        scales = list(pair_scales)
+        for w in spectators:
+            scales += [*_kernel_scales(s, w, 1.0), *_kernel_scales(s * t, w, 1.0)]
+        # row weights of the spectators' M(s) rows, then of their M(st) rows
+        m = len(spectators)
+        try:
+            weights = np.concatenate([np.full(m, nome.kappa / g_s2), d_t * nome.kappa / g_st2])
+        except Exception as exc:
+            out[d] = exc.with_traceback(None)
+            continue
+        at = {v: j for j, v in enumerate(dict.fromkeys(scales))}
+        kernels = [[[at[v] for v in _kernel_scales(u, w, 1.0)] for w in spectators]
+                   for u in (s, s * t)]
+        checks.append(_Quadrature(d, nome, scales, alpha, rel_tol, 2 * m,
+                                  (g_t2, weights, [at[v] for v in pair_scales], kernels,
+                                   (s, t, y, spectators))))
+    results = _drive_blocks(checks, out, _star_triangle_pass, "star-triangle")
+    for (d, nome, _scales, alpha, rel_tol, rows, data), result in zip(checks, results):
+        if result is None:
+            continue
+        (both, info), (s, t, y, spectators) = result, data[4]
+        lhs, rhs = both[: rows // 2], both[rows // 2 :]
+        per_spectator = _residual_ratio(lhs, rhs).tolist()
+        out[d] = VerificationReport(
+            identity="star-triangle",
+            params={"s": s, "t": t, "y": y, "p": nome.p, "q": nome.q,
+                    "spectators": spectators, "alpha": alpha.name},
+            lhs=complex(lhs[0]),
+            rhs=complex(rhs[0]),
+            residual=worst(*per_spectator),
+            tolerance=draws[d][7],
+            settings={"n_nodes": info.n_nodes, "quad_rel_tol": rel_tol},
+            details={"per_spectator": per_spectator},
+        )
+    return out
 
-    def eval_at(n):
-        rings, dden, alpha_vals = nodes.at(n)
 
-        # LHS: beta1 = M(t) alpha on the grid, D(st; y, x) weight, outer M(s)
-        beta1 = _m_apply_grid(_pair(rings[t]), n, dden * alpha_vals, g_t2, nome)
-        lhs_weighted = dden * (_pair(rings[d_st[0]]) * _pair(rings[d_st[1]])) * beta1
+def _star_triangle_pass(block: list, nodes: _Nodes):
+    """The ``eval_at`` of a block of star-triangle quadratures: per draw its
+    row weights and, stacked, its samples, one row per spectator and side,
+    the M(s) kernel times D(st; y, z) [M(t) alpha](z) dden(z), then the M(st)
+    kernel times D(s; y, z) alpha(z) dden(z)."""
+    g_t2, weights, pair_at, kernel_at, _params = zip(*(check.data for check in block))
+    pair_at, kernel_at = np.array(pair_at), np.array(kernel_at)
+
+    def eval_at(n, live):
+        live, gamma, starts, dden, alpha_vals = nodes.rows(n, live)
+        if not live:
+            return live, [], None
+        # the pair rings of t, D(st; y, z) and D(s; y, z), and the kernels'
+        # factors Gamma(u w z) and Gamma(u / (w z)) at each spectator w
+        pairs = _pairs(gamma, starts[:, None] + pair_at[live])
+        kernels = starts[:, None, None, None] + kernel_at[live]
+
+        # LHS: beta1 = M(t) alpha on the grid, D(st; y, x) weight, outer M(s);
+        # each draw's inner apply is its own gemv
+        beta1 = np.array([_m_apply_grid(pair, n, weighted, g_t2[d], block[d].nome)
+                          for pair, weighted, d in zip(pairs[:, 0], dden * alpha_vals, live)])
+        lhs_weighted = dden * (pairs[:, 1] * pairs[:, 2]) * beta1
 
         # RHS: single quadrature of D(s; y, z) alpha with the M(st) kernel
-        rhs_weighted = dden * _pair(rings[d_s[0]]) * _pair(rings[d_s[1]]) * alpha_vals
+        rhs_weighted = dden * pairs[:, 3] * pairs[:, 4] * alpha_vals
 
-        # one row per spectator and side: the M(s) and M(st) kernels at w
-        kern_lhs = np.array([_kernel_from(rings, s, w, 1.0) for w in spectators])
-        kern_rhs = np.array([_kernel_from(rings, s * t, w, 1.0) for w in spectators])
-        return weights, np.concatenate([kern_lhs * lhs_weighted, kern_rhs * rhs_weighted])
+        # one row per spectator and side: the M(s) and M(st) kernels at w,
+        # multiplied in _kernel_from's order
+        kern = (gamma[kernels[..., 0]] * _reflect(gamma[kernels[..., 1]])
+                * gamma[kernels[..., 2]] * _reflect(gamma[kernels[..., 3]]))
+        samples = np.concatenate([kern[:, 0] * lhs_weighted[:, None],
+                                  kern[:, 1] * rhs_weighted[:, None]], axis=1)
+        return live, [weights[d] for d in live], samples
 
-    both, info = _drive(eval_at, rel_tol, label="star-triangle")
-    lhs, rhs = both[:m], both[m:]
-    per_spectator = _residual_ratio(lhs, rhs).tolist()
-    return VerificationReport(
-        identity="star-triangle",
-        params={"s": s, "t": t, "y": y, "p": nome.p, "q": nome.q,
-                "spectators": spectators, "alpha": alpha.name},
-        lhs=complex(lhs[0]),
-        rhs=complex(rhs[0]),
-        residual=worst(*per_spectator),
-        tolerance=tolerance,
-        settings={"n_nodes": info.n_nodes, "quad_rel_tol": rel_tol},
-        details={"per_spectator": per_spectator},
-    )
+    return eval_at
 
 
 # --------------------------------------------------------------------------
@@ -885,10 +1218,7 @@ def residue_matrix_reduction_check(alpha: SymmetricTestFunction, z0, t, N: int,
     raises :class:`DegenerateParameterError`, as ``build_M`` does for its
     guards.  It is the one-draw case of :func:`_residue_reduction_checks`.
     """
-    (out,) = _residue_reduction_checks([(alpha, z0, t, N, nome, tolerance)])
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return _one(_residue_reduction_checks([(alpha, z0, t, N, nome, tolerance)]))
 
 
 def _residue_reduction_checks(draws) -> list:

@@ -7,8 +7,10 @@ loop (:func:`_sample_until`), each draw on its own generator, and each
 draw's sampled values are handed to the identity's runner.  The seed fully
 determines the draw sequence: per-draw generators are spawned from
 pre-generated sub-seeds, so reports are bit-reproducible and independent of
-chunking and execution order (a chunk's runner calls may run on a thread
-pool).
+chunking and execution order.  Sampling and every chunk pass run in the
+calling thread; only the runner calls may run on a thread pool, and the
+residue-reduction, star-triangle and beta-integral runners only return the
+report their chunk pass made.
 """
 
 from __future__ import annotations
@@ -258,10 +260,11 @@ def _sample_until(cfg, rngs, build, evaluate=None, finish=None) -> list:
     rejected if ``build`` raises one of ``_REJECTIONS`` or its item comes
     back as one, and a rejected draw samples again from its own stream; at
     ``_RETRY_CAP`` rejections it gets the retry-cap error.  Any other error
-    from ``build`` or from its item is the draw's fault.  ``finish(draws)``,
-    unless it is None, takes the values of the accepted draws and returns,
-    per draw, the values to append, or the error that ends the draw; that
-    draw keeps its rejections, as one whose runner raises does.  Returns,
+    from ``build`` or from its item is the draw's fault.  ``finish(draws,
+    positions)``, unless it is None, takes the values of the accepted draws
+    and their positions in ``rngs``, and returns, per draw, the values to
+    append, or the error that ends the draw; that draw keeps its
+    rejections, as one whose runner raises does.  Returns,
     per draw, (values or error, rejections), with None for the rejections
     of a fault.  An error of a pass itself, outside every item, is raised.
     ``cfg`` is unused; perfbench's tracer reads ``build`` at position 2."""
@@ -296,7 +299,7 @@ def _sample_until(cfg, rngs, build, evaluate=None, finish=None) -> list:
         pending = [i for i in pending if outcomes[i] is None]
     done = [i for i, (values, _rejected) in enumerate(outcomes) if not isinstance(values, Exception)]
     if done and finish is not None:
-        for i, more in zip(done, finish([outcomes[i][0] for i in done])):
+        for i, more in zip(done, finish([outcomes[i][0] for i in done], done)):
             values, rejected = outcomes[i]
             outcomes[i] = (more if isinstance(more, Exception) else (*values, *more)), rejected
     return outcomes
@@ -364,6 +367,9 @@ def _run_special_functions(cfg: CampaignConfig, values, idx: int) -> Verificatio
 
 
 def _sample_beta_integral(cfg: CampaignConfig, rng):
+    """One attempt at a beta-integral draw: its head (nome, tolerance) and its
+    t1, ..., t5, whose check the chunk's finishing pass runs
+    (:func:`contour._beta_integral_checks`)."""
     nome = _draw_nome(cfg, rng, p_range=(0.05, 0.12), q_range=(0.1, 0.2))
     ts = [
         _take(cfg, rng, f"t{j + 1}", lambda r: r.uniform(0.35, 0.7) * _unit_phase(r))
@@ -372,14 +378,12 @@ def _sample_beta_integral(cfg: CampaignConfig, rng):
     t6 = nome.p * nome.q / np.prod(ts)
     if not 0.1 <= abs(t6) <= 0.8:
         raise _Rejected
-    return (nome,), ts
+    return (nome, cfg.effective_tolerance), ts
 
 
-def _run_beta_integral(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
-    nome, ts = values
-    return ct.elliptic_beta_integral(
-        *ts, nome, rel_tol=_QUAD_REL_TOL, tolerance=cfg.effective_tolerance
-    )
+def _finish_beta_integral(draws, _indices) -> list:
+    return _reports(ct._beta_integral_checks([(*ts, nome, _QUAD_REL_TOL, tolerance)
+                                              for nome, tolerance, ts in draws]))
 
 
 def _sample_discrete(cfg: CampaignConfig, rng):
@@ -420,6 +424,9 @@ def _run_coxeter(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
 
 
 def _sample_star_triangle(cfg: CampaignConfig, rng):
+    """One attempt at a star-triangle draw: its head (nome, s, t, y,
+    tolerance) and its spectators, whose check the chunk's finishing pass
+    runs (:func:`contour._star_triangle_checks`)."""
     nome = _draw_nome(cfg, rng, p_range=(0.06, 0.12), q_range=(0.1, 0.18))
     s = _take(cfg, rng, "s", lambda r: r.uniform(0.35, 0.65) * _unit_phase(r))
     t = _take(cfg, rng, "t", lambda r: r.uniform(0.35, 0.65) * _unit_phase(r))
@@ -427,16 +434,23 @@ def _sample_star_triangle(cfg: CampaignConfig, rng):
     spectators = [_unit_phase(rng) for _ in range(_SPECTATORS)]
     for w in spectators:
         ct.OperatorParams(t=t, s=s, w=w, y=y).validate_star_triangle(nome, margin=_STAR_MARGIN)
-    return (nome, s, t, y), spectators
+    return (nome, s, t, y, cfg.effective_tolerance), spectators
 
 
-def _run_star_triangle(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
-    nome, s, t, y, spectators = values
-    alpha = ct.constant_one() if idx % 2 == 0 else ct.z_plus_inverse()
-    return ct.star_triangle_residual(
-        s, t, y, spectators, alpha, nome,
-        rel_tol=_QUAD_REL_TOL, tolerance=cfg.effective_tolerance, margin=_STAR_MARGIN,
-    )
+def _finish_star_triangle(draws, indices) -> list:
+    """The star-triangle checks of a chunk's accepted draws; the test function
+    alternates with the draw index, the constant one at even indices and
+    z + 1/z at odd ones."""
+    return _reports(ct._star_triangle_checks([
+        (s, t, y, spectators, ct.constant_one() if idx % 2 == 0 else ct.z_plus_inverse(), nome,
+         _QUAD_REL_TOL, tolerance, _STAR_MARGIN)
+        for (nome, s, t, y, tolerance, spectators), idx in zip(draws, indices)]))
+
+
+def _reports(outs) -> list:
+    """The values a chunk pass of checks appends to its draws: each report
+    alone, each error as it is."""
+    return [out if isinstance(out, Exception) else (out,) for out in outs]
 
 
 def _sample_residue_reduction(cfg: CampaignConfig, rng):
@@ -458,9 +472,9 @@ def _sample_residue_reduction(cfg: CampaignConfig, rng):
     return (), (alpha, z0, t, cfg.effective_N, nome, cfg.effective_tolerance)
 
 
-def _run_residue_reduction(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
-    (rep,) = values
-    return rep
+def _run_checked(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
+    """The report a chunk pass made for the draw, its last value."""
+    return values[-1]
 
 
 def _sample_cauchy_deformation(cfg: CampaignConfig, rng):
@@ -527,17 +541,20 @@ def _run_finite_difference(cfg: CampaignConfig, values, idx: int) -> Verificatio
 # pending items together (a gamma-engine pass, a stacked DiscreteParams build
 # under the conditioning cap, or the residue-reduction checks; a pass reads
 # its function from the module when it runs), or None where an item is its
-# own value; and the pass that finishes the chunk's accepted draws (the
-# special-functions thetas, where a failed product order ends the draw with
-# its TruncationLimitError), or None
+# own value; and the pass that finishes the chunk's accepted draws, given
+# their values and draw indices (the special-functions thetas, where a
+# failed product order ends the draw with its TruncationLimitError; the
+# beta-integral and star-triangle checks, whose errors end their draws), or
+# None
 _SAMPLERS = {
     "special-functions": (_sample_special_functions,
                           lambda groups: _gamma_groups(groups, "the special-functions draw"),
-                          lambda draws: _theta_pass([(z, nome) for nome, z, _gammas in draws])),
-    "beta-integral": (_sample_beta_integral, None, None),
+                          lambda draws, _indices: _theta_pass([(z, nome)
+                                                               for nome, z, _gammas in draws])),
+    "beta-integral": (_sample_beta_integral, None, _finish_beta_integral),
     "matrix-bailey": (_sample_discrete,
                       lambda drafts: ba.DiscreteParams.stack(drafts, _AMPLIFICATION_CAP), None),
-    "star-triangle": (_sample_star_triangle, None, None),
+    "star-triangle": (_sample_star_triangle, None, _finish_star_triangle),
     "residue-reduction": (_sample_residue_reduction,
                           lambda checks: ct._residue_reduction_checks(checks), None),
     "cauchy-deformation": (_sample_cauchy_deformation, None, None),
@@ -547,11 +564,11 @@ _SAMPLERS["coxeter"] = _SAMPLERS["matrix-bailey"]
 
 _RUNNERS = {
     "special-functions": _run_special_functions,
-    "beta-integral": _run_beta_integral,
+    "beta-integral": _run_checked,
     "matrix-bailey": _run_matrix_bailey,
-    "star-triangle": _run_star_triangle,
+    "star-triangle": _run_checked,
     "coxeter": _run_coxeter,
-    "residue-reduction": _run_residue_reduction,
+    "residue-reduction": _run_checked,
     "cauchy-deformation": _run_cauchy_deformation,
     "finite-difference": _run_finite_difference,
 }
@@ -568,13 +585,18 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     pass for it (one gamma-engine pass, one stacked
     :class:`bailey_algebra.DiscreteParams` build, or the residue-reduction
     checks of :func:`contour._residue_reduction_checks`), and a rejected draw
-    sampling again on its own stream; a draw's values, rejections and
-    errors are those of sampling it alone.  Should a pass fail outside
-    every draw, the chunk is sampled again one draw at a time from fresh
-    streams, so one bad draw never takes down another.  Each draw of the
-    chunk then makes one ``_RUNNERS[identity](config, values, idx)`` call,
-    on a thread pool where ``threads`` > 1, except a draw whose sampling
-    ended in an error, which is raised in its place.
+    sampling again on its own stream; then the identity's finishing pass
+    takes the chunk's accepted draws and their draw indices together (the
+    special-functions thetas, or the star-triangle and beta-integral checks
+    of :func:`contour._star_triangle_checks` and
+    :func:`contour._beta_integral_checks`).  A draw's values, rejections and
+    errors are those of sampling and finishing it alone.  Should a pass fail
+    outside every draw, the chunk is sampled again one draw at a time from
+    fresh streams, so one bad draw never takes down another.  Each draw of
+    the chunk then makes one ``_RUNNERS[identity](config, values, idx)``
+    call, on a thread pool where ``threads`` > 1, except a draw whose
+    sampling ended in an error, which is raised in its place; where a
+    chunk pass made the draw's report, the runner returns it.
 
     Per-draw errors become error reports instead of aborting: library errors
     by their type, any other exception as an internal error.  Here alone a
@@ -591,7 +613,9 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
 
     def sampled(lo, hi):
         rngs = [np.random.default_rng(int(seed)) for seed in sub_seeds[lo:hi]]
-        return _sample_until(config, rngs, lambda rng: sample(config, rng), evaluate, finish)
+        # the finishing pass takes draw indices, the positions in the chunk from lo
+        return _sample_until(config, rngs, lambda rng: sample(config, rng), evaluate,
+                             finish and (lambda draws, at: finish(draws, [lo + i for i in at])))
 
     def chunk(lo, hi):
         """The outcomes of sampling draws lo .. hi - 1, and its seconds per draw."""

@@ -55,16 +55,20 @@ after the shift theta(v z; v) = -z^{-1} theta(z; v) into
 
 with the factor 1 - y e kept pointwise, so the zeros on |z| = 1 stay exact.
 The gamma engine adds the series of the shift thetas of its shifted rings to
-its own table before the fold, and ``_theta_ring`` serves the thetas of the
-contour grids; no ring evaluates a product.  Every pointwise product
+its own table before the fold, and ``_theta_ring_groups`` serves the thetas
+of the contour grids, each group of rings with its own nome, series order
+and fold, so that a block of quadratures takes its grids' thetas from one
+call; no ring evaluates a product.  Every pointwise product
 prod_{j<J} (1 - x b^j) comes from one kernel, ``_qpoch_rows``: rows, each
 with its own base and order, read off a running product in blocks of at
 most ``_PASS_BYTES``, so that a row's value does not depend on the rows
 beside it.  ``qpochhammer_inf`` and ``theta`` call it, theta on the
 stacked halves (z; p)_J (p/z; p)_J; so do the shift thetas of
-``_gamma_groups`` and ``_theta_pass``, which takes the thetas and the
+``_gamma_groups``; ``_theta_pass``, which takes the thetas and the
 products (p; p)_inf, (q; q)_inf of a chunk of special-functions draws from
-one call, with the bits of the scalar calls.  The theta-Pochhammer symbols
+one call; and ``_nome_products``, which takes the products of the nomes of
+a chunk of quadrature checks from one call; each with the bits of the
+scalar calls.  The theta-Pochhammer symbols
 and sequences are read from tables of factors theta(z q^j; p) built by
 ``_guarded_pochhammer``, which calls the kernel too: on one table, or on a
 stack of tables with a nome each, as a stacked ``DiscreteParams`` build
@@ -236,6 +240,8 @@ def _qpoch_rows(x: np.ndarray, bases: list, at, orders) -> np.ndarray:
         np.subtract(1.0, table, out=table)
         np.multiply.accumulate(table, axis=1, out=table)
         out[rows] = table[np.arange(rows.size), orders[rows] - 1]
+        # dropped before the next block's table is built
+        del table
         lo += rows.size
     return out.reshape(shape)
 
@@ -319,11 +325,6 @@ def _theta_pass(draws) -> list:
     scale_p, scale_q = (np.maximum(az, np.array(mods) / az).tolist() for mods in (mod_p, mod_q))
     zs = z.tolist()
     bases: dict = {}
-
-    def base(b):
-        # keyed with the signs of b's parts, which a power's zeros may carry
-        return bases.setdefault((b, math.copysign(1.0, b.real), math.copysign(1.0, b.imag)), len(bases))
-
     xs, at, orders, out = [], [], [], []
     for i, nome in enumerate(nomes):
         pp, qq = nome._pp_inf is None, nome._qq_inf is None
@@ -336,7 +337,7 @@ def _theta_pass(draws) -> list:
             out.append(exc.with_traceback(None))
             continue
         out.append((len(xs), pp, qq))
-        at_p, at_q = base(p[i]), base(q[i])
+        at_p, at_q = _base_key(bases, p[i]), _base_key(bases, q[i])
         xs += [zs[i], p_z[i], zs[i], q_z[i]]
         at += [at_p, at_p, at_q, at_q]
         orders += [n_p, n_p, n_q, n_q]
@@ -363,14 +364,45 @@ def _theta_pass(draws) -> list:
     return out
 
 
+def _base_key(bases: dict, b: complex) -> int:
+    """The index of base b in ``bases``, added if new; keyed with the signs
+    of b's parts, which a power's zeros may carry."""
+    return bases.setdefault((b, math.copysign(1.0, b.real), math.copysign(1.0, b.imag)), len(bases))
+
+
+def _nome_products(nomes) -> None:
+    """Form (p; p)_inf and (q; q)_inf for each of ``nomes`` that has not
+    cached them, in one :func:`_qpoch_rows` pass, and cache them.  Each row
+    keeps the order and the factors of the scalar :func:`qpochhammer_inf`,
+    whose bits its value has.  A product whose order fails stays uncached,
+    so that its first read raises."""
+    bases: dict = {}
+    xs, at, orders, slots = [], [], [], []
+    for nome in {id(nome): nome for nome in nomes}.values():
+        for name, b in (("_pp_inf", nome.p), ("_qq_inf", nome.q)):
+            if getattr(nome, name) is None:
+                try:
+                    orders.append(_qpoch_order(abs(b), abs(b)))
+                except TruncationLimitError:
+                    continue
+                xs.append(b)
+                at.append(_base_key(bases, b))
+                slots.append((nome, name))
+    if xs:
+        values = _qpoch_rows(np.array(xs), [key[0] for key in bases], np.array(at), np.array(orders))
+        for (nome, name), value in zip(slots, values.tolist()):
+            object.__setattr__(nome, name, value)
+
+
 @dataclass(frozen=True)
 class NomePair:
     """The two base parameters (p, q) with cached derived constants
     (p; p)_inf, (q; q)_inf and kappa = (p;p)_inf (q;q)_inf / (4 pi i).
 
     Each product is computed on the first read of ``pp_inf``, ``qq_inf`` or
-    ``kappa``, unless :func:`_theta_pass` has cached it with the same bits:
-    the discrete and residue-sum checks never read them.  Frozen
+    ``kappa``, unless a chunk pass has cached it with the same bits
+    (:func:`_theta_pass`, :func:`_nome_products`): the discrete and
+    residue-sum checks never read them.  Frozen
     and compared on (p, q); safe to share across threads, since every lazy
     write (a product, or the series coefficients, which only ever grow)
     stores the same bits whichever thread makes it.
@@ -531,6 +563,13 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
     A rectangle of more than ``MAX_TERMS`` candidates, which nomes near the
     unit circle ask for, raises :class:`TruncationLimitError` before it is
     built.
+
+    The predicate's reach grows with |z|, so huge points raise
+    :class:`PoleProximityError` whatever the nomes: from |z| = 1e13 on,
+    where reach >= 1, every point does (unless p = q = 0), and from about
+    5e12 most do, since the nearest lattice point x then meets
+    |1 - x| < reach at almost any phase (183 of 200 random nomes and phases
+    at |z| = 5e12).
     """
     hi = float(az.max())
     reach = POLE_GUARD_FACTOR * hi
@@ -640,15 +679,19 @@ def _ipow(w: complex, e: int) -> complex:
     return w**e if e <= 100 else _ipow(w**100, e // 100) * w ** (e % 100)
 
 
-def _theta_series(x: np.ndarray, bases, n: int, nome: NomePair, turned: bool = False):
+def _theta_series(groups, n: int, turned: bool = False):
     """theta(x_t e_j; v_t) on the rings x_t e_j, e_j the points of the n-ring
-    (:func:`_ring`, turned or not), for the bases v_t in {p, q} of ``nome``,
-    one per scale, as a log-series for :func:`_fold_rings`: (terms, const,
-    factors) with
+    (:func:`_ring`, turned or not), for groups ``(x, bases, nome)`` of scales
+    x_t, each with its base v_t in {p, q} of the group's nome, as a
+    log-series for :func:`_fold_rings`: (terms, const, factors, orders) with
 
         theta(x_t e_j; v_t) = factors[t, j] exp(const_t
-                                  + sum_{m=1}^M terms[m - 1, t] e_j^m
-                                              + terms[m - 1, T + t] e_j^{-m}).
+                                  + sum_{m=1}^{M_g} terms[m - 1, t] e_j^m
+                                                  + terms[m - 1, T + t] e_j^{-m})
+
+    for the scales t of group g, M_g = orders[g]; rows of ``terms`` past a
+    scale's M_g, up to the largest order of the call, continue its series
+    past its truncation.
 
     Each scale first moves to y = x v^{-k}, |v|^{1/2} <= |y| <= |v|^{-1/2}, by
     theta(v z; v) = -z^{-1} theta(z; v), which leaves the monomial
@@ -658,9 +701,10 @@ def _theta_series(x: np.ndarray, bases, n: int, nome: NomePair, turned: bool = F
                             - sum_{m>=1} v^m ((y e)^m + (y e)^{-m}) / (m (1 - v^m)),
 
     whose tail after M terms is at most 2 rho^{M+1} / ((1 - rho)(1 - |v|)),
-    rho = |v| max(|y|, 1/|y|) <= |v|^{1/2}; M is the smallest order >= 1
-    making that bound < TRUNCATION_TOL for every scale of the call.  The
-    factor 1 - y e stays pointwise, so theta vanishes exactly where y e_j = 1
+    rho = |v| max(|y|, 1/|y|) <= |v|^{1/2}; M_g is the smallest order >= 1
+    making that bound < TRUNCATION_TOL for every scale of group g, so a
+    group's series does not depend on the groups beside it.  The factor
+    1 - y e stays pointwise, so theta vanishes exactly where y e_j = 1
     in floating point; where |y| > 2 it is written -y e (1 - (y e)^{-1}), so
     that every pointwise factor has modulus <= 3, and none loses digits to a
     rounded 1/y near its zeros on |y e| = 1.  const holds the logs of
@@ -670,43 +714,50 @@ def _theta_series(x: np.ndarray, bases, n: int, nome: NomePair, turned: bool = F
     read from the root table into factors.  A base v = 0 gives
     theta(z; 0) = 1 - z.
     """
-    bases = [complex(b) for b in bases]
-    ys, points, flips, consts, winds = [], [], [], [], []
-    rho = 0.0
-    for xt, vt in zip(x.tolist(), bases):
-        k, y, log_ay, log_c, phase = 0, xt, math.log(abs(xt)), 0.0, 1.0
-        if vt != 0:
-            log_v = math.log(abs(vt))
-            k = round(log_ay / log_v)
-            log_ay -= k * log_v
-            rho = max(rho, abs(vt) * math.exp(abs(log_ay)))
-        if k:
-            y = xt / _ipow(vt, k) if k > 0 else xt * _ipow(vt, -k)
-            tri = k * (k - 1) // 2
-            unit_y = y / abs(y)
-            log_c = -k * log_ay - tri * log_v
-            phase = (_ipow(-unit_y.conjugate(), k) if k > 0 else _ipow(-unit_y, -k)) * _ipow(
-                (vt / abs(vt)).conjugate(), tri)
-        flip = abs(y) > 2.0
-        if flip:
-            phase *= -y / abs(y)
-            log_c += log_ay
-        ys.append(y)
-        points.append(1.0 / y if flip else y)
-        flips.append(flip)
-        winds.append(flip - k)
-        consts.append(complex(log_c, math.atan2(phase.imag, phase.real)))
-    order = 1
-    if rho:
-        top = max(abs(b) for b in bases)
-        order = max(1, _truncation_order(2.0 / ((1.0 - rho) * (1.0 - top)), rho, "theta series") - 1)
-    by_base = {b: nome.theta_coefficients(b, order) for b in set(bases)}
-    coeffs = np.array([by_base[b] for b in bases] * 2).T
-    y, v_col = np.array(ys, dtype=complex), np.array(bases, dtype=complex)
+    ys, points, flips, consts, winds, vs, columns, orders = [], [], [], [], [], [], [], []
+    for x, bases, nome in groups:
+        bases = [complex(b) for b in bases]
+        rho = 0.0
+        for xt, vt in zip(np.asarray(x, dtype=complex).ravel().tolist(), bases):
+            k, y, log_ay, log_c, phase = 0, xt, math.log(abs(xt)), 0.0, 1.0
+            if vt != 0:
+                log_v = math.log(abs(vt))
+                k = round(log_ay / log_v)
+                log_ay -= k * log_v
+                rho = max(rho, abs(vt) * math.exp(abs(log_ay)))
+            if k:
+                y = xt / _ipow(vt, k) if k > 0 else xt * _ipow(vt, -k)
+                tri = k * (k - 1) // 2
+                unit_y = y / abs(y)
+                log_c = -k * log_ay - tri * log_v
+                phase = (_ipow(-unit_y.conjugate(), k) if k > 0 else _ipow(-unit_y, -k)) * _ipow(
+                    (vt / abs(vt)).conjugate(), tri)
+            flip = abs(y) > 2.0
+            if flip:
+                phase *= -y / abs(y)
+                log_c += log_ay
+            ys.append(y)
+            points.append(1.0 / y if flip else y)
+            flips.append(flip)
+            winds.append(flip - k)
+            consts.append(complex(log_c, math.atan2(phase.imag, phase.real)))
+        order = 1
+        if rho:
+            top = max(abs(b) for b in bases)
+            order = max(1, _truncation_order(2.0 / ((1.0 - rho) * (1.0 - top)), rho, "theta series") - 1)
+        orders.append(order)
+        columns.append((nome, bases))
+        vs += bases
+    # every column to the call's largest order, whose coefficients begin
+    # with those of each smaller order
+    top_order = max(orders)
+    coeffs = np.array([nome.theta_coefficients(b, top_order) for nome, bases in columns
+                       for b in bases] * 2).T
+    y, v_col = np.array(ys, dtype=complex), np.array(vs, dtype=complex)
     first = np.concatenate([v_col * y, v_col / y])
     # a running product: the rounding of power m grows like m, and the term
     # it multiplies is below rho^m / (m (1 - |v|))
-    terms = -coeffs * np.cumprod(np.repeat(first[None], order, axis=0), axis=0)
+    terms = -coeffs * np.cumprod(np.repeat(first[None], top_order, axis=0), axis=0)
     # e_j^{-1} is read as conj(e_j): the points of a ring are s e_j, and
     # near a zero of theta the factor amplifies any other rounding of them
     roots = _ring(n, turned)
@@ -718,20 +769,55 @@ def _theta_series(x: np.ndarray, bases, n: int, nome: NomePair, turned: bool = F
         w = np.array(winds)[:, None]
         factors *= (_roots(2 * n)[(w * (2 * np.arange(n) + 1)) % (2 * n)] if turned
                     else _roots(n)[(w * np.arange(n)) % n])
-    return terms, np.array(consts), factors
+    return terms, np.array(consts), factors, orders
 
 
 def _theta_ring(scales, n: int, bases, nome: NomePair, turned: bool = False) -> np.ndarray:
     """theta(s_i e_j; v_i) for the scales s_i = scales[i], the points e_j of
     the n-ring (:func:`_ring`, turned or not) and the bases v_i = bases[i] in
-    {p, q} of ``nome``, as an (R, n) array: the series of
-    :func:`_theta_series`, summed by one DFT of :func:`_fold_rings`, times
-    its pointwise factors."""
-    terms, const, factors = _theta_series(np.asarray(scales, dtype=complex).ravel(), bases, n,
-                                          nome, turned)
-    table = np.zeros((-(-(terms.shape[0] + 1) // n) * n, terms.shape[1]), dtype=complex)
+    {p, q} of ``nome``, as an (R, n) array: :func:`_theta_ring_groups` on one
+    group."""
+    return _theta_ring_groups([(scales, bases, nome)], n, turned)
+
+
+def _theta_ring_groups(groups, n: int, turned: bool = False) -> np.ndarray:
+    """:func:`_theta_ring` on groups ``(scales, bases, nome)``, each with its
+    own nome, as one (sum R_g, n) array of the groups' rows in order, each
+    row with the bits of a call on its group alone: the series of
+    :func:`_theta_series`, each group to its own order, summed by one DFT
+    of :func:`_fold_rings`, times its pointwise factors.  A group's table
+    holds its rows m <= M_g, zero-padded to a multiple of n, and the fold
+    adds its blocks of n rows pairwise, whose bits depend on their count;
+    so the groups of one table height share a fold, where each column is
+    folded and transformed as it is alone."""
+    terms, const, factors, orders = _theta_series(groups, n, turned)
+    if len(set(orders)) == 1:
+        return _theta_fold(terms, const, factors, n, turned)
+    order = np.repeat(orders, [np.size(group[0]) for group in groups])
+    heights = -(-(order + 1) // n) * n
+    out = np.empty(factors.shape, dtype=complex)
+    for height in sorted(set(heights.tolist())):
+        cols = np.flatnonzero(heights == height)
+        both = np.concatenate([cols, order.size + cols])
+        rows = min(height - 1, terms.shape[0])
+        out[cols] = _theta_fold(np.where(np.arange(rows)[:, None] < order[both % order.size],
+                                         terms[:rows, both], 0.0),
+                                const[cols], factors[cols], n, turned, height)
+    return out
+
+
+def _theta_fold(terms, const, factors, n: int, turned: bool, height: int | None = None):
+    """factors * exp(const + the fold of rows m = 1.. of a zero-padded table
+    holding ``terms``, ``height`` rows, by default the fewest multiple of n
+    past them): :func:`_theta_ring_groups` on the columns of one table."""
+    if height is None:
+        height = -(-(terms.shape[0] + 1) // n) * n
+    table = np.zeros((height, terms.shape[1]), dtype=complex)
     table[1 : terms.shape[0] + 1] = terms
-    return factors * np.exp(_fold_rings(table, n, turned).T + const[:, None])
+    log = _fold_rings(table, n, turned).T
+    del table
+    log += const[:, None]
+    return factors * np.exp(log)
 
 
 def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = False,
@@ -806,7 +892,8 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
         steps = np.arange(n_shift)
         used = steps < shifts[:, None]
         x = (np.where(k > 0, scales, sigma)[:, None] * u**steps)[used]
-        th_terms, th_const, th_factors = _theta_series(x, [v] * x.size, n, nome, turned)
+        th_terms, th_const, th_factors, _orders = _theta_series([(x, [v] * x.size, nome)], n,
+                                                                turned)
         rows = th_terms.shape[0]
     # c_m sigma^m and -c_m (pq/sigma)^m in row m of a zero-padded table
     table = np.zeros((-(-(max(m_top, rows) + 1) // n) * n, 2 * rings), dtype=complex)
@@ -1163,7 +1250,9 @@ def elliptic_gamma(z, nome: NomePair):
     docstring); valid for every z off the pole lattice z = p^{-j} q^{-k},
     j, k >= 0.  Raises
     :class:`PoleProximityError` when a denominator factor is within the guard
-    threshold of zero (the caller chose z too close to a pole),
+    threshold of zero (the caller chose z too close to a pole), and so for
+    any |z| above about 5e12, whatever the nomes, where the guard's reach
+    1e-13 |z| is of order one (``_pole_guard``),
     :class:`DomainError` at z = 0, and, as ``build_M`` and ``build_D`` do
     for an overflowing entry, :class:`DegenerateParameterError` naming the
     first z whose value is not finite in double precision (near z = 0: at
@@ -1245,41 +1334,50 @@ def _guarded_pochhammer(bases, lengths, nome, guarded: int = 0, where: str = "")
     nomes = [nome] if one else nome
     grid, used = _pochhammer_grid(np.asarray(bases, dtype=complex).reshape(len(nomes), -1),
                                   lengths, nome.q if one else [entry.q for entry in nomes])
-    factors = np.ones_like(grid)
     errors = [None] * len(nomes)
     if grid.size and len(nomes) == 1:
+        factors = np.ones_like(grid)
         try:
             factors[0][used] = theta(grid[0][used], nomes[0].p)
         except (DomainError, TruncationLimitError) as exc:
             errors[0] = exc.with_traceback(None)
-    elif grid.size:
-        z = grid[:, used]
-        az = np.abs(z)
-        mod_p = [abs(entry.p) for entry in nomes]
-        with np.errstate(divide="ignore"):
-            # theta_truncation_order's scale per table; a table with z = 0 takes none
-            scales = np.maximum(az, np.array(mod_p)[:, None] / az).max(axis=1).tolist()
-        thetas, orders = [], []
-        for i, entry in enumerate(nomes):
-            if not z[i].all():
-                errors[i] = DomainError("theta(z; p) requires z != 0")
-            elif entry.p == 0:
-                factors[i, used] = 1.0 - z[i]
-            else:
-                try:
-                    orders.append(_qpoch_order(mod_p[i], scales[i]))
-                except TruncationLimitError as exc:
-                    errors[i] = exc.with_traceback(None)
+    else:
+        flat, thetas, orders = [], [], []
+        if grid.size:
+            z = grid[:, used]
+            az = np.abs(z)
+            mod_p = [abs(entry.p) for entry in nomes]
+            with np.errstate(divide="ignore"):
+                # theta_truncation_order's scale per table; a table with z = 0 takes none
+                scales = np.maximum(az, np.array(mod_p)[:, None] / az).max(axis=1).tolist()
+            for i, entry in enumerate(nomes):
+                if not z[i].all():
+                    errors[i] = DomainError("theta(z; p) requires z != 0")
+                elif entry.p == 0:
+                    flat.append(i)
                 else:
-                    thetas.append(i)
+                    try:
+                        orders.append(_qpoch_order(mod_p[i], scales[i]))
+                    except TruncationLimitError as exc:
+                        errors[i] = exc.with_traceback(None)
+                    else:
+                        thetas.append(i)
         if thetas:
-            # (z; p)_J (p/z; p)_J, table i's rows on its own p at its own J
+            # (z; p)_J (p/z; p)_J, table i's rows on its own p at its own J;
+            # the points and moduli are dropped before the products, and the
+            # factor tables made after them, so that none is held where the
+            # call's memory peaks
             p = [nomes[i].p for i in thetas]
             halves = np.empty((len(thetas), 2, z.shape[1]), dtype=complex)
             halves[:, 0] = z[thetas]
+            del z, az
             np.divide(np.array(p)[:, None], halves[:, 0], out=halves[:, 1])
             at = np.repeat(np.arange(len(thetas)), halves[0].size).reshape(halves.shape)
             halves = _qpoch_rows(halves, p, at, np.array(orders)[at])
+        factors = np.ones_like(grid)
+        for i in flat:
+            factors[i, used] = 1.0 - grid[i, used]
+        if thetas:
             factors[np.array(thetas)[:, None], used] = halves[:, 0] * halves[:, 1]
     mods = np.abs(factors[:, :guarded])
     # a table's NaN factor hides its minimum, as np.min takes it, but no

@@ -57,6 +57,8 @@ def test_drive_contract_the_tracer_reads():
     # the tracer wraps args[0] as eval_at(n), counting the n it is called
     # with, and reads result[1].n_nodes
     assert _names(contour._drive)[0] == "eval_at"
+    nome = special_functions.NomePair(0.08, 0.12)
+    g_t2 = complex(special_functions.elliptic_gamma(0.45**2, nome))
     tracer = _load_tracing().Tracer()
     try:
         passes = []
@@ -66,13 +68,16 @@ def test_drive_contract_the_tracer_reads():
             return 1.0, 1.0 / (1.0 - 0.9 * special_functions._roots(n))
 
         value, info = contour._drive(eval_at, 1e-12)
-        report = contour.elliptic_beta_integral(0.5, 0.6, 0.45, 0.55, 0.4,
-                                                special_functions.NomePair(0.08, 0.12))
+        # an M-kernel quadrature, as apply_M and the finite-difference oracle
+        # run it (the beta-integral and star-triangle checks run stacked
+        # drives, which no hook wraps)
+        _m_value, m_info = contour._m_quadrature(0.45, 1.0, contour.constant_one(), 1.0, g_t2,
+                                                 nome, 1e-10, "M(t)")
     finally:
         assert tracer.restore() == []
     assert info.n_nodes == passes[-1]
-    # the beta integral's passes double from DEFAULT_N0 up to its n_nodes
-    beta_nodes = 2 * report.settings["n_nodes"] - contour.DEFAULT_N0
-    assert tracer.counts["contour.drive.nodes_evaluated"] == sum(passes) + beta_nodes
-    assert tracer.counts["contour.drive.nodes_final"] == info.n_nodes + report.settings["n_nodes"]
+    # the M-kernel quadrature's passes double from DEFAULT_N0 up to its n_nodes
+    m_nodes = 2 * m_info.n_nodes - contour.DEFAULT_N0
+    assert tracer.counts["contour.drive.nodes_evaluated"] == sum(passes) + m_nodes
+    assert tracer.counts["contour.drive.nodes_final"] == info.n_nodes + m_info.n_nodes
     assert np.isclose(value, 2j * np.pi)

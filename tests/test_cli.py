@@ -287,6 +287,17 @@ class TestVerify:
         # its last bits from the shift products of a one-group gamma call
         ("star-triangle-seed20600-draws10.jsonl",
          ("star-triangle", "--draws", "10", "--seed", "20600")),
+        # draw 0 alone, a full chunk of _DRAW_CHUNK draws, then one draw; at
+        # complex nomes kappa is no longer imaginary, and numpy's product of
+        # complex arrays rounds apart from its product of scalars there
+        ("star-triangle-seed20600-draws34.jsonl",
+         ("star-triangle", "--draws", "34", "--seed", "20600")),
+        ("beta-integral-seed20205-draws34.jsonl",
+         ("beta-integral", "--draws", "34", "--seed", "20205")),
+        ("star-triangle-seed20600-draws34-complex.jsonl",
+         ("star-triangle", "--draws", "34", "--seed", "20600", "--complex-nomes")),
+        ("beta-integral-seed20205-draws34-complex.jsonl",
+         ("beta-integral", "--draws", "34", "--seed", "20205", "--complex-nomes")),
         ("cauchy-deformation-seed20700.jsonl",
          ("cauchy-deformation", "--draws", "3", "--seed", "20700")),
         ("finite-difference-seed20900.jsonl",

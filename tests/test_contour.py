@@ -327,17 +327,18 @@ class TestRingKernels:
 
     @staticmethod
     def _count_passes(monkeypatch):
-        """Record the node count of every quadrature pass of ``_drive``."""
+        """Record the node count of every quadrature pass of ``_stacked_drive``,
+        which every quadrature's drive runs, one draw's or a block's."""
         passes = []
-        drive = ct._drive
+        drive = ct._stacked_drive
 
         def counted(eval_at, *args, **kwargs):
-            def each(n):
+            def each(n, live):
                 passes.append(n)
-                return eval_at(n)
+                return eval_at(n, live)
             return drive(each, *args, **kwargs)
 
-        monkeypatch.setattr(ct, "_drive", counted)
+        monkeypatch.setattr(ct, "_stacked_drive", counted)
         return passes
 
     @staticmethod
@@ -435,8 +436,8 @@ class TestRingKernels:
         for n, radius in ((64, 1.0), (128, 0.83), (2, 1.2)):
             z = radius * np.exp(2j * np.pi * np.arange(n) / n)
             idx = np.arange(n) % (n // 2)
-            tq, tp = ct._theta_ring([radius**2, radius**-2], n // 2, [self.NOME.q, self.NOME.p],
-                                    self.NOME)
+            tq, tp = special_functions._theta_ring([radius**2, radius**-2], n // 2,
+                                                   [self.NOME.q, self.NOME.p], self.NOME)
             want = tq[idx] * tp[(-idx) % (n // 2)]
             assert np.array_equal(ct._theta_rings(n, radius, self.NOME), want)
             pointwise = ct.theta(z * z, self.NOME.q) * ct.theta(z**-2, self.NOME.p)
@@ -479,7 +480,7 @@ class TestRingKernels:
         assert calls == [(6, n) for n in self._ladder(passes)]
 
     def test_no_products_on_rings(self, monkeypatch):
-        # inside _drive every theta factor on a ring, the engine's shift
+        # inside the drive every theta factor on a ring, the engine's shift
         # thetas and the inverted 1/Gamma(z^{+-2}) alike, comes from the ring
         # series; the products serve only the pointwise values outside it
         counts = {"products": [0, 0], "series": [0, 0], "rings": [0, 0], "shifting": [0, 0]}
@@ -505,12 +506,12 @@ class TestRingKernels:
             finally:
                 inside[0] = False
 
-        drive = ct._drive
+        drive = ct._stacked_drive
         monkeypatch.setattr(special_functions, "_qpoch_rows",
                             counting("products", special_functions._qpoch_rows))
         monkeypatch.setattr(special_functions, "_theta_series",
                             counting("series", special_functions._theta_series))
-        monkeypatch.setattr(ct, "_drive", driving)
+        monkeypatch.setattr(ct, "_stacked_drive", driving)
         monkeypatch.setattr(special_functions, "_annulus_shift", shifting)
         monkeypatch.setattr(ct, "_gamma_rings", counting("rings", ct._gamma_rings))
         nome = NomePair(self.NOME.p, self.NOME.q)
@@ -595,9 +596,9 @@ class TestNodeLadder:
     @staticmethod
     def _counted(monkeypatch):
         """Count the points of every gamma-ring, dden and sample evaluation,
-        and the passes of _drive."""
+        and the passes of _stacked_drive, which every quadrature's drive runs."""
         seen = {"rings": [], "dden": [], "f": [], "passes": []}
-        theta_rings, drive = ct._theta_rings, ct._drive
+        theta_rings, drive = ct._theta_rings, ct._stacked_drive
 
         engine = ct._gamma_rings
 
@@ -610,14 +611,14 @@ class TestNodeLadder:
             return theta_rings(n, *args)
 
         def driving(eval_at, *args, **kwargs):
-            def each(n):
+            def each(n, live):
                 seen["passes"].append(n)
-                return eval_at(n)
+                return eval_at(n, live)
             return drive(each, *args, **kwargs)
 
         monkeypatch.setattr(ct, "_gamma_rings", rings)
         monkeypatch.setattr(ct, "_theta_rings", dden)
-        monkeypatch.setattr(ct, "_drive", driving)
+        monkeypatch.setattr(ct, "_stacked_drive", driving)
         return seen
 
     @pytest.mark.parametrize("identity", ["apply_M", "star-triangle", "beta", "circle", "residue"])
@@ -742,17 +743,18 @@ class TestStarTriangle:
 
     def test_a_nan_spectator_fails_the_check(self, monkeypatch):
         nome = NomePair(0.08, 0.12)
-        drive = ct._drive
+        drive = ct._stacked_drive
         sides = []
 
-        def nan_second_spectator(eval_at, *rest, **kwargs):
-            both, info = drive(eval_at, *rest, **kwargs)
+        def nan_second_spectator(eval_at, out, *rest, **kwargs):
+            drive(eval_at, out, *rest, **kwargs)
+            ((both, info),) = out
             both = both.copy()
             both[1] = math.nan  # the second spectator's left side
             sides.append(both)
-            return both, info
+            out[0] = both, info
 
-        monkeypatch.setattr(ct, "_drive", nan_second_spectator)
+        monkeypatch.setattr(ct, "_stacked_drive", nan_second_spectator)
         rep = star_triangle_residual(0.55, 0.45, 0.9 * np.exp(0.3j),
                                      [np.exp(0.4j), np.exp(1.7j), np.exp(-2.2j)],
                                      constant_one(), nome)
@@ -1158,3 +1160,163 @@ class TestStackedResidueChecks:
         with pytest.raises(DomainError, match="take one N"):
             ct._residue_reduction_checks([_residue_draw(nome, 0.49, 0.3, 1),
                                           _residue_draw(nome, 0.49, 0.3, 2)])
+
+
+class TestStackedQuadratureChecks:
+    """A round of star-triangle or beta-integral checks (``_star_triangle_checks``,
+    ``_beta_integral_checks``) gives each draw the report, bit for bit, or
+    the error of the public check on it alone, whatever its round-mates and
+    their order: one fixed-gamma pass, one pass of the nomes' products, and
+    stacked drives a block of draws at a time."""
+
+    @staticmethod
+    def _star_draws(count, seed):
+        """``count`` admissible star-triangle checks, as the campaign samples
+        them, each on a fresh nome."""
+        rng = np.random.default_rng(seed)
+        draws = []
+        while len(draws) < count:
+            nome = NomePair(rng.uniform(0.06, 0.12), rng.uniform(0.1, 0.18))
+            s, t = (rng.uniform(0.35, 0.65) * np.exp(2j * np.pi * rng.uniform()) for _ in range(2))
+            y = rng.uniform(0.75, 1.3) * np.exp(2j * np.pi * rng.uniform())
+            spectators = list(np.exp(2j * np.pi * rng.uniform(size=3)))
+            try:
+                for w in spectators:
+                    OperatorParams(t=t, s=s, w=w, y=y).validate_star_triangle(nome, margin=0.85)
+            except ConstraintViolationError:
+                continue
+            alpha = constant_one() if len(draws) % 2 == 0 else z_plus_inverse()
+            draws.append((s, t, y, spectators, alpha, nome, 1e-10, 1e-8, 0.85))
+        return draws
+
+    @staticmethod
+    def _beta_draws(count, seed):
+        """``count`` admissible beta-integral checks, as the campaign samples
+        them, each on a fresh nome."""
+        rng = np.random.default_rng(seed)
+        draws = []
+        while len(draws) < count:
+            nome = NomePair(rng.uniform(0.05, 0.12), rng.uniform(0.1, 0.2))
+            ts = list(rng.uniform(0.35, 0.7, size=5) * np.exp(2j * np.pi * rng.uniform(size=5)))
+            if 0.1 <= abs(nome.p * nome.q / np.prod(ts)) <= 0.8:
+                draws.append((*ts, nome, 1e-10, 1e-9))
+        return draws
+
+    CASES = {
+        "star-triangle": (_star_draws, ct._star_triangle_checks,
+                          lambda draw: star_triangle_residual(*draw)),
+        "beta-integral": (_beta_draws, ct._beta_integral_checks,
+                          lambda draw: elliptic_beta_integral(*draw)),
+    }
+
+    @staticmethod
+    def _read(outs):
+        return [(type(out).__name__, str(out)) if isinstance(out, Exception) else out.to_json()
+                for out in outs]
+
+    @classmethod
+    def _alone(cls, identity, draws):
+        """Each draw's public check alone, as its canonical report or its
+        error as (type, message)."""
+        check = cls.CASES[identity][2]
+        out = []
+        for draw in draws:
+            try:
+                out.append(check(draw).to_json())
+            except EllipticBaileyError as exc:
+                out.append((type(exc).__name__, str(exc)))
+        return out
+
+    @pytest.mark.parametrize("identity", CASES)
+    def test_a_draw_reads_the_same_in_any_round(self, identity):
+        # 30 draws take more than one block of either check
+        sample, checks, _check = self.CASES[identity]
+        draws = sample.__func__(30, seed=53)
+        alone = self._alone(identity, sample.__func__(30, seed=53))
+        assert self._read(checks(draws)) == alone
+        # fresh nomes, shuffled, beside other round-mates
+        order = np.random.default_rng(7).permutation(30)
+        fresh = sample.__func__(30, seed=53)
+        mates = sample.__func__(9, seed=59)
+        got = self._read(checks(mates + [fresh[i] for i in order]))
+        assert got[9:] == [alone[i] for i in order]
+        assert got[:9] == self._alone(identity, sample.__func__(9, seed=59))
+
+    @staticmethod
+    def _cap(monkeypatch, cap):
+        """Every stacked drive stops at ``cap`` nodes."""
+        drive = ct._stacked_drive
+
+        def capped(eval_at, out, live, rel_tol, n0=ct.DEFAULT_N0, _cap=None, label="integral"):
+            drive(eval_at, out, live, rel_tol, n0, cap, label)
+
+        monkeypatch.setattr(ct, "_stacked_drive", capped)
+
+    def test_star_triangle_errors_end_in_their_own_slots(self, monkeypatch):
+        self._cap(monkeypatch, 128)
+        draws = self._star_draws(12, seed=61)
+        s, t, y, spectators, alpha, nome, rel_tol, tolerance, _margin = draws[4]
+        # |s| over the margin fails the constraints; t^2 = 1 - 6e-14 puts
+        # Gamma(t^2), a fixed value, within guard distance of its pole at 1
+        draws[4] = (0.9, t, y, spectators, alpha, nome, rel_tol, tolerance, 0.85)
+        draws[7] = (s, 1 - 3e-14, y, spectators, alpha, nome, rel_tol, tolerance, 1.0)
+        got = self._read(ct._star_triangle_checks(draws))
+        assert got == self._alone("star-triangle", draws)
+        kinds = [out[0] if isinstance(out, tuple) else "report" for out in got]
+        assert kinds[4] == "ConstraintViolationError" and kinds[7] == "PoleProximityError"
+        # the draws that need more than 128 nodes stop there, among those that pass
+        assert "QuadratureConvergenceError" in kinds and "report" in kinds
+        assert all(message == "star-triangle did not converge by 128 nodes (a pole may sit too "
+                   "close to the contour)" for kind, message in
+                   (out for out in got if isinstance(out, tuple)) if kind.startswith("Quad"))
+
+    def test_beta_integral_errors_end_in_their_own_slots(self, monkeypatch):
+        self._cap(monkeypatch, 128)
+        draws = self._beta_draws(12, seed=67)
+        *ts, nome, rel_tol, tolerance = draws[3]
+        # |t1| over 1 fails the constraints; t1 = 1 - 2e-14 puts the ring
+        # Gamma(t1 z) on the first grid within guard distance of its pole
+        draws[3] = (1.2, *ts[1:], nome, rel_tol, tolerance)
+        draws[8] = (1 - 2e-14, *draws[8][1:])
+        got = self._read(ct._beta_integral_checks(draws))
+        assert got == self._alone("beta-integral", draws)
+        kinds = [out[0] if isinstance(out, tuple) else "report" for out in got]
+        assert kinds[3] == "ConstraintViolationError" and kinds[8] == "PoleProximityError"
+        assert "QuadratureConvergenceError" in kinds and "report" in kinds
+
+    # seeds at which a draw that needs more than 128 nodes was rejected once
+    @pytest.mark.parametrize("identity, seed", [("star-triangle", 79), ("beta-integral", 78)])
+    def test_a_failed_check_keeps_its_rejections(self, monkeypatch, identity, seed):
+        from elliptic_bailey.harness import CampaignConfig, run_campaign
+
+        cfg = CampaignConfig(identity=identity, draws=10, seed=seed)
+        clean = run_campaign(cfg)
+        self._cap(monkeypatch, 128)
+        capped = run_campaign(cfg)
+        failed = [i for i, rep in enumerate(capped) if rep.error is not None]
+        assert failed and len(failed) < cfg.draws
+        for i, (rep, ref) in enumerate(zip(capped, clean)):
+            if i in failed:
+                assert rep.error.startswith("non-convergence: ")
+                assert ref.settings["n_nodes"] > 128
+                assert rep.settings == {"rejected": ref.settings["rejected"]}
+            else:
+                assert rep.to_json() == ref.to_json()
+        assert any(clean[i].settings["rejected"] for i in failed)
+
+    @pytest.mark.parametrize("identity", CASES)
+    def test_a_campaign_makes_one_fixed_gamma_pass_a_chunk(self, monkeypatch, identity):
+        from elliptic_bailey.harness import CampaignConfig, run_campaign
+
+        groups = []
+        gamma_groups = ct._gamma_groups
+
+        def counted(pass_groups, *args):
+            groups.append(len(pass_groups))
+            return gamma_groups(pass_groups, *args)
+
+        monkeypatch.setattr(ct, "_gamma_groups", counted)
+        reports = run_campaign(CampaignConfig(identity=identity, draws=10, seed=73))
+        assert all(rep.passed for rep in reports)
+        # draw 0 alone, then the other nine
+        assert groups == [1, 9]

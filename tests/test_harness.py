@@ -14,11 +14,13 @@ from elliptic_bailey.report import VerificationReport
 from elliptic_bailey.special_functions import elliptic_gamma
 
 
-def _sampled(cfg, rngs):
+def _sampled(cfg, rngs, first=0):
     """The outcomes of sampling a chunk of draws of cfg's identity, one on
-    each of rngs, as run_campaign samples them."""
+    each of rngs, the first at draw index ``first``, as run_campaign samples
+    them."""
     sample, evaluate, finish = hmod._SAMPLERS[cfg.identity]
-    return hmod._sample_until(cfg, rngs, lambda rng: sample(cfg, rng), evaluate, finish)
+    return hmod._sample_until(cfg, rngs, lambda rng: sample(cfg, rng), evaluate,
+                              finish and (lambda draws, at: finish(draws, [first + i for i in at])))
 
 
 class TestCampaignConfig:
@@ -430,6 +432,30 @@ class TestChunkSampler:
         assert all(isinstance(values, tuple) for values, _rejected in outcomes)
         assert peak < 1 << 20
 
+    # one draw checked alone peaks at <= 155 KiB (beta-integral) and at
+    # ~300 KiB (star-triangle; 1.6 MiB at n = 512, whose M(t) apply holds a
+    # kernel block of contour._ROW_CHUNK rows)
+    @pytest.mark.parametrize("identity, bound", [("star-triangle", 2 << 20),
+                                                 ("beta-integral", 1 << 20)])
+    def test_a_quadrature_chunk_pass_peaks_under_its_bound(self, identity, bound):
+        # the chunk's checks run in its finishing pass, a block of draws at a
+        # time; a first campaign makes the lazy imports and caches the pass
+        # reads, which one chunk sampled alone would count
+        import tracemalloc
+
+        run_campaign(CampaignConfig(identity=identity, draws=2))
+        cfg = CampaignConfig(identity=identity, draws=hmod._DRAW_CHUNK)
+        seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=hmod._DRAW_CHUNK)
+        rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+        tracemalloc.start()
+        try:
+            outcomes = _sampled(cfg, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(values[-1].passed for values, _rejected in outcomes)
+        assert peak < bound
+
     @staticmethod
     def _discrete_chunk_memory(identity):
         """(outcomes, bytes kept, peak bytes) of sampling one N = 8 chunk
@@ -450,13 +476,11 @@ class TestChunkSampler:
         assert sum(rejected for _values, rejected in outcomes) > 0
         return built, kept, peak
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "one N = 8 chunk peaks at ~1.13 MB: its 32 accepted draws keep ~0.40 MB "
-        "of memos (~13 KB each, as a draw built alone keeps them), and the peak "
-        "falls in a block's special_functions._qpoch_rows call, which allocates "
-        "~0.47 MB above its entry for a 0.12 MB table"))
     @pytest.mark.parametrize("identity", ["matrix-bailey", "coxeter"])
     def test_a_discrete_chunk_peaks_under_1_mib(self, identity):
+        # ~1.01 MB of a 1.05 MB bound: its 32 accepted draws keep ~0.40 MB of
+        # memos, and the peak falls in a block's special_functions._qpoch_rows
+        # call, which holds one block table at a time
         _built, _kept, peak = self._discrete_chunk_memory(identity)
         assert peak < 1 << 20
 
@@ -486,7 +510,7 @@ class TestOneSampler:
                                                          dtype=np.int64)
         out = []
         for idx, seed in enumerate(seeds):
-            ((values, rejected),) = _sampled(cfg, [np.random.default_rng(int(seed))])
+            ((values, rejected),) = _sampled(cfg, [np.random.default_rng(int(seed))], idx)
             rep = hmod._RUNNERS[cfg.identity](cfg, values, idx)
             rep.settings["rejected"], rep.draw_index = rejected, idx
             out.append(rep.to_json())
