@@ -478,9 +478,10 @@ class TestChunkSampler:
 
     @pytest.mark.parametrize("identity", ["matrix-bailey", "coxeter"])
     def test_a_discrete_chunk_peaks_under_1_mib(self, identity):
-        # ~1.01 MB of a 1.05 MB bound: its 32 accepted draws keep ~0.40 MB of
+        # ~0.99 MB of a 1.05 MB bound: its 32 accepted draws keep ~0.40 MB of
         # memos, and the peak falls in a block's special_functions._qpoch_rows
-        # call, which holds one block table at a time
+        # call, while the stacked build holds neither its points nor its
+        # factor tables
         _built, _kept, peak = self._discrete_chunk_memory(identity)
         assert peak < 1 << 20
 
