@@ -43,11 +43,13 @@ alone turns them into values weight * (2 pi i / n) * sum and into the scale
 of the one rounding floor ``_FLOOR``; ``_stacked_drive`` alone doubles n
 until every row of a draw agrees with its previous pass, for a stack of
 draws, each leaving the stack as it converges, and ``_drive`` is its
-one-draw case.  A pass reads its rings and samples from the node history of
-its quadratures, ``_Nodes``, which evaluates each node once: the first
-request evaluates twice its grid in one engine call a draw, so the second
-pass evaluates nothing, and each later pass only the n/2 new nodes, the
-previous grid turned by half a step.  One M-kernel quadrature,
+one-draw case.  A pass reads its rings and samples by row from the node
+history of a block of draws, ``_Nodes``, and a one-draw quadrature's
+history is a block of one.  It evaluates each node once: the first request
+evaluates twice its grid in one engine call a draw, so the second pass
+evaluates nothing, and each later pass only the n/2 new nodes, the previous
+grid turned by half a step.  One kernel reader, ``_kernels``, multiplies
+the four gamma factors of every kernel row.  One M-kernel quadrature,
 ``_m_quadrature``, serves every single-spectator transform of a pointwise
 function: ``apply_M``, the finite-difference oracle, the inner passes of the
 inversion check and both circles of the deformation check; its pass
@@ -237,22 +239,20 @@ def _stacked_drive(eval_at, out: list, live: list, rel_tol: float, n0: int = DEF
 
 class _Nodes:
     """The node history of the adaptive quadratures of a block of draws on
-    one circle |z| = radius, which evaluates each node once.
+    one circle |z| = radius, which evaluates each node once; a one-draw
+    quadrature is a block of one.
 
-    Each draw has its nome, the distinct ``scales`` of its gamma rings, and
-    a pointwise f or None (for every draw of a block alike); ``dden`` asks
-    for the dden ring of :func:`_theta_rings` of every draw.
-    ``rows(n, live)`` returns, on the grid z_k = radius w^k with
-    w = exp(2 pi i / n), for the draws ``live``: the draws held, in order;
-    their gamma rings G[k] = Gamma(s w^k), one row a scale, each draw's rows
-    in its scales' order from its entry of ``starts``; their dden rings, one
-    row a draw, or None; and their samples f(z_k), one row a draw, or None.
-    A draw left out of ``live`` leaves the history, and so does one whose
-    evaluation fails, with its error in ``errors``.  The one-draw history,
-    ``_Nodes(radius, nome, scales, f, dden, cap)``, raises that error, and
-    its ``at(n)`` returns the table {s: (G, G reflected)} of its rings, with
-    the values G[-k mod n] at w^{-k}, its dden ring or None, and its samples
-    or None.
+    ``draws`` holds per draw its nome, the scales of its gamma rings, each
+    held once in the order of :func:`_scale_rows`, and a pointwise f or None
+    (for every draw of a block alike); ``dden`` asks for the dden ring of
+    :func:`_theta_rings` of every draw.  ``rows(n, live)`` returns, on the
+    grid z_k = radius w^k with w = exp(2 pi i / n), for the draws ``live``:
+    the draws held, in order; their gamma rings G[k] = Gamma(s w^k), one row
+    a scale, each draw's rows from its entry of ``starts``; their dden rings,
+    one row a draw, or None; and their samples f(z_k), one row a draw, or
+    None.  A draw left out of ``live`` leaves the history, and so does one
+    whose evaluation fails, with its first error in ``errors``.  ``one(n)``
+    reads the rows of a block of one, and raises its error.
 
     The first request, at n, evaluates the 2n-grid if 2n <= ``cap`` (else the
     n-grid alone) and answers from its even entries, so the request at 2n
@@ -272,29 +272,16 @@ class _Nodes:
     series order and fold.
     """
 
-    def __init__(self, radius: float, nome: NomePair | None = None, scales=(), f=None,
-                 dden: bool = False, cap: int = DEFAULT_NODE_CAP):
-        self.radius, self.nome, self.f, self.dden, self.cap = radius, nome, f, dden, cap
-        self.scales = list(dict.fromkeys(scales))
-        self.draws = [(nome, self.scales, f)]
-        self.errors = None
+    def __init__(self, radius: float, draws, dden: bool = False, cap: int = DEFAULT_NODE_CAP):
+        self.radius, self.dden, self.cap = radius, dden, cap
+        self.draws = [(nome, list(dict.fromkeys(scales)), f) for nome, scales, f in draws]
+        self.errors = {}
         self.size = self.first = 0
         self.held = None
         self.members = []
 
-    @classmethod
-    def block(cls, radius: float, draws, dden: bool = False, cap: int = DEFAULT_NODE_CAP):
-        """The history of a block of ``draws``, each (nome, scales, f)."""
-        nodes = cls(radius, dden=dden, cap=cap)
-        nodes.draws = [(nome, list(dict.fromkeys(scales)), f) for nome, scales, f in draws]
-        nodes.errors = {}
-        return nodes
-
     def drop(self, d: int, exc: Exception) -> None:
-        """End draw d with ``exc``, unless an earlier error ended it: the
-        one-draw history raises it."""
-        if self.errors is None:
-            raise exc
+        """End draw d with ``exc``, unless an earlier error ended it."""
         self.errors.setdefault(d, exc.with_traceback(None))
 
     def _evaluate(self, m: int, turned: bool) -> list:
@@ -320,13 +307,11 @@ class _Nodes:
             try:
                 dden = _theta_rings(m, self.radius, nomes, turned)
             except Exception:
-                if self.errors is None:
-                    raise
                 # one draw at a time, so that a draw whose series fails ends alone
                 dden = np.zeros((len(nomes), m), dtype=complex)
                 for i, (d, nome) in enumerate(zip(self.members, nomes)):
                     try:
-                        dden[i] = _theta_rings(m, self.radius, nome, turned)
+                        dden[i] = _theta_rings(m, self.radius, [nome], turned)[0]
                     except Exception as exc:
                         self.drop(d, exc)
         if self.draws[0][2] is not None:
@@ -342,7 +327,7 @@ class _Nodes:
     def _keep(self, live: list) -> None:
         """Reduce the draws held, and the values held, to those of ``live``
         that have not failed."""
-        members = [d for d in self.members if d in live and d not in (self.errors or ())]
+        members = [d for d in self.members if d in live and d not in self.errors]
         if members == self.members:
             return
         starts = dict(zip(self.members, np.cumsum([0] + [len(self.draws[d][1])
@@ -370,10 +355,20 @@ class _Nodes:
         starts = np.cumsum([0] + [len(self.draws[d][1]) for d in self.members])[:-1]
         return self.members, gamma, starts, dden, samples
 
-    def at(self, n: int):
-        _live, gamma, _starts, dden, samples = self.rows(n, [0])
-        rings = dict(zip(self.scales, zip(gamma, _reflect(gamma))))
-        return rings, None if dden is None else dden[0], None if samples is None else samples[0]
+    def one(self, n: int):
+        """The gamma rings, dden ring or None and samples or None of the one
+        draw of the history on the n-grid, as :meth:`rows` reads them; raises
+        the draw's error."""
+        live, gamma, _starts, dden, samples = self.rows(n, [0])
+        if not live:
+            raise self.errors[0]
+        return gamma, None if dden is None else dden[0], None if samples is None else samples[0]
+
+
+def _scale_rows(scales) -> dict:
+    """The row of each scale of ``scales`` among a draw's gamma rings in
+    :class:`_Nodes`, which holds each distinct scale once, first seen first."""
+    return {v: j for j, v in enumerate(dict.fromkeys(scales))}
 
 
 def circle_integral(f, grid: QuadratureGrid, rel_tol: float | None = None,
@@ -384,10 +379,10 @@ def circle_integral(f, grid: QuadratureGrid, rel_tol: float | None = None,
     until successive values agree, raising
     :class:`QuadratureConvergenceError` at the cap.
     """
-    nodes = _Nodes(grid.radius, f=f, cap=grid.n_nodes if rel_tol is None else max_nodes)
+    nodes = _Nodes(grid.radius, [(None, (), f)], cap=grid.n_nodes if rel_tol is None else max_nodes)
 
     def eval_at(n):
-        return 1.0, nodes.at(n)[2]
+        return 1.0, nodes.one(n)[2]
 
     if rel_tol is None:
         return complex(_trapezoid(*eval_at(grid.n_nodes))[0])
@@ -396,11 +391,13 @@ def circle_integral(f, grid: QuadratureGrid, rel_tol: float | None = None,
 
 def _offcenter_residue(f, center: complex, radius: float, rel_tol: float) -> complex:
     """(1 / 2 pi i) * integral of f(z) dz around a small positively oriented circle."""
-    nodes = _Nodes(radius, f=lambda step: np.asarray(f(center + step), dtype=complex) * step,
-                   cap=_RESIDUE_NODE_CAP)
+    def g(step):
+        return np.asarray(f(center + step), dtype=complex) * step
+
+    nodes = _Nodes(radius, [(None, (), g)], cap=_RESIDUE_NODE_CAP)
 
     def eval_at(n):
-        return 1 / (2j * math.pi), nodes.at(n)[2]
+        return 1 / (2j * math.pi), nodes.one(n)[2]
 
     return complex(_drive(eval_at, rel_tol, n0=_RESIDUE_N0, cap=_RESIDUE_NODE_CAP,
                           label="residue circle")[0])
@@ -545,27 +542,27 @@ def _reflect(ring: np.ndarray) -> np.ndarray:
     return np.concatenate([ring[..., :1], ring[..., :0:-1]], axis=-1)
 
 
-def _pair(ring: tuple) -> np.ndarray:
-    """P[m] = Gamma(s w^m) Gamma(s w^{-m}), the z^{+-1} pair factor of a table ring."""
-    return ring[0] * ring[1]
+def _pairs(gamma: np.ndarray, rows) -> np.ndarray:
+    """P[..., m] = Gamma(s w^m) Gamma(s w^{-m}), the z^{+-1} pair factors of
+    the rings ``gamma[rows]``."""
+    rings = gamma[rows]
+    return rings * _reflect(rings)
 
 
-def _theta_rings(n: int, radius: float, nome, turned: bool = False):
-    """dden[k] = theta(z_k^2; q) * theta(z_k^{-2}; p), the inverted 1/Gamma(z^{+-2})
-    on the grid z_k = r w^k, n even, or on the grid turned by exp(i pi / n).
-    z_k^2 = r^2 w^{2k} runs twice over the (n/2)-ring, turned alike, where
-    the ring series evaluates both thetas; z_k^{-2} is the reflection of that
-    ring, which on the turned ring maps point k to -k-1 and so reverses it.
-    At r = 1 both thetas vanish exactly at z_k^2 = 1.  For a list of nomes in
-    place of ``nome``, the (D, n) rings of them all, each row with the bits
-    of a call on its nome alone, from one call of the ring theta series
+def _theta_rings(n: int, radius: float, nomes: list, turned: bool = False) -> np.ndarray:
+    """dden[d, k] = theta(z_k^2; q) * theta(z_k^{-2}; p) for each nome of
+    ``nomes``, the inverted 1/Gamma(z^{+-2}) on the grid z_k = r w^k, n even,
+    or on the grid turned by exp(i pi / n).  z_k^2 = r^2 w^{2k} runs twice
+    over the (n/2)-ring, turned alike, where the ring series evaluates both
+    thetas; z_k^{-2} is the reflection of that ring, which on the turned ring
+    maps point k to -k-1 and so reverses it.  At r = 1 both thetas vanish
+    exactly at z_k^2 = 1.  Each row has the bits of a call on its nome
+    alone, and all come from one call of the ring theta series
     (:func:`_theta_ring_groups`, a group per nome)."""
-    nomes = [nome] if isinstance(nome, NomePair) else nome
     groups = [([radius**2, radius**-2], [v.q, v.p], v) for v in nomes]
     tq, tp = _theta_ring_groups(groups, n // 2, turned).reshape(-1, 2, n // 2).transpose(1, 0, 2)
     half = tq * (tp[:, ::-1] if turned else _reflect(tp))
-    both = np.concatenate([half, half], axis=-1)
-    return both[0] if nomes is not nome else both
+    return np.concatenate([half, half], axis=-1)
 
 
 def _kernel_scales(t: complex, x: complex, radius) -> tuple:
@@ -575,12 +572,13 @@ def _kernel_scales(t: complex, x: complex, radius) -> tuple:
     return (t * x * radius, t * x / radius, t * radius / x, t / (x * radius))
 
 
-def _kernel_from(rings: dict, t: complex, x: complex, radius: float) -> np.ndarray:
-    """K[k] = Gamma(t x z_k) Gamma(t x / z_k) Gamma(t z_k / x) Gamma(t / (x z_k))
+def _kernels(gamma: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """K[..., k] = Gamma(t x z_k) Gamma(t x / z_k) Gamma(t z_k / x) Gamma(t / (x z_k))
     for z_k = radius * w^k, multiplied left to right in that order, read from
-    a table of gamma rings that holds the four scales."""
-    (g_a, _), (_, g_b), (g_c, _), (_, g_d) = (rings[scale] for scale in _kernel_scales(t, x, radius))
-    return g_a * g_b * g_c * g_d
+    the gamma rings of the four scales of :func:`_kernel_scales`, rows
+    rows[..., 0..3] of ``gamma``, the 2nd and 4th reflected."""
+    return (gamma[rows[..., 0]] * _reflect(gamma[rows[..., 1]])
+            * gamma[rows[..., 2]] * _reflect(gamma[rows[..., 3]]))
 
 
 def _m_kernel_half(pair: np.ndarray):
@@ -638,17 +636,19 @@ def _m_single(t: complex, w: complex, n: int, radius: float, f, g_t2: complex,
     of the quadrature the pass belongs to, by default a fresh one that
     evaluates the n-grid alone; factors with equal scales share one ring, so
     at radius 1 two rings serve the kernel's four."""
+    scales = _kernel_scales(t, w, radius)
     if nodes is None:
-        nodes = _Nodes(radius, nome, _kernel_scales(t, w, radius), f, dden=True, cap=n)
-    rings, dden, vals = nodes.at(n)
-    return nome.kappa, _kernel_from(rings, t, w, radius) * dden * vals / g_t2
+        nodes = _Nodes(radius, [(nome, scales, f)], dden=True, cap=n)
+    gamma, dden, vals = nodes.one(n)
+    at = _scale_rows(scales)
+    return nome.kappa, _kernels(gamma, np.array([at[v] for v in scales])) * dden * vals / g_t2
 
 
 def _m_quadrature(t: complex, w: complex, f, radius: float, g_t2: complex, nome: NomePair,
                   rel_tol: float, label: str) -> tuple[complex, QuadratureInfo]:
     """[M(t) f](w) by adaptive trapezoid quadrature on the circle |z| = radius,
     given g_t2 = Gamma(t^2); returns (value, info)."""
-    nodes = _Nodes(radius, nome, _kernel_scales(t, w, radius), f, dden=True)
+    nodes = _Nodes(radius, [(nome, _kernel_scales(t, w, radius), f)], dden=True)
     val, info = _drive(lambda n: _m_single(t, w, n, radius, f, g_t2, nome, nodes), rel_tol,
                        label=label)
     return complex(val), info
@@ -730,8 +730,7 @@ def _drive_blocks(checks: list, out: list, make_eval, label: str) -> list:
             total += held[hi]
             hi += 1
         block = checks[lo:hi]
-        nodes = _Nodes.block(1.0, [(check.nome, check.scales, check.f) for check in block],
-                             dden=True)
+        nodes = _Nodes(1.0, [(check.nome, check.scales, check.f) for check in block], dden=True)
         drives = [None] * len(block)
         _stacked_drive(make_eval(block, nodes), drives, list(range(len(block))), block[0].rel_tol,
                        label=label)
@@ -742,13 +741,6 @@ def _drive_blocks(checks: list, out: list, make_eval, label: str) -> list:
             results.append(None if error is not None else drive)
         lo = hi
     return results
-
-
-def _pairs(gamma: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """P[..., m] = Gamma(s w^m) Gamma(s w^{-m}) for the rings ``gamma[rows]``:
-    :func:`_pair` on rows of a block's rings."""
-    rings = gamma[rows]
-    return rings * _reflect(rings)
 
 
 # --------------------------------------------------------------------------
@@ -794,7 +786,7 @@ def _beta_integral_checks(draws) -> list:
         except Exception as exc:
             out[d] = exc.with_traceback(None)
             continue
-        at = {v: j for j, v in enumerate(dict.fromkeys(ts))}
+        at = _scale_rows(ts)
         checks.append(_Quadrature(d, nome, ts, None, rel_tol, 1, [at[v] for v in ts]))
     _nome_products([check.nome for check in checks])
     done = [(check, drive) for check, drive in
@@ -926,7 +918,7 @@ def _star_triangle_checks(draws) -> list:
         except Exception as exc:
             out[d] = exc.with_traceback(None)
             continue
-        at = {v: j for j, v in enumerate(dict.fromkeys(scales))}
+        at = _scale_rows(scales)
         kernels = [[[at[v] for v in _kernel_scales(u, w, 1.0)] for w in spectators]
                    for u in (s, s * t)]
         checks.append(_Quadrature(d, nome, scales, alpha, rel_tol, 2 * m,
@@ -979,10 +971,8 @@ def _star_triangle_pass(block: list, nodes: _Nodes):
         # RHS: single quadrature of D(s; y, z) alpha with the M(st) kernel
         rhs_weighted = dden * pairs[:, 3] * pairs[:, 4] * alpha_vals
 
-        # one row per spectator and side: the M(s) and M(st) kernels at w,
-        # multiplied in _kernel_from's order
-        kern = (gamma[kernels[..., 0]] * _reflect(gamma[kernels[..., 1]])
-                * gamma[kernels[..., 2]] * _reflect(gamma[kernels[..., 3]]))
+        # one row per spectator and side: the M(s) and M(st) kernels at w
+        kern = _kernels(gamma, kernels)
         samples = np.concatenate([kern[:, 0] * lhs_weighted[:, None],
                                   kern[:, 1] * rhs_weighted[:, None]], axis=1)
         return live, [weights[d] for d in live], samples
@@ -1410,12 +1400,15 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
     # the outer M(1/t) quadrature of g = M(t) alpha, which each pass evaluates
     # at every node of its unit-circle grid; the rings of both kernels come
     # from one engine call per pass
-    nodes = _Nodes(1.0, nome, [*_kernel_scales(t_inv, w, 1.0), t], alpha, dden=True)
+    scales = [*_kernel_scales(t_inv, w, 1.0), t]
+    at = _scale_rows(scales)
+    kernel = np.array([at[v] for v in scales[:4]])
+    nodes = _Nodes(1.0, [(nome, scales, alpha)], dden=True)
 
     def eval_at(n):
-        rings, dden, alpha_vals = nodes.at(n)
-        g = _m_apply_grid(_pair(rings[t]), n, dden * alpha_vals, g_t2, nome)
-        return nome.kappa, _kernel_from(rings, t_inv, w, 1.0) * dden * g / g_inv2
+        gamma, dden, alpha_vals = nodes.one(n)
+        g = _m_apply_grid(_pairs(gamma, at[t]), n, dden * alpha_vals, g_t2, nome)
+        return nome.kappa, _kernels(gamma, kernel) * dden * g / g_inv2
 
     outer, info = _drive(eval_at, rel_tol, label="inversion outer")
     outer = complex(outer)

@@ -884,7 +884,7 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
     _fill_powers(powers)
     shifts = np.abs(k)
     n_shift = int(shifts.max())
-    _shift_table_guard(rings, n_shift, nome)
+    _shift_table_guard(rings * n, n_shift, nome)
     rows = 0
     if n_shift:
         # the shift factors' scales x u^j, j < |k|, on the masked (R, max|k|)
@@ -919,7 +919,8 @@ def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = Fals
     th_factors[sign < 0] = 1.0 / th_factors[sign < 0]
     shifted = np.flatnonzero(k)
     first = np.flatnonzero(np.r_[True, ring_of[1:] != ring_of[:-1]])
-    factors = np.multiply.reduceat(th_factors, first)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = np.multiply.reduceat(th_factors, first)
     over = np.isinf(out)
     if not over.any():
         out[shifted] *= factors

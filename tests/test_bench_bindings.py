@@ -47,8 +47,8 @@ def test_positions_the_tracer_reads():
 
 
 def test_ring_engine_arguments():
-    # no hook wraps the ring engine; contour's nodes and _gamma_vec both call
-    # the one engine, which takes (scales, n, nome) first
+    # no hook wraps the ring engine; contour's node histories call it, with
+    # (scales, n, nome) first, and _gamma_vec calls _gamma_groups, not it
     assert _names(special_functions._gamma_rings)[:3] == ["scales", "n", "nome"]
     assert contour._gamma_rings is special_functions._gamma_rings
 

@@ -349,9 +349,11 @@ class TestRingKernels:
         return [2 * passes[0]] + [n // 2 for n in passes[2:]]
 
     def _kernel_ring(self, t, x, n, radius):
-        """The kernel of ``_kernel_from`` on the n-grid alone, from one engine call."""
-        nodes = ct._Nodes(radius, self.NOME, ct._kernel_scales(t, x, radius), cap=n)
-        return ct._kernel_from(nodes.at(n)[0], t, x, radius)
+        """The kernel of ``_kernels`` on the n-grid alone, from one engine call."""
+        scales = ct._kernel_scales(t, x, radius)
+        gamma = ct._Nodes(radius, [(self.NOME, scales, None)], cap=n).one(n)[0]
+        at = ct._scale_rows(scales)
+        return ct._kernels(gamma, np.array([at[v] for v in scales]))
 
     def _pointwise(self, t, x, z):
         g = lambda v: elliptic_gamma(v, self.NOME)
@@ -374,7 +376,7 @@ class TestRingKernels:
 
     @staticmethod
     def _random_pair(rng, n):
-        """A pair ring g[m] g[-m] of a random complex ring g, built as _pair builds it."""
+        """A pair ring g[m] g[-m] of a random complex ring g, built as _pairs builds it."""
         g = rng.normal(size=(n, 2)) @ np.array([1.0, 1j])
         return g * ct._reflect(g)
 
@@ -402,7 +404,7 @@ class TestRingKernels:
     def test_grid_kernel_matches_pointwise_gamma(self):
         n = 16
         roots = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
-        pair = ct._pair(ct._Nodes(1.0, self.NOME, [self.T], cap=n).at(n)[0][self.T])
+        pair = ct._pairs(ct._Nodes(1.0, [(self.NOME, [self.T], None)], cap=n).one(n)[0], 0)
         (_rows, got), = ct._m_kernel_half(pair)
         assert relative_residual(got, self._pointwise(self.T, roots[:, None], roots[None, :])) < 1e-13
 
@@ -439,7 +441,7 @@ class TestRingKernels:
             tq, tp = special_functions._theta_ring([radius**2, radius**-2], n // 2,
                                                    [self.NOME.q, self.NOME.p], self.NOME)
             want = tq[idx] * tp[(-idx) % (n // 2)]
-            assert np.array_equal(ct._theta_rings(n, radius, self.NOME), want)
+            assert np.array_equal(ct._theta_rings(n, radius, [self.NOME])[0], want)
             pointwise = ct.theta(z * z, self.NOME.q) * ct.theta(z**-2, self.NOME.p)
             # normwise: at radius 1 both vanish at z = +-1, one of them only nearly
             assert np.max(np.abs(want - pointwise)) < 1e-13 * np.max(np.abs(pointwise))
@@ -532,16 +534,12 @@ class TestRingKernels:
 
 
 class TestNodeLadder:
-    """The node history of one quadrature, ``_Nodes``: the first request
-    evaluates twice its grid, each later one only the turned ring of new
-    nodes, and the interleaved values equal a direct evaluation of the grid."""
+    """The node history of the quadratures of a block of draws, ``_Nodes``:
+    the first request evaluates twice its grid, each later one only the
+    turned ring of new nodes, and the interleaved values equal a direct
+    evaluation of the grid; a one-draw quadrature is a block of one."""
 
-    @staticmethod
-    def _direct(nodes, n):
-        """The same quantities on the n-grid alone, from one engine call."""
-        return ct._Nodes(nodes.radius, nodes.nome, nodes.scales, nodes.f, nodes.dden, cap=n).at(n)
-
-    @pytest.mark.parametrize("nome, scales, radius", [
+    CASES = [
         (NomePair(0.08, 0.12), [0.45 * np.exp(0.7j), 0.9, 0.098 * np.exp(-0.3j)], 1.0),
         # complex nomes, scales shifted by up to four periods either way
         (NomePair(0.3 * np.exp(0.7j), 0.45 * np.exp(-1.2j)),
@@ -549,21 +547,56 @@ class TestNodeLadder:
         # the Cauchy inner circle, r^2 < |q|, at the nome of the slow shifts
         (NomePair(0.05, 0.8), [0.2, 1.4 * np.exp(1.1j), 14.3, 9e-3j], 0.5),
         (NomePair(0.2, 0.35 * np.exp(0.4j)), [0.6 * np.exp(-2.0j), 3.1], 1.3),
-    ])
+    ]
+
+    @staticmethod
+    def _f(z):
+        return z + 1 / z
+
+    @pytest.mark.parametrize("nome, scales, radius", CASES)
     def test_interleaved_rings_match_a_direct_call(self, nome, scales, radius):
-        nodes = ct._Nodes(radius, nome, scales, lambda z: z + 1 / z, dden=True)
+        draw = (nome, scales, self._f)
+        nodes = ct._Nodes(radius, [draw], dden=True)
         for n in (16, 32, 64, 128, 256):
-            rings, dden, samples = nodes.at(n)
-            want_rings, want_dden, want_samples = self._direct(nodes, n)
-            for scale in scales:
-                # the ring and its reflected read, entry by entry
-                for got, want in zip(rings[scale], want_rings[scale]):
-                    assert relative_residual(got, want) < 1e-13
+            gamma, dden, samples = nodes.one(n)
+            # the same quantities on the n-grid alone, from one engine call
+            want_gamma, want_dden, want_samples = ct._Nodes(radius, [draw], dden=True, cap=n).one(n)
+            assert gamma.shape == (len(scales), n)
+            for got, want in zip(gamma, want_gamma):
+                assert relative_residual(got, want) < 1e-13
             # normwise: at radius 1 the dden vanishes at z = +-1
             assert np.max(np.abs(dden - want_dden)) < 1e-13 * np.max(np.abs(want_dden))
             # a pointwise f sees the grid's own points, bit for bit
             assert np.array_equal(samples, want_samples)
         assert nodes.size == 256
+
+    @pytest.mark.parametrize("nome, scales, radius", CASES)
+    def test_a_draw_reads_alike_alone_and_in_a_block(self, nome, scales, radius):
+        # the middle draw of a block of three whose first draw fails on its
+        # first turned ring reads the rows it reads alone, bit for bit
+        calls = []
+
+        def failing(z):
+            calls.append(z.size)
+            if len(calls) > 1:
+                raise ValueError("the first draw fails")
+            return self._f(z)
+
+        draw = (nome, scales, self._f)
+        alone = ct._Nodes(radius, [draw], dden=True)
+        block = ct._Nodes(radius, [(NomePair(0.1, 0.2), [0.3, 0.6j], failing), draw,
+                                   (NomePair(0.2, 0.35 * np.exp(0.4j)), [3.1], self._f)],
+                          dden=True)
+        for n in (16, 32, 64, 128, 256):
+            live, gamma, starts, dden, samples = block.rows(n, [0, 1, 2])
+            assert live == ([0, 1, 2] if n <= 32 else [1, 2])
+            i = live.index(1)
+            got = gamma[starts[i] : starts[i] + len(scales)], dden[i], samples[i]
+            for got_rows, want_rows in zip(got, alone.one(n)):
+                assert np.array_equal(got_rows, want_rows)
+        assert calls == [32, 32]
+        assert list(block.errors) == [0]
+        assert str(block.errors[0]) == "the first draw fails"
 
     def test_offcenter_circle_matches_a_direct_evaluation(self, monkeypatch):
         # the integrand of a Cauchy excursion, on a circle about a reciprocal pole
@@ -698,31 +731,74 @@ class TestNodeLadder:
             return k, r
 
         monkeypatch.setattr(special_functions, "_annulus_shift", recording)
-        nodes = ct._Nodes(1.0, nome, scales)
+        nodes = ct._Nodes(1.0, [(nome, scales, None)])
         for n in (16, 32, 64, 128, 256, 512, 1024):
-            rings = nodes.at(n)[0]
+            gamma = nodes.one(n)[0]
         # the first grid, then the turned rings of 32 to 512 nodes
         assert len(shifts) == 6
         assert all(np.array_equal(k, shifts[0]) for k in shifts)
         assert list(shifts[0] == 0) == [True, False, True, False, False, False, False]
         # at their own sizes, the later grids would have left the last three unshifted
         assert not annulus_shift(log_moduli, nome, 1024)[0][-3:].any()
-        for scale in scales:
+        for ring, scale in zip(gamma, scales):
             want = special_functions._gamma_vec(scale * special_functions._roots(1024), nome)
-            assert relative_residual(rings[scale][0], want) < 1e-13
+            assert relative_residual(ring, want) < 1e-13
 
     def test_no_engine_point_beyond_the_cap(self, monkeypatch):
         seen = self._counted(monkeypatch)
         nome = NomePair(0.08, 0.12)
-        nodes = ct._Nodes(1.0, nome, [0.5], dden=True, cap=64)
+        nodes = ct._Nodes(1.0, [(nome, [0.5], None)], dden=True, cap=64)
 
         def eval_at(n):
-            rings, dden, _ = nodes.at(n)
-            return 1.0, ct._pair(rings[0.5]) * dden
+            gamma, dden, _ = nodes.one(n)
+            return 1.0, ct._pairs(gamma, 0) * dden
 
         with pytest.raises(QuadratureConvergenceError, match="integral did not converge by 64 nodes"):
             ct._drive(eval_at, 1e-10, n0=64, cap=64)
         assert seen["rings"] == [(1, 64)] and seen["dden"] == [64] and seen["passes"] == [64]
+
+
+class TestOneDrawBits:
+    """The one-draw quadratures that no campaign golden covers keep their
+    bits, recorded as float.hex before their node histories became blocks
+    of one."""
+
+    @staticmethod
+    def _hex(value):
+        value = complex(value)
+        return value.real.hex(), value.imag.hex()
+
+    def test_apply_M_at_two_radii(self):
+        got = apply_M(0.6, np.exp(0.4j), z_plus_inverse(), NomePair(0.08, 0.12), radius=0.8)
+        assert self._hex(got) == ("0x1.1917163758ab2p+0", "-0x1.48fd177756673p-53")
+        nome = NomePair(0.2 * np.exp(0.5j), 0.3 * np.exp(-0.9j))
+        got = apply_M(0.45 * np.exp(0.3j), np.exp(1.1j), z_plus_inverse(), nome)
+        assert self._hex(got) == ("0x1.b51297ff42d89p-2", "0x1.be745f038f04bp-5")
+
+    def test_m_inversion_check(self):
+        rep = m_inversion_check(0.4, np.exp(0.7j), z_plus_inverse(), NomePair(0.1, 0.15))
+        assert self._hex(rep.lhs) == ("0x1.87996529f9d94p+0", "0x1.0000000000000p-53")
+        assert rep.residual.hex() == "0x1.4eb5a669687cdp-52"
+        assert rep.settings["n_nodes"] == 128
+
+    def test_circle_integral_fixed_and_adaptive(self):
+        f = lambda z: np.exp(z) / (1.0 - 0.2 * z) + 1.0 / z**2
+        got = circle_integral(f, QuadratureGrid(1.0, 64))
+        assert self._hex(got) == ("-0x1.46b9c347764a4p-52", "0x1.921fb54442d16p+2")
+        got = circle_integral(f, QuadratureGrid(0.6, 16), rel_tol=1e-12)
+        assert self._hex(got) == ("-0x1.921fb54442d18p-54", "0x1.921fb54442d17p+2")
+
+    def test_check_residues(self):
+        rng = np.random.default_rng(5)
+        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        got = designated_poles(0.7, 3, 0.5, coeffs).check_residues(rel_tol=1e-9)
+        assert got.hex() == "0x1.045a1bb33b0e0p-52"
+
+    def test_deformation_conditioning(self):
+        nome = NomePair(0.05, 0.8)
+        alpha = designated_poles(0.9, 1, nome.q, [1.3 - 0.4j, 0.2 + 0.7j])
+        got = ct.deformation_conditioning(alpha, 0.05, np.exp(0.3j), None, nome)
+        assert got.hex() == "0x1.d0b71d0ca4ff2p-44"
 
 
 class TestStarTriangle:

@@ -513,7 +513,8 @@ class TestGammaAgainstDoubleProduct:
         start = time.perf_counter()
         with pytest.raises(TruncationLimitError, match="theta shift factors need a 14 x 37885 table"):
             _gamma_vec(z, nome)
-        with pytest.raises(TruncationLimitError, match="theta shift factors need a 14 x 37885 table"):
+        # the ring engine counts ring points, 14 rings of 16
+        with pytest.raises(TruncationLimitError, match="theta shift factors need a 224 x 37885 table"):
             _gamma_rings(z, 16, nome)
         assert time.perf_counter() - start < 1.0
         # the group fails alone in a pass, and one point stays under the cap
@@ -523,6 +524,25 @@ class TestGammaAgainstDoubleProduct:
         assert isinstance(out[0], TruncationLimitError)
         assert _bits(out[1]) == _bits(_gamma_vec(*other))
         assert out[2].shape == (1,)
+
+    def test_a_near_unit_ring_shift_table_raises_without_a_warning(self):
+        # the beta draw (0.9, 0.9, 0.9 e^{0.5i}, 0.9, 0.9) at p = 0.99999: its
+        # 3 scales on the 128-ring need 384 x 24122 shift factors, past
+        # MAX_TERMS; the rings x max|k| count of 3 x 24122 let them through,
+        # to NaN on every ring and overflow warnings in the shift products
+        import time
+
+        nome = NomePair(0.99999, 0.5)
+        ts = [0.9, 0.9, 0.9 * np.exp(0.5j), 0.9, 0.9]
+        scales = np.array(list(dict.fromkeys(
+            [complex(v) for v in ts] + [complex(nome.p * nome.q / np.prod(ts))])))
+        assert scales.size == 3
+        start = time.perf_counter()
+        with pytest.raises(TruncationLimitError, match="need a 384 x 24122 table"):
+            _gamma_rings(scales, 128, nome)
+        with pytest.raises(TruncationLimitError, match="need a 384 x 24122 table"):
+            contour.elliptic_beta_integral(*ts, nome)
+        assert time.perf_counter() - start < 0.1
 
     def test_shifts_under_the_cap_keep_their_bits(self):
         # 4 points x 5817 shifts at p = 0.9999, whose shift factors take
@@ -1233,7 +1253,7 @@ class TestThetaRings:
         # rounded nodes of the pointwise side move it by eps / gap
         assume(_theta_gap(z * z, nome.q) > 1e-2 and (p == 0 or _theta_gap(z**-2, nome.p) > 1e-2))
         want = theta(z * z, nome.q) * theta(z**-2, nome.p)
-        got = contour._theta_rings(n, radius, nome)
+        got = contour._theta_rings(n, radius, [nome])[0]
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     @_PROPERTY
@@ -1246,7 +1266,7 @@ class TestThetaRings:
         z = radius * _ring(n, turned=True)
         assume(all(_theta_gap(w, v) > 1e-2 for w, v in ((z * z, nome.q), (z**-2, nome.p)) if v != 0))
         want = theta(z * z, nome.q) * theta(z**-2, nome.p)
-        got = contour._theta_rings(n, radius, nome, turned=True)
+        got = contour._theta_rings(n, radius, [nome], turned=True)[0]
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     @_PROPERTY
@@ -1255,7 +1275,7 @@ class TestThetaRings:
         # the inverted 1/Gamma(z^{+-2}) vanishes exactly at z^2 = 1, z = +-1
         nome = NomePair(p, q)
         assert _theta_ring([1.0], n, [nome.q], nome)[0, 0] == 0
-        dden = contour._theta_rings(n, 1.0, nome)
+        dden = contour._theta_rings(n, 1.0, [nome])[0]
         assert dden[0] == 0 and dden[n // 2] == 0
         assert np.all(dden[1 : n // 2] != 0)
 
