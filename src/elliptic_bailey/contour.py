@@ -58,6 +58,7 @@ inversion check and both circles of the deformation check; its pass
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -250,9 +251,9 @@ class _Nodes:
     the draws held, in order; their gamma rings G[k] = Gamma(s w^k), one row
     a scale, each draw's rows from its entry of ``starts``; their dden rings,
     one row a draw, or None; and their samples f(z_k), one row a draw, or
-    None.  A draw left out of ``live`` leaves the history, and so does one
-    whose evaluation fails, with its first error in ``errors``.  ``one(n)``
-    reads the rows of a block of one, and raises its error.
+    None.  A draw leaves the history when left out of ``live``, or at its
+    first failure, an engine error or a ring that is not finite, kept in
+    ``errors`` and unseen by later reads.  ``one(n)`` reads a block of one.
 
     The first request, at n, evaluates the 2n-grid if 2n <= ``cap`` (else the
     n-grid alone) and answers from its even entries, so the request at 2n
@@ -284,42 +285,58 @@ class _Nodes:
         """End draw d with ``exc``, unless an earlier error ended it."""
         self.errors.setdefault(d, exc.with_traceback(None))
 
+    def _starts(self) -> list:
+        """The first gamma-ring row of each draw held, then the rows' count."""
+        return [0, *itertools.accumulate(len(self.draws[d][1]) for d in self.members)]
+
     def _evaluate(self, m: int, turned: bool) -> list:
         """[gamma rings, dden, samples] of the draws held on the m-grid, or on
         the m-grid turned by c = exp(i pi / m), whose points are the odd nodes
-        of the 2m-grid; the entries of a draw whose evaluation fails hold
-        nothing, and its first error is recorded."""
-        counts = [len(self.draws[d][1]) for d in self.members]
-        gamma = np.empty((sum(counts), m), dtype=complex)
-        row = 0
-        for d, count in zip(self.members, counts):
-            nome, scales, _f = self.draws[d]
-            if count:
+        of the 2m-grid; the entries of a draw that fails hold nothing, and its
+        first error is recorded; a ring that is not finite is tested after
+        the theta call, so that engine errors come first."""
+        starts = self._starts()
+        gamma = np.empty((starts[-1], m), dtype=complex)
+        dden = samples = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d, lo, hi in zip(self.members, starts, starts[1:]):
+                nome, scales, _f = self.draws[d]
                 try:
-                    gamma[row : row + count] = _gamma_rings(np.array(scales, dtype=complex), m,
-                                                            nome, turned, self.first)
+                    if hi > lo:
+                        gamma[lo:hi] = _gamma_rings(np.array(scales, dtype=complex), m, nome,
+                                                    turned, self.first)
                 except Exception as exc:
                     self.drop(d, exc)
-            row += count
-        dden = samples = None
-        if self.dden:
-            nomes = [self.draws[d][0] for d in self.members]
-            try:
-                dden = _theta_rings(m, self.radius, nomes, turned)
-            except Exception:
-                # one draw at a time, so that a draw whose series fails ends alone
-                dden = np.zeros((len(nomes), m), dtype=complex)
-                for i, (d, nome) in enumerate(zip(self.members, nomes)):
-                    try:
-                        dden[i] = _theta_rings(m, self.radius, [nome], turned)[0]
-                    except Exception as exc:
-                        self.drop(d, exc)
+            if self.dden:
+                dden = np.zeros((len(self.members), m), dtype=complex)
+                standing = [i for i, d in enumerate(self.members) if d not in self.errors]
+                nomes = [self.draws[self.members[i]][0] for i in standing]
+                try:
+                    if standing:
+                        dden[standing] = _theta_rings(m, self.radius, nomes, turned)
+                except Exception:
+                    # one draw at a time, so that a draw whose series fails ends alone
+                    for i, nome in zip(standing, nomes):
+                        try:
+                            dden[i] = _theta_rings(m, self.radius, [nome], turned)[0]
+                        except Exception as exc:
+                            self.drop(self.members[i], exc)
+        # float views test both parts at half the cost of a complex test
+        if not (np.isfinite(gamma.view(float)).all()
+                and (dden is None or np.isfinite(dden.view(float)).all())):
+            for i, (d, lo, hi) in enumerate(zip(self.members, starts, starts[1:])):
+                bad = np.flatnonzero(~np.isfinite(gamma[lo:hi]).all(axis=1))
+                ring = (f"Gamma on the ring of scale {complex(self.draws[d][1][bad[0]])}" if bad.size
+                        else f"1/Gamma(z^+-2) on the ring |z| = {self.radius}")
+                if bad.size or (dden is not None and not np.isfinite(dden[i]).all()):
+                    self.drop(d, DegenerateParameterError(f"{ring} is not finite at n = {m}"))
         if self.draws[0][2] is not None:
             points = self.radius * _ring(m, turned)
             samples = np.zeros((len(self.members), m), dtype=complex)
             for i, d in enumerate(self.members):
                 try:
-                    samples[i] = self.draws[d][2](points)
+                    if d not in self.errors:
+                        samples[i] = self.draws[d][2](points)
                 except Exception as exc:
                     self.drop(d, exc)
         return [gamma, dden, samples]
@@ -327,15 +344,13 @@ class _Nodes:
     def _keep(self, live: list) -> None:
         """Reduce the draws held, and the values held, to those of ``live``
         that have not failed."""
-        members = [d for d in self.members if d in live and d not in self.errors]
-        if members == self.members:
+        keep = [i for i, d in enumerate(self.members) if d in live and d not in self.errors]
+        if len(keep) == len(self.members):
             return
-        starts = dict(zip(self.members, np.cumsum([0] + [len(self.draws[d][1])
-                                                         for d in self.members]).tolist()))
-        rows = [r for d in members for r in range(starts[d], starts[d] + len(self.draws[d][1]))]
-        keep = [self.members.index(d) for d in members]
+        starts = self._starts()
+        rows = [r for i in keep for r in range(starts[i], starts[i + 1])]
         self.held = [self.held[0][rows], *(None if v is None else v[keep] for v in self.held[1:])]
-        self.members = members
+        self.members = [self.members[i] for i in keep]
 
     def rows(self, n: int, live: list):
         if self.held is None:
@@ -352,8 +367,7 @@ class _Nodes:
             self._keep(live)
         step = self.size // n
         gamma, dden, samples = (None if v is None else v[..., ::step] for v in self.held)
-        starts = np.cumsum([0] + [len(self.draws[d][1]) for d in self.members])[:-1]
-        return self.members, gamma, starts, dden, samples
+        return self.members, gamma, np.array(self._starts()[:-1], dtype=int), dden, samples
 
     def one(self, n: int):
         """The gamma rings, dden ring or None and samples or None of the one
@@ -867,7 +881,8 @@ def _star_triangle_checks(draws) -> list:
     nome, rel_tol, tolerance, margin), evaluated together: per draw its
     report, with the bits :func:`star_triangle_residual` gives it alone, or
     the error it raises, the first in the check's order (the constraints,
-    the fixed gamma values, kappa, then the quadrature).
+    the fixed gamma values, of which one zero or not finite is an error,
+    kappa, then the quadrature).
 
     The grid-independent values Gamma(t^2), Gamma(s^2), Gamma((st)^2) and
     D(t; y, w) per spectator come from one gamma pass, a group per draw; the
@@ -894,7 +909,7 @@ def _star_triangle_checks(draws) -> list:
         ready.append((d, s, t, y, spectators))
         groups.append((np.array([t * t, s * s, (s * t) ** 2]
                                 + [v for w in spectators for v in _d_args(t, y, w, nome)]), nome))
-    fixed_values = _gamma_groups(groups)
+    fixed_values = _gamma_groups(groups, "the star-triangle check")
     _nome_products([draws[d][5] for (d, *_rest), fixed in zip(ready, fixed_values)
                     if not isinstance(fixed, Exception)])
     checks = []

@@ -55,10 +55,11 @@ after the shift theta(v z; v) = -z^{-1} theta(z; v) into
 
 with the factor 1 - y e kept pointwise, so the zeros on |z| = 1 stay exact.
 The gamma engine adds the series of the shift thetas of its shifted rings to
-its own table before the fold, and ``_theta_ring_groups`` serves the thetas
-of the contour grids, each group of rings with its own nome, series order
-and fold, so that a block of quadratures takes its grids' thetas from one
-call; no ring evaluates a product.  Every pointwise product
+its own table before the fold, and ``_theta_ring_groups``, the one entry
+point of the ring theta, serves the thetas of the contour grids, each group
+of rings with its own nome, series order and fold, in one fold loop over
+the table heights, so that a block of quadratures takes its grids' thetas
+from one call; no ring evaluates a product.  Every pointwise product
 prod_{j<J} (1 - x b^j) comes from one kernel, ``_qpoch_rows``: rows, each
 with its own base and order, read off a running product in blocks of at
 most ``_PASS_BYTES``, so that a row's value does not depend on the rows
@@ -772,52 +773,35 @@ def _theta_series(groups, n: int, turned: bool = False):
     return terms, np.array(consts), factors, orders
 
 
-def _theta_ring(scales, n: int, bases, nome: NomePair, turned: bool = False) -> np.ndarray:
-    """theta(s_i e_j; v_i) for the scales s_i = scales[i], the points e_j of
-    the n-ring (:func:`_ring`, turned or not) and the bases v_i = bases[i] in
-    {p, q} of ``nome``, as an (R, n) array: :func:`_theta_ring_groups` on one
-    group."""
-    return _theta_ring_groups([(scales, bases, nome)], n, turned)
-
-
 def _theta_ring_groups(groups, n: int, turned: bool = False) -> np.ndarray:
-    """:func:`_theta_ring` on groups ``(scales, bases, nome)``, each with its
-    own nome, as one (sum R_g, n) array of the groups' rows in order, each
-    row with the bits of a call on its group alone: the series of
-    :func:`_theta_series`, each group to its own order, summed by one DFT
-    of :func:`_fold_rings`, times its pointwise factors.  A group's table
-    holds its rows m <= M_g, zero-padded to a multiple of n, and the fold
-    adds its blocks of n rows pairwise, whose bits depend on their count;
-    so the groups of one table height share a fold, where each column is
-    folded and transformed as it is alone."""
+    """theta(s_i e_j; v_i) on groups ``(scales, bases, nome)``, for the scales
+    s_i of a group, each with its base v_i in {p, q} of the group's nome, on
+    the n-ring e_j (:func:`_ring`, turned or not): one (sum R_g, n) array of
+    the groups' rows in order, each with the bits of a call on its group
+    alone.  Group g's series (:func:`_theta_series`) fills rows m <= M_g of a
+    table zero-padded to a multiple of n, whose fold (:func:`_fold_rings`)
+    adds its blocks of n rows pairwise, with bits that depend on their
+    count; so each run of groups of one table height shares a fold."""
     terms, const, factors, orders = _theta_series(groups, n, turned)
-    if len(set(orders)) == 1:
-        return _theta_fold(terms, const, factors, n, turned)
-    order = np.repeat(orders, [np.size(group[0]) for group in groups])
-    heights = -(-(order + 1) // n) * n
+    # the halves m > 0 and m < 0 of each column side by side
+    terms = terms.reshape(terms.shape[0], 2, -1)
+    first = [0, *itertools.accumulate(np.size(group[0]) for group in groups)]
     out = np.empty(factors.shape, dtype=complex)
-    for height in sorted(set(heights.tolist())):
-        cols = np.flatnonzero(heights == height)
-        both = np.concatenate([cols, order.size + cols])
-        rows = min(height - 1, terms.shape[0])
-        out[cols] = _theta_fold(np.where(np.arange(rows)[:, None] < order[both % order.size],
-                                         terms[:rows, both], 0.0),
-                                const[cols], factors[cols], n, turned, height)
+    for height, run in itertools.groupby(range(len(groups)),
+                                         key=lambda g: -(-(orders[g] + 1) // n) * n):
+        run = list(run)
+        lo, hi = first[run[0]], first[run[-1] + 1]
+        rows = max(orders[g] for g in run)
+        table = np.zeros((height, 2, hi - lo), dtype=complex)
+        table[1 : rows + 1] = terms[:rows, :, lo:hi]
+        for g in run:
+            # each group to its own order: its rows m > M_g hold zeros
+            table[orders[g] + 1 : rows + 1, :, first[g] - lo : first[g + 1] - lo] = 0.0
+        log = _fold_rings(table.reshape(height, -1), n, turned).T
+        del table
+        log += const[lo:hi, None]
+        out[lo:hi] = factors[lo:hi] * np.exp(log)
     return out
-
-
-def _theta_fold(terms, const, factors, n: int, turned: bool, height: int | None = None):
-    """factors * exp(const + the fold of rows m = 1.. of a zero-padded table
-    holding ``terms``, ``height`` rows, by default the fewest multiple of n
-    past them): :func:`_theta_ring_groups` on the columns of one table."""
-    if height is None:
-        height = -(-(terms.shape[0] + 1) // n) * n
-    table = np.zeros((height, terms.shape[1]), dtype=complex)
-    table[1 : terms.shape[0] + 1] = terms
-    log = _fold_rings(table, n, turned).T
-    del table
-    log += const[:, None]
-    return factors * np.exp(log)
 
 
 def _gamma_rings(scales: np.ndarray, n: int, nome: NomePair, turned: bool = False,

@@ -362,6 +362,27 @@ class TestVerify:
         assert all(r["error"].startswith("TruncationLimitError: theta shift factors need a 14 x ")
                    for r in reports)
 
+    # next to the unit circle a check's gamma rings overflow (beta) or its
+    # fixed gamma values leave the double range (star-triangle); each draw
+    # ends at once with a library error, with no warning, where the rings
+    # ran to the node cap and the fixed values divided by zero
+    @pytest.mark.parametrize("argv, error", [
+        (("beta-integral", "--q", "0.999"),
+         "DegenerateParameterError: Gamma on the ring of scale "),
+        (("star-triangle", "--q", "0.9999"), "DegenerateParameterError: Gamma("),
+    ], ids=["beta-integral", "star-triangle"])
+    def test_a_near_unit_campaign_ends_each_draw_with_a_library_error(self, capsys, argv, error):
+        import time
+
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", *argv, "--draws", "3", "--seed", "1", "--json")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert err == ""
+        reports = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert len(reports) == 3
+        assert all(r["error"].startswith(error) for r in reports)
+
     # each quadrature keeps its node history for one integral only; a history
     # that leaked into the next draw or the next run would show here
     @pytest.mark.parametrize("identity", ["star-triangle", "cauchy-deformation", "beta-integral",

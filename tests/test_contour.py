@@ -34,6 +34,7 @@ from elliptic_bailey.errors import (
     EllipticBaileyError,
     PoleProximityError,
     QuadratureConvergenceError,
+    TruncationLimitError,
 )
 from elliptic_bailey.report import relative_residual
 from elliptic_bailey.special_functions import NomePair, elliptic_gamma, elliptic_pochhammer
@@ -438,8 +439,8 @@ class TestRingKernels:
         for n, radius in ((64, 1.0), (128, 0.83), (2, 1.2)):
             z = radius * np.exp(2j * np.pi * np.arange(n) / n)
             idx = np.arange(n) % (n // 2)
-            tq, tp = special_functions._theta_ring([radius**2, radius**-2], n // 2,
-                                                   [self.NOME.q, self.NOME.p], self.NOME)
+            tq, tp = special_functions._theta_ring_groups(
+                [([radius**2, radius**-2], [self.NOME.q, self.NOME.p], self.NOME)], n // 2)
             want = tq[idx] * tp[(-idx) % (n // 2)]
             assert np.array_equal(ct._theta_rings(n, radius, [self.NOME])[0], want)
             pointwise = ct.theta(z * z, self.NOME.q) * ct.theta(z**-2, self.NOME.p)
@@ -571,9 +572,10 @@ class TestNodeLadder:
         assert nodes.size == 256
 
     @pytest.mark.parametrize("nome, scales, radius", CASES)
-    def test_a_draw_reads_alike_alone_and_in_a_block(self, nome, scales, radius):
+    def test_a_draw_reads_alike_alone_and_in_a_block(self, nome, scales, radius, monkeypatch):
         # the middle draw of a block of three whose first draw fails on its
-        # first turned ring reads the rows it reads alone, bit for bit
+        # first turned ring, in f or in its gamma rings, reads the rows it
+        # reads alone, bit for bit
         calls = []
 
         def failing(z):
@@ -582,21 +584,87 @@ class TestNodeLadder:
                 raise ValueError("the first draw fails")
             return self._f(z)
 
-        draw = (nome, scales, self._f)
+        draw, bad = (nome, scales, self._f), NomePair(0.1, 0.2)
+        third = (NomePair(0.2, 0.35 * np.exp(0.4j)), [3.1], self._f)
         alone = ct._Nodes(radius, [draw], dden=True)
-        block = ct._Nodes(radius, [(NomePair(0.1, 0.2), [0.3, 0.6j], failing), draw,
-                                   (NomePair(0.2, 0.35 * np.exp(0.4j)), [3.1], self._f)],
-                          dden=True)
-        for n in (16, 32, 64, 128, 256):
-            live, gamma, starts, dden, samples = block.rows(n, [0, 1, 2])
-            assert live == ([0, 1, 2] if n <= 32 else [1, 2])
-            i = live.index(1)
-            got = gamma[starts[i] : starts[i] + len(scales)], dden[i], samples[i]
-            for got_rows, want_rows in zip(got, alone.one(n)):
-                assert np.array_equal(got_rows, want_rows)
+        want = {n: alone.one(n) for n in (16, 32, 64, 128, 256)}
+
+        def read(block):
+            for n in want:
+                live, gamma, starts, dden, samples = block.rows(n, [0, 1, 2])
+                assert live == ([0, 1, 2] if n <= 32 else [1, 2])
+                i = live.index(1)
+                got = gamma[starts[i] : starts[i] + len(scales)], dden[i], samples[i]
+                for got_rows, want_rows in zip(got, want[n]):
+                    assert np.array_equal(got_rows, want_rows)
+            assert list(block.errors) == [0]
+
+        block = ct._Nodes(radius, [(bad, [0.3, 0.6j], failing), draw, third], dden=True)
+        read(block)
         assert calls == [32, 32]
-        assert list(block.errors) == [0]
         assert str(block.errors[0]) == "the first draw fails"
+
+        # the draw whose rings fail leaves before its pass's theta call and f
+        rings, theta_rings = ct._gamma_rings, ct._theta_rings
+        thetas = []
+
+        def failing_rings(ring_scales, n, ring_nome, turned=False, fit=None):
+            if ring_nome is bad and turned:
+                raise TruncationLimitError("the first draw's rings fail")
+            return rings(ring_scales, n, ring_nome, turned, fit)
+
+        def recording(n, ring_radius, nomes, turned=False):
+            thetas.append((turned, list(nomes)))
+            return theta_rings(n, ring_radius, nomes, turned)
+
+        monkeypatch.setattr(ct, "_gamma_rings", failing_rings)
+        monkeypatch.setattr(ct, "_theta_rings", recording)
+        calls.clear()
+        block = ct._Nodes(radius, [(bad, [0.3, 0.6j], failing), draw, third], dden=True)
+        read(block)
+        assert calls == [32]
+        assert thetas == [(False, [bad, nome, third[0]])] + [(True, [nome, third[0]])] * 3
+        assert str(block.errors[0]) == "the first draw's rings fail"
+
+    def test_a_failed_ring_ends_a_one_draw_quadrature_before_f(self, monkeypatch):
+        # a one-draw apply_M whose gamma rings raise samples f nowhere, and
+        # makes no theta call
+        def failing_rings(*args):
+            raise TruncationLimitError("the rings fail")
+
+        seen = []
+        monkeypatch.setattr(ct, "_gamma_rings", failing_rings)
+        monkeypatch.setattr(ct, "_theta_rings", lambda *args: seen.append("dden"))
+        with pytest.raises(TruncationLimitError, match="the rings fail"):
+            apply_M(0.6, np.exp(0.4j), lambda z: seen.append(z.size) or z + 1 / z,
+                    NomePair(0.08, 0.12), radius=0.8)
+        assert seen == []
+
+    def test_a_ring_that_is_not_finite_ends_its_draw_alone(self, monkeypatch):
+        # an overflowed ring is its draw's DegenerateParameterError, naming
+        # its scale, raised after the pass's theta call; the other draws of
+        # the block read their rows as alone
+        rings = ct._gamma_rings
+        nome, scales, radius = self.CASES[0]
+        bad = NomePair(0.1, 0.2)
+
+        def overflowing(ring_scales, n, ring_nome, turned=False, fit=None):
+            out = rings(ring_scales, n, ring_nome, turned, fit)
+            if ring_nome is bad:
+                out[1, 3] = np.inf
+            return out
+
+        want = ct._Nodes(radius, [(nome, scales, self._f)], dden=True).one(64)
+        monkeypatch.setattr(ct, "_gamma_rings", overflowing)
+        block = ct._Nodes(radius, [(bad, [0.3, 0.6j], self._f), (nome, scales, self._f)],
+                          dden=True)
+        live, gamma, starts, dden, samples = block.rows(64, [0, 1])
+        assert live == [1]
+        for got_rows, want_rows in zip((gamma, dden[0], samples[0]), want):
+            assert np.array_equal(got_rows, want_rows)
+        error = block.errors[0]
+        assert isinstance(error, DegenerateParameterError)
+        assert str(error) == "Gamma on the ring of scale 0.6j is not finite at n = 128"
 
     def test_offcenter_circle_matches_a_direct_evaluation(self, monkeypatch):
         # the integrand of a Cauchy excursion, on a circle about a reciprocal pole

@@ -33,7 +33,7 @@ from elliptic_bailey.special_functions import (
     _roots,
     _series_order,
     _shift_nomes,
-    _theta_ring,
+    _theta_ring_groups,
     _truncation_order,
 )
 
@@ -1202,8 +1202,9 @@ def _theta_nome(v, which):
 
 
 class TestThetaRings:
-    """_theta_ring, the ring series of theta, against pointwise theta and the
-    mpmath Laurent series, each ring to 1e-13 of its largest value."""
+    """_theta_ring_groups on one group, the ring series of theta, against
+    pointwise theta and the mpmath Laurent series, each ring to 1e-13 of its
+    largest value."""
 
     @_PROPERTY
     @given(data=st.data(), v=_theta_bases, which=st.sampled_from("pq"), n=_ring_sizes,
@@ -1211,7 +1212,7 @@ class TestThetaRings:
     def test_matches_pointwise(self, data, v, which, n, count):
         nome, v = _theta_nome(v, which)
         scales = data.draw(_theta_scales(v, count))
-        got = _theta_ring(scales, n, [v] * count, nome)
+        got = _theta_ring_groups([(scales, [v] * count, nome)], n)
         want = theta(scales[:, None] * _roots(n), v)
         assert got.shape == (count, n)
         assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * np.max(np.abs(want), axis=1))
@@ -1223,7 +1224,7 @@ class TestThetaRings:
         # the ring turned by exp(i pi / n); at n = 1 its one point is -s
         nome, v = _theta_nome(v, which)
         scales = data.draw(_theta_scales(v, count))
-        got = _theta_ring(scales, n, [v] * count, nome, turned=True)
+        got = _theta_ring_groups([(scales, [v] * count, nome)], n, turned=True)
         want = theta(scales[:, None] * _ring(n, turned=True), v)
         assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * np.max(np.abs(want), axis=1))
 
@@ -1233,10 +1234,24 @@ class TestThetaRings:
     def test_matches_the_series_oracle(self, data, v, which, n, j):
         nome, v = _theta_nome(v, which)
         (scale,) = data.draw(_theta_scales(v, 1))
-        ring = _theta_ring([scale], n, [v], nome)[0]
+        ring = _theta_ring_groups([([scale], [v], nome)], n)[0]
         scale_max = np.max(np.abs(theta(scale * _roots(n), v)))
         want = oracles.theta_series(scale * _roots(n)[j % n], v, n_max=120)
         assert abs(ring[j % n] - want) < 1e-13 * scale_max
+
+    @_PROPERTY
+    @given(data=st.data(), bases=st.lists(_theta_bases, min_size=2, max_size=5),
+           n=st.sampled_from([2, 3, 8, 64]), turned=st.booleans())
+    def test_a_group_reads_alike_alone_and_among_others(self, data, bases, n, turned):
+        # groups of several series orders, and so of table heights in any
+        # order, share one call; each row has the bits of its group alone
+        groups = []
+        for v in bases:
+            nome, v = _theta_nome(v, data.draw(st.sampled_from("pq")))
+            groups.append((data.draw(_theta_scales(v, 2)), [v, v], nome))
+        got = _theta_ring_groups(groups, n, turned)
+        alone = np.concatenate([_theta_ring_groups([group], n, turned) for group in groups])
+        assert np.array_equal(got, alone)
 
     @_PROPERTY
     @given(q=_theta_bases, p=_theta_bases, n=st.sampled_from([2, 4, 16, 64, 256]),
@@ -1274,7 +1289,7 @@ class TestThetaRings:
     def test_exact_zeros_at_radius_one(self, q, p, n):
         # the inverted 1/Gamma(z^{+-2}) vanishes exactly at z^2 = 1, z = +-1
         nome = NomePair(p, q)
-        assert _theta_ring([1.0], n, [nome.q], nome)[0, 0] == 0
+        assert _theta_ring_groups([([1.0], [nome.q], nome)], n)[0, 0] == 0
         dden = contour._theta_rings(n, 1.0, [nome])[0]
         assert dden[0] == 0 and dden[n // 2] == 0
         assert np.all(dden[1 : n // 2] != 0)
