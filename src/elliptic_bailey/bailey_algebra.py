@@ -37,6 +37,7 @@ from .special_functions import (
     theta_pochhammer_sequence,  # unused here; perfbench/tracing.py wraps this binding
     _PASS_BYTES,
     _guarded_pochhammer,
+    _one,
 )
 
 __all__ = [
@@ -122,9 +123,9 @@ class DiscreteParams:
     Construction is the one-draw case of :meth:`stack`, which builds the
     draws of a campaign chunk together, each with the bits it has alone.  A
     factor under ``THETA_GUARD`` rejects the parameter set
-    (:class:`DegenerateParameterError`).  Entries that overflow come out
-    non-finite without a warning; the sampler's conditioning cap rejects
-    them.
+    (:class:`DegenerateParameterError`).  Entries that overflow or divide by
+    zero come out non-finite without a warning; the sampler's conditioning
+    cap rejects them.
     """
 
     a: complex
@@ -137,9 +138,7 @@ class DiscreteParams:
     nome: NomePair
 
     def __post_init__(self):
-        (error,) = _build([self])
-        if error is not None:
-            raise error
+        _one(_build([self]))
 
     @classmethod
     def stack(cls, drafts: list, cap: float | None = None) -> list:
@@ -228,7 +227,7 @@ def _build(drafts: list, cap: float | None = None) -> list:
         live.append(s)
     if live:
         step = _block_draws(drafts[live[0]].N)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for lo in range(0, len(live), step):
                 at = live[lo : lo + step]
                 for s, error in zip(at, _build_block([drafts[s] for s in at], cap)):
@@ -403,10 +402,7 @@ def build_M(N: int, a, k, nome: NomePair) -> BaileyMatrix:
     = 0 raises :class:`DomainError`.  It is the one-draw case of
     :func:`_stacked_build_M`.
     """
-    (out,) = _stacked_build_M(N, [(a, k, nome)])
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return _one(_stacked_build_M(N, [(a, k, nome)]))
 
 
 def _stacked_build_M(N: int, draws) -> list:

@@ -20,8 +20,8 @@ one call of the ring theta series, whose pointwise factor keeps them exactly
 0 at z = +-1 on the unit circle.  No ring evaluates a theta product; the
 off-centre residue circles, which are not rings about 0, use the pointwise
 ``_kernel_at`` and its products.  A check's gamma values off its grid come
-from one call: of ``_nonzero_finite_gamma`` where it divides by them (a zero
-or infinite one raises), else of ``_gamma_vec``.  Cauchy keeps Gamma(t^2)
+from one ``_gamma_vec`` call; a check that divides by them passes a
+``where``, so that a zero or infinite one raises.  Cauchy keeps Gamma(t^2)
 out of its residue sum's kernel call, a term up to 1e9 |I_T| whose bits set
 floor-level residuals.
 
@@ -81,7 +81,7 @@ from .special_functions import (
     _gamma_vec,
     _guarded_pochhammer,
     _nome_products,
-    _nonzero_finite_gamma,
+    _one,
     _ring,
     _theta_ring_groups,
 )
@@ -158,8 +158,7 @@ def _trapezoid(weight, samples: np.ndarray):
     * sum(samples) of each row of ``samples`` (shape (..., n)), and the scale
     2 pi max over rows of |weight| mean|samples| that sets the rounding floor;
     :func:`_trapezoids` on one draw."""
-    ((value, scale),) = _trapezoids([weight], samples[None])
-    return value, scale
+    return _one(_trapezoids([weight], samples[None]))
 
 
 def _trapezoids(weights, samples: np.ndarray) -> list:
@@ -193,9 +192,7 @@ def _drive(eval_at, rel_tol: float, n0: int = DEFAULT_N0, cap: int = DEFAULT_NOD
         return live, [weight], samples[None]
 
     _stacked_drive(stacked, out, [0], rel_tol, n0, cap, label)
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+    return _one(out)
 
 
 def _stacked_drive(eval_at, out: list, live: list, rel_tol: float, n0: int = DEFAULT_N0,
@@ -275,7 +272,7 @@ class _Nodes:
 
     def __init__(self, radius: float, draws, dden: bool = False, cap: int = DEFAULT_NODE_CAP):
         self.radius, self.dden, self.cap = radius, dden, cap
-        self.draws = [(nome, list(dict.fromkeys(scales)), f) for nome, scales, f in draws]
+        self.draws = [(nome, list(_scale_rows(scales)), f) for nome, scales, f in draws]
         self.errors = {}
         self.size = self.first = 0
         self.held = None
@@ -380,8 +377,8 @@ class _Nodes:
 
 
 def _scale_rows(scales) -> dict:
-    """The row of each scale of ``scales`` among a draw's gamma rings in
-    :class:`_Nodes`, which holds each distinct scale once, first seen first."""
+    """The row of each scale of ``scales`` among a draw's gamma rings: each
+    distinct scale once, first seen first, the order :class:`_Nodes` holds."""
     return {v: j for j, v in enumerate(dict.fromkeys(scales))}
 
 
@@ -682,7 +679,7 @@ def apply_M(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         raise ConstraintViolationError(
             f"contour |z| = {radius} does not separate kernel poles: |t w^+-1| max = {top:.4f}"
         )
-    g_t2 = complex(_nonzero_finite_gamma([t * t], nome, "apply_M")[0])
+    g_t2 = complex(_gamma_vec(np.array([t * t], dtype=complex), nome, "apply_M")[0])
     return _m_quadrature(t, w, alpha, radius, g_t2, nome, rel_tol, "apply_M")[0]
 
 
@@ -702,14 +699,6 @@ def d_factor(s, y, w, nome: NomePair) -> complex:
 # --------------------------------------------------------------------------
 # quadrature checks a block of draws at a time
 # --------------------------------------------------------------------------
-
-def _one(outs: list):
-    """The report of a pass over one draw, or its error, raised."""
-    (out,) = outs
-    if isinstance(out, Exception):
-        raise out
-    return out
-
 
 class _Quadrature(NamedTuple):
     """The unit-circle quadrature of check d of a round: its nome, the scales
@@ -1045,7 +1034,7 @@ def deformation_conditioning(alpha: SymmetricTestFunction, t, x, inner_radius: f
     """
     t, x = complex(t), complex(x)
     inner_radius = _deformation_radii(alpha, t, x, inner_radius)[2]
-    g_t2 = complex(_nonzero_finite_gamma([t * t], nome, "the deformation probe")[0])
+    g_t2 = complex(_gamma_vec(np.array([t * t], dtype=complex), nome, "the deformation probe")[0])
     _, scale_in = _trapezoid(*_m_single(t, x, _PROBE_NODES, inner_radius, alpha, g_t2, nome))
     i_t, _ = _trapezoid(*_m_single(t, x, _PROBE_NODES, 1.0, alpha, g_t2, nome))
     residue_term = 4j * math.pi * nome.kappa * _residue_sum(alpha, t, x, g_t2, nome)
@@ -1081,7 +1070,7 @@ def contour_deformation_check(alpha: SymmetricTestFunction, t, x, inner_radius: 
             f"{inner_radius:.3f} < min|pole| = {pole_lo:.3f} and max|pole| < 1"
         )
 
-    g_t2 = complex(_nonzero_finite_gamma([t * t], nome, "the deformation check")[0])
+    g_t2 = complex(_gamma_vec(np.array([t * t], dtype=complex), nome, "the deformation check")[0])
     i_t, info_t = _m_quadrature(t, x, alpha, 1.0, g_t2, nome, rel_tol, "deformation integral")
     i_c, info_c = _m_quadrature(t, x, alpha, inner_radius, g_t2, nome, rel_tol,
                                 "deformation integral")
@@ -1145,7 +1134,8 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
     t = t_sign * q ** (-N / 2.0) if N else complex(t_sign)
     tx2 = (t * x) ** 2
     points = [x**-2, x**-2 / (t * t)]
-    g_num, g_den = _nonzero_finite_gamma(points, nome, "the finite-difference prefactor")
+    g_num, g_den = _gamma_vec(np.array(points, dtype=complex), nome,
+                              "the finite-difference prefactor")
     # at N = 0, t^2 = 1 and the two points are one: the prefactor is exactly
     # 1, which Python's complex v / v is not for every v
     pre = 1.0 if points[0] == points[1] else complex(g_num) / complex(g_den)
@@ -1189,9 +1179,10 @@ def finite_difference_oracle(x, f, nome: NomePair, eps: float,
             raise ConstraintViolationError(
                 f"{label} = {val:.4f} outside the single-escape window (1, {lim:.3f})"
             )
-    g_t2, *g = (complex(v) for v in _nonzero_finite_gamma(
+    g_t2, *g = (complex(v) for v in _gamma_vec(np.array(
         [t * t, t * t * x * x, x**-2, (t * x) ** 2, (t * x) ** -2,
-         x * x, t * t / (x * x), (t / x) ** 2, (t / x) ** -2], nome, "the fd oracle"))
+         x * x, t * t / (x * x), (t / x) ** 2, (t / x) ** -2], dtype=complex),
+        nome, "the fd oracle"))
     quad = _m_quadrature(t, x, f, 1.0, g_t2, nome, rel_tol, "fd oracle")[0]
     corr_tx = g[0] * g[1] / (g[2] * g[3]) * f(t * x)
     corr_tox = g[4] * g[5] / (g[6] * g[7]) * f(t / x)
@@ -1391,8 +1382,9 @@ def m_inversion_check(t, w, alpha: SymmetricTestFunction, nome: NomePair,
         raise ConstraintViolationError("alpha must be analytic in a wide annulus")
 
     t_inv = 1.0 / t
-    g_t2, g_inv2, g_w2, g_wm2, g_tw2, g_twm2 = (complex(v) for v in _nonzero_finite_gamma(
-        [t * t, t_inv * t_inv, w**2, w**-2, t * t * w**2, t * t / w**2], nome, "inversion"))
+    g_t2, g_inv2, g_w2, g_wm2, g_tw2, g_twm2 = (complex(v) for v in _gamma_vec(np.array(
+        [t * t, t_inv * t_inv, w**2, w**-2, t * t * w**2, t * t / w**2], dtype=complex),
+        nome, "inversion"))
 
     def g_cont(xstar, head_is_recip):
         """g(xstar) = [M(t) alpha](xstar) at a correction point where one

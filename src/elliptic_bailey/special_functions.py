@@ -42,13 +42,14 @@ Whatever sets a value's bits stays per group (the pole guard, the series and
 theta orders, the series gemv and the sum of the shift logs), so a group's
 values have the bits of a pass on it alone, and a group that fails returns
 its error without failing the others; the elementwise work runs across the
-groups.  ``_gamma_vec`` and ``_nonzero_finite_gamma`` are its one-group
-call.  On a ring of n > 1 points every log-series folds mod n and one DFT
-sums it.  With
-``turned`` the same engine takes the rings turned by exp(i pi / n), the nodes
-a nested quadrature adds at each doubling, with the turn folded into the
-series exactly.  Theta on a ring has its own log-series, ``_theta_series``:
-after the shift theta(v z; v) = -z^{-1} theta(z; v) into
+groups.  ``_gamma_vec`` is its one-group call, which raises the group's
+error, and with a ``where`` also that of a value that is zero or not
+finite.  On a ring of n > 1 points every log-series folds mod n and one DFT
+sums it.  With ``turned`` the same engine takes the rings turned by
+exp(i pi / n), the nodes a nested quadrature adds at each doubling, with
+the turn folded into the series exactly.  Theta on a ring has its own
+log-series, ``_theta_series``: after the shift
+theta(v z; v) = -z^{-1} theta(z; v) into
 |v|^{1/2} <= |y| <= |v|^{-1/2},
 
     log theta(y e; v) = log(1 - y e) - sum_{m>=1} v^m ((y e)^m + (y e)^{-m}) / (m (1 - v^m)),
@@ -281,7 +282,11 @@ def theta(z, p):
     if p == 0.0:
         out = 1.0 - z_arr
         return out if z_arr.ndim else complex(out)
-    out = _theta_raw(z_arr, p)
+    # both products (z; p)_J and (p/z; p)_J from one call on the stacked
+    # points, at the one order J that serves every point, multiplied in z's
+    # shape (at 0-d, as two numpy scalars)
+    both = _qpoch_rows(np.array((z_arr, p / z_arr)), [p], 0, theta_truncation_order(z_arr, p))
+    out = both[0] * both[1]
     return out if z_arr.ndim else complex(out)
 
 
@@ -290,16 +295,6 @@ def theta_truncation_order(z, p) -> int:
     one order serves them all, from the largest of |z| and |p/z| over them."""
     z = np.abs(np.asarray(z, dtype=complex))
     return _qpoch_order(abs(p), float(np.maximum(z, abs(p) / z).max()))
-
-
-def _theta_raw(z: np.ndarray, p: complex) -> np.ndarray:
-    """theta(z; p) for nonzero z of any shape and 0 < |p| < 1, without
-    argument checks: both products (z; p)_J and (p/z; p)_J from one
-    :func:`_qpoch_rows` call on the stacked points, at the one truncation
-    order J (:func:`theta_truncation_order`) that serves every point, and
-    multiplied in z's shape (at 0-d, as two numpy scalars)."""
-    both = _qpoch_rows(np.array((z, p / z)), [p], 0, theta_truncation_order(z, p))
-    return both[0] * both[1]
 
 
 def _theta_pass(draws) -> list:
@@ -313,7 +308,7 @@ def _theta_pass(draws) -> list:
     Every value has the bits of the scalar call, :func:`theta` or
     :func:`qpochhammer_inf`: each row keeps the order and the factors the
     scalar call takes, and each theta is the Python complex product of its
-    two halves, as :func:`_theta_raw` multiplies two numpy scalars (numpy's
+    two halves, as :func:`theta` multiplies two numpy scalars (numpy's
     product of complex arrays rounds apart)."""
     z = np.array([entry[0] for entry in draws], dtype=complex)
     nomes = [entry[1] for entry in draws]
@@ -626,15 +621,21 @@ def _pole_guard(z: np.ndarray, az: np.ndarray, nome: NomePair) -> None:
         )
 
 
-def _gamma_vec(z: np.ndarray, nome: NomePair) -> np.ndarray:
-    """Gamma(z; p, q) on a flat complex array: :func:`_gamma_groups` on one
-    group, raising its error.  A group's values have the same bits whatever
-    groups share its pass, so this call and a draw's group in a chunk pass
-    agree bit for bit."""
-    (out,) = _gamma_groups([(z, nome)])
+def _one(outs: list):
+    """The one entry of a pass over one item: its value, or its error, raised."""
+    (out,) = outs
     if isinstance(out, Exception):
         raise out
     return out
+
+
+def _gamma_vec(z: np.ndarray, nome: NomePair, where: str | None = None) -> np.ndarray:
+    """Gamma(z; p, q) on a flat complex array: :func:`_gamma_groups` on one
+    group, raising its error, with ``where`` also that of a value that is
+    zero or not finite.  A group's values have the same bits whatever
+    groups share its pass, so this call and a draw's group in a chunk pass
+    agree bit for bit."""
+    return _one(_gamma_groups([(z, nome)], where))
 
 
 def _fold_rings(table: np.ndarray, n: int, turned: bool = False) -> np.ndarray:
@@ -989,37 +990,38 @@ def _gamma_groups(groups, where: str | None = None) -> list:
     traceback, which would hold the pass's arrays until the garbage
     collector broke its cycle.
     """
-    if where is not None:
-        # a value that is zero or not finite is the group's error, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _gamma_groups(groups)
-        done = [g for g, values in enumerate(out) if isinstance(values, np.ndarray)]
-        if done:
-            values = np.concatenate([out[g] for g in done])
-            if not (np.isfinite(values).all() and values.all()):
-                for g in done:
-                    out[g] = _nonzero_finite_error(np.ravel(groups[g][0]), out[g], where) or out[g]
-        return out
     out = [None] * len(groups)
     live = []  # (index, z, |z|, nome, u, v) of the groups past the guard
-    for g, (z, nome) in enumerate(groups):
-        z = np.asarray(z, dtype=complex).ravel()
-        az = np.abs(z)
-        try:
-            if not az.all():
-                raise DomainError("elliptic gamma is undefined at z = 0")
-            _pole_guard(z[None], az[None], nome)
-        except EllipticBaileyError as exc:
-            # kept as a value, without the frames of the pass its traceback holds
-            out[g] = exc.with_traceback(None)
-            continue
-        u, v = _shift_nomes(nome)
-        if u == 0:
-            out[g] = 1.0 / (1.0 - z)
-        else:
-            live.append((g, z, az, nome, u, v))
-    if live:
-        _gamma_series(live, out)
+    # with ``where``, a value that is zero or not finite is the group's
+    # error, not a warning; without, errstate's None leaves numpy's state
+    quiet = None if where is None else "ignore"
+    with np.errstate(over=quiet, invalid=quiet):
+        for g, (z, nome) in enumerate(groups):
+            z = np.asarray(z, dtype=complex).ravel()
+            az = np.abs(z)
+            try:
+                if not az.all():
+                    raise DomainError("elliptic gamma is undefined at z = 0")
+                _pole_guard(z[None], az[None], nome)
+            except EllipticBaileyError as exc:
+                # kept as a value, without the frames of the pass its traceback holds
+                out[g] = exc.with_traceback(None)
+                continue
+            u, v = _shift_nomes(nome)
+            if u == 0:
+                out[g] = 1.0 / (1.0 - z)
+            else:
+                live.append((g, z, az, nome, u, v))
+        if live:
+            _gamma_series(live, out)
+    if where is None:
+        return out
+    done = [g for g, values in enumerate(out) if isinstance(values, np.ndarray)]
+    if done:
+        values = np.concatenate([out[g] for g in done])
+        if not (np.isfinite(values).all() and values.all()):
+            for g in done:
+                out[g] = _nonzero_finite_error(np.ravel(groups[g][0]), out[g], where) or out[g]
     return out
 
 
@@ -1141,7 +1143,7 @@ def _shift_log_block(live, z, sigma, k, shifts, widths, bounds, out) -> np.ndarr
     counts from the block's first point.
 
     Each group's products theta(y; v) = (y; v)_J (v/y; v)_J run to its own
-    order J, taken over its own factors as :func:`_theta_raw` takes it: one
+    order J, taken over its own factors as :func:`theta` takes it: one
     :func:`_qpoch_rows` call per half, with one base and one order per row."""
     one = len(live) == 1
     steps = np.arange(max(widths))
@@ -1259,20 +1261,6 @@ def elliptic_gamma(z, nome: NomePair):
         raise DegenerateParameterError(f"Gamma({complex(flat[i])}) = {complex(out[i])} is not finite")
     out = out.reshape(z_arr.shape)
     return out if z_arr.ndim else complex(out)
-
-
-def _nonzero_finite_gamma(points, nome: NomePair, where: str) -> np.ndarray:
-    """Gamma(z; p, q) at a flat array of points, for a check that divides by
-    its values: a value that underflows to zero or overflows raises
-    :class:`DegenerateParameterError` naming the first such point and
-    ``where``, instead of warning."""
-    points = np.asarray(points, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _gamma_vec(points, nome)
-    error = _nonzero_finite_error(points, values, where)
-    if error is not None:
-        raise error
-    return values
 
 
 def _pochhammer_grid(bases, lengths, q) -> tuple[np.ndarray, np.ndarray]:

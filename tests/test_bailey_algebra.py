@@ -862,6 +862,23 @@ class TestStackedBuild:
         assert str(capped[7]) == "conditioning amplification nan is over the cap 1e+05"
         assert sum(isinstance(params, DiscreteParams) for params in capped) > 20
 
+    def test_a_near_unit_draw_that_divides_by_zero_is_capped_without_a_warning(self):
+        # the draft that attempt 35 of draw 0 of `verify matrix-bailey --N 8
+        # --p 0.99 --draws 2 --seed 1` samples: the denominator of an M entry
+        # is zero in double precision, and the NaN amplification that follows
+        # is over the cap; under the suite's error::RuntimeWarning filter, a
+        # divide warning would end the sampling pass instead
+        draft = dict(a=0.23165471702912976 + 0.5841027642284143j,
+                     k=-0.1487766694982681 + 0.6558110923815014j,
+                     t_tilde=0.7962367188590679 + 0.01380328973408047j,
+                     b=0.28261275974775973 - 0.19924205459361116j,
+                     c=0.822655515759257 + 0.0253074380023866j,
+                     y=0.6178727104904334 - 0.20641291578571178j,
+                     N=8, nome=NomePair(0.99, 0.3824616846475081))
+        (capped,) = DiscreteParams.stack([draft], 1e5)
+        assert isinstance(capped, DegenerateParameterError)
+        assert str(capped) == "conditioning amplification nan is over the cap 1e+05"
+
     def test_drafts_of_several_N_or_other_fields_are_refused(self):
         # a block is built at its first draw's N, so a draw of another N
         # would get another size's tables; a missing field would surface

@@ -425,7 +425,7 @@ class TestEval:
         used = set()
 
         def recording(x, bases, at, orders):
-            if sys._getframe(1).f_code.co_name in ("_theta_raw", "_guarded_pochhammer"):
+            if sys._getframe(1).f_code.co_name in ("theta", "_guarded_pochhammer"):
                 used.add(orders)
             return rows(x, bases, at, orders)
 

@@ -1172,7 +1172,7 @@ class TestResidueMatrixBridge:
 
         monkeypatch.setattr(special_functions, "_gamma_rings", gamma_spy)
         monkeypatch.setattr(ct, "_gamma_rings", gamma_spy)
-        monkeypatch.setattr(special_functions, "_gamma_groups", pointwise_spy)
+        monkeypatch.setattr(ct, "_gamma_groups", pointwise_spy)
         monkeypatch.setattr(ct, "_guarded_pochhammer", count("pochhammer", ct._guarded_pochhammer))
         monkeypatch.setattr(bailey_algebra, "_guarded_pochhammer",
                             count("build_M", bailey_algebra._guarded_pochhammer))
@@ -1298,6 +1298,24 @@ class TestStackedResidueChecks:
         draws = self._random_draws(N, 12, seed=47 + N)
         got = self._pass(draws)
         assert got == self._pass(draws[::-1])[::-1] == [_check_alone(draw) for draw in draws]
+
+    def test_a_checked_gamma_call_enters_the_engine_once(self, monkeypatch):
+        # the group counts of every pointwise engine call, through either
+        # binding: a call with ``where`` runs the engine's body once
+        calls = []
+        engine = special_functions._gamma_groups
+
+        def spy(groups, *args):
+            calls.append(len(groups))
+            return engine(groups, *args)
+
+        for module in (special_functions, ct):
+            monkeypatch.setattr(module, "_gamma_groups", spy)
+        ct._residue_reduction_checks([_residue_draw(NomePair(0.1, 0.4), 0.49, 0.3, 2)])
+        assert calls == [1]
+        calls.clear()
+        apply_M(0.3, 1.0, constant_one(), NomePair(0.1, 0.3))
+        assert calls == [1]
 
     def test_a_pass_takes_one_N(self):
         nome = NomePair(0.1, 0.4)

@@ -43,8 +43,8 @@ def _gamma_value_fault(monkeypatch, eps):
         scales = np.asarray(scales, dtype=complex)
         return out * (1 + eps * scales[:, None] * special_functions._ring(n, turned))
 
-    def faulty_pointwise(z, nome):
-        return pointwise(z, nome) * (1 + eps * np.asarray(z, dtype=complex))
+    def faulty_pointwise(z, nome, where=None):
+        return pointwise(z, nome, where) * (1 + eps * np.asarray(z, dtype=complex))
 
     for module in (special_functions, contour):
         monkeypatch.setattr(module, "_gamma_rings", faulty_rings)
@@ -68,16 +68,16 @@ def _oracle_value_fault(index):
     (0: Gamma(t^2); 1-4 and 5-8: the values of its two residue corrections)
     times 1 + eps; the other eight are left alone."""
     def fault(monkeypatch, eps):
-        merged = contour._nonzero_finite_gamma
+        merged = contour._gamma_vec
 
-        def faulty(points, nome, where):
+        def faulty(points, nome, where=None):
             values = merged(points, nome, where)
             if where == "the fd oracle":
                 values = values.copy()
                 values[index] *= 1 + eps
             return values
 
-        monkeypatch.setattr(contour, "_nonzero_finite_gamma", faulty)
+        monkeypatch.setattr(contour, "_gamma_vec", faulty)
 
     return fault
 

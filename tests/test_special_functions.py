@@ -1448,7 +1448,7 @@ class TestGammaGroups:
         assert _bits(_gamma_vec(z, nome)) == _bits(1.0 / (1.0 - z))
         # a zero or overflowing value rejects the call
         with pytest.raises(DegenerateParameterError, match="here"):
-            special_functions._nonzero_finite_gamma([0.5, 1e-20], NomePair(0.2, 0.3), "here")
+            _gamma_vec([0.5, 1e-20], NomePair(0.2, 0.3), "here")
 
 
 # the nome moduli of the theta pass: |b| <= 0.95, log-uniform from 1e-10,
