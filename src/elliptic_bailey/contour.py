@@ -58,6 +58,7 @@ inversion check and both circles of the deformation check; its pass
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -870,8 +871,9 @@ def _star_triangle_checks(draws) -> list:
     nome, rel_tol, tolerance, margin), evaluated together: per draw its
     report, with the bits :func:`star_triangle_residual` gives it alone, or
     the error it raises, the first in the check's order (the constraints,
-    the fixed gamma values, of which one zero or not finite is an error,
-    kappa, then the quadrature).
+    the fixed gamma values, of which one zero or not finite is an error, as
+    is a product D(t; y, w) of them that overflows, with
+    :class:`DegenerateParameterError`, kappa, then the quadrature).
 
     The grid-independent values Gamma(t^2), Gamma(s^2), Gamma((st)^2) and
     D(t; y, w) per spectator come from one gamma pass, a group per draw; the
@@ -902,32 +904,38 @@ def _star_triangle_checks(draws) -> list:
     _nome_products([draws[d][5] for (d, *_rest), fixed in zip(ready, fixed_values)
                     if not isinstance(fixed, Exception)])
     checks = []
-    for (d, s, t, y, spectators), fixed in zip(ready, fixed_values):
-        if isinstance(fixed, Exception):
-            out[d] = fixed
-            continue
-        alpha, nome, rel_tol = draws[d][4:7]
-        g_t2, g_s2, g_st2 = (complex(v) for v in fixed[:3])
-        d_t = np.prod(fixed[3:].reshape(-1, 4), axis=1)
-        # pair scales of D(st; y, z) and D(s; y, z), then the spectator kernels'
-        root = complex(np.sqrt(complex(nome.p * nome.q)))
-        pair_scales = (t, root * y / (s * t), root / (y * s * t), root * y / s, root / (y * s))
-        scales = list(pair_scales)
-        for w in spectators:
-            scales += [*_kernel_scales(s, w, 1.0), *_kernel_scales(s * t, w, 1.0)]
-        # row weights of the spectators' M(s) rows, then of their M(st) rows
-        m = len(spectators)
-        try:
-            weights = np.concatenate([np.full(m, nome.kappa / g_s2), d_t * nome.kappa / g_st2])
-        except Exception as exc:
-            out[d] = exc.with_traceback(None)
-            continue
-        at = _scale_rows(scales)
-        kernels = [[[at[v] for v in _kernel_scales(u, w, 1.0)] for w in spectators]
-                   for u in (s, s * t)]
-        checks.append(_Quadrature(d, nome, scales, alpha, rel_tol, 2 * m,
-                                  (g_t2, weights, [at[v] for v in pair_scales], kernels,
-                                   (s, t, y, spectators))))
+    # D(t; y, w), a product of four gamma values, may overflow; the draw's check ends it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (d, s, t, y, spectators), fixed in zip(ready, fixed_values):
+            if isinstance(fixed, Exception):
+                out[d] = fixed
+                continue
+            alpha, nome, rel_tol = draws[d][4:7]
+            g_t2, g_s2, g_st2 = (complex(v) for v in fixed[:3])
+            d_t = np.prod(fixed[3:].reshape(-1, 4), axis=1)
+            # pair scales of D(st; y, z) and D(s; y, z), then the spectator kernels'
+            root = complex(np.sqrt(complex(nome.p * nome.q)))
+            pair_scales = (t, root * y / (s * t), root / (y * s * t), root * y / s, root / (y * s))
+            scales = list(pair_scales)
+            for w in spectators:
+                scales += [*_kernel_scales(s, w, 1.0), *_kernel_scales(s * t, w, 1.0)]
+            # row weights of the spectators' M(s) rows, then of their M(st) rows
+            m = len(spectators)
+            try:
+                for w, value in zip(spectators, d_t.tolist()):
+                    if not cmath.isfinite(value):
+                        raise DegenerateParameterError(
+                            f"D(t; y, w) = {value} at w = {w} is not finite")
+                weights = np.concatenate([np.full(m, nome.kappa / g_s2), d_t * nome.kappa / g_st2])
+            except Exception as exc:
+                out[d] = exc.with_traceback(None)
+                continue
+            at = _scale_rows(scales)
+            kernels = [[[at[v] for v in _kernel_scales(u, w, 1.0)] for w in spectators]
+                       for u in (s, s * t)]
+            checks.append(_Quadrature(d, nome, scales, alpha, rel_tol, 2 * m,
+                                      (g_t2, weights, [at[v] for v in pair_scales], kernels,
+                                       (s, t, y, spectators))))
     results = _drive_blocks(checks, out, _star_triangle_pass, "star-triangle")
     for (d, nome, _scales, alpha, rel_tol, rows, data), result in zip(checks, results):
         if result is None:
@@ -1122,8 +1130,10 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
 
     For N = 0 this is exactly f(x) (t_sign = +1) or f(-x) (t_sign = -1).
     Raises :class:`DegenerateParameterError` when a denominator factor
-    theta(q^{j+1}; p) or theta(q^{j+1} x^2; p), j < N, is under the guard, or
-    when a gamma value of the prefactor underflows to zero or overflows.
+    theta(q^{j+1}; p) or theta(q^{j+1} x^2; p), j < N, is under the guard,
+    when a gamma value of the prefactor underflows to zero or overflows, or
+    when the sum is not finite (its theta products overflow near |p| = 1), as
+    :func:`bailey_algebra.build_M` does for an entry that overflows.
     """
     if t_sign not in (1, -1):
         raise DomainError("t_sign must be +1 or -1")
@@ -1141,16 +1151,21 @@ def finite_difference_M(N: int, t_sign: int, x, f, nome: NomePair) -> complex:
     pre = 1.0 if points[0] == points[1] else complex(g_num) / complex(g_den)
     # rows theta(z q^j; p): the guarded denominators theta(q)_k and theta(q x^2)_k,
     # theta(t^2)_k, and theta(tx^2 q^j), j <= 2N, whose even entries are the shifts
-    factors, poch = _guarded_pochhammer([q, q * x * x, t * t, tx2], [N, N, N, 2 * N + 1], nome,
-                                        2, "a finite-difference denominator")
-    num, den = poch[2, : N + 1] * poch[3, : N + 1], poch[0, : N + 1] * poch[1, : N + 1]
-    k = np.arange(N + 1)
-    th_shift = factors[3, ::2]
-    ratio = th_shift / th_shift[0]
-    ratio[0] = 1.0
-    f_vals = np.array([f(t * q**j * x) for j in range(N + 1)], dtype=complex)
-    terms = ratio * num / den * f_vals / (t ** (4 * k) * x ** (2 * k) * q ** (k * k))
-    return pre * complex(np.sum(terms))
+    # products and ratios may overflow near |p| = 1; only a sum that is not finite is an error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        factors, poch = _guarded_pochhammer([q, q * x * x, t * t, tx2], [N, N, N, 2 * N + 1],
+                                            nome, 2, "a finite-difference denominator")
+        num, den = poch[2, : N + 1] * poch[3, : N + 1], poch[0, : N + 1] * poch[1, : N + 1]
+        k = np.arange(N + 1)
+        th_shift = factors[3, ::2]
+        ratio = th_shift / th_shift[0]
+        ratio[0] = 1.0
+        f_vals = np.array([f(t * q**j * x) for j in range(N + 1)], dtype=complex)
+        terms = ratio * num / den * f_vals / (t ** (4 * k) * x ** (2 * k) * q ** (k * k))
+        total = complex(np.sum(terms))
+    if not cmath.isfinite(total):
+        raise DegenerateParameterError(f"finite_difference_M(N={N}, x={x}): the sum is {total}")
+    return pre * total
 
 
 def finite_difference_oracle(x, f, nome: NomePair, eps: float,

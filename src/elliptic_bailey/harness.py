@@ -1,16 +1,17 @@
 """Randomized verification campaigns.
 
 A campaign draws admissible parameters for one identity family, runs the
-check per draw, and collects :class:`VerificationReport` records.  Every
-identity is sampled the same way: a chunk of draws at a time by one retry
-loop (:func:`_sample_until`), each draw on its own generator, and each
-draw's sampled values are handed to the identity's runner.  The seed fully
-determines the draw sequence: per-draw generators are spawned from
-pre-generated sub-seeds, so reports are bit-reproducible and independent of
-chunking and execution order.  Sampling and every chunk pass run in the
-calling thread; only the runner calls may run on a thread pool, and the
-residue-reduction, star-triangle and beta-integral runners only return the
-report their chunk pass made.
+check per draw, and collects :class:`VerificationReport` records.  An
+identity's one record (``_IDENTITY``) holds its facts and its sampling
+passes, and every identity is sampled the same way: a chunk of draws at a
+time by one retry loop (:func:`_sample_draws`), each draw on its own
+generator, and each draw's sampled values are handed to the identity's
+runner.  The seed fully determines the draw sequence: per-draw generators
+are spawned from pre-generated sub-seeds (:func:`_sub_seeds`), so reports
+are bit-reproducible and independent of chunking and execution order.
+Sampling and every chunk pass run in the calling thread; only the runner
+calls may run on a thread pool, and the residue-reduction, star-triangle
+and beta-integral runners only return the report their chunk pass made.
 """
 
 from __future__ import annotations
@@ -51,14 +52,26 @@ __all__ = ["IDENTITIES", "CampaignConfig", "CampaignSummary", "run_campaign", "s
 
 @dataclass(frozen=True)
 class _Identity:
-    """One identity's campaign facts: default tolerance and N, the largest N
-    its runner honours (None: no bound), the names ``fixed`` may pin, which
-    are exactly those the runner reads (a ``bounded`` one needs 0 < modulus
-    < 1, a ``free`` one a nonzero value), the default tolerance at N = 0
-    where that check is exact up to rounding (None: ``tolerance``), whether
-    every draw needs p != 0 (it evaluates elliptic gamma, which is undefined
-    at p = 0), and the fixed names under which every draw needs it (a fixed
-    y makes every discrete draw y-split, and that split divides by sqrt(p))."""
+    """One identity's campaign record: default tolerance and N, the largest
+    N its runner honours (None: no bound), the names ``fixed`` may pin,
+    which are exactly those the runner reads (a ``bounded`` one needs 0 <
+    modulus < 1, a ``free`` one a nonzero value), the default tolerance at
+    N = 0 where that check is exact up to rounding (None: ``tolerance``),
+    whether every draw needs p != 0 (it evaluates elliptic gamma, which is
+    undefined at p = 0), and the fixed names under which every draw needs it
+    (a fixed y makes every discrete draw y-split, and that split divides by
+    sqrt(p)).
+
+    Then its sampling passes, as :func:`_sample_until` takes them:
+    ``sample(cfg, rng)`` makes one attempt at a draw; ``evaluate`` takes a
+    round's pending items together (a gamma-engine pass, a stacked
+    DiscreteParams build under the conditioning cap, or the
+    residue-reduction checks), or is None where an item is its own value;
+    and ``finish`` takes the chunk's accepted draws and their draw indices
+    (the special-functions thetas, where a failed product order ends the
+    draw with its TruncationLimitError; the beta-integral and star-triangle
+    checks, whose errors end their draws), or is None.  A pass reads the
+    function it calls from its module when it runs."""
 
     tolerance: float
     N: int
@@ -68,22 +81,10 @@ class _Identity:
     tolerance_N0: float | None = None
     needs_p: bool = False
     needs_p_when_fixed: tuple = ()
+    sample: object = None
+    evaluate: object = None
+    finish: object = None
 
-
-_IDENTITY = {
-    "special-functions": _Identity(1e-11, 0, 0, needs_p=True),
-    "beta-integral": _Identity(1e-9, 0, 0, ("t1", "t2", "t3", "t4", "t5"), needs_p=True),
-    "matrix-bailey": _Identity(1e-9, 4, None, ("a", "k", "t_tilde"), ("y",),
-                               needs_p_when_fixed=("y",)),
-    "star-triangle": _Identity(1e-8, 0, 0, ("s", "t"), ("y",), needs_p=True),
-    "coxeter": _Identity(1e-9, 4, None, ("a", "k", "t_tilde"), ("y",),
-                         needs_p_when_fixed=("y",)),
-    "residue-reduction": _Identity(1e-9, 4, None, ("a", "k")),
-    "cauchy-deformation": _Identity(1e-8, 3, 3, ("z0", "t")),
-    "finite-difference": _Identity(1e-5, 1, 1, tolerance_N0=1e-14),
-}
-
-IDENTITIES = tuple(_IDENTITY)
 
 # the sampler's attempts per draw, the discrete samplers' conditioning cap,
 # star-triangle's spectator points and pole margin, and every campaign
@@ -262,12 +263,13 @@ def _sample_until(cfg, rngs, build, evaluate=None, finish=None) -> list:
     ``_RETRY_CAP`` rejections it gets the retry-cap error.  Any other error
     from ``build`` or from its item is the draw's fault.  ``finish(draws,
     positions)``, unless it is None, takes the values of the accepted draws
-    and their positions in ``rngs``, and returns, per draw, the values to
-    append, or the error that ends the draw; that draw keeps its
-    rejections, as one whose runner raises does.  Returns,
-    per draw, (values or error, rejections), with None for the rejections
-    of a fault.  An error of a pass itself, outside every item, is raised.
-    ``cfg`` is unused; perfbench's tracer reads ``build`` at position 2."""
+    and their positions in ``rngs``, and returns, per draw, the value to
+    append, as an item's value is appended, or the error that ends the
+    draw; that draw keeps its rejections, as one whose runner raises does.
+    Returns, per draw, (values or error, rejections), with None for the
+    rejections of a fault.  An error of a pass itself, outside every item,
+    is raised.  ``cfg`` is unused; perfbench's tracer reads ``build`` at
+    position 2."""
     outcomes = [None] * len(rngs)
     rejects = [0] * len(rngs)
 
@@ -301,7 +303,7 @@ def _sample_until(cfg, rngs, build, evaluate=None, finish=None) -> list:
     if done and finish is not None:
         for i, more in zip(done, finish([outcomes[i][0] for i in done], done)):
             values, rejected = outcomes[i]
-            outcomes[i] = (more if isinstance(more, Exception) else (*values, *more)), rejected
+            outcomes[i] = (more if isinstance(more, Exception) else (*values, more)), rejected
     return outcomes
 
 
@@ -342,7 +344,7 @@ def _run_special_functions(cfg: CampaignConfig, values, idx: int) -> Verificatio
     which caches each nome's (p; p)_inf and (q; q)_inf on the way), with the
     bits of the scalar calls.
     """
-    nome, z, gammas, theta_p, theta_q = values
+    nome, z, gammas, (theta_p, theta_q) = values
     g, g_qz, g_pz, g_inv = (complex(v) for v in gammas[:4])
     res_fd_q, res_fd_p, res_limit = _residual_ratio(
         [g_qz, g_pz, complex(gammas[13]) / nome.pp_inf**2],
@@ -381,11 +383,6 @@ def _sample_beta_integral(cfg: CampaignConfig, rng):
     return (nome, cfg.effective_tolerance), ts
 
 
-def _finish_beta_integral(draws, _indices) -> list:
-    return _reports(ct._beta_integral_checks([(*ts, nome, _QUAD_REL_TOL, tolerance)
-                                              for nome, tolerance, ts in draws]))
-
-
 def _sample_discrete(cfg: CampaignConfig, rng):
     """One attempt at a matrix-Bailey or Coxeter draw: its head, the bc mode,
     and the fields of its :class:`bailey_algebra.DiscreteParams`, which the
@@ -415,14 +412,6 @@ def _run_discrete(verify, cfg: CampaignConfig, values) -> VerificationReport:
     return rep
 
 
-def _run_matrix_bailey(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
-    return _run_discrete(ba.verify_matrix_bailey, cfg, values)
-
-
-def _run_coxeter(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
-    return _run_discrete(ba.verify_coxeter, cfg, values)
-
-
 def _sample_star_triangle(cfg: CampaignConfig, rng):
     """One attempt at a star-triangle draw: its head (nome, s, t, y,
     tolerance) and its spectators, whose check the chunk's finishing pass
@@ -441,16 +430,10 @@ def _finish_star_triangle(draws, indices) -> list:
     """The star-triangle checks of a chunk's accepted draws; the test function
     alternates with the draw index, the constant one at even indices and
     z + 1/z at odd ones."""
-    return _reports(ct._star_triangle_checks([
+    return ct._star_triangle_checks([
         (s, t, y, spectators, ct.constant_one() if idx % 2 == 0 else ct.z_plus_inverse(), nome,
          _QUAD_REL_TOL, tolerance, _STAR_MARGIN)
-        for (nome, s, t, y, tolerance, spectators), idx in zip(draws, indices)]))
-
-
-def _reports(outs) -> list:
-    """The values a chunk pass of checks appends to its draws: each report
-    alone, each error as it is."""
-    return [out if isinstance(out, Exception) else (out,) for out in outs]
+        for (nome, s, t, y, tolerance, spectators), idx in zip(draws, indices)])
 
 
 def _sample_residue_reduction(cfg: CampaignConfig, rng):
@@ -537,41 +520,60 @@ def _run_finite_difference(cfg: CampaignConfig, values, idx: int) -> Verificatio
     )
 
 
-# each identity's sampler of one attempt; the pass that evaluates a round's
-# pending items together (a gamma-engine pass, a stacked DiscreteParams build
-# under the conditioning cap, or the residue-reduction checks; a pass reads
-# its function from the module when it runs), or None where an item is its
-# own value; and the pass that finishes the chunk's accepted draws, given
-# their values and draw indices (the special-functions thetas, where a
-# failed product order ends the draw with its TruncationLimitError; the
-# beta-integral and star-triangle checks, whose errors end their draws), or
-# None
-_SAMPLERS = {
-    "special-functions": (_sample_special_functions,
-                          lambda groups: _gamma_groups(groups, "the special-functions draw"),
-                          lambda draws, _indices: _theta_pass([(z, nome)
-                                                               for nome, z, _gammas in draws])),
-    "beta-integral": (_sample_beta_integral, None, _finish_beta_integral),
-    "matrix-bailey": (_sample_discrete,
-                      lambda drafts: ba.DiscreteParams.stack(drafts, _AMPLIFICATION_CAP), None),
-    "star-triangle": (_sample_star_triangle, None, _finish_star_triangle),
-    "residue-reduction": (_sample_residue_reduction,
-                          lambda checks: ct._residue_reduction_checks(checks), None),
-    "cauchy-deformation": (_sample_cauchy_deformation, None, None),
-    "finite-difference": (_sample_finite_difference, None, None),
+# matrix-bailey and coxeter draw alike; only their runners' checks differ
+_DISCRETE = dict(tolerance=1e-9, N=4, max_N=None, bounded=("a", "k", "t_tilde"), free=("y",),
+                 needs_p_when_fixed=("y",), sample=_sample_discrete,
+                 evaluate=lambda drafts: ba.DiscreteParams.stack(drafts, _AMPLIFICATION_CAP))
+_IDENTITY = {
+    "special-functions": _Identity(
+        1e-11, 0, 0, needs_p=True, sample=_sample_special_functions,
+        evaluate=lambda groups: _gamma_groups(groups, "the special-functions draw"),
+        finish=lambda draws, _indices: _theta_pass([(z, nome) for nome, z, _gammas in draws])),
+    "beta-integral": _Identity(
+        1e-9, 0, 0, ("t1", "t2", "t3", "t4", "t5"), needs_p=True, sample=_sample_beta_integral,
+        finish=lambda draws, _indices: ct._beta_integral_checks(
+            [(*ts, nome, _QUAD_REL_TOL, tolerance) for nome, tolerance, ts in draws])),
+    "matrix-bailey": _Identity(**_DISCRETE),
+    "star-triangle": _Identity(1e-8, 0, 0, ("s", "t"), ("y",), needs_p=True,
+                               sample=_sample_star_triangle, finish=_finish_star_triangle),
+    "coxeter": _Identity(**_DISCRETE),
+    "residue-reduction": _Identity(1e-9, 4, None, ("a", "k"), sample=_sample_residue_reduction,
+                                   evaluate=lambda checks: ct._residue_reduction_checks(checks)),
+    "cauchy-deformation": _Identity(1e-8, 3, 3, ("z0", "t"), sample=_sample_cauchy_deformation),
+    "finite-difference": _Identity(1e-5, 1, 1, tolerance_N0=1e-14,
+                                   sample=_sample_finite_difference),
 }
-_SAMPLERS["coxeter"] = _SAMPLERS["matrix-bailey"]
+
+IDENTITIES = tuple(_IDENTITY)
 
 _RUNNERS = {
     "special-functions": _run_special_functions,
     "beta-integral": _run_checked,
-    "matrix-bailey": _run_matrix_bailey,
+    # each reads its check from bailey_algebra when it runs, as perfbench's tracer wraps it there
+    "matrix-bailey": lambda cfg, values, idx: _run_discrete(ba.verify_matrix_bailey, cfg, values),
     "star-triangle": _run_checked,
-    "coxeter": _run_coxeter,
+    "coxeter": lambda cfg, values, idx: _run_discrete(ba.verify_coxeter, cfg, values),
     "residue-reduction": _run_checked,
     "cauchy-deformation": _run_cauchy_deformation,
     "finite-difference": _run_finite_difference,
 }
+
+
+def _sub_seeds(cfg: CampaignConfig) -> np.ndarray:
+    """The sub-seed of each of cfg's draws: draw i samples on the generator
+    ``np.random.default_rng(int(_sub_seeds(cfg)[i]))``."""
+    return np.random.default_rng(cfg.seed).integers(0, 2**63 - 1, size=cfg.draws, dtype=np.int64)
+
+
+def _sample_draws(cfg: CampaignConfig, rngs, first: int = 0) -> list:
+    """The outcomes of :func:`_sample_until` on a chunk of cfg's draws, one on
+    each of ``rngs``, with the passes of the identity's record; the chunk's
+    first draw has draw index ``first``, which offsets the positions the
+    finishing pass takes."""
+    spec = _IDENTITY[cfg.identity]
+    finish = spec.finish
+    return _sample_until(cfg, rngs, lambda rng: spec.sample(cfg, rng), spec.evaluate,
+                         finish and (lambda draws, at: finish(draws, [first + i for i in at])))
 
 
 def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
@@ -579,17 +581,12 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
 
     The draws are taken in order a chunk at a time, draw 0 alone and then
     ``_DRAW_CHUNK`` at a time, each chunk sampled in the calling thread by
-    :func:`_sample_until` with the identity's ``_SAMPLERS`` entry: each
-    draw on the generator of its own sub-seed, each sampling round
-    evaluating the chunk's pending draws together where the identity has a
-    pass for it (one gamma-engine pass, one stacked
-    :class:`bailey_algebra.DiscreteParams` build, or the residue-reduction
-    checks of :func:`contour._residue_reduction_checks`), and a rejected draw
-    sampling again on its own stream; then the identity's finishing pass
-    takes the chunk's accepted draws and their draw indices together (the
-    special-functions thetas, or the star-triangle and beta-integral checks
-    of :func:`contour._star_triangle_checks` and
-    :func:`contour._beta_integral_checks`).  A draw's values, rejections and
+    :func:`_sample_draws`: each draw on the generator of its own sub-seed
+    (:func:`_sub_seeds`), each sampling round evaluating the chunk's pending
+    draws together where the identity's record has a pass for it, a
+    rejected draw sampling again on its own stream, and then the record's
+    finishing pass taking the chunk's accepted draws and their draw indices
+    together (see :class:`_Identity`).  A draw's values, rejections and
     errors are those of sampling and finishing it alone.  Should a pass fail
     outside every draw, the chunk is sampled again one draw at a time from
     fresh streams, so one bad draw never takes down another.  Each draw of
@@ -606,16 +603,11 @@ def run_campaign(config: CampaignConfig) -> list[VerificationReport]:
     call, timed here only, plus an equal share of its chunk's sampling.
     """
     runner = _RUNNERS[config.identity]
-    sample, evaluate, finish = _SAMPLERS[config.identity]
     threads = min(config.threads, _thread_cap())
-    master = np.random.default_rng(config.seed)
-    sub_seeds = master.integers(0, 2**63 - 1, size=config.draws, dtype=np.int64)
+    sub_seeds = _sub_seeds(config)
 
     def sampled(lo, hi):
-        rngs = [np.random.default_rng(int(seed)) for seed in sub_seeds[lo:hi]]
-        # the finishing pass takes draw indices, the positions in the chunk from lo
-        return _sample_until(config, rngs, lambda rng: sample(config, rng), evaluate,
-                             finish and (lambda draws, at: finish(draws, [lo + i for i in at])))
+        return _sample_draws(config, [np.random.default_rng(int(s)) for s in sub_seeds[lo:hi]], lo)
 
     def chunk(lo, hi):
         """The outcomes of sampling draws lo .. hi - 1, and its seconds per draw."""

@@ -24,7 +24,7 @@ from elliptic_bailey.contour import (
     finite_difference_oracle,
     residue_matrix_reduction_check,
 )
-from elliptic_bailey.harness import CampaignConfig, run_campaign, summarize, _sample_until, _SAMPLERS
+from elliptic_bailey.harness import CampaignConfig, run_campaign, summarize, _sample_draws
 from elliptic_bailey.report import identity_deviation, relative_residual
 from elliptic_bailey.special_functions import NomePair
 
@@ -37,8 +37,7 @@ def _line(name, ok, detail):
 def _discrete_draw(cfg, rng):
     """The DiscreteParams of one matrix-Bailey or Coxeter draw sampled on rng,
     as a campaign samples a draw."""
-    sample, evaluate, finish = _SAMPLERS[cfg.identity]
-    ((values, _rejected),) = _sample_until(cfg, [rng], lambda r: sample(cfg, r), evaluate, finish)
+    ((values, _rejected),) = _sample_draws(cfg, [rng])
     if isinstance(values, Exception):
         raise values
     _mode, params = values

@@ -1024,6 +1024,23 @@ class TestFiniteDifference:
         with pytest.raises(DegenerateParameterError):
             finite_difference_M(2, -1, x, f, nome)
 
+    # near |p| = 1 the theta products overflow: draw 1 of
+    # `verify finite-difference --p 0.999 --seed 1`
+    NEAR_UNIT_P = NomePair(0.999, 0.4816506849979264)
+    NEAR_UNIT_X = -0.5869658055616375 + 0.7439660257647381j
+
+    def test_a_sum_that_is_not_finite_is_degenerate(self):
+        f = lambda z: z + 1.0 / z
+        with pytest.raises(DegenerateParameterError, match=r"finite_difference_M\(N=1"):
+            finite_difference_M(1, 1, self.NEAR_UNIT_X, f, self.NEAR_UNIT_P)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_identity_action_exact_where_the_products_overflow(self, sign):
+        # ratio[0] = 1 discards the overflowed theta
+        f = lambda z: z + 1.0 / z
+        x = self.NEAR_UNIT_X
+        assert finite_difference_M(0, sign, x, f, self.NEAR_UNIT_P) == f(sign * x)
+
     def test_oracle_window_validation(self):
         nome = NomePair(0.1, 0.4)
         with pytest.raises(ConstraintViolationError):

@@ -14,15 +14,6 @@ from elliptic_bailey.report import VerificationReport
 from elliptic_bailey.special_functions import elliptic_gamma
 
 
-def _sampled(cfg, rngs, first=0):
-    """The outcomes of sampling a chunk of draws of cfg's identity, one on
-    each of rngs, the first at draw index ``first``, as run_campaign samples
-    them."""
-    sample, evaluate, finish = hmod._SAMPLERS[cfg.identity]
-    return hmod._sample_until(cfg, rngs, lambda rng: sample(cfg, rng), evaluate,
-                              finish and (lambda draws, at: finish(draws, [first + i for i in at])))
-
-
 class TestCampaignConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(DomainError):
@@ -58,7 +49,7 @@ class TestCampaignConfig:
 class TestIdentityTable:
     def test_every_identity_has_a_runner(self):
         assert list(hmod._RUNNERS) == list(hmod.IDENTITIES)
-        assert sorted(hmod._SAMPLERS) == sorted(hmod.IDENTITIES)
+        assert all(spec.sample for spec in hmod._IDENTITY.values())
 
     @pytest.mark.parametrize("identity", hmod.IDENTITIES)
     def test_fixable_names_are_the_names_the_runner_reads(self, monkeypatch, identity):
@@ -400,8 +391,8 @@ class TestChunkSampler:
         # a one-draw chunk, then the runner, with the bits of the campaign's draw
         cfg = CampaignConfig(**self.CFG)
         (first,) = run_campaign(CampaignConfig(**{**self.CFG, "draws": 1}))
-        seed = np.random.default_rng(cfg.seed).integers(0, 2**63 - 1, size=1, dtype=np.int64)[0]
-        ((values, rejected),) = _sampled(cfg, [np.random.default_rng(int(seed))])
+        seed = hmod._sub_seeds(cfg)[0]
+        ((values, rejected),) = hmod._sample_draws(cfg, [np.random.default_rng(int(seed))])
         rep = hmod._RUNNERS["special-functions"](cfg, values, 0)
         rep.draw_index, rep.settings["rejected"] = 0, rejected
         assert rep.to_json() == first.to_json()
@@ -421,11 +412,11 @@ class TestChunkSampler:
         import tracemalloc
 
         cfg = CampaignConfig(**fields, draws=hmod._DRAW_CHUNK)
-        seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=hmod._DRAW_CHUNK)
+        seeds = hmod._sub_seeds(cfg)
         rngs = [np.random.default_rng(int(seed)) for seed in seeds]
         tracemalloc.start()
         try:
-            outcomes = _sampled(cfg, rngs)
+            outcomes = hmod._sample_draws(cfg, rngs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -445,11 +436,11 @@ class TestChunkSampler:
 
         run_campaign(CampaignConfig(identity=identity, draws=2))
         cfg = CampaignConfig(identity=identity, draws=hmod._DRAW_CHUNK)
-        seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=hmod._DRAW_CHUNK)
+        seeds = hmod._sub_seeds(cfg)
         rngs = [np.random.default_rng(int(seed)) for seed in seeds]
         tracemalloc.start()
         try:
-            outcomes = _sampled(cfg, rngs)
+            outcomes = hmod._sample_draws(cfg, rngs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -463,11 +454,11 @@ class TestChunkSampler:
         import tracemalloc
 
         cfg = CampaignConfig(identity=identity, N=8, draws=hmod._DRAW_CHUNK)
-        seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=hmod._DRAW_CHUNK)
+        seeds = hmod._sub_seeds(cfg)
         rngs = [np.random.default_rng(int(seed)) for seed in seeds]
         tracemalloc.start()
         try:
-            outcomes = _sampled(cfg, rngs)
+            outcomes = hmod._sample_draws(cfg, rngs)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -507,11 +498,10 @@ class TestOneSampler:
     def _each_alone(cfg):
         """The canonical reports of cfg's draws, each sampled alone on its
         sub-seed's stream, then run, with its rejections and index stamped."""
-        seeds = np.random.default_rng(cfg.seed).integers(0, 2**63 - 1, size=cfg.draws,
-                                                         dtype=np.int64)
+        seeds = hmod._sub_seeds(cfg)
         out = []
         for idx, seed in enumerate(seeds):
-            ((values, rejected),) = _sampled(cfg, [np.random.default_rng(int(seed))], idx)
+            ((values, rejected),) = hmod._sample_draws(cfg, [np.random.default_rng(int(seed))], idx)
             rep = hmod._RUNNERS[cfg.identity](cfg, values, idx)
             rep.settings["rejected"], rep.draw_index = rejected, idx
             out.append(rep.to_json())
@@ -687,6 +677,14 @@ class TestValidationAndErrors:
         assert [r.draw_index for r in split] == [0]
         assert split[0].error == "DomainError: derive_bc requires p != 0 (c divides by sqrt(p))"
         assert all(r.passed and r.settings["bc_mode"] == "free-bc" for r in reports[1:])
+
+    def test_a_star_triangle_draw_whose_D_overflows_is_degenerate(self):
+        # at q = 0.999 a spectator's D(t; y, w), a product of four finite gamma
+        # values, overflows: the check ends the draw, which keeps its
+        # rejections, and no warning leaves it
+        (rep,) = run_campaign(CampaignConfig(identity="star-triangle", q=0.999, draws=1, seed=1))
+        assert rep.error.startswith("DegenerateParameterError: D(t; y, w) = ")
+        assert rep.settings == {"rejected": 21}
 
     def test_error_isolation(self):
         # an impossible fixed parameter set errors every draw via the retry
