@@ -27,6 +27,8 @@ import configparser
 import functools
 import sys
 
+import numpy as np
+
 from .bailey_algebra import d_entry, m_entry, _d_rows, _m_rows
 from .errors import EllipticBaileyError, QuadratureConvergenceError
 from .harness import IDENTITIES, CampaignConfig, run_campaign, summarize
@@ -180,8 +182,10 @@ def cmd_eval(args) -> int:
     fn = args.function
     if fn == "theta":
         _require(args, ["z"])
-        val = theta(args.z, args.p)
-        print(f"theta({_fmt(args.z)}; {_fmt(args.p)}) = {_fmt(val)}")
+        label = f"theta({_fmt(args.z)}; {_fmt(args.p)})"
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = _finite(label, theta(args.z, args.p))
+        print(f"{label} = {_fmt(val)}")
         print(f"  [q-pochhammer order {theta_truncation_order(args.z, args.p)}]")
         return EXIT_OK
     _require(args, ["q"])
@@ -194,8 +198,10 @@ def cmd_eval(args) -> int:
         print(f"  [truncation orders: {terms} series terms, {shifts} theta shifts]")
     elif fn == "pochhammer":
         _require(args, ["z", "n"])
-        val = elliptic_pochhammer(args.z, args.n, nome)
-        print(f"theta({_fmt(args.z)})_{args.n} = {_fmt(val)}")
+        label = f"theta({_fmt(args.z)})_{args.n}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = _finite(label, elliptic_pochhammer(args.z, args.n, nome))
+        print(f"{label} = {_fmt(val)}")
         # the factors theta(z q^j; p), j < n, or theta(z q^j; p), n <= j < 0
         base = args.z if args.n >= 0 else args.z * nome.q**args.n
         _print_theta_order(([base], [abs(args.n)]), nome)
@@ -211,6 +217,14 @@ def cmd_eval(args) -> int:
         print(f"D_{args.m}({_fmt(args.a)}; {_fmt(args.b)}, {_fmt(args.c)}) = {_fmt(val)}")
         _print_theta_order(_d_rows(args.m, args.a, args.b, args.c, nome.q), nome)
     return EXIT_OK
+
+
+def _finite(label: str, val):
+    """``val``, unless it is not finite: a theta product beyond the double
+    range overflows to inf or nan, and the library returns it as it is."""
+    if not cmath.isfinite(val):
+        raise CliError(f"{label} = {complex(val)} is not finite")
+    return val
 
 
 def _print_theta_order(rows, nome: NomePair) -> None:

@@ -20,7 +20,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (
     PoleProximityError,
     QuadratureConvergenceError,
 )
-from .report import (SUMMARY_SCHEMA_TAG, VerificationReport, _canonical, _encode, _residual_ratio,
+from .report import (SUMMARY_SCHEMA_TAG, VerificationReport, _encode, _residual_ratio, _text,
                      relative_residual, worst)
 from .special_functions import (
     NomePair,
@@ -201,29 +201,37 @@ class CampaignSummary:
     failures: list
 
     def to_json(self) -> str:
-        # the failure entries are encoded already, and encoding leaves them as they are
-        return _canonical({"schema": SUMMARY_SCHEMA_TAG, **_encode(asdict(self))})
+        # the failure entries are encoded already, and writing leaves them as they are
+        return _text({"schema": SUMMARY_SCHEMA_TAG, **vars(self)})
 
 
 # --------------------------------------------------------------------------
 # samplers
 # --------------------------------------------------------------------------
 
+def _uniform(rng, lo, hi):
+    """``rng.uniform(lo, hi)``, bit for bit: numpy's own formula for it,
+    lo + (hi - lo) * next_double, on ``rng.random()``, which is next_double,
+    without the argument handling that makes a ``uniform`` call cost about
+    three ``random`` calls."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _unit_phase(rng):
-    return np.exp(2j * np.pi * rng.uniform())
+    return np.exp(2j * np.pi * rng.random())
 
 
 def _draw_nome(cfg: CampaignConfig, rng, *, p_range, q_range, q_real=False) -> NomePair:
     if cfg.p is not None:
         p = cfg.p
     else:
-        p = rng.uniform(*p_range)
+        p = _uniform(rng, *p_range)
         if cfg.allow_complex_nomes:
             p = p * _unit_phase(rng)
     if cfg.q is not None:
         q = cfg.q
     else:
-        q = rng.uniform(*q_range)
+        q = _uniform(rng, *q_range)
         if cfg.allow_complex_nomes and not q_real:
             q = q * _unit_phase(rng)
     return NomePair(p, q)
@@ -319,7 +327,7 @@ def _sample_special_functions(cfg: CampaignConfig, rng):
     group of its 14 gamma points z, qz, pz, pq/z, then z^2 and the eight
     quadratic-transformation arguments, then q."""
     nome = _draw_nome(cfg, rng, p_range=(0.05, 0.25), q_range=(0.1, 0.35))
-    z = rng.uniform(0.3, 1.5) * _unit_phase(rng)
+    z = _uniform(rng, 0.3, 1.5) * _unit_phase(rng)
     points = np.concatenate([[z, nome.q * z, nome.p * z, nome.p * nome.q / z],
                              _quadratic_points(z, nome), [nome.q]])
     return (nome, z), (points, nome)
@@ -374,7 +382,7 @@ def _sample_beta_integral(cfg: CampaignConfig, rng):
     (:func:`contour._beta_integral_checks`)."""
     nome = _draw_nome(cfg, rng, p_range=(0.05, 0.12), q_range=(0.1, 0.2))
     ts = [
-        _take(cfg, rng, f"t{j + 1}", lambda r: r.uniform(0.35, 0.7) * _unit_phase(r))
+        _take(cfg, rng, f"t{j + 1}", lambda r: _uniform(r, 0.35, 0.7) * _unit_phase(r))
         for j in range(5)
     ]
     t6 = nome.p * nome.q / np.prod(ts)
@@ -390,17 +398,17 @@ def _sample_discrete(cfg: CampaignConfig, rng):
     with the conditioning cap ``_AMPLIFICATION_CAP``)."""
     nome = _draw_nome(cfg, rng, q_real=not cfg.allow_complex_nomes,
                       p_range=(0.05, 0.12), q_range=(0.25, 0.4))
-    a = _take(cfg, rng, "a", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
-    k = _take(cfg, rng, "k", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
-    t = _take(cfg, rng, "t_tilde", lambda r: r.uniform(0.1, 0.8) * _unit_phase(r))
+    a = _take(cfg, rng, "a", lambda r: _uniform(r, 0.1, 0.8) * _unit_phase(r))
+    k = _take(cfg, rng, "k", lambda r: _uniform(r, 0.1, 0.8) * _unit_phase(r))
+    t = _take(cfg, rng, "t_tilde", lambda r: _uniform(r, 0.1, 0.8) * _unit_phase(r))
     # alternate between the y-split parametrization and a free (b, c)
     # obeying only the product rule; the identity must hold for both.  A
     # fixed y makes every draw y-split; the coin is drawn regardless, so
     # the stream of an unfixed campaign does not depend on this rule
-    if rng.uniform() < 0.5 or "y" in cfg.fixed:
-        y = _take(cfg, rng, "y", lambda r: r.uniform(0.5, 1.5) * _unit_phase(r))
+    if rng.random() < 0.5 or "y" in cfg.fixed:
+        y = _take(cfg, rng, "y", lambda r: _uniform(r, 0.5, 1.5) * _unit_phase(r))
         return ("y-split",), ba.DiscreteParams.y_split(a, k, t, y, cfg.effective_N, nome)
-    b = rng.uniform(0.3, 1.2) * _unit_phase(rng)
+    b = _uniform(rng, 0.3, 1.2) * _unit_phase(rng)
     c = nome.q * a * t / (k * b)
     return ("free-bc",), dict(a=a, k=k, t_tilde=t, b=b, c=c, y=1.0, N=cfg.effective_N, nome=nome)
 
@@ -417,9 +425,9 @@ def _sample_star_triangle(cfg: CampaignConfig, rng):
     tolerance) and its spectators, whose check the chunk's finishing pass
     runs (:func:`contour._star_triangle_checks`)."""
     nome = _draw_nome(cfg, rng, p_range=(0.06, 0.12), q_range=(0.1, 0.18))
-    s = _take(cfg, rng, "s", lambda r: r.uniform(0.35, 0.65) * _unit_phase(r))
-    t = _take(cfg, rng, "t", lambda r: r.uniform(0.35, 0.65) * _unit_phase(r))
-    y = _take(cfg, rng, "y", lambda r: r.uniform(0.75, 1.3) * _unit_phase(r))
+    s = _take(cfg, rng, "s", lambda r: _uniform(r, 0.35, 0.65) * _unit_phase(r))
+    t = _take(cfg, rng, "t", lambda r: _uniform(r, 0.35, 0.65) * _unit_phase(r))
+    y = _take(cfg, rng, "y", lambda r: _uniform(r, 0.75, 1.3) * _unit_phase(r))
     spectators = [_unit_phase(rng) for _ in range(_SPECTATORS)]
     for w in spectators:
         ct.OperatorParams(t=t, s=s, w=w, y=y).validate_star_triangle(nome, margin=_STAR_MARGIN)
@@ -446,8 +454,8 @@ def _sample_residue_reduction(cfg: CampaignConfig, rng):
     fails a guard, is rejected and resampled; the check's report is the
     draw's value, so its runner makes no further call."""
     nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.05, 0.15), q_range=(0.3, 0.5))
-    a = _take(cfg, rng, "a", lambda r: r.uniform(0.2, 0.8) * _unit_phase(r))
-    k = _take(cfg, rng, "k", lambda r: r.uniform(0.1, 0.7) * _unit_phase(r))
+    a = _take(cfg, rng, "a", lambda r: _uniform(r, 0.2, 0.8) * _unit_phase(r))
+    k = _take(cfg, rng, "k", lambda r: _uniform(r, 0.1, 0.7) * _unit_phase(r))
     z0 = complex(np.sqrt(a))
     t = complex(np.sqrt(k / a))
     coeffs = rng.normal(size=cfg.effective_N + 1) + 1j * rng.normal(size=cfg.effective_N + 1)
@@ -463,10 +471,10 @@ def _run_checked(cfg: CampaignConfig, values, idx: int) -> VerificationReport:
 def _sample_cauchy_deformation(cfg: CampaignConfig, rng):
     n_poles = cfg.effective_N
     nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.03, 0.08), q_range=(0.76, 0.86))
-    z0 = _take(cfg, rng, "z0", lambda r: r.uniform(0.88, 0.94) * _unit_phase(r))
+    z0 = _take(cfg, rng, "z0", lambda r: _uniform(r, 0.88, 0.94) * _unit_phase(r))
     x = _unit_phase(rng)
     pole_lo = abs(z0) * nome.q.real**n_poles
-    t = _take(cfg, rng, "t", lambda r: r.uniform(0.02, 0.35 * pole_lo) * _unit_phase(r))
+    t = _take(cfg, rng, "t", lambda r: _uniform(r, 0.02, 0.35 * pole_lo) * _unit_phase(r))
     if max(abs(t * x), abs(t / x)) >= 0.6 * pole_lo:
         raise _Rejected
     coeffs = rng.normal(size=n_poles + 1) + 1j * rng.normal(size=n_poles + 1)
@@ -485,7 +493,7 @@ def _run_cauchy_deformation(cfg: CampaignConfig, values, idx: int) -> Verificati
 
 def _sample_finite_difference(cfg: CampaignConfig, rng):
     nome = _draw_nome(cfg, rng, q_real=True, p_range=(0.05, 0.15), q_range=(0.35, 0.5))
-    return (nome,), rng.uniform(0.88, 0.95) * _unit_phase(rng)
+    return (nome,), _uniform(rng, 0.88, 0.95) * _unit_phase(rng)
 
 
 def _run_finite_difference(cfg: CampaignConfig, values, idx: int) -> VerificationReport:

@@ -2,7 +2,8 @@
 
 Canonical JSON encodes every float as its hex representation (``float.hex``)
 and every complex as a two-element ``[hex_re, hex_im]`` list, so a report
-round-trips bit for bit.  Wall time is measurement noise, not a result, and is
+round-trips bit for bit.  One writer, :func:`_text`, writes it directly,
+reports and campaign summaries alike.  Wall time is measurement noise, not a result, and is
 excluded from canonical output so that repeated runs of the same seeded
 campaign are byte-identical; pass ``include_timing=True`` to keep it.
 """
@@ -50,32 +51,59 @@ def identity_deviation(mat) -> float:
     return float(np.max(np.abs(mat - eye)))
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _list(items) -> str:
+    return "[" + ",".join([_text(v) for v in items]) + "]"
+
+
+def _dict(mapping) -> str:
+    keyed = {str(k): v for k, v in mapping.items()}
+    return "{" + ",".join([f"{_string(k)}:{_text(keyed[k])}" for k in sorted(keyed)]) + "}"
+
+
+# each value type's canonical text, tried in this order: a bool is not an int,
+# and numpy's float64 and complex128 are a float and a complex
+_KINDS = (
+    (bool, lambda v: "true" if v else "false"),
+    (type(None), lambda v: "null"),
+    (int, int.__repr__),
+    (str, _string),
+    (float, lambda v: f'{{"f":"{float.hex(v)}"}}'),
+    (complex, lambda v: f'{{"c":["{float.hex(v.real)}","{float.hex(v.imag)}"]}}'),
+    (np.floating, lambda v: _text(float(v))),
+    (np.complexfloating, lambda v: _text(complex(v))),
+    (np.integer, lambda v: int.__repr__(int(v))),
+    # a 0-d array's scalar is no sequence, and raises TypeError
+    (np.ndarray, lambda v: _list(v.tolist())),
+    ((list, tuple), _list),
+    (dict, _dict),
+)
+_WRITERS: dict = {}  # a cache: type -> the writer of its entry in _KINDS
+
+
+def _text(value) -> str:
+    """The canonical JSON text of a report value, written directly: floats
+    as ``{"f": float.hex}``, complex numbers as ``{"c": [hex_re, hex_im]}``,
+    integers, strings (ASCII, as ``json.dumps`` escapes them), bools and None
+    as themselves, arrays and sequences as lists, and dicts with their keys
+    as strings, sorted, with no spaces.  A value takes the first entry of
+    ``_KINDS`` its type is a subclass of; any other type raises TypeError."""
+    kind = type(value)
+    write = _WRITERS.get(kind)
+    if write is None:
+        write = next((w for types, w in _KINDS if issubclass(kind, types)), None)
+        if write is None:
+            raise TypeError(f"cannot encode {kind!r} in a report")
+        _WRITERS[kind] = write
+    return write(value)
+
+
 def _encode(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        return {"f": value.hex()}
-    if isinstance(value, complex):
-        return {"c": [value.real.hex(), value.imag.hex()]}
-    if isinstance(value, (np.floating,)):
-        return {"f": float(value).hex()}
-    if isinstance(value, (np.complexfloating,)):
-        v = complex(value)
-        return {"c": [v.real.hex(), v.imag.hex()]}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_encode(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    raise TypeError(f"cannot encode {type(value)!r} in a report")
-
-
-def _canonical(doc: dict) -> str:
-    """The one canonical JSON line: sorted keys, no spaces."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """The canonical form of a report value as JSON data: the parse of its
+    canonical text."""
+    return json.loads(_text(value))
 
 
 def _decode(value):
@@ -111,23 +139,16 @@ class VerificationReport:
         return self.error is None and self.residual < self.tolerance
 
     def to_json(self, include_timing: bool = False) -> str:
-        doc = {
-            "schema": SCHEMA_TAG,
-            "identity": self.identity,
-            "draw_index": self.draw_index,
-            "params": _encode(self.params),
-            "lhs": _encode(self.lhs),
-            "rhs": _encode(self.rhs),
-            "residual": _encode(float(self.residual)),
-            "tolerance": _encode(float(self.tolerance)),
-            "pass": self.passed,
-            "settings": _encode(self.settings),
-            "details": _encode(self.details),
-            "error": self.error,
-        }
-        if include_timing:
-            doc["wall_time_s"] = _encode(float(self.wall_time_s))
-        return _canonical(doc)
+        """The report's canonical JSON line; its keys are written in sorted
+        order, as :func:`_text` writes a dict's."""
+        timing = f',"wall_time_s":{_text(float(self.wall_time_s))}' if include_timing else ""
+        return (f'{{"details":{_text(self.details)},"draw_index":{_text(self.draw_index)},'
+                f'"error":{_text(self.error)},"identity":{_text(self.identity)},'
+                f'"lhs":{_text(self.lhs)},"params":{_text(self.params)},'
+                f'"pass":{_text(self.passed)},"residual":{_text(float(self.residual))},'
+                f'"rhs":{_text(self.rhs)},"schema":{_text(SCHEMA_TAG)},'
+                f'"settings":{_text(self.settings)},"tolerance":{_text(float(self.tolerance))}'
+                f'{timing}}}')
 
     @classmethod
     def from_json(cls, line: str) -> "VerificationReport":

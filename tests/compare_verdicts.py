@@ -1,13 +1,15 @@
-"""Compare the `verify --json` verdicts of two source trees, row by row.
+"""Compare the `verify --json` and `eval` verdicts of two source trees, row by row.
 
     python tests/compare_verdicts.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory holding the ``elliptic_bailey`` package (a
 tree's ``src``).  Every row of ``tests/data/verdict-commands.txt`` is one
-``verify`` argument list; each tree runs all rows, with ``--json``
-appended, in one child process under ``OPENBLAS_NUM_THREADS=1``.  Before
-each row the child forgets the warnings it has shown, so a row's stderr
-holds what the row would print in a process of its own.
+``verify`` argument list, or an ``eval`` command line when it starts with
+``eval``.  Each tree runs all rows in one child process under
+``OPENBLAS_NUM_THREADS=1``: a ``verify`` row with ``verify`` before it and
+``--json`` after it, an ``eval`` row as it is.  Before each row the child
+forgets the warnings it has shown, so a row's stderr holds what the row
+would print in a process of its own.
 
 Prints, per row, whether stdout and the exit code are equal and both trees'
 stderr line counts, then the number of equal rows.  Exits 0 when every row
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     commands = rows()
-    argvs = [["verify", *row, "--json"] for row in commands]
+    argvs = [row if row[0] == "eval" else ["verify", *row, "--json"] for row in commands]
     parent, change = (run_tree(src, argvs) for src in args)
     equal = 0
     for row, (out_a, code_a, err_a), (out_b, code_b, err_b) in zip(commands, parent, change):

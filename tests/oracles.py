@@ -12,8 +12,12 @@ against them.  ``qpoch_order_reference`` and ``series_order_reference`` are
 the product and series order rules the library kept separately before one
 ``_truncation_order`` served both; ``fit_radius`` solves the series bound
 for the radius at which a ring's unshifted series fits its fold.
+``canonical_reference`` is the canonical JSON line of a report value as the
+library wrote it before its direct writer: a tree of JSON data built by
+``encode_reference``, then ``json.dumps`` with sorted keys and no spaces.
 """
 
+import json
 import math
 
 import mpmath
@@ -307,3 +311,30 @@ def d_entry_reference(m: int, a, b, c, nome: NomePair) -> complex:
     den_b = _guarded_pochhammer(a * q / b, m, nome, "theta(aq/b)_m")
     den_c = _guarded_pochhammer(a * q / c, m, nome, "theta(aq/c)_m")
     return num / (den_b * den_c) * (a * q / (b * c)) ** m
+
+
+def encode_reference(value):
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        return {"f": value.hex()}
+    if isinstance(value, complex):
+        return {"c": [value.real.hex(), value.imag.hex()]}
+    if isinstance(value, (np.floating,)):
+        return {"f": float(value).hex()}
+    if isinstance(value, (np.complexfloating,)):
+        v = complex(value)
+        return {"c": [v.real.hex(), v.imag.hex()]}
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [encode_reference(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [encode_reference(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): encode_reference(v) for k, v in value.items()}
+    raise TypeError(f"cannot encode {type(value)!r} in a report")
+
+
+def canonical_reference(value) -> str:
+    return json.dumps(encode_reference(value), sort_keys=True, separators=(",", ":"))

@@ -476,6 +476,26 @@ class TestEval:
         assert err == ("error: q-Pochhammer tail bound inf is not finite (base 0.1); "
                        "no truncation order bounds it\n")
 
+    @pytest.mark.parametrize("argv, label", [
+        (("theta", "--z", "1e30", "--p", "0.5"), "theta(1e+30; 0.5)"),
+        (("theta", "--z", "1e-200", "--p", "0.5"), "theta(1e-200; 0.5)"),
+        (("theta", "--z", "1e150", "--p", "0.01"), "theta(1e+150; 0.01)"),
+        (("pochhammer", "--z", "1e30", "--n", "3", "--p", "0.5", "--q", "0.3"), "theta(1e+30)_3"),
+    ])
+    def test_a_product_beyond_the_double_range_exits_2(self, capsys, argv, label):
+        # the product overflows to nan; it printed nan-nani and exited 0 before
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {label} = (nan+nanj) is not finite\n"
+
+    def test_a_product_beyond_the_double_range_prints_no_warning(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "elliptic_bailey.cli", "eval", "theta",
+                               "--z", "1e30", "--p", "0.5"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: theta(1e+30; 0.5) = (nan+nanj) is not finite\n"
+
     def test_non_finite_argument_exits_2_before_any_arithmetic(self, capsys, monkeypatch):
         # theta's p / z warned on nan before its error message
         monkeypatch.setattr(cli, "theta", lambda *args: pytest.fail("theta ran"))

@@ -211,6 +211,34 @@ class TestSampler:
                                                  for r in passed]
         assert summarize(errored).rejected_draws == 2
 
+    def test_the_uniform_helper_is_generator_uniform(self, monkeypatch):
+        # the samplers' uniforms rest on numpy's formula for Generator.uniform,
+        # lo + (hi - lo) * next_double; a numpy that changes it fails here.
+        # The ranges are those the samplers pass, Cauchy's 0.35 * pole_lo too.
+        ranges = set()
+        uniform = hmod._uniform
+
+        def recording(rng, lo, hi):
+            ranges.add((lo, hi))
+            return uniform(rng, lo, hi)
+
+        monkeypatch.setattr(hmod, "_uniform", recording)
+        rng = np.random.default_rng(7)
+        for identity in hmod.IDENTITIES:
+            cfg = CampaignConfig(identity=identity, allow_complex_nomes=True)
+            for _ in range(4):
+                try:
+                    hmod._IDENTITY[identity].sample(cfg, rng)
+                except hmod._REJECTIONS:
+                    pass
+        assert len(ranges) > 20 and any(lo == 0.02 for lo, _hi in ranges)
+        ranges = sorted(ranges)
+        for seed in range(1000):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = [uniform(ours, lo, hi) for lo, hi in ranges] + [ours.random()]
+            want = [numpys.uniform(lo, hi) for lo, hi in ranges] + [numpys.uniform()]
+            assert [float(x).hex() for x in got] == [x.hex() for x in want], seed
+
 
 class TestPointwiseBatching:
     @pytest.mark.parametrize("threads", [1, 2])
